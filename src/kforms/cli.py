@@ -3,7 +3,7 @@
 Every subcommand prints a short human summary to stdout; ``--format`` with
 ``--out`` (default stdout) additionally emits the underlying reports as CSV
 or JSON.  Exit codes: 0 on success, 1 when any ratio exceeds the --C
-threshold, 2 on usage errors.
+threshold, 2 on usage errors and on work refused as too large.
 """
 
 from __future__ import annotations
@@ -23,24 +23,18 @@ from .counts import (
 )
 from .kloosterman import double_fast, double_naive, single_sum, weil_reference
 from .reports import SweepResult, emit_report, make_report
-from .ring import IntervalSet, build_ring, is_prime
+from .ring import IntervalSet, build_ring, euler_phi, is_prime
 from .sweeps import (
     allowed_exceptions,
+    build_instance,
+    check_work,
+    parse_int_list,
     resolve_interval,
-    stable_seed,
     verify_lemma_sweeps,
     verify_thm1_sweep,
     verify_thm2_sweep,
 )
-from .sweeps_util import parse_int_list
-from .trilinear import (
-    TrilinearInstance,
-    make_weights,
-    proof_trace,
-    theorem1_bounds,
-    trilinear_fast,
-    trilinear_naive,
-)
+from .trilinear import proof_trace, theorem1_bounds, trilinear_fast, trilinear_naive
 
 
 def _fmt(value) -> str:
@@ -56,28 +50,10 @@ def _maybe_emit(args, result: SweepResult) -> None:
         emit_report(result, format=args.format, path=args.out)
 
 
-def _single_result(report) -> SweepResult:
-    return SweepResult(reports=[report])
-
-
-def _interval(args, name: str, q: int) -> IntervalSet:
-    return resolve_interval(getattr(args, name), q)
-
-
-def _instance(args, q: int) -> TrilinearInstance:
-    ring = build_ring(q)
-    l_int = _interval(args, "L", q)
-    m_int = _interval(args, "M", q)
-    n_int = _interval(args, "N", q)
-    weights = make_weights(
-        ring,
-        l_int,
-        mode=args.weights,
-        seed=stable_seed(args.seed, q),
-        m_interval=m_int,
-        n_interval=n_int,
-    )
-    return TrilinearInstance(ring, weights, m_int, n_int)
+def _emit_one(args, t0: float, params: dict, measured: float, reference: float) -> int:
+    report = make_report(params=params, measured=measured, reference=reference, t0=t0)
+    _maybe_emit(args, SweepResult(reports=[report]))
+    return 0
 
 
 def cmd_ring_info(args) -> int:
@@ -101,52 +77,38 @@ def cmd_ksum(args) -> int:
     reference = weil_reference(ring, args.m, args.n)
     print(f"K_{args.q}({args.m},{args.n}) = {_fmt(value)}")
     print(f"|K| = {_fmt(abs(value))}   weil_reference = {_fmt(reference)}")
-    report = make_report(
-        params={"q": args.q, "m": args.m, "n": args.n},
-        measured=abs(value),
-        reference=reference,
-        t0=t0,
-    )
-    _maybe_emit(args, _single_result(report))
-    return 0
+    return _emit_one(args, t0, {"q": args.q, "m": args.m, "n": args.n}, abs(value), reference)
 
 
 def cmd_ksum2(args) -> int:
     t0 = time.perf_counter()
+    if args.naive:
+        check_work(euler_phi(args.q) ** 2, "phi^2")
     ring = build_ring(args.q)
     fn = double_naive if args.naive else double_fast
     value = fn(ring, args.l, args.m, args.n)
     print(f"K_{args.q}({args.l},{args.m},{args.n}) = {_fmt(value)}")
     print(f"|K| = {_fmt(abs(value))}   trivial = {ring.phi ** 2}")
-    report = make_report(
-        params={"q": args.q, "l": args.l, "m": args.m, "n": args.n,
-                "path": "naive" if args.naive else "fast"},
-        measured=abs(value),
-        reference=float(ring.phi**2),
-        t0=t0,
-    )
-    _maybe_emit(args, _single_result(report))
-    return 0
+    params = {"q": args.q, "l": args.l, "m": args.m, "n": args.n,
+              "path": "naive" if args.naive else "fast"}
+    return _emit_one(args, t0, params, abs(value), float(ring.phi**2))
 
 
 def cmd_trilinear(args) -> int:
     t0 = time.perf_counter()
-    instance = _instance(args, args.q)
+    if args.naive:
+        lengths = [resolve_interval(spec, args.q).length for spec in (args.L, args.M, args.N)]
+        check_work(math.prod(lengths) * euler_phi(args.q) ** 2, "L*M*N*phi^2")
+    instance = build_instance(args.q, args.L, args.M, args.N, args.weights, args.seed)
     value = trilinear_naive(instance) if args.naive else trilinear_fast(instance)
     print(f"S_q = {_fmt(value)}   |S_q| = {_fmt(abs(value))}")
     bounds = theorem1_bounds(instance)
     for key in ("bound_b1", "bound_b2", "bound_trivial"):
         print(f"{key} = {_fmt(bounds.params[key])}")
     print(f"ratio vs min bound = {_fmt(bounds.ratio)}")
-    report = make_report(
-        params={**bounds.params, "mode": args.weights, "seed": args.seed,
-                "path": "naive" if args.naive else "fast"},
-        measured=abs(value),
-        reference=bounds.reference,
-        t0=t0,
-    )
-    _maybe_emit(args, _single_result(report))
-    return 0
+    params = {**bounds.params, "mode": args.weights, "seed": args.seed,
+              "path": "naive" if args.naive else "fast"}
+    return _emit_one(args, t0, params, abs(value), bounds.reference)
 
 
 def cmd_energy(args) -> int:
@@ -157,15 +119,9 @@ def cmd_energy(args) -> int:
     count = multiplicative_energy(ring, a_int, b_int)
     print(f"E(A,B) = {count.value}   reference = {_fmt(count.bound_value)}   "
           f"ratio = {_fmt(count.ratio)}")
-    report = make_report(
-        params={"q": args.q, "a_start": a_int.start, "A": a_int.length,
-                "b_start": b_int.start, "B": b_int.length},
-        measured=float(count.value),
-        reference=float(count.bound_value),
-        t0=t0,
-    )
-    _maybe_emit(args, _single_result(report))
-    return 0
+    params = {"q": args.q, "a_start": a_int.start, "A": a_int.length,
+              "b_start": b_int.start, "B": b_int.length}
+    return _emit_one(args, t0, params, float(count.value), float(count.bound_value))
 
 
 def cmd_jr_mod(args) -> int:
@@ -177,14 +133,8 @@ def cmd_jr_mod(args) -> int:
     print(f"orthogonality identity = {_fmt(identity)} (exact {exact})")
     if count.bound_value is not None:
         print(f"reference = {_fmt(count.bound_value)}   ratio = {_fmt(count.ratio)}")
-    report = make_report(
-        params={"q": args.q, "r": args.r, "K": args.K},
-        measured=float(count.value),
-        reference=float(count.bound_value or 0.0),
-        t0=t0,
-    )
-    _maybe_emit(args, _single_result(report))
-    return 0
+    params = {"q": args.q, "r": args.r, "K": args.K}
+    return _emit_one(args, t0, params, float(count.value), float(count.bound_value or 0.0))
 
 
 def cmd_jr_rat(args) -> int:
@@ -192,14 +142,8 @@ def cmd_jr_rat(args) -> int:
     count = reciprocal_count_rational(args.r, args.K)
     print(f"J_{args.r}({args.K}) = {count.value}   reference = {_fmt(count.bound_value)}"
           f"   ratio = {_fmt(count.ratio)}")
-    report = make_report(
-        params={"r": args.r, "K": args.K},
-        measured=float(count.value),
-        reference=float(count.bound_value),
-        t0=t0,
-    )
-    _maybe_emit(args, _single_result(report))
-    return 0
+    params = {"r": args.r, "K": args.K}
+    return _emit_one(args, t0, params, float(count.value), float(count.bound_value))
 
 
 def cmd_char_moment(args) -> int:
@@ -211,18 +155,13 @@ def cmd_char_moment(args) -> int:
     moment_again, twin = moment_identity_check(table, interval)
     print(f"fourth moment = {_fmt(moment)}   orthogonality twin = {_fmt(twin)}")
     print(f"moment / H^2 = {_fmt(moment / args.H ** 2)}")
-    report = make_report(
-        params={"q": args.q, "k": args.k, "H": args.H},
-        measured=moment,
-        reference=float(args.H**2),
-        t0=t0,
-    )
-    _maybe_emit(args, _single_result(report))
-    return 0
+    params = {"q": args.q, "k": args.k, "H": args.H}
+    return _emit_one(args, t0, params, moment, float(args.H**2))
 
 
 def cmd_proof_trace(args) -> int:
-    instance = _instance(args, args.q)
+    t0 = time.perf_counter()
+    instance = build_instance(args.q, args.L, args.M, args.N, args.weights, args.seed)
     trace = proof_trace(instance, args.r)
     gap = abs(trace.total - trace.fast_value)
     holder_max = max(
@@ -233,21 +172,21 @@ def cmd_proof_trace(args) -> int:
           f"N-side {trace.decomposition.levels_n}; cells: {len(trace.cells)}")
     print(f"reconstruction |sum cells - S_q| = {_fmt(gap)}")
     print(f"max per-cell Hoelder ratio = {_fmt(holder_max)}")
-    reports = []
-    for cell in trace.cells:
-        t0 = time.perf_counter()
-        reports.append(
-            make_report(
-                params={
-                    "q": args.q, "r": args.r, "i": cell.i, "sign_x": cell.sign_x,
-                    "j": cell.j, "sign_y": cell.sign_y,
-                    "mode": args.weights, "seed": args.seed,
-                },
-                measured=abs(cell.value),
-                reference=cell.holder_bound,
-                t0=t0,
-            )
+    # every cell's runtime_ms is the whole run so far: build, trace and the
+    # cells before it
+    reports = [
+        make_report(
+            params={
+                "q": args.q, "r": args.r, "i": cell.i, "sign_x": cell.sign_x,
+                "j": cell.j, "sign_y": cell.sign_y,
+                "mode": args.weights, "seed": args.seed,
+            },
+            measured=abs(cell.value),
+            reference=cell.holder_bound,
+            t0=t0,
         )
+        for cell in trace.cells
+    ]
     _maybe_emit(args, SweepResult(reports=reports))
     return 0
 
@@ -295,11 +234,8 @@ def cmd_verify_lemma(args) -> int:
     result = verify_lemma_sweeps(args.lemma, grid=grid, budget_ms=args.budget_ms)
     _print_sweep(result, f"lemma {args.lemma} sweep")
     ratios = [r.ratio for r in result.reports if r.ratio is not None]
-    if args.C is not math.inf and ratios and max(ratios) > args.C:
-        _maybe_emit(args, result)
-        return 1
     _maybe_emit(args, result)
-    return 0
+    return 1 if ratios and max(ratios) > args.C else 0
 
 
 def _add_output_flags(sub) -> None:
@@ -342,18 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--l", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
-    path = sub.add_mutually_exclusive_group()
-    path.add_argument("--fast", action="store_true", default=True)
-    path.add_argument("--naive", action="store_true")
+    sub.add_argument("--naive", action="store_true", help="brute-force oracle path")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_ksum2)
 
     sub = subs.add_parser("trilinear", help="weighted trilinear form")
     sub.add_argument("--q", type=int, required=True)
     _add_instance_flags(sub)
-    path = sub.add_mutually_exclusive_group()
-    path.add_argument("--fast", action="store_true", default=True)
-    path.add_argument("--naive", action="store_true")
+    sub.add_argument("--naive", action="store_true", help="brute-force oracle path")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_trilinear)
 

@@ -1,6 +1,6 @@
 """Residue-ring arithmetic for Z_q: unit tables, batch modular inversion,
 additive characters e_q, centered representatives, and cyclic DFTs of
-arbitrary length (naive reference plus a Bluestein chirp transform).
+arbitrary length (numpy's FFT, with an O(q^2) reference kept for tests).
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 """
@@ -10,12 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-# Moduli past this size switch from the O(q^2) reference DFT to Bluestein.
-NAIVE_DFT_CUTOFF = 64
 
 
 class NotAUnitError(ValueError):
@@ -164,6 +160,8 @@ def centered_dist(ring: ResidueRing, u) -> int | np.ndarray:
 
 
 def _dft_naive(f: np.ndarray, q: int, eq_pows: np.ndarray) -> np.ndarray:
+    """O(q^2) forward DFT straight from the definition; the tests' oracle
+    for cyclic_dft."""
     out = np.empty(q, dtype=np.complex128)
     idx = np.arange(q, dtype=np.int64)
     for t in range(q):
@@ -171,54 +169,22 @@ def _dft_naive(f: np.ndarray, q: int, eq_pows: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _bluestein_kernel(q: int):
-    n = np.arange(q, dtype=np.int64)
-    # exp(i*pi*n^2/q) has period 2q in n^2; reduce first to keep the phase exact
-    n2 = (n * n) % (2 * q)
-    chirp = np.exp((1j * np.pi / q) * n2)
-    nfft = 1 << (2 * q - 1).bit_length()
-    kernel = np.zeros(nfft, dtype=np.complex128)
-    kernel[:q] = np.conj(chirp)
-    kernel[nfft - q + 1:] = np.conj(chirp[q - 1:0:-1])
-    return chirp, np.fft.fft(kernel), nfft
-
-
-def _dft_bluestein(f: np.ndarray, q: int) -> np.ndarray:
-    chirp, kernel_hat, nfft = _bluestein_kernel(q)
-    a = np.zeros(nfft, dtype=np.complex128)
-    a[:q] = f * chirp
-    conv = np.fft.ifft(np.fft.fft(a) * kernel_hat)[:q]
-    return chirp * conv
-
-
-def cyclic_dft(
-    ring: ResidueRing, f, direction: str = "forward", method: str = "auto"
-) -> np.ndarray:
+def cyclic_dft(ring: ResidueRing, f, direction: str = "forward") -> np.ndarray:
     """Length-q DFT with convention F(t) = sum_z f(z) e_q(t*z).
 
     The inverse carries the 1/q factor and the e_q(-t*z) kernel, so
-    inverse(forward(f)) == f.  ``method`` selects the O(q^2) reference or
-    the Bluestein chirp path ("auto" picks by size).
+    inverse(forward(f)) == f.
     """
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (ring.q,):
         raise ValueError(f"length mismatch: expected {ring.q} entries, got {f.shape}")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be forward|inverse, got {direction!r}")
-    if method == "auto":
-        method = "naive" if ring.q <= NAIVE_DFT_CUTOFF else "bluestein"
-    if method not in ("naive", "bluestein"):
-        raise ValueError(f"unknown DFT method {method!r}")
-
-    def transform(g):
-        if method == "naive":
-            return _dft_naive(g, ring.q, ring.eq_pows)
-        return _dft_bluestein(g, ring.q)
-
+    # numpy's ifft carries the e^(+2*pi*i*t*z/n) kernel; norm="forward" moves
+    # the 1/n factor onto fft
     if direction == "inverse":
-        return np.conj(transform(np.conj(f))) / ring.q
-    return transform(f)
+        return np.fft.fft(f, norm="forward")
+    return np.fft.ifft(f, norm="forward")
 
 
 def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x: int) -> complex:

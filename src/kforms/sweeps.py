@@ -1,10 +1,10 @@
 """Sweep orchestration: per-modulus bound checks, dyadic-average checks, and
 the named lemma grids, all emitting ordered BoundReport lists.
 
-Results are assembled in a fixed order regardless of worker count, so a
-sweep's data columns are reproducible byte for byte (wall-clock columns
-excepted).  KFORMS_THREADS caps the worker pool; a wall-clock budget stops a
-sweep early and marks the result truncated instead of running unbounded.
+Sweeps run their cases one after another in a fixed order, so a sweep's data
+columns are reproducible byte for byte (wall-clock columns excepted).  A
+wall-clock budget stops a sweep between cases and marks the result truncated
+instead of running unbounded.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .counts import (
 )
 from .reports import BoundReport, SweepResult, fit_exponent, make_report, with_params
 from .ring import IntervalSet, build_ring
-from .sweeps_util import SweepBudget, ordered_map, parse_int_list
 from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
 
-# Guard against sweep cells whose fast-path work L*q is out of desk scale.
+# Guard against work out of desk scale: L*q for a trilinear instance, and in
+# the CLI the brute-force paths' L*M*N*phi^2 and phi^2.
 DEFAULT_WORK_BUDGET = 500_000_000
 
 DEFAULT_GRIDS = {
@@ -45,6 +45,39 @@ DEFAULT_GRIDS = {
     "2.4": {"r": 2, "Ks": [100, 150, 200, 250, 300, 350, 400, 450, 500]},
     "2.5": {"r": 2, "Qs": [50, 100], "Ks": [10, 100]},
 }
+
+
+class SweepBudget:
+    """Wall-clock cutoff; exceeded() flips once budget_ms has elapsed."""
+
+    def __init__(self, budget_ms: int | None):
+        self.budget_ms = budget_ms
+        self.t0 = time.monotonic()
+
+    def exceeded(self) -> bool:
+        if self.budget_ms is None:
+            return False
+        return (time.monotonic() - self.t0) * 1000 >= self.budget_ms
+
+
+def parse_int_list(text: str) -> list[int]:
+    """Parse '3,5,9' and '100..110' (inclusive) forms, possibly mixed."""
+    out: list[int] = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if ".." in chunk:
+            lo_text, hi_text = chunk.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+            if hi < lo:
+                raise ValueError(f"empty range {chunk!r}")
+            out.extend(range(lo, hi + 1))
+        else:
+            out.append(int(chunk))
+    if not out:
+        raise ValueError(f"no integers in {text!r}")
+    return out
 
 
 def stable_seed(root_seed: int, *parts) -> int:
@@ -69,10 +102,6 @@ def resolve_interval(spec, q: int) -> IntervalSet:
     raise ValueError(f"cannot parse interval spec {spec!r}")
 
 
-def _count_exceptions(reports: list[BoundReport], threshold: float) -> int:
-    return sum(1 for r in reports if r.ratio is not None and r.ratio > threshold)
-
-
 def _fit_or_none(points) -> float | None:
     try:
         return fit_exponent(points)
@@ -80,21 +109,56 @@ def _fit_or_none(points) -> float | None:
         return None
 
 
-def _thm1_case(q, l_spec, m_spec, n_spec, mode, seed, work_budget):
-    l_int = resolve_interval(l_spec, q)
-    m_int = resolve_interval(m_spec, q)
-    n_int = resolve_interval(n_spec, q)
-    if l_int.length * q > work_budget:
+def _sweep_moduli(case, qs, threshold: float, budget_ms: int | None) -> SweepResult:
+    """Run case(q) over the moduli in order, stopping between moduli once the
+    budget is spent; reports with ratio above the threshold are exceptions."""
+    budget = SweepBudget(budget_ms)
+    reports: list[BoundReport] = []
+    truncated = False
+    for q in qs:
+        if budget.exceeded():
+            truncated = True
+            break
+        reports.append(case(q))
+    points = [(r.params["q"], r.measured) for r in reports if r.measured > 0]
+    return SweepResult(
+        reports=reports,
+        exceptions=sum(1 for r in reports if r.ratio is not None and r.ratio > threshold),
+        fitted_exponent=_fit_or_none(points),
+        truncated=truncated,
+    )
+
+
+def check_work(work: int, label: str, budget: int = DEFAULT_WORK_BUDGET) -> None:
+    """Refuse, with a ValueError, work predicted to exceed the budget."""
+    if work > budget:
         raise ValueError(
-            f"dimension too large: L*q = {l_int.length * q} exceeds the work "
-            f"budget {work_budget}"
+            f"dimension too large: {label} = {work} exceeds the work budget {budget}"
         )
+
+
+def build_instance(
+    q: int,
+    l_spec,
+    m_spec,
+    n_spec,
+    mode: str = "ones",
+    seed: int = 0,
+    work_budget: int = DEFAULT_WORK_BUDGET,
+) -> TrilinearInstance:
+    """The weighted trilinear instance for modulus q: the three windows from
+    their specs, the ring, and weights seeded by stable_seed(seed, q).
+
+    An instance whose fast-path work L*q exceeds work_budget is refused
+    before any table is built.
+    """
+    l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
+    check_work(l_int.length * q, "L*q", work_budget)
     ring = build_ring(q)
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int
     )
-    instance = TrilinearInstance(ring, weights, m_int, n_int)
-    return with_params(theorem1_bounds(instance), mode=mode, seed=seed)
+    return TrilinearInstance(ring, weights, m_int, n_int)
 
 
 def verify_thm1_sweep(
@@ -113,19 +177,12 @@ def verify_thm1_sweep(
     qs = sorted(set(int(q) for q in q_list))
     if any(q < 2 for q in qs):
         raise ValueError("every modulus must be >= 2")
-    budget = SweepBudget(budget_ms)
-    reports, truncated = ordered_map(
-        lambda q: _thm1_case(q, l_spec, m_spec, n_spec, mode, seed, work_budget),
-        qs,
-        budget,
-    )
-    points = [(r.params["q"], r.measured) for r in reports if r.measured > 0]
-    return SweepResult(
-        reports=reports,
-        exceptions=_count_exceptions(reports, threshold),
-        fitted_exponent=_fit_or_none(points),
-        truncated=truncated,
-    )
+
+    def case(q: int) -> BoundReport:
+        instance = build_instance(q, l_spec, m_spec, n_spec, mode, seed, work_budget)
+        return with_params(theorem1_bounds(instance), mode=mode, seed=seed)
+
+    return _sweep_moduli(case, qs, threshold, budget_ms)
 
 
 def verify_thm2_sweep(
@@ -153,21 +210,10 @@ def verify_thm2_sweep(
 
     def case(q: int) -> BoundReport:
         t0 = time.perf_counter()
-        l_int = resolve_interval(l_spec, q)
-        m_int = resolve_interval(m_spec, q)
-        n_int = resolve_interval(n_spec, q)
-        if l_int.length * q > work_budget:
-            raise ValueError(
-                f"dimension too large: L*q = {l_int.length * q} exceeds the "
-                f"work budget {work_budget}"
-            )
-        ring = build_ring(q)
-        weights = make_weights(
-            ring, l_int, mode=mode, seed=stable_seed(seed, q),
-            m_interval=m_int, n_interval=n_int,
-        )
-        measured = abs(trilinear_fast(TrilinearInstance(ring, weights, m_int, n_int)))
-        L, M, N = l_int.length, m_int.length, n_int.length
+        instance = build_instance(q, l_spec, m_spec, n_spec, mode, seed, work_budget)
+        measured = abs(trilinear_fast(instance))
+        L = instance.weights.interval.length
+        M, N = instance.m_interval.length, instance.n_interval.length
         reference = (L + L ** (1 - 1 / (2 * r)) * M ** (1 / (2 * r))) * (
             q ** (2 - 1 / (2 * r)) + math.sqrt(N) * q**1.5
         )
@@ -177,15 +223,7 @@ def verify_thm2_sweep(
         }
         return make_report(params=params, measured=measured, reference=reference, t0=t0)
 
-    budget = SweepBudget(budget_ms)
-    reports, truncated = ordered_map(case, range(Q, 2 * Q + 1), budget)
-    points = [(r.params["q"], r.measured) for r in reports if r.measured > 0]
-    return SweepResult(
-        reports=reports,
-        exceptions=_count_exceptions(reports, threshold),
-        fitted_exponent=_fit_or_none(points),
-        truncated=truncated,
-    )
+    return _sweep_moduli(case, range(Q, 2 * Q + 1), threshold, budget_ms)
 
 
 def allowed_exceptions(Q: int, r: int, epsilon: float) -> float:

@@ -105,8 +105,27 @@ class ProofTrace:
     cells: list[TraceCell]
 
 
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def _gather(ring: ResidueRing, ls, eta, kappa) -> np.ndarray:
+    """sum_{x,y units} eta_x kappa_y e_q(l*x*y) for each l in ls, with
+    eta/kappa aligned with ring.units: one DFT of kappa, then O(phi) per l."""
+    q, x = ring.q, ring.units
+    full = np.zeros(q, dtype=np.complex128)
+    full[x] = kappa
+    transform = cyclic_dft(ring, full, "forward")
+    return np.array(
+        [np.sum(eta * transform[(int(l) % q) * x % q]) for l in ls], dtype=np.complex128
+    )
+
+
+def _window_gather(
+    ring: ResidueRing, ls, m_interval: IntervalSet, n_interval: IntervalSet
+) -> np.ndarray:
+    # Summing K_q(l, m, n) over the windows folds the twists e_q(m*inv(x)),
+    # e_q(n*inv(y)) into the weights eta = mu(inv x), kappa = nu(inv y).
+    xb = ring.inv_table[ring.units]
+    mu = phase_sum_table(ring, m_interval)
+    nu = phase_sum_table(ring, n_interval)
+    return _gather(ring, ls, mu[xb], nu[xb])
 
 
 def window_sums(
@@ -119,19 +138,7 @@ def window_sums(
 
     One DFT over the N window plus O(phi) work per l.
     """
-    q = ring.q
-    mu = phase_sum_table(ring, m_interval)
-    nu = phase_sum_table(ring, n_interval)
-    x = ring.units
-    xb = ring.inv_table[x]
-    h = np.zeros(q, dtype=np.complex128)
-    h[x] = nu[xb]
-    transform = cyclic_dft(ring, h, "forward")
-    g = mu[xb]
-    out = np.empty(l_interval.length, dtype=np.complex128)
-    for idx, l in enumerate(l_interval.members()):
-        out[idx] = np.sum(g * transform[(int(l) % q) * x % q])
-    return out
+    return _window_gather(ring, l_interval.members(), m_interval, n_interval)
 
 
 def make_weights(
@@ -154,11 +161,11 @@ def make_weights(
     if mode == "ones":
         weights = on_units.astype(np.complex128)
     elif mode == "rademacher":
-        rng = _rng_for(seed)
+        rng = np.random.default_rng(seed)
         weights = rng.choice(np.array([-1.0, 1.0]), size=members.size) + 0j
         weights[~on_units] = 0
     elif mode == "phase":
-        rng = _rng_for(seed)
+        rng = np.random.default_rng(seed)
         weights = np.exp(2j * np.pi * rng.random(members.size))
         weights[~on_units] = 0
     else:
@@ -191,23 +198,13 @@ def trilinear_naive(instance: TrilinearInstance) -> complex:
 
 
 def trilinear_fast(instance: TrilinearInstance) -> complex:
-    """Fast evaluation: one DFT over the N window, then O(phi) per weight."""
-    ring = instance.ring
-    q = ring.q
-    mu = phase_sum_table(ring, instance.m_interval)
-    nu = phase_sum_table(ring, instance.n_interval)
-    x = ring.units
-    xb = ring.inv_table[x]
-    g = np.zeros(q, dtype=np.complex128)
-    g[x] = nu[xb]
-    transform = cyclic_dft(ring, g, "forward")
-    mu_inv = mu[xb]
-    total = 0j
-    for l, alpha in zip(instance.weights.interval.members(), instance.weights.weights):
-        if alpha == 0:
-            continue
-        total += alpha * np.sum(mu_inv * transform[(int(l) % q) * x % q])
-    return complex(total)
+    """Fast evaluation: one DFT over the N window, then O(phi) per nonzero
+    weight."""
+    alphas = instance.weights.weights
+    nonzero = alphas != 0
+    ls = instance.weights.interval.members()[nonzero]
+    window = _window_gather(instance.ring, ls, instance.m_interval, instance.n_interval)
+    return complex(np.sum(alphas[nonzero] * window))
 
 
 def weighted_double_sum(ring: ResidueRing, l: int, eta, kappa) -> complex:
@@ -218,10 +215,7 @@ def weighted_double_sum(ring: ResidueRing, l: int, eta, kappa) -> complex:
     kappa = np.asarray(kappa, dtype=np.complex128)
     if eta.shape != ring.units.shape or kappa.shape != ring.units.shape:
         raise ValueError("eta and kappa must align with ring.units")
-    full = np.zeros(ring.q, dtype=np.complex128)
-    full[ring.units] = kappa
-    transform = cyclic_dft(ring, full, "forward")
-    return complex(np.sum(eta * transform[(l % ring.q) * ring.units % ring.q]))
+    return complex(_gather(ring, [l], eta, kappa)[0])
 
 
 def _level_count(length: int) -> int:

@@ -1,9 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from kforms.cli import main
+import kforms
+from kforms.cli import build_parser, main
 from kforms.reports import read_report
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestSingleValueCommands:
@@ -59,6 +65,17 @@ class TestSingleValueCommands:
         assert code == 0
         assert "reconstruction" in capsys.readouterr().out
 
+    def test_proof_trace_runtime_covers_the_trace(self, tmp_path):
+        # a ~50 ms run: every cell's runtime_ms counts the build and the trace
+        out_path = tmp_path / "trace.json"
+        code = main([
+            "proof-trace", "--q", "2003", "--L", "0:40", "--M", "0:40", "--N", "0:40",
+            "--format", "json", "--out", str(out_path),
+        ])
+        assert code == 0
+        rows = json.loads(out_path.read_text())
+        assert rows and all(row["runtime_ms"] >= 1 for row in rows)
+
 
 class TestVerifyCommands:
     def test_thm1_sweep_emits_csv(self, tmp_path, capsys):
@@ -109,7 +126,30 @@ class TestVerifyCommands:
         assert code == 1
 
 
+@pytest.fixture
+def no_ring(monkeypatch):
+    """Fail the test if a command gets as far as building a ring."""
+    def refuse(q):
+        raise AssertionError(f"build_ring({q}) reached")
+
+    for module in (kforms.cli, kforms.sweeps):
+        monkeypatch.setattr(module, "build_ring", refuse)
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        # L*M*N*phi^2 ~ 1.0e9
+        ["trilinear", "--q", "1009", "--L", "0:10", "--M", "0:10", "--N", "0:10", "--naive"],
+        # phi^2 ~ 1.0e10
+        ["ksum2", "--q", "100003", "--l", "1", "--m", "1", "--n", "1", "--naive"],
+        # L*q ~ 1.0e9
+        ["trilinear", "--q", "1000003", "--L", "0:1000"],
+        ["proof-trace", "--q", "1000003", "--L", "0:1000"],
+    ])
+    def test_oversized_work_refused_up_front(self, argv, no_ring, capsys):
+        assert main(argv) == 2
+        assert "dimension too large" in capsys.readouterr().err
+
     def test_value_errors_exit_two(self, capsys):
         assert main(["jr-mod", "--q", "5", "--r", "2", "--K", "6"]) == 2
         assert "K out of range" in capsys.readouterr().err
@@ -124,3 +164,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+class TestReadme:
+    def test_cli_tour_parses(self):
+        lines = [line for line in README.read_text().splitlines()
+                 if line.startswith("kforms ")]
+        assert len(lines) >= 10
+        parser = build_parser()
+        for line in lines:
+            # every bracketed flag is tried both absent and present
+            absent = re.sub(r"\s*\[--[^\]]*\]", "", line)
+            present = re.sub(r"\[(--[^\]]*)\]", r"\1", line)
+            for text in (absent, present):
+                args = parser.parse_args(shlex.split(text)[1:])
+                assert callable(args.func), text

@@ -137,18 +137,6 @@ class TestSweepDeterminism:
         lines = text.splitlines()
         return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
 
-    def test_thread_count_does_not_change_data(self, tmp_path, monkeypatch):
-        outputs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("KFORMS_THREADS", threads)
-            result = verify_thm1_sweep(
-                [11, 13, 17, 19, 23], "0:4", "0:4", "0:4", mode="phase", seed=5
-            )
-            path = tmp_path / f"t{threads}.csv"
-            emit_report(result, "csv", str(path))
-            outputs[threads] = self.strip_runtime(path.read_text())
-        assert outputs["1"] == outputs["4"]
-
     def test_identical_invocations_identical_data(self, tmp_path):
         texts = []
         for run in range(2):
