@@ -49,12 +49,26 @@ def _primitive_root(p: int, e: int) -> int:
     return g
 
 
+def _powers(g: int, order: int, modulus: int) -> np.ndarray:
+    """[g^0, g^1, ..., g^(order-1)] mod modulus: about sqrt(order) Python
+    steps for the small and large strides, then one outer product."""
+    step = math.isqrt(order - 1) + 1  # ceil(sqrt(order))
+    small = np.empty(step, dtype=np.int64)
+    acc = 1
+    for k in range(step):
+        small[k] = acc
+        acc = acc * g % modulus
+    large = np.empty(-(-order // step), dtype=np.int64)
+    big = 1
+    for k in range(large.size):
+        large[k] = big
+        big = big * acc % modulus  # acc = g^step here
+    return (large[:, None] * small[None, :] % modulus).reshape(-1)[:order]
+
+
 def _dlog_table(modulus: int, generator: int, order: int) -> np.ndarray:
     table = np.full(modulus, -1, dtype=np.int64)
-    acc = 1
-    for k in range(order):
-        table[acc] = k
-        acc = acc * generator % modulus
+    table[_powers(generator, order, modulus)] = np.arange(order)
     return table
 
 
@@ -71,15 +85,12 @@ def build_characters(ring: ResidueRing) -> CharacterTable:
                 continue
             # units mod 2^e (e >= 3) are (-1)^s * 5^t, uniquely
             half = 2 ** (e - 2)
+            fives = _powers(5, half, pe)
             dlog_sign = np.full(pe, -1, dtype=np.int64)
+            dlog_sign[fives] = 0
+            dlog_sign[pe - fives] = 1
             dlog_five = np.full(pe, -1, dtype=np.int64)
-            acc = 1
-            for t in range(half):
-                dlog_sign[acc] = 0
-                dlog_five[acc] = t
-                dlog_sign[pe - acc] = 1
-                dlog_five[pe - acc] = t
-                acc = acc * 5 % pe
+            dlog_five[fives] = dlog_five[pe - fives] = np.arange(half)
             factors.append(CyclicFactor(pe, pe - 1, 2, dlog_sign))
             factors.append(CyclicFactor(pe, 5, half, dlog_five))
         else:

@@ -1,4 +1,4 @@
-"""Residue-ring arithmetic for Z_q: unit tables, batch modular inversion,
+"""Residue-ring arithmetic for Z_q: unit tables, vectorized modular inversion,
 additive characters e_q, centered representatives, and cyclic DFTs of
 arbitrary length (numpy's FFT, with an O(q^2) reference kept for tests).
 
@@ -12,6 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# Residues below q are multiplied in int64 (the inverse table here, the
+# discrete-log tables in characters.py), which needs q^2 < 2^63.
+MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 
 
 class NotAUnitError(ValueError):
@@ -77,11 +82,12 @@ class IntervalSet:
         return self.start + 1 <= value <= self.start + self.length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueRing:
     """Precomputed context for arithmetic mod q.
 
     Treated as immutable after construction; safe to share across threads.
+    Compares and hashes by identity, so it can key a cache.
     ``inv_table`` holds 0 at non-unit residues.
     """
 
@@ -94,34 +100,45 @@ class ResidueRing:
     eq_pows: np.ndarray  # eq_pows[k] = exp(2*pi*i*k/q)
 
 
-def _batch_inverse(units: list[int], q: int) -> list[int]:
-    # Montgomery batch trick: prefix products + a single extended gcd,
-    # then unwind; O(len) multiplications instead of one inversion each.
-    prefix = [1] * (len(units) + 1)
-    for i, u in enumerate(units):
-        prefix[i + 1] = prefix[i] * u % q
-    acc = pow(prefix[-1], -1, q)
-    out = [0] * len(units)
-    for i in range(len(units) - 1, -1, -1):
-        out[i] = prefix[i] * acc % q
-        acc = acc * units[i] % q
+def _unit_inverses(units: np.ndarray, q: int, phi: int) -> np.ndarray:
+    # Euler: inv(u) = u^(phi-1) mod q, by square-and-multiply over the whole
+    # array; every product of two residues stays below q^2 < 2^63.
+    out = np.ones_like(units)
+    base = units.copy()
+    e = phi - 1
+    while e:
+        if e & 1:
+            out *= base
+            out %= q
+        e >>= 1
+        if e:
+            base *= base
+            base %= q
     return out
 
 
 def build_ring(q: int) -> ResidueRing:
-    """Build the full arithmetic context for Z_q.  Requires q >= 2."""
+    """Build the full arithmetic context for Z_q.  Requires 2 <= q <= MAX_MODULUS;
+    a larger q is refused before anything is allocated."""
     if q < 2:
         raise ValueError(f"modulus too small: need q >= 2, got {q}")
+    if q > MAX_MODULUS:
+        raise ValueError(
+            f"modulus too large: need q <= {MAX_MODULUS} for int64 products, got {q}"
+        )
+    phi = euler_phi(q)
     residues = np.arange(q, dtype=np.int64)
-    unit_mask = np.gcd(residues, q) == 1
+    unit_mask = np.ones(q, dtype=bool)
+    for p, _ in factorize(q):
+        unit_mask[::p] = False
     units = residues[unit_mask]
     inv_table = np.zeros(q, dtype=np.int64)
-    inv_table[units] = _batch_inverse([int(u) for u in units], q)
+    inv_table[units] = _unit_inverses(units, q, phi)
     return ResidueRing(
         q=q,
         unit_mask=unit_mask,
         inv_table=inv_table,
-        phi=euler_phi(q),
+        phi=phi,
         tau=divisor_count(q),
         units=units,
         eq_pows=np.exp((2j * np.pi / q) * residues),

@@ -6,26 +6,34 @@ through the identity
 
     S_q = sum_l alpha_l sum_{x,y units} mu_x nu_y e_q(l * inv(x) * inv(y)),
 
-where mu/nu are the interval phase sums of the M and N windows.  The trace
-machinery splits the fast form over a dyadic decomposition of the centered
-unit representatives and records every intermediate quantity next to its
-reference envelope (all absorbed constants set to 1).
+where mu/nu are the interval phase sums of the M and N windows.  Summed over
+the windows, the inner double sum W_l is, over the units l, a correlation on
+the unit group: one multidimensional FFT over the CRT lattice of
+build_characters gives W_l for every unit l in O(phi log phi), whatever L
+is, and each instance computes it once.  A non-unit l costs one O(phi)
+gather.  The trace machinery splits the fast form over a dyadic
+decomposition of the centered unit representatives and records every
+intermediate quantity next to its reference envelope (all absorbed
+constants set to 1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import build_characters
 from .counts import reciprocal_count_mod
 from .reports import BoundReport, make_report
 from .ring import (
     IntervalSet,
     ResidueRing,
     cyclic_dft,
+    factorize,
     interval_phase_sum,
     phase_sum_table,
 )
@@ -128,6 +136,75 @@ def _window_gather(
     return _gather(ring, ls, mu[xb], nu[xb])
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            m = odd
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            odd *= 3
+        five *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_window(
+    ring: ResidueRing, m_interval: IntervalSet, n_interval: IntervalSet
+) -> np.ndarray:
+    """Read-only length-q array: W_l = sum_{m in M} sum_{n in N} K_q(l, m, n)
+    at every unit l, 0 elsewhere.
+
+    In the exponent coordinates of build_characters (a = log l, b = log x),
+    W(a) = sum_b eta(b) T(a + b) with eta = mu(inv x) and T the DFT of
+    nu(inv y) read at units: one correlation over the lattice of factor
+    orders, O(phi log phi).
+    """
+    q, units = ring.q, ring.units
+    table = build_characters(ring)
+    shape = table.orders or (1,)
+    index = table.log_index[units]
+    xb = ring.inv_table[units]
+    kappa = np.zeros(q, dtype=np.complex128)
+    kappa[units] = phase_sum_table(ring, n_interval)[xb]
+    transform = cyclic_dft(ring, kappa, "forward")
+    del kappa
+    t_lat = np.empty(ring.phi, dtype=np.complex128)
+    t_lat[index] = transform[units]
+    del transform
+    eta = np.empty(ring.phi, dtype=np.complex128)
+    eta[index] = phase_sum_table(ring, m_interval)[xb]
+    del xb
+    t_lat, eta = t_lat.reshape(shape), eta.reshape(shape)
+
+    # numpy's FFT is slowest on lengths with a large prime factor.  The
+    # longest such axis is tiled once and transformed at a 5-smooth length
+    # >= 2n, which makes the cyclic correlation along it a linear one whose
+    # first n entries are the answer.  Each padded axis doubles the lattice,
+    # so only one is padded.
+    size = list(shape)
+    rough = [k for k, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
+    if rough:
+        axis = max(rough, key=lambda k: shape[k])
+        t_lat = np.concatenate([t_lat, t_lat], axis=axis)
+        size[axis] = _smooth_length(2 * shape[axis])
+    axes = tuple(range(len(size)))
+    spectrum = np.fft.fftn(t_lat, s=size, axes=axes)
+    del t_lat
+    spectrum *= np.fft.ifftn(eta, s=size, axes=axes, norm="forward")
+    del eta
+    lattice = np.fft.ifftn(spectrum)[tuple(slice(n) for n in shape)]
+    del spectrum
+    window = np.zeros(q, dtype=np.complex128)
+    window[units] = lattice.reshape(-1)[index]
+    window.flags.writeable = False
+    return window
+
+
 def window_sums(
     ring: ResidueRing,
     l_interval: IntervalSet,
@@ -136,9 +213,16 @@ def window_sums(
 ) -> np.ndarray:
     """W_l = sum_{m in M} sum_{n in N} K_q(l, m, n) for every l in L.
 
-    One DFT over the N window plus O(phi) work per l.
+    Each unit l reads the instance's unit-group window; each non-unit l
+    costs one O(phi) gather.
     """
-    return _window_gather(ring, l_interval.members(), m_interval, n_interval)
+    members = l_interval.members()
+    residues = np.mod(members, ring.q)
+    out = _unit_window(ring, m_interval, n_interval)[residues]
+    off_units = ~ring.unit_mask[residues]
+    if off_units.any():
+        out[off_units] = _window_gather(ring, members[off_units], m_interval, n_interval)
+    return out
 
 
 def make_weights(
@@ -171,11 +255,11 @@ def make_weights(
     else:
         if m_interval is None or n_interval is None:
             raise ValueError("extremal weights need the M and N intervals")
-        window = window_sums(ring, l_interval, m_interval, n_interval)
+        window = _unit_window(ring, m_interval, n_interval)[np.mod(members, ring.q)]
         mags = np.abs(window)
-        # W_l = 0 would give 0/0; those weights are set to 0
+        # W_l = 0 (and the window is 0 off units) would give 0/0; those
+        # weights are set to 0
         weights = np.where(mags > 0, np.conj(window) / np.where(mags > 0, mags, 1), 0)
-        weights[~on_units] = 0
     return WeightVector(interval=l_interval, weights=weights)
 
 
@@ -198,13 +282,20 @@ def trilinear_naive(instance: TrilinearInstance) -> complex:
 
 
 def trilinear_fast(instance: TrilinearInstance) -> complex:
-    """Fast evaluation: one DFT over the N window, then O(phi) per nonzero
-    weight."""
+    """Fast evaluation: sum_l alpha_l W_l over the instance's unit-group
+    window.  A nonzero weight at a non-unit l, which only an unvalidated
+    WeightVector carries, costs one O(phi) gather."""
+    ring = instance.ring
+    m_interval, n_interval = instance.m_interval, instance.n_interval
     alphas = instance.weights.weights
-    nonzero = alphas != 0
-    ls = instance.weights.interval.members()[nonzero]
-    window = _window_gather(instance.ring, ls, instance.m_interval, instance.n_interval)
-    return complex(np.sum(alphas[nonzero] * window))
+    members = instance.weights.interval.members()
+    residues = np.mod(members, ring.q)
+    total = np.sum(alphas * _unit_window(ring, m_interval, n_interval)[residues])
+    stray = (alphas != 0) & ~ring.unit_mask[residues]
+    if stray.any():
+        gathered = _window_gather(ring, members[stray], m_interval, n_interval)
+        total += np.sum(alphas[stray] * gathered)
+    return complex(total)
 
 
 def weighted_double_sum(ring: ResidueRing, l: int, eta, kappa) -> complex:
@@ -290,10 +381,10 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     for (i, sign), xs in dec.q_sets.items():
         xres = np.mod(xs, q)
         xinv = ring.inv_table[xres]
-        t_map = np.zeros(q, dtype=np.complex128)
-        if xs.size:
-            lam = (members[:, None] * xinv[None, :]) % q
-            np.add.at(t_map, lam, alphas[:, None] * mu[xres][None, :])
+        lam = ((members[:, None] * xinv[None, :]) % q).reshape(-1)
+        terms = (alphas[:, None] * mu[xres][None, :]).reshape(-1)
+        real = np.bincount(lam, terms.real, minlength=q)
+        t_map = real + 1j * np.bincount(lam, terms.imag, minlength=q)
         t_maps[(i, sign)] = t_map
         abs_t = np.abs(t_map)
         first_moments[(i, sign)] = _moment_check(float(abs_t.sum()), q * l_len)

@@ -1,0 +1,80 @@
+"""Property tests: the vectorized kernels against per-element oracles over
+randomly drawn moduli and windows."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kforms import IntervalSet, build_characters, build_ring, factorize, is_prime
+from kforms.characters import _dlog_table, _powers
+from kforms.trilinear import _unit_window, _window_gather
+
+ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
+
+# primes, odd prime powers, 2, 4, 2^e with e >= 3, and mixed products
+MODULI = st.one_of(
+    st.sampled_from(ODD_PRIMES),
+    st.sampled_from([p**e for p in ODD_PRIMES[:8] for e in range(2, 7) if p**e <= 2000]),
+    st.integers(1, 11).map(lambda e: 2**e),
+    st.integers(6, 2000).filter(lambda q: len(factorize(q)) >= 2),
+)
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def windows(draw, q):
+    start = draw(st.integers(-q, q))
+    return IntervalSet(start, draw(st.integers(1, q)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_unit_window_matches_gather_on_every_unit(data):
+    q = data.draw(MODULI, label="q")
+    m_iv = data.draw(windows(q), label="M")
+    n_iv = data.draw(windows(q), label="N")
+    ring = build_ring(q)
+    _unit_window.cache_clear()
+    window = _unit_window(ring, m_iv, n_iv)
+    gathered = _window_gather(ring, ring.units, m_iv, n_iv)
+    tol = 1e-9 * m_iv.length * n_iv.length * ring.phi
+    assert np.max(np.abs(window[ring.units] - gathered)) <= tol
+    assert np.all(window[~ring.unit_mask] == 0)
+    assert not window.flags.writeable
+
+
+@SETTINGS
+@given(q=MODULI)
+def test_dlog_tables_invert_powers(q):
+    table = build_characters(build_ring(q))
+    for factor in table.factors:
+        m, g, order = factor.modulus, factor.generator, factor.order
+        oracle = [pow(g, k, m) for k in range(order)]
+        assert _powers(g, order, m).tolist() == oracle
+        assert _dlog_table(m, g, order)[oracle].tolist() == list(range(order))
+        units = [u for u in range(m) if math.gcd(u, m) == 1]
+        assert np.all(factor.dlog[[u for u in range(m) if math.gcd(u, m) > 1]] == -1)
+        assert np.all((factor.dlog[units] >= 0) & (factor.dlog[units] < order))
+    # the factors sharing a prime-power modulus rebuild every unit mod it
+    for p, e in factorize(q):
+        pe = p**e
+        for u in range(pe):
+            if math.gcd(u, pe) != 1:
+                continue
+            rebuilt = 1
+            for factor in table.factors:
+                if factor.modulus == pe:
+                    rebuilt = rebuilt * pow(factor.generator, int(factor.dlog[u]), pe) % pe
+            assert rebuilt == u % pe
+
+
+@SETTINGS
+@given(q=st.one_of(MODULI, st.integers(2, 20000)))
+def test_inverse_table_matches_pow(q):
+    ring = build_ring(q)
+    assert ring.inv_table.tolist() == [
+        pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)
+    ]

@@ -15,7 +15,7 @@ from kforms import (
     mod_inverse,
     phase_sum_table,
 )
-from kforms.ring import _dft_naive
+from kforms.ring import MAX_MODULUS, _dft_naive
 
 
 def brute_phi(q):
@@ -232,3 +232,18 @@ class TestIntervalSet:
     def test_length_validated(self):
         with pytest.raises(ValueError, match="length"):
             IntervalSet(0, 0)
+
+
+class TestModulusBound:
+    def test_bound_keeps_products_in_int64(self):
+        assert MAX_MODULUS**2 < 2**63 <= (MAX_MODULUS + 1) ** 2
+
+    def test_oversized_modulus_refused_before_allocating(self, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the modulus was checked")
+
+        for name in ("arange", "zeros", "ones", "empty", "full"):
+            monkeypatch.setattr(np, name, no_alloc)
+        for q in (MAX_MODULUS + 1, 10**12):
+            with pytest.raises(ValueError, match="modulus too large"):
+                build_ring(q)

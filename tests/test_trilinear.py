@@ -17,9 +17,12 @@ from kforms import (
     theorem1_bounds,
     trilinear_fast,
     trilinear_naive,
+    verify_thm1_sweep,
     weighted_double_sum,
     window_sums,
 )
+from kforms.cli import main
+from kforms.trilinear import _unit_window
 from conftest import random_interval
 
 WEIGHT_TOL = 1e-12
@@ -302,3 +305,40 @@ class TestTheorem1Bounds:
         assert report.reference == min(b1, b2)
         assert report.params["bound_trivial"] == 5 * 5 * 5 * 41
         assert report.ratio == pytest.approx(report.measured / min(b1, b2))
+
+
+class TestOneWindowPerInstance:
+    """Every caller on one instance shares one unit-group window."""
+
+    def test_extremal_thm1_case(self):
+        _unit_window.cache_clear()
+        verify_thm1_sweep([101], "0:10", "0:10", "0:10", mode="extremal")
+        assert _unit_window.cache_info().misses == 1
+
+    def test_cli_trilinear_extremal(self):
+        _unit_window.cache_clear()
+        argv = ["trilinear", "--q", "101", "--L", "0:10", "--M", "0:10", "--N", "0:10",
+                "--weights", "extremal"]
+        assert main(argv) == 0
+        assert _unit_window.cache_info().misses == 1
+
+    def test_cli_proof_trace(self):
+        _unit_window.cache_clear()
+        argv = ["proof-trace", "--q", "101", "--r", "2", "--L", "0:8", "--M", "0:8",
+                "--N", "0:8"]
+        assert main(argv) == 0
+        assert _unit_window.cache_info().misses == 1
+
+    def test_unvalidated_weights_off_units_are_kept(self):
+        # 12 has units 1, 5, 7, 11; every weight here, unit or not, counts
+        ring = build_ring(12)
+        l_iv = IntervalSet(0, 8)
+        alphas = np.exp(1j * np.arange(8)) * np.linspace(0.2, 1.0, 8)
+        inst = TrilinearInstance(ring, WeightVector(l_iv, alphas), IntervalSet(1, 3),
+                                 IntervalSet(-2, 4))
+        oracle = trilinear_naive(inst)
+        assert abs(trilinear_fast(inst) - oracle) <= 1e-9 * 8 * 3 * 4 * 12
+        # the non-unit weights move the value, so dropping them fails above
+        unit_only = WeightVector(l_iv, np.where(ring.unit_mask[l_iv.members() % 12], alphas, 0))
+        dropped = TrilinearInstance(ring, unit_only, inst.m_interval, inst.n_interval)
+        assert abs(trilinear_fast(dropped) - oracle) > 1e-3
