@@ -44,7 +44,6 @@ from .ring import (
     interval_phase_sum,
     is_prime,
     mod_inverse,
-    phase_sum_table,
 )
 from .sweeps import (
     DEFAULT_GRIDS,

@@ -120,42 +120,32 @@ def build_characters(ring: ResidueRing) -> CharacterTable:
     )
 
 
-def eval_character(table: CharacterTable, chi_index: int, x: int) -> complex:
-    """Value of the chi_index-th character at x; 0 when gcd(x, q) > 1."""
+def _character_at(table: CharacterTable, chi_index: int, residues: np.ndarray) -> np.ndarray:
+    """Values of the chi_index-th character at residues in [0, q); 0 off units."""
     if not 0 <= chi_index < table.char_count:
         raise IndexError(
             f"character index {chi_index} out of range [0, {table.char_count})"
         )
-    r = int(x) % table.q
-    if table.log_index[r] < 0:
-        return 0j
-    # Accumulate the phase numerator over a common denominator in exact
-    # integer arithmetic; one complex exponential at the end.
-    num = 0
-    if table.orders:
-        digits = np.unravel_index(chi_index, table.orders)
-        for factor, a in zip(table.factors, digits):
-            t = int(factor.dlog[r % factor.modulus])
-            num = (num + int(a) * t * (table.exponent // factor.order)) % table.exponent
-    return complex(np.exp(2j * np.pi * num / table.exponent))
+    # The phase numerator over the common denominator `exponent`, in exact
+    # integer arithmetic (each term is below order * exponent <= phi^2 < 2^63);
+    # one complex exponential at the end.
+    num = np.zeros(residues.shape, dtype=np.int64)
+    for factor, a in zip(table.factors, np.unravel_index(chi_index, table.orders)):
+        t = np.maximum(factor.dlog[residues % factor.modulus], 0)
+        num = (num + int(a) * t * (table.exponent // factor.order)) % table.exponent
+    out = np.exp((2j * np.pi / table.exponent) * num)
+    out[table.log_index[residues] < 0] = 0
+    return out
+
+
+def eval_character(table: CharacterTable, chi_index: int, x: int) -> complex:
+    """Value of the chi_index-th character at x; 0 when gcd(x, q) > 1."""
+    return complex(_character_at(table, chi_index, np.array([int(x) % table.q]))[0])
 
 
 def character_values(table: CharacterTable, chi_index: int) -> np.ndarray:
     """Vector of character values on all residues 0..q-1."""
-    if not 0 <= chi_index < table.char_count:
-        raise IndexError(
-            f"character index {chi_index} out of range [0, {table.char_count})"
-        )
-    num = np.zeros(table.q, dtype=np.int64)
-    if table.orders:
-        digits = np.unravel_index(chi_index, table.orders)
-        residues = np.arange(table.q, dtype=np.int64)
-        for factor, a in zip(table.factors, digits):
-            t = factor.dlog[residues % factor.modulus]
-            num = (num + int(a) * np.maximum(t, 0) * (table.exponent // factor.order)) % table.exponent
-    out = np.exp((2j * np.pi / table.exponent) * num)
-    out[table.log_index < 0] = 0
-    return out
+    return _character_at(table, chi_index, np.arange(table.q, dtype=np.int64))
 
 
 def interval_character_sums(table: CharacterTable, interval: IntervalSet) -> np.ndarray:
@@ -186,12 +176,17 @@ def moment_identity_check(
     Returns (fourth_moment, phi(q) * #{(x1,x2,x3,x4) in (interval units)^4
     with x1*x2 = x3*x4 mod q}); the two agree up to floating-point error.
     """
-    moment = fourth_moment(table, interval)
     residues = np.mod(interval.members(), table.q)
     units = residues[table.log_index[residues] >= 0]
-    if units.size == 0:
-        return moment, 0.0
-    products = (units[:, None] * units[None, :]) % table.q
-    counts = np.bincount(products.reshape(-1), minlength=table.q)
-    quadruples = sum(int(c) * int(c) for c in counts if c)
-    return moment, float(table.char_count * quadruples)
+    quadruples = _product_energy(units, units, table.q)
+    return fourth_moment(table, interval), float(table.char_count * quadruples)
+
+
+def _product_energy(a: np.ndarray, b: np.ndarray, q: int) -> int:
+    """#{(a1, a2, b1, b2): a1*b1 = a2*b2 mod q} for residue arrays a, b: the
+    sum of the squared multiplicities of the products a*b mod q, exact in
+    Python ints."""
+    products = np.multiply.outer(a, b)
+    products %= q
+    counts = np.bincount(products.reshape(-1))
+    return sum(c * c for c in counts[counts > 0].tolist())

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import CharacterTable, interval_character_sums
+from .characters import CharacterTable, _product_energy, interval_character_sums
 from .reports import BoundReport, make_report
 from .ring import IntervalSet, ResidueRing, build_ring, cyclic_dft
 
@@ -51,13 +51,9 @@ def multiplicative_energy(
     Tallies the products a*b mod q over unit pairs and sums squared
     multiplicities; reference is A^2 B^2 / q + A B.
     """
-    a = _unit_members(ring, a_interval)
-    b = _unit_members(ring, b_interval)
-    value = 0
-    if a.size and b.size:
-        products = (a[:, None] * b[None, :]) % ring.q
-        counts = np.bincount(products.reshape(-1), minlength=ring.q)
-        value = sum(int(c) * int(c) for c in counts if c)
+    value = _product_energy(
+        _unit_members(ring, a_interval), _unit_members(ring, b_interval), ring.q
+    )
     la, lb = a_interval.length, b_interval.length
     bound = la * la * lb * lb / ring.q + la * lb
     return _count_report(value, bound)
@@ -151,24 +147,22 @@ def reciprocal_moment_identity(ring: ResidueRing, r: int, K: int) -> tuple[float
     the two agree up to floating-point error.
     """
     v = _inverse_indicator(ring, K)
-    transform = cyclic_dft(ring, v.astype(np.complex128), "forward")
+    transform = cyclic_dft(ring, v)
     identity = float(np.sum(np.abs(transform) ** (2 * r))) / ring.q
     return identity, reciprocal_count_mod(ring, r, K).value
 
 
-def reciprocal_count_rational(
-    r: int, K: int, max_states: int = DEFAULT_RATIONAL_BUDGET
-) -> CountReport:
+def reciprocal_count_rational(r: int, K: int) -> CountReport:
     """Number of 2r-tuples in [1, K] whose reciprocal sums agree exactly over
     the rationals.  Tallies canonical lowest-term fractions for all K^r
-    left-side sums; reference is K^r.
+    left-side sums; reference is K^r.  Refused when r*K^r exceeds
+    DEFAULT_RATIONAL_BUDGET.
     """
     if r < 1 or K < 1:
         raise ValueError(f"need r >= 1 and K >= 1, got r={r}, K={K}")
-    if r * K**r > max_states:
+    if r * K**r > DEFAULT_RATIONAL_BUDGET:
         raise ValueError(
-            f"budget exceeded: r*K^r = {r * K ** r} > {max_states}; "
-            "raise max_states to force the tally"
+            f"budget exceeded: r*K^r = {r * K ** r} > {DEFAULT_RATIONAL_BUDGET}"
         )
     reciprocals = [Fraction(1, x) for x in range(1, K + 1)]
     tally = Counter()

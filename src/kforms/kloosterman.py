@@ -33,11 +33,19 @@ def single_sum(ring: ResidueRing, m: int, n: int) -> complex:
     return complex(ring.eq_pows[exponents].sum())
 
 
-def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
-    """All K_q(a, n) at once: the forward DFT of x -> 1_unit(x) e_q(n*inv(x))."""
+def _unit_dft(ring: ResidueRing, kappa) -> np.ndarray:
+    """F(t) = sum_{y unit} kappa_y e_q(t*y), the DFT of the vector that holds
+    kappa (aligned with ring.units) on the units.  Read at l*x over the units,
+    sum_x eta_x F(l*x) = sum_{x,y units} eta_x kappa_y e_q(l*x*y)."""
     f = np.zeros(ring.q, dtype=np.complex128)
-    f[ring.units] = ring.eq_pows[(n % ring.q) * ring.inv_table[ring.units] % ring.q]
-    return KloostermanTable(q=ring.q, n=n, values=cyclic_dft(ring, f, "forward"))
+    f[ring.units] = kappa
+    return cyclic_dft(ring, f)
+
+
+def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
+    """All K_q(a, n) at once: the DFT of x -> 1_unit(x) e_q(n*inv(x))."""
+    kappa = ring.eq_pows[(n % ring.q) * ring.inv_table[ring.units] % ring.q]
+    return KloostermanTable(q=ring.q, n=n, values=_unit_dft(ring, kappa))
 
 
 def double_naive(ring: ResidueRing, l: int, m: int, n: int) -> complex:

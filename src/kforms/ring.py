@@ -1,13 +1,14 @@
 """Residue-ring arithmetic for Z_q: unit tables, vectorized modular inversion,
-additive characters e_q, centered representatives, and cyclic DFTs of
-arbitrary length (numpy's FFT, with an O(q^2) reference kept for tests).
+additive characters e_q, centered representatives, interval phase sums and
+the forward cyclic DFT of length q (numpy's FFT, with an O(q^2) reference
+kept for tests).
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
+Every int64 product of two residues stays below q^2 < 2^63.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,14 +48,7 @@ def divisor_count(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def euler_phi(n: int) -> int:
@@ -186,50 +180,43 @@ def _dft_naive(f: np.ndarray, q: int, eq_pows: np.ndarray) -> np.ndarray:
     return out
 
 
-def cyclic_dft(ring: ResidueRing, f, direction: str = "forward") -> np.ndarray:
-    """Length-q DFT with convention F(t) = sum_z f(z) e_q(t*z).
-
-    The inverse carries the 1/q factor and the e_q(-t*z) kernel, so
-    inverse(forward(f)) == f.
-    """
+def cyclic_dft(ring: ResidueRing, f) -> np.ndarray:
+    """Length-q forward DFT with convention F(t) = sum_z f(z) e_q(t*z)."""
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (ring.q,):
         raise ValueError(f"length mismatch: expected {ring.q} entries, got {f.shape}")
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be forward|inverse, got {direction!r}")
-    # numpy's ifft carries the e^(+2*pi*i*t*z/n) kernel; norm="forward" moves
-    # the 1/n factor onto fft
-    if direction == "inverse":
-        return np.fft.fft(f, norm="forward")
+    # numpy's ifft carries the e^(+2*pi*i*t*z/n) kernel; norm="forward" drops
+    # its 1/n factor
     return np.fft.ifft(f, norm="forward")
 
 
-def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x: int) -> complex:
-    """Geometric sum over the interval: sum_{m in interval} e_q(m*x).
+def _half_turns(a: int, t: np.ndarray, q: int) -> np.ndarray:
+    """a*t mod 2q for 0 <= a < 2q and residues 0 <= t < q.  With a = a0 + a1*q,
+    a*t = a0*t + q*(a1*t mod 2) mod 2q, and a0*t < q^2 < 2^63."""
+    a1, a0 = divmod(a, q)
+    out = a0 * t % (2 * q)
+    return (out + q * (t & 1)) % (2 * q) if a1 else out
 
-    Evaluated in closed form (Dirichlet-kernel shape); returns the interval
-    length when x = 0 mod q.  Satisfies |result| <= min(length, q/<x>_q).
+
+def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
+    """Geometric sum over the interval: sum_{m in interval} e_q(m*x), for an
+    int x (a complex result) or an integer array x (an array).
+
+    Evaluated in closed form (Dirichlet-kernel shape); the value is the
+    interval length where x = 0 mod q, and |value| <= min(length, q/<x>_q).
+    The interval and a Python-int x are reduced mod 2q and q before any int64
+    product, so any start, length and x give the exact-argument value.  Reads
+    only ring.q.
     """
     q = ring.q
-    r = int(x) % q
-    if r == 0:
-        return complex(interval.length)
-    length, v = interval.length, interval.start
-    num = math.sin(math.pi * ((length * r) % (2 * q)) / q)
-    den = math.sin(math.pi * r / q)
-    ph = ((2 * (v + 1) + (length - 1)) * r) % (2 * q)
-    return cmath.exp(1j * math.pi * ph / q) * (num / den)
-
-
-def phase_sum_table(ring: ResidueRing, interval: IntervalSet) -> np.ndarray:
-    """interval_phase_sum for all residues x = 0..q-1 as one vector."""
-    q = ring.q
-    t = np.arange(q, dtype=np.int64)
-    length, v = interval.length, interval.start
-    num = np.sin(np.pi * ((length * t) % (2 * q)) / q)
-    den = np.sin(np.pi * t / q)
-    den[0] = 1.0  # placeholder; the x=0 entry is overwritten below
-    ph = ((2 * (v + 1) + (length - 1)) * t) % (2 * q)
+    scalar = isinstance(x, (int, np.integer))
+    t = np.array([int(x) % q]) if scalar else np.mod(np.asarray(x, dtype=np.int64), q)
+    length = int(interval.length)
+    # sum_{k=1..length} e_q((v+k)*x)
+    #   = e^(i*pi*(2v+length+1)*x/q) * sin(pi*length*x/q) / sin(pi*x/q)
+    num = np.sin(np.pi * _half_turns(length % (2 * q), t, q) / q)
+    den = np.sin(np.pi * np.maximum(t, 1) / q)  # the t = 0 entries are set below
+    ph = _half_turns((2 * int(interval.start) + length + 1) % (2 * q), t, q)
     out = np.exp((1j * np.pi / q) * ph) * (num / den)
-    out[0] = complex(length)
-    return out
+    out[t == 0] = length
+    return complex(out[0]) if scalar else out

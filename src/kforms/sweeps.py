@@ -1,14 +1,18 @@
 """Sweep orchestration: per-modulus bound checks, dyadic-average checks, and
 the named lemma grids, all emitting ordered BoundReport lists.
 
-Sweeps run their cases one after another in a fixed order, so a sweep's data
-columns are reproducible byte for byte (wall-clock columns excepted).  A
-wall-clock budget stops a sweep between cases and marks the result truncated
-instead of running unbounded.
+Every sweep is a sequence of zero-argument cells run one after another in a
+fixed order by one loop, so a sweep's data columns are reproducible byte for
+byte (wall-clock columns excepted).  The loop checks the wall-clock budget
+before each cell: once the budget is spent it stops and marks the result
+truncated, and a sweep that ran every cell is never truncated.  A cell
+already running is not interrupted.  Trilinear instances whose work L*q
+exceeds DEFAULT_WORK_BUDGET are refused before any table is built.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
@@ -45,19 +49,6 @@ DEFAULT_GRIDS = {
     "2.4": {"r": 2, "Ks": [100, 150, 200, 250, 300, 350, 400, 450, 500]},
     "2.5": {"r": 2, "Qs": [50, 100], "Ks": [10, 100]},
 }
-
-
-class SweepBudget:
-    """Wall-clock cutoff; exceeded() flips once budget_ms has elapsed."""
-
-    def __init__(self, budget_ms: int | None):
-        self.budget_ms = budget_ms
-        self.t0 = time.monotonic()
-
-    def exceeded(self) -> bool:
-        if self.budget_ms is None:
-            return False
-        return (time.monotonic() - self.t0) * 1000 >= self.budget_ms
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -109,18 +100,19 @@ def _fit_or_none(points) -> float | None:
         return None
 
 
-def _sweep_moduli(case, qs, threshold: float, budget_ms: int | None) -> SweepResult:
-    """Run case(q) over the moduli in order, stopping between moduli once the
-    budget is spent; reports with ratio above the threshold are exceptions."""
-    budget = SweepBudget(budget_ms)
+def _run_sweep(cells, fit_key: str, threshold: float, budget_ms: int | None) -> SweepResult:
+    """Run the zero-argument cells in order, checking the budget before each;
+    reports with ratio above the threshold are exceptions, and the exponent is
+    fitted to (params[fit_key], measured)."""
+    t0 = time.monotonic()
     reports: list[BoundReport] = []
     truncated = False
-    for q in qs:
-        if budget.exceeded():
+    for cell in cells:
+        if budget_ms is not None and (time.monotonic() - t0) * 1000 >= budget_ms:
             truncated = True
             break
-        reports.append(case(q))
-    points = [(r.params["q"], r.measured) for r in reports if r.measured > 0]
+        reports.append(cell())
+    points = [(r.params[fit_key], r.measured) for r in reports if r.measured > 0]
     return SweepResult(
         reports=reports,
         exceptions=sum(1 for r in reports if r.ratio is not None and r.ratio > threshold),
@@ -129,31 +121,26 @@ def _sweep_moduli(case, qs, threshold: float, budget_ms: int | None) -> SweepRes
     )
 
 
-def check_work(work: int, label: str, budget: int = DEFAULT_WORK_BUDGET) -> None:
-    """Refuse, with a ValueError, work predicted to exceed the budget."""
-    if work > budget:
+def check_work(work: int, label: str) -> None:
+    """Refuse, with a ValueError, work predicted to exceed DEFAULT_WORK_BUDGET."""
+    if work > DEFAULT_WORK_BUDGET:
         raise ValueError(
-            f"dimension too large: {label} = {work} exceeds the work budget {budget}"
+            f"dimension too large: {label} = {work} exceeds the work budget "
+            f"{DEFAULT_WORK_BUDGET}"
         )
 
 
 def build_instance(
-    q: int,
-    l_spec,
-    m_spec,
-    n_spec,
-    mode: str = "ones",
-    seed: int = 0,
-    work_budget: int = DEFAULT_WORK_BUDGET,
+    q: int, l_spec, m_spec, n_spec, mode: str = "ones", seed: int = 0
 ) -> TrilinearInstance:
     """The weighted trilinear instance for modulus q: the three windows from
     their specs, the ring, and weights seeded by stable_seed(seed, q).
 
-    An instance whose fast-path work L*q exceeds work_budget is refused
-    before any table is built.
+    An instance whose fast-path work L*q exceeds DEFAULT_WORK_BUDGET is
+    refused before any table is built.
     """
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
-    check_work(l_int.length * q, "L*q", work_budget)
+    check_work(l_int.length * q, "L*q")
     ring = build_ring(q)
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int
@@ -170,7 +157,6 @@ def verify_thm1_sweep(
     seed: int = 0,
     threshold: float = math.inf,
     budget_ms: int | None = None,
-    work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> SweepResult:
     """Per-modulus check of |S_q| against min of the two fixed-modulus
     envelopes; reports with ratio above the threshold count as exceptions."""
@@ -179,10 +165,10 @@ def verify_thm1_sweep(
         raise ValueError("every modulus must be >= 2")
 
     def case(q: int) -> BoundReport:
-        instance = build_instance(q, l_spec, m_spec, n_spec, mode, seed, work_budget)
+        instance = build_instance(q, l_spec, m_spec, n_spec, mode, seed)
         return with_params(theorem1_bounds(instance), mode=mode, seed=seed)
 
-    return _sweep_moduli(case, qs, threshold, budget_ms)
+    return _run_sweep((functools.partial(case, q) for q in qs), "q", threshold, budget_ms)
 
 
 def verify_thm2_sweep(
@@ -196,7 +182,6 @@ def verify_thm2_sweep(
     epsilon: float = 0.05,
     threshold: float = math.inf,
     budget_ms: int | None = None,
-    work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> SweepResult:
     """Dyadic-range check: every q in [Q, 2Q] against the averaged envelope
     (L + L^(1-1/2r) M^(1/2r)) (q^(2-1/2r) + N^(1/2) q^(3/2)).
@@ -210,7 +195,7 @@ def verify_thm2_sweep(
 
     def case(q: int) -> BoundReport:
         t0 = time.perf_counter()
-        instance = build_instance(q, l_spec, m_spec, n_spec, mode, seed, work_budget)
+        instance = build_instance(q, l_spec, m_spec, n_spec, mode, seed)
         measured = abs(trilinear_fast(instance))
         L = instance.weights.interval.length
         M, N = instance.m_interval.length, instance.n_interval.length
@@ -223,7 +208,8 @@ def verify_thm2_sweep(
         }
         return make_report(params=params, measured=measured, reference=reference, t0=t0)
 
-    return _sweep_moduli(case, range(Q, 2 * Q + 1), threshold, budget_ms)
+    cells = (functools.partial(case, q) for q in range(Q, 2 * Q + 1))
+    return _run_sweep(cells, "q", threshold, budget_ms)
 
 
 def allowed_exceptions(Q: int, r: int, epsilon: float) -> float:
@@ -231,20 +217,32 @@ def allowed_exceptions(Q: int, r: int, epsilon: float) -> float:
     return Q ** (1 - 2 * r * epsilon)
 
 
+def _moment_cell(table, k: int, H: int) -> BoundReport:
+    t0 = time.perf_counter()
+    moment = fourth_moment(table, IntervalSet(k, H))
+    return make_report(
+        params={"q": table.q, "k": k, "H": H}, measured=moment, reference=float(H * H), t0=t0
+    )
+
+
+def _count_cell(params: dict, count, *args) -> BoundReport:
+    """count(*args), a CountReport, against its reference."""
+    t0 = time.perf_counter()
+    report = count(*args)
+    return make_report(
+        params=params,
+        measured=float(report.value),
+        reference=float(report.bound_value),
+        t0=t0,
+    )
+
+
 def _lemma_21_cases(grid):
     for q in grid["qs"]:
-        ring = build_ring(q)
-        table = build_characters(ring)
+        table = build_characters(build_ring(q))
         for k in grid["ks"]:
             for H in sorted({min(h, q) for h in grid["Hs"] if h >= 1}):
-                t0 = time.perf_counter()
-                moment = fourth_moment(table, IntervalSet(k, H))
-                yield make_report(
-                    params={"q": q, "k": k, "H": H},
-                    measured=moment,
-                    reference=float(H * H),
-                    t0=t0,
-                )
+                yield functools.partial(_moment_cell, table, k, H)
 
 
 def _lemma_22_cases(grid):
@@ -253,15 +251,10 @@ def _lemma_22_cases(grid):
         pairs = [(s, min(ln, q)) for s, ln in grid["intervals"]]
         for sa, la in pairs:
             for sb, lb in pairs:
-                t0 = time.perf_counter()
-                report = multiplicative_energy(
-                    ring, IntervalSet(sa, la), IntervalSet(sb, lb)
-                )
-                yield make_report(
-                    params={"q": q, "a_start": sa, "A": la, "b_start": sb, "B": lb},
-                    measured=float(report.value),
-                    reference=float(report.bound_value),
-                    t0=t0,
+                params = {"q": q, "a_start": sa, "A": la, "b_start": sb, "B": lb}
+                yield functools.partial(
+                    _count_cell, params, multiplicative_energy,
+                    ring, IntervalSet(sa, la), IntervalSet(sb, lb),
                 )
 
 
@@ -269,36 +262,22 @@ def _lemma_23_cases(grid):
     for q in grid["qs"]:
         ring = build_ring(q)
         for K in sorted({min(k, q) for k in grid["Ks"] if k >= 1}):
-            t0 = time.perf_counter()
-            report = reciprocal_count_mod(ring, 2, K)
-            yield make_report(
-                params={"q": q, "r": 2, "K": K},
-                measured=float(report.value),
-                reference=float(report.bound_value),
-                t0=t0,
-            )
+            params = {"q": q, "r": 2, "K": K}
+            yield functools.partial(_count_cell, params, reciprocal_count_mod, ring, 2, K)
 
 
 def _lemma_24_cases(grid):
     r = grid["r"]
     for K in grid["Ks"]:
-        t0 = time.perf_counter()
-        report = reciprocal_count_rational(r, K)
-        yield make_report(
-            params={"r": r, "K": K},
-            measured=float(report.value),
-            reference=float(report.bound_value),
-            t0=t0,
-        )
+        yield functools.partial(_count_cell, {"r": r, "K": K}, reciprocal_count_rational, r, K)
 
 
 def _lemma_25_cases(grid):
     r = grid["r"]
     for Q in grid["Qs"]:
         for K in grid["Ks"]:
-            if K > Q:
-                continue
-            yield average_reciprocal_sweep(Q, r, K)
+            if K <= Q:
+                yield functools.partial(average_reciprocal_sweep, Q, r, K)
 
 
 _LEMMA_BUILDERS = {
@@ -326,18 +305,4 @@ def verify_lemma_sweeps(
     if missing:
         raise ValueError(f"invalid grid for lemma {lemma}: missing {missing}")
 
-    budget = SweepBudget(budget_ms)
-    reports: list[BoundReport] = []
-    truncated = False
-    for report in builder(grid):
-        reports.append(report)
-        if budget.exceeded():
-            truncated = True
-            break
-    points = [(r.params[fit_key], r.measured) for r in reports if r.measured > 0]
-    return SweepResult(
-        reports=reports,
-        exceptions=0,
-        fitted_exponent=_fit_or_none(points),
-        truncated=truncated,
-    )
+    return _run_sweep(builder(grid), fit_key, math.inf, budget_ms)

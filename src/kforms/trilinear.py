@@ -6,12 +6,14 @@ through the identity
 
     S_q = sum_l alpha_l sum_{x,y units} mu_x nu_y e_q(l * inv(x) * inv(y)),
 
-where mu/nu are the interval phase sums of the M and N windows.  Summed over
-the windows, the inner double sum W_l is, over the units l, a correlation on
-the unit group: one multidimensional FFT over the CRT lattice of
-build_characters gives W_l for every unit l in O(phi log phi), whatever L
-is, and each instance computes it once.  A non-unit l costs one O(phi)
-gather.  The trace machinery splits the fast form over a dyadic
+where mu/nu are the interval phase sums of the M and N windows, evaluated
+only at the units.  Summed over the windows, the inner double sum W_l is,
+over the units l, a correlation on the unit group: one multidimensional FFT
+over the CRT lattice of build_characters gives W_l for every unit l in
+O(phi log phi), whatever L is, and each instance computes it once.  An
+instance's weights are validated on construction (|alpha_l| <= 1, and 0 at
+every non-unit l), so the form reads the unit window alone; window_sums
+still serves a non-unit l, with one O(phi) gather.  The trace machinery splits the fast form over a dyadic
 decomposition of the centered unit representatives and records every
 intermediate quantity next to its reference envelope (all absorbed
 constants set to 1).
@@ -28,15 +30,9 @@ import numpy as np
 
 from .characters import build_characters
 from .counts import reciprocal_count_mod
+from .kloosterman import _unit_dft, double_naive
 from .reports import BoundReport, make_report
-from .ring import (
-    IntervalSet,
-    ResidueRing,
-    cyclic_dft,
-    factorize,
-    interval_phase_sum,
-    phase_sum_table,
-)
+from .ring import IntervalSet, ResidueRing, cyclic_dft, factorize, interval_phase_sum
 
 WEIGHT_MODES = ("ones", "rademacher", "phase", "extremal")
 
@@ -60,10 +56,15 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class TrilinearInstance:
+    """A weighted form; the weights are validated against the ring."""
+
     ring: ResidueRing
     weights: WeightVector
     m_interval: IntervalSet
     n_interval: IntervalSet
+
+    def __post_init__(self):
+        self.weights.validate(self.ring)
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,7 @@ def _gather(ring: ResidueRing, ls, eta, kappa) -> np.ndarray:
     """sum_{x,y units} eta_x kappa_y e_q(l*x*y) for each l in ls, with
     eta/kappa aligned with ring.units: one DFT of kappa, then O(phi) per l."""
     q, x = ring.q, ring.units
-    full = np.zeros(q, dtype=np.complex128)
-    full[x] = kappa
-    transform = cyclic_dft(ring, full, "forward")
+    transform = _unit_dft(ring, kappa)
     return np.array(
         [np.sum(eta * transform[(int(l) % q) * x % q]) for l in ls], dtype=np.complex128
     )
@@ -131,9 +130,8 @@ def _window_gather(
     # Summing K_q(l, m, n) over the windows folds the twists e_q(m*inv(x)),
     # e_q(n*inv(y)) into the weights eta = mu(inv x), kappa = nu(inv y).
     xb = ring.inv_table[ring.units]
-    mu = phase_sum_table(ring, m_interval)
-    nu = phase_sum_table(ring, n_interval)
-    return _gather(ring, ls, mu[xb], nu[xb])
+    eta = interval_phase_sum(ring, m_interval, xb)
+    return _gather(ring, ls, eta, interval_phase_sum(ring, n_interval, xb))
 
 
 def _smooth_length(n: int) -> int:
@@ -168,16 +166,19 @@ def _unit_window(
     table = build_characters(ring)
     shape = table.orders or (1,)
     index = table.log_index[units]
+    # The phase sums are evaluated at the units in increasing order (numpy's
+    # sin and exp run slower on scattered arguments) and written to each
+    # inverse's slot.
     xb = ring.inv_table[units]
     kappa = np.zeros(q, dtype=np.complex128)
-    kappa[units] = phase_sum_table(ring, n_interval)[xb]
-    transform = cyclic_dft(ring, kappa, "forward")
+    kappa[xb] = interval_phase_sum(ring, n_interval, units)
+    transform = cyclic_dft(ring, kappa)
     del kappa
     t_lat = np.empty(ring.phi, dtype=np.complex128)
     t_lat[index] = transform[units]
     del transform
     eta = np.empty(ring.phi, dtype=np.complex128)
-    eta[index] = phase_sum_table(ring, m_interval)[xb]
+    eta[table.log_index[xb]] = interval_phase_sum(ring, m_interval, units)
     del xb
     t_lat, eta = t_lat.reshape(shape), eta.reshape(shape)
 
@@ -266,8 +267,6 @@ def make_weights(
 def trilinear_naive(instance: TrilinearInstance) -> complex:
     """Oracle evaluation straight from the definition, one double sum per
     (l, m, n); O(L*M*N*phi^2)."""
-    from .kloosterman import double_naive
-
     ring = instance.ring
     total = 0j
     for l, alpha in zip(instance.weights.interval.members(), instance.weights.weights):
@@ -283,19 +282,11 @@ def trilinear_naive(instance: TrilinearInstance) -> complex:
 
 def trilinear_fast(instance: TrilinearInstance) -> complex:
     """Fast evaluation: sum_l alpha_l W_l over the instance's unit-group
-    window.  A nonzero weight at a non-unit l, which only an unvalidated
-    WeightVector carries, costs one O(phi) gather."""
+    window (the weights vanish off units)."""
     ring = instance.ring
-    m_interval, n_interval = instance.m_interval, instance.n_interval
-    alphas = instance.weights.weights
-    members = instance.weights.interval.members()
-    residues = np.mod(members, ring.q)
-    total = np.sum(alphas * _unit_window(ring, m_interval, n_interval)[residues])
-    stray = (alphas != 0) & ~ring.unit_mask[residues]
-    if stray.any():
-        gathered = _window_gather(ring, members[stray], m_interval, n_interval)
-        total += np.sum(alphas[stray] * gathered)
-    return complex(total)
+    window = _unit_window(ring, instance.m_interval, instance.n_interval)
+    residues = np.mod(instance.weights.interval.members(), ring.q)
+    return complex(np.sum(instance.weights.weights * window[residues]))
 
 
 def weighted_double_sum(ring: ResidueRing, l: int, eta, kappa) -> complex:
@@ -370,8 +361,11 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
         raise ValueError("trace needs M, N <= q")
 
     dec = dyadic_decomposition(ring, m_len, n_len)
-    mu = phase_sum_table(ring, instance.m_interval)
-    nu = phase_sum_table(ring, instance.n_interval)
+    # every unit is in one level set per side, and only units are read
+    mu = np.zeros(q, dtype=np.complex128)
+    mu[ring.units] = interval_phase_sum(ring, instance.m_interval, ring.units)
+    nu = np.zeros(q, dtype=np.complex128)
+    nu[ring.units] = interval_phase_sum(ring, instance.n_interval, ring.units)
     members = np.mod(instance.weights.interval.members(), q)
     alphas = instance.weights.weights
 
@@ -400,7 +394,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
         yres = np.mod(ys, q)
         g = np.zeros(q, dtype=np.complex128)
         g[ring.inv_table[yres]] = nu[yres]
-        u_map = cyclic_dft(ring, g, "forward")
+        u_map = cyclic_dft(ring, g)
         u_tables[(j, sign)] = u_map
         moment = float(np.sum(np.abs(u_map) ** (2 * r)))
         if j not in j_cache:
@@ -490,7 +484,6 @@ __all__ = [
     "trilinear_fast",
     "weighted_double_sum",
     "interval_phase_sum",
-    "phase_sum_table",
     "dyadic_decomposition",
     "proof_trace",
     "theorem1_bounds",

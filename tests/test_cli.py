@@ -65,6 +65,15 @@ class TestSingleValueCommands:
         assert code == 0
         assert "reconstruction" in capsys.readouterr().out
 
+    def test_trilinear_far_window_start(self, capsys):
+        # 10^17 = 10 mod 101, so both windows give the same phase sums
+        values = []
+        for start in ("100000000000000000", "10"):
+            assert main(["trilinear", "--q", "101", "--L", "0:5", "--M", f"{start}:10",
+                         "--N", "0:5"]) == 0
+            values.append(capsys.readouterr().out.split()[2])
+        assert values[0] == values[1]
+
     def test_proof_trace_runtime_covers_the_trace(self, tmp_path):
         # a ~50 ms run: every cell's runtime_ms counts the build and the trace
         out_path = tmp_path / "trace.json"

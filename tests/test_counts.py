@@ -195,7 +195,7 @@ class TestReciprocalCountRational:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget exceeded"):
-            reciprocal_count_rational(3, 1000, max_states=10_000)
+            reciprocal_count_rational(3, 1000)
 
     def test_monotone_in_k(self):
         values = [reciprocal_count_rational(2, K).value for K in range(1, 12)]

@@ -7,7 +7,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kforms import IntervalSet, build_characters, build_ring, factorize, is_prime
+from kforms import (
+    IntervalSet,
+    build_characters,
+    build_ring,
+    factorize,
+    interval_phase_sum,
+    is_prime,
+)
 from kforms.characters import _dlog_table, _powers
 from kforms.trilinear import _unit_window, _window_gather
 
@@ -78,3 +85,20 @@ def test_inverse_table_matches_pow(q):
     assert ring.inv_table.tolist() == [
         pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)
     ]
+
+
+@SETTINGS
+@given(
+    q=st.integers(2, 2000),
+    start=st.integers(-10**18, 10**18),
+    data=st.data(),
+)
+def test_interval_phase_sum_matches_direct_sum(q, start, data):
+    length = data.draw(st.integers(1, q), label="length")
+    xs = data.draw(st.lists(st.integers(-10**18, 10**18), min_size=1, max_size=16), label="x")
+    # the direct sum, with every member reduced mod q in Python ints
+    members = np.array([m % q for m in range(start + 1, start + length + 1)], dtype=np.int64)
+    x = np.array(xs, dtype=np.int64)
+    direct = np.exp(2j * np.pi * (members[:, None] * (x % q)[None, :] % q) / q).sum(axis=0)
+    closed = interval_phase_sum(build_ring(q), IntervalSet(start, length), x)
+    assert np.max(np.abs(closed - direct)) <= 1e-9 * q

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import kforms.sweeps
 from kforms import (
     BoundReport,
     SweepResult,
@@ -190,9 +191,24 @@ class TestSweepControls:
         with pytest.raises(ValueError, match="r >= 2"):
             verify_thm2_sweep(20, 1, "0:4", "0:4", "0:4")
 
-    def test_work_budget_guard(self):
+    def test_work_budget_guard(self, monkeypatch):
+        # L*q ~ 1.0e9 exceeds the default budget before any ring is built
+        def refuse(q):
+            raise AssertionError(f"build_ring({q}) reached")
+
+        monkeypatch.setattr(kforms.sweeps, "build_ring", refuse)
         with pytest.raises(ValueError, match="dimension too large"):
-            verify_thm1_sweep([101], "0:50", "0:5", "0:5", work_budget=100)
+            verify_thm1_sweep([1000003], "0:1000", "0:5", "0:5")
+
+    def test_spent_budget_runs_no_lemma_cell(self):
+        result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [100]}, budget_ms=0)
+        assert result.reports == [] and result.truncated
+
+    def test_complete_lemma_sweep_is_not_truncated(self):
+        # the one cell outlasts the budget, but nothing is left out
+        result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [100]}, budget_ms=1)
+        assert len(result.reports) == 1 and result.reports[0].runtime_ms >= 1
+        assert not result.truncated
 
     def test_invalid_lemma_grid(self):
         with pytest.raises(ValueError, match="unknown lemma"):

@@ -329,16 +329,19 @@ class TestOneWindowPerInstance:
         assert main(argv) == 0
         assert _unit_window.cache_info().misses == 1
 
-    def test_unvalidated_weights_off_units_are_kept(self):
-        # 12 has units 1, 5, 7, 11; every weight here, unit or not, counts
+
+class TestInstanceValidation:
+    def test_off_unit_and_oversized_weights_refused(self):
+        # 12 has units 1, 5, 7, 11 among the members 1..8
         ring = build_ring(12)
-        l_iv = IntervalSet(0, 8)
-        alphas = np.exp(1j * np.arange(8)) * np.linspace(0.2, 1.0, 8)
-        inst = TrilinearInstance(ring, WeightVector(l_iv, alphas), IntervalSet(1, 3),
-                                 IntervalSet(-2, 4))
-        oracle = trilinear_naive(inst)
-        assert abs(trilinear_fast(inst) - oracle) <= 1e-9 * 8 * 3 * 4 * 12
-        # the non-unit weights move the value, so dropping them fails above
-        unit_only = WeightVector(l_iv, np.where(ring.unit_mask[l_iv.members() % 12], alphas, 0))
-        dropped = TrilinearInstance(ring, unit_only, inst.m_interval, inst.n_interval)
-        assert abs(trilinear_fast(dropped) - oracle) > 1e-3
+        l_iv, m_iv, n_iv = IntervalSet(0, 8), IntervalSet(1, 3), IntervalSet(-2, 4)
+        on_units = ring.unit_mask[l_iv.members() % 12]
+        alphas = np.where(on_units, np.exp(1j * np.arange(8)), 0)
+        inst = TrilinearInstance(ring, WeightVector(l_iv, alphas), m_iv, n_iv)
+        assert abs(trilinear_fast(inst) - trilinear_naive(inst)) <= 1e-9 * 8 * 3 * 4 * 12
+        stray = alphas.copy()
+        stray[3] = 0.5  # l = 4 is not a unit mod 12
+        with pytest.raises(ValueError, match="vanish off units"):
+            TrilinearInstance(ring, WeightVector(l_iv, stray), m_iv, n_iv)
+        with pytest.raises(ValueError, match=r"\|w\| <= 1"):
+            TrilinearInstance(ring, WeightVector(l_iv, 1.5 * alphas), m_iv, n_iv)
