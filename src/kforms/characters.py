@@ -148,18 +148,22 @@ def character_values(table: CharacterTable, chi_index: int) -> np.ndarray:
     return _character_at(table, chi_index, np.arange(table.q, dtype=np.int64))
 
 
+def _lattice_counts(table: CharacterTable, interval: IntervalSet) -> np.ndarray:
+    """How many of the interval's members fall on each point of the
+    exponent-tuple lattice (units only), shaped as the lattice; the trivial
+    group is one point."""
+    flat = table.log_index[np.mod(interval.members(), table.q)]
+    counts = np.bincount(flat[flat >= 0], minlength=table.char_count)
+    return counts.reshape(table.orders or (1,))
+
+
 def interval_character_sums(table: CharacterTable, interval: IntervalSet) -> np.ndarray:
     """sum_{z in interval} chi(z) for every character, indexed by character.
 
     The interval counts map to the exponent-tuple lattice, where the sums for
     all characters at once are a multidimensional DFT over the group.
     """
-    flat = table.log_index[np.mod(interval.members(), table.q)]
-    flat = flat[flat >= 0]
-    if not table.orders:
-        return np.array([flat.size], dtype=np.complex128)
-    counts = np.bincount(flat, minlength=table.char_count).reshape(table.orders)
-    return (np.fft.ifftn(counts) * table.char_count).reshape(-1)
+    return (np.fft.ifftn(_lattice_counts(table, interval)) * table.char_count).reshape(-1)
 
 
 def fourth_moment(table: CharacterTable, interval: IntervalSet) -> float:
@@ -176,17 +180,7 @@ def moment_identity_check(
     Returns (fourth_moment, phi(q) * #{(x1,x2,x3,x4) in (interval units)^4
     with x1*x2 = x3*x4 mod q}); the two agree up to floating-point error.
     """
-    residues = np.mod(interval.members(), table.q)
-    units = residues[table.log_index[residues] >= 0]
-    quadruples = _product_energy(units, units, table.q)
+    from .counts import _product_energy  # counts imports this module
+
+    quadruples, _ = _product_energy(table, interval, interval)
     return fourth_moment(table, interval), float(table.char_count * quadruples)
-
-
-def _product_energy(a: np.ndarray, b: np.ndarray, q: int) -> int:
-    """#{(a1, a2, b1, b2): a1*b1 = a2*b2 mod q} for residue arrays a, b: the
-    sum of the squared multiplicities of the products a*b mod q, exact in
-    Python ints."""
-    products = np.multiply.outer(a, b)
-    products %= q
-    counts = np.bincount(products.reshape(-1))
-    return sum(c * c for c in counts[counts > 0].tolist())

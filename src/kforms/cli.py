@@ -17,17 +17,15 @@ import time
 from .characters import build_characters, fourth_moment, moment_identity_check
 from .counts import (
     multiplicative_energy,
-    reciprocal_count_mod,
     reciprocal_count_rational,
     reciprocal_moment_identity,
 )
 from .kloosterman import double_fast, double_naive, single_sum, weil_reference
 from .reports import SweepResult, emit_report, make_report
-from .ring import IntervalSet, build_ring, euler_phi, is_prime
+from .ring import IntervalSet, build_ring, check_work, euler_phi, is_prime
 from .sweeps import (
     allowed_exceptions,
     build_instance,
-    check_work,
     parse_int_list,
     resolve_interval,
     verify_lemma_sweeps,
@@ -127,10 +125,13 @@ def cmd_energy(args) -> int:
 def cmd_jr_mod(args) -> int:
     t0 = time.perf_counter()
     ring = build_ring(args.q)
-    count = reciprocal_count_mod(ring, args.r, args.K)
-    identity, exact = reciprocal_moment_identity(ring, args.r, args.K)
+    identity, count = reciprocal_moment_identity(ring, args.r, args.K)
     print(f"J_{args.r}({args.q};{args.K}) = {count.value}")
-    print(f"orthogonality identity = {_fmt(identity)} (exact {exact})")
+    print(f"orthogonality identity = {_fmt(identity)} (exact {count.value})")
+    if count.residual is None:
+        print("FFT certificate residual = none (no FFT ran; counted by exact tally)")
+    else:
+        print(f"FFT certificate residual = {_fmt(count.residual)}")
     if count.bound_value is not None:
         print(f"reference = {_fmt(count.bound_value)}   ratio = {_fmt(count.ratio)}")
     params = {"q": args.q, "r": args.r, "K": args.K}

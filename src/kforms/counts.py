@@ -1,46 +1,159 @@
-"""Exact counting of multiplicative quantities: multiplicative energy of two
-intervals, counts of congruent / equal sums of reciprocals, and the dyadic
-average of the modular counts.
+"""Exact counts behind the moment lemmas: the multiplicative energy of two
+intervals, the counts J_r of 2r-tuples whose reciprocal sums are congruent
+mod q or equal over Q, and the dyadic average of the modular counts.
 
-All counting paths use integer arithmetic end to end; DFT identities appear
-only as floating-point cross-checks.
+Each modular count is the sum of the squared entries of an exact cyclic
+convolution of non-negative integer count vectors: over Z_q for sums of
+inverses, and over the unit-group lattice of build_characters for products
+of units.  One kernel, _exact_convolution, computes every such convolution,
+by a pairwise tally when the supports are sparse and otherwise by a real
+FFT whose rounded result is accepted only under a certificate: an a-priori
+bound of 2^52 on its total, a rounding residual max|c - rint c| below 1/4,
+and an exact total.  A result that fails the certificate is recomputed by
+the tally.  The rational count keys lowest-terms fractions in int64.
+Sums of squares are exact: in int64 only where no overflow is possible,
+in Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .characters import CharacterTable, _product_energy, interval_character_sums
+from .characters import (
+    CharacterTable,
+    _lattice_counts,
+    build_characters,
+    interval_character_sums,
+)
 from .reports import BoundReport, make_report
-from .ring import IntervalSet, ResidueRing, build_ring, cyclic_dft
+from .ring import (
+    IntervalSet,
+    ResidueRing,
+    _smooth_length,
+    check_work,
+    cyclic_dft,
+    factorize,
+)
 
 # Cap on r * K^r states for the exact rational tally.
 DEFAULT_RATIONAL_BUDGET = 40_000_000
 
+# The FFT result is certified only if its exact total sum(a) * sum(b), and so
+# every entry, is at most 2^52, where float64 spacing is at most 1, and if
+# every entry lies within _RESIDUAL_LIMIT of an integer.
+_FFT_TOTAL_LIMIT = 2**52
+_RESIDUAL_LIMIT = 0.25
+# One tallied pair costs about as much as this many FFT points times their
+# log2: 5.6 to 7.5 measured at lengths 3*10^4 to 10^6, where the choice
+# matters; below that either path takes well under a millisecond.
+_PAIR_COST = 8
+_TALLY_CHUNK = 1 << 22  # pairs per tally step
+
 
 @dataclass(frozen=True)
 class CountReport:
-    """An exact count next to its reference expression (constants set to 1)."""
+    """An exact count next to its reference expression (constants set to 1).
+
+    ``residual`` is the FFT certificate's max|c - rint c| over the
+    convolutions behind the count, or None when none ran through the FFT.
+    """
 
     value: int
     bound_value: float | None
     ratio: float | None
+    residual: float | None = None
 
 
-def _count_report(value: int, bound_value: float | None) -> CountReport:
+def _count_report(
+    value: int, bound_value: float | None, residual: float | None = None
+) -> CountReport:
     ratio = value / bound_value if bound_value else None
-    return CountReport(value=value, bound_value=bound_value, ratio=ratio)
+    return CountReport(value=value, bound_value=bound_value, ratio=ratio, residual=residual)
 
 
-def _unit_members(ring: ResidueRing, interval: IntervalSet) -> np.ndarray:
-    residues = np.mod(interval.members(), ring.q)
-    return residues[ring.unit_mask[residues]]
+def _sum_of_squares(counts: np.ndarray) -> int:
+    """sum c^2 for a non-negative int64 array, exact: an int64 dot product
+    when size * max^2 < 2^63 rules out overflow, Python ints otherwise."""
+    counts = counts.reshape(-1)
+    top = int(counts.max(initial=0))
+    if counts.size * top * top < 2**63:
+        return int(np.dot(counts, counts))
+    return sum(c * c for c in counts[counts > 0].tolist())
+
+
+def _pair_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The cyclic convolution from the support pairs: index sums mod shape,
+    accumulated in int64, refused when the pairs exceed the work budget."""
+    ia, ib = np.nonzero(a), np.nonzero(b)
+    wa, wb = a[ia], b[ib]
+    check_work(wa.size * wb.size, "convolution pairs")
+    out = np.zeros(math.prod(shape), dtype=np.int64)
+    rows = max(1, _TALLY_CHUNK // max(1, wb.size))
+    for s in range(0, wa.size, rows):
+        coords = tuple((x[s : s + rows, None] + y) % n for x, y, n in zip(ia, ib, shape))
+        keys = np.ravel_multi_index(coords, shape).reshape(-1)
+        np.add.at(out, keys, (wa[s : s + rows, None] * wb).reshape(-1))
+    return out.reshape(shape)
+
+
+def _exact_convolution(
+    a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]
+) -> tuple[np.ndarray, float | None]:
+    """Exact cyclic convolution c(k) = sum_j a(j) b(k - j) over the lattice
+    Z_{shape[0]} x Z_{shape[1]} x ... of two non-negative integer arrays, as
+    int64, with the FFT certificate's residual max|c - rint c| (None when the
+    pairwise tally ran).
+
+    An axis whose length has a prime factor above 7 (slow in numpy's FFT) is
+    tiled once and transformed at a 5-smooth length >= 2n, where the
+    convolution along it is a linear one read at n..2n-1.
+    """
+    a = np.asarray(a, dtype=np.int64).reshape(shape)
+    b = np.asarray(b, dtype=np.int64).reshape(shape)
+    total = int(a.sum()) * int(b.sum())
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"dimension too large: convolution total {total} exceeds int64")
+    rough = [n > 1 and factorize(n)[-1][0] > 7 for n in shape]
+    size = [_smooth_length(2 * n) if r else n for n, r in zip(shape, rough)]
+    points = math.prod(size)
+    pairs = np.count_nonzero(a) * np.count_nonzero(b)
+    if total <= _FFT_TOTAL_LIMIT and pairs * _PAIR_COST > points * math.log2(points + 1):
+        tiled = a
+        for axis, r in enumerate(rough):
+            if r:
+                tiled = np.concatenate([tiled, tiled], axis=axis)
+        axes = tuple(range(len(shape)))
+        spectrum = np.fft.rfftn(tiled, s=size, axes=axes)
+        spectrum *= np.fft.rfftn(b, s=size, axes=axes)
+        c = np.fft.irfftn(spectrum, s=size, axes=axes)
+        c = c[tuple(slice(n, 2 * n) if r else slice(None) for n, r in zip(shape, rough))]
+        rounded = np.rint(c)
+        residual = float(np.max(np.abs(c - rounded)))
+        counts = rounded.astype(np.int64)
+        if residual < _RESIDUAL_LIMIT and int(counts.sum()) == total:
+            return counts, residual
+    return _pair_tally(a, b, shape), None
+
+
+def _product_energy(
+    table: CharacterTable, a_interval: IntervalSet, b_interval: IntervalSet
+) -> tuple[int, float | None]:
+    """#{(a1, a2, b1, b2) units of the intervals: a1*b1 = a2*b2 mod q}, with
+    the convolution's residual.  A product of units adds their exponent
+    tuples, so the product multiplicities are the lattice convolution of
+    the two intervals' lattice counts."""
+    counts, residual = _exact_convolution(
+        _lattice_counts(table, a_interval),
+        _lattice_counts(table, b_interval),
+        table.orders or (1,),
+    )
+    return _sum_of_squares(counts), residual
 
 
 def multiplicative_energy(
@@ -48,15 +161,14 @@ def multiplicative_energy(
 ) -> CountReport:
     """#{(a1,a2,b1,b2): a1*b1 = a2*b2 mod q, all factors units}.
 
-    Tallies the products a*b mod q over unit pairs and sums squared
-    multiplicities; reference is A^2 B^2 / q + A B.
+    Sums the squared multiplicities of the products a*b mod q over unit
+    pairs, from one exact convolution on the unit-group lattice; reference
+    is A^2 B^2 / q + A B.
     """
-    value = _product_energy(
-        _unit_members(ring, a_interval), _unit_members(ring, b_interval), ring.q
-    )
+    value, residual = _product_energy(build_characters(ring), a_interval, b_interval)
     la, lb = a_interval.length, b_interval.length
     bound = la * la * lb * lb / ring.q + la * lb
-    return _count_report(value, bound)
+    return _count_report(value, bound, residual)
 
 
 def energy_character_identity(
@@ -82,22 +194,6 @@ def energy_character_identity(
     return energy, principal, energy - principal
 
 
-def _inverse_indicator(ring: ResidueRing, K: int) -> np.ndarray:
-    # v[s] = #{x <= K unit with inv(x) = s}; 0/1-valued since K <= q.
-    xs = np.arange(1, K + 1, dtype=np.int64)
-    xs = xs[ring.unit_mask[xs % ring.q]]
-    v = np.zeros(ring.q, dtype=np.int64)
-    v[ring.inv_table[xs % ring.q]] = 1
-    return v
-
-
-def _cyclic_convolve_exact(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    full = np.convolve(a, b)  # int64, exact at the scales enforced by K <= q
-    out = full[:q].copy()
-    out[: full.size - q] += full[q:]
-    return out
-
-
 def _j_bound(ring: ResidueRing, r: int, K: int) -> float | None:
     if r == 1:
         return float(K)
@@ -106,23 +202,36 @@ def _j_bound(ring: ResidueRing, r: int, K: int) -> float | None:
     return None
 
 
+def _reciprocal_count(q: int, inverses, r: int) -> tuple[int, float | None]:
+    """sum_s w(s)^2 for w the r-fold cyclic self-convolution mod q of the
+    indicator of the inverses, with the largest FFT residual on the way."""
+    v = np.bincount(np.asarray(inverses, dtype=np.int64), minlength=q)
+    w, residuals = v, []
+    for _ in range(r - 1):
+        w, residual = _exact_convolution(w, v, (q,))
+        if residual is not None:
+            residuals.append(residual)
+    return _sum_of_squares(w), max(residuals, default=None)
+
+
+def _unit_inverses_upto(ring: ResidueRing, K: int) -> np.ndarray:
+    xs = np.arange(1, K + 1, dtype=np.int64) % ring.q
+    return ring.inv_table[xs[ring.unit_mask[xs]]]
+
+
 def reciprocal_count_mod(ring: ResidueRing, r: int, K: int) -> CountReport:
     """Number of 2r-tuples of units in [1, K] whose first r inverses and last
     r inverses have congruent sums mod q.
 
     Computed by r-fold exact cyclic self-convolution of the inverse
-    multiplicity vector, then summing squares.
+    indicator, then summing squares.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if not 1 <= K <= ring.q:
         raise ValueError(f"K out of range: need 1 <= K <= q = {ring.q}, got {K}")
-    v = _inverse_indicator(ring, K)
-    w = v
-    for _ in range(r - 1):
-        w = _cyclic_convolve_exact(w, v, ring.q)
-    value = sum(int(c) * int(c) for c in w if c)
-    return _count_report(value, _j_bound(ring, r, K))
+    value, residual = _reciprocal_count(ring.q, _unit_inverses_upto(ring, K), r)
+    return _count_report(value, _j_bound(ring, r, K), residual)
 
 
 def reciprocal_count_naive(ring: ResidueRing, r: int, K: int) -> int:
@@ -140,23 +249,26 @@ def reciprocal_count_naive(ring: ResidueRing, r: int, K: int) -> int:
     return sum(c * c for c in tally.values())
 
 
-def reciprocal_moment_identity(ring: ResidueRing, r: int, K: int) -> tuple[float, int]:
+def reciprocal_moment_identity(
+    ring: ResidueRing, r: int, K: int
+) -> tuple[float, CountReport]:
     """Orthogonality identity for the reciprocal count.
 
-    Returns ((1/q) sum_t |sum_{x<=K unit} e_q(t*inv(x))|^(2r), exact count);
-    the two agree up to floating-point error.
+    Returns ((1/q) sum_t |sum_{x<=K unit} e_q(t*inv(x))|^(2r), the exact
+    count as reciprocal_count_mod reports it); the two agree up to
+    floating-point error.
     """
-    v = _inverse_indicator(ring, K)
-    transform = cyclic_dft(ring, v)
-    identity = float(np.sum(np.abs(transform) ** (2 * r))) / ring.q
-    return identity, reciprocal_count_mod(ring, r, K).value
+    count = reciprocal_count_mod(ring, r, K)
+    v = np.bincount(_unit_inverses_upto(ring, K), minlength=ring.q)
+    identity = float(np.sum(np.abs(cyclic_dft(ring, v)) ** (2 * r))) / ring.q
+    return identity, count
 
 
 def reciprocal_count_rational(r: int, K: int) -> CountReport:
     """Number of 2r-tuples in [1, K] whose reciprocal sums agree exactly over
-    the rationals.  Tallies canonical lowest-term fractions for all K^r
-    left-side sums; reference is K^r.  Refused when r*K^r exceeds
-    DEFAULT_RATIONAL_BUDGET.
+    the rationals.  Builds the K^r left-side sums as lowest-terms
+    (numerator, denominator) pairs and counts equal pairs; reference is K^r.
+    Refused when r*K^r exceeds DEFAULT_RATIONAL_BUDGET.
     """
     if r < 1 or K < 1:
         raise ValueError(f"need r >= 1 and K >= 1, got r={r}, K={K}")
@@ -164,23 +276,31 @@ def reciprocal_count_rational(r: int, K: int) -> CountReport:
         raise ValueError(
             f"budget exceeded: r*K^r = {r * K ** r} > {DEFAULT_RATIONAL_BUDGET}"
         )
-    reciprocals = [Fraction(1, x) for x in range(1, K + 1)]
-    tally = Counter()
-    for combo in itertools.product(reciprocals, repeat=r):
-        tally[sum(combo)] += 1
-    value = sum(c * c for c in tally.values())
-    return _count_report(value, float(K) ** r)
+    # Every denominator divides a product of r values <= K, so it is at most
+    # K^r, and every sum is at most r: the numerators are at most r*K^r, and
+    # the key num*(max den + 1) + den stays below (r*K^r)^2 <= 1.6e15.
+    xs = np.arange(1, K + 1, dtype=np.int64)
+    num, den = np.ones(K, dtype=np.int64), xs
+    for _ in range(r - 1):
+        num = (np.multiply.outer(num, xs) + den[:, None]).reshape(-1)
+        den = np.multiply.outer(den, xs).reshape(-1)
+        g = np.gcd(num, den)
+        num //= g
+        den //= g
+    _, counts = np.unique(num * (int(den.max()) + 1) + den, return_counts=True)
+    return _count_report(_sum_of_squares(counts), float(K) ** r)
 
 
 def average_reciprocal_sweep(Q: int, r: int, K: int) -> BoundReport:
     """Exact dyadic average (1/Q) sum_{Q <= q <= 2Q} J_r(q; K) against the
-    reference K^(2r)/Q + K^r."""
+    reference K^(2r)/Q + K^r.  Each q inverts only 1..K."""
     if not 1 <= K <= Q:
         raise ValueError(f"need 1 <= K <= Q, got K={K}, Q={Q}")
     t0 = time.perf_counter()
     total = 0
     for q in range(Q, 2 * Q + 1):
-        total += reciprocal_count_mod(build_ring(q), r, K).value
+        inverses = [pow(x, -1, q) for x in range(1, K + 1) if math.gcd(x, q) == 1]
+        total += _reciprocal_count(q, inverses, r)[0]
     reference = float(K) ** (2 * r) / Q + float(K) ** r
     return make_report(
         params={"Q": Q, "r": r, "K": K, "sum_total": total},

@@ -1,7 +1,8 @@
 """Residue-ring arithmetic for Z_q: unit tables, vectorized modular inversion,
 additive characters e_q, centered representatives, interval phase sums and
 the forward cyclic DFT of length q (numpy's FFT, with an O(q^2) reference
-kept for tests).
+kept for tests); also the package's work budget and the 5-smooth lengths
+at which its padded FFTs run.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -18,6 +19,36 @@ import numpy as np
 # Residues below q are multiplied in int64 (the inverse table here, the
 # discrete-log tables in characters.py), which needs q^2 < 2^63.
 MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
+
+# Guard against work out of desk scale: L*q for a trilinear instance, the
+# CLI brute-force paths' L*M*N*phi^2 and phi^2, and the pairs of an exact
+# convolution's pairwise tally.
+DEFAULT_WORK_BUDGET = 500_000_000
+
+
+def check_work(work: int, label: str) -> None:
+    """Refuse, with a ValueError, work predicted to exceed DEFAULT_WORK_BUDGET."""
+    if work > DEFAULT_WORK_BUDGET:
+        raise ValueError(
+            f"dimension too large: {label} = {work} exceeds the work budget "
+            f"{DEFAULT_WORK_BUDGET}"
+        )
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            m = odd
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            odd *= 3
+        five *= 5
+    return best
 
 
 class NotAUnitError(ValueError):

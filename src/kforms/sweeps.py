@@ -6,7 +6,9 @@ fixed order by one loop, so a sweep's data columns are reproducible byte for
 byte (wall-clock columns excepted).  The loop checks the wall-clock budget
 before each cell: once the budget is spent it stops and marks the result
 truncated, and a sweep that ran every cell is never truncated.  A cell
-already running is not interrupted.  Trilinear instances whose work L*q
+already running is not interrupted.  Rings and character tables are built
+inside the first cell that needs them, once per modulus, so a spent budget
+builds none.  Trilinear instances whose work L*q
 exceeds DEFAULT_WORK_BUDGET are refused before any table is built.
 """
 
@@ -25,12 +27,8 @@ from .counts import (
     reciprocal_count_rational,
 )
 from .reports import BoundReport, SweepResult, fit_exponent, make_report, with_params
-from .ring import IntervalSet, build_ring
+from .ring import IntervalSet, build_ring, check_work
 from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
-
-# Guard against work out of desk scale: L*q for a trilinear instance, and in
-# the CLI the brute-force paths' L*M*N*phi^2 and phi^2.
-DEFAULT_WORK_BUDGET = 500_000_000
 
 DEFAULT_GRIDS = {
     "2.1": {
@@ -121,15 +119,6 @@ def _run_sweep(cells, fit_key: str, threshold: float, budget_ms: int | None) -> 
     )
 
 
-def check_work(work: int, label: str) -> None:
-    """Refuse, with a ValueError, work predicted to exceed DEFAULT_WORK_BUDGET."""
-    if work > DEFAULT_WORK_BUDGET:
-        raise ValueError(
-            f"dimension too large: {label} = {work} exceeds the work budget "
-            f"{DEFAULT_WORK_BUDGET}"
-        )
-
-
 def build_instance(
     q: int, l_spec, m_spec, n_spec, mode: str = "ones", seed: int = 0
 ) -> TrilinearInstance:
@@ -217,11 +206,11 @@ def allowed_exceptions(Q: int, r: int, epsilon: float) -> float:
     return Q ** (1 - 2 * r * epsilon)
 
 
-def _moment_cell(table, k: int, H: int) -> BoundReport:
+def _moment_cell(tables, q: int, k: int, H: int) -> BoundReport:
     t0 = time.perf_counter()
-    moment = fourth_moment(table, IntervalSet(k, H))
+    moment = fourth_moment(tables(q), IntervalSet(k, H))
     return make_report(
-        params={"q": table.q, "k": k, "H": H}, measured=moment, reference=float(H * H), t0=t0
+        params={"q": q, "k": k, "H": H}, measured=moment, reference=float(H * H), t0=t0
     )
 
 
@@ -237,33 +226,42 @@ def _count_cell(params: dict, count, *args) -> BoundReport:
     )
 
 
+def _ring_count(rings, q: int, count, *args):
+    """count(ring of q, *args).  rings memoises the latest modulus (a grid's
+    cells come grouped by q), so each ring is built inside the first cell
+    that needs it and freed once the sweep moves on."""
+    return count(rings(q), *args)
+
+
 def _lemma_21_cases(grid):
+    tables = functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
     for q in grid["qs"]:
-        table = build_characters(build_ring(q))
         for k in grid["ks"]:
             for H in sorted({min(h, q) for h in grid["Hs"] if h >= 1}):
-                yield functools.partial(_moment_cell, table, k, H)
+                yield functools.partial(_moment_cell, tables, q, k, H)
 
 
 def _lemma_22_cases(grid):
+    rings = functools.lru_cache(maxsize=1)(build_ring)
     for q in grid["qs"]:
-        ring = build_ring(q)
         pairs = [(s, min(ln, q)) for s, ln in grid["intervals"]]
         for sa, la in pairs:
             for sb, lb in pairs:
                 params = {"q": q, "a_start": sa, "A": la, "b_start": sb, "B": lb}
                 yield functools.partial(
-                    _count_cell, params, multiplicative_energy,
-                    ring, IntervalSet(sa, la), IntervalSet(sb, lb),
+                    _count_cell, params, _ring_count, rings, q, multiplicative_energy,
+                    IntervalSet(sa, la), IntervalSet(sb, lb),
                 )
 
 
 def _lemma_23_cases(grid):
+    rings = functools.lru_cache(maxsize=1)(build_ring)
     for q in grid["qs"]:
-        ring = build_ring(q)
         for K in sorted({min(k, q) for k in grid["Ks"] if k >= 1}):
             params = {"q": q, "r": 2, "K": K}
-            yield functools.partial(_count_cell, params, reciprocal_count_mod, ring, 2, K)
+            yield functools.partial(
+                _count_cell, params, _ring_count, rings, q, reciprocal_count_mod, 2, K
+            )
 
 
 def _lemma_24_cases(grid):

@@ -32,7 +32,14 @@ from .characters import build_characters
 from .counts import reciprocal_count_mod
 from .kloosterman import _unit_dft, double_naive
 from .reports import BoundReport, make_report
-from .ring import IntervalSet, ResidueRing, cyclic_dft, factorize, interval_phase_sum
+from .ring import (
+    IntervalSet,
+    ResidueRing,
+    _smooth_length,
+    cyclic_dft,
+    factorize,
+    interval_phase_sum,
+)
 
 WEIGHT_MODES = ("ones", "rademacher", "phase", "extremal")
 
@@ -132,22 +139,6 @@ def _window_gather(
     xb = ring.inv_table[ring.units]
     eta = interval_phase_sum(ring, m_interval, xb)
     return _gather(ring, ls, eta, interval_phase_sum(ring, n_interval, xb))
-
-
-def _smooth_length(n: int) -> int:
-    """Smallest 5-smooth integer >= n (n >= 1)."""
-    best = 1 << (n - 1).bit_length()
-    five = 1
-    while five < best:
-        odd = five
-        while odd < best:
-            m = odd
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            odd *= 3
-        five *= 5
-    return best
 
 
 @functools.lru_cache(maxsize=1)

@@ -49,6 +49,20 @@ class TestSingleValueCommands:
         assert main(["jr-mod", "--q", "5", "--r", "2", "--K", "2"]) == 0
         assert "J_2(5;2) = 6" in capsys.readouterr().out
 
+    def test_jr_mod_counts_once_and_prints_residual(self, capsys, monkeypatch):
+        calls = []
+        count = kforms.counts.reciprocal_count_mod
+        monkeypatch.setattr(
+            kforms.counts, "reciprocal_count_mod", lambda *a: calls.append(a) or count(*a)
+        )
+        assert main(["jr-mod", "--q", "1009", "--K", "500", "--emit"]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+        assert "FFT certificate residual = " in out and "none" not in out
+        assert "q,r,K,measured,reference,ratio,runtime_ms" in out.splitlines()
+        assert main(["jr-mod", "--q", "1009", "--K", "5"]) == 0
+        assert "FFT certificate residual = none" in capsys.readouterr().out
+
     def test_jr_rat(self, capsys):
         assert main(["jr-rat", "--r", "2", "--K", "3"]) == 0
         assert "J_2(3) = 15" in capsys.readouterr().out

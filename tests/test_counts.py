@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kforms
 from kforms import (
     IntervalSet,
     average_reciprocal_sweep,
@@ -17,6 +18,8 @@ from kforms import (
     reciprocal_count_rational,
     reciprocal_moment_identity,
 )
+from kforms.cli import main
+from kforms.counts import _exact_convolution, _sum_of_squares
 from conftest import random_interval
 
 
@@ -158,11 +161,11 @@ class TestReciprocalCountMod:
 
 class TestReciprocalMomentIdentity:
     def test_matches_exact_count(self):
-        identity, exact = reciprocal_moment_identity(build_ring(5), 2, 2)
-        assert exact == 6
+        identity, count = reciprocal_moment_identity(build_ring(5), 2, 2)
+        assert count.value == 6
         assert identity == pytest.approx(6, rel=1e-6)
-        identity, exact = reciprocal_moment_identity(build_ring(10), 1, 10)
-        assert exact == 4
+        identity, count = reciprocal_moment_identity(build_ring(10), 1, 10)
+        assert count.value == 4
         assert identity == pytest.approx(4, rel=1e-6)
 
     def test_random_inputs(self):
@@ -171,9 +174,9 @@ class TestReciprocalMomentIdentity:
             q = int(rng.integers(2, 400))
             r = int(rng.integers(1, 3))
             K = int(rng.integers(1, q + 1))
-            identity, exact = reciprocal_moment_identity(build_ring(q), r, K)
-            assert exact >= 1  # x = 1 is always a unit, so the diagonal is nonempty
-            assert identity == pytest.approx(exact, rel=1e-6)
+            identity, count = reciprocal_moment_identity(build_ring(q), r, K)
+            assert count.value >= 1  # x = 1 is always a unit, so the diagonal is nonempty
+            assert identity == pytest.approx(count.value, rel=1e-6)
 
 
 class TestReciprocalCountRational:
@@ -224,3 +227,61 @@ class TestAverageReciprocalSweep:
     def test_k_above_q_rejected(self):
         with pytest.raises(ValueError, match="K <= Q"):
             average_reciprocal_sweep(10, 2, 11)
+
+
+class TestExactConvolution:
+    CASES = [(1009, 2, 500), (1009, 3, 40), (1536, 2, 700), (97, 2, 97)]
+
+    def test_certified_fft_reports_its_residual(self):
+        for q, r, K in self.CASES:
+            report = reciprocal_count_mod(build_ring(q), r, K)
+            assert report.residual is not None and 0 <= report.residual < 0.25
+        # sparse supports are tallied, and r = 1 convolves nothing
+        assert reciprocal_count_mod(build_ring(1009), 2, 5).residual is None
+        assert reciprocal_count_mod(build_ring(1009), 1, 500).residual is None
+        energy = multiplicative_energy(build_ring(1009), IntervalSet(0, 1009), IntervalSet(5, 800))
+        assert energy.residual < 0.25
+
+    def test_forced_fallback_gives_the_same_counts(self, monkeypatch):
+        ring = build_ring(1009)
+        a, b = IntervalSet(-3, 1500), IntervalSet(40, 700)
+        certified = [reciprocal_count_mod(build_ring(q), r, K).value for q, r, K in self.CASES]
+        energy = multiplicative_energy(ring, a, b).value
+        monkeypatch.setattr(kforms.counts, "_RESIDUAL_LIMIT", 0.0)
+        tallied = [reciprocal_count_mod(build_ring(q), r, K) for q, r, K in self.CASES]
+        assert [t.value for t in tallied] == certified
+        assert all(t.residual is None for t in tallied)
+        assert multiplicative_energy(ring, a, b).value == energy
+        assert [reciprocal_count_naive(build_ring(q), r, K) for q, r, K in self.CASES[1:]] == (
+            certified[1:]
+        )
+
+    def test_a_priori_bound_sends_large_totals_to_the_tally(self, monkeypatch):
+        # sum(a) * sum(b) ~ 2^61 > 2^52, on supports the cost model gives the FFT
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT attempted past the a-priori bound")
+
+        monkeypatch.setattr(np.fft, "rfftn", refuse)
+        n = 64
+        a = np.full(n, 2**24, dtype=np.int64)
+        b = np.arange(n, dtype=np.int64) * 2**20
+        linear = np.convolve(a, b)
+        oracle = linear[:n].copy()
+        oracle[: n - 1] += linear[n:]
+        got, residual = _exact_convolution(a, b, (n,))
+        assert residual is None and np.array_equal(got, oracle)
+        with pytest.raises(ValueError, match="exceeds int64"):
+            _exact_convolution(np.array([2**40]), np.array([2**40]), (1,))
+
+    def test_fallback_over_the_work_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(kforms.counts, "_RESIDUAL_LIMIT", 0.0)
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 1000)
+        with pytest.raises(ValueError, match="dimension too large"):
+            reciprocal_count_mod(build_ring(1009), 2, 500)
+        assert main(["jr-mod", "--q", "1009", "--K", "500"]) == 2
+
+    def test_sum_of_squares_is_exact_past_int64(self):
+        big = 3_037_000_500  # big^2 > 2^63
+        values = np.array([big, big, 7, 0], dtype=np.int64)
+        assert _sum_of_squares(values) == 2 * big * big + 49
+        assert _sum_of_squares(np.array([3, 4], dtype=np.int64)) == 25

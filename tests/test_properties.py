@@ -1,7 +1,10 @@
 """Property tests: the vectorized kernels against per-element oracles over
 randomly drawn moduli and windows."""
 
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,11 +14,17 @@ from kforms import (
     IntervalSet,
     build_characters,
     build_ring,
+    cyclic_dft,
     factorize,
     interval_phase_sum,
     is_prime,
+    multiplicative_energy,
+    reciprocal_count_mod,
+    reciprocal_count_naive,
+    reciprocal_count_rational,
 )
 from kforms.characters import _dlog_table, _powers
+from kforms.counts import _exact_convolution
 from kforms.trilinear import _unit_window, _window_gather
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
@@ -26,6 +35,14 @@ MODULI = st.one_of(
     st.sampled_from([p**e for p in ODD_PRIMES[:8] for e in range(2, 7) if p**e <= 2000]),
     st.integers(1, 11).map(lambda e: 2**e),
     st.integers(6, 2000).filter(lambda q: len(factorize(q)) >= 2),
+)
+
+# the same families, q <= 400, for the exact counts and their tally oracles
+COUNT_MODULI = st.one_of(
+    st.sampled_from([p for p in ODD_PRIMES if p <= 400]),
+    st.sampled_from([9, 25, 27, 49, 81, 121, 125, 169, 243, 289, 343, 361]),
+    st.integers(1, 8).map(lambda e: 2**e),
+    st.integers(6, 400).filter(lambda q: len(factorize(q)) >= 2),
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -102,3 +119,67 @@ def test_interval_phase_sum_matches_direct_sum(q, start, data):
     direct = np.exp(2j * np.pi * (members[:, None] * (x % q)[None, :] % q) / q).sum(axis=0)
     closed = interval_phase_sum(build_ring(q), IntervalSet(start, length), x)
     assert np.max(np.abs(closed - direct)) <= 1e-9 * q
+
+
+@SETTINGS
+@given(q=st.one_of(MODULI, st.integers(2, 5000)), seed=st.integers(0, 2**32 - 1))
+def test_cyclic_dft_parseval(q, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-6, 7)
+    f = scale * (rng.standard_normal(q) + 1j * rng.standard_normal(q))
+    energy = np.sum(np.abs(f) ** 2)
+    assert abs(np.sum(np.abs(cyclic_dft(build_ring(q), f)) ** 2) - q * energy) <= 1e-9 * q * energy
+
+
+@SETTINGS
+@given(
+    shape=st.lists(st.sampled_from([1, 2, 3, 4, 6, 11, 13, 22, 37]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+)
+def test_exact_convolution_matches_shifted_sum(shape, seed, density):
+    shape = tuple(shape)
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(0, 4, shape) * (rng.random(shape) < density) for _ in range(2))
+    oracle = np.zeros(shape, dtype=np.int64)
+    for j in zip(*np.nonzero(a)):
+        oracle += a[j] * np.roll(b, j, axis=tuple(range(len(shape))))
+    counts, residual = _exact_convolution(a, b, shape)
+    assert counts.dtype == np.int64 and np.array_equal(counts, oracle)
+    assert residual is None or residual < 0.25
+
+
+@SETTINGS
+@given(q=COUNT_MODULI, r=st.sampled_from([1, 2, 3]), data=st.data())
+def test_reciprocal_count_matches_naive(q, r, data):
+    K = data.draw(st.integers(1, min(q, (400, 150, 25)[r - 1])), label="K")
+    ring = build_ring(q)
+    assert reciprocal_count_mod(ring, r, K).value == reciprocal_count_naive(ring, r, K)
+
+
+def _dense_energy(q, a_interval, b_interval):
+    # every unit product a*b mod q, tallied densely
+    a = [x % q for x in a_interval.members().tolist() if math.gcd(x, q) == 1]
+    b = [x % q for x in b_interval.members().tolist() if math.gcd(x, q) == 1]
+    counts = Counter((x * y) % q for x in a for y in b)
+    return sum(c * c for c in counts.values())
+
+
+@SETTINGS
+@given(q=COUNT_MODULI, data=st.data())
+def test_lattice_energy_matches_dense_tally(q, data):
+    # lengths up to 2q, so that residues repeat and the lattice counts exceed 1
+    a_iv, b_iv = (
+        IntervalSet(data.draw(st.integers(-q, q)), data.draw(st.integers(1, 2 * q)))
+        for _ in range(2)
+    )
+    assert multiplicative_energy(build_ring(q), a_iv, b_iv).value == _dense_energy(q, a_iv, b_iv)
+
+
+@SETTINGS
+@given(r=st.sampled_from([1, 2, 3]), data=st.data())
+def test_rational_count_matches_fraction_tally(r, data):
+    K = data.draw(st.integers(1, (60, 40, 12)[r - 1]), label="K")
+    reciprocals = [Fraction(1, x) for x in range(1, K + 1)]
+    tally = Counter(sum(c) for c in itertools.product(reciprocals, repeat=r))
+    assert reciprocal_count_rational(r, K).value == sum(c * c for c in tally.values())

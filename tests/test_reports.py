@@ -204,9 +204,22 @@ class TestSweepControls:
         result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [100]}, budget_ms=0)
         assert result.reports == [] and result.truncated
 
+    def test_spent_budget_builds_no_table(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError(f"build_ring({q}) reached")
+
+        monkeypatch.setattr(kforms.sweeps, "build_ring", refuse)
+        grid = {"qs": [1000003], "ks": [0], "Hs": [10]}
+        result = verify_lemma_sweeps("2.1", grid, budget_ms=0)
+        assert result.reports == [] and result.truncated
+        for lemma, grid in (("2.2", {"qs": [1000003], "intervals": [[0, 5]]}),
+                            ("2.3", {"qs": [1000003], "Ks": [5]})):
+            result = verify_lemma_sweeps(lemma, grid, budget_ms=0)
+            assert result.reports == [] and result.truncated
+
     def test_complete_lemma_sweep_is_not_truncated(self):
         # the one cell outlasts the budget, but nothing is left out
-        result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [100]}, budget_ms=1)
+        result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [500]}, budget_ms=1)
         assert len(result.reports) == 1 and result.reports[0].runtime_ms >= 1
         assert not result.truncated
 
