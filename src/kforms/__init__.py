@@ -66,7 +66,6 @@ from .trilinear import (
     theorem1_bounds,
     trilinear_fast,
     trilinear_naive,
-    weighted_double_sum,
     window_sums,
 )
 

@@ -12,6 +12,7 @@ units.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,21 @@ def _dlog_table(modulus: int, generator: int, order: int) -> np.ndarray:
     return table
 
 
+# The latest ring's table; it goes with its ring or with the next request.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def build_characters(ring: ResidueRing) -> CharacterTable:
-    """Enumerate all phi(q) characters mod q."""
+    """All phi(q) characters mod q.  Memoised for the latest ring (rings hash
+    by identity), so every caller on one ring shares one table."""
+    table = _TABLES.get(ring)
+    if table is None:
+        _TABLES.clear()
+        table = _TABLES[ring] = _character_table(ring)
+    return table
+
+
+def _character_table(ring: ResidueRing) -> CharacterTable:
     factors: list[CyclicFactor] = []
     for p, e in factorize(ring.q):
         pe = p**e

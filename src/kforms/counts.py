@@ -5,14 +5,14 @@ mod q or equal over Q, and the dyadic average of the modular counts.
 Each modular count is the sum of the squared entries of an exact cyclic
 convolution of non-negative integer count vectors: over Z_q for sums of
 inverses, and over the unit-group lattice of build_characters for products
-of units.  One kernel, _exact_convolution, computes every such convolution,
-by a pairwise tally when the supports are sparse and otherwise by a real
-FFT whose rounded result is accepted only under a certificate: an a-priori
-bound of 2^52 on its total, a rounding residual max|c - rint c| below 1/4,
-and an exact total.  A result that fails the certificate is recomputed by
-the tally.  The rational count keys lowest-terms fractions in int64.
-Sums of squares are exact: in int64 only where no overflow is possible,
-in Python ints otherwise.
+of units.  The package's one lattice kernel, ring._lattice_convolution,
+computes them, by a pairwise tally on sparse supports and otherwise by a
+real FFT (the longest rough axis zero-padded to a 5-smooth length >= 2n)
+whose rounded result is accepted only under a certificate: a total of at
+most 2^52, a residual max|c - rint c| below 1/4 and an exact total.  A
+result that fails it is recounted by the tally.  The rational count keys
+lowest-terms fractions in int64.  Sums of squares are exact: in int64
+only where no overflow is possible, in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -32,29 +32,10 @@ from .characters import (
     interval_character_sums,
 )
 from .reports import BoundReport, make_report
-from .ring import (
-    IntervalSet,
-    ResidueRing,
-    _smooth_length,
-    check_work,
-    cyclic_dft,
-    factorize,
-)
+from .ring import IntervalSet, ResidueRing, _lattice_convolution, cyclic_dft
 
 # Cap on r * K^r states for the exact rational tally.
 DEFAULT_RATIONAL_BUDGET = 40_000_000
-
-# The FFT result is certified only if its exact total sum(a) * sum(b), and so
-# every entry, is at most 2^52, where float64 spacing is at most 1, and if
-# every entry lies within _RESIDUAL_LIMIT of an integer.
-_FFT_TOTAL_LIMIT = 2**52
-_RESIDUAL_LIMIT = 0.25
-# One tallied pair costs about as much as this many FFT points times their
-# log2: 5.6 to 7.5 measured at lengths 3*10^4 to 10^6, where the choice
-# matters; below that either path takes well under a millisecond.
-_PAIR_COST = 8
-_TALLY_CHUNK = 1 << 22  # pairs per tally step
-
 
 @dataclass(frozen=True)
 class CountReport:
@@ -87,60 +68,6 @@ def _sum_of_squares(counts: np.ndarray) -> int:
     return sum(c * c for c in counts[counts > 0].tolist())
 
 
-def _pair_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The cyclic convolution from the support pairs: index sums mod shape,
-    accumulated in int64, refused when the pairs exceed the work budget."""
-    ia, ib = np.nonzero(a), np.nonzero(b)
-    wa, wb = a[ia], b[ib]
-    check_work(wa.size * wb.size, "convolution pairs")
-    out = np.zeros(math.prod(shape), dtype=np.int64)
-    rows = max(1, _TALLY_CHUNK // max(1, wb.size))
-    for s in range(0, wa.size, rows):
-        coords = tuple((x[s : s + rows, None] + y) % n for x, y, n in zip(ia, ib, shape))
-        keys = np.ravel_multi_index(coords, shape).reshape(-1)
-        np.add.at(out, keys, (wa[s : s + rows, None] * wb).reshape(-1))
-    return out.reshape(shape)
-
-
-def _exact_convolution(
-    a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]
-) -> tuple[np.ndarray, float | None]:
-    """Exact cyclic convolution c(k) = sum_j a(j) b(k - j) over the lattice
-    Z_{shape[0]} x Z_{shape[1]} x ... of two non-negative integer arrays, as
-    int64, with the FFT certificate's residual max|c - rint c| (None when the
-    pairwise tally ran).
-
-    An axis whose length has a prime factor above 7 (slow in numpy's FFT) is
-    tiled once and transformed at a 5-smooth length >= 2n, where the
-    convolution along it is a linear one read at n..2n-1.
-    """
-    a = np.asarray(a, dtype=np.int64).reshape(shape)
-    b = np.asarray(b, dtype=np.int64).reshape(shape)
-    total = int(a.sum()) * int(b.sum())
-    if total > np.iinfo(np.int64).max:
-        raise ValueError(f"dimension too large: convolution total {total} exceeds int64")
-    rough = [n > 1 and factorize(n)[-1][0] > 7 for n in shape]
-    size = [_smooth_length(2 * n) if r else n for n, r in zip(shape, rough)]
-    points = math.prod(size)
-    pairs = np.count_nonzero(a) * np.count_nonzero(b)
-    if total <= _FFT_TOTAL_LIMIT and pairs * _PAIR_COST > points * math.log2(points + 1):
-        tiled = a
-        for axis, r in enumerate(rough):
-            if r:
-                tiled = np.concatenate([tiled, tiled], axis=axis)
-        axes = tuple(range(len(shape)))
-        spectrum = np.fft.rfftn(tiled, s=size, axes=axes)
-        spectrum *= np.fft.rfftn(b, s=size, axes=axes)
-        c = np.fft.irfftn(spectrum, s=size, axes=axes)
-        c = c[tuple(slice(n, 2 * n) if r else slice(None) for n, r in zip(shape, rough))]
-        rounded = np.rint(c)
-        residual = float(np.max(np.abs(c - rounded)))
-        counts = rounded.astype(np.int64)
-        if residual < _RESIDUAL_LIMIT and int(counts.sum()) == total:
-            return counts, residual
-    return _pair_tally(a, b, shape), None
-
-
 def _product_energy(
     table: CharacterTable, a_interval: IntervalSet, b_interval: IntervalSet
 ) -> tuple[int, float | None]:
@@ -148,7 +75,7 @@ def _product_energy(
     the convolution's residual.  A product of units adds their exponent
     tuples, so the product multiplicities are the lattice convolution of
     the two intervals' lattice counts."""
-    counts, residual = _exact_convolution(
+    counts, residual = _lattice_convolution(
         _lattice_counts(table, a_interval),
         _lattice_counts(table, b_interval),
         table.orders or (1,),
@@ -208,7 +135,7 @@ def _reciprocal_count(q: int, inverses, r: int) -> tuple[int, float | None]:
     v = np.bincount(np.asarray(inverses, dtype=np.int64), minlength=q)
     w, residuals = v, []
     for _ in range(r - 1):
-        w, residual = _exact_convolution(w, v, (q,))
+        w, residual = _lattice_convolution(w, v, (q,))
         if residual is not None:
             residuals.append(residual)
     return _sum_of_squares(w), max(residuals, default=None)

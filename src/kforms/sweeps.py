@@ -8,8 +8,8 @@ before each cell: once the budget is spent it stops and marks the result
 truncated, and a sweep that ran every cell is never truncated.  A cell
 already running is not interrupted.  Rings and character tables are built
 inside the first cell that needs them, once per modulus, so a spent budget
-builds none.  Trilinear instances whose work L*q
-exceeds DEFAULT_WORK_BUDGET are refused before any table is built.
+builds none.  Trilinear instances whose work L*q exceeds DEFAULT_WORK_BUDGET
+are refused before any table is built.
 """
 
 from __future__ import annotations
@@ -234,6 +234,7 @@ def _ring_count(rings, q: int, count, *args):
 
 
 def _lemma_21_cases(grid):
+    # the table alone is kept: the ring goes once its table is built
     tables = functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
     for q in grid["qs"]:
         for k in grid["ks"]:

@@ -8,15 +8,17 @@ through the identity
 
 where mu/nu are the interval phase sums of the M and N windows, evaluated
 only at the units.  Summed over the windows, the inner double sum W_l is,
-over the units l, a correlation on the unit group: one multidimensional FFT
-over the CRT lattice of build_characters gives W_l for every unit l in
-O(phi log phi), whatever L is, and each instance computes it once.  An
-instance's weights are validated on construction (|alpha_l| <= 1, and 0 at
-every non-unit l), so the form reads the unit window alone; window_sums
-still serves a non-unit l, with one O(phi) gather.  The trace machinery splits the fast form over a dyadic
-decomposition of the centered unit representatives and records every
-intermediate quantity next to its reference envelope (all absorbed
-constants set to 1).
+over the units l, a convolution on the unit group, and so are the proof
+trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x) = lam]:
+the package's one lattice kernel, ring._lattice_convolution, computes them
+over the CRT lattice of build_characters, W_l for every unit l once per
+instance in O(phi log phi) whatever L is, and each T_i once per level set.
+An instance's weights are validated on construction (|alpha_l| <= 1, and 0
+at every non-unit l), so the form reads the unit window alone; window_sums
+still serves a non-unit l, with one O(phi) gather.  The trace machinery
+splits the fast form over a dyadic decomposition of the centered unit
+representatives and records every intermediate quantity next to its
+reference envelope (all absorbed constants set to 1).
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from .reports import BoundReport, make_report
 from .ring import (
     IntervalSet,
     ResidueRing,
-    _smooth_length,
+    _lattice_convolution,
     cyclic_dft,
-    factorize,
     interval_phase_sum,
 )
 
@@ -121,24 +122,36 @@ class ProofTrace:
     cells: list[TraceCell]
 
 
-def _gather(ring: ResidueRing, ls, eta, kappa) -> np.ndarray:
-    """sum_{x,y units} eta_x kappa_y e_q(l*x*y) for each l in ls, with
-    eta/kappa aligned with ring.units: one DFT of kappa, then O(phi) per l."""
+def _window_gather(
+    ring: ResidueRing, ls, m_interval: IntervalSet, n_interval: IntervalSet
+) -> np.ndarray:
+    """W_l for each l in ls, as sum_{x,y units} eta_x kappa_y e_q(l*x*y):
+    summing K_q(l, m, n) over the windows folds the twists e_q(m*inv(x)),
+    e_q(n*inv(y)) into the weights eta = mu(inv x), kappa = nu(inv y).  One
+    DFT of kappa, then O(phi) per l."""
     q, x = ring.q, ring.units
-    transform = _unit_dft(ring, kappa)
+    xb = ring.inv_table[x]
+    eta = interval_phase_sum(ring, m_interval, xb)
+    transform = _unit_dft(ring, interval_phase_sum(ring, n_interval, xb))
     return np.array(
         [np.sum(eta * transform[(int(l) % q) * x % q]) for l in ls], dtype=np.complex128
     )
 
 
-def _window_gather(
-    ring: ResidueRing, ls, m_interval: IntervalSet, n_interval: IntervalSet
-) -> np.ndarray:
-    # Summing K_q(l, m, n) over the windows folds the twists e_q(m*inv(x)),
-    # e_q(n*inv(y)) into the weights eta = mu(inv x), kappa = nu(inv y).
-    xb = ring.inv_table[ring.units]
-    eta = interval_phase_sum(ring, m_interval, xb)
-    return _gather(ring, ls, eta, interval_phase_sum(ring, n_interval, xb))
+def _on_lattice(ring: ResidueRing, units: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Flat lattice array of build_characters' exponent tuples holding the sum
+    of the values at each unit's tuple."""
+    flat = build_characters(ring).log_index[units]
+    real = np.bincount(flat, values.real, ring.phi)
+    return real + 1j * np.bincount(flat, values.imag, ring.phi)
+
+
+def _on_units(ring: ResidueRing, lattice: np.ndarray) -> np.ndarray:
+    """Length-q array holding the lattice values at every unit's exponent
+    tuple, 0 off units."""
+    out = np.zeros(ring.q, dtype=np.complex128)
+    out[ring.units] = lattice.reshape(-1)[build_characters(ring).log_index[ring.units]]
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -148,51 +161,25 @@ def _unit_window(
     """Read-only length-q array: W_l = sum_{m in M} sum_{n in N} K_q(l, m, n)
     at every unit l, 0 elsewhere.
 
-    In the exponent coordinates of build_characters (a = log l, b = log x),
-    W(a) = sum_b eta(b) T(a + b) with eta = mu(inv x) and T the DFT of
-    nu(inv y) read at units: one correlation over the lattice of factor
-    orders, O(phi log phi).
+    In the exponent coordinates of build_characters (a = log l, c = log u),
+    W(a) = sum_c mu(u) T(a - c) with mu the M window's phase sum and T the
+    DFT of nu(inv y) read at units: one lattice convolution, O(phi log phi).
     """
     q, units = ring.q, ring.units
-    table = build_characters(ring)
-    shape = table.orders or (1,)
-    index = table.log_index[units]
     # The phase sums are evaluated at the units in increasing order (numpy's
-    # sin and exp run slower on scattered arguments) and written to each
-    # inverse's slot.
-    xb = ring.inv_table[units]
+    # sin and exp run slower on scattered arguments); nu(u) is written to the
+    # slot of inv(u).
     kappa = np.zeros(q, dtype=np.complex128)
-    kappa[xb] = interval_phase_sum(ring, n_interval, units)
-    transform = cyclic_dft(ring, kappa)
+    kappa[ring.inv_table[units]] = interval_phase_sum(ring, n_interval, units)
+    t_lat = _on_lattice(ring, units, cyclic_dft(ring, kappa)[units])
     del kappa
-    t_lat = np.empty(ring.phi, dtype=np.complex128)
-    t_lat[index] = transform[units]
-    del transform
-    eta = np.empty(ring.phi, dtype=np.complex128)
-    eta[table.log_index[xb]] = interval_phase_sum(ring, m_interval, units)
-    del xb
-    t_lat, eta = t_lat.reshape(shape), eta.reshape(shape)
-
-    # numpy's FFT is slowest on lengths with a large prime factor.  The
-    # longest such axis is tiled once and transformed at a 5-smooth length
-    # >= 2n, which makes the cyclic correlation along it a linear one whose
-    # first n entries are the answer.  Each padded axis doubles the lattice,
-    # so only one is padded.
-    size = list(shape)
-    rough = [k for k, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
-    if rough:
-        axis = max(rough, key=lambda k: shape[k])
-        t_lat = np.concatenate([t_lat, t_lat], axis=axis)
-        size[axis] = _smooth_length(2 * shape[axis])
-    axes = tuple(range(len(size)))
-    spectrum = np.fft.fftn(t_lat, s=size, axes=axes)
+    lattice, _ = _lattice_convolution(
+        _on_lattice(ring, units, interval_phase_sum(ring, m_interval, units)),
+        t_lat,
+        build_characters(ring).orders or (1,),
+    )
     del t_lat
-    spectrum *= np.fft.ifftn(eta, s=size, axes=axes, norm="forward")
-    del eta
-    lattice = np.fft.ifftn(spectrum)[tuple(slice(n) for n in shape)]
-    del spectrum
-    window = np.zeros(q, dtype=np.complex128)
-    window[units] = lattice.reshape(-1)[index]
+    window = _on_units(ring, lattice)
     window.flags.writeable = False
     return window
 
@@ -280,17 +267,6 @@ def trilinear_fast(instance: TrilinearInstance) -> complex:
     return complex(np.sum(instance.weights.weights * window[residues]))
 
 
-def weighted_double_sum(ring: ResidueRing, l: int, eta, kappa) -> complex:
-    """sum_{x,y units} eta_x kappa_y e_q(l*x*y); eta/kappa align with
-    ring.units.  Additive twists e_q(m*inv(x)), e_q(n*inv(y)) fold into the
-    weights."""
-    eta = np.asarray(eta, dtype=np.complex128)
-    kappa = np.asarray(kappa, dtype=np.complex128)
-    if eta.shape != ring.units.shape or kappa.shape != ring.units.shape:
-        raise ValueError("eta and kappa must align with ring.units")
-    return complex(_gather(ring, [l], eta, kappa)[0])
-
-
 def _level_count(length: int) -> int:
     # ceil of the natural log of length/2; lengths <= 2 stay at level 0
     if length <= 2:
@@ -357,19 +333,20 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     mu[ring.units] = interval_phase_sum(ring, instance.m_interval, ring.units)
     nu = np.zeros(q, dtype=np.complex128)
     nu[ring.units] = interval_phase_sum(ring, instance.n_interval, ring.units)
+    # T(lam) is a convolution on the unit group: alpha at log l, mu at
+    # log inv(x); the weights vanish off units
+    shape = build_characters(ring).orders or (1,)
     members = np.mod(instance.weights.interval.members(), q)
-    alphas = instance.weights.weights
+    on_units = ring.unit_mask[members]
+    alpha_lat = _on_lattice(ring, members[on_units], instance.weights.weights[on_units])
 
     t_maps = {}
     first_moments = {}
     second_moments = {}
     for (i, sign), xs in dec.q_sets.items():
         xres = np.mod(xs, q)
-        xinv = ring.inv_table[xres]
-        lam = ((members[:, None] * xinv[None, :]) % q).reshape(-1)
-        terms = (alphas[:, None] * mu[xres][None, :]).reshape(-1)
-        real = np.bincount(lam, terms.real, minlength=q)
-        t_map = real + 1j * np.bincount(lam, terms.imag, minlength=q)
+        mu_lat = _on_lattice(ring, ring.inv_table[xres], mu[xres])
+        t_map = _on_units(ring, _lattice_convolution(alpha_lat, mu_lat, shape)[0])
         t_maps[(i, sign)] = t_map
         abs_t = np.abs(t_map)
         first_moments[(i, sign)] = _moment_check(float(abs_t.sum()), q * l_len)
@@ -473,7 +450,6 @@ __all__ = [
     "window_sums",
     "trilinear_naive",
     "trilinear_fast",
-    "weighted_double_sum",
     "interval_phase_sum",
     "dyadic_decomposition",
     "proof_trace",

@@ -63,6 +63,18 @@ class TestSingleValueCommands:
         assert main(["jr-mod", "--q", "1009", "--K", "5"]) == 0
         assert "FFT certificate residual = none" in capsys.readouterr().out
 
+    def test_char_moment_transforms_once(self, capsys, monkeypatch):
+        calls = []
+        sums = kforms.characters.interval_character_sums
+        monkeypatch.setattr(
+            kforms.characters, "interval_character_sums", lambda *a: calls.append(a) or sums(*a)
+        )
+        assert main(["char-moment", "--q", "1009", "--k", "3", "--H", "40", "--emit"]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+        assert "orthogonality twin = " in out
+        assert "q,k,H,measured,reference,ratio,runtime_ms" in out.splitlines()
+
     def test_jr_rat(self, capsys):
         assert main(["jr-rat", "--r", "2", "--K", "3"]) == 0
         assert "J_2(3) = 15" in capsys.readouterr().out

@@ -19,7 +19,8 @@ from kforms import (
     reciprocal_moment_identity,
 )
 from kforms.cli import main
-from kforms.counts import _exact_convolution, _sum_of_squares
+from kforms.counts import _sum_of_squares
+from kforms.ring import _lattice_convolution
 from conftest import random_interval
 
 
@@ -247,7 +248,7 @@ class TestExactConvolution:
         a, b = IntervalSet(-3, 1500), IntervalSet(40, 700)
         certified = [reciprocal_count_mod(build_ring(q), r, K).value for q, r, K in self.CASES]
         energy = multiplicative_energy(ring, a, b).value
-        monkeypatch.setattr(kforms.counts, "_RESIDUAL_LIMIT", 0.0)
+        monkeypatch.setattr(kforms.ring, "_RESIDUAL_LIMIT", 0.0)
         tallied = [reciprocal_count_mod(build_ring(q), r, K) for q, r, K in self.CASES]
         assert [t.value for t in tallied] == certified
         assert all(t.residual is None for t in tallied)
@@ -268,13 +269,13 @@ class TestExactConvolution:
         linear = np.convolve(a, b)
         oracle = linear[:n].copy()
         oracle[: n - 1] += linear[n:]
-        got, residual = _exact_convolution(a, b, (n,))
+        got, residual = _lattice_convolution(a, b, (n,))
         assert residual is None and np.array_equal(got, oracle)
         with pytest.raises(ValueError, match="exceeds int64"):
-            _exact_convolution(np.array([2**40]), np.array([2**40]), (1,))
+            _lattice_convolution(np.array([2**40]), np.array([2**40]), (1,))
 
     def test_fallback_over_the_work_budget_is_refused(self, monkeypatch):
-        monkeypatch.setattr(kforms.counts, "_RESIDUAL_LIMIT", 0.0)
+        monkeypatch.setattr(kforms.ring, "_RESIDUAL_LIMIT", 0.0)
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 1000)
         with pytest.raises(ValueError, match="dimension too large"):
             reciprocal_count_mod(build_ring(1009), 2, 500)

@@ -12,19 +12,23 @@ from hypothesis import strategies as st
 
 from kforms import (
     IntervalSet,
+    TrilinearInstance,
     build_characters,
     build_ring,
     cyclic_dft,
     factorize,
     interval_phase_sum,
     is_prime,
+    make_weights,
     multiplicative_energy,
+    proof_trace,
     reciprocal_count_mod,
     reciprocal_count_naive,
     reciprocal_count_rational,
+    trilinear_fast,
 )
 from kforms.characters import _dlog_table, _powers
-from kforms.counts import _exact_convolution
+from kforms.ring import _lattice_convolution
 from kforms.trilinear import _unit_window, _window_gather
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
@@ -68,6 +72,45 @@ def test_unit_window_matches_gather_on_every_unit(data):
     assert np.max(np.abs(window[ring.units] - gathered)) <= tol
     assert np.all(window[~ring.unit_mask] == 0)
     assert not window.flags.writeable
+
+
+@st.composite
+def trace_instances(draw):
+    q = draw(MODULI, label="q")
+    ring = build_ring(q)
+    l_iv = IntervalSet(draw(st.integers(-q, q)), draw(st.integers(1, 12)))
+    m_iv, n_iv = (IntervalSet(draw(st.integers(-q, q)), draw(st.integers(1, min(q, 12))))
+                  for _ in range(2))
+    weights = make_weights(ring, l_iv, "phase", seed=draw(st.integers(0, 2**32 - 1)))
+    return TrilinearInstance(ring, weights, m_iv, n_iv)
+
+
+@SETTINGS
+@given(instance=trace_instances(), r=st.sampled_from([1, 2, 3]))
+def test_trace_cells_sum_to_the_fast_value(instance, r):
+    trace = proof_trace(instance, r)
+    scale = instance.weights.interval.length * instance.m_interval.length
+    scale *= instance.n_interval.length * instance.ring.q
+    assert abs(sum(cell.value for cell in trace.cells) - trilinear_fast(instance)) <= 1e-9 * scale
+    assert trace.fast_value == trilinear_fast(instance)
+
+
+@SETTINGS
+@given(instance=trace_instances())
+def test_collision_sums_match_pair_tally(instance):
+    ring, q = instance.ring, instance.ring.q
+    # mu_x by direct summation, and T(lam) tallied pair by pair over (l, x)
+    members = instance.m_interval.members() % q
+    mu = np.exp(2j * np.pi * (members[:, None] * np.arange(q)[None, :] % q) / q).sum(axis=0)
+    ls = instance.weights.interval.members().tolist()
+    trace = proof_trace(instance, 1)
+    for key, xs in trace.decomposition.q_sets.items():
+        tally = np.zeros(q, dtype=np.complex128)
+        for l, alpha in zip(ls, instance.weights.weights):
+            if alpha != 0:
+                for x in xs.tolist():
+                    tally[l * pow(x, -1, q) % q] += alpha * mu[x % q]
+        assert np.max(np.abs(trace.t_maps[key] - tally)) <= 1e-9 * len(ls) * members.size
 
 
 @SETTINGS
@@ -136,17 +179,30 @@ def test_cyclic_dft_parseval(q, seed):
     shape=st.lists(st.sampled_from([1, 2, 3, 4, 6, 11, 13, 22, 37]), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
     density=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["int", "complex"]),
 )
-def test_exact_convolution_matches_shifted_sum(shape, seed, density):
+def test_exact_convolution_matches_shifted_sum(shape, seed, density, kind):
     shape = tuple(shape)
     rng = np.random.default_rng(seed)
-    a, b = (rng.integers(0, 4, shape) * (rng.random(shape) < density) for _ in range(2))
-    oracle = np.zeros(shape, dtype=np.int64)
+
+    def draw():
+        support = rng.random(shape) < density
+        if kind == "int":
+            return rng.integers(0, 4, shape) * support
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * support
+
+    a, b = draw(), draw()
+    oracle = np.zeros(shape, dtype=np.result_type(a, b))
     for j in zip(*np.nonzero(a)):
         oracle += a[j] * np.roll(b, j, axis=tuple(range(len(shape))))
-    counts, residual = _exact_convolution(a, b, shape)
-    assert counts.dtype == np.int64 and np.array_equal(counts, oracle)
-    assert residual is None or residual < 0.25
+    got, residual = _lattice_convolution(a, b, shape)
+    if kind == "int":
+        assert got.dtype == np.int64 and np.array_equal(got, oracle)
+        assert residual is None or residual < 0.25
+    else:
+        scale = np.abs(a).sum() * np.abs(b).max(initial=0)
+        assert residual is None and got.shape == shape
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * (1 + scale)
 
 
 @SETTINGS

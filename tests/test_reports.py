@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import kforms.characters
 import kforms.sweeps
 from kforms import (
     BoundReport,
@@ -216,6 +217,17 @@ class TestSweepControls:
                             ("2.3", {"qs": [1000003], "Ks": [5]})):
             result = verify_lemma_sweeps(lemma, grid, budget_ms=0)
             assert result.reports == [] and result.truncated
+
+    def test_default_energy_grid_builds_one_table_per_modulus(self, monkeypatch):
+        built = []
+        build = kforms.characters._character_table
+        monkeypatch.setattr(
+            kforms.characters, "_character_table", lambda ring: built.append(ring.q) or build(ring)
+        )
+        result = verify_lemma_sweeps("2.2")
+        qs = kforms.sweeps.DEFAULT_GRIDS["2.2"]["qs"]
+        assert len(result.reports) == len(qs) * 25
+        assert built == qs
 
     def test_complete_lemma_sweep_is_not_truncated(self):
         # the one cell outlasts the budget, but nothing is left out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,14 @@ from kforms import (
     build_ring,
     centered_rep,
     double_fast,
+    double_naive,
     dyadic_decomposition,
-    eq_eval,
     make_weights,
     proof_trace,
     theorem1_bounds,
     trilinear_fast,
     trilinear_naive,
     verify_thm1_sweep,
-    weighted_double_sum,
     window_sums,
 )
 from kforms.cli import main
@@ -156,35 +156,21 @@ class TestTrilinearEvaluation:
         assert direct == pytest.approx(rebuilt, abs=1e-7 * q)
 
 
-class TestWeightedDoubleSum:
-    def test_plain_weights_give_double_sum(self):
-        ring = build_ring(7)
-        ones = np.ones(ring.phi, dtype=complex)
-        assert weighted_double_sum(ring, 1, ones, ones) == pytest.approx(-6, abs=1e-9)
-
+class TestWindowSums:
     def test_twists_fold_into_weights(self):
+        # a non-unit l is served by the O(phi) gather, whose weights carry
+        # the twists e_q(m*inv(x)) and e_q(n*inv(y)) of the M and N windows
         rng = np.random.default_rng(62)
         for _ in range(10):
             q = int(rng.integers(3, 200))
             ring = build_ring(q)
-            l, m, n = (int(v) for v in rng.integers(0, q, 3))
-            eta = eq_eval(ring, m * ring.inv_table[ring.units])
-            kappa = eq_eval(ring, n * ring.inv_table[ring.units])
-            folded = weighted_double_sum(ring, l, eta, kappa)
-            from kforms import double_naive
-
-            assert folded == pytest.approx(double_naive(ring, l, m, n), abs=1e-8 * ring.phi**2)
-
-    def test_zero_weights(self):
-        ring = build_ring(13)
-        zero = np.zeros(ring.phi, dtype=complex)
-        ones = np.ones(ring.phi, dtype=complex)
-        assert weighted_double_sum(ring, 5, zero, ones) == 0
-
-    def test_misaligned_weights_rejected(self):
-        ring = build_ring(13)
-        with pytest.raises(ValueError, match="align"):
-            weighted_double_sum(ring, 1, np.ones(5), np.ones(ring.phi))
+            l = int(rng.choice(np.flatnonzero(~ring.unit_mask))) + q * int(rng.integers(-2, 3))
+            m_iv, n_iv = (IntervalSet(int(rng.integers(-q, q)), int(rng.integers(1, 4)))
+                          for _ in range(2))
+            folded = window_sums(ring, IntervalSet(l - 1, 1), m_iv, n_iv)[0]
+            oracle = sum(double_naive(ring, l, int(m), int(n))
+                         for m in m_iv.members() for n in n_iv.members())
+            assert folded == pytest.approx(oracle, abs=1e-8 * 9 * ring.phi**2)
 
 
 class TestDyadicDecomposition:
@@ -267,6 +253,20 @@ class TestProofTrace:
         for check in trace.y_moments.values():
             assert check.reference > 0
             assert check.value >= 0
+
+    def test_collision_sums_hold_no_pair_array(self):
+        # an array of L x |level set| entries would take ~90 MB here
+        ring = build_ring(10007)
+        side = IntervalSet(0, 100)
+        weights = make_weights(ring, IntervalSet(0, 1000), "phase", seed=1)
+        inst = TrilinearInstance(ring, weights, side, side)
+        tracemalloc.start()
+        try:
+            proof_trace(inst, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_unsupported_r(self):
         inst = small_instance(11, IntervalSet(0, 3), IntervalSet(0, 3), IntervalSet(0, 3))
