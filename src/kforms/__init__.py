@@ -3,7 +3,6 @@ trilinear forms, and the counting quantities that control their size, plus a
 sweep harness that measures each quantity against its reference envelope."""
 
 from .characters import (
-    CharacterTable,
     build_characters,
     character_values,
     eval_character,
@@ -31,6 +30,7 @@ from .kloosterman import (
 )
 from .reports import BoundReport, SweepResult, emit_report, fit_exponent, read_report
 from .ring import (
+    CharacterTable,
     IntervalSet,
     NotAUnitError,
     ResidueRing,

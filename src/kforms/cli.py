@@ -14,7 +14,7 @@ import math
 import sys
 import time
 
-from .characters import build_characters, moment_identity_check
+from .characters import moment_identity_check
 from .counts import (
     multiplicative_energy,
     reciprocal_count_rational,
@@ -149,8 +149,7 @@ def cmd_jr_rat(args) -> int:
 
 def cmd_char_moment(args) -> int:
     t0 = time.perf_counter()
-    ring = build_ring(args.q)
-    table = build_characters(ring)
+    table = build_ring(args.q).characters
     interval = IntervalSet(args.k, args.H)
     moment, twin = moment_identity_check(table, interval)
     print(f"fourth moment = {_fmt(moment)}   orthogonality twin = {_fmt(twin)}")

@@ -4,13 +4,13 @@ mod q or equal over Q, and the dyadic average of the modular counts.
 
 Each modular count is the sum of the squared entries of an exact cyclic
 convolution of non-negative integer count vectors: over Z_q for sums of
-inverses, and over the unit-group lattice of build_characters for products
-of units.  The package's one lattice kernel, ring._lattice_convolution,
-computes them, by a pairwise tally on sparse supports and otherwise by a
-real FFT (the longest rough axis zero-padded to a 5-smooth length >= 2n)
-whose rounded result is accepted only under a certificate: a total of at
-most 2^52, a residual max|c - rint c| below 1/4 and an exact total.  A
-result that fails it is recounted by the tally.  The rational count keys
+inverses, and over the ring's unit-group lattice for products of units.
+The package's one lattice kernel, ring._lattice_convolution, computes them,
+by a pairwise tally on sparse supports and otherwise by a real FFT (the
+longest rough axis zero-padded to a 5-smooth length >= 2n) whose rounded
+result is accepted only under a certificate: a total of at most 2^52, a
+residual max|c - rint c| below 1/4 and an exact total.  A result that
+fails it is recounted by the tally.  The rational count keys
 lowest-terms fractions in int64.  Sums of squares are exact: in int64
 only where no overflow is possible, in Python ints otherwise.
 """
@@ -25,14 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (
-    CharacterTable,
-    _lattice_counts,
-    build_characters,
-    interval_character_sums,
-)
+from .characters import interval_character_sums
 from .reports import BoundReport, make_report
-from .ring import IntervalSet, ResidueRing, _lattice_convolution, cyclic_dft
+from .ring import (
+    CharacterTable,
+    IntervalSet,
+    ResidueRing,
+    _lattice_convolution,
+    _to_lattice,
+    cyclic_dft,
+)
 
 # Cap on r * K^r states for the exact rational tally.
 DEFAULT_RATIONAL_BUDGET = 40_000_000
@@ -76,9 +78,9 @@ def _product_energy(
     tuples, so the product multiplicities are the lattice convolution of
     the two intervals' lattice counts."""
     counts, residual = _lattice_convolution(
-        _lattice_counts(table, a_interval),
-        _lattice_counts(table, b_interval),
-        table.orders or (1,),
+        _to_lattice(table, np.mod(a_interval.members(), table.q)),
+        _to_lattice(table, np.mod(b_interval.members(), table.q)),
+        table.shape,
     )
     return _sum_of_squares(counts), residual
 
@@ -92,7 +94,7 @@ def multiplicative_energy(
     pairs, from one exact convolution on the unit-group lattice; reference
     is A^2 B^2 / q + A B.
     """
-    value, residual = _product_energy(build_characters(ring), a_interval, b_interval)
+    value, residual = _product_energy(ring.characters, a_interval, b_interval)
     la, lb = a_interval.length, b_interval.length
     bound = la * la * lb * lb / ring.q + la * lb
     return _count_report(value, bound, residual)

@@ -1,9 +1,15 @@
-"""Residue-ring arithmetic for Z_q: unit tables, vectorized modular inversion,
-additive characters e_q, centered representatives, interval phase sums and
-the forward cyclic DFT of length q (numpy's FFT, with an O(q^2) reference
-kept for tests); also the package's work budget and its one lattice
-convolution kernel, _lattice_convolution, behind the trilinear unit window,
-the exact counts and the proof trace's collision sums.
+"""Residue-ring arithmetic for Z_q: the unit group, additive characters e_q,
+centered representatives, interval phase sums and the forward cyclic DFT of
+length q (numpy's FFT, with an O(q^2) reference kept for tests); also the
+package's work budget and its one lattice convolution kernel,
+_lattice_convolution, behind the trilinear unit window, the exact counts and
+the proof trace's collision sums.
+
+build_ring splits the unit group once, by CRT, into cyclic factors (a
+primitive root per odd p^e; <-1> and <5> for the 2-adic part), so a unit is
+an exponent tuple, flattened to one mixed-radix index (C order).  That table,
+ring.characters, gives the inverses (negated tuples), the characters and
+the lattice that _to_lattice and _from_lattice map residues onto and back.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -11,14 +17,16 @@ Every int64 product of two residues stays below q^2 < 2^63.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-# Residues below q are multiplied in int64 (the inverse table here, the
-# discrete-log tables in characters.py), which needs q^2 < 2^63.
+# Residues below q are multiplied in int64 (the discrete-log powers and the
+# phase sums here, the Kloosterman exponents, the trilinear gather), which
+# needs q^2 < 2^63.
 MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 
 # Guard against work out of desk scale: L*q for a trilinear instance, the
@@ -154,10 +162,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisor_count(n: int) -> int:
-    return math.prod(e + 1 for _, e in factorize(n))
-
-
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
 
@@ -187,13 +191,146 @@ class IntervalSet:
         return self.start + 1 <= value <= self.start + self.length
 
 
+@dataclass(frozen=True)
+class CyclicFactor:
+    modulus: int  # the prime power this factor reads residues through
+    generator: int
+    order: int
+    dlog: np.ndarray  # discrete log base `generator` per residue; -1 off units
+
+
+@dataclass(frozen=True)
+class CharacterTable:
+    """The unit group mod q as a product of cyclic factors.  Its exponent
+    tuples, flattened in C order, index both the lattice points and the
+    characters."""
+
+    q: int
+    factors: tuple[CyclicFactor, ...]
+    orders: tuple[int, ...]
+    char_count: int
+    exponent: int  # lcm of the factor orders (1 for the trivial group)
+    log_index: np.ndarray  # flat exponent-tuple index per residue mod q; -1 off units
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The exponent-tuple lattice; the trivial group is one point."""
+        return self.orders or (1,)
+
+
+def _primitive_root(p: int, e: int) -> int:
+    # Find a generator mod p, then lift: g works mod p^e unless
+    # g^(p-1) == 1 mod p^2, in which case g+p does.
+    prime_factors = [r for r, _ in factorize(p - 1)]
+    g = 2
+    while any(pow(g, (p - 1) // r, p) == 1 for r in prime_factors):
+        g += 1
+    if e > 1 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def _powers(g: int, order: int, modulus: int) -> np.ndarray:
+    """[g^0, g^1, ..., g^(order-1)] mod modulus: about sqrt(order) Python
+    steps for the small and large strides, then one outer product."""
+    step = math.isqrt(order - 1) + 1  # ceil(sqrt(order))
+    small = np.empty(step, dtype=np.int64)
+    acc = 1
+    for k in range(step):
+        small[k] = acc
+        acc = acc * g % modulus
+    large = np.empty(-(-order // step), dtype=np.int64)
+    big = 1
+    for k in range(large.size):
+        large[k] = big
+        big = big * acc % modulus  # acc = g^step here
+    return (large[:, None] * small[None, :] % modulus).reshape(-1)[:order]
+
+
+def _dlog_table(modulus: int, generator: int, order: int) -> np.ndarray:
+    table = np.full(modulus, -1, dtype=np.int64)
+    table[_powers(generator, order, modulus)] = np.arange(order)
+    return table
+
+
+def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
+    """The unit group mod p^e as cyclic factors: one generated by a
+    primitive root for odd p; <-1> for 4 | p^e and also <5> for 8 | p^e."""
+    pe = p**e
+    if p != 2:
+        g = _primitive_root(p, e)
+        order = pe // p * (p - 1)
+        return [CyclicFactor(pe, g, order, _dlog_table(pe, g, order))]
+    if e == 1:
+        return []  # trivial unit group
+    # units mod 2^e (e >= 2) are (-1)^s * 5^t, uniquely; <5> is trivial mod 4
+    half = 2 ** (e - 2)
+    fives = _powers(5, half, pe)
+    dlog_sign = np.full(pe, -1, dtype=np.int64)
+    dlog_sign[fives] = 0
+    dlog_sign[pe - fives] = 1
+    dlog_five = np.full(pe, -1, dtype=np.int64)
+    dlog_five[fives] = dlog_five[pe - fives] = np.arange(half)
+    factors = [CyclicFactor(pe, pe - 1, 2, dlog_sign), CyclicFactor(pe, 5, half, dlog_five)]
+    return factors if half > 1 else factors[:1]
+
+
+def _unit_group(
+    q: int, primes: list[tuple[int, int]], units: np.ndarray
+) -> tuple[CharacterTable, np.ndarray]:
+    """The CRT decomposition of the units mod q, and the inverse table (0 off
+    units): the inverse of a unit is the unit with the negated exponent tuple."""
+    factors = [f for p, e in primes for f in _cyclic_factors(p, e)]
+    orders = tuple(f.order for f in factors)
+    char_count = math.prod(orders)
+    if char_count != units.size:
+        raise AssertionError(f"character count {char_count} != phi {units.size}")
+    shape = orders or (1,)
+    digits = [f.dlog[units % f.modulus] for f in factors] or [np.zeros_like(units)]
+    log_index = np.full(q, -1, dtype=np.int64)
+    log_index[units] = np.ravel_multi_index(digits, shape)
+    unit_at = np.empty_like(units)  # the unit at each flat index
+    unit_at[log_index[units]] = units
+    for d, n in zip(digits, shape):
+        np.negative(d, out=d)
+        d %= n
+    inv_table = np.zeros(q, dtype=np.int64)
+    inv_table[units] = unit_at[np.ravel_multi_index(digits, shape)]
+    table = CharacterTable(q, tuple(factors), orders, char_count, math.lcm(*orders), log_index)
+    return table, inv_table
+
+
+def _to_lattice(table: CharacterTable, residues: np.ndarray, values=None) -> np.ndarray:
+    """Lattice array, shaped table.shape, holding at each exponent tuple how
+    many of the residues (in [0, q)) land on it, or with values (aligned with
+    the residues) the sum of their values; non-units are dropped."""
+    flat = table.log_index[residues]
+    flat += 1  # non-units land in bin 0, cut below
+    size = table.char_count + 1
+    if values is None:
+        out = np.bincount(flat, minlength=size)
+    else:
+        out = np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
+    return out[1:].reshape(table.shape)
+
+
+def _from_lattice(table: CharacterTable, lattice: np.ndarray) -> np.ndarray:
+    """Length-q array holding the lattice value at every unit's exponent
+    tuple, 0 off units."""
+    out = lattice.reshape(-1)[table.log_index]
+    out[table.log_index < 0] = 0
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ResidueRing:
     """Precomputed context for arithmetic mod q.
 
     Treated as immutable after construction; safe to share across threads.
     Compares and hashes by identity, so it can key a cache.
-    ``inv_table`` holds 0 at non-unit residues.
+    ``inv_table`` holds 0 at non-unit residues; ``characters`` is the unit
+    group's decomposition, the one every character, lattice and inverse
+    reads.
     """
 
     q: int
@@ -202,24 +339,12 @@ class ResidueRing:
     phi: int
     tau: int
     units: np.ndarray
-    eq_pows: np.ndarray  # eq_pows[k] = exp(2*pi*i*k/q)
+    characters: CharacterTable
 
-
-def _unit_inverses(units: np.ndarray, q: int, phi: int) -> np.ndarray:
-    # Euler: inv(u) = u^(phi-1) mod q, by square-and-multiply over the whole
-    # array; every product of two residues stays below q^2 < 2^63.
-    out = np.ones_like(units)
-    base = units.copy()
-    e = phi - 1
-    while e:
-        if e & 1:
-            out *= base
-            out %= q
-        e >>= 1
-        if e:
-            base *= base
-            base %= q
-    return out
+    @functools.cached_property
+    def eq_pows(self) -> np.ndarray:
+        """eq_pows[k] = exp(2*pi*i*k/q), built on first read."""
+        return np.exp((2j * np.pi / self.q) * np.arange(self.q, dtype=np.int64))
 
 
 def build_ring(q: int) -> ResidueRing:
@@ -231,22 +356,20 @@ def build_ring(q: int) -> ResidueRing:
         raise ValueError(
             f"modulus too large: need q <= {MAX_MODULUS} for int64 products, got {q}"
         )
-    phi = euler_phi(q)
-    residues = np.arange(q, dtype=np.int64)
+    primes = factorize(q)
     unit_mask = np.ones(q, dtype=bool)
-    for p, _ in factorize(q):
+    for p, _ in primes:
         unit_mask[::p] = False
-    units = residues[unit_mask]
-    inv_table = np.zeros(q, dtype=np.int64)
-    inv_table[units] = _unit_inverses(units, q, phi)
+    units = np.flatnonzero(unit_mask).astype(np.int64, copy=False)
+    table, inv_table = _unit_group(q, primes, units)
     return ResidueRing(
         q=q,
         unit_mask=unit_mask,
         inv_table=inv_table,
-        phi=phi,
-        tau=divisor_count(q),
+        phi=units.size,
+        tau=math.prod(e + 1 for _, e in primes),
         units=units,
-        eq_pows=np.exp((2j * np.pi / q) * residues),
+        characters=table,
     )
 
 
@@ -325,9 +448,17 @@ def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
     length = int(interval.length)
     # sum_{k=1..length} e_q((v+k)*x)
     #   = e^(i*pi*(2v+length+1)*x/q) * sin(pi*length*x/q) / sin(pi*x/q)
-    num = np.sin(np.pi * _half_turns(length % (2 * q), t, q) / q)
-    den = np.sin(np.pi * np.maximum(t, 1) / q)  # the t = 0 entries are set below
+    # evaluated in place, to hold the temporaries near one result's size
+    num = np.multiply(np.pi, _half_turns(length % (2 * q), t, q))
+    np.sin(np.divide(num, q, out=num), out=num)
+    den = np.multiply(np.pi, np.maximum(t, 1))  # the t = 0 entries are set below
+    num /= np.sin(np.divide(den, q, out=den), out=den)
+    del den
     ph = _half_turns((2 * int(interval.start) + length + 1) % (2 * q), t, q)
-    out = np.exp((1j * np.pi / q) * ph) * (num / den)
+    out = np.empty(t.shape, dtype=np.complex128)
+    np.multiply(ph, np.pi / q, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    out *= num
     out[t == 0] = length
     return complex(out[0]) if scalar else out

@@ -11,7 +11,7 @@ only at the units.  Summed over the windows, the inner double sum W_l is,
 over the units l, a convolution on the unit group, and so are the proof
 trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x) = lam]:
 the package's one lattice kernel, ring._lattice_convolution, computes them
-over the CRT lattice of build_characters, W_l for every unit l once per
+over the ring's CRT lattice (ring.characters), W_l for every unit l once per
 instance in O(phi log phi) whatever L is, and each T_i once per level set.
 An instance's weights are validated on construction (|alpha_l| <= 1, and 0
 at every non-unit l), so the form reads the unit window alone; window_sums
@@ -30,14 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import build_characters
 from .counts import reciprocal_count_mod
 from .kloosterman import _unit_dft, double_naive
 from .reports import BoundReport, make_report
 from .ring import (
     IntervalSet,
     ResidueRing,
+    _from_lattice,
     _lattice_convolution,
+    _to_lattice,
     cyclic_dft,
     interval_phase_sum,
 )
@@ -138,22 +139,6 @@ def _window_gather(
     )
 
 
-def _on_lattice(ring: ResidueRing, units: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Flat lattice array of build_characters' exponent tuples holding the sum
-    of the values at each unit's tuple."""
-    flat = build_characters(ring).log_index[units]
-    real = np.bincount(flat, values.real, ring.phi)
-    return real + 1j * np.bincount(flat, values.imag, ring.phi)
-
-
-def _on_units(ring: ResidueRing, lattice: np.ndarray) -> np.ndarray:
-    """Length-q array holding the lattice values at every unit's exponent
-    tuple, 0 off units."""
-    out = np.zeros(ring.q, dtype=np.complex128)
-    out[ring.units] = lattice.reshape(-1)[build_characters(ring).log_index[ring.units]]
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def _unit_window(
     ring: ResidueRing, m_interval: IntervalSet, n_interval: IntervalSet
@@ -161,25 +146,25 @@ def _unit_window(
     """Read-only length-q array: W_l = sum_{m in M} sum_{n in N} K_q(l, m, n)
     at every unit l, 0 elsewhere.
 
-    In the exponent coordinates of build_characters (a = log l, c = log u),
+    In the exponent coordinates of ring.characters (a = log l, c = log u),
     W(a) = sum_c mu(u) T(a - c) with mu the M window's phase sum and T the
     DFT of nu(inv y) read at units: one lattice convolution, O(phi log phi).
     """
-    q, units = ring.q, ring.units
+    q, units, table = ring.q, ring.units, ring.characters
     # The phase sums are evaluated at the units in increasing order (numpy's
     # sin and exp run slower on scattered arguments); nu(u) is written to the
     # slot of inv(u).
     kappa = np.zeros(q, dtype=np.complex128)
     kappa[ring.inv_table[units]] = interval_phase_sum(ring, n_interval, units)
-    t_lat = _on_lattice(ring, units, cyclic_dft(ring, kappa)[units])
+    t_lat = _to_lattice(table, units, cyclic_dft(ring, kappa)[units])
     del kappa
     lattice, _ = _lattice_convolution(
-        _on_lattice(ring, units, interval_phase_sum(ring, m_interval, units)),
+        _to_lattice(table, units, interval_phase_sum(ring, m_interval, units)),
         t_lat,
-        build_characters(ring).orders or (1,),
+        table.shape,
     )
     del t_lat
-    window = _on_units(ring, lattice)
+    window = _from_lattice(table, lattice)
     window.flags.writeable = False
     return window
 
@@ -335,18 +320,17 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     nu[ring.units] = interval_phase_sum(ring, instance.n_interval, ring.units)
     # T(lam) is a convolution on the unit group: alpha at log l, mu at
     # log inv(x); the weights vanish off units
-    shape = build_characters(ring).orders or (1,)
+    table = ring.characters
     members = np.mod(instance.weights.interval.members(), q)
-    on_units = ring.unit_mask[members]
-    alpha_lat = _on_lattice(ring, members[on_units], instance.weights.weights[on_units])
+    alpha_lat = _to_lattice(table, members, instance.weights.weights)
 
     t_maps = {}
     first_moments = {}
     second_moments = {}
     for (i, sign), xs in dec.q_sets.items():
         xres = np.mod(xs, q)
-        mu_lat = _on_lattice(ring, ring.inv_table[xres], mu[xres])
-        t_map = _on_units(ring, _lattice_convolution(alpha_lat, mu_lat, shape)[0])
+        mu_lat = _to_lattice(table, ring.inv_table[xres], mu[xres])
+        t_map = _from_lattice(table, _lattice_convolution(alpha_lat, mu_lat, table.shape)[0])
         t_maps[(i, sign)] = t_map
         abs_t = np.abs(t_map)
         first_moments[(i, sign)] = _moment_check(float(abs_t.sum()), q * l_len)
@@ -355,30 +339,34 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
             q * l_len**2 + math.exp(-i) * q * l_len * m_len,
         )
 
-    u_tables = {}
+    # each U map is dropped once its moment and its column of cells are in
     y_moments = {}
+    values = {}
     j_cache = {}
     for (j, sign), ys in dec.r_sets.items():
         yres = np.mod(ys, q)
         g = np.zeros(q, dtype=np.complex128)
         g[ring.inv_table[yres]] = nu[yres]
         u_map = cyclic_dft(ring, g)
-        u_tables[(j, sign)] = u_map
+        del g
         moment = float(np.sum(np.abs(u_map) ** (2 * r)))
         if j not in j_cache:
             cap = min(q, math.floor(math.exp(j) * q / n_len))
             j_cache[j] = reciprocal_count_mod(ring, r, max(1, cap)).value
         reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_cache[j]
         y_moments[(j, sign)] = _moment_check(moment, reference)
+        for key, t_map in t_maps.items():
+            values[key + (j, sign)] = complex(np.sum(t_map * u_map))
+        del u_map
 
     cells = []
     total = 0j
     inv_2r = 1.0 / (2 * r)
-    for (i, sign_x), t_map in t_maps.items():
+    for i, sign_x in t_maps:
         s1 = first_moments[(i, sign_x)].value
         s2 = second_moments[(i, sign_x)].value
-        for (j, sign_y), u_map in u_tables.items():
-            value = complex(np.sum(t_map * u_map))
+        for j, sign_y in y_moments:
+            value = values[(i, sign_x, j, sign_y)]
             total += value
             bound = s1 ** (1 - 1 / r) * s2**inv_2r * y_moments[(j, sign_y)].value ** inv_2r
             ratio = abs(value) / bound if bound > 0 else None

@@ -41,6 +41,12 @@ class TestBuildCharacters:
         assert table.char_count == 1
         assert eval_character(table, 0, 1) == pytest.approx(1)
 
+    def test_one_table_per_ring(self):
+        ring = build_ring(97)
+        assert build_characters(ring) is ring.characters
+        assert build_characters(ring) is build_characters(ring)
+        assert build_ring(97).characters is not ring.characters
+
     def test_char_count_equals_phi(self):
         for q in (3, 4, 8, 12, 16, 24, 45, 90, 97, 360):
             ring, table = table_for(q)

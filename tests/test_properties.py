@@ -27,7 +27,7 @@ from kforms import (
     reciprocal_count_rational,
     trilinear_fast,
 )
-from kforms.characters import _dlog_table, _powers
+from kforms.ring import _dlog_table, _powers
 from kforms.ring import _lattice_convolution
 from kforms.trilinear import _unit_window, _window_gather
 

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-import kforms.characters
+import kforms.ring
 import kforms.sweeps
 from kforms import (
     BoundReport,
@@ -220,14 +221,33 @@ class TestSweepControls:
 
     def test_default_energy_grid_builds_one_table_per_modulus(self, monkeypatch):
         built = []
-        build = kforms.characters._character_table
+        build = kforms.ring._unit_group
         monkeypatch.setattr(
-            kforms.characters, "_character_table", lambda ring: built.append(ring.q) or build(ring)
+            kforms.ring, "_unit_group", lambda q, *args: built.append(q) or build(q, *args)
         )
         result = verify_lemma_sweeps("2.2")
         qs = kforms.sweeps.DEFAULT_GRIDS["2.2"]["qs"]
         assert len(result.reports) == len(qs) * 25
         assert built == qs
+
+    def test_moment_grid_lets_each_ring_go(self, monkeypatch):
+        # the 2.1 cells keep only the character table, not the ring
+        rings = []
+        build, moment = kforms.sweeps.build_ring, kforms.sweeps.fourth_moment
+
+        def tracked(q):
+            ring = build(q)
+            rings.append(weakref.ref(ring))
+            return ring
+
+        def released(table, interval):
+            assert all(ref() is None for ref in rings)
+            return moment(table, interval)
+
+        monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
+        monkeypatch.setattr(kforms.sweeps, "fourth_moment", released)
+        result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 10]})
+        assert len(rings) == 2 and len(result.reports) == 4
 
     def test_complete_lemma_sweep_is_not_truncated(self):
         # the one cell outlasts the budget, but nothing is left out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ class TestModInverse:
             ring = build_ring(q)
             x = int(ring.units[rng.integers(0, ring.phi)])
             assert mod_inverse(ring, x) == pow(x, -1, q)
+
+    def test_inverses_at_large_moduli(self):
+        # a prime, a smooth composite and the 2-adic and 3-adic groups
+        rng = np.random.default_rng(7)
+        for q in (1000003, 10**6, 2**20, 3**12):
+            ring = build_ring(q)
+            for u in ring.units[rng.integers(0, ring.phi, size=200)].tolist():
+                inv = int(ring.inv_table[u])
+                assert u * inv % q == 1
+                assert int(ring.inv_table[inv]) == u
 
 
 class TestEqEval:
@@ -208,6 +219,18 @@ class TestIntervalPhaseSum:
         for x in range(37):
             assert table[x] == pytest.approx(interval_phase_sum(ring, interval, x))
 
+    def test_array_evaluation_memory(self):
+        # in place: besides the result, about one result's size of
+        # temporaries (the reduced argument, the numerator, the phase)
+        ring = build_ring(100003)
+        tracemalloc.start()
+        try:
+            out = interval_phase_sum(ring, IntervalSet(-5, 316), ring.units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes
+
     def test_far_start_and_modulus_bound(self):
         # a start far past int64 products, and q = MAX_MODULUS, where an
         # unreduced product of two residues would pass 2^63
@@ -219,7 +242,7 @@ class TestIntervalPhaseSum:
         q = MAX_MODULUS
         empty = np.empty(0, dtype=np.int64)
         big = ResidueRing(q=q, unit_mask=empty, inv_table=empty, phi=0, tau=0, units=empty,
-                          eq_pows=empty)  # interval_phase_sum reads only q
+                          characters=None)  # interval_phase_sum reads only q
         interval = IntervalSet(q - 7, 5)  # members -6..-2 mod q
         for x in (1, 2, q - 1, q // 2 + 3, 10**30 + 1):
             direct = sum(np.exp(2j * np.pi * ((m * x) % q) / q) for m in range(-6, -1))

@@ -268,6 +268,22 @@ class TestProofTrace:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_reciprocal_phase_maps_are_not_kept(self):
+        # the returned T maps plus a fixed number of length-q arrays, not
+        # one more per N-side level set
+        q = 30011
+        ring = build_ring(q)
+        side = IntervalSet(0, 173)
+        inst = TrilinearInstance(ring, make_weights(ring, IntervalSet(0, 50)), side, side)
+        tracemalloc.start()
+        try:
+            trace = proof_trace(inst, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.y_moments) == 12
+        assert peak <= (len(trace.t_maps) + 16) * 16 * q
+
     def test_unsupported_r(self):
         inst = small_instance(11, IntervalSet(0, 3), IntervalSet(0, 3), IntervalSet(0, 3))
         with pytest.raises(ValueError, match="r unsupported"):
