@@ -8,8 +8,9 @@ the proof trace's collision sums.
 build_ring splits the unit group once, by CRT, into cyclic factors (a
 primitive root per odd p^e; <-1> and <5> for the 2-adic part), so a unit is
 an exponent tuple, flattened to one mixed-radix index (C order).  That table,
-ring.characters, gives the inverses (negated tuples), the characters and
-the lattice that _to_lattice and _from_lattice map residues onto and back.
+ring.characters, gives the characters, the lattice that _to_lattice and
+_from_lattice map residues onto and back, and the inverses (negated tuples),
+which ring.inv_table reads off on its first read.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -275,11 +276,8 @@ def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
     return factors if half > 1 else factors[:1]
 
 
-def _unit_group(
-    q: int, primes: list[tuple[int, int]], units: np.ndarray
-) -> tuple[CharacterTable, np.ndarray]:
-    """The CRT decomposition of the units mod q, and the inverse table (0 off
-    units): the inverse of a unit is the unit with the negated exponent tuple."""
+def _unit_group(q: int, primes: list[tuple[int, int]], units: np.ndarray) -> CharacterTable:
+    """The CRT decomposition of the units mod q."""
     factors = [f for p, e in primes for f in _cyclic_factors(p, e)]
     orders = tuple(f.order for f in factors)
     char_count = math.prod(orders)
@@ -289,15 +287,7 @@ def _unit_group(
     digits = [f.dlog[units % f.modulus] for f in factors] or [np.zeros_like(units)]
     log_index = np.full(q, -1, dtype=np.int64)
     log_index[units] = np.ravel_multi_index(digits, shape)
-    unit_at = np.empty_like(units)  # the unit at each flat index
-    unit_at[log_index[units]] = units
-    for d, n in zip(digits, shape):
-        np.negative(d, out=d)
-        d %= n
-    inv_table = np.zeros(q, dtype=np.int64)
-    inv_table[units] = unit_at[np.ravel_multi_index(digits, shape)]
-    table = CharacterTable(q, tuple(factors), orders, char_count, math.lcm(*orders), log_index)
-    return table, inv_table
+    return CharacterTable(q, tuple(factors), orders, char_count, math.lcm(*orders), log_index)
 
 
 def _to_lattice(table: CharacterTable, residues: np.ndarray, values=None) -> np.ndarray:
@@ -314,6 +304,11 @@ def _to_lattice(table: CharacterTable, residues: np.ndarray, values=None) -> np.
     return out[1:].reshape(table.shape)
 
 
+def _negated(lattice: np.ndarray) -> np.ndarray:
+    """The lattice array read at the negated exponent tuples: out[k] = lattice[-k]."""
+    return np.roll(np.flip(lattice), 1, axis=tuple(range(lattice.ndim)))
+
+
 def _from_lattice(table: CharacterTable, lattice: np.ndarray) -> np.ndarray:
     """Length-q array holding the lattice value at every unit's exponent
     tuple, 0 off units."""
@@ -328,18 +323,29 @@ class ResidueRing:
 
     Treated as immutable after construction; safe to share across threads.
     Compares and hashes by identity, so it can key a cache.
-    ``inv_table`` holds 0 at non-unit residues; ``characters`` is the unit
-    group's decomposition, the one every character, lattice and inverse
-    reads.
+    ``characters`` is the unit group's decomposition, the one every
+    character, lattice and inverse reads; ``inv_table`` and ``eq_pows`` are
+    derived tables, each built on its first read.
     """
 
     q: int
     unit_mask: np.ndarray
-    inv_table: np.ndarray
     phi: int
     tau: int
     units: np.ndarray
     characters: CharacterTable
+
+    @functools.cached_property
+    def inv_table(self) -> np.ndarray:
+        """inv_table[x] = x^-1 mod q at units, 0 elsewhere, built on first
+        read: the inverse of a unit is the unit with the negated exponent
+        tuple."""
+        table = self.characters
+        unit_at = np.empty_like(self.units)  # the unit at each exponent tuple
+        unit_at[table.log_index[self.units]] = self.units
+        inv = np.zeros(self.q, dtype=np.int64)
+        inv[unit_at] = _negated(unit_at.reshape(table.shape)).reshape(-1)
+        return inv
 
     @functools.cached_property
     def eq_pows(self) -> np.ndarray:
@@ -361,15 +367,13 @@ def build_ring(q: int) -> ResidueRing:
     for p, _ in primes:
         unit_mask[::p] = False
     units = np.flatnonzero(unit_mask).astype(np.int64, copy=False)
-    table, inv_table = _unit_group(q, primes, units)
     return ResidueRing(
         q=q,
         unit_mask=unit_mask,
-        inv_table=inv_table,
         phi=units.size,
         tau=math.prod(e + 1 for _, e in primes),
         units=units,
-        characters=table,
+        characters=_unit_group(q, primes, units),
     )
 
 

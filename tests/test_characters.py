@@ -13,6 +13,11 @@ from kforms import (
     interval_character_sums,
     moment_identity_check,
 )
+from conftest import random_interval
+
+# the trivial group, cyclic groups, and lattices whose packed axis (the
+# longest even one) is not the last, some with axes of length 2
+SUM_MODULI = (2, 3, 4, 8, 12, 24, 97, 360, 486, 1536, 1997)
 
 
 def table_for(q):
@@ -128,6 +133,43 @@ class TestFourthMoment:
         for idx in range(table.char_count):
             direct = sum(eval_character(table, idx, int(z)) for z in interval.members())
             assert sums[idx] == pytest.approx(direct, abs=1e-9)
+        rng = np.random.default_rng(9)
+        for q in SUM_MODULI:
+            _, table = table_for(q)
+            intervals = [random_interval(rng, q) for _ in range(3)]
+            per_residue = np.array(
+                [np.bincount(np.mod(iv.members(), q), minlength=q) for iv in intervals]
+            ).T
+            direct = [character_values(table, c) @ per_residue for c in range(table.char_count)]
+            for interval, column in zip(intervals, np.array(direct).T):
+                sums = interval_character_sums(table, interval)
+                assert sums.shape == (table.char_count,)
+                assert np.max(np.abs(sums - column)) <= 1e-12 * interval.length
+
+
+class TestIntervalCharacterSums:
+    def test_conjugate_character_gives_conjugate_sum(self):
+        rng = np.random.default_rng(10)
+        for q in SUM_MODULI:
+            _, table = table_for(q)
+            digits = np.unravel_index(np.arange(table.char_count), table.shape)
+            conj = np.ravel_multi_index([-d % n for d, n in zip(digits, table.shape)], table.shape)
+            interval = random_interval(rng, q)
+            sums = interval_character_sums(table, interval)
+            assert np.max(np.abs(sums[conj] - np.conj(sums))) <= 1e-12 * interval.length
+
+    def test_transform_runs_on_half_the_group(self, monkeypatch):
+        # the real counts are packed two to a point: one transform of phi/2
+        shapes, ifftn = [], np.fft.ifftn
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return ifftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", recorded)
+        _, table = table_for(20011)
+        interval_character_sums(table, IntervalSet(5, 300))
+        assert shapes == [(10005,)]
 
 
 class TestMomentIdentity:

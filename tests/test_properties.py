@@ -17,6 +17,7 @@ from kforms import (
     build_ring,
     cyclic_dft,
     factorize,
+    interval_character_sums,
     interval_phase_sum,
     is_prime,
     make_weights,
@@ -28,7 +29,7 @@ from kforms import (
     trilinear_fast,
 )
 from kforms.ring import _dlog_table, _powers
-from kforms.ring import _lattice_convolution
+from kforms.ring import _lattice_convolution, _to_lattice
 from kforms.trilinear import _unit_window, _window_gather
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
@@ -145,6 +146,18 @@ def test_inverse_table_matches_pow(q):
     assert ring.inv_table.tolist() == [
         pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)
     ]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_interval_character_sums_match_full_transform(data):
+    q = data.draw(MODULI, label="q")
+    interval = data.draw(windows(q), label="H")
+    table = build_characters(build_ring(q))
+    counts = _to_lattice(table, np.mod(interval.members(), q))
+    full = np.fft.ifftn(counts).reshape(-1) * table.char_count
+    sums = interval_character_sums(table, interval)
+    assert np.max(np.abs(sums - full)) <= 1e-12 * interval.length
 
 
 @SETTINGS

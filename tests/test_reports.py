@@ -249,6 +249,18 @@ class TestSweepControls:
         result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 10]})
         assert len(rings) == 2 and len(result.reports) == 4
 
+    def test_moment_cell_leaves_the_inverse_unbuilt(self, monkeypatch):
+        rings, build = [], kforms.sweeps.build_ring
+
+        def kept(q):
+            rings.append(build(q))
+            return rings[-1]
+
+        monkeypatch.setattr(kforms.sweeps, "build_ring", kept)
+        result = verify_lemma_sweeps("2.1", {"qs": [20011], "ks": [0], "Hs": [100]})
+        assert len(rings) == 1 and len(result.reports) == 1
+        assert "inv_table" not in vars(rings[0])
+
     def test_complete_lemma_sweep_is_not_truncated(self):
         # the one cell outlasts the budget, but nothing is left out
         result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [500]}, budget_ms=1)

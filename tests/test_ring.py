@@ -78,6 +78,13 @@ class TestModInverse:
             x = int(ring.units[rng.integers(0, ring.phi)])
             assert mod_inverse(ring, x) == pow(x, -1, q)
 
+    def test_inverse_table_built_on_first_read(self):
+        ring = build_ring(1000)
+        assert "inv_table" not in vars(ring)
+        assert mod_inverse(ring, 3) == 667
+        assert "inv_table" in vars(ring)
+        assert ring.inv_table is ring.inv_table
+
     def test_inverses_at_large_moduli(self):
         # a prime, a smooth composite and the 2-adic and 3-adic groups
         rng = np.random.default_rng(7)
@@ -241,7 +248,7 @@ class TestIntervalPhaseSum:
         assert np.max(np.abs(gap)) <= 1e-9
         q = MAX_MODULUS
         empty = np.empty(0, dtype=np.int64)
-        big = ResidueRing(q=q, unit_mask=empty, inv_table=empty, phi=0, tau=0, units=empty,
+        big = ResidueRing(q=q, unit_mask=empty, phi=0, tau=0, units=empty,
                           characters=None)  # interval_phase_sum reads only q
         interval = IntervalSet(q - 7, 5)  # members -6..-2 mod q
         for x in (1, 2, q - 1, q // 2 + 3, 10**30 + 1):
