@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand prints a short human summary to stdout; ``--format`` with
-``--out`` (default stdout) additionally emits the underlying reports as CSV
-or JSON.  Exit codes: 0 on success, 1 when any ratio exceeds the --C
-threshold, 2 on usage errors and on work refused as too large.
+One table, ``COMMANDS``, gives each subcommand's handler, help and flags.
+A handler prints a short human summary and returns its reports as a
+``SweepResult``; ``main`` alone emits them, when ``--out`` is given (``-``
+means stdout), and alone sets the exit code: 0 on success, 1 when a report's
+ratio exceeds ``--C``, 2 on usage errors, malformed input and work refused
+as too large.
 """
 
 from __future__ import annotations
@@ -43,42 +45,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _maybe_emit(args, result: SweepResult) -> None:
-    if args.out != "-" or args.emit:
-        emit_report(result, format=args.format, path=args.out)
-
-
-def _emit_one(args, t0: float, params: dict, measured: float, reference: float) -> int:
+def _one_report(t0: float, params: dict, measured: float, reference: float) -> SweepResult:
     report = make_report(params=params, measured=measured, reference=reference, t0=t0)
-    _maybe_emit(args, SweepResult(reports=[report]))
-    return 0
+    return SweepResult(reports=[report])
 
 
-def cmd_ring_info(args) -> int:
+def cmd_ring_info(args) -> None:
     ring = build_ring(args.q)
     print(f"q = {ring.q}")
     print(f"phi(q) = {ring.phi}")
     print(f"tau(q) = {ring.tau}")
     print(f"units = {ring.phi} residues; smallest nontrivial unit inverse pairs:")
-    shown = 0
-    for u in ring.units:
-        if u > 1 and shown < 5:
-            print(f"  inv({int(u)}) = {int(ring.inv_table[u])}")
-            shown += 1
-    return 0
+    for u in ring.units[ring.units > 1][:5]:
+        print(f"  inv({int(u)}) = {int(ring.inv_table[u])}")
 
 
-def cmd_ksum(args) -> int:
+def cmd_ksum(args) -> SweepResult:
     t0 = time.perf_counter()
     ring = build_ring(args.q)
     value = single_sum(ring, args.m, args.n)
     reference = weil_reference(ring, args.m, args.n)
     print(f"K_{args.q}({args.m},{args.n}) = {_fmt(value)}")
     print(f"|K| = {_fmt(abs(value))}   weil_reference = {_fmt(reference)}")
-    return _emit_one(args, t0, {"q": args.q, "m": args.m, "n": args.n}, abs(value), reference)
+    return _one_report(t0, {"q": args.q, "m": args.m, "n": args.n}, abs(value), reference)
 
 
-def cmd_ksum2(args) -> int:
+def cmd_ksum2(args) -> SweepResult:
     t0 = time.perf_counter()
     if args.naive:
         check_work(euler_phi(args.q) ** 2, "phi^2")
@@ -89,10 +81,10 @@ def cmd_ksum2(args) -> int:
     print(f"|K| = {_fmt(abs(value))}   trivial = {ring.phi ** 2}")
     params = {"q": args.q, "l": args.l, "m": args.m, "n": args.n,
               "path": "naive" if args.naive else "fast"}
-    return _emit_one(args, t0, params, abs(value), float(ring.phi**2))
+    return _one_report(t0, params, abs(value), float(ring.phi**2))
 
 
-def cmd_trilinear(args) -> int:
+def cmd_trilinear(args) -> SweepResult:
     t0 = time.perf_counter()
     if args.naive:
         lengths = [resolve_interval(spec, args.q).length for spec in (args.L, args.M, args.N)]
@@ -106,10 +98,10 @@ def cmd_trilinear(args) -> int:
     print(f"ratio vs min bound = {_fmt(bounds.ratio)}")
     params = {**bounds.params, "mode": args.weights, "seed": args.seed,
               "path": "naive" if args.naive else "fast"}
-    return _emit_one(args, t0, params, abs(value), bounds.reference)
+    return _one_report(t0, params, abs(value), bounds.reference)
 
 
-def cmd_energy(args) -> int:
+def cmd_energy(args) -> SweepResult:
     t0 = time.perf_counter()
     ring = build_ring(args.q)
     a_int = resolve_interval(args.A, args.q)
@@ -119,10 +111,10 @@ def cmd_energy(args) -> int:
           f"ratio = {_fmt(count.ratio)}")
     params = {"q": args.q, "a_start": a_int.start, "A": a_int.length,
               "b_start": b_int.start, "B": b_int.length}
-    return _emit_one(args, t0, params, float(count.value), float(count.bound_value))
+    return _one_report(t0, params, float(count.value), float(count.bound_value))
 
 
-def cmd_jr_mod(args) -> int:
+def cmd_jr_mod(args) -> SweepResult:
     t0 = time.perf_counter()
     ring = build_ring(args.q)
     identity, count = reciprocal_moment_identity(ring, args.r, args.K)
@@ -135,19 +127,19 @@ def cmd_jr_mod(args) -> int:
     if count.bound_value is not None:
         print(f"reference = {_fmt(count.bound_value)}   ratio = {_fmt(count.ratio)}")
     params = {"q": args.q, "r": args.r, "K": args.K}
-    return _emit_one(args, t0, params, float(count.value), float(count.bound_value or 0.0))
+    return _one_report(t0, params, float(count.value), float(count.bound_value or 0.0))
 
 
-def cmd_jr_rat(args) -> int:
+def cmd_jr_rat(args) -> SweepResult:
     t0 = time.perf_counter()
     count = reciprocal_count_rational(args.r, args.K)
     print(f"J_{args.r}({args.K}) = {count.value}   reference = {_fmt(count.bound_value)}"
           f"   ratio = {_fmt(count.ratio)}")
     params = {"r": args.r, "K": args.K}
-    return _emit_one(args, t0, params, float(count.value), float(count.bound_value))
+    return _one_report(t0, params, float(count.value), float(count.bound_value))
 
 
-def cmd_char_moment(args) -> int:
+def cmd_char_moment(args) -> SweepResult:
     t0 = time.perf_counter()
     table = build_ring(args.q).characters
     interval = IntervalSet(args.k, args.H)
@@ -155,10 +147,10 @@ def cmd_char_moment(args) -> int:
     print(f"fourth moment = {_fmt(moment)}   orthogonality twin = {_fmt(twin)}")
     print(f"moment / H^2 = {_fmt(moment / args.H ** 2)}")
     params = {"q": args.q, "k": args.k, "H": args.H}
-    return _emit_one(args, t0, params, moment, float(args.H**2))
+    return _one_report(t0, params, moment, float(args.H**2))
 
 
-def cmd_proof_trace(args) -> int:
+def cmd_proof_trace(args) -> SweepResult:
     t0 = time.perf_counter()
     instance = build_instance(args.q, args.L, args.M, args.N, args.weights, args.seed)
     trace = proof_trace(instance, args.r)
@@ -186,8 +178,7 @@ def cmd_proof_trace(args) -> int:
         )
         for cell in trace.cells
     ]
-    _maybe_emit(args, SweepResult(reports=reports))
-    return 0
+    return SweepResult(reports=reports)
 
 
 def _print_sweep(result: SweepResult, label: str) -> None:
@@ -201,7 +192,7 @@ def _print_sweep(result: SweepResult, label: str) -> None:
     print(f"exceptions = {result.exceptions}")
 
 
-def cmd_verify_thm1(args) -> int:
+def cmd_verify_thm1(args) -> SweepResult:
     qs = parse_int_list(args.q)
     if args.primes:
         qs = [q for q in qs if is_prime(q)]
@@ -211,11 +202,10 @@ def cmd_verify_thm1(args) -> int:
         budget_ms=args.budget_ms,
     )
     _print_sweep(result, "thm1 sweep")
-    _maybe_emit(args, result)
-    return 1 if result.exceptions else 0
+    return result
 
 
-def cmd_verify_thm2(args) -> int:
+def cmd_verify_thm2(args) -> SweepResult:
     result = verify_thm2_sweep(
         args.Q, args.r, args.L, args.M, args.N,
         mode=args.weights, seed=args.seed, epsilon=args.epsilon,
@@ -224,33 +214,78 @@ def cmd_verify_thm2(args) -> int:
     _print_sweep(result, "thm2 sweep")
     print(f"allowed exceptions ~ Q^(1-2*r*eps) = "
           f"{_fmt(allowed_exceptions(args.Q, args.r, args.epsilon))}")
-    _maybe_emit(args, result)
-    return 1 if result.exceptions else 0
+    return result
 
 
-def cmd_verify_lemma(args) -> int:
+def cmd_verify_lemma(args) -> SweepResult:
     grid = json.loads(args.grid) if args.grid else None
-    result = verify_lemma_sweeps(args.lemma, grid=grid, budget_ms=args.budget_ms)
+    result = verify_lemma_sweeps(args.lemma, grid, threshold=args.C, budget_ms=args.budget_ms)
     _print_sweep(result, f"lemma {args.lemma} sweep")
-    ratios = [r.ratio for r in result.reports if r.ratio is not None]
-    _maybe_emit(args, result)
-    return 1 if ratios and max(ratios) > args.C else 0
+    return result
 
 
-def _add_output_flags(sub) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default="-", help="report destination; '-' = stdout")
-    sub.add_argument("--emit", action="store_true",
-                     help="emit the report even when --out is stdout")
+def _ints(*names: str) -> list:
+    return [(name, {"type": int, "required": True}) for name in names]
 
 
-def _add_instance_flags(sub, default_len="sqrt") -> None:
-    sub.add_argument("--L", default=f"0:{default_len}", help="weight interval start:length")
-    sub.add_argument("--M", default=f"0:{default_len}", help="M interval start:length")
-    sub.add_argument("--N", default=f"0:{default_len}", help="N interval start:length")
-    sub.add_argument("--weights", choices=("ones", "rademacher", "phase", "extremal"),
-                     default="ones")
-    sub.add_argument("--seed", type=int, default=0)
+def _instance_flags(default_len: str = "sqrt") -> list:
+    return [
+        ("--L", {"default": f"0:{default_len}", "help": "weight interval start:length"}),
+        ("--M", {"default": f"0:{default_len}", "help": "M interval start:length"}),
+        ("--N", {"default": f"0:{default_len}", "help": "N interval start:length"}),
+        ("--weights", {"choices": ("ones", "rademacher", "phase", "extremal"),
+                       "default": "ones"}),
+        ("--seed", {"type": int, "default": 0}),
+    ]
+
+
+_R = ("--r", {"type": int, "default": 2})
+_NAIVE = ("--naive", {"action": "store_true", "help": "brute-force oracle path"})
+_SWEEP = [
+    ("--C", {"type": float, "default": math.inf, "help": "ratio threshold"}),
+    ("--budget-ms", {"type": int, "default": 60000}),
+]
+_OUTPUT = [
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    ("--out", {"help": "write the reports to this path; '-' = stdout"}),
+]
+
+# name: (handler, help, flags)
+COMMANDS = {
+    "ring-info": (cmd_ring_info, "residue ring summary", _ints("--q")),
+    "ksum": (cmd_ksum, "single Kloosterman sum", _ints("--q", "--m", "--n")),
+    "ksum2": (cmd_ksum2, "double Kloosterman sum", [*_ints("--q", "--l", "--m", "--n"), _NAIVE]),
+    "trilinear": (cmd_trilinear, "weighted trilinear form",
+                  [*_ints("--q"), *_instance_flags(), _NAIVE]),
+    "energy": (cmd_energy, "multiplicative energy of two intervals", [
+        *_ints("--q"),
+        ("--A", {"required": True, "help": "interval start:length"}),
+        ("--B", {"required": True, "help": "interval start:length"}),
+    ]),
+    "jr-mod": (cmd_jr_mod, "congruent reciprocal-sum count", [*_ints("--q"), _R, *_ints("--K")]),
+    "jr-rat": (cmd_jr_rat, "equal reciprocal-sum count over Q", [_R, *_ints("--K")]),
+    "char-moment": (cmd_char_moment, "fourth moment of character sums", [
+        *_ints("--q"),
+        ("--k", {"type": int, "default": 0, "help": "interval offset"}),
+        ("--H", {"type": int, "required": True, "help": "interval length"}),
+    ]),
+    "proof-trace": (cmd_proof_trace, "dyadic cell trace of the fast form",
+                    [*_ints("--q"), _R, *_instance_flags(default_len="8")]),
+    "verify-thm1": (cmd_verify_thm1, "fixed-modulus bound sweep", [
+        ("--q", {"required": True, "help": "moduli as '101,103' or '100..200', mixable"}),
+        ("--primes", {"action": "store_true", "help": "keep only prime moduli"}),
+        *_instance_flags(), *_SWEEP,
+    ]),
+    "verify-thm2": (cmd_verify_thm2, "dyadic-range averaged bound sweep", [
+        *_ints("--Q"), _R, *_instance_flags(),
+        ("--epsilon", {"type": float, "default": 0.05}), *_SWEEP,
+    ]),
+    "verify-lemma": (cmd_verify_lemma, "moment/count check over its grid", [
+        ("--lemma", {"choices": ("2.1", "2.2", "2.3", "2.4", "2.5"), "required": True}),
+        ("--grid", {"help": "JSON object overriding the default grid"}),
+        *_SWEEP,
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,108 +295,25 @@ def build_parser() -> argparse.ArgumentParser:
         "Kloosterman sums, trilinear forms, and modular counting quantities.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("ring-info", help="residue ring summary")
-    sub.add_argument("--q", type=int, required=True)
-    sub.set_defaults(func=cmd_ring_info)
-
-    sub = subs.add_parser("ksum", help="single Kloosterman sum")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_ksum)
-
-    sub = subs.add_parser("ksum2", help="double Kloosterman sum")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--l", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--naive", action="store_true", help="brute-force oracle path")
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_ksum2)
-
-    sub = subs.add_parser("trilinear", help="weighted trilinear form")
-    sub.add_argument("--q", type=int, required=True)
-    _add_instance_flags(sub)
-    sub.add_argument("--naive", action="store_true", help="brute-force oracle path")
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_trilinear)
-
-    sub = subs.add_parser("energy", help="multiplicative energy of two intervals")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--A", required=True, help="interval start:length")
-    sub.add_argument("--B", required=True, help="interval start:length")
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_energy)
-
-    sub = subs.add_parser("jr-mod", help="congruent reciprocal-sum count")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--r", type=int, default=2)
-    sub.add_argument("--K", type=int, required=True)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_jr_mod)
-
-    sub = subs.add_parser("jr-rat", help="equal reciprocal-sum count over Q")
-    sub.add_argument("--r", type=int, default=2)
-    sub.add_argument("--K", type=int, required=True)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_jr_rat)
-
-    sub = subs.add_parser("char-moment", help="fourth moment of character sums")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--k", type=int, default=0, help="interval offset")
-    sub.add_argument("--H", type=int, required=True, help="interval length")
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_char_moment)
-
-    sub = subs.add_parser("proof-trace", help="dyadic cell trace of the fast form")
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--r", type=int, default=2)
-    _add_instance_flags(sub, default_len="8")
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_proof_trace)
-
-    sub = subs.add_parser("verify-thm1", help="fixed-modulus bound sweep")
-    sub.add_argument("--q", required=True,
-                     help="moduli as '101,103' or '100..200', mixable")
-    sub.add_argument("--primes", action="store_true", help="keep only prime moduli")
-    _add_instance_flags(sub)
-    sub.add_argument("--C", type=float, default=math.inf, help="ratio threshold")
-    sub.add_argument("--budget-ms", type=int, default=60000)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_verify_thm1)
-
-    sub = subs.add_parser("verify-thm2", help="dyadic-range averaged bound sweep")
-    sub.add_argument("--Q", type=int, required=True)
-    sub.add_argument("--r", type=int, default=2)
-    _add_instance_flags(sub)
-    sub.add_argument("--epsilon", type=float, default=0.05)
-    sub.add_argument("--C", type=float, default=math.inf, help="ratio threshold")
-    sub.add_argument("--budget-ms", type=int, default=60000)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_verify_thm2)
-
-    sub = subs.add_parser("verify-lemma", help="moment/count check over its grid")
-    sub.add_argument("--lemma", choices=("2.1", "2.2", "2.3", "2.4", "2.5"),
-                     required=True)
-    sub.add_argument("--grid", help="JSON object overriding the default grid")
-    sub.add_argument("--C", type=float, default=math.inf, help="ratio threshold")
-    sub.add_argument("--budget-ms", type=int, default=60000)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_verify_lemma)
-
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        shared = [] if name == "ring-info" else _OUTPUT
+        for flag, options in flags + shared:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is not None and args.out is not None:
+            emit_report(result, format=args.format, path=args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if result is not None and result.exceptions else 0
 
 
 if __name__ == "__main__":

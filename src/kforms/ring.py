@@ -186,6 +186,7 @@ class IntervalSet:
             raise ValueError(f"interval length must be >= 1, got {self.length}")
 
     def members(self) -> np.ndarray:
+        check_work(self.length, "interval length")
         return np.arange(self.start + 1, self.start + self.length + 1, dtype=np.int64)
 
     def __contains__(self, value: int) -> bool:

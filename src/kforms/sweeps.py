@@ -288,20 +288,39 @@ _LEMMA_BUILDERS = {
 }
 
 
+def _grid_value_ok(key: str, value) -> bool:
+    """r is an int; intervals a list of [start, length] int pairs; every
+    other grid value a non-empty list of ints."""
+    if key == "r":
+        return type(value) is int
+    if not isinstance(value, list) or not value:
+        return False
+    if key == "intervals":
+        return all(isinstance(p, list) and [type(x) for x in p] == [int, int] for p in value)
+    return all(type(x) is int for x in value)
+
+
 def verify_lemma_sweeps(
-    lemma: str, grid: dict | None = None, budget_ms: int | None = None
+    lemma: str,
+    grid: dict | None = None,
+    threshold: float = math.inf,
+    budget_ms: int | None = None,
 ) -> SweepResult:
     """Run one of the named moment/count checks over its grid.
 
     ``grid`` overrides the documented default; each report carries the
-    measured count or moment and the check's reference expression.
+    measured count or moment and the check's reference expression, and
+    reports with ratio above the threshold count as exceptions.
     """
     if lemma not in _LEMMA_BUILDERS:
         raise ValueError(f"unknown lemma {lemma!r}; pick one of {sorted(_LEMMA_BUILDERS)}")
     builder, required, fit_key = _LEMMA_BUILDERS[lemma]
-    grid = dict(DEFAULT_GRIDS[lemma]) if grid is None else dict(grid)
-    missing = [key for key in required if key not in grid or grid[key] in (None, [])]
-    if missing:
-        raise ValueError(f"invalid grid for lemma {lemma}: missing {missing}")
+    if grid is None:
+        grid = DEFAULT_GRIDS[lemma]
+    if not isinstance(grid, dict):
+        raise ValueError(f"invalid grid for lemma {lemma}: expected a JSON object, got {grid!r}")
+    bad = [key for key in required if not _grid_value_ok(key, grid.get(key))]
+    if bad:
+        raise ValueError(f"invalid grid for lemma {lemma}: missing or malformed {bad}")
 
-    return _run_sweep(builder(grid), fit_key, math.inf, budget_ms)
+    return _run_sweep(builder(grid), fit_key, threshold, budget_ms)

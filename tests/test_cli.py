@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,7 +58,7 @@ class TestSingleValueCommands:
         monkeypatch.setattr(
             kforms.counts, "reciprocal_count_mod", lambda *a: calls.append(a) or count(*a)
         )
-        assert main(["jr-mod", "--q", "1009", "--K", "500", "--emit"]) == 0
+        assert main(["jr-mod", "--q", "1009", "--K", "500", "--out", "-"]) == 0
         out = capsys.readouterr().out
         assert len(calls) == 1
         assert "FFT certificate residual = " in out and "none" not in out
@@ -69,7 +72,7 @@ class TestSingleValueCommands:
         monkeypatch.setattr(
             kforms.characters, "interval_character_sums", lambda *a: calls.append(a) or sums(*a)
         )
-        assert main(["char-moment", "--q", "1009", "--k", "3", "--H", "40", "--emit"]) == 0
+        assert main(["char-moment", "--q", "1009", "--k", "3", "--H", "40", "--out", "-"]) == 0
         out = capsys.readouterr().out
         assert len(calls) == 1
         assert "orthogonality twin = " in out
@@ -152,13 +155,22 @@ class TestVerifyCommands:
         rows = json.loads(out_path.read_text())
         assert len(rows) == 4
 
-    def test_verify_lemma_threshold(self):
+    def test_verify_lemma_threshold(self, capsys):
         code = main([
             "verify-lemma", "--lemma", "2.3",
             "--grid", json.dumps({"qs": [30], "Ks": [5]}),
             "--C", "1e-12",
         ])
         assert code == 1
+        assert "exceptions = 1" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("grid", [
+        "[1]", "5", '{"qs": "97", "Ks": [5]}', '{"qs": [97.5], "Ks": [5]}',
+        '{"qs": [97], "Ks": ["5"]}',
+    ])
+    def test_malformed_grid_exits_two(self, grid, capsys):
+        assert main(["verify-lemma", "--lemma", "2.3", "--grid", grid]) == 2
+        assert "invalid grid" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -185,6 +197,14 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["char-moment", "--q", "97", "--H", "100000000000"],
+        ["energy", "--q", "97", "--A", "0:100000000000", "--B", "0:3"],
+    ])
+    def test_oversized_interval_refused_up_front(self, argv, capsys):
+        assert main(argv) == 2
+        assert "dimension too large" in capsys.readouterr().err
+
     def test_value_errors_exit_two(self, capsys):
         assert main(["jr-mod", "--q", "5", "--r", "2", "--K", "6"]) == 2
         assert "K out of range" in capsys.readouterr().err
@@ -202,15 +222,50 @@ class TestUsageErrors:
 
 
 class TestReadme:
+    @staticmethod
+    def tour():
+        """Every README tour command as an (absent, present) pair of argvs:
+        each bracketed flag left out, then put in."""
+        for line in README.read_text().splitlines():
+            if line.startswith("kforms "):
+                absent = re.sub(r"\s*\[--[^\]]*\]", "", line)
+                present = re.sub(r"\[(--[^\]]*)\]", r"\1", line)
+                yield shlex.split(absent)[1:], shlex.split(present)[1:]
+
     def test_cli_tour_parses(self):
-        lines = [line for line in README.read_text().splitlines()
-                 if line.startswith("kforms ")]
-        assert len(lines) >= 10
+        pairs = list(self.tour())
+        assert len(pairs) >= 10
         parser = build_parser()
-        for line in lines:
-            # every bracketed flag is tried both absent and present
-            absent = re.sub(r"\s*\[--[^\]]*\]", "", line)
-            present = re.sub(r"\[(--[^\]]*)\]", r"\1", line)
-            for text in (absent, present):
-                args = parser.parse_args(shlex.split(text)[1:])
-                assert callable(args.func), text
+        for argv in (argv for pair in pairs for argv in pair):
+            args = parser.parse_args(argv)
+            assert callable(args.func), argv
+
+    def test_cli_tour_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for absent, present in self.tour():
+            assert main(absent) == 0, absent
+            assert main(present) == 0, present
+            if absent[0] == "ring-info":
+                continue
+            capsys.readouterr()
+            assert main(absent + ["--out", "-"]) == 0, absent
+            lines = capsys.readouterr().out.splitlines()
+            assert any(line.endswith(",measured,reference,ratio,runtime_ms") for line in lines)
+            assert main(absent + ["--format", "json", "--out", "-"]) == 0, absent
+            out = capsys.readouterr().out
+            rows = json.loads(out[out.index("\n[") + 1:])
+            assert isinstance(rows, list) and rows, absent
+
+    @pytest.mark.parametrize("grid, C, code", [
+        ('{"qs": [30], "Ks": [5]}', "inf", 0),
+        ('{"qs": [30], "Ks": [5]}', "1e-12", 1),
+        ("[1]", "inf", 2),
+    ])
+    def test_exit_codes_pass_through_python_m(self, grid, C, code):
+        src = str(Path(kforms.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["verify-lemma", "--lemma", "2.3", "--grid", grid, "--C", C]
+        run = subprocess.run([sys.executable, "-m", "kforms", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == code, run.stderr
