@@ -306,6 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:  # an unwritable --out fails before the run; an existing file keeps its content
+        if getattr(args, "out", None) not in (None, "-"):
+            open(args.out, "a").close()
+    except OSError as exc:
+        print(f"error: io error writing report to {args.out}: {exc}", file=sys.stderr)
+        return 2
     try:
         result = args.func(args)
         if result is not None and args.out is not None:

@@ -437,6 +437,16 @@ def _half_turns(a: int, t: np.ndarray, q: int) -> np.ndarray:
     return (out + q * (t & 1)) % (2 * q) if a1 else out
 
 
+def _sin_half_turns(h: np.ndarray, q: int) -> np.ndarray:
+    """sin(pi*h/q) for integers 0 <= h < 2q, overwriting h; folded into [0, q/2]
+    by exact int64 steps (sign carried), as np.sin near pi or 2*pi loses ~q*eps."""
+    upper = h >= q
+    np.subtract(h, q, out=h, where=upper)
+    np.subtract(q, h, out=h, where=h > q // 2)
+    out = np.multiply(h, np.pi / q)
+    return np.negative(np.sin(out, out=out), out=out, where=upper)
+
+
 def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
     """Geometric sum over the interval: sum_{m in interval} e_q(m*x), for an
     int x (a complex result) or an integer array x (an array).
@@ -444,8 +454,8 @@ def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
     Evaluated in closed form (Dirichlet-kernel shape); the value is the
     interval length where x = 0 mod q, and |value| <= min(length, q/<x>_q).
     The interval and a Python-int x are reduced mod 2q and q before any int64
-    product, so any start, length and x give the exact-argument value.  Reads
-    only ring.q.
+    product and both sines are read at folded arguments, so any start,
+    length and x give the value to a few ulps relative.  Reads only ring.q.
     """
     q = ring.q
     scalar = isinstance(x, (int, np.integer))
@@ -454,11 +464,8 @@ def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
     # sum_{k=1..length} e_q((v+k)*x)
     #   = e^(i*pi*(2v+length+1)*x/q) * sin(pi*length*x/q) / sin(pi*x/q)
     # evaluated in place, to hold the temporaries near one result's size
-    num = np.multiply(np.pi, _half_turns(length % (2 * q), t, q))
-    np.sin(np.divide(num, q, out=num), out=num)
-    den = np.multiply(np.pi, np.maximum(t, 1))  # the t = 0 entries are set below
-    num /= np.sin(np.divide(den, q, out=den), out=den)
-    del den
+    num = _sin_half_turns(_half_turns(length % (2 * q), t, q), q)
+    num /= _sin_half_turns(np.maximum(t, 1), q)  # the t = 0 entries are set below
     ph = _half_turns((2 * int(interval.start) + length + 1) % (2 * q), t, q)
     out = np.empty(t.shape, dtype=np.complex128)
     np.multiply(ph, np.pi / q, out=out.imag)

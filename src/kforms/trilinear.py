@@ -2,23 +2,21 @@
 
 The form S_q(alpha; L, M, N) = sum_l alpha_l sum_m sum_n K_q(l, m, n) is
 evaluated two ways: a brute-force oracle over double sums, and a fast path
-through the identity
-
-    S_q = sum_l alpha_l sum_{x,y units} mu_x nu_y e_q(l * inv(x) * inv(y)),
-
-where mu/nu are the interval phase sums of the M and N windows, evaluated
-only at the units.  Summed over the windows, the inner double sum W_l is,
-over the units l, a convolution on the unit group, and so are the proof
-trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x) = lam]:
-the package's one lattice kernel, ring._lattice_convolution, computes them
-over the ring's CRT lattice (ring.characters), W_l for every unit l once per
-instance in O(phi log phi) whatever L is, and each T_i once per level set.
-An instance's weights are validated on construction (|alpha_l| <= 1, and 0
-at every non-unit l), so the form reads the unit window alone; window_sums
-still serves a non-unit l, with one O(phi) gather.  The trace machinery
-splits the fast form over a dyadic decomposition of the centered unit
-representatives and records every intermediate quantity next to its
-reference envelope (all absorbed constants set to 1).
+through the window W_l = sum_m sum_n K_q(l, m, n), which over the units l is
+W(l) = sum_{u*v*w = l} mu(u) nu(v) e_q(w), with mu/nu the interval phase sums
+of the M and N windows: a three-way convolution on the unit group (Rader's
+reindexing of e_q).  The three operands are conjugate-symmetric, so their
+cas (Hartley) forms Re f + Im f are real, and the package's one lattice
+kernel, ring._lattice_convolution, convolves them over the ring's CRT
+lattice (ring.characters) with real FFTs: W_l at every unit l, once per
+instance in O(phi log phi) whatever L is.  The proof trace's collision sums
+T_i(lam) = sum alpha_l mu_x [l * inv(x) = lam] take the same kernel, once
+per level set.  An instance's weights are validated on construction
+(|alpha_l| <= 1, and 0 at every non-unit l), so the form reads the unit
+window alone; window_sums still serves a non-unit l, with one O(phi) gather.
+The trace machinery splits the fast form over a dyadic decomposition of the
+centered unit representatives and records every intermediate quantity next
+to its reference envelope (all absorbed constants set to 1).
 """
 
 from __future__ import annotations
@@ -146,25 +144,28 @@ def _unit_window(
     """Read-only length-q array: W_l = sum_{m in M} sum_{n in N} K_q(l, m, n)
     at every unit l, 0 elsewhere.
 
-    In the exponent coordinates of ring.characters (a = log l, c = log u),
-    W(a) = sum_c mu(u) T(a - c) with mu the M window's phase sum and T the
-    DFT of nu(inv y) read at units: one lattice convolution, O(phi log phi).
+    With u = inv(x), v = inv(y) in _window_gather's sum, W(l) is
+    sum_{u*v*w = l} mu(u) nu(v) e_q(w), and reads no inverse.  The cas forms
+    Re f + Im f of the three operands (each has f(-u) = conj f(u)) convolve
+    to a real r, and W(l) = (r(l) + r(-l))/2 + i (r(-l) - r(l))/2: a
+    character with chi(-1) = 1 sees f's transform, one with chi(-1) = -1
+    i times it.  The operands are evaluated at the units below q/2, ascending
+    (where numpy's sin runs fastest), and mirrored onto the rest as Re - Im.
     """
-    q, units, table = ring.q, ring.units, ring.characters
-    # The phase sums are evaluated at the units in increasing order (numpy's
-    # sin and exp run slower on scattered arguments); nu(u) is written to the
-    # slot of inv(u).
-    kappa = np.zeros(q, dtype=np.complex128)
-    kappa[ring.inv_table[units]] = interval_phase_sum(ring, n_interval, units)
-    t_lat = _to_lattice(table, units, cyclic_dft(ring, kappa)[units])
-    del kappa
-    lattice, _ = _lattice_convolution(
-        _to_lattice(table, units, interval_phase_sum(ring, m_interval, units)),
-        t_lat,
-        table.shape,
-    )
-    del t_lat
-    window = _from_lattice(table, lattice)
+    q, table, units = ring.q, ring.characters, ring.units
+    low = units[2 * units <= q]
+    flat = table.log_index[np.stack((low, q - low))]  # the slots of u and of -u
+
+    def cas(f):
+        lattice = np.empty(table.char_count)  # every unit's slot is written
+        lattice[flat] = f.real + f.imag, f.real - f.imag
+        return lattice.reshape(table.shape)
+
+    phase_sums = (cas(interval_phase_sum(ring, iv, low)) for iv in (m_interval, n_interval))
+    r, _ = _lattice_convolution(*phase_sums, table.shape)
+    r, _ = _lattice_convolution(r, cas(np.exp((2j * np.pi / q) * low)), table.shape)
+    r = _from_lattice(table, r)
+    window = (0.5 - 0.5j) * r + (0.5 + 0.5j) * np.roll(r[::-1], 1)  # the roll is r(-l)
     window.flags.writeable = False
     return window
 

@@ -128,6 +128,21 @@ class TestVerifyCommands:
         assert len(rows) == 9  # primes in [101, 140]
         assert {"measured", "reference", "ratio", "runtime_ms"} <= set(rows[0])
 
+    def test_unwritable_out_refused_before_the_run(self, monkeypatch, tmp_path, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(kforms.cli, "verify_thm1_sweep", unreachable)
+        argv = ["verify-thm1", "--q", "101", "--L", "0:10", "--M", "0:10", "--N", "0:10"]
+        assert main(argv + ["--out", "/nonexistent/dir/x.csv"]) == 2
+        assert "io error writing report" in capsys.readouterr().err
+        # the check leaves an existing report as it is when the run then fails
+        monkeypatch.undo()
+        kept = tmp_path / "kept.csv"
+        kept.write_text("q,measured\n")
+        assert main(["verify-thm1", "--q", "1", "--out", str(kept)]) == 2
+        assert kept.read_text() == "q,measured\n"
+
     def test_thm1_threshold_failure_exit_code(self, capsys):
         code = main([
             "verify-thm1", "--q", "101,103", "--L", "0:10", "--M", "0:10",

@@ -261,6 +261,18 @@ class TestSweepControls:
         assert len(rings) == 1 and len(result.reports) == 1
         assert "inv_table" not in vars(rings[0])
 
+    def test_extremal_thm1_case_leaves_the_inverse_unbuilt(self, monkeypatch):
+        rings, build = [], kforms.sweeps.build_ring
+
+        def kept(q):
+            rings.append(build(q))
+            return rings[-1]
+
+        monkeypatch.setattr(kforms.sweeps, "build_ring", kept)
+        result = verify_thm1_sweep([20011], "0:100", "-3:141", "5:141", mode="extremal")
+        assert len(rings) == 1 and len(result.reports) == 1
+        assert "inv_table" not in vars(rings[0])
+
     def test_complete_lemma_sweep_is_not_truncated(self):
         # the one cell outlasts the budget, but nothing is left out
         result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [500]}, budget_ms=1)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -253,9 +254,24 @@ class TestIntervalPhaseSum:
         interval = IntervalSet(q - 7, 5)  # members -6..-2 mod q
         for x in (1, 2, q - 1, q // 2 + 3, 10**30 + 1):
             direct = sum(np.exp(2j * np.pi * ((m * x) % q) / q) for m in range(-6, -1))
-            assert abs(interval_phase_sum(big, interval, x) - direct) <= 1e-6
+            assert abs(interval_phase_sum(big, interval, x) - direct) <= 1e-12
             vec = interval_phase_sum(big, interval, np.array([x % q]))
-            assert abs(vec[0] - direct) <= 1e-6
+            assert abs(vec[0] - direct) <= 1e-12
+
+    def test_relative_precision_near_half_and_full_turns(self):
+        # x near q/2 and q puts both sines near pi or 2*pi; at x = q // 2 the
+        # value is ~1.6e-3 out of 1000 unit terms, so the reference sums in
+        # 30 digits, from exactly reduced integers
+        q = 10**6 + 3
+        ring = build_ring(q)
+        interval = IntervalSet(-5, 1000)
+        for x in (1, q // 2, q - 2, q - 1):
+            with mpmath.workdps(30):
+                direct = mpmath.fsum(mpmath.expjpi(mpmath.mpf(2 * (m * x % q)) / q)
+                                     for m in interval.members().tolist())
+            for value in (interval_phase_sum(ring, interval, x),
+                          interval_phase_sum(ring, interval, np.array([x]))[0]):
+                assert abs(mpmath.mpc(value) - direct) <= 1e-14 * abs(direct)
 
 
 class TestIntervalSet:

@@ -22,7 +22,7 @@ from kforms import (
     window_sums,
 )
 from kforms.cli import main
-from kforms.trilinear import _unit_window
+from kforms.trilinear import _unit_window, _window_gather
 from conftest import random_interval
 
 WEIGHT_TOL = 1e-12
@@ -344,6 +344,21 @@ class TestOneWindowPerInstance:
                 "--N", "0:8"]
         assert main(argv) == 0
         assert _unit_window.cache_info().misses == 1
+
+
+class TestUnitWindowAtScale:
+    @pytest.mark.parametrize("q", [100003, 10**6 + 3])
+    def test_matches_gather_on_seeded_units(self, q):
+        ring = build_ring(q)
+        side = math.isqrt(q)
+        m_iv, n_iv = IntervalSet(-5, side), IntervalSet(17, side)
+        rng = np.random.default_rng(q)
+        units = np.concatenate([[1, 2, q - 2, q - 1], rng.choice(ring.units, 16)])
+        _unit_window.cache_clear()
+        window = _unit_window(ring, m_iv, n_iv)
+        gathered = _window_gather(ring, units, m_iv, n_iv)
+        assert np.max(np.abs(window[units] - gathered)) <= 1e-13 * np.max(np.abs(window))
+        _unit_window.cache_clear()
 
 
 class TestInstanceValidation:
