@@ -33,6 +33,7 @@ from .ring import (
     ResidueRing,
     _lattice_convolution,
     _to_lattice,
+    check_work,
     cyclic_dft,
 )
 
@@ -77,11 +78,10 @@ def _product_energy(
     the convolution's residual.  A product of units adds their exponent
     tuples, so the product multiplicities are the lattice convolution of
     the two intervals' lattice counts."""
-    counts, residual = _lattice_convolution(
-        _to_lattice(table, np.mod(a_interval.members(), table.q)),
-        _to_lattice(table, np.mod(b_interval.members(), table.q)),
-        table.shape,
-    )
+    q = table.q
+    a = _to_lattice(table, np.mod(a_interval.members(), q))
+    b = a if b_interval == a_interval else _to_lattice(table, np.mod(b_interval.members(), q))
+    counts, residual = _lattice_convolution(a, b, table.shape)
     return _sum_of_squares(counts), residual
 
 
@@ -222,9 +222,12 @@ def reciprocal_count_rational(r: int, K: int) -> CountReport:
 
 def average_reciprocal_sweep(Q: int, r: int, K: int) -> BoundReport:
     """Exact dyadic average (1/Q) sum_{Q <= q <= 2Q} J_r(q; K) against the
-    reference K^(2r)/Q + K^r.  Each q inverts only 1..K."""
+    reference K^(2r)/Q + K^r.  Each q inverts only 1..K.  Refused up front when
+    Q+1 moduli of K inversions and r-1 convolutions of length <= 2Q+1 each
+    exceed the work budget."""
     if not 1 <= K <= Q:
         raise ValueError(f"need 1 <= K <= Q, got K={K}, Q={Q}")
+    check_work((Q + 1) * (K + (r - 1) * (2 * Q + 1)), "Lemma 2.5 cell")
     t0 = time.perf_counter()
     total = 0
     for q in range(Q, 2 * Q + 1):

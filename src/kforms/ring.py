@@ -30,9 +30,9 @@ import numpy as np
 # needs q^2 < 2^63.
 MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 
-# Guard against work out of desk scale: L*q for a trilinear instance, the
-# CLI brute-force paths' L*M*N*phi^2 and phi^2, and the pairs of a lattice
-# convolution's pairwise tally.
+# Guard against work out of desk scale: the modulus of a ring, L*q for a
+# trilinear instance, the CLI brute-force paths' L*M*N*phi^2 and phi^2, the
+# pairs of a lattice convolution's pairwise tally and a Lemma 2.5 cell.
 DEFAULT_WORK_BUDGET = 500_000_000
 
 # An integer FFT result is certified only if its exact total sum(a) * sum(b),
@@ -44,6 +44,12 @@ _RESIDUAL_LIMIT = 0.25
 # log2: 5.6 to 7.5 measured at lengths 3*10^4 to 10^6, where the choice
 # matters; below that either path takes well under a millisecond.
 _PAIR_COST = 8
+# One element of a dot product costs about _DOT_COST FFT points times their
+# log2 (0.07 to 0.16 measured at n = 10^4 to 10^6, 0.15 where it matters),
+# and each index read as much as _DOT_CALL more elements: ~2.5 us of call
+# overhead plus the folds' share, so that reads at n ~ 2500 stay on the FFT.
+_DOT_COST = 0.15
+_DOT_CALL = 5000
 _TALLY_CHUNK = 1 << 22  # pairs per tally step
 
 
@@ -88,25 +94,50 @@ def _pair_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     return out.reshape(shape)
 
 
-def _lattice_convolution(a, b, shape: tuple[int, ...]) -> tuple[np.ndarray, float | None]:
+def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """c(k) = sum_j a(j) b(k - j) over Z_n, n even, at the indices `at`.
+    With h = n/2, c(k) + c(k+h) and c(k) - c(k+h) are the dots over j < h of
+    a(j) +- a(j+h) with the h-periodic and h-antiperiodic b(x) +- b(x+h),
+    each one contiguous slice of a doubled, reversed copy of the latter."""
+    h = a.size // 2
+    k, slot = np.unique(at % h, return_inverse=True)
+    sums = []
+    for sign in (1, -1):
+        af, bf = a[:h] + sign * a[h:], (b[:h] + sign * b[h:])[::-1]
+        tiled = np.concatenate((bf, sign * bf))
+        sums.append(np.array([af @ tiled[s : s + h] for s in (h - 1 - k).tolist()])[slot])
+    plus, minus = sums
+    return (plus + np.where(at < h, minus, -minus)) / 2
+
+
+def _lattice_convolution(
+    a, b, shape: tuple[int, ...], at=None
+) -> tuple[np.ndarray, float | None]:
     """Cyclic convolution c(k) = sum_j a(j) b(k - j) over the lattice
     Z_{shape[0]} x Z_{shape[1]} x ..., with the FFT certificate's residual
-    max|c - rint c| (None when the tally ran or the input is not integer).
+    max|c - rint c| (None when the tally or the dots ran or the input is not
+    integer); with `at`, an array of flat indices, c at those alone.
 
     The support pairs are tallied when _PAIR_COST per pair undercuts the
-    FFT's points*log2(points).  Otherwise a padded FFT runs (rfftn on real
-    input, fftn on complex): the longest axis whose length n has a prime
-    factor above 7 (slow in numpy's FFT) is zero-padded to a 5-smooth length
-    >= 2n and the linear convolution along it folded onto Z_n, at most 2x
-    the memory.  Integer input (non-negative counts) gives an exact int64
-    result: the FFT's is accepted only if sum(a)*sum(b) <= 2^52, the
-    residual is below 1/4 and the total is exact; else the tally recounts.
+    FFT's points*log2(points).  Float input read `at` on a one-axis lattice
+    of even order takes _dots_at when _DOT_COST per dot element (plus
+    _DOT_CALL elements per index) undercuts the same.  Otherwise a padded FFT
+    runs (rfftn on real input, fftn on complex; b is a is transformed once):
+    the longest axis whose length n has a prime factor above 7 (slow in
+    numpy's FFT) is zero-padded to a 5-smooth length >= 2n and the linear
+    convolution along it folded onto Z_n, at most 2x the memory.  Integer
+    input (non-negative counts) gives an exact int64 result: the FFT's is
+    accepted only if sum(a)*sum(b) <= 2^52, the residual is below 1/4 and
+    the total is exact; else the tally recounts.
     """
-    a, b = np.asarray(a).reshape(shape), np.asarray(b).reshape(shape)
+    same = b is a
+    a = np.asarray(a).reshape(shape)
+    b = a if same else np.asarray(b).reshape(shape)
     integer = a.dtype.kind in "biu" and b.dtype.kind in "biu"
     total = 0
     if integer:
-        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+        a = a.astype(np.int64, copy=False)
+        b = a if same else b.astype(np.int64, copy=False)
         total = int(a.sum()) * int(b.sum())
         if total > np.iinfo(np.int64).max:
             raise ValueError(f"dimension too large: convolution total {total} exceeds int64")
@@ -116,29 +147,39 @@ def _lattice_convolution(a, b, shape: tuple[int, ...]) -> tuple[np.ndarray, floa
         axis = max(rough, key=lambda k: shape[k])
         size[axis] = _smooth_length(2 * shape[axis])
     points = math.prod(size)
+    fft_cost = points * math.log2(points + 1)
     pairs = np.count_nonzero(a) * np.count_nonzero(b)
-    if pairs * _PAIR_COST <= points * math.log2(points + 1) or total > _FFT_TOTAL_LIMIT:
-        return _pair_tally(a, b, shape), None
+    half = shape[0] // 2 if len(shape) == 1 and shape[0] % 2 == 0 else 0
+    residual = None
+    if pairs * _PAIR_COST <= fft_cost or total > _FFT_TOTAL_LIMIT:
+        c = _pair_tally(a, b, shape)
+    elif (
+        at is not None
+        and half
+        and a.dtype.kind == b.dtype.kind == "f"
+        and len(at) * (half + _DOT_CALL) * _DOT_COST <= fft_cost
+    ):
+        return _dots_at(a, b, at), None
+    else:
+        axes = tuple(range(len(shape)))
+        real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+        forward, inverse = (np.fft.rfftn, np.fft.irfftn) if real else (np.fft.fftn, np.fft.ifftn)
+        spectrum = forward(a, s=size, axes=axes)
+        spectrum *= spectrum if same else forward(b, s=size, axes=axes)
+        c = inverse(spectrum, s=size, axes=axes)
+        del spectrum
+        if rough:
+            n = shape[axis]
+            low, high, _ = np.split(c, [n, 2 * n], axis=axis)
+            c = low + high
+        if integer:
+            rounded = np.rint(c)
+            residual = float(np.max(np.abs(c - rounded)))
+            c = rounded.astype(np.int64)
+            if not (residual < _RESIDUAL_LIMIT and int(c.sum()) == total):
+                c, residual = _pair_tally(a, b, shape), None
+    return (c if at is None else c.reshape(-1)[at]), residual
 
-    axes = tuple(range(len(shape)))
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    forward, inverse = (np.fft.rfftn, np.fft.irfftn) if real else (np.fft.fftn, np.fft.ifftn)
-    spectrum = forward(a, s=size, axes=axes)
-    spectrum *= forward(b, s=size, axes=axes)
-    c = inverse(spectrum, s=size, axes=axes)
-    del spectrum
-    if rough:
-        n = shape[axis]
-        low, high, _ = np.split(c, [n, 2 * n], axis=axis)
-        c = low + high
-    if not integer:
-        return c, None
-    rounded = np.rint(c)
-    residual = float(np.max(np.abs(c - rounded)))
-    counts = rounded.astype(np.int64)
-    if residual < _RESIDUAL_LIMIT and int(counts.sum()) == total:
-        return counts, residual
-    return _pair_tally(a, b, shape), None
 
 class NotAUnitError(ValueError):
     """Inverse requested for a residue that is not coprime to the modulus."""
@@ -355,14 +396,15 @@ class ResidueRing:
 
 
 def build_ring(q: int) -> ResidueRing:
-    """Build the full arithmetic context for Z_q.  Requires 2 <= q <= MAX_MODULUS;
-    a larger q is refused before anything is allocated."""
+    """Build the full arithmetic context for Z_q.  Requires 2 <= q <= MAX_MODULUS
+    and q within the work budget, both checked before anything is allocated."""
     if q < 2:
         raise ValueError(f"modulus too small: need q >= 2, got {q}")
     if q > MAX_MODULUS:
         raise ValueError(
             f"modulus too large: need q <= {MAX_MODULUS} for int64 products, got {q}"
         )
+    check_work(q, "modulus")
     primes = factorize(q)
     unit_mask = np.ones(q, dtype=bool)
     for p, _ in primes:

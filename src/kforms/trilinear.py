@@ -8,12 +8,14 @@ of the M and N windows: a three-way convolution on the unit group (Rader's
 reindexing of e_q).  The three operands are conjugate-symmetric, so their
 cas (Hartley) forms Re f + Im f are real, and the package's one lattice
 kernel, ring._lattice_convolution, convolves them over the ring's CRT
-lattice (ring.characters) with real FFTs: W_l at every unit l, once per
-instance in O(phi log phi) whatever L is.  The proof trace's collision sums
-T_i(lam) = sum alpha_l mu_x [l * inv(x) = lam] take the same kernel, once
-per level set.  An instance's weights are validated on construction
-(|alpha_l| <= 1, and 0 at every non-unit l), so the form reads the unit
-window alone; window_sums still serves a non-unit l, with one O(phi) gather.
+lattice (ring.characters): mu with nu by real FFTs, in O(phi log phi), and
+that with e_q read only at l and -l for the units l of L, by dot products
+where they undercut a second FFT.  The window is built once per instance.
+The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
+= lam] take the same kernel, once per level set.  An instance's weights are
+validated on construction (|alpha_l| <= 1, and 0 at every non-unit l), so
+the form reads the unit window alone; window_sums still serves a non-unit
+l, with one O(phi) gather.
 The trace machinery splits the fast form over a dyadic decomposition of the
 centered unit representatives and records every intermediate quantity next
 to its reference envelope (all absorbed constants set to 1).
@@ -139,10 +141,13 @@ def _window_gather(
 
 @functools.lru_cache(maxsize=1)
 def _unit_window(
-    ring: ResidueRing, m_interval: IntervalSet, n_interval: IntervalSet
+    ring: ResidueRing,
+    l_interval: IntervalSet,
+    m_interval: IntervalSet,
+    n_interval: IntervalSet,
 ) -> np.ndarray:
-    """Read-only length-q array: W_l = sum_{m in M} sum_{n in N} K_q(l, m, n)
-    at every unit l, 0 elsewhere.
+    """Read-only array aligned with l_interval.members(): W_l = sum_{m in M}
+    sum_{n in N} K_q(l, m, n) at every unit l, 0 at the rest.
 
     With u = inv(x), v = inv(y) in _window_gather's sum, W(l) is
     sum_{u*v*w = l} mu(u) nu(v) e_q(w), and reads no inverse.  The cas forms
@@ -150,7 +155,10 @@ def _unit_window(
     to a real r, and W(l) = (r(l) + r(-l))/2 + i (r(-l) - r(l))/2: a
     character with chi(-1) = 1 sees f's transform, one with chi(-1) = -1
     i times it.  The operands are evaluated at the units below q/2, ascending
-    (where numpy's sin runs fastest), and mirrored onto the rest as Re - Im.
+    (where numpy's sin runs fastest), and mirrored onto the rest as Re - Im;
+    mu is evaluated once when M = N.  The first convolution r1 = cas mu *
+    cas nu runs in full; r = r1 * cas e_q is read only at l and -l for the
+    units l of L.
     """
     q, table, units = ring.q, ring.characters, ring.units
     low = units[2 * units <= q]
@@ -161,11 +169,16 @@ def _unit_window(
         lattice[flat] = f.real + f.imag, f.real - f.imag
         return lattice.reshape(table.shape)
 
-    phase_sums = (cas(interval_phase_sum(ring, iv, low)) for iv in (m_interval, n_interval))
-    r, _ = _lattice_convolution(*phase_sums, table.shape)
-    r, _ = _lattice_convolution(r, cas(np.exp((2j * np.pi / q) * low)), table.shape)
-    r = _from_lattice(table, r)
-    window = (0.5 - 0.5j) * r + (0.5 + 0.5j) * np.roll(r[::-1], 1)  # the roll is r(-l)
+    mu = cas(interval_phase_sum(ring, m_interval, low))
+    nu = mu if n_interval == m_interval else cas(interval_phase_sum(ring, n_interval, low))
+    r1, _ = _lattice_convolution(mu, nu, table.shape)
+    residues = np.mod(l_interval.members(), q)
+    on_units = ring.unit_mask[residues]
+    ls = residues[on_units]
+    at = table.log_index[np.concatenate((ls, q - ls))]
+    r, _ = _lattice_convolution(r1, cas(np.exp((2j * np.pi / q) * low)), table.shape, at=at)
+    window = np.zeros(residues.size, dtype=np.complex128)
+    window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
     window.flags.writeable = False
     return window
 
@@ -178,13 +191,12 @@ def window_sums(
 ) -> np.ndarray:
     """W_l = sum_{m in M} sum_{n in N} K_q(l, m, n) for every l in L.
 
-    Each unit l reads the instance's unit-group window; each non-unit l
+    The units l read the instance's unit-group window; each non-unit l
     costs one O(phi) gather.
     """
+    out = _unit_window(ring, l_interval, m_interval, n_interval).copy()
     members = l_interval.members()
-    residues = np.mod(members, ring.q)
-    out = _unit_window(ring, m_interval, n_interval)[residues]
-    off_units = ~ring.unit_mask[residues]
+    off_units = ~ring.unit_mask[np.mod(members, ring.q)]
     if off_units.any():
         out[off_units] = _window_gather(ring, members[off_units], m_interval, n_interval)
     return out
@@ -220,7 +232,7 @@ def make_weights(
     else:
         if m_interval is None or n_interval is None:
             raise ValueError("extremal weights need the M and N intervals")
-        window = _unit_window(ring, m_interval, n_interval)[np.mod(members, ring.q)]
+        window = _unit_window(ring, l_interval, m_interval, n_interval)
         mags = np.abs(window)
         # W_l = 0 (and the window is 0 off units) would give 0/0; those
         # weights are set to 0
@@ -247,10 +259,9 @@ def trilinear_naive(instance: TrilinearInstance) -> complex:
 def trilinear_fast(instance: TrilinearInstance) -> complex:
     """Fast evaluation: sum_l alpha_l W_l over the instance's unit-group
     window (the weights vanish off units)."""
-    ring = instance.ring
-    window = _unit_window(ring, instance.m_interval, instance.n_interval)
-    residues = np.mod(instance.weights.interval.members(), ring.q)
-    return complex(np.sum(instance.weights.weights * window[residues]))
+    ring, weights = instance.ring, instance.weights
+    window = _unit_window(ring, weights.interval, instance.m_interval, instance.n_interval)
+    return complex(np.sum(weights.weights * window))
 
 
 def _level_count(length: int) -> int:

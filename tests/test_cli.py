@@ -207,6 +207,8 @@ class TestUsageErrors:
         # L*q ~ 1.0e9
         ["trilinear", "--q", "1000003", "--L", "0:1000"],
         ["proof-trace", "--q", "1000003", "--L", "0:1000"],
+        # 10^6 + 1 moduli, each with a convolution of length ~2*10^6
+        ["verify-lemma", "--lemma", "2.5", "--grid", '{"r":2,"Qs":[1000000],"Ks":[1000]}'],
     ])
     def test_oversized_work_refused_up_front(self, argv, no_ring, capsys):
         assert main(argv) == 2
@@ -224,6 +226,8 @@ class TestUsageErrors:
         assert main(["jr-mod", "--q", "5", "--r", "2", "--K", "6"]) == 2
         assert "K out of range" in capsys.readouterr().err
         assert main(["ring-info", "--q", "1"]) == 2
+        assert main(["ring-info", "--q", "2000000011"]) == 2
+        assert "dimension too large" in capsys.readouterr().err
 
     def test_argparse_rejects_unknown_choice(self):
         with pytest.raises(SystemExit) as info:

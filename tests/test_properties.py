@@ -65,13 +65,16 @@ def test_unit_window_matches_gather_on_every_unit(data):
     q = data.draw(MODULI, label="q")
     m_iv = data.draw(windows(q), label="M")
     n_iv = data.draw(windows(q), label="N")
+    l_iv = IntervalSet(data.draw(st.integers(-q, q), label="L start"), q)  # every residue
     ring = build_ring(q)
     _unit_window.cache_clear()
-    window = _unit_window(ring, m_iv, n_iv)
-    gathered = _window_gather(ring, ring.units, m_iv, n_iv)
+    window = _unit_window(ring, l_iv, m_iv, n_iv)
+    members = l_iv.members()
+    units = ring.unit_mask[members % q]
+    gathered = _window_gather(ring, members[units], m_iv, n_iv)
     tol = 1e-9 * m_iv.length * n_iv.length * ring.phi
-    assert np.max(np.abs(window[ring.units] - gathered)) <= tol
-    assert np.all(window[~ring.unit_mask] == 0)
+    assert np.max(np.abs(window[units] - gathered)) <= tol
+    assert np.all(window[~units] == 0)
     assert not window.flags.writeable
 
 
@@ -209,6 +212,12 @@ def test_exact_convolution_matches_shifted_sum(shape, seed, density, kind):
     for j in zip(*np.nonzero(a)):
         oracle += a[j] * np.roll(b, j, axis=tuple(range(len(shape))))
     got, residual = _lattice_convolution(a, b, shape)
+    at = rng.integers(0, got.size, 5)
+    assert np.array_equal(_lattice_convolution(a, b, shape, at=at)[0], got.reshape(-1)[at])
+    # a self-convolution transforms a once, with the same bits as two copies
+    square, square_residual = _lattice_convolution(a, a, shape)
+    assert np.array_equal(square, _lattice_convolution(a, a.copy(), shape)[0])
+    assert square_residual == _lattice_convolution(a, a.copy(), shape)[1]
     if kind == "int":
         assert got.dtype == np.int64 and np.array_equal(got, oracle)
         assert residual is None or residual < 0.25

@@ -16,7 +16,7 @@ from kforms import (
     interval_phase_sum,
     mod_inverse,
 )
-from kforms.ring import MAX_MODULUS, ResidueRing, _dft_naive
+from kforms.ring import MAX_MODULUS, ResidueRing, _dft_naive, _dots_at, _lattice_convolution
 
 
 def brute_phi(q):
@@ -298,3 +298,17 @@ class TestModulusBound:
         for q in (MAX_MODULUS + 1, 10**12):
             with pytest.raises(ValueError, match="modulus too large"):
                 build_ring(q)
+        with pytest.raises(ValueError, match="dimension too large"):
+            build_ring(2_000_000_011)
+
+
+class TestDotsAt:
+    @pytest.mark.parametrize("n", [2, 6, 22, 1000])
+    def test_matches_the_fft_at_pairs_and_singletons(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        full, _ = _lattice_convolution(a, b, (n,))
+        at = rng.integers(0, n, 7)
+        at = np.concatenate([at, (at[:3] + n // 2) % n, [0, n - 1]])
+        assert np.max(np.abs(_dots_at(a, b, at) - full[at])) <= 1e-12 * np.abs(a).sum()
+        assert _dots_at(a, b, at[:0]).shape == (0,)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kforms.ring
 from kforms import (
     IntervalSet,
     TrilinearInstance,
@@ -346,19 +347,63 @@ class TestOneWindowPerInstance:
         assert _unit_window.cache_info().misses == 1
 
 
+def windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, costs):
+    """_unit_window under each _DOT_COST in costs, with the number of
+    _dots_at calls each made."""
+    dots_at = kforms.ring._dots_at
+    calls = []
+    monkeypatch.setattr(kforms.ring, "_dots_at", lambda *args: calls.append(1) or dots_at(*args))
+    out = []
+    for cost in costs:
+        monkeypatch.setattr(kforms.ring, "_DOT_COST", cost)
+        calls.clear()
+        _unit_window.cache_clear()
+        out.append((_unit_window(ring, l_iv, m_iv, n_iv), len(calls)))
+    _unit_window.cache_clear()
+    return out
+
+
+def assert_match_gather(ring, windows, l_iv, m_iv, n_iv, rtol):
+    """Each window within rtol * max|W| of the gather at every unit member,
+    0 at the rest, and read-only."""
+    members = l_iv.members()
+    units = ring.unit_mask[members % ring.q]
+    gathered = _window_gather(ring, members[units], m_iv, n_iv)
+    for window in windows:
+        assert np.max(np.abs(window[units] - gathered)) <= rtol * np.max(np.abs(window))
+        assert np.all(window[~units] == 0) and not window.flags.writeable
+
+
 class TestUnitWindowAtScale:
     @pytest.mark.parametrize("q", [100003, 10**6 + 3])
-    def test_matches_gather_on_seeded_units(self, q):
+    def test_both_branches_match_gather_on_every_member(self, q, monkeypatch):
+        # 48 members from q-2 through 0 (a non-unit) to 45: the default rule
+        # reads them by dots, and the priced-out dots send them to the FFT
         ring = build_ring(q)
         side = math.isqrt(q)
-        m_iv, n_iv = IntervalSet(-5, side), IntervalSet(17, side)
-        rng = np.random.default_rng(q)
-        units = np.concatenate([[1, 2, q - 2, q - 1], rng.choice(ring.units, 16)])
-        _unit_window.cache_clear()
-        window = _unit_window(ring, m_iv, n_iv)
-        gathered = _window_gather(ring, units, m_iv, n_iv)
-        assert np.max(np.abs(window[units] - gathered)) <= 1e-13 * np.max(np.abs(window))
-        _unit_window.cache_clear()
+        l_iv, m_iv, n_iv = IntervalSet(q - 3, 48), IntervalSet(-5, side), IntervalSet(17, side)
+        costs = (kforms.ring._DOT_COST, math.inf)
+        (dots, dot_calls), (fft, fft_calls) = windows_by_branch(
+            monkeypatch, ring, l_iv, m_iv, n_iv, costs
+        )
+        assert (dot_calls, fft_calls) == (1, 0)
+        assert_match_gather(ring, (dots, fft), l_iv, m_iv, n_iv, 1e-13)
+
+    @pytest.mark.parametrize("q, dot_calls", [(2 * 3**7, 1), (2310, 0)])
+    def test_non_units_read_zero(self, q, dot_calls, monkeypatch):
+        # 4374 has a one-axis unit lattice, where a zero cost forces the dots;
+        # 2310 a five-axis one, which never takes them; L wraps past 0
+        ring = build_ring(q)
+        l_iv, m_iv, n_iv = IntervalSet(-7, 60), IntervalSet(3, 40), IntervalSet(-20, 50)
+        branches = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, (0.0, math.inf))
+        assert [calls for _, calls in branches] == [dot_calls, 0]
+        assert_match_gather(ring, [w for w, _ in branches], l_iv, m_iv, n_iv, 1e-13)
+        members = l_iv.members()
+        off_units = ~ring.unit_mask[members % q]
+        assert np.allclose(
+            window_sums(ring, l_iv, m_iv, n_iv)[off_units],
+            _window_gather(ring, members[off_units], m_iv, n_iv),
+        )
 
 
 class TestInstanceValidation:
