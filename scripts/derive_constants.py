@@ -4,13 +4,22 @@
 Runs the documented grids once, records the observed extreme ratios and the
 fitted reciprocal-count exponent, and writes tests/fixtures/locked_constants.json.
 The computations are deterministic, so a rerun reproduces the stored values;
-regenerate only when a grid is deliberately changed.
+regenerate only when a grid or a reference is deliberately changed.
+
+    PYTHONPATH=src python scripts/derive_constants.py          # rewrite the file
+    PYTHONPATH=src python scripts/derive_constants.py --check  # compare only
+
+With --check nothing is written: every key whose recomputed value differs
+from the file is printed with its old and new value, and the exit status is
+1 if any differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -49,7 +58,34 @@ def thm1_extremal_ratios(q_lo: int, q_hi: int) -> list[float]:
     return ratios
 
 
-def main() -> None:
+def flatten(payload: dict, prefix: str = "") -> dict:
+    """{"a": {"b": 1}} as {"a.b": 1}, so that nested keys compare one by one."""
+    out = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            out.update(flatten(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def check(payload: dict) -> int:
+    """Print every key whose value differs from the locked file; 1 if any does."""
+    old = flatten(json.loads(OUT.read_text()))
+    new = flatten(json.loads(json.dumps(payload)))  # the values as the file would hold them
+    differing = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    for key in differing:
+        print(f"  {key}: {old.get(key, '(absent)')} -> {new.get(key, '(absent)')}")
+    print(f"{len(differing)} key(s) differ from {OUT}")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true", help="compare with the locked file; write nothing"
+    )
+    args = parser.parse_args()
     t0 = time.perf_counter()
     lemma21 = verify_lemma_sweeps("2.1")
     lemma22 = verify_lemma_sweeps("2.2")
@@ -68,7 +104,7 @@ def main() -> None:
     payload = {
         "locked_utc": "2026-08-10",
         "grids": DEFAULT_GRIDS,
-        "c1_fourth_moment_over_h2": lock(max_ratio(lemma21)),
+        "c1_fourth_moment_ratio": lock(max_ratio(lemma21)),
         "c2_j2_mod_ratio": lock(max_ratio(lemma23)),
         "c3_energy_ratio": lock(max_ratio(lemma22)),
         "c4_thm1_extremal_ratio": lock(max(thm1)),
@@ -84,13 +120,16 @@ def main() -> None:
             "thm1_cases": len(thm1),
         },
     }
+    if args.check:
+        return check(payload)
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT} in {time.perf_counter() - t0:.1f}s")
     for key, value in payload.items():
         if key not in ("grids", "observed"):
             print(f"  {key}: {value}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

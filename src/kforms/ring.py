@@ -325,10 +325,14 @@ def _unit_group(q: int, primes: list[tuple[int, int]], units: np.ndarray) -> Cha
     char_count = math.prod(orders)
     if char_count != units.size:
         raise AssertionError(f"character count {char_count} != phi {units.size}")
-    shape = orders or (1,)
-    digits = [f.dlog[units % f.modulus] for f in factors] or [np.zeros_like(units)]
-    log_index = np.full(q, -1, dtype=np.int64)
-    log_index[units] = np.ravel_multi_index(digits, shape)
+    if len(factors) == 1 and factors[0].modulus == q:
+        log_index = factors[0].dlog  # one cyclic factor mod q: its logs are the flat index
+    else:
+        digits = [f.dlog[units % f.modulus] for f in factors] or [np.zeros_like(units)]
+        log_index = np.full(q, -1, dtype=np.int64)
+        log_index[units] = np.ravel_multi_index(digits, orders or (1,))
+    for array in (log_index, *(f.dlog for f in factors)):
+        array.flags.writeable = False  # log_index may be a factor's own dlog
     return CharacterTable(q, tuple(factors), orders, char_count, math.lcm(*orders), log_index)
 
 

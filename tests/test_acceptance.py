@@ -165,7 +165,7 @@ def test_criterion_6_exact_counts():
 def test_criterion_7_lemma_ratio_envelopes(locked):
     result21 = verify_lemma_sweeps("2.1")
     max21 = max(r.ratio for r in result21.reports)
-    assert max21 <= locked["c1_fourth_moment_over_h2"]
+    assert max21 <= locked["c1_fourth_moment_ratio"]
 
     result23 = verify_lemma_sweeps("2.3")
     max23 = max(r.ratio for r in result23.reports)
@@ -179,7 +179,7 @@ def test_criterion_7_lemma_ratio_envelopes(locked):
     max25 = max(r.ratio for r in result25.reports)
     assert max25 <= locked["c5_average_j_ratio"]
     report(7, f"lemma ratios within locked envelopes "
-              f"(C1 {max21:.6g} <= {locked['c1_fourth_moment_over_h2']}, "
+              f"(C1 {max21:.6g} <= {locked['c1_fourth_moment_ratio']}, "
               f"C2 {max23:.6g} <= {locked['c2_j2_mod_ratio']}, "
               f"C3 {max22:.6g} <= {locked['c3_energy_ratio']})")
 

@@ -10,9 +10,13 @@ import kforms.ring
 import kforms.sweeps
 from kforms import (
     BoundReport,
+    IntervalSet,
     SweepResult,
+    build_characters,
+    build_ring,
     emit_report,
     fit_exponent,
+    fourth_moment,
     read_report,
     verify_lemma_sweeps,
     verify_thm1_sweep,
@@ -232,22 +236,38 @@ class TestSweepControls:
 
     def test_moment_grid_lets_each_ring_go(self, monkeypatch):
         # the 2.1 cells keep only the character table, not the ring
-        rings = []
-        build, moment = kforms.sweeps.build_ring, kforms.sweeps.fourth_moment
+        rings, counted = [], []
+        build, count = kforms.sweeps.build_ring, kforms.sweeps._product_energy
 
         def tracked(q):
             ring = build(q)
             rings.append(weakref.ref(ring))
             return ring
 
-        def released(table, interval):
+        def released(table, a_interval, b_interval):
             assert all(ref() is None for ref in rings)
-            return moment(table, interval)
+            counted.append(table.q)
+            return count(table, a_interval, b_interval)
 
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
-        monkeypatch.setattr(kforms.sweeps, "fourth_moment", released)
+        monkeypatch.setattr(kforms.sweeps, "_product_energy", released)
         result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 10]})
         assert len(rings) == 2 and len(result.reports) == 4
+        assert counted == [101, 101, 103, 103]
+
+    @pytest.mark.parametrize(
+        "lemma_grid",
+        [kforms.sweeps.DEFAULT_GRIDS["2.1"], {"qs": [100003], "ks": [0], "Hs": [316]}],
+        ids=["default", "q100003"],
+    )
+    def test_moment_cells_match_the_character_sums(self, lemma_grid):
+        # the cells read the count; the character route must give the same moment
+        result = verify_lemma_sweeps("2.1", lemma_grid)
+        assert len(result.reports) > 0
+        for report in result.reports:
+            q, k, H = (report.params[key] for key in ("q", "k", "H"))
+            moment = fourth_moment(build_characters(build_ring(q)), IntervalSet(k, H))
+            assert abs(report.measured - moment) <= 1e-12 * moment, (q, k, H)
 
     def test_moment_cell_leaves_the_inverse_unbuilt(self, monkeypatch):
         rings, build = [], kforms.sweeps.build_ring

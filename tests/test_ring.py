@@ -55,6 +55,20 @@ class TestBuildRing:
             assert bool(ring.unit_mask[x]) == (math.gcd(x, 90) == 1)
         assert int(ring.unit_mask.sum()) == ring.phi
 
+    @pytest.mark.parametrize("q", [3, 4, 9, 2503, 3**7, 2 * 3**5, 8, 360, 2310, 100003])
+    def test_log_index_is_the_crt_index_and_read_only(self, q):
+        # a one-factor group shares its factor's dlog table; every group's
+        # flat index must equal the mixed-radix CRT construction
+        ring = build_ring(q)
+        table = ring.characters
+        digits = [f.dlog[ring.units % f.modulus] for f in table.factors]
+        expected = np.full(q, -1, dtype=np.int64)
+        expected[ring.units] = np.ravel_multi_index(digits, table.shape)
+        assert table.log_index.dtype == expected.dtype
+        assert np.array_equal(table.log_index, expected)
+        assert not table.log_index.flags.writeable
+        assert not any(f.dlog.flags.writeable for f in table.factors)
+
 
 class TestModInverse:
     def test_examples(self):
