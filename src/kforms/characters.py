@@ -97,6 +97,12 @@ def fourth_moment(table: CharacterTable, interval: IntervalSet) -> float:
     return float(np.sum(power * power))
 
 
+def fourth_moment_reference(table: CharacterTable, H: int) -> float:
+    """phi(q) (H^2 (1 + ln H) + H^4/q): the divisor-type bound of Ayyad, Cochrane
+    and Zheng (J. Number Theory 59, 1996) on the fourth moment at length H."""
+    return table.char_count * (H * H * (1 + math.log(H)) + H**4 / table.q)
+
+
 def moment_identity_check(
     table: CharacterTable, interval: IntervalSet
 ) -> tuple[float, float]:

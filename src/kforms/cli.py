@@ -16,7 +16,7 @@ import math
 import sys
 import time
 
-from .characters import moment_identity_check
+from .characters import fourth_moment_reference, moment_identity_check
 from .counts import (
     multiplicative_energy,
     reciprocal_count_rational,
@@ -73,7 +73,7 @@ def cmd_ksum(args) -> SweepResult:
 def cmd_ksum2(args) -> SweepResult:
     t0 = time.perf_counter()
     if args.naive:
-        check_work(euler_phi(args.q) ** 2, "phi^2")
+        check_work(4 * euler_phi(args.q) ** 2, "4*phi^2 double_naive words")  # 32 B a pair
     ring = build_ring(args.q)
     fn = double_naive if args.naive else double_fast
     value = fn(ring, args.l, args.m, args.n)
@@ -88,7 +88,7 @@ def cmd_trilinear(args) -> SweepResult:
     t0 = time.perf_counter()
     if args.naive:
         lengths = [resolve_interval(spec, args.q).length for spec in (args.L, args.M, args.N)]
-        check_work(math.prod(lengths) * euler_phi(args.q) ** 2, "L*M*N*phi^2")
+        check_work(4 * math.prod(lengths) * euler_phi(args.q) ** 2, "4*L*M*N*phi^2")
     instance = build_instance(args.q, args.L, args.M, args.N, args.weights, args.seed)
     value = trilinear_naive(instance) if args.naive else trilinear_fast(instance)
     print(f"S_q = {_fmt(value)}   |S_q| = {_fmt(abs(value))}")
@@ -144,10 +144,11 @@ def cmd_char_moment(args) -> SweepResult:
     table = build_ring(args.q).characters
     interval = IntervalSet(args.k, args.H)
     moment, twin = moment_identity_check(table, interval)
+    reference = fourth_moment_reference(table, args.H)
     print(f"fourth moment = {_fmt(moment)}   orthogonality twin = {_fmt(twin)}")
-    print(f"moment / H^2 = {_fmt(moment / args.H ** 2)}")
+    print(f"moment / reference = {_fmt(moment / reference)}")
     params = {"q": args.q, "k": args.k, "H": args.H}
-    return _one_report(t0, params, moment, float(args.H**2))
+    return _one_report(t0, params, moment, reference)
 
 
 def cmd_proof_trace(args) -> SweepResult:

@@ -37,8 +37,6 @@ from .ring import (
     cyclic_dft,
 )
 
-# Cap on r * K^r states for the exact rational tally.
-DEFAULT_RATIONAL_BUDGET = 40_000_000
 
 @dataclass(frozen=True)
 class CountReport:
@@ -131,6 +129,16 @@ def _j_bound(ring: ResidueRing, r: int, K: int) -> float | None:
     return None
 
 
+def _check_r_k(r: int, K: int, top: float) -> None:
+    """1 <= K <= top, and 1 <= r <= 63: past 63, K^r > 2^63 for all K >= 2."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if r > 63:
+        raise ValueError(f"dimension too large: r = {r} exceeds 63, where K^r > 2^63")
+    if not 1 <= K <= top:
+        raise ValueError(f"K out of range: need 1 <= K <= {top}, got {K}")
+
+
 def _reciprocal_count(q: int, inverses, r: int) -> tuple[int, float | None]:
     """sum_s w(s)^2 for w the r-fold cyclic self-convolution mod q of the
     indicator of the inverses, with the largest FFT residual on the way."""
@@ -155,20 +163,14 @@ def reciprocal_count_mod(ring: ResidueRing, r: int, K: int) -> CountReport:
     Computed by r-fold exact cyclic self-convolution of the inverse
     indicator, then summing squares.
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if not 1 <= K <= ring.q:
-        raise ValueError(f"K out of range: need 1 <= K <= q = {ring.q}, got {K}")
+    _check_r_k(r, K, ring.q)
     value, residual = _reciprocal_count(ring.q, _unit_inverses_upto(ring, K), r)
     return _count_report(value, _j_bound(ring, r, K), residual)
 
 
 def reciprocal_count_naive(ring: ResidueRing, r: int, K: int) -> int:
     """O(K^r) tally oracle for reciprocal_count_mod."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if not 1 <= K <= ring.q:
-        raise ValueError(f"K out of range: need 1 <= K <= q = {ring.q}, got {K}")
+    _check_r_k(r, K, ring.q)
     inverses = [
         int(ring.inv_table[x]) for x in range(1, K + 1) if ring.unit_mask[x % ring.q]
     ]
@@ -197,17 +199,12 @@ def reciprocal_count_rational(r: int, K: int) -> CountReport:
     """Number of 2r-tuples in [1, K] whose reciprocal sums agree exactly over
     the rationals.  Builds the K^r left-side sums as lowest-terms
     (numerator, denominator) pairs and counts equal pairs; reference is K^r.
-    Refused when r*K^r exceeds DEFAULT_RATIONAL_BUDGET.
     """
-    if r < 1 or K < 1:
-        raise ValueError(f"need r >= 1 and K >= 1, got r={r}, K={K}")
-    if r * K**r > DEFAULT_RATIONAL_BUDGET:
-        raise ValueError(
-            f"budget exceeded: r*K^r = {r * K ** r} > {DEFAULT_RATIONAL_BUDGET}"
-        )
+    _check_r_k(r, K, math.inf)
+    check_work(8 * K**r, "8*K^r state words")  # 42-54 B per state
     # Every denominator divides a product of r values <= K, so it is at most
-    # K^r, and every sum is at most r: the numerators are at most r*K^r, and
-    # the key num*(max den + 1) + den stays below (r*K^r)^2 <= 1.6e15.
+    # S = K^r <= 3.2e7 (8 words a state), and every sum is at most r <= 63: the
+    # key num*(max den + 1) + den is at most r*S*(S + 1) + S < 6.2e16 < 2^63.
     xs = np.arange(1, K + 1, dtype=np.int64)
     num, den = np.ones(K, dtype=np.int64), xs
     for _ in range(r - 1):

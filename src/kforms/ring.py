@@ -30,10 +30,12 @@ import numpy as np
 # needs q^2 < 2^63.
 MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 
-# Guard against work out of desk scale: the modulus of a ring, L*q for a
-# trilinear instance, the CLI brute-force paths' L*M*N*phi^2 and phi^2, the
-# pairs of a lattice convolution's pairwise tally and a Lemma 2.5 cell.
-DEFAULT_WORK_BUDGET = 500_000_000
+# The one size refusal, check_work: the call that does the work prices its
+# peak in 8-byte words (per residue, pair, state or point, measured and
+# rounded up) or the elements its loops touch, before it allocates.  2.5*10^8
+# words are 1.9 GiB: on an 8 GB machine the largest admitted ring-info,
+# ksum2 --naive, proof-trace and trilinear peak at 1.7-2.1 GiB RSS.
+DEFAULT_WORK_BUDGET = 250_000_000
 
 # An integer FFT result is certified only if its exact total sum(a) * sum(b),
 # and so every entry, is at most 2^52, where float64 spacing is at most 1,
@@ -161,6 +163,7 @@ def _lattice_convolution(
     ):
         return _dots_at(a, b, at), None
     else:
+        check_work(7 * points, "7*points FFT words")  # 32-56 B per padded point
         axes = tuple(range(len(shape)))
         real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
         forward, inverse = (np.fft.rfftn, np.fft.irfftn) if real else (np.fft.fftn, np.fft.ifftn)
@@ -401,14 +404,14 @@ class ResidueRing:
 
 def build_ring(q: int) -> ResidueRing:
     """Build the full arithmetic context for Z_q.  Requires 2 <= q <= MAX_MODULUS
-    and q within the work budget, both checked before anything is allocated."""
+    and its 7*q words within the work budget, checked before any allocation."""
     if q < 2:
         raise ValueError(f"modulus too small: need q >= 2, got {q}")
     if q > MAX_MODULUS:
         raise ValueError(
             f"modulus too large: need q <= {MAX_MODULUS} for int64 products, got {q}"
         )
-    check_work(q, "modulus")
+    check_work(7 * q, "7*q ring words")  # 23-50 B per residue, inv_table included
     primes = factorize(q)
     unit_mask = np.ones(q, dtype=bool)
     for p, _ in primes:

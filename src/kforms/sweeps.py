@@ -8,11 +8,10 @@ before each cell: once the budget is spent it stops and marks the result
 truncated, and a sweep that ran every cell is never truncated.  A cell
 already running is not interrupted.  Rings and character tables are built
 inside the first cell that needs them, once per modulus, so a spent budget
-builds none.  Trilinear instances whose work L*q exceeds DEFAULT_WORK_BUDGET
-are refused before any table is built.  A Lemma 2.1 cell reads the fourth
-moment of the character sums off its exact orthogonality count, phi(q)
-times the multiplicative energy of the interval's units, so it needs the
-character table alone and no character sum.
+builds none.  A Lemma 2.1 cell reads the fourth moment of the character
+sums off its exact orthogonality count, phi(q) times the multiplicative
+energy of the interval's units, so it needs the character table alone and
+no character sum.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import hashlib
 import math
 import time
 
-from .characters import build_characters
+from .characters import build_characters, fourth_moment_reference
 from .counts import (
     _product_energy,
     average_reciprocal_sweep,
@@ -31,7 +30,7 @@ from .counts import (
     reciprocal_count_rational,
 )
 from .reports import BoundReport, SweepResult, fit_exponent, make_report, with_params
-from .ring import IntervalSet, build_ring, check_work
+from .ring import IntervalSet, build_ring
 from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
 
 DEFAULT_GRIDS = {
@@ -127,13 +126,8 @@ def build_instance(
     q: int, l_spec, m_spec, n_spec, mode: str = "ones", seed: int = 0
 ) -> TrilinearInstance:
     """The weighted trilinear instance for modulus q: the three windows from
-    their specs, the ring, and weights seeded by stable_seed(seed, q).
-
-    An instance whose fast-path work L*q exceeds DEFAULT_WORK_BUDGET is
-    refused before any table is built.
-    """
+    their specs, the ring, and weights seeded by stable_seed(seed, q)."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
-    check_work(l_int.length * q, "L*q")
     ring = build_ring(q)
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int
@@ -213,20 +207,16 @@ def allowed_exceptions(Q: int, r: int, epsilon: float) -> float:
 def _moment_cell(tables, q: int, k: int, H: int) -> BoundReport:
     """sum_chi |sum_{x in I} chi(x)|^4 for I = IntervalSet(k, H), read off its
     orthogonality twin phi(q) * #{x1*x2 = x3*x4 mod q: x_i units of I}, an
-    exact count (fourth_moment computes the same from the character sums).
-
-    The reference phi(q) * (H^2 (1 + ln H) + H^4/q) is taken from the
-    divisor-type bound on that count of Ayyad, Cochrane and Zheng (J. Number
-    Theory 59, 1996), since PAPER.md holds only the source paper's abstract.
+    exact count (fourth_moment computes the same from the character sums),
+    against fourth_moment_reference.
     """
     t0 = time.perf_counter()
     table, interval = tables(q), IntervalSet(k, H)
     quadruples, _ = _product_energy(table, interval, interval)
-    phi = table.char_count
     return make_report(
         params={"q": q, "k": k, "H": H},
-        measured=float(phi * quadruples),
-        reference=phi * (H * H * (1 + math.log(H)) + H**4 / q),
+        measured=float(table.char_count * quadruples),
+        reference=fourth_moment_reference(table, H),
         t0=t0,
     )
 

@@ -39,6 +39,7 @@ from .ring import (
     _from_lattice,
     _lattice_convolution,
     _to_lattice,
+    check_work,
     cyclic_dft,
     interval_phase_sum,
 )
@@ -323,6 +324,8 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     n_len = instance.n_interval.length
     if m_len > q or n_len > q:
         raise ValueError("trace needs M, N <= q")
+    # 2 complex T maps per M-side level; 412-604 B per residue at q ~ 10^6
+    check_work((48 + 4 * _level_count(m_len)) * q, "(48 + 4*levels)*q trace words")
 
     dec = dyadic_decomposition(ring, m_len, n_len)
     # every unit is in one level set per side, and only units are read

@@ -86,6 +86,16 @@ class TestSingleValueCommands:
         assert main(["char-moment", "--q", "5", "--H", "2"]) == 0
         assert "fourth moment = 24" in capsys.readouterr().out
 
+    def test_char_moment_ratio_matches_the_lemma_cell(self, capsys):
+        assert main(["char-moment", "--q", "1997", "--k", "0", "--H", "1997",
+                     "--format", "json", "--out", "-"]) == 0
+        out = capsys.readouterr().out
+        ratio = json.loads(out[out.index("\n[") + 1:])[0]["ratio"]
+        grid = {"qs": [1997], "ks": [0], "Hs": [1997]}
+        cell = kforms.verify_lemma_sweeps("2.1", grid).reports[0]
+        assert ratio == pytest.approx(cell.ratio, rel=1e-12)
+        assert 0.99 < ratio < 1
+
     def test_proof_trace(self, capsys):
         code = main([
             "proof-trace", "--q", "101", "--r", "2",
@@ -200,19 +210,42 @@ def no_ring(monkeypatch):
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
-        # L*M*N*phi^2 ~ 1.0e9
+        # 4*L*M*N*phi^2 ~ 4.1e9
         ["trilinear", "--q", "1009", "--L", "0:10", "--M", "0:10", "--N", "0:10", "--naive"],
-        # phi^2 ~ 1.0e10
+        # 4*phi^2 ~ 4.0e10
         ["ksum2", "--q", "100003", "--l", "1", "--m", "1", "--n", "1", "--naive"],
-        # L*q ~ 1.0e9
-        ["trilinear", "--q", "1000003", "--L", "0:1000"],
-        ["proof-trace", "--q", "1000003", "--L", "0:1000"],
+        # 4*phi^2 ~ 2.0e9: double_naive holds 32 B per pair
+        ["ksum2", "--q", "22343", "--l", "1", "--m", "1", "--n", "1", "--naive"],
+        # 8*K^r = 8.0e9 rational-tally words
+        ["jr-rat", "--r", "3", "--K", "1000"],
         # 10^6 + 1 moduli, each with a convolution of length ~2*10^6
         ["verify-lemma", "--lemma", "2.5", "--grid", '{"r":2,"Qs":[1000000],"Ks":[1000]}'],
     ])
     def test_oversized_work_refused_up_front(self, argv, no_ring, capsys):
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, module, name", [
+        # 7*q ring words ~ 3.5e9, refused before the modulus is factorized
+        (["ring-info", "--q", "499999993"], kforms.ring, "factorize"),
+        # (48 + 4*8)*q trace words ~ 8.0e8, refused before the level sets
+        (["proof-trace", "--q", "10000019", "--L", "0:10", "--M", "0:3162", "--N", "0:3162"],
+         kforms.trilinear, "dyadic_decomposition"),
+        # r past 63, refused before the first rational or modular step
+        (["jr-rat", "--r", "40000000", "--K", "1"], kforms.counts, "np"),
+        (["jr-mod", "--q", "97", "--r", "100000000", "--K", "1"],
+         kforms.counts, "_unit_inverses_upto"),
+    ])
+    def test_refused_before_the_work(self, argv, module, name, monkeypatch, capsys):
+        monkeypatch.setattr(module, name, None)  # any use raises a TypeError or AttributeError
+        assert main(argv) == 2
+        assert "dimension too large" in capsys.readouterr().err
+
+    def test_long_weight_interval_runs(self, capsys):
+        # the window is O(phi log phi) whatever L is
+        assert main(["trilinear", "--q", "1000003", "--L", "0:1000", "--M", "0:5",
+                     "--N", "0:5"]) == 0
+        assert "S_q = " in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["char-moment", "--q", "97", "--H", "100000000000"],

@@ -198,8 +198,21 @@ class TestReciprocalCountRational:
         assert reciprocal_count_rational(r, K).value == expected
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError, match="budget exceeded"):
+        with pytest.raises(ValueError, match="dimension too large"):
             reciprocal_count_rational(3, 1000)
+
+    def test_largest_admitted_keys_fit_int64(self):
+        # the largest K the work budget admits for each r the bound admits
+        for r in range(1, 64):
+            K = round((kforms.ring.DEFAULT_WORK_BUDGET / 8) ** (1 / r)) + 1
+            while 8 * K**r > kforms.ring.DEFAULT_WORK_BUDGET:
+                K -= 1
+            with pytest.raises(ValueError, match="dimension too large"):
+                reciprocal_count_rational(r, K + 1)
+            states = K**r
+            assert r * states * (states + 1) + states < 2**63, (r, K)
+        with pytest.raises(ValueError, match="dimension too large"):
+            reciprocal_count_rational(64, 1)
 
     def test_monotone_in_k(self):
         values = [reciprocal_count_rational(2, K).value for K in range(1, 12)]
@@ -273,6 +286,15 @@ class TestExactConvolution:
         assert residual is None and np.array_equal(got, oracle)
         with pytest.raises(ValueError, match="exceeds int64"):
             _lattice_convolution(np.array([2**40]), np.array([2**40]), (1,))
+
+    def test_fft_over_the_work_budget_is_refused(self, monkeypatch):
+        # 7 words per padded point: 2025000 points at n = 1000002
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * 2025000 - 1)
+        a = np.ones(1000002)
+        with pytest.raises(ValueError, match="dimension too large"):
+            _lattice_convolution(a, a, a.shape)
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * 2025000)
+        assert np.allclose(_lattice_convolution(a, a, a.shape)[0], a.size)
 
     def test_fallback_over_the_work_budget_is_refused(self, monkeypatch):
         monkeypatch.setattr(kforms.ring, "_RESIDUAL_LIMIT", 0.0)

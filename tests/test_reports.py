@@ -198,13 +198,14 @@ class TestSweepControls:
             verify_thm2_sweep(20, 1, "0:4", "0:4", "0:4")
 
     def test_work_budget_guard(self, monkeypatch):
-        # L*q ~ 1.0e9 exceeds the default budget before any ring is built
+        # 7*q ring words ~ 2.8e8 exceed the default budget: the ring is
+        # refused before its modulus is factorized
         def refuse(q):
-            raise AssertionError(f"build_ring({q}) reached")
+            raise AssertionError(f"factorize({q}) reached")
 
-        monkeypatch.setattr(kforms.sweeps, "build_ring", refuse)
+        monkeypatch.setattr(kforms.ring, "factorize", refuse)
         with pytest.raises(ValueError, match="dimension too large"):
-            verify_thm1_sweep([1000003], "0:1000", "0:5", "0:5")
+            verify_thm1_sweep([40000003], "0:5", "0:5", "0:5")
 
     def test_spent_budget_runs_no_lemma_cell(self):
         result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [100]}, budget_ms=0)
