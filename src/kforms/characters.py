@@ -97,10 +97,11 @@ def fourth_moment(table: CharacterTable, interval: IntervalSet) -> float:
     return float(np.sum(power * power))
 
 
-def fourth_moment_reference(table: CharacterTable, H: int) -> float:
-    """phi(q) (H^2 (1 + ln H) + H^4/q): the divisor-type bound of Ayyad, Cochrane
-    and Zheng (J. Number Theory 59, 1996) on the fourth moment at length H."""
-    return table.char_count * (H * H * (1 + math.log(H)) + H**4 / table.q)
+def fourth_moment_reference(q: int, phi: int, H: int) -> float:
+    """phi (H^2 (1 + ln H) + H^4/q), phi = phi(q), from q and phi alone: the
+    divisor-type bound of Ayyad, Cochrane and Zheng (J. Number Theory 59,
+    1996) on the fourth moment mod q at length H."""
+    return phi * (H * H * (1 + math.log(H)) + H**4 / q)
 
 
 def moment_identity_check(
@@ -113,5 +114,5 @@ def moment_identity_check(
     """
     from .counts import _product_energy  # counts imports this module
 
-    quadruples, _ = _product_energy(table, interval, interval)
+    quadruples, _ = _product_energy(table.q, interval, interval, lambda: table)
     return fourth_moment(table, interval), float(table.char_count * quadruples)

@@ -144,7 +144,7 @@ def cmd_char_moment(args) -> SweepResult:
     table = build_ring(args.q).characters
     interval = IntervalSet(args.k, args.H)
     moment, twin = moment_identity_check(table, interval)
-    reference = fourth_moment_reference(table, args.H)
+    reference = fourth_moment_reference(args.q, table.char_count, args.H)
     print(f"fourth moment = {_fmt(moment)}   orthogonality twin = {_fmt(twin)}")
     print(f"moment / reference = {_fmt(moment / reference)}")
     params = {"q": args.q, "k": args.k, "H": args.H}

@@ -4,15 +4,19 @@ mod q or equal over Q, and the dyadic average of the modular counts.
 
 Each modular count is the sum of the squared entries of an exact cyclic
 convolution of non-negative integer count vectors: over Z_q for sums of
-inverses, and over the ring's unit-group lattice for products of units.
-The package's one lattice kernel, ring._lattice_convolution, computes them,
-by a pairwise tally on sparse supports and otherwise by a real FFT (the
+inverses, and over the unit-group lattice for products of units.  The
+package's one lattice kernel, ring._lattice_convolution, computes them, by
+a pairwise tally on sparse supports and otherwise by a real FFT (the
 longest rough axis zero-padded to a 5-smooth length >= 2n) whose rounded
 result is accepted only under a certificate: a total of at most 2^52, a
 residual max|c - rint c| below 1/4 and an exact total.  A result that
-fails it is recounted by the tally.  The rational count keys
-lowest-terms fractions in int64.  Sums of squares are exact: in int64
-only where no overflow is possible, in Python ints otherwise.
+fails it is recounted by the tally.  The product energy is priced by the
+same rule before anything of size q exists: where the tally is cheaper it
+multiplies the unit residues mod q, with no ring, character table or
+discrete log, so a short interval is counted at any q up to MAX_MODULUS.
+The rational count keys lowest-terms fractions in int64.  Sums of squares
+are exact: in int64 only where no overflow is possible, in Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -31,10 +35,16 @@ from .ring import (
     CharacterTable,
     IntervalSet,
     ResidueRing,
+    _PAIR_COST,
+    _check_modulus,
+    _fft_plan,
     _lattice_convolution,
+    _lattice_shape,
+    _pair_tally,
     _to_lattice,
     check_work,
     cyclic_dft,
+    factorize,
 )
 
 
@@ -69,14 +79,66 @@ def _sum_of_squares(counts: np.ndarray) -> int:
     return sum(c * c for c in counts[counts > 0].tolist())
 
 
+def _unit_count(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) -> int:
+    """How many distinct unit residues mod q the interval holds (primes is
+    q's factorization): inclusion-exclusion over q's primes on at most q
+    consecutive members."""
+    lo = interval.start
+    hi = lo + min(interval.length, q)
+    terms = [(1, 1)]
+    for p, _ in primes:
+        terms += [(d * p, -sign) for d, sign in terms]
+    return sum(sign * (hi // d - lo // d) for d, sign in terms)
+
+
+def _unit_residues(
+    interval: IntervalSet, q: int, primes: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The interval's distinct unit residues mod q (primes is q's
+    factorization) and how many of its members fall on each."""
+    check_work(interval.length, "interval length")
+    full, extra = divmod(interval.length, q)
+    offsets = np.arange(min(interval.length, q), dtype=np.int64)
+    residues = (offsets + (interval.start + 1) % q) % q
+    units = np.ones(residues.size, dtype=bool)
+    for p, _ in primes:
+        units &= residues % p != 0
+    return residues[units], (full + (offsets < extra))[units]
+
+
+def _product_tally(ra, wa, rb, wb, q: int) -> np.ndarray:
+    """The multiplicities of the products ra*rb mod q, each pair weighted
+    wa*wb: in q bins when q is at most _PAIR_COST bins a pair, else one per
+    distinct product, from the sorted products of the members."""
+    if q <= _PAIR_COST * ra.size * rb.size:
+        check_work(q, "q tally bins")
+        return _pair_tally(wa, wb, lambda rows: ra[rows, None] * rb % q, q)
+    # member pairs; here every weight is 1, as an interval that repeats a
+    # residue holds all phi(q) > q/8 units and so q <= 8 pairs
+    check_work(3 * int(wa.sum()) * int(wb.sum()), "3*pairs sort words")  # 23-26 B a pair
+    keys = np.multiply.outer(np.repeat(ra, wa), np.repeat(rb, wb)).reshape(-1)
+    keys %= q
+    return np.unique(keys, return_counts=True)[1]
+
+
 def _product_energy(
-    table: CharacterTable, a_interval: IntervalSet, b_interval: IntervalSet
+    q: int, a_interval: IntervalSet, b_interval: IntervalSet, table
 ) -> tuple[int, float | None]:
     """#{(a1, a2, b1, b2) units of the intervals: a1*b1 = a2*b2 mod q}, with
-    the convolution's residual.  A product of units adds their exponent
-    tuples, so the product multiplicities are the lattice convolution of
-    the two intervals' lattice counts."""
-    q = table.q
+    the convolution's residual (None when tallied).  Priced by the lattice
+    kernel's rule before anything of size q is built: _PAIR_COST per pair of
+    distinct unit residues against the padded FFT of the unit-group lattice,
+    shaped from q's factorization.  The tally multiplies residues mod q; the
+    FFT convolves the intervals' counts on the lattice of table(), q's
+    CharacterTable, where a product of units adds exponent tuples."""
+    _check_modulus(q)
+    primes = factorize(q)
+    pairs = _unit_count(a_interval, q, primes) * _unit_count(b_interval, q, primes)
+    if pairs * _PAIR_COST <= _fft_plan(_lattice_shape(primes))[2]:
+        ra, wa = _unit_residues(a_interval, q, primes)
+        rb, wb = (ra, wa) if b_interval == a_interval else _unit_residues(b_interval, q, primes)
+        return _sum_of_squares(_product_tally(ra, wa, rb, wb, q)), None
+    table = table()
     a = _to_lattice(table, np.mod(a_interval.members(), q))
     b = a if b_interval == a_interval else _to_lattice(table, np.mod(b_interval.members(), q))
     counts, residual = _lattice_convolution(a, b, table.shape)
@@ -89,10 +151,11 @@ def multiplicative_energy(
     """#{(a1,a2,b1,b2): a1*b1 = a2*b2 mod q, all factors units}.
 
     Sums the squared multiplicities of the products a*b mod q over unit
-    pairs, from one exact convolution on the unit-group lattice; reference
-    is A^2 B^2 / q + A B.
+    pairs, by a residue tally or one exact convolution on the unit-group
+    lattice, whichever _product_energy prices lower; reference is
+    A^2 B^2 / q + A B.
     """
-    value, residual = _product_energy(ring.characters, a_interval, b_interval)
+    value, residual = _product_energy(ring.q, a_interval, b_interval, lambda: ring.characters)
     la, lb = a_interval.length, b_interval.length
     bound = la * la * lb * lb / ring.q + la * lb
     return _count_report(value, bound, residual)

@@ -64,6 +64,7 @@ def check_work(work: int, label: str) -> None:
         )
 
 
+@functools.lru_cache(maxsize=256)
 def _smooth_length(n: int) -> int:
     """Smallest 5-smooth integer >= n (n >= 1)."""
     best = 1 << (n - 1).bit_length()
@@ -80,20 +81,43 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _pair_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The cyclic convolution from the support pairs: index sums mod shape,
-    accumulated in the inputs' common dtype, refused when the pairs exceed
-    the work budget."""
-    ia, ib = np.nonzero(a), np.nonzero(b)
-    wa, wb = a[ia], b[ib]
+def _pair_tally(wa: np.ndarray, wb: np.ndarray, keys, size: int) -> np.ndarray:
+    """out[k] = sum of wa[i]*wb[j] over the pairs (i, j) keyed k, where
+    keys(rows) gives the keys of the pairs (i in rows, every j) as an array of
+    shape (len(rows), len(wb)): size bins in the weights' common dtype, filled
+    _TALLY_CHUNK pairs a step, refused when the pairs exceed the work budget."""
     check_work(wa.size * wb.size, "convolution pairs")
-    out = np.zeros(math.prod(shape), dtype=np.result_type(a, b))
-    rows = max(1, _TALLY_CHUNK // max(1, wb.size))
-    for s in range(0, wa.size, rows):
-        coords = tuple((x[s : s + rows, None] + y) % n for x, y, n in zip(ia, ib, shape))
-        keys = np.ravel_multi_index(coords, shape).reshape(-1)
-        np.add.at(out, keys, (wa[s : s + rows, None] * wb).reshape(-1))
-    return out.reshape(shape)
+    out = np.zeros(size, dtype=np.result_type(wa, wb))
+    step = max(1, _TALLY_CHUNK // max(1, wb.size))
+    for s in range(0, wa.size, step):
+        rows = slice(s, s + step)
+        np.add.at(out, keys(rows).reshape(-1), (wa[rows, None] * wb).reshape(-1))
+    return out
+
+
+def _lattice_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The cyclic convolution from the support pairs: index sums mod shape."""
+    ia, ib = np.nonzero(a), np.nonzero(b)
+
+    def keys(rows):
+        coords = tuple((x[rows, None] + y) % n for x, y, n in zip(ia, ib, shape))
+        return np.ravel_multi_index(coords, shape)
+
+    return _pair_tally(a[ia], b[ib], keys, math.prod(shape)).reshape(shape)
+
+
+def _fft_plan(shape: tuple[int, ...]) -> tuple[list[int], int | None, float]:
+    """A cyclic convolution's FFT over shape: the size per axis, the axis
+    padded (None if none is) and the price points*log2(points), the unit of
+    _PAIR_COST.  The longest axis whose length n has a prime factor above 7
+    (slow in numpy's FFT) is zero-padded to a 5-smooth length >= 2n."""
+    size = list(shape)
+    rough = [k for k, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
+    axis = max(rough, key=lambda k: shape[k], default=None)
+    if axis is not None:
+        size[axis] = _smooth_length(2 * shape[axis])
+    points = math.prod(size)
+    return size, axis, points * math.log2(points + 1)
 
 
 def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -143,18 +167,12 @@ def _lattice_convolution(
         total = int(a.sum()) * int(b.sum())
         if total > np.iinfo(np.int64).max:
             raise ValueError(f"dimension too large: convolution total {total} exceeds int64")
-    size = list(shape)
-    rough = [k for k, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
-    if rough:
-        axis = max(rough, key=lambda k: shape[k])
-        size[axis] = _smooth_length(2 * shape[axis])
-    points = math.prod(size)
-    fft_cost = points * math.log2(points + 1)
+    size, axis, fft_cost = _fft_plan(shape)
     pairs = np.count_nonzero(a) * np.count_nonzero(b)
     half = shape[0] // 2 if len(shape) == 1 and shape[0] % 2 == 0 else 0
     residual = None
     if pairs * _PAIR_COST <= fft_cost or total > _FFT_TOTAL_LIMIT:
-        c = _pair_tally(a, b, shape)
+        c = _lattice_tally(a, b, shape)
     elif (
         at is not None
         and half
@@ -163,7 +181,7 @@ def _lattice_convolution(
     ):
         return _dots_at(a, b, at), None
     else:
-        check_work(7 * points, "7*points FFT words")  # 32-56 B per padded point
+        check_work(7 * math.prod(size), "7*points FFT words")  # 32-56 B per padded point
         axes = tuple(range(len(shape)))
         real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
         forward, inverse = (np.fft.rfftn, np.fft.irfftn) if real else (np.fft.fftn, np.fft.ifftn)
@@ -171,7 +189,7 @@ def _lattice_convolution(
         spectrum *= spectrum if same else forward(b, s=size, axes=axes)
         c = inverse(spectrum, s=size, axes=axes)
         del spectrum
-        if rough:
+        if axis is not None:
             n = shape[axis]
             low, high, _ = np.split(c, [n, 2 * n], axis=axis)
             c = low + high
@@ -180,7 +198,7 @@ def _lattice_convolution(
             residual = float(np.max(np.abs(c - rounded)))
             c = rounded.astype(np.int64)
             if not (residual < _RESIDUAL_LIMIT and int(c.sum()) == total):
-                c, residual = _pair_tally(a, b, shape), None
+                c, residual = _lattice_tally(a, b, shape), None
     return (c if at is None else c.reshape(-1)[at]), residual
 
 
@@ -276,9 +294,12 @@ def _primitive_root(p: int, e: int) -> int:
     return g
 
 
-def _powers(g: int, order: int, modulus: int) -> np.ndarray:
-    """[g^0, g^1, ..., g^(order-1)] mod modulus: about sqrt(order) Python
-    steps for the small and large strides, then one outer product."""
+def _power_blocks(g: int, order: int, modulus: int):
+    """Yield (k, [g^k, g^(k+1), ...] mod modulus) blocks that cover the
+    exponents k < order in turn: about 2*sqrt(order) Python steps for the
+    small and large strides, then per block an outer product of about
+    max(order^(3/4), 2^16) entries, reduced in place, so no length-order
+    array is held."""
     step = math.isqrt(order - 1) + 1  # ceil(sqrt(order))
     small = np.empty(step, dtype=np.int64)
     acc = 1
@@ -290,12 +311,17 @@ def _powers(g: int, order: int, modulus: int) -> np.ndarray:
     for k in range(large.size):
         large[k] = big
         big = big * acc % modulus  # acc = g^step here
-    return (large[:, None] * small[None, :] % modulus).reshape(-1)[:order]
+    rows = max(math.isqrt(step), (1 << 16) // step) + 1  # >= 2^16 entries: few calls
+    for i in range(0, large.size, rows):
+        block = np.multiply.outer(large[i : i + rows], small).reshape(-1)[: order - i * step]
+        block %= modulus
+        yield i * step, block
 
 
 def _dlog_table(modulus: int, generator: int, order: int) -> np.ndarray:
     table = np.full(modulus, -1, dtype=np.int64)
-    table[_powers(generator, order, modulus)] = np.arange(order)
+    for k, powers in _power_blocks(generator, order, modulus):
+        table[powers] = np.arange(k, k + powers.size)
     return table
 
 
@@ -311,14 +337,26 @@ def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
         return []  # trivial unit group
     # units mod 2^e (e >= 2) are (-1)^s * 5^t, uniquely; <5> is trivial mod 4
     half = 2 ** (e - 2)
-    fives = _powers(5, half, pe)
     dlog_sign = np.full(pe, -1, dtype=np.int64)
-    dlog_sign[fives] = 0
-    dlog_sign[pe - fives] = 1
     dlog_five = np.full(pe, -1, dtype=np.int64)
-    dlog_five[fives] = dlog_five[pe - fives] = np.arange(half)
+    for k, fives in _power_blocks(5, half, pe):
+        dlog_sign[fives], dlog_sign[pe - fives] = 0, 1
+        dlog_five[fives] = dlog_five[pe - fives] = np.arange(k, k + fives.size)
     factors = [CyclicFactor(pe, pe - 1, 2, dlog_sign), CyclicFactor(pe, 5, half, dlog_five)]
     return factors if half > 1 else factors[:1]
+
+
+def _lattice_shape(primes: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The unit group's exponent-tuple lattice (CharacterTable.shape) from the
+    factorization of q alone: p^(e-1)*(p-1) per odd p^e, and 2 and 2^(e-2)
+    for 2^e (the second only when e >= 3)."""
+    orders = []
+    for p, e in primes:
+        if p != 2:
+            orders.append(p ** (e - 1) * (p - 1))
+        elif e >= 2:
+            orders += [2, 2 ** (e - 2)] if e >= 3 else [2]
+    return tuple(orders) or (1,)
 
 
 def _unit_group(q: int, primes: list[tuple[int, int]], units: np.ndarray) -> CharacterTable:
@@ -402,17 +440,28 @@ class ResidueRing:
         return np.exp((2j * np.pi / self.q) * np.arange(self.q, dtype=np.int64))
 
 
-def build_ring(q: int) -> ResidueRing:
-    """Build the full arithmetic context for Z_q.  Requires 2 <= q <= MAX_MODULUS
-    and its 7*q words within the work budget, checked before any allocation."""
+def _check_modulus(q: int) -> None:
+    """Refuse, with a ValueError, q < 2 or q > MAX_MODULUS."""
     if q < 2:
         raise ValueError(f"modulus too small: need q >= 2, got {q}")
     if q > MAX_MODULUS:
         raise ValueError(
             f"modulus too large: need q <= {MAX_MODULUS} for int64 products, got {q}"
         )
+
+
+def _ring_primes(q: int) -> list[tuple[int, int]]:
+    """The factorization of q, once _check_modulus passes and the ring's 7*q
+    words fit the work budget: build_ring's checks, made before any
+    allocation and before q is factorized."""
+    _check_modulus(q)
     check_work(7 * q, "7*q ring words")  # 23-50 B per residue, inv_table included
-    primes = factorize(q)
+    return factorize(q)
+
+
+def build_ring(q: int) -> ResidueRing:
+    """Build the full arithmetic context for Z_q, once _ring_primes admits q."""
+    primes = _ring_primes(q)
     unit_mask = np.ones(q, dtype=bool)
     for p, _ in primes:
         unit_mask[::p] = False

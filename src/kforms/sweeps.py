@@ -10,8 +10,10 @@ already running is not interrupted.  Rings and character tables are built
 inside the first cell that needs them, once per modulus, so a spent budget
 builds none.  A Lemma 2.1 cell reads the fourth moment of the character
 sums off its exact orthogonality count, phi(q) times the multiplicative
-energy of the interval's units, so it needs the character table alone and
-no character sum.
+energy of the interval's units, with no character sum: a short interval's
+energy is tallied over residues mod q with no ring or table at all, and
+only a cell whose lattice FFT is the cheaper count builds the character
+table (and lets its ring go).
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .counts import (
     reciprocal_count_rational,
 )
 from .reports import BoundReport, SweepResult, fit_exponent, make_report, with_params
-from .ring import IntervalSet, build_ring
+from .ring import (
+    IntervalSet, _fft_plan, _lattice_shape, _ring_primes, build_ring, check_work, euler_phi,
+)
 from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
 
 DEFAULT_GRIDS = {
@@ -126,8 +130,12 @@ def build_instance(
     q: int, l_spec, m_spec, n_spec, mode: str = "ones", seed: int = 0
 ) -> TrilinearInstance:
     """The weighted trilinear instance for modulus q: the three windows from
-    their specs, the ring, and weights seeded by stable_seed(seed, q)."""
+    their specs, the ring, and weights seeded by stable_seed(seed, q).  The
+    window's padded lattice FFT, 7 words a point as the kernel prices it, is
+    refused from q's factorization before the ring is built."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
+    size = _fft_plan(_lattice_shape(_ring_primes(q)))[0]
+    check_work(7 * math.prod(size), "7*points FFT words")
     ring = build_ring(q)
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int
@@ -208,15 +216,17 @@ def _moment_cell(tables, q: int, k: int, H: int) -> BoundReport:
     """sum_chi |sum_{x in I} chi(x)|^4 for I = IntervalSet(k, H), read off its
     orthogonality twin phi(q) * #{x1*x2 = x3*x4 mod q: x_i units of I}, an
     exact count (fourth_moment computes the same from the character sums),
-    against fourth_moment_reference.
+    against fourth_moment_reference.  The count asks tables(q) for the
+    character table only when its lattice FFT undercuts the residue tally.
     """
     t0 = time.perf_counter()
-    table, interval = tables(q), IntervalSet(k, H)
-    quadruples, _ = _product_energy(table, interval, interval)
+    interval = IntervalSet(k, H)
+    quadruples, _ = _product_energy(q, interval, interval, functools.partial(tables, q))
+    phi = euler_phi(q)
     return make_report(
         params={"q": q, "k": k, "H": H},
-        measured=float(table.char_count * quadruples),
-        reference=fourth_moment_reference(table, H),
+        measured=float(phi * quadruples),
+        reference=fourth_moment_reference(q, phi, H),
         t0=t0,
     )
 

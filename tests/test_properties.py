@@ -28,8 +28,11 @@ from kforms import (
     reciprocal_count_rational,
     trilinear_fast,
 )
-from kforms.ring import _dlog_table, _powers
-from kforms.ring import _lattice_convolution, _to_lattice
+from kforms.ring import _dlog_table, _power_blocks
+from kforms.counts import (
+    _product_energy, _product_tally, _sum_of_squares, _unit_count, _unit_residues,
+)
+from kforms.ring import _lattice_convolution, _lattice_shape, _to_lattice
 from kforms.trilinear import _unit_window, _window_gather
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
@@ -124,7 +127,9 @@ def test_dlog_tables_invert_powers(q):
     for factor in table.factors:
         m, g, order = factor.modulus, factor.generator, factor.order
         oracle = [pow(g, k, m) for k in range(order)]
-        assert _powers(g, order, m).tolist() == oracle
+        blocks = list(_power_blocks(g, order, m))
+        assert [k for k, _ in blocks] == list(np.cumsum([0] + [b.size for _, b in blocks])[:-1])
+        assert np.concatenate([b for _, b in blocks]).tolist() == oracle
         assert _dlog_table(m, g, order)[oracle].tolist() == list(range(order))
         units = [u for u in range(m) if math.gcd(u, m) == 1]
         assert np.all(factor.dlog[[u for u in range(m) if math.gcd(u, m) > 1]] == -1)
@@ -252,6 +257,31 @@ def test_lattice_energy_matches_dense_tally(q, data):
         for _ in range(2)
     )
     assert multiplicative_energy(build_ring(q), a_iv, b_iv).value == _dense_energy(q, a_iv, b_iv)
+
+
+@SETTINGS
+@given(
+    q=st.one_of(COUNT_MODULI, st.sampled_from([210, 2310, 30030, 512, 1024, 3**6, 7**3])),
+    data=st.data(),
+)
+def test_residue_tally_matches_lattice_fft(q, data):
+    # starts down to -3q and lengths up to 3q: residues repeat and non-units
+    # fall in; the short ones key distinct products, the long ones q bins
+    a_iv, b_iv = (
+        IntervalSet(data.draw(st.integers(-3 * q, q)), data.draw(st.integers(1, 3 * q)))
+        for _ in range(2)
+    )
+    primes = factorize(q)
+    ra, wa = _unit_residues(a_iv, q, primes)
+    rb, wb = _unit_residues(b_iv, q, primes)
+    assert (ra.size, rb.size) == (_unit_count(a_iv, q, primes), _unit_count(b_iv, q, primes))
+    tally = _sum_of_squares(_product_tally(ra, wa, rb, wb, q))
+    table = build_characters(build_ring(q))
+    assert _lattice_shape(primes) == table.shape
+    a, b = (_to_lattice(table, np.mod(iv.members(), q)) for iv in (a_iv, b_iv))
+    c = np.rint(np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real).astype(np.int64)
+    assert tally == int(np.sum(c * c))
+    assert _product_energy(q, a_iv, b_iv, lambda: table)[0] == tally
 
 
 @SETTINGS

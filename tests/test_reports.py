@@ -236,8 +236,9 @@ class TestSweepControls:
         assert built == qs
 
     def test_moment_grid_lets_each_ring_go(self, monkeypatch):
-        # the 2.1 cells keep only the character table, not the ring
-        rings, counted = [], []
+        # the cells at H = q take the lattice FFT and keep only the character
+        # table, not the ring; the short cells tally residues and build neither
+        rings, counted, tabled = [], [], []
         build, count = kforms.sweeps.build_ring, kforms.sweeps._product_energy
 
         def tracked(q):
@@ -245,16 +246,52 @@ class TestSweepControls:
             rings.append(weakref.ref(ring))
             return ring
 
-        def released(table, a_interval, b_interval):
+        def released(q, a_interval, b_interval, table):
+            def checked():
+                out = table()
+                assert all(ref() is None for ref in rings)
+                tabled.append(q)
+                return out
+
             assert all(ref() is None for ref in rings)
-            counted.append(table.q)
-            return count(table, a_interval, b_interval)
+            counted.append(q)
+            return count(q, a_interval, b_interval, checked)
 
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
         monkeypatch.setattr(kforms.sweeps, "_product_energy", released)
-        result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 10]})
+        result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 103]})
         assert len(rings) == 2 and len(result.reports) == 4
         assert counted == [101, 101, 103, 103]
+        assert tabled == [101, 103]
+
+    def test_tally_side_moment_cells_build_no_ring(self, monkeypatch):
+        # pairs of unit residues under the padded lattice FFT's price: counted
+        # mod q, with no unit group, even past the ring's work budget
+        def refuse(q, *args):
+            raise AssertionError(f"_unit_group({q}) reached")
+
+        monkeypatch.setattr(kforms.ring, "_unit_group", refuse)
+        grid = {"qs": [10007, 1000003, 2000000011], "ks": [0, 7], "Hs": [50]}
+        result = verify_lemma_sweeps("2.1", grid)
+        assert len(result.reports) == 6
+        for report in result.reports:
+            q, k, H = (report.params[key] for key in ("q", "k", "H"))
+            units = np.array([x for x in range(k + 1, k + H + 1) if math.gcd(x, q) == 1])
+            products = (units[:, None] * units % q).reshape(-1)
+            quadruples = int(np.sum(products[:, None] == products[None, :]))
+            phi = kforms.ring.euler_phi(q)
+            assert report.measured == float(phi * quadruples)
+            assert report.reference == phi * (H * H * (1 + math.log(H)) + H**4 / q)
+
+    def test_fft_side_moment_cells_build_one_table_per_modulus(self, monkeypatch):
+        built = []
+        build = kforms.ring._unit_group
+        monkeypatch.setattr(
+            kforms.ring, "_unit_group", lambda q, *args: built.append(q) or build(q, *args)
+        )
+        result = verify_lemma_sweeps("2.1", {"qs": [97, 101], "ks": [0, 3], "Hs": [97, 101]})
+        assert len(result.reports) == 6  # H = 97 at q = 97; H = 97, 101 at q = 101
+        assert built == [97, 101]
 
     @pytest.mark.parametrize(
         "lemma_grid",
@@ -278,8 +315,9 @@ class TestSweepControls:
             return rings[-1]
 
         monkeypatch.setattr(kforms.sweeps, "build_ring", kept)
-        result = verify_lemma_sweeps("2.1", {"qs": [20011], "ks": [0], "Hs": [100]})
-        assert len(rings) == 1 and len(result.reports) == 1
+        # H = 100 tallies residues; H = q builds the one ring, through the FFT
+        result = verify_lemma_sweeps("2.1", {"qs": [20011], "ks": [0], "Hs": [100, 20011]})
+        assert len(rings) == 1 and len(result.reports) == 2
         assert "inv_table" not in vars(rings[0])
 
     def test_extremal_thm1_case_leaves_the_inverse_unbuilt(self, monkeypatch):

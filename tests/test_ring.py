@@ -70,6 +70,41 @@ class TestBuildRing:
         assert not any(f.dlog.flags.writeable for f in table.factors)
 
 
+    def test_build_peak_at_a_prime(self):
+        # the dlog table is written a block of powers at a time, so the peak
+        # is the 17 B per residue the ring keeps (log_index, units, unit_mask)
+        # and no length-q temporary
+        q = 1000003
+        tracemalloc.start()
+        try:
+            ring = build_ring(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ring.phi == q - 1
+        assert peak <= 33 * q
+
+    @pytest.mark.parametrize("q", [100003, 3**10, 2 * 5**7, 2**17])
+    def test_dlog_tables_match_stepwise_powers(self, q):
+        # powers stepped one multiplication at a time: g^k -> k mod an odd
+        # prime power; mod 2^e, +-5^t -> t on <5>, and 5^t -> 0, -5^t -> 1 on <-1>
+        for factor in build_ring(q).characters.factors:
+            m = factor.modulus
+            base, order = (factor.generator, factor.order) if m % 2 else (5, m // 4)
+            powers = np.empty(order, dtype=np.int64)
+            x = 1
+            for k in range(order):
+                powers[k], x = x, x * base % m
+            expected = np.full(m, -1, dtype=np.int64)
+            if m % 2:
+                expected[powers] = np.arange(order)
+            elif factor.generator == m - 1:
+                expected[powers], expected[m - powers] = 0, 1
+            else:
+                expected[powers] = expected[m - powers] = np.arange(order)
+            assert np.array_equal(factor.dlog, expected), (q, m)
+
+
 class TestModInverse:
     def test_examples(self):
         assert mod_inverse(build_ring(7), 3) == 5
