@@ -228,10 +228,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, module, name", [
         # 7*q ring words ~ 3.5e9, refused before the modulus is factorized
         (["ring-info", "--q", "499999993"], kforms.ring, "factorize"),
-        # 7*points window FFT words ~ 5.0e8 at 7*q ring words ~ 2.5e8, refused
-        # before the unit group
-        (["trilinear", "--q", "35714279", "--L", "0:5", "--M", "0:5", "--N", "0:5"],
-         kforms.ring, "_unit_group"),
         # (48 + 4*8)*q trace words ~ 8.0e8, refused before the level sets
         (["proof-trace", "--q", "10000019", "--L", "0:10", "--M", "0:3162", "--N", "0:3162"],
          kforms.trilinear, "dyadic_decomposition"),
@@ -239,6 +235,10 @@ class TestUsageErrors:
         (["jr-rat", "--r", "40000000", "--K", "1"], kforms.counts, "np"),
         (["jr-mod", "--q", "97", "--r", "100000000", "--K", "1"],
          kforms.counts, "_unit_inverses_upto"),
+        # 7*points window FFT words ~ 5.0e8 at 7*q ring words ~ 2.5e8, refused
+        # before the unit group
+        (["trilinear", "--q", "35714279", "--L", "0:5", "--M", "0:5", "--N", "0:5"],
+         kforms.ring, "_unit_group"),
     ])
     def test_refused_before_the_work(self, argv, module, name, monkeypatch, capsys):
         monkeypatch.setattr(module, name, None)  # any use raises a TypeError or AttributeError
