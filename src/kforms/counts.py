@@ -11,9 +11,11 @@ longest rough axis zero-padded to a 5-smooth length >= 2n) whose rounded
 result is accepted only under a certificate: a total of at most 2^52, a
 residual max|c - rint c| below 1/4 and an exact total.  A result that
 fails it is recounted by the tally.  The product energy is priced by the
-same rule before anything of size q exists: where the tally is cheaper it
-multiplies the unit residues mod q, with no ring, character table or
-discrete log, so a short interval is counted at any q up to MAX_MODULUS.
+same rule, over the pairs of the intervals' unit members, before anything
+of size q exists: where the tally is cheaper it multiplies the members mod q
+and counts the products in q bins or by sorting, with no ring, character
+table or discrete log, so a short interval is counted at any q up to
+MAX_MODULUS.
 The rational count keys lowest-terms fractions in int64.  Sums of squares
 are exact: in int64 only where no overflow is possible, in Python ints
 otherwise.
@@ -36,11 +38,11 @@ from .ring import (
     IntervalSet,
     ResidueRing,
     _PAIR_COST,
+    _TALLY_CHUNK,
     _check_modulus,
     _fft_plan,
     _lattice_convolution,
     _lattice_shape,
-    _pair_tally,
     _to_lattice,
     check_work,
     cyclic_dft,
@@ -80,43 +82,46 @@ def _sum_of_squares(counts: np.ndarray) -> int:
 
 
 def _unit_count(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) -> int:
-    """How many distinct unit residues mod q the interval holds (primes is
-    q's factorization): inclusion-exclusion over q's primes on at most q
-    consecutive members."""
+    """How many of the interval's members are units mod q (primes is q's
+    factorization): inclusion-exclusion over q's primes."""
     lo = interval.start
-    hi = lo + min(interval.length, q)
+    hi = lo + interval.length
     terms = [(1, 1)]
     for p, _ in primes:
         terms += [(d * p, -sign) for d, sign in terms]
     return sum(sign * (hi // d - lo // d) for d, sign in terms)
 
 
-def _unit_residues(
-    interval: IntervalSet, q: int, primes: list[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The interval's distinct unit residues mod q (primes is q's
-    factorization) and how many of its members fall on each."""
+def _unit_members(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) -> np.ndarray:
+    """The interval's unit members reduced mod q (primes is q's
+    factorization), in order."""
     check_work(interval.length, "interval length")
-    full, extra = divmod(interval.length, q)
-    offsets = np.arange(min(interval.length, q), dtype=np.int64)
-    residues = (offsets + (interval.start + 1) % q) % q
+    residues = (np.arange(interval.length, dtype=np.int64) + (interval.start + 1) % q) % q
     units = np.ones(residues.size, dtype=bool)
     for p, _ in primes:
         units &= residues % p != 0
-    return residues[units], (full + (offsets < extra))[units]
+    return residues[units]
 
 
-def _product_tally(ra, wa, rb, wb, q: int) -> np.ndarray:
-    """The multiplicities of the products ra*rb mod q, each pair weighted
-    wa*wb: in q bins when q is at most _PAIR_COST bins a pair, else one per
-    distinct product, from the sorted products of the members."""
-    if q <= _PAIR_COST * ra.size * rb.size:
+def _product_counts(ra: np.ndarray, rb: np.ndarray, q: int) -> np.ndarray:
+    """How many pairs (i, j) share each product ra[i]*rb[j] mod q: in q bins,
+    one added per key, _TALLY_CHUNK pairs a step, when q is at most
+    _PAIR_COST bins a pair, else one count per distinct product, from the
+    sorted keys."""
+    pairs = ra.size * rb.size
+    if q <= _PAIR_COST * pairs:
+        check_work(pairs, "product pairs")
         check_work(q, "q tally bins")
-        return _pair_tally(wa, wb, lambda rows: ra[rows, None] * rb % q, q)
-    # member pairs; here every weight is 1, as an interval that repeats a
-    # residue holds all phi(q) > q/8 units and so q <= 8 pairs
-    check_work(3 * int(wa.sum()) * int(wb.sum()), "3*pairs sort words")  # 23-26 B a pair
-    keys = np.multiply.outer(np.repeat(ra, wa), np.repeat(rb, wb)).reshape(-1)
+        # one add per key, not a bincount per step, which would allocate and add q bins
+        counts = np.zeros(q, dtype=np.int64)
+        step = max(1, _TALLY_CHUNK // rb.size)  # rb is not empty: q <= 8*pairs
+        for s in range(0, ra.size, step):
+            keys = np.multiply.outer(ra[s : s + step], rb).reshape(-1)
+            keys %= q
+            np.add.at(counts, keys, 1)
+        return counts
+    check_work(3 * pairs, "3*pairs sort words")  # 23-26 B a pair
+    keys = np.multiply.outer(ra, rb).reshape(-1)
     keys %= q
     return np.unique(keys, return_counts=True)[1]
 
@@ -127,17 +132,18 @@ def _product_energy(
     """#{(a1, a2, b1, b2) units of the intervals: a1*b1 = a2*b2 mod q}, with
     the convolution's residual (None when tallied).  Priced by the lattice
     kernel's rule before anything of size q is built: _PAIR_COST per pair of
-    distinct unit residues against the padded FFT of the unit-group lattice,
-    shaped from q's factorization.  The tally multiplies residues mod q; the
-    FFT convolves the intervals' counts on the lattice of table(), q's
-    CharacterTable, where a product of units adds exponent tuples."""
+    the intervals' unit members against the padded FFT of the unit-group
+    lattice, shaped from q's factorization.  The tally counts the members'
+    products mod q, in q bins or by sorting; the FFT convolves the
+    intervals' counts on the lattice of table(), q's CharacterTable, where a
+    product of units adds exponent tuples."""
     _check_modulus(q)
     primes = factorize(q)
     pairs = _unit_count(a_interval, q, primes) * _unit_count(b_interval, q, primes)
     if pairs * _PAIR_COST <= _fft_plan(_lattice_shape(primes))[2]:
-        ra, wa = _unit_residues(a_interval, q, primes)
-        rb, wb = (ra, wa) if b_interval == a_interval else _unit_residues(b_interval, q, primes)
-        return _sum_of_squares(_product_tally(ra, wa, rb, wb, q)), None
+        ra = _unit_members(a_interval, q, primes)
+        rb = ra if b_interval == a_interval else _unit_members(b_interval, q, primes)
+        return _sum_of_squares(_product_counts(ra, rb, q)), None
     table = table()
     a = _to_lattice(table, np.mod(a_interval.members(), q))
     b = a if b_interval == a_interval else _to_lattice(table, np.mod(b_interval.members(), q))

@@ -34,7 +34,10 @@ MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 # peak in 8-byte words (per residue, pair, state or point, measured and
 # rounded up) or the elements its loops touch, before it allocates.  2.5*10^8
 # words are 1.9 GiB: on an 8 GB machine the largest admitted ring-info,
-# ksum2 --naive, proof-trace and trilinear peak at 1.7-2.1 GiB RSS.
+# ksum2 --naive and proof-trace peak at 1.7-2.1 GiB RSS.  A trilinear
+# instance runs its window FFT while it holds its ring and prices the two as
+# one sum: its largest admitted modulus is 29,999,970 (0.65 GiB), and its
+# largest admitted prime 17,714,701 peaks at 1.4-1.5 GiB.
 DEFAULT_WORK_BUDGET = 250_000_000
 
 # An integer FFT result is certified only if its exact total sum(a) * sum(b),
@@ -81,29 +84,21 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _pair_tally(wa: np.ndarray, wb: np.ndarray, keys, size: int) -> np.ndarray:
-    """out[k] = sum of wa[i]*wb[j] over the pairs (i, j) keyed k, where
-    keys(rows) gives the keys of the pairs (i in rows, every j) as an array of
-    shape (len(rows), len(wb)): size bins in the weights' common dtype, filled
-    _TALLY_CHUNK pairs a step, refused when the pairs exceed the work budget."""
+def _lattice_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The cyclic convolution from the support pairs: each pair's product
+    a*b added at its index sum mod shape, _TALLY_CHUNK pairs a step, refused
+    when the pairs exceed the work budget."""
+    ia, ib = np.nonzero(a), np.nonzero(b)
+    wa, wb = a[ia], b[ib]
     check_work(wa.size * wb.size, "convolution pairs")
-    out = np.zeros(size, dtype=np.result_type(wa, wb))
+    out = np.zeros(math.prod(shape), dtype=np.result_type(wa, wb))
     step = max(1, _TALLY_CHUNK // max(1, wb.size))
     for s in range(0, wa.size, step):
         rows = slice(s, s + step)
-        np.add.at(out, keys(rows).reshape(-1), (wa[rows, None] * wb).reshape(-1))
-    return out
-
-
-def _lattice_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The cyclic convolution from the support pairs: index sums mod shape."""
-    ia, ib = np.nonzero(a), np.nonzero(b)
-
-    def keys(rows):
         coords = tuple((x[rows, None] + y) % n for x, y, n in zip(ia, ib, shape))
-        return np.ravel_multi_index(coords, shape)
-
-    return _pair_tally(a[ia], b[ib], keys, math.prod(shape)).reshape(shape)
+        keys = np.ravel_multi_index(coords, shape).reshape(-1)
+        np.add.at(out, keys, (wa[rows, None] * wb).reshape(-1))
+    return out.reshape(shape)
 
 
 def _fft_plan(shape: tuple[int, ...]) -> tuple[list[int], int | None, float]:

@@ -131,11 +131,12 @@ def build_instance(
 ) -> TrilinearInstance:
     """The weighted trilinear instance for modulus q: the three windows from
     their specs, the ring, and weights seeded by stable_seed(seed, q).  The
-    window's padded lattice FFT, 7 words a point as the kernel prices it, is
-    refused from q's factorization before the ring is built."""
+    window's padded lattice FFT, 7 words a point as the kernel prices it, runs
+    while the ring is held, so the two are priced as one sum from q's
+    factorization and refused before the ring is built."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
     size = _fft_plan(_lattice_shape(_ring_primes(q)))[0]
-    check_work(7 * math.prod(size), "7*points FFT words")
+    check_work(7 * q + 7 * math.prod(size), "7*q ring + 7*points FFT words")
     ring = build_ring(q)
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int

@@ -328,24 +328,23 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     check_work((48 + 4 * _level_count(m_len)) * q, "(48 + 4*levels)*q trace words")
 
     dec = dyadic_decomposition(ring, m_len, n_len)
-    # every unit is in one level set per side, and only units are read
-    mu = np.zeros(q, dtype=np.complex128)
-    mu[ring.units] = interval_phase_sum(ring, instance.m_interval, ring.units)
-    nu = np.zeros(q, dtype=np.complex128)
-    nu[ring.units] = interval_phase_sum(ring, instance.n_interval, ring.units)
     # T(lam) is a convolution on the unit group: alpha at log l, mu at
     # log inv(x); the weights vanish off units
     table = ring.characters
     members = np.mod(instance.weights.interval.members(), q)
     alpha_lat = _to_lattice(table, members, instance.weights.weights)
 
+    # the T maps are the rows of one array, so each U map's column of cells
+    # is one matrix-vector product: values[row of T, column of U]
+    t_stack = np.empty((len(dec.q_sets), q), dtype=np.complex128)
     t_maps = {}
     first_moments = {}
     second_moments = {}
-    for (i, sign), xs in dec.q_sets.items():
+    for t_map, ((i, sign), xs) in zip(t_stack, dec.q_sets.items()):
         xres = np.mod(xs, q)
-        mu_lat = _to_lattice(table, ring.inv_table[xres], mu[xres])
-        t_map = _from_lattice(table, _lattice_convolution(alpha_lat, mu_lat, table.shape)[0])
+        mu = interval_phase_sum(ring, instance.m_interval, xres)
+        mu_lat = _to_lattice(table, ring.inv_table[xres], mu)
+        t_map[:] = _from_lattice(table, _lattice_convolution(alpha_lat, mu_lat, table.shape)[0])
         t_maps[(i, sign)] = t_map
         abs_t = np.abs(t_map)
         first_moments[(i, sign)] = _moment_check(float(abs_t.sum()), q * l_len)
@@ -356,12 +355,12 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
 
     # each U map is dropped once its moment and its column of cells are in
     y_moments = {}
-    values = {}
+    values = np.empty((len(t_maps), len(dec.r_sets)), dtype=np.complex128)
     j_cache = {}
-    for (j, sign), ys in dec.r_sets.items():
+    for column, ((j, sign), ys) in enumerate(dec.r_sets.items()):
         yres = np.mod(ys, q)
         g = np.zeros(q, dtype=np.complex128)
-        g[ring.inv_table[yres]] = nu[yres]
+        g[ring.inv_table[yres]] = interval_phase_sum(ring, instance.n_interval, yres)
         u_map = cyclic_dft(ring, g)
         del g
         moment = float(np.sum(np.abs(u_map) ** (2 * r)))
@@ -370,18 +369,17 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
             j_cache[j] = reciprocal_count_mod(ring, r, max(1, cap)).value
         reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_cache[j]
         y_moments[(j, sign)] = _moment_check(moment, reference)
-        for key, t_map in t_maps.items():
-            values[key + (j, sign)] = complex(np.sum(t_map * u_map))
+        values[:, column] = t_stack @ u_map
         del u_map
 
     cells = []
     total = 0j
     inv_2r = 1.0 / (2 * r)
-    for i, sign_x in t_maps:
+    for row, (i, sign_x) in enumerate(t_maps):
         s1 = first_moments[(i, sign_x)].value
         s2 = second_moments[(i, sign_x)].value
-        for j, sign_y in y_moments:
-            value = values[(i, sign_x, j, sign_y)]
+        for column, (j, sign_y) in enumerate(y_moments):
+            value = complex(values[row, column])
             total += value
             bound = s1 ** (1 - 1 / r) * s2**inv_2r * y_moments[(j, sign_y)].value ** inv_2r
             ratio = abs(value) / bound if bound > 0 else None

@@ -235,10 +235,14 @@ class TestUsageErrors:
         (["jr-rat", "--r", "40000000", "--K", "1"], kforms.counts, "np"),
         (["jr-mod", "--q", "97", "--r", "100000000", "--K", "1"],
          kforms.counts, "_unit_inverses_upto"),
-        # 7*points window FFT words ~ 5.0e8 at 7*q ring words ~ 2.5e8, refused
-        # before the unit group
+        # 7*q ring + 7*points window FFT words ~ 7.5e8, refused before the
+        # unit group
         (["trilinear", "--q", "35714279", "--L", "0:5", "--M", "0:5", "--N", "0:5"],
          kforms.ring, "_unit_group"),
+        # 7*q ring words ~ 2.1e8 and 7*points window FFT words ~ 2.1e8 each
+        # fit, but their sum ~ 4.2e8 does not: refused before the ring
+        (["verify-thm1", "--q", "30000001", "--weights", "extremal"],
+         kforms.sweeps, "build_ring"),
     ])
     def test_refused_before_the_work(self, argv, module, name, monkeypatch, capsys):
         monkeypatch.setattr(module, name, None)  # any use raises a TypeError or AttributeError

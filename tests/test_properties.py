@@ -30,7 +30,7 @@ from kforms import (
 )
 from kforms.ring import _dlog_table, _power_blocks
 from kforms.counts import (
-    _product_energy, _product_tally, _sum_of_squares, _unit_count, _unit_residues,
+    _product_counts, _product_energy, _sum_of_squares, _unit_count, _unit_members,
 )
 from kforms.ring import _lattice_convolution, _lattice_shape, _to_lattice
 from kforms.trilinear import _unit_window, _window_gather
@@ -265,23 +265,40 @@ def test_lattice_energy_matches_dense_tally(q, data):
     data=st.data(),
 )
 def test_residue_tally_matches_lattice_fft(q, data):
-    # starts down to -3q and lengths up to 3q: residues repeat and non-units
-    # fall in; the short ones key distinct products, the long ones q bins
+    # starts down to -3q and lengths up to 3q: members repeat residues and
+    # non-units fall in; the short ones key distinct products, the long ones q bins
     a_iv, b_iv = (
         IntervalSet(data.draw(st.integers(-3 * q, q)), data.draw(st.integers(1, 3 * q)))
         for _ in range(2)
     )
     primes = factorize(q)
-    ra, wa = _unit_residues(a_iv, q, primes)
-    rb, wb = _unit_residues(b_iv, q, primes)
+    ra, rb = (_unit_members(iv, q, primes) for iv in (a_iv, b_iv))
     assert (ra.size, rb.size) == (_unit_count(a_iv, q, primes), _unit_count(b_iv, q, primes))
-    tally = _sum_of_squares(_product_tally(ra, wa, rb, wb, q))
+    tally = _sum_of_squares(_product_counts(ra, rb, q))
     table = build_characters(build_ring(q))
     assert _lattice_shape(primes) == table.shape
     a, b = (_to_lattice(table, np.mod(iv.members(), q)) for iv in (a_iv, b_iv))
     c = np.rint(np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real).astype(np.int64)
     assert tally == int(np.sum(c * c))
     assert _product_energy(q, a_iv, b_iv, lambda: table)[0] == tally
+
+
+@SETTINGS
+@given(
+    q=st.one_of(COUNT_MODULI, st.sampled_from([210, 2310, 30030, 512, 1024, 3**6, 7**3])),
+    data=st.data(),
+)
+def test_intervals_longer_than_q_take_the_lattice_fft(q, data):
+    # an interval longer than q holds every unit, and phi^2 pairs outprice
+    # the padded lattice FFT at every q, so two such intervals, or one with
+    # itself, never reach the member tally
+    a_iv, b_iv = (
+        IntervalSet(data.draw(st.integers(-3 * q, q)), data.draw(st.integers(q + 1, 3 * q)))
+        for _ in range(2)
+    )
+    ring = build_ring(q)
+    for pair in ((a_iv, a_iv), (a_iv, b_iv)):
+        assert _product_energy(q, *pair, lambda: ring.characters)[1] is not None
 
 
 @SETTINGS
