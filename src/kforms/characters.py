@@ -31,12 +31,13 @@ def _character_at(table: CharacterTable, chi_index: int, residues: np.ndarray) -
     # The phase numerator over the common denominator `exponent`, in exact
     # integer arithmetic (each term is below order * exponent <= phi^2 < 2^63);
     # one complex exponential at the end.
+    flat = table.log_index[residues]
+    digits = np.unravel_index(np.maximum(flat, 0), table.shape)
     num = np.zeros(residues.shape, dtype=np.int64)
-    for factor, a in zip(table.factors, np.unravel_index(chi_index, table.orders)):
-        t = np.maximum(factor.dlog[residues % factor.modulus], 0)
-        num = (num + int(a) * t * (table.exponent // factor.order)) % table.exponent
+    for order, a, t in zip(table.shape, np.unravel_index(chi_index, table.shape), digits):
+        num = (num + int(a) * t * (table.exponent // order)) % table.exponent
     out = np.exp((2j * np.pi / table.exponent) * num)
-    out[table.log_index[residues] < 0] = 0
+    out[flat < 0] = 0
     return out
 
 
@@ -62,7 +63,7 @@ def interval_character_sums(table: CharacterTable, interval: IntervalSet) -> np.
     S = E +- e(k/n)*O along that axis.  Only the trivial group (q <= 2) has
     no even axis; its one sum is the count.
     """
-    counts = _to_lattice(table, np.mod(interval.members(), table.q))
+    counts = _to_lattice(table, interval.residues(table.q))
     even = [k for k, n in enumerate(table.shape) if n % 2 == 0]
     if not even:
         return counts.reshape(-1).astype(np.complex128)

@@ -95,8 +95,7 @@ def _unit_count(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) ->
 def _unit_members(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) -> np.ndarray:
     """The interval's unit members reduced mod q (primes is q's
     factorization), in order."""
-    check_work(interval.length, "interval length")
-    residues = (np.arange(interval.length, dtype=np.int64) + (interval.start + 1) % q) % q
+    residues = interval.residues(q)
     units = np.ones(residues.size, dtype=bool)
     for p, _ in primes:
         units &= residues % p != 0
@@ -145,8 +144,8 @@ def _product_energy(
         rb = ra if b_interval == a_interval else _unit_members(b_interval, q, primes)
         return _sum_of_squares(_product_counts(ra, rb, q)), None
     table = table()
-    a = _to_lattice(table, np.mod(a_interval.members(), q))
-    b = a if b_interval == a_interval else _to_lattice(table, np.mod(b_interval.members(), q))
+    a = _to_lattice(table, a_interval.residues(q))
+    b = a if b_interval == a_interval else _to_lattice(table, b_interval.residues(q))
     counts, residual = _lattice_convolution(a, b, table.shape)
     return _sum_of_squares(counts), residual
 
@@ -293,6 +292,7 @@ def average_reciprocal_sweep(Q: int, r: int, K: int) -> BoundReport:
     exceed the work budget."""
     if not 1 <= K <= Q:
         raise ValueError(f"need 1 <= K <= Q, got K={K}, Q={Q}")
+    _check_r_k(r, K, Q)
     check_work((Q + 1) * (K + (r - 1) * (2 * Q + 1)), "Lemma 2.5 cell")
     t0 = time.perf_counter()
     total = 0

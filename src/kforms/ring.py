@@ -7,10 +7,12 @@ the proof trace's collision sums.
 
 build_ring splits the unit group once, by CRT, into cyclic factors (a
 primitive root per odd p^e; <-1> and <5> for the 2-adic part), so a unit is
-an exponent tuple, flattened to one mixed-radix index (C order).  That table,
-ring.characters, gives the characters, the lattice that _to_lattice and
-_from_lattice map residues onto and back, and the inverses (negated tuples),
-which ring.inv_table reads off on its first read.
+an exponent tuple, flattened to one mixed-radix index (C order).  That index,
+ring.characters.log_index, is the ring's only discrete-log table: written
+from the factors' generators lifted mod q, it gives the characters, the
+lattice that _to_lattice and _from_lattice map residues onto and back, and
+the inverses (negated tuples), which ring.inv_table reads off on its first
+read.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Residues below q are multiplied in int64 (the discrete-log powers and the
+# Residues below q are multiplied in int64 (the lifted generator powers and the
 # phase sums here, the Kloosterman exponents, the trilinear gather), which
 # needs q^2 < 2^63.
 MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
@@ -243,8 +245,17 @@ class IntervalSet:
             raise ValueError(f"interval length must be >= 1, got {self.length}")
 
     def members(self) -> np.ndarray:
+        """The members as int64; a ValueError where one is outside int64."""
         check_work(self.length, "interval length")
+        if not -(2**63) <= self.start + 1 <= self.start + self.length < 2**63:
+            raise ValueError(f"interval {self} has members outside int64; reduce it mod q")
         return np.arange(self.start + 1, self.start + self.length + 1, dtype=np.int64)
+
+    def residues(self, q: int) -> np.ndarray:
+        """The members reduced mod q, in order, for any start: the start is
+        reduced first, so every int64 entry stays below length + q."""
+        check_work(self.length, "interval length")
+        return (np.arange(self.length, dtype=np.int64) + (self.start + 1) % q) % q
 
     def __contains__(self, value: int) -> bool:
         return self.start + 1 <= value <= self.start + self.length
@@ -252,10 +263,13 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class CyclicFactor:
-    modulus: int  # the prime power this factor reads residues through
+    """One cyclic factor of the units mod q: `generator` has `order` mod the
+    prime power `modulus`.  Its discrete logs are one digit of
+    CharacterTable.log_index; no factor keeps a table of its own."""
+
+    modulus: int
     generator: int
     order: int
-    dlog: np.ndarray  # discrete log base `generator` per residue; -1 off units
 
 
 @dataclass(frozen=True)
@@ -313,62 +327,66 @@ def _power_blocks(g: int, order: int, modulus: int):
         yield i * step, block
 
 
-def _dlog_table(modulus: int, generator: int, order: int) -> np.ndarray:
-    table = np.full(modulus, -1, dtype=np.int64)
-    for k, powers in _power_blocks(generator, order, modulus):
-        table[powers] = np.arange(k, k + powers.size)
-    return table
+def _cyclic_orders(p: int, e: int) -> list[int]:
+    """The orders of the cyclic factors of the units mod p^e: p^(e-1)*(p-1)
+    for odd p; 2 and 2^(e-2) for 2^e (none for 2, the second only when
+    e >= 3)."""
+    if p != 2:
+        return [p ** (e - 1) * (p - 1)]
+    return [2, 2 ** (e - 2)][: min(e - 1, 2)]
 
 
 def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
-    """The unit group mod p^e as cyclic factors: one generated by a
-    primitive root for odd p; <-1> for 4 | p^e and also <5> for 8 | p^e."""
+    """The unit group mod p^e as cyclic factors, generators and orders only
+    (the logs are written once, into log_index): one generated by a
+    primitive root for odd p; <-1> for 4 | p^e and also <5> for 8 | p^e
+    (units mod 2^e are (-1)^s * 5^t, uniquely)."""
     pe = p**e
-    if p != 2:
-        g = _primitive_root(p, e)
-        order = pe // p * (p - 1)
-        return [CyclicFactor(pe, g, order, _dlog_table(pe, g, order))]
-    if e == 1:
-        return []  # trivial unit group
-    # units mod 2^e (e >= 2) are (-1)^s * 5^t, uniquely; <5> is trivial mod 4
-    half = 2 ** (e - 2)
-    dlog_sign = np.full(pe, -1, dtype=np.int64)
-    dlog_five = np.full(pe, -1, dtype=np.int64)
-    for k, fives in _power_blocks(5, half, pe):
-        dlog_sign[fives], dlog_sign[pe - fives] = 0, 1
-        dlog_five[fives] = dlog_five[pe - fives] = np.arange(k, k + fives.size)
-    factors = [CyclicFactor(pe, pe - 1, 2, dlog_sign), CyclicFactor(pe, 5, half, dlog_five)]
-    return factors if half > 1 else factors[:1]
+    generators = [_primitive_root(p, e)] if p != 2 else [pe - 1, 5]
+    return [CyclicFactor(pe, g, n) for g, n in zip(generators, _cyclic_orders(p, e))]
 
 
 def _lattice_shape(primes: list[tuple[int, int]]) -> tuple[int, ...]:
     """The unit group's exponent-tuple lattice (CharacterTable.shape) from the
-    factorization of q alone: p^(e-1)*(p-1) per odd p^e, and 2 and 2^(e-2)
-    for 2^e (the second only when e >= 3)."""
-    orders = []
-    for p, e in primes:
-        if p != 2:
-            orders.append(p ** (e - 1) * (p - 1))
-        elif e >= 2:
-            orders += [2, 2 ** (e - 2)] if e >= 3 else [2]
-    return tuple(orders) or (1,)
+    factorization of q alone."""
+    return tuple(n for p, e in primes for n in _cyclic_orders(p, e)) or (1,)
 
 
 def _unit_group(q: int, primes: list[tuple[int, int]], units: np.ndarray) -> CharacterTable:
-    """The CRT decomposition of the units mod q."""
+    """The CRT decomposition of the units mod q and its one index, log_index,
+    which the characters, the lattice and the inverses all read.  Each
+    factor's generator is lifted to the unit that is the generator mod its
+    prime power and 1 mod the rest of q, so the unit at an exponent tuple is
+    the product of the lifted powers: an outer product over the leading
+    factors times the last factor's powers, one _power_blocks block at a
+    time, each unit written its flat index (C order).  Nothing but
+    log_index outlives the call."""
     factors = [f for p, e in primes for f in _cyclic_factors(p, e)]
     orders = tuple(f.order for f in factors)
     char_count = math.prod(orders)
     if char_count != units.size:
         raise AssertionError(f"character count {char_count} != phi {units.size}")
-    if len(factors) == 1 and factors[0].modulus == q:
-        log_index = factors[0].dlog  # one cyclic factor mod q: its logs are the flat index
-    else:
-        digits = [f.dlog[units % f.modulus] for f in factors] or [np.zeros_like(units)]
-        log_index = np.full(q, -1, dtype=np.int64)
-        log_index[units] = np.ravel_multi_index(digits, orders or (1,))
-    for array in (log_index, *(f.dlog for f in factors)):
-        array.flags.writeable = False  # log_index may be a factor's own dlog
+    lifted = [
+        (1 + (f.generator - 1) * (q // f.modulus) * pow(q // f.modulus, -1, f.modulus)) % q
+        for f in factors
+    ]
+    *lead_generators, g = lifted or [1]
+    *lead_orders, n = orders or (1,)
+    lead = np.ones(1, dtype=np.int64)  # the units at the leading exponent tuples
+    for h, m in zip(lead_generators, lead_orders):
+        powers = np.concatenate([block for _, block in _power_blocks(h, m, q)])
+        lead = np.multiply.outer(lead, powers).reshape(-1)
+        lead %= q
+    rows = np.arange(0, char_count, n)[:, None]  # each leading tuple's first flat index
+    log_index = np.full(q, -1, dtype=np.int64)
+    for k, powers in _power_blocks(g, n, q):
+        if lead.size == 1:  # one factor: its powers are the units, written directly
+            log_index[powers] = np.arange(k, k + powers.size)
+        else:
+            block = np.multiply.outer(lead, powers)
+            block %= q
+            log_index[block] = rows + np.arange(k, k + powers.size)
+    log_index.flags.writeable = False
     return CharacterTable(q, tuple(factors), orders, char_count, math.lcm(*orders), log_index)
 
 

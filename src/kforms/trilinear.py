@@ -59,7 +59,7 @@ class WeightVector:
             raise ValueError("weights must align with the interval members")
         if np.max(np.abs(self.weights), initial=0.0) > 1 + 1e-12:
             raise ValueError("weights must satisfy |w| <= 1")
-        off_units = ~ring.unit_mask[np.mod(self.interval.members(), ring.q)]
+        off_units = ~ring.unit_mask[self.interval.residues(ring.q)]
         if np.any(self.weights[off_units] != 0):
             raise ValueError("weights must vanish off units")
 
@@ -173,7 +173,7 @@ def _unit_window(
     mu = cas(interval_phase_sum(ring, m_interval, low))
     nu = mu if n_interval == m_interval else cas(interval_phase_sum(ring, n_interval, low))
     r1, _ = _lattice_convolution(mu, nu, table.shape)
-    residues = np.mod(l_interval.members(), q)
+    residues = l_interval.residues(q)
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
     at = table.log_index[np.concatenate((ls, q - ls))]
@@ -196,10 +196,10 @@ def window_sums(
     costs one O(phi) gather.
     """
     out = _unit_window(ring, l_interval, m_interval, n_interval).copy()
-    members = l_interval.members()
-    off_units = ~ring.unit_mask[np.mod(members, ring.q)]
+    residues = l_interval.residues(ring.q)
+    off_units = ~ring.unit_mask[residues]
     if off_units.any():
-        out[off_units] = _window_gather(ring, members[off_units], m_interval, n_interval)
+        out[off_units] = _window_gather(ring, residues[off_units], m_interval, n_interval)
     return out
 
 
@@ -218,17 +218,16 @@ def make_weights(
     """
     if mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {mode!r}; pick one of {WEIGHT_MODES}")
-    members = l_interval.members()
-    on_units = ring.unit_mask[np.mod(members, ring.q)]
+    on_units = ring.unit_mask[l_interval.residues(ring.q)]
     if mode == "ones":
         weights = on_units.astype(np.complex128)
     elif mode == "rademacher":
         rng = np.random.default_rng(seed)
-        weights = rng.choice(np.array([-1.0, 1.0]), size=members.size) + 0j
+        weights = rng.choice(np.array([-1.0, 1.0]), size=on_units.size) + 0j
         weights[~on_units] = 0
     elif mode == "phase":
         rng = np.random.default_rng(seed)
-        weights = np.exp(2j * np.pi * rng.random(members.size))
+        weights = np.exp(2j * np.pi * rng.random(on_units.size))
         weights[~on_units] = 0
     else:
         if m_interval is None or n_interval is None:
@@ -331,8 +330,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     # T(lam) is a convolution on the unit group: alpha at log l, mu at
     # log inv(x); the weights vanish off units
     table = ring.characters
-    members = np.mod(instance.weights.interval.members(), q)
-    alpha_lat = _to_lattice(table, members, instance.weights.weights)
+    alpha_lat = _to_lattice(table, instance.weights.interval.residues(q), instance.weights.weights)
 
     # the T maps are the rows of one array, so each U map's column of cells
     # is one matrix-vector product: values[row of T, column of U]

@@ -148,6 +148,16 @@ class TestFourthMoment:
 
 
 class TestIntervalCharacterSums:
+    def test_interval_past_int64_reads_the_reduced_start(self):
+        # the members 2^63 - 7 .. 2^63 + 42 leave int64; their residues do not
+        table = build_ring(101).characters
+        for start in (2**63 - 8, 2**64 + 3):
+            far, near = IntervalSet(start, 50), IntervalSet(start % 101, 50)
+            assert fourth_moment(table, far) == fourth_moment(table, near)
+            assert abs(fourth_moment(table, far) - 5858100) <= 1e-6
+            assert np.array_equal(interval_character_sums(table, far),
+                                  interval_character_sums(table, near))
+
     def test_conjugate_character_gives_conjugate_sum(self):
         rng = np.random.default_rng(10)
         for q in SUM_MODULI:

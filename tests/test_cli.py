@@ -113,6 +113,19 @@ class TestSingleValueCommands:
             values.append(capsys.readouterr().out.split()[2])
         assert values[0] == values[1]
 
+    @pytest.mark.parametrize("command", [
+        ["char-moment", "--q", "101", "--H", "50", "--k"],
+        ["trilinear", "--q", "101", "--M", "0:10", "--N", "0:10", "--L"],
+    ])
+    def test_interval_start_past_int64(self, command, capsys):
+        # a start at or above 2^63 reads the residues of its start reduced mod 101
+        outs = []
+        for start in (2**63 + 5, (2**63 + 5) % 101):
+            arg = str(start) if command[0] == "char-moment" else f"{start}:10"
+            assert main(command + [arg]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_proof_trace_runtime_covers_the_trace(self, tmp_path):
         # a ~50 ms run: every cell's runtime_ms counts the build and the trace
         out_path = tmp_path / "trace.json"
@@ -263,6 +276,12 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r", [0, -2, 64])
+    def test_lemma_25_r_out_of_range_exits_two(self, r, capsys):
+        grid = json.dumps({"r": r, "Qs": [10], "Ks": [5]})
+        assert main(["verify-lemma", "--lemma", "2.5", "--grid", grid]) == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_value_errors_exit_two(self, capsys):
         assert main(["jr-mod", "--q", "5", "--r", "2", "--K", "6"]) == 2
         assert "K out of range" in capsys.readouterr().err
@@ -299,6 +318,14 @@ class TestReadme:
         for argv in (argv for pair in pairs for argv in pair):
             args = parser.parse_args(argv)
             assert callable(args.func), argv
+
+    def test_library_example_runs(self):
+        text = README.read_text().split("## Library use", 1)[1]
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(block, scope)
+        value, trace = scope["value"], scope["trace"]
+        assert abs(trace.total - value) <= 1e-9 * abs(value)
 
     def test_cli_tour_runs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

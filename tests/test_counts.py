@@ -242,6 +242,11 @@ class TestAverageReciprocalSweep:
         with pytest.raises(ValueError, match="K <= Q"):
             average_reciprocal_sweep(10, 2, 11)
 
+    @pytest.mark.parametrize("r", [0, -2, 64])
+    def test_r_out_of_range_rejected(self, r):
+        with pytest.raises(ValueError, match=r"r must be >= 1|r = 64 exceeds 63"):
+            average_reciprocal_sweep(10, r, 5)
+
 
 class TestExactConvolution:
     CASES = [(1009, 2, 500), (1009, 3, 40), (1536, 2, 700), (97, 2, 97)]

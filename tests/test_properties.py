@@ -28,7 +28,7 @@ from kforms import (
     reciprocal_count_rational,
     trilinear_fast,
 )
-from kforms.ring import _dlog_table, _power_blocks
+from kforms.ring import _power_blocks
 from kforms.counts import (
     _product_counts, _product_energy, _sum_of_squares, _unit_count, _unit_members,
 )
@@ -122,28 +122,27 @@ def test_collision_sums_match_pair_tally(instance):
 
 @SETTINGS
 @given(q=MODULI)
-def test_dlog_tables_invert_powers(q):
-    table = build_characters(build_ring(q))
+def test_log_index_inverts_powers(q):
+    ring = build_ring(q)
+    table = build_characters(ring)
     for factor in table.factors:
         m, g, order = factor.modulus, factor.generator, factor.order
         oracle = [pow(g, k, m) for k in range(order)]
         blocks = list(_power_blocks(g, order, m))
         assert [k for k, _ in blocks] == list(np.cumsum([0] + [b.size for _, b in blocks])[:-1])
         assert np.concatenate([b for _, b in blocks]).tolist() == oracle
-        assert _dlog_table(m, g, order)[oracle].tolist() == list(range(order))
-        units = [u for u in range(m) if math.gcd(u, m) == 1]
-        assert np.all(factor.dlog[[u for u in range(m) if math.gcd(u, m) > 1]] == -1)
-        assert np.all((factor.dlog[units] >= 0) & (factor.dlog[units] < order))
-    # the factors sharing a prime-power modulus rebuild every unit mod it
-    for p, e in factorize(q):
-        pe = p**e
-        for u in range(pe):
-            if math.gcd(u, pe) != 1:
-                continue
+    assert np.all(table.log_index[[u for u in range(q) if math.gcd(u, q) > 1]] == -1)
+    # each unit's digits, read off its flat index, rebuild it mod every prime
+    # power from the generators of the factors sharing that modulus (the
+    # 2-adic ones as (-1)^s * 5^t)
+    for u in ring.units.tolist():
+        digits = np.unravel_index(int(table.log_index[u]), table.shape)
+        for p, e in factorize(q):
+            pe = p**e
             rebuilt = 1
-            for factor in table.factors:
+            for factor, t in zip(table.factors, digits):
                 if factor.modulus == pe:
-                    rebuilt = rebuilt * pow(factor.generator, int(factor.dlog[u]), pe) % pe
+                    rebuilt = rebuilt * pow(factor.generator, int(t), pe) % pe
             assert rebuilt == u % pe
 
 

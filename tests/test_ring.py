@@ -57,52 +57,69 @@ class TestBuildRing:
 
     @pytest.mark.parametrize("q", [3, 4, 9, 2503, 3**7, 2 * 3**5, 8, 360, 2310, 100003])
     def test_log_index_is_the_crt_index_and_read_only(self, q):
-        # a one-factor group shares its factor's dlog table; every group's
-        # flat index must equal the mixed-radix CRT construction
+        # each unit's digits, read off the flat index in C order, rebuild it
+        # mod every prime power from its factors' generators; non-units read -1
         ring = build_ring(q)
         table = ring.characters
-        digits = [f.dlog[ring.units % f.modulus] for f in table.factors]
-        expected = np.full(q, -1, dtype=np.int64)
-        expected[ring.units] = np.ravel_multi_index(digits, table.shape)
-        assert table.log_index.dtype == expected.dtype
-        assert np.array_equal(table.log_index, expected)
+        assert table.log_index.dtype == np.int64
         assert not table.log_index.flags.writeable
-        assert not any(f.dlog.flags.writeable for f in table.factors)
+        assert np.all(table.log_index[~ring.unit_mask] == -1)
+        flat = table.log_index[ring.units]
+        assert np.array_equal(np.sort(flat), np.arange(ring.phi))
+        digits = np.unravel_index(flat, table.shape)
+        rebuilt = {}
+        for f, t in zip(table.factors, digits):
+            power = np.array([pow(f.generator, k, f.modulus) for k in range(f.order)])
+            rebuilt[f.modulus] = rebuilt.get(f.modulus, 1) * power[t] % f.modulus
+        for pe, units_mod_pe in rebuilt.items():
+            assert np.array_equal(units_mod_pe, ring.units % pe), (q, pe)
 
-
-    def test_build_peak_at_a_prime(self):
-        # the dlog table is written a block of powers at a time, so the peak
-        # is the 17 B per residue the ring keeps (log_index, units, unit_mask)
-        # and no length-q temporary
-        q = 1000003
+    @staticmethod
+    def build_peak(q):
+        """build_ring(q) and its tracemalloc peak in bytes."""
         tracemalloc.start()
         try:
             ring = build_ring(q)
-            peak = tracemalloc.get_traced_memory()[1]
+            return ring, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ring.phi == q - 1
-        assert peak <= 33 * q
+
+    def test_build_peak_at_a_prime(self):
+        # a one-factor group writes log_index a block of generator powers at a
+        # time, so the peak is the 17 B per residue the ring keeps
+        # (log_index, units, unit_mask) and no length-q temporary
+        ring, peak = self.build_peak(1000003)
+        assert ring.phi == 1000002
+        assert peak <= 33 * ring.q
+
+    def test_build_peak_at_a_power_of_two(self):
+        # the 2-adic group writes log_index from lifted powers of -1 and 5, a
+        # block at a time, with no per-factor table and no gather over the
+        # units: 13 B per residue kept (log_index, units, unit_mask) and ~16
+        # at the peak, where the per-factor tables peaked at 41
+        ring, peak = self.build_peak(2**20)
+        assert ring.phi == 2**19
+        assert peak <= 24 * ring.q
 
     @pytest.mark.parametrize("q", [100003, 3**10, 2 * 5**7, 2**17])
-    def test_dlog_tables_match_stepwise_powers(self, q):
-        # powers stepped one multiplication at a time: g^k -> k mod an odd
-        # prime power; mod 2^e, +-5^t -> t on <5>, and 5^t -> 0, -5^t -> 1 on <-1>
-        for factor in build_ring(q).characters.factors:
-            m = factor.modulus
-            base, order = (factor.generator, factor.order) if m % 2 else (5, m // 4)
-            powers = np.empty(order, dtype=np.int64)
-            x = 1
-            for k in range(order):
-                powers[k], x = x, x * base % m
-            expected = np.full(m, -1, dtype=np.int64)
-            if m % 2:
-                expected[powers] = np.arange(order)
-            elif factor.generator == m - 1:
-                expected[powers], expected[m - powers] = 0, 1
-            else:
-                expected[powers] = expected[m - powers] = np.arange(order)
-            assert np.array_equal(factor.dlog, expected), (q, m)
+    def test_log_index_matches_stepwise_powers(self, q):
+        # powers stepped one multiplication at a time mod q: on a cyclic group
+        # g^k -> k, with g lifted to an odd unit mod 2*5^7; mod 2^e, 5^t -> t
+        # and -5^t -> the flat index of the tuple (1, t)
+        table = build_ring(q).characters
+        last = table.factors[-1]
+        base, order = last.generator, last.order
+        if q == 2 * last.modulus and base % 2 == 0:
+            base += last.modulus
+        powers = np.empty(order, dtype=np.int64)
+        x = 1
+        for k in range(order):
+            powers[k], x = x, x * base % q
+        expected = np.full(q, -1, dtype=np.int64)
+        expected[powers] = np.arange(order)
+        if q % 4 == 0:
+            expected[q - powers] = order + np.arange(order)
+        assert np.array_equal(table.log_index, expected)
 
 
 class TestModInverse:
@@ -328,6 +345,19 @@ class TestIntervalSet:
         iv = IntervalSet(3, 4)
         assert iv.members().tolist() == [4, 5, 6, 7]
         assert 4 in iv and 7 in iv and 3 not in iv
+
+    def test_residues_at_any_start(self):
+        # the start is reduced mod q before any int64 arithmetic; members()
+        # refuses a range that leaves int64 rather than wrap it
+        for start in (-10**30, -2**63 - 3, -5, 0, 3, 2**63 - 8, 2**63, 10**30):
+            iv = IntervalSet(start, 50)
+            expected = [(start + k) % 101 for k in range(1, 51)]
+            assert iv.residues(101).tolist() == expected
+            if -2**63 <= start + 1 and start + 50 < 2**63:
+                assert np.array_equal(np.mod(iv.members(), 101), iv.residues(101))
+            else:
+                with pytest.raises(ValueError, match="outside int64"):
+                    iv.members()
 
     def test_length_validated(self):
         with pytest.raises(ValueError, match="length"):
