@@ -18,7 +18,7 @@ import time
 
 from .characters import fourth_moment_reference, moment_identity_check
 from .counts import (
-    multiplicative_energy,
+    _energy_count,
     reciprocal_count_rational,
     reciprocal_moment_identity,
 )
@@ -103,10 +103,9 @@ def cmd_trilinear(args) -> SweepResult:
 
 def cmd_energy(args) -> SweepResult:
     t0 = time.perf_counter()
-    ring = build_ring(args.q)
     a_int = resolve_interval(args.A, args.q)
     b_int = resolve_interval(args.B, args.q)
-    count = multiplicative_energy(ring, a_int, b_int)
+    count = _energy_count(args.q, a_int, b_int, lambda: build_ring(args.q).characters)
     print(f"E(A,B) = {count.value}   reference = {_fmt(count.bound_value)}   "
           f"ratio = {_fmt(count.ratio)}")
     params = {"q": args.q, "a_start": a_int.start, "A": a_int.length,

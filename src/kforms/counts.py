@@ -150,6 +150,15 @@ def _product_energy(
     return _sum_of_squares(counts), residual
 
 
+def _energy_count(q: int, a_interval: IntervalSet, b_interval: IntervalSet, table) -> CountReport:
+    """_product_energy against A^2 B^2 / q + A B; table() gives q's
+    CharacterTable, asked for only when the lattice FFT is the cheaper
+    count, so a tallied energy builds no ring."""
+    value, residual = _product_energy(q, a_interval, b_interval, table)
+    la, lb = a_interval.length, b_interval.length
+    return _count_report(value, la * la * lb * lb / q + la * lb, residual)
+
+
 def multiplicative_energy(
     ring: ResidueRing, a_interval: IntervalSet, b_interval: IntervalSet
 ) -> CountReport:
@@ -160,10 +169,7 @@ def multiplicative_energy(
     lattice, whichever _product_energy prices lower; reference is
     A^2 B^2 / q + A B.
     """
-    value, residual = _product_energy(ring.q, a_interval, b_interval, lambda: ring.characters)
-    la, lb = a_interval.length, b_interval.length
-    bound = la * la * lb * lb / ring.q + la * lb
-    return _count_report(value, bound, residual)
+    return _energy_count(ring.q, a_interval, b_interval, lambda: ring.characters)
 
 
 def energy_character_identity(

@@ -20,6 +20,7 @@ Every int64 product of two residues stays below q^2 < 2^63.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -69,21 +70,19 @@ def check_work(work: int, label: str) -> None:
         )
 
 
-@functools.lru_cache(maxsize=256)
+# Every 5-smooth number up to 2^33, the first power of 2 above 2*MAX_MODULUS
+# (an FFT axis is at most twice a unit group's order), ascending: each 3^b 5^c
+# times every power of 2 that keeps it at most 2^33.
+_SMOOTH = tuple(sorted(
+    m << k
+    for m in (3**b * 5**c for b in range(21) for c in range(15))
+    for k in range(((1 << 33) // m).bit_length())
+))
+
+
 def _smooth_length(n: int) -> int:
-    """Smallest 5-smooth integer >= n (n >= 1)."""
-    best = 1 << (n - 1).bit_length()
-    five = 1
-    while five < best:
-        odd = five
-        while odd < best:
-            m = odd
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            odd *= 3
-        five *= 5
-    return best
+    """Smallest 5-smooth integer >= n (1 <= n <= 2^33)."""
+    return _SMOOTH[bisect.bisect_left(_SMOOTH, n)]
 
 
 def _lattice_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -358,9 +357,9 @@ def _unit_group(q: int, primes: list[tuple[int, int]], units: np.ndarray) -> Cha
     factor's generator is lifted to the unit that is the generator mod its
     prime power and 1 mod the rest of q, so the unit at an exponent tuple is
     the product of the lifted powers: an outer product over the leading
-    factors times the last factor's powers, one _power_blocks block at a
-    time, each unit written its flat index (C order).  Nothing but
-    log_index outlives the call."""
+    factors times the last factor's powers, one _power_blocks block and about
+    2^16 units at a time, each unit written its flat index (C order).
+    Nothing but log_index outlives the call."""
     factors = [f for p, e in primes for f in _cyclic_factors(p, e)]
     orders = tuple(f.order for f in factors)
     char_count = math.prod(orders)
@@ -382,10 +381,12 @@ def _unit_group(q: int, primes: list[tuple[int, int]], units: np.ndarray) -> Cha
     for k, powers in _power_blocks(g, n, q):
         if lead.size == 1:  # one factor: its powers are the units, written directly
             log_index[powers] = np.arange(k, k + powers.size)
-        else:
-            block = np.multiply.outer(lead, powers)
+            continue
+        step = max(1, (1 << 16) // powers.size)  # leading units a block: ~2^16 units held
+        for s in range(0, lead.size, step):
+            block = np.multiply.outer(lead[s : s + step], powers)
             block %= q
-            log_index[block] = rows + np.arange(k, k + powers.size)
+            log_index[block] = rows[s : s + step] + np.arange(k, k + powers.size)
     log_index.flags.writeable = False
     return CharacterTable(q, tuple(factors), orders, char_count, math.lcm(*orders), log_index)
 

@@ -13,7 +13,8 @@ sums off its exact orthogonality count, phi(q) times the multiplicative
 energy of the interval's units, with no character sum: a short interval's
 energy is tallied over residues mod q with no ring or table at all, and
 only a cell whose lattice FFT is the cheaper count builds the character
-table (and lets its ring go).
+table (and lets its ring go).  A Lemma 2.2 cell counts its energy the same
+way.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import time
 
 from .characters import build_characters, fourth_moment_reference
 from .counts import (
+    _energy_count,
     _product_energy,
     average_reciprocal_sweep,
-    multiplicative_energy,
     reciprocal_count_mod,
     reciprocal_count_rational,
 )
@@ -57,7 +58,8 @@ DEFAULT_GRIDS = {
 
 
 def parse_int_list(text: str) -> list[int]:
-    """Parse '3,5,9' and '100..110' (inclusive) forms, possibly mixed."""
+    """Parse '3,5,9' and '100..110' (inclusive) forms, possibly mixed; a range
+    is priced before it is expanded."""
     out: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -68,6 +70,9 @@ def parse_int_list(text: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty range {chunk!r}")
+            # 71-107 B a modulus: this list, a --primes copy and the sweep's set
+            # and sorted copy
+            check_work(14 * (len(out) + hi - lo + 1), "14*moduli list words")
             out.extend(range(lo, hi + 1))
         else:
             out.append(int(chunk))
@@ -251,9 +256,14 @@ def _ring_count(rings, q: int, count, *args):
     return count(rings(q), *args)
 
 
+def _table_memo():
+    """The latest modulus's character table, built on first use (a grid's
+    cells come grouped by q); the table alone is kept, its ring goes."""
+    return functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
+
+
 def _lemma_21_cases(grid):
-    # the table alone is kept: the ring goes once its table is built
-    tables = functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
+    tables = _table_memo()
     for q in grid["qs"]:
         for k in grid["ks"]:
             for H in sorted({min(h, q) for h in grid["Hs"] if h >= 1}):
@@ -261,15 +271,15 @@ def _lemma_21_cases(grid):
 
 
 def _lemma_22_cases(grid):
-    rings = functools.lru_cache(maxsize=1)(build_ring)
+    tables = _table_memo()
     for q in grid["qs"]:
         pairs = [(s, min(ln, q)) for s, ln in grid["intervals"]]
         for sa, la in pairs:
             for sb, lb in pairs:
                 params = {"q": q, "a_start": sa, "A": la, "b_start": sb, "B": lb}
                 yield functools.partial(
-                    _count_cell, params, _ring_count, rings, q, multiplicative_energy,
-                    IntervalSet(sa, la), IntervalSet(sb, lb),
+                    _count_cell, params, _energy_count, q,
+                    IntervalSet(sa, la), IntervalSet(sb, lb), functools.partial(tables, q),
                 )
 
 

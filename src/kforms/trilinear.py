@@ -18,7 +18,8 @@ the form reads the unit window alone; window_sums still serves a non-unit
 l, with one O(phi) gather.
 The trace machinery splits the fast form over a dyadic decomposition of the
 centered unit representatives and records every intermediate quantity next
-to its reference envelope (all absorbed constants set to 1).
+to its reference envelope (all absorbed constants set to 1); a level set's
+mirror -(j, +) is (j, -), so one reciprocal transform serves both signs.
 """
 
 from __future__ import annotations
@@ -310,9 +311,9 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     level set with l*inv(x) = lam of alpha_l mu_x, their first and second
     moments against q*L and q*L^2 + e^-i q*L*M.  Per (j, sign): the 2r-th
     moment of U(lam) = sum_y nu_y e_q(lam*inv(y)) against
-    e^(-2rj) q N^(2r) J_r(q; min(q, floor(e^j q/N))).  Per cell: the value
-    sum_lam T*U and its three-factor Hoelder bound.  The cell values sum back
-    to the full form exactly.
+    e^(-2rj) q N^(2r) J_r(q; min(q, floor(e^j q/N))), with U_{j,-} read as
+    conj U_{j,+}.  Per cell: the value sum_lam T*U and its three-factor
+    Hoelder bound.  The cell values sum back to the full form exactly.
     """
     if r not in (1, 2, 3):
         raise ValueError(f"r unsupported: trace needs r in {{1, 2, 3}}, got {r}")
@@ -351,36 +352,40 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
             q * l_len**2 + math.exp(-i) * q * l_len * m_len,
         )
 
-    # each U map is dropped once its moment and its column of cells are in
-    y_moments = {}
-    values = np.empty((len(t_maps), len(dec.r_sets)), dtype=np.complex128)
-    j_cache = {}
-    for column, ((j, sign), ys) in enumerate(dec.r_sets.items()):
-        yres = np.mod(ys, q)
+    # one U map per N-side level: (j, -1) is -(j, +1) and nu(-y) = conj nu(y), so
+    # U_{j,-} = conj U_{j,+}, with the same moment; at q = 2 the (j, -1) set is
+    # empty and its column and moment stay 0.  Each map is dropped once its
+    # moment and its two columns of cells are in.
+    y_moments = dict.fromkeys(dec.r_sets)  # the value matrix's columns, in order
+    values = np.zeros((len(t_maps), len(y_moments)), dtype=np.complex128)
+    levels = dec.levels_n + 1
+    for j in range(levels):
+        ys = dec.r_sets[(j, 1)]  # positive representatives: residues already
         g = np.zeros(q, dtype=np.complex128)
-        g[ring.inv_table[yres]] = interval_phase_sum(ring, instance.n_interval, yres)
+        g[ring.inv_table[ys]] = interval_phase_sum(ring, instance.n_interval, ys)
         u_map = cyclic_dft(ring, g)
         del g
-        moment = float(np.sum(np.abs(u_map) ** (2 * r)))
-        if j not in j_cache:
-            cap = min(q, math.floor(math.exp(j) * q / n_len))
-            j_cache[j] = reciprocal_count_mod(ring, r, max(1, cap)).value
-        reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_cache[j]
-        y_moments[(j, sign)] = _moment_check(moment, reference)
-        values[:, column] = t_stack @ u_map
+        # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q
+        j_r = reciprocal_count_mod(ring, r, min(q, math.floor(math.exp(j) * q / n_len))).value
+        reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_r
+        y_moments[(j, 1)] = _moment_check(float(np.sum(np.abs(u_map) ** (2 * r))), reference)
+        values[:, j] = t_stack @ u_map
+        mirrored = dec.r_sets[(j, -1)].size > 0
+        y_moments[(j, -1)] = y_moments[(j, 1)] if mirrored else _moment_check(0.0, reference)
+        if mirrored:
+            values[:, levels + j] = t_stack @ np.conj(u_map, out=u_map)
         del u_map
 
-    cells = []
-    total = 0j
+    # the Hoelder bounds s1^(1-1/r) s2^(1/2r) y^(1/2r): rows times columns
     inv_2r = 1.0 / (2 * r)
+    bounds = np.outer(
+        [first_moments[k].value ** (1 - 1 / r) * second_moments[k].value ** inv_2r for k in t_maps],
+        [check.value**inv_2r for check in y_moments.values()],
+    )
+    cells = []
     for row, (i, sign_x) in enumerate(t_maps):
-        s1 = first_moments[(i, sign_x)].value
-        s2 = second_moments[(i, sign_x)].value
         for column, (j, sign_y) in enumerate(y_moments):
-            value = complex(values[row, column])
-            total += value
-            bound = s1 ** (1 - 1 / r) * s2**inv_2r * y_moments[(j, sign_y)].value ** inv_2r
-            ratio = abs(value) / bound if bound > 0 else None
+            value, bound = complex(values[row, column]), float(bounds[row, column])
             cells.append(
                 TraceCell(
                     i=i,
@@ -389,13 +394,13 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
                     sign_y=sign_y,
                     value=value,
                     holder_bound=bound,
-                    holder_ratio=ratio,
+                    holder_ratio=abs(value) / bound if bound > 0 else None,
                 )
             )
 
     return ProofTrace(
         r=r,
-        total=total,
+        total=complex(values.sum()),
         fast_value=trilinear_fast(instance),
         decomposition=dec,
         t_maps=t_maps,

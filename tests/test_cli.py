@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import kforms
+import kforms.ring
+import kforms.sweeps
 from kforms.cli import build_parser, main
 from kforms.reports import read_report
 
@@ -260,6 +262,14 @@ class TestUsageErrors:
     def test_refused_before_the_work(self, argv, module, name, monkeypatch, capsys):
         monkeypatch.setattr(module, name, None)  # any use raises a TypeError or AttributeError
         assert main(argv) == 2
+        assert "dimension too large" in capsys.readouterr().err
+
+    def test_modulus_range_priced_before_expansion(self, monkeypatch, capsys):
+        # 10^5 moduli at 14 words each are over a 10^6-word budget: refused
+        # before the list is built and before any case runs
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**6)
+        monkeypatch.setattr(kforms.sweeps, "build_instance", None)
+        assert main(["verify-thm1", "--q", "2..100001"]) == 2
         assert "dimension too large" in capsys.readouterr().err
 
     def test_long_weight_interval_runs(self, capsys):

@@ -22,6 +22,7 @@ from kforms import (
     verify_thm1_sweep,
     verify_thm2_sweep,
 )
+from kforms.cli import main
 from kforms.reports import make_report
 
 
@@ -282,6 +283,23 @@ class TestSweepControls:
             phi = kforms.ring.euler_phi(q)
             assert report.measured == float(phi * quadruples)
             assert report.reference == phi * (H * H * (1 + math.log(H)) + H**4 / q)
+
+    def test_tally_side_energy_builds_no_ring(self, monkeypatch, capsys):
+        # no product of 1..50 reaches q, so E counts a1*b1 = a2*b2 over Z
+        def refuse(q, *args):
+            raise AssertionError(f"_unit_group({q}) reached")
+
+        monkeypatch.setattr(kforms.ring, "_unit_group", refuse)
+        products = np.multiply.outer(np.arange(1, 51), np.arange(1, 51)).reshape(-1)
+        energy = int(np.sum(np.unique(products, return_counts=True)[1] ** 2))
+        q = 2000000011
+        assert main(["energy", "--q", str(q), "--A", "0:50", "--B", "0:50"]) == 0
+        assert f"E(A,B) = {energy} " in capsys.readouterr().out
+        grid = {"qs": [q], "intervals": [[0, 50]]}
+        assert main(["verify-lemma", "--lemma", "2.2", "--grid", json.dumps(grid)]) == 0
+        (report,) = verify_lemma_sweeps("2.2", grid).reports
+        assert report.measured == energy
+        assert report.reference == 50**4 / q + 50**2
 
     def test_fft_side_moment_cells_build_one_table_per_modulus(self, monkeypatch):
         built = []

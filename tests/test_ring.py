@@ -16,7 +16,9 @@ from kforms import (
     interval_phase_sum,
     mod_inverse,
 )
-from kforms.ring import MAX_MODULUS, ResidueRing, _dft_naive, _dots_at, _lattice_convolution
+from kforms.ring import (
+    MAX_MODULUS, ResidueRing, _dft_naive, _dots_at, _lattice_convolution, _smooth_length,
+)
 
 
 def brute_phi(q):
@@ -99,6 +101,14 @@ class TestBuildRing:
         # at the peak, where the per-factor tables peaked at 41
         ring, peak = self.build_peak(2**20)
         assert ring.phi == 2**19
+        assert peak <= 24 * ring.q
+
+    def test_build_peak_at_two_large_factors(self):
+        # the leading factor's 1008 units times the last factor's one block
+        # of 1012 powers is all of phi, so the leading units are taken a
+        # chunk at a time and no phi-sized block is held
+        ring, peak = self.build_peak(1009 * 1013)
+        assert ring.phi == 1008 * 1012
         assert peak <= 24 * ring.q
 
     @pytest.mark.parametrize("q", [100003, 3**10, 2 * 5**7, 2**17])
@@ -391,3 +401,27 @@ class TestDotsAt:
         at = np.concatenate([at, (at[:3] + n // 2) % n, [0, n - 1]])
         assert np.max(np.abs(_dots_at(a, b, at) - full[at])) <= 1e-12 * np.abs(a).sum()
         assert _dots_at(a, b, at[:0]).shape == (0,)
+
+
+class TestSmoothLength:
+    @staticmethod
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    def test_matches_a_stepwise_search(self):
+        for n in range(1, 5000):
+            m = n
+            while not self.smooth(m):
+                m += 1
+            assert _smooth_length(n) == m
+
+    def test_large_lengths_match_the_least_exponent_triple(self):
+        rng = np.random.default_rng(7)
+        ns = [2 * MAX_MODULUS, 2 * MAX_MODULUS - 1, 2**33, 5**14 + 1,
+              *rng.integers(5000, 2 * MAX_MODULUS, 40).tolist()]
+        triples = [2**a * 3**b * 5**c for a in range(36) for b in range(23) for c in range(16)]
+        for n in ns:
+            assert _smooth_length(n) == min(m for m in triples if m >= n)

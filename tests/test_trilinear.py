@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kforms.ring
+import kforms.trilinear
 from kforms import (
     IntervalSet,
     TrilinearInstance,
@@ -290,6 +291,48 @@ class TestProofTrace:
         with pytest.raises(ValueError, match="r unsupported"):
             proof_trace(inst, 4)
 
+    def test_windows_longer_than_q_refused(self):
+        inst = small_instance(11, IntervalSet(0, 3), IntervalSet(0, 12), IntervalSet(0, 3))
+        with pytest.raises(ValueError, match="trace needs M, N <= q"):
+            proof_trace(inst, 2)
+
+    def test_one_transform_per_level(self, monkeypatch):
+        # U_{j,-} is conj U_{j,+}: one length-q DFT per N-side level, not
+        # one per (level, sign)
+        q = 30011
+        calls = []
+        transform = kforms.trilinear.cyclic_dft
+
+        def counted(ring, f):
+            calls.append(ring.q)
+            return transform(ring, f)
+
+        monkeypatch.setattr(kforms.trilinear, "cyclic_dft", counted)
+        inst = small_instance(q, IntervalSet(0, 50), IntervalSet(3, 173), IntervalSet(-7, 120),
+                              mode="phase", seed=2)
+        trace = proof_trace(inst, 2)
+        assert calls == [q] * (trace.decomposition.levels_n + 1)
+        assert abs(trace.total - trace.fast_value) <= 1e-9 * 50 * 173 * 120
+
+    @pytest.mark.parametrize("q", [3, 4, 97, 360, 2003])
+    def test_mirrored_levels_share_their_moment(self, q):
+        inst = small_instance(q, IntervalSet(0, min(q, 9)), IntervalSet(1, min(q, 7)),
+                              IntervalSet(-2, min(q, 11)), mode="phase", seed=q)
+        trace = proof_trace(inst, 2)
+        for j in range(trace.decomposition.levels_n + 1):
+            assert trace.y_moments[(j, -1)] == trace.y_moments[(j, 1)]
+
+    def test_q2_has_no_negative_level(self):
+        # the one unit mod 2 is its own negative and sits on the + side
+        inst = small_instance(2, IntervalSet(0, 2), IntervalSet(0, 1), IntervalSet(0, 1))
+        trace = proof_trace(inst, 2)
+        assert trace.decomposition.r_sets[(0, -1)].size == 0
+        assert trace.y_moments[(0, -1)].value == 0
+        assert trace.y_moments[(0, 1)].value > 0
+        minus = [cell for cell in trace.cells if cell.sign_y == -1]
+        assert minus and all(cell.value == 0 for cell in minus)
+        assert abs(trace.total - trilinear_naive(inst)) <= 1e-12
+
 
 class TestTheorem1Bounds:
     def test_zero_weights_zero_ratios(self):
@@ -421,3 +464,5 @@ class TestInstanceValidation:
             TrilinearInstance(ring, WeightVector(l_iv, stray), m_iv, n_iv)
         with pytest.raises(ValueError, match=r"\|w\| <= 1"):
             TrilinearInstance(ring, WeightVector(l_iv, 1.5 * alphas), m_iv, n_iv)
+        with pytest.raises(ValueError, match="align with the interval"):
+            TrilinearInstance(ring, WeightVector(l_iv, alphas[:7]), m_iv, n_iv)
