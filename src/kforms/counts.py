@@ -16,6 +16,13 @@ of size q exists: where the tally is cheaper it multiplies the members mod q
 and counts the products in q bins or by sorting, with no ring, character
 table or discrete log, so a short interval is counted at any q up to
 MAX_MODULUS.
+The dyadic average counts every modulus Q <= q <= 2Q of a cell at once: the
+inverses of 1..K mod each q come from one table of the inverses mod x <= K,
+and the rows of a block of moduli, each the indicator of its inverses, share
+one real FFT whose rounded result ring._certified accepts (the same
+certificate as the kernel's) before each row is folded mod its own q; a
+block that fails it, or that the per-modulus kernel prices lower, is counted
+modulus by modulus.
 The rational count keys lowest-terms fractions in int64.  Sums of squares
 are exact: in int64 only where no overflow is possible, in Python ints
 otherwise.
@@ -30,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .characters import interval_character_sums
 from .reports import BoundReport, make_report
@@ -38,11 +46,14 @@ from .ring import (
     IntervalSet,
     ResidueRing,
     _PAIR_COST,
+    _FFT_TOTAL_LIMIT,
     _TALLY_CHUNK,
+    _certified,
     _check_modulus,
     _fft_plan,
     _lattice_convolution,
     _lattice_shape,
+    _smooth_length,
     _to_lattice,
     check_work,
     cyclic_dft,
@@ -79,6 +90,13 @@ def _sum_of_squares(counts: np.ndarray) -> int:
     if counts.size * top * top < 2**63:
         return int(np.dot(counts, counts))
     return sum(c * c for c in counts[counts > 0].tolist())
+
+
+_FFT_BLOCK = 1 << 15  # padded points per batched FFT of a Lemma 2.5 cell
+# A per-modulus kernel call costs, besides its pairs, about as much as this many
+# FFT points times their log2: ~60 us against ~3.5 ns a unit, measured at
+# Q = 200 to 5000 (2-vCPU host).
+_KERNEL_CALL = 17_000
 
 
 def _unit_count(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) -> int:
@@ -291,20 +309,75 @@ def reciprocal_count_rational(r: int, K: int) -> CountReport:
     return _count_report(_sum_of_squares(counts), float(K) ** r)
 
 
+def _inverse_table(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inv, unit) with inv[x-1, rho] = rho^-1 mod x and unit[x-1, rho] =
+    (gcd(x, rho) == 1) for 0 <= rho < x <= K, row x lifted by _unit_inverses
+    from the rows below it."""
+    table = np.zeros((K, K), dtype=np.int64), np.zeros((K, K), dtype=bool)
+    table[1][0, 0] = True  # gcd(1, 0) = 1, and every inverse mod 1 is 0
+    for x in range(2, K + 1):
+        table[0][x - 1, 1:x], table[1][x - 1, 1:x] = _unit_inverses(x, table, x - 1)
+    return table
+
+
+def _unit_inverses(q, table, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """x^-1 mod q and the mask gcd(x, q) == 1 for x = 1..K, broadcast over q
+    (an int or an int64 column), read off _inverse_table(>= K) by one step of
+    the extended Euclidean algorithm (Knuth, TAOCP vol. 2, 4.5.2): for
+    m = -(q mod x)^-1 mod x, x divides 1 + m*q, and y = (1 + m*q)/x has
+    x*y = 1 mod q.  The inverse at a non-unit is meaningless."""
+    xs = np.arange(1, K + 1, dtype=np.int64)
+    rho = q % xs
+    return (1 + (-table[0][xs - 1, rho] % xs) * q) // xs % q, table[1][xs - 1, rho]
+
+
+def _reciprocal_block(qs: range, inverses: np.ndarray, units: np.ndarray, r: int) -> int:
+    """sum of J_r(q; K) over the consecutive moduli qs, from the inverses mod
+    q of 1..K and their unit mask, one row a modulus.  Row q is the indicator
+    of its inverses; one rfft/irfft pair of length _smooth_length(r * max qs)
+    takes every row's r-fold linear self-convolution, accepted under
+    ring._certified against the rows' exact totals units^r <= 2^52.  Row q
+    is then folded mod q, its shifts j*q read as r strided views of the
+    rounded rows (row stride size + j), and its columns past q - 1 dropped.
+    The block is counted modulus by modulus by _reciprocal_count instead
+    where that prices lower (r - 1 kernel calls of _KERNEL_CALL plus
+    _PAIR_COST per pair of units, against size*log2(size) a modulus) or the
+    certificate fails."""
+    lo, hi, counts = qs[0], qs[-1], np.count_nonzero(units, axis=1)
+    size = _smooth_length(r * hi)
+    modular = (r - 1) * (len(qs) * _KERNEL_CALL + _PAIR_COST * int(counts @ counts))
+    certified = None
+    if modular > len(qs) * size * math.log2(size) and int(counts.max()) ** r <= _FFT_TOTAL_LIMIT:
+        keys = (np.arange(len(qs))[:, None] * hi + inverses)[units]
+        spectrum = np.fft.rfft(np.bincount(keys, minlength=len(qs) * hi).reshape(-1, hi), size)
+        power = math.prod([spectrum] * (r - 1), start=spectrum)  # np.power: ~5x slower
+        certified = _certified(np.fft.irfft(power, size), (counts**r).tolist(), axis=1)
+    if certified is None:
+        moduli = zip(qs, inverses, units)
+        return sum(_reciprocal_count(q, x[u], r)[0] for q, x, u in moduli)
+    # row i, modulus lo + i, reads flat[i*size + s + j*(lo + i)]: s + j*q < r*q <= size
+    flat, step = certified[0].reshape(-1), certified[0].itemsize
+    views = (as_strided(flat[j * lo :], (len(qs), hi), ((size + j) * step, step)) for j in range(r))
+    return _sum_of_squares(np.tril(sum(views), lo - 1))
+
+
 def average_reciprocal_sweep(Q: int, r: int, K: int) -> BoundReport:
     """Exact dyadic average (1/Q) sum_{Q <= q <= 2Q} J_r(q; K) against the
-    reference K^(2r)/Q + K^r.  Each q inverts only 1..K.  Refused up front when
-    Q+1 moduli of K inversions and r-1 convolutions of length <= 2Q+1 each
-    exceed the work budget."""
+    reference K^(2r)/Q + K^r.  The inverses of 1..K mod every q are read off
+    one table of the inverses mod x <= K, and the moduli are counted by
+    _reciprocal_block in blocks of about _FFT_BLOCK padded points.  Refused
+    up front when 5 words per (q, x) and 2rQ elements per modulus, about
+    one per padded FFT point, exceed the work budget."""
     if not 1 <= K <= Q:
         raise ValueError(f"need 1 <= K <= Q, got K={K}, Q={Q}")
     _check_r_k(r, K, Q)
-    check_work((Q + 1) * (K + (r - 1) * (2 * Q + 1)), "Lemma 2.5 cell")
+    # 3.1-4.1 words per (q, x) measured, the K^2 inverse table included
+    check_work((Q + 1) * (5 * K + 2 * r * Q), "Lemma 2.5 cell")
     t0 = time.perf_counter()
-    total = 0
-    for q in range(Q, 2 * Q + 1):
-        inverses = [pow(x, -1, q) for x in range(1, K + 1) if math.gcd(x, q) == 1]
-        total += _reciprocal_count(q, inverses, r)[0]
+    qs, step = range(Q, 2 * Q + 1), max(1, _FFT_BLOCK // (2 * r * Q))
+    inverses, units = _unit_inverses(np.array(qs)[:, None], _inverse_table(K), K)
+    blocks = (slice(s, s + step) for s in range(0, Q + 1, step))
+    total = sum(_reciprocal_block(qs[b], inverses[b], units[b], r) for b in blocks)
     reference = float(K) ** (2 * r) / Q + float(K) ** r
     return make_report(
         params={"Q": Q, "r": r, "K": K, "sum_total": total},

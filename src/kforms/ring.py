@@ -132,6 +132,19 @@ def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
     return (plus + np.where(at < h, minus, -minus)) / 2
 
 
+def _certified(c: np.ndarray, totals, axis=None) -> tuple[np.ndarray, float] | None:
+    """The FFT certificate of an integer result c (overwritten): its rounding
+    to int64 and residual max|c - rint c|, if the residual is below
+    _RESIDUAL_LIMIT and the rounded sums along axis equal the exact totals
+    (an int, or a list of them; each at most _FFT_TOTAL_LIMIT, checked
+    before the FFT); else None."""
+    rounded = np.rint(c)
+    residual = float(np.max(np.abs(np.subtract(c, rounded, out=c), out=c)))
+    counts = rounded.astype(np.int64)
+    exact = residual < _RESIDUAL_LIMIT and counts.sum(axis=axis).tolist() == totals
+    return (counts, residual) if exact else None
+
+
 def _lattice_convolution(
     a, b, shape: tuple[int, ...], at=None
 ) -> tuple[np.ndarray, float | None]:
@@ -149,8 +162,8 @@ def _lattice_convolution(
     numpy's FFT) is zero-padded to a 5-smooth length >= 2n and the linear
     convolution along it folded onto Z_n, at most 2x the memory.  Integer
     input (non-negative counts) gives an exact int64 result: the FFT's is
-    accepted only if sum(a)*sum(b) <= 2^52, the residual is below 1/4 and
-    the total is exact; else the tally recounts.
+    accepted only if sum(a)*sum(b) <= 2^52 and _certified passes it (a
+    residual below 1/4, an exact total); else the tally recounts.
     """
     same = b is a
     a = np.asarray(a).reshape(shape)
@@ -190,11 +203,7 @@ def _lattice_convolution(
             low, high, _ = np.split(c, [n, 2 * n], axis=axis)
             c = low + high
         if integer:
-            rounded = np.rint(c)
-            residual = float(np.max(np.abs(c - rounded)))
-            c = rounded.astype(np.int64)
-            if not (residual < _RESIDUAL_LIMIT and int(c.sum()) == total):
-                c, residual = _lattice_tally(a, b, shape), None
+            c, residual = _certified(c, total) or (_lattice_tally(a, b, shape), None)
     return (c if at is None else c.reshape(-1)[at]), residual
 
 
@@ -222,7 +231,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
+    """Miller-Rabin with the bases 2, 3, 5 and 7, which no composite below
+    3,215,031,751 > MAX_MODULUS passes (Pomerance, Selfridge and Wagstaff,
+    Math. Comp. 35, 1980); trial division outside [8, 3,215,031,751)."""
+    if not 8 <= n < 3_215_031_751:
+        return n >= 2 and factorize(n) == [(n, 1)]
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    powers = (pow(a, (n - 1) >> s, n) for a in (2, 3, 5, 7))
+    return all(x == 1 or n - 1 in (pow(x, 1 << i, n) for i in range(s)) for x in powers)
 
 
 def euler_phi(n: int) -> int:

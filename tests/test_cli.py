@@ -233,7 +233,7 @@ class TestUsageErrors:
         ["ksum2", "--q", "22343", "--l", "1", "--m", "1", "--n", "1", "--naive"],
         # 8*K^r = 8.0e9 rational-tally words
         ["jr-rat", "--r", "3", "--K", "1000"],
-        # 10^6 + 1 moduli, each with a convolution of length ~2*10^6
+        # (10^6 + 1)*(5*1000 + 4*10^6) ~ 4.0e12: 10^6 + 1 moduli, 4*10^6 FFT points each
         ["verify-lemma", "--lemma", "2.5", "--grid", '{"r":2,"Qs":[1000000],"Ks":[1000]}'],
     ])
     def test_oversized_work_refused_up_front(self, argv, no_ring, capsys):

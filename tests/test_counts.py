@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from kforms import (
     reciprocal_moment_identity,
 )
 from kforms.cli import main
-from kforms.counts import _sum_of_squares
+from kforms.counts import _inverse_table, _sum_of_squares, _unit_inverses
 from kforms.ring import _lattice_convolution
 from conftest import random_interval
 
@@ -246,6 +247,68 @@ class TestAverageReciprocalSweep:
     def test_r_out_of_range_rejected(self, r):
         with pytest.raises(ValueError, match=r"r must be >= 1|r = 64 exceeds 63"):
             average_reciprocal_sweep(10, r, 5)
+
+    @staticmethod
+    def per_modulus_total(Q, r, K):
+        # q = 1: every x is a unit, every sum is congruent, so J_r = K^(2r)
+        return sum(
+            reciprocal_count_mod(build_ring(q), r, K).value if q > 1 else K ** (2 * r)
+            for q in range(Q, 2 * Q + 1)
+        )
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 17, 64])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_batch_matches_the_per_modulus_counts(self, Q, r):
+        for K in sorted({1, -(-Q // 2), Q}):
+            report = average_reciprocal_sweep(Q, r, K)
+            assert report.params["sum_total"] == self.per_modulus_total(Q, r, K), (Q, r, K)
+
+    def test_highly_composite_rows(self):
+        # q in [210, 420] holds 210, 240, 252, 300, 330, 360, 390 and 420
+        for r, K in ((2, 105), (3, 30)):
+            total = average_reciprocal_sweep(210, r, K).params["sum_total"]
+            assert total == self.per_modulus_total(210, r, K)
+
+    def test_routing_between_batch_and_per_modulus_kernel(self, monkeypatch):
+        calls = []
+        kernel = kforms.counts._reciprocal_count
+
+        def spy(q, inverses, r):
+            calls.append(q)
+            return kernel(q, inverses, r)
+
+        monkeypatch.setattr(kforms.counts, "_reciprocal_count", spy)
+        # units^10 > 2^52 for most rows: the certificate cannot hold for their
+        # block, whose rows are recounted modulus by modulus
+        inverses = {q: [pow(x, -1, q) for x in range(1, 41) if math.gcd(x, q) == 1]
+                    for q in range(40, 81)}
+        report = average_reciprocal_sweep(40, 10, 40)
+        assert report.params["sum_total"] == sum(kernel(q, inverses[q], 10)[0] for q in inverses)
+        assert {q for q in inverses if len(inverses[q]) ** 10 > 2**52} <= set(calls)
+        assert len(calls) >= 30
+        # dense rows go through the batched FFT alone
+        calls.clear()
+        average_reciprocal_sweep(64, 2, 64)
+        assert calls == []
+        # three units a row at q ~ 2400: the per-modulus kernel prices lower
+        report = average_reciprocal_sweep(1200, 2, 3)
+        assert calls == list(range(1200, 2401))
+        expected = 0
+        for q in range(1200, 2401):
+            inverses = [pow(x, -1, q) for x in range(1, 4) if math.gcd(x, q) == 1]
+            sums = Counter((a + b) % q for a in inverses for b in inverses)
+            expected += sum(c * c for c in sums.values())
+        assert report.params["sum_total"] == expected
+
+    def test_inverses_match_pow_and_gcd(self):
+        qs = np.arange(1, 301, dtype=np.int64)
+        inverses, units = _unit_inverses(qs[:, None], _inverse_table(300), 300)
+        for q in range(1, 301):
+            for x in range(1, q + 1):
+                unit = math.gcd(x, q) == 1
+                assert units[q - 1, x - 1] == unit, (q, x)
+                if unit:
+                    assert inverses[q - 1, x - 1] == pow(x, -1, q), (q, x)
 
 
 class TestExactConvolution:

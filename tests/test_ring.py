@@ -17,7 +17,8 @@ from kforms import (
     mod_inverse,
 )
 from kforms.ring import (
-    MAX_MODULUS, ResidueRing, _dft_naive, _dots_at, _lattice_convolution, _smooth_length,
+    MAX_MODULUS, ResidueRing, _certified, _dft_naive, _dots_at, _lattice_convolution,
+    _smooth_length, factorize, is_prime,
 )
 
 
@@ -425,3 +426,33 @@ class TestSmoothLength:
         triples = [2**a * 3**b * 5**c for a in range(36) for b in range(23) for c in range(16)]
         for n in ns:
             assert _smooth_length(n) == min(m for m in triples if m >= n)
+
+
+class TestIsPrime:
+    def test_matches_factorize(self):
+        for n in range(-2, 30000):
+            assert is_prime(n) == (n >= 2 and factorize(n) == [(n, 1)]), n
+
+    def test_strong_pseudoprimes_and_carmichael_numbers(self):
+        # strong pseudoprimes to base 2 (2047 ...), to bases 2, 3, 5 (25326001),
+        # Carmichael numbers, and 3215031751 = 151*751*28351, the first strong
+        # pseudoprime to 2, 3, 5 and 7, which trial division settles
+        for n in (2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 561, 1105, 1729,
+                  2465, 2821, 6601, 8911, 3215031751):
+            assert not is_prime(n), n
+        assert is_prime(3037000493) and not is_prime(MAX_MODULUS)  # 3037000493: largest prime
+
+    def test_range_near_the_modulus_bound(self):
+        # 102 primes, counted by trial division
+        assert sum(map(is_prime, range(2999900000, 2999902001))) == 102
+
+
+class TestCertified:
+    def test_rounds_and_checks_the_totals(self):
+        c = np.array([[1.1, 2.0, -0.05], [3.0, 0.2, 0.0]])
+        counts, residual = _certified(c.copy(), [3, 3], axis=1)
+        assert counts.tolist() == [[1, 2, 0], [3, 0, 0]]
+        assert residual == pytest.approx(0.2)
+        assert _certified(c.copy(), [3, 4], axis=1) is None  # a total is off
+        assert _certified(c.copy(), 6)[1] == pytest.approx(0.2)
+        assert _certified(np.array([0.3, 1.0]), 1) is None  # residual 0.3 >= 1/4
