@@ -24,7 +24,7 @@ from .counts import (
 )
 from .kloosterman import double_fast, double_naive, single_sum, weil_reference
 from .reports import SweepResult, emit_report, make_report
-from .ring import IntervalSet, build_ring, check_work, euler_phi, is_prime
+from .ring import IntervalSet, build_ring, check_work, euler_phi
 from .sweeps import (
     allowed_exceptions,
     build_instance,
@@ -193,13 +193,9 @@ def _print_sweep(result: SweepResult, label: str) -> None:
 
 
 def cmd_verify_thm1(args) -> SweepResult:
-    qs = parse_int_list(args.q)
-    if args.primes:
-        qs = [q for q in qs if is_prime(q)]
     result = verify_thm1_sweep(
-        qs, args.L, args.M, args.N,
-        mode=args.weights, seed=args.seed, threshold=args.C,
-        budget_ms=args.budget_ms,
+        parse_int_list(args.q), args.L, args.M, args.N, mode=args.weights, seed=args.seed,
+        threshold=args.C, budget_ms=args.budget_ms, primes=args.primes,
     )
     _print_sweep(result, "thm1 sweep")
     return result

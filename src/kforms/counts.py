@@ -12,10 +12,12 @@ result is accepted only under a certificate: a total of at most 2^52, a
 residual max|c - rint c| below 1/4 and an exact total.  A result that
 fails it is recounted by the tally.  The product energy is priced by the
 same rule, over the pairs of the intervals' unit members, before anything
-of size q exists: where the tally is cheaper it multiplies the members mod q
-and counts the products in q bins or by sorting, with no ring, character
-table or discrete log, so a short interval is counted at any q up to
-MAX_MODULUS.
+of size q exists: where the tally is cheaper it counts the products mod q
+in q int32 bins or by sorting, with no ring, character table or discrete
+log, so a short interval is counted at any q up to MAX_MODULUS.  In the
+bins, a unit times the consecutive members of an interval is an arithmetic
+progression mod q: a row that wraps past q only a few times is added by
+strided slices and holds no keys; the other rows key their products.
 The dyadic average counts every modulus Q <= q <= 2Q of a cell at once: the
 inverses of 1..K mod each q come from one table of the inverses mod x <= K,
 and the rows of a block of moduli, each the indicator of its inverses, share
@@ -83,12 +85,12 @@ def _count_report(
 
 
 def _sum_of_squares(counts: np.ndarray) -> int:
-    """sum c^2 for a non-negative int64 array, exact: an int64 dot product
-    when size * max^2 < 2^63 rules out overflow, Python ints otherwise."""
+    """sum c^2 for a non-negative integer array, exact: summed in int64 when
+    size * max^2 < 2^63 rules out overflow, in Python ints otherwise."""
     counts = counts.reshape(-1)
     top = int(counts.max(initial=0))
     if counts.size * top * top < 2**63:
-        return int(np.dot(counts, counts))
+        return int(np.einsum("i,i->", counts, counts, dtype=np.int64))
     return sum(c * c for c in counts[counts > 0].tolist())
 
 
@@ -97,6 +99,10 @@ _FFT_BLOCK = 1 << 15  # padded points per batched FFT of a Lemma 2.5 cell
 # FFT points times their log2: ~60 us against ~3.5 ns a unit, measured at
 # Q = 200 to 5000 (2-vCPU host).
 _KERNEL_CALL = 17_000
+# A strided slice add of the q-bin tally costs, besides its elements, about as
+# much as this many keyed adds: 1.6-1.9 us a slice, 1.5-4.5 ns an element
+# and 8-10 ns a key, measured at q = 10^6+3 (2-vCPU host).
+_SEGMENT_COST = 250
 
 
 def _unit_count(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) -> int:
@@ -120,27 +126,54 @@ def _unit_members(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) 
     return residues[units]
 
 
-def _product_counts(ra: np.ndarray, rb: np.ndarray, q: int) -> np.ndarray:
-    """How many pairs (i, j) share each product ra[i]*rb[j] mod q: in q bins,
-    one added per key, _TALLY_CHUNK pairs a step, when q is at most
-    _PAIR_COST bins a pair, else one count per distinct product, from the
-    sorted keys."""
+def _product_counts(ra, rb, q: int, b_interval=None, primes=()) -> np.ndarray:
+    """How many pairs (i, j) share each product ra[i]*rb[j] mod q: in q bins
+    when q is at most _PAIR_COST bins a pair, else one count per distinct
+    product, from the sorted keys.  In the bins, given b_interval (whose unit
+    members rb are) and q's primes, the products of ra[i] with the
+    consecutive members of b_interval form a progression mod q of step ra[i],
+    walked down by q - ra[i] above q/2.  A row is added by strided slices, a
+    new one each time its progression wraps past q, where _SEGMENT_COST a
+    slice undercuts a keyed add per member; the non-unit members reach only
+    non-unit bins, which are then zeroed.  The other rows add one per key,
+    _TALLY_CHUNK keys a step.  With rb is ra the bins take each pair i < j
+    twice and i = j once."""
     pairs = ra.size * rb.size
-    if q <= _PAIR_COST * pairs:
-        check_work(pairs, "product pairs")
-        check_work(q, "q tally bins")
-        # one add per key, not a bincount per step, which would allocate and add q bins
-        counts = np.zeros(q, dtype=np.int64)
-        step = max(1, _TALLY_CHUNK // rb.size)  # rb is not empty: q <= 8*pairs
-        for s in range(0, ra.size, step):
-            keys = np.multiply.outer(ra[s : s + step], rb).reshape(-1)
-            keys %= q
-            np.add.at(counts, keys, 1)
-        return counts
-    check_work(3 * pairs, "3*pairs sort words")  # 23-26 B a pair
-    keys = np.multiply.outer(ra, rb).reshape(-1)
-    keys %= q
-    return np.unique(keys, return_counts=True)[1]
+    if q > _PAIR_COST * pairs:
+        check_work(3 * pairs, "3*pairs sort words")  # 23-26 B a pair
+        keys = np.multiply.outer(ra, rb).reshape(-1)
+        keys %= q
+        return np.unique(keys, return_counts=True)[1]
+    check_work(pairs, "product pairs")
+    same, keyed, walk = rb is ra, np.arange(ra.size), ()
+    if b_interval is not None:
+        residues = b_interval.residues(q)
+        # the member each row walks from: the next one with rb is ra, else the first
+        first = np.flatnonzero(np.gcd(residues, q) == 1) + 1 if same else np.zeros_like(ra)
+        lengths, steps = residues.size - first, np.where(2 * ra < q, ra, ra - q)
+        rows = (np.abs(steps) * lengths // q + 1) * _SEGMENT_COST < lengths
+        starts = ra * ((residues[0] + first) % q) % q
+        walk, keyed = zip(*(x[rows].tolist() for x in (steps, starts, lengths))), keyed[~rows]
+    # 4 B a bin and 8.1-8.2 B a keyed pair of one step, measured
+    check_work(q // 2 + 2 * min(keyed.size * rb.size, _TALLY_CHUNK), "q/2 bin + 2*keyed pair words")
+    counts = np.zeros(q, dtype=np.int32 if pairs < 2**31 else np.int64)  # no bin exceeds pairs
+    for s, t, n in walk:
+        while n > 0:
+            segment = counts[t::s][:n]
+            segment += 1 + same
+            n, t = n - segment.size, (t + segment.size * s) % q
+    for p, _ in primes:
+        counts[::p] = 0
+    if same:
+        np.add.at(counts, ra * ra % q, counts.dtype.type(1))  # a bin-typed value keeps add.at fast
+    step = max(1, _TALLY_CHUNK // rb.size)  # rb is not empty: q <= 8*pairs
+    for s in range(0, keyed.size, step):
+        rows = keyed[s : s + step]
+        upper = (ra[i] * rb[i + 1 :] for i in rows.tolist())
+        keys = np.concatenate(list(upper)) if same else np.multiply.outer(ra[rows], rb).reshape(-1)
+        keys %= q
+        np.add.at(counts, keys, counts.dtype.type(1 + same))
+    return counts
 
 
 def _product_energy(
@@ -151,7 +184,9 @@ def _product_energy(
     kernel's rule before anything of size q is built: _PAIR_COST per pair of
     the intervals' unit members against the padded FFT of the unit-group
     lattice, shaped from q's factorization.  The tally counts the members'
-    products mod q, in q bins or by sorting; the FFT convolves the
+    products mod q by _product_counts, in q bins (walking each row's
+    progression over b_interval where that is cheaper, and each pair once
+    when the intervals are equal) or by sorting; the FFT convolves the
     intervals' counts on the lattice of table(), q's CharacterTable, where a
     product of units adds exponent tuples."""
     _check_modulus(q)
@@ -160,7 +195,7 @@ def _product_energy(
     if pairs * _PAIR_COST <= _fft_plan(_lattice_shape(primes))[2]:
         ra = _unit_members(a_interval, q, primes)
         rb = ra if b_interval == a_interval else _unit_members(b_interval, q, primes)
-        return _sum_of_squares(_product_counts(ra, rb, q)), None
+        return _sum_of_squares(_product_counts(ra, rb, q, b_interval, primes)), None
     table = table()
     a = _to_lattice(table, a_interval.residues(q))
     b = a if b_interval == a_interval else _to_lattice(table, b_interval.residues(q))

@@ -53,11 +53,15 @@ _RESIDUAL_LIMIT = 0.25
 # matters; below that either path takes well under a millisecond.
 _PAIR_COST = 8
 # One element of a dot product costs about _DOT_COST FFT points times their
-# log2 (0.07 to 0.16 measured at n = 10^4 to 10^6, 0.15 where it matters),
-# and each index read as much as _DOT_CALL more elements: ~2.5 us of call
-# overhead plus the folds' share, so that reads at n ~ 2500 stay on the FFT.
-_DOT_COST = 0.15
-_DOT_CALL = 5000
+# log2 (0.04-0.05 measured up to n/2 = 1.5*10^5, ~0.19 ns an element), and
+# about twice that past n/2 = _DOT_CACHE, where a dot's two length-n/2
+# operands (4 MiB there) outgrow a 2 MiB L2 (0.07-0.1 at n/2 = 3*10^5 to
+# 5*10^5).  Each index read costs as much as _DOT_CALL more elements: ~2 us
+# of call overhead, so that reads at n ~ 2500 stay on the FFT.  Random
+# operands, 2-vCPU host.
+_DOT_COST = 0.05
+_DOT_CALL = 13000
+_DOT_CACHE = 1 << 18
 _TALLY_CHUNK = 1 << 22  # pairs per tally step
 
 
@@ -155,12 +159,13 @@ def _lattice_convolution(
 
     The support pairs are tallied when _PAIR_COST per pair undercuts the
     FFT's points*log2(points).  Float input read `at` on a one-axis lattice
-    of even order takes _dots_at when _DOT_COST per dot element (plus
-    _DOT_CALL elements per index) undercuts the same.  Otherwise a padded FFT
-    runs (rfftn on real input, fftn on complex; b is a is transformed once):
-    the longest axis whose length n has a prime factor above 7 (slow in
-    numpy's FFT) is zero-padded to a 5-smooth length >= 2n and the linear
-    convolution along it folded onto Z_n, at most 2x the memory.  Integer
+    of even order takes _dots_at when _DOT_COST per dot element (twice
+    that past n/2 = _DOT_CACHE, plus _DOT_CALL elements per index) undercuts
+    the same.  Otherwise a padded FFT runs (rfftn on real input, fftn on
+    complex; b is a is transformed, and counted, once): the longest axis
+    whose length n has a prime factor above 7 (slow in numpy's FFT) is
+    zero-padded to a 5-smooth length >= 2n and the linear convolution along
+    it folded onto Z_n, at most 2x the memory.  Integer
     input (non-negative counts) gives an exact int64 result: the FFT's is
     accepted only if sum(a)*sum(b) <= 2^52 and _certified passes it (a
     residual below 1/4, an exact total); else the tally recounts.
@@ -177,7 +182,7 @@ def _lattice_convolution(
         if total > np.iinfo(np.int64).max:
             raise ValueError(f"dimension too large: convolution total {total} exceeds int64")
     size, axis, fft_cost = _fft_plan(shape)
-    pairs = np.count_nonzero(a) * np.count_nonzero(b)
+    pairs = (nonzero := np.count_nonzero(a)) * (nonzero if same else np.count_nonzero(b))
     half = shape[0] // 2 if len(shape) == 1 and shape[0] % 2 == 0 else 0
     residual = None
     if pairs * _PAIR_COST <= fft_cost or total > _FFT_TOTAL_LIMIT:
@@ -186,7 +191,7 @@ def _lattice_convolution(
         at is not None
         and half
         and a.dtype.kind == b.dtype.kind == "f"
-        and len(at) * (half + _DOT_CALL) * _DOT_COST <= fft_cost
+        and len(at) * (half * (1 + (half > _DOT_CACHE)) + _DOT_CALL) * _DOT_COST <= fft_cost
     ):
         return _dots_at(a, b, at), None
     else:

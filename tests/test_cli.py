@@ -153,6 +153,18 @@ class TestVerifyCommands:
         assert len(rows) == 9  # primes in [101, 140]
         assert {"measured", "reference", "ratio", "runtime_ms"} <= set(rows[0])
 
+    def test_budget_bounds_the_prime_filter(self, monkeypatch, capsys):
+        # the moduli are tested as the sweep reaches them, so a spent budget
+        # stops the test too: a handful of the 299,001 moduli are looked at
+        tested = []
+        is_prime = kforms.sweeps.is_prime
+        monkeypatch.setattr(kforms.sweeps, "is_prime", lambda q: tested.append(q) or is_prime(q))
+        argv = ["verify-thm1", "--q", "1000..300000", "--primes", "--budget-ms", "1",
+                "--L", "0:3", "--M", "0:3", "--N", "0:3"]
+        assert main(argv) == 0
+        assert "truncated" in capsys.readouterr().out
+        assert 1 <= len(tested) < 10_000 and tested == list(range(1000, 1000 + len(tested)))
+
     def test_unwritable_out_refused_before_the_run(self, monkeypatch, tmp_path, capsys):
         def unreachable(*args, **kwargs):
             raise AssertionError("the sweep ran before --out was checked")

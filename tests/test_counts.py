@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from kforms import (
     reciprocal_moment_identity,
 )
 from kforms.cli import main
-from kforms.counts import _inverse_table, _sum_of_squares, _unit_inverses
+from kforms.counts import _inverse_table, _product_energy, _sum_of_squares, _unit_inverses
 from kforms.ring import _lattice_convolution
 from conftest import random_interval
 
@@ -72,6 +73,71 @@ class TestMultiplicativeEnergy:
         a_units = sum(1 for x in a.members() if math.gcd(int(x), 60) == 1)
         b_units = sum(1 for x in b.members() if math.gcd(int(x), 60) == 1)
         assert multiplicative_energy(ring, a, b).value >= a_units * b_units
+
+
+BINS = "q/2 bin + 2*keyed pair words"
+
+
+def tally_prices(monkeypatch, q, k, H, segment_cost=None):
+    """The energy of IntervalSet(k, H) with itself mod q, with the work each
+    check_work call of the count priced, by label."""
+    prices = {}
+
+    def price(work, label):
+        prices[label] = work
+
+    monkeypatch.setattr(kforms.counts, "check_work", price)
+    if segment_cost is not None:
+        monkeypatch.setattr(kforms.counts, "_SEGMENT_COST", segment_cost)
+    interval = IntervalSet(k, H)
+    return _product_energy(q, interval, interval, None)[0], prices
+
+
+class TestProgressionTally:
+    @pytest.mark.parametrize("q, k, H, keyed_rows", [
+        # rows of step <= 1000 wrap at most once: all but the ~250 shortest walk
+        (10**6 + 3, 0, 1000, range(200, 300)),
+        # steps near q/3 wrap every third member: every row keyed
+        (10**6 + 3, (10**6 + 3) // 3, 1000, range(1000, 1001)),
+        # rows from q - 1000 up walk down by at most 1000
+        (999983, 999983 - 1001, 1000, range(200, 300)),
+    ])
+    def test_rows_walk_or_key_by_price(self, q, k, H, keyed_rows, monkeypatch):
+        value, prices = tally_prices(monkeypatch, q, k, H)
+        assert (prices[BINS] - q // 2) // (2 * H) in keyed_rows
+        assert tally_prices(monkeypatch, q, k, H, segment_cost=math.inf)[0] == value
+
+    def test_sparse_products_take_the_sort(self, monkeypatch):
+        # 10^5 pairs, q > 8 bins a pair: the keys are sorted, no bins held
+        _, prices = tally_prices(monkeypatch, 1000033, 3, 316)
+        assert "3*pairs sort words" in prices and BINS not in prices
+
+    def test_walked_tally_holds_only_its_bins(self):
+        # 10^6 int32 bins (3.8 MiB) and the short keyed rows; keying every
+        # row held 15.4 MiB with int64 bins
+        interval = IntervalSet(0, 1000)
+        tracemalloc.start()
+        try:
+            _product_energy(10**6 + 3, interval, interval, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("q, a, b", [
+        (1009, IntervalSet(-3000, 30), IntervalSet(-3000, 30)),
+        (1009, IntervalSet(500, 30), IntervalSet(-2019, 28)),  # rows near q/2
+        (2310, IntervalSet(-5000, 100), IntervalSet(-5000, 100)),  # non-units fall in
+        (2310, IntervalSet(1100, 100), IntervalSet(-4000, 110)),
+    ])
+    @pytest.mark.parametrize("cost", [0, math.inf])
+    def test_every_row_walked_or_keyed_matches_pair_enumeration(self, q, a, b, cost, monkeypatch):
+        # these energies are tallied in q bins (no table is given); a zero
+        # slice price walks every row, an infinite one keys every row
+        monkeypatch.setattr(kforms.counts, "_SEGMENT_COST", cost)
+        units = [[x % q for x in iv.members().tolist() if math.gcd(x, q) == 1] for iv in (a, b)]
+        products = Counter(x * y % q for x in units[0] for y in units[1])
+        assert _product_energy(q, a, b, None)[0] == sum(c * c for c in products.values())
 
 
 class TestEnergyCharacterIdentity:

@@ -5,11 +5,13 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kforms.counts
 from kforms import (
     IntervalSet,
     TrilinearInstance,
@@ -280,6 +282,33 @@ def test_residue_tally_matches_lattice_fft(q, data):
     c = np.rint(np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real).astype(np.int64)
     assert tally == int(np.sum(c * c))
     assert _product_energy(q, a_iv, b_iv, lambda: table)[0] == tally
+
+
+@SETTINGS
+@given(
+    q=st.one_of(COUNT_MODULI, st.sampled_from([210, 2310, 512, 1024, 3**6, 7**3])),
+    same=st.booleans(),
+    cost=st.sampled_from([0, 1, 4, math.inf]),
+    data=st.data(),
+)
+def test_progression_tally_matches_keyed_and_dense_tally(q, same, cost, data):
+    # starts down to -3q and lengths up to 150 (past q for q < 150): intervals
+    # cross multiples of q, non-units fall in, and rows above q/2 walk down;
+    # a slice price of 0 walks every row, inf none
+    a_iv, b_iv = (
+        IntervalSet(data.draw(st.integers(-3 * q, q)), data.draw(st.integers(1, 150)))
+        for _ in range(2)
+    )
+    b_iv = a_iv if same else b_iv
+    primes = factorize(q)
+    ra = _unit_members(a_iv, q, primes)
+    rb = ra if same else _unit_members(b_iv, q, primes)
+    keyed = _product_counts(ra, rb.copy(), q)  # not rb is ra: every ordered pair keyed
+    with mock.patch.object(kforms.counts, "_SEGMENT_COST", cost):
+        walked = _product_counts(ra, rb, q, b_iv, primes)
+    if q <= 8 * ra.size * rb.size:  # the q bins, where the progressions run
+        assert walked.dtype == np.int32 and np.array_equal(walked, keyed)
+    assert _sum_of_squares(walked) == _dense_energy(q, a_iv, b_iv)
 
 
 @SETTINGS

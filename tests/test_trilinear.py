@@ -432,6 +432,20 @@ class TestUnitWindowAtScale:
         assert (dot_calls, fft_calls) == (1, 0)
         assert_match_gather(ring, (dots, fft), l_iv, m_iv, n_iv, 1e-13)
 
+    @pytest.mark.parametrize("q, length, dot_calls", [
+        (100003, 316, 1),  # 632 reads of n/2 = 50001 elements, as at thm1_large's 10^5 primes
+        (1459, 38, 0),  # 76 reads at n = 1458: the per-read cost keeps them on the FFT
+    ])
+    def test_default_rule_routes_the_reads(self, q, length, dot_calls, monkeypatch):
+        # the test above pins the dots at q = 10^6+3 (96 reads of n/2 = 500001)
+        ring = build_ring(q)
+        side = math.isqrt(q)
+        l_iv, m_iv, n_iv = IntervalSet(17, length), IntervalSet(-5, side), IntervalSet(0, side)
+        costs = (kforms.ring._DOT_COST,)
+        [(window, calls)] = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, costs)
+        assert calls == dot_calls
+        assert_match_gather(ring, [window], l_iv, m_iv, n_iv, 1e-13)
+
     @pytest.mark.parametrize("q, dot_calls", [(2 * 3**7, 1), (2310, 0)])
     def test_non_units_read_zero(self, q, dot_calls, monkeypatch):
         # 4374 has a one-axis unit lattice, where a zero cost forces the dots;
