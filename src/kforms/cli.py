@@ -26,6 +26,7 @@ from .kloosterman import double_fast, double_naive, single_sum, weil_reference
 from .reports import SweepResult, emit_report, make_report
 from .ring import IntervalSet, build_ring, check_work, euler_phi
 from .sweeps import (
+    DEFAULT_GRIDS,
     allowed_exceptions,
     build_instance,
     parse_int_list,
@@ -34,7 +35,7 @@ from .sweeps import (
     verify_thm1_sweep,
     verify_thm2_sweep,
 )
-from .trilinear import proof_trace, theorem1_bounds, trilinear_fast, trilinear_naive
+from .trilinear import WEIGHT_MODES, proof_trace, theorem1_bounds, trilinear_fast, trilinear_naive
 
 
 def _fmt(value) -> str:
@@ -229,8 +230,7 @@ def _instance_flags(default_len: str = "sqrt") -> list:
         ("--L", {"default": f"0:{default_len}", "help": "weight interval start:length"}),
         ("--M", {"default": f"0:{default_len}", "help": "M interval start:length"}),
         ("--N", {"default": f"0:{default_len}", "help": "N interval start:length"}),
-        ("--weights", {"choices": ("ones", "rademacher", "phase", "extremal"),
-                       "default": "ones"}),
+        ("--weights", {"choices": WEIGHT_MODES, "default": "ones"}),
         ("--seed", {"type": int, "default": 0}),
     ]
 
@@ -277,7 +277,7 @@ COMMANDS = {
         ("--epsilon", {"type": float, "default": 0.05}), *_SWEEP,
     ]),
     "verify-lemma": (cmd_verify_lemma, "moment/count check over its grid", [
-        ("--lemma", {"choices": ("2.1", "2.2", "2.3", "2.4", "2.5"), "required": True}),
+        ("--lemma", {"choices": tuple(DEFAULT_GRIDS), "required": True}),
         ("--grid", {"help": "JSON object overriding the default grid"}),
         *_SWEEP,
     ]),

@@ -119,6 +119,7 @@ def _unit_count(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) ->
 def _unit_members(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) -> np.ndarray:
     """The interval's unit members reduced mod q (primes is q's
     factorization), in order."""
+    check_work(3 * interval.length, "3*length unit member words")  # 18 B a member
     residues = interval.residues(q)
     units = np.ones(residues.size, dtype=bool)
     for p, _ in primes:
@@ -147,12 +148,15 @@ def _product_counts(ra, rb, q: int, b_interval=None, primes=()) -> np.ndarray:
     check_work(pairs, "product pairs")
     same, keyed, walk = rb is ra, np.arange(ra.size), ()
     if b_interval is not None:
-        residues = b_interval.residues(q)
-        # the member each row walks from: the next one with rb is ra, else the first
-        first = np.flatnonzero(np.gcd(residues, q) == 1) + 1 if same else np.zeros_like(ra)
-        lengths, steps = residues.size - first, np.where(2 * ra < q, ra, ra - q)
+        # the member each row walks from: with rb is ra the one after it, whose
+        # index sums the gaps between members, each in [1, q] (q consecutive
+        # integers hold the unit 1 mod q) and so read off their offsets mod q
+        # from b_interval's first residue; else the first
+        gaps = (np.diff((ra - (b_interval.start + 1) % q) % q, prepend=-1) - 1) % q + 1
+        first = np.cumsum(gaps) if same else np.zeros_like(ra)
+        lengths, steps = b_interval.length - first, np.where(2 * ra < q, ra, ra - q)
         rows = (np.abs(steps) * lengths // q + 1) * _SEGMENT_COST < lengths
-        starts = ra * ((residues[0] + first) % q) % q
+        starts = ra * (((b_interval.start + 1) % q + first) % q) % q
         walk, keyed = zip(*(x[rows].tolist() for x in (steps, starts, lengths))), keyed[~rows]
     # 4 B a bin and 8.1-8.2 B a keyed pair of one step, measured
     check_work(q // 2 + 2 * min(keyed.size * rb.size, _TALLY_CHUNK), "q/2 bin + 2*keyed pair words")

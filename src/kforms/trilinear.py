@@ -267,8 +267,6 @@ def trilinear_fast(instance: TrilinearInstance) -> complex:
 
 def _level_count(length: int) -> int:
     # ceil of the natural log of length/2; lengths <= 2 stay at level 0
-    if length <= 2:
-        return 0
     return math.ceil(math.log(length / 2))
 
 
@@ -314,6 +312,14 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     e^(-2rj) q N^(2r) J_r(q; min(q, floor(e^j q/N))), with U_{j,-} read as
     conj U_{j,+}.  Per cell: the value sum_lam T*U and its three-factor
     Hoelder bound.  The cell values sum back to the full form exactly.
+
+    The references J_r are counted before the T maps, largest K first, so
+    that a J_r over the work budget refuses the trace up front.  At r = 3
+    that is every K holding more than ~165,140 units, where J_3's total
+    units^3 passes 2^52 and its tally needs about q*units pairs: with
+    M = N = floor(sqrt q), a trace runs at q = 150,001 and is refused from
+    q = 170,003 on.  With r <= 2 only the trace's own price limits q
+    (~3.3*10^6).
     """
     if r not in (1, 2, 3):
         raise ValueError(f"r unsupported: trace needs r in {{1, 2, 3}}, got {r}")
@@ -328,6 +334,11 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     check_work((48 + 4 * _level_count(m_len)) * q, "(48 + 4*levels)*q trace words")
 
     dec = dyadic_decomposition(ring, m_len, n_len)
+    # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q, for
+    # every N-side level j, largest K first: a J_r over the budget refuses
+    # the trace before any T map is built
+    ks = [min(q, math.floor(math.exp(j) * q / n_len)) for j in range(dec.levels_n + 1)]
+    j_r = {K: reciprocal_count_mod(ring, r, K).value for K in sorted(set(ks), reverse=True)}
     # T(lam) is a convolution on the unit group: alpha at log l, mu at
     # log inv(x); the weights vanish off units
     table = ring.characters
@@ -365,9 +376,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
         g[ring.inv_table[ys]] = interval_phase_sum(ring, instance.n_interval, ys)
         u_map = cyclic_dft(ring, g)
         del g
-        # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q
-        j_r = reciprocal_count_mod(ring, r, min(q, math.floor(math.exp(j) * q / n_len))).value
-        reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_r
+        reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_r[ks[j]]
         y_moments[(j, 1)] = _moment_check(float(np.sum(np.abs(u_map) ** (2 * r))), reference)
         values[:, j] = t_stack @ u_map
         mirrored = dec.r_sets[(j, -1)].size > 0

@@ -270,6 +270,14 @@ class TestUsageErrors:
         # fit, but their sum ~ 4.2e8 does not: refused before the ring
         (["verify-thm1", "--q", "30000001", "--weights", "extremal"],
          kforms.sweeps, "build_ring"),
+        # ~4*10^16 unit pairs price the energy onto the lattice, whose 7*q
+        # ring words ~ 1.4e10 are refused before any unit member is built
+        (["energy", "--q", "2000000011", "--A", "0:200000000", "--B", "0:200000000"],
+         kforms.counts, "_unit_members"),
+        # 2*10^8 pairs take the tally, whose 3*length member words ~ 3.0e8
+        # are refused before the interval's residues
+        (["energy", "--q", "2000000011", "--A", "0:100000000", "--B", "0:2"],
+         kforms.ring.IntervalSet, "residues"),
     ])
     def test_refused_before_the_work(self, argv, module, name, monkeypatch, capsys):
         monkeypatch.setattr(module, name, None)  # any use raises a TypeError or AttributeError

@@ -21,8 +21,11 @@ from kforms import (
     reciprocal_moment_identity,
 )
 from kforms.cli import main
-from kforms.counts import _inverse_table, _product_energy, _sum_of_squares, _unit_inverses
-from kforms.ring import _lattice_convolution
+from kforms.counts import (
+    _inverse_table, _product_counts, _product_energy, _sum_of_squares, _unit_inverses,
+    _unit_members,
+)
+from kforms.ring import _lattice_convolution, factorize
 from conftest import random_interval
 
 
@@ -138,6 +141,20 @@ class TestProgressionTally:
         units = [[x % q for x in iv.members().tolist() if math.gcd(x, q) == 1] for iv in (a, b)]
         products = Counter(x * y % q for x in units[0] for y in units[1])
         assert _product_energy(q, a, b, None)[0] == sum(c * c for c in products.values())
+
+
+    @pytest.mark.parametrize("q, start", [(2, 0), (7, -10), (12, 5), (30, -61), (97, 40)])
+    @pytest.mark.parametrize("periods", [1, 2, 5])
+    def test_interval_with_itself_past_q_walks_from_each_next_member(
+        self, q, start, periods, monkeypatch
+    ):
+        # members repeat their residues once the interval passes q, so each
+        # row's walk starts at its member's index, not at its residue's offset
+        interval = IntervalSet(start, periods * q + 3)
+        ra = _unit_members(interval, q, factorize(q))
+        keyed = _product_counts(ra, ra.copy(), q)  # not rb is ra: every ordered pair keyed
+        monkeypatch.setattr(kforms.counts, "_SEGMENT_COST", 0)  # every row walked
+        assert np.array_equal(_product_counts(ra, ra, q, interval, factorize(q)), keyed)
 
 
 class TestEnergyCharacterIdentity:

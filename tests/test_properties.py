@@ -34,7 +34,7 @@ from kforms.ring import _power_blocks
 from kforms.counts import (
     _product_counts, _product_energy, _sum_of_squares, _unit_count, _unit_members,
 )
-from kforms.ring import _lattice_convolution, _lattice_shape, _to_lattice
+from kforms.ring import _PAIR_COST, _fft_plan, _lattice_convolution, _lattice_shape, _to_lattice
 from kforms.trilinear import _unit_window, _window_gather
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
@@ -327,6 +327,28 @@ def test_intervals_longer_than_q_take_the_lattice_fft(q, data):
     ring = build_ring(q)
     for pair in ((a_iv, a_iv), (a_iv, b_iv)):
         assert _product_energy(q, *pair, lambda: ring.characters)[1] is not None
+
+
+@SETTINGS
+@given(q=COUNT_MODULI, same=st.booleans(), data=st.data())
+def test_energy_route_follows_the_member_pair_price(q, same, data):
+    # starts down to -3q and lengths up to 3q: the energy is tallied, with no
+    # residual and no table asked for, exactly when _PAIR_COST per pair of
+    # unit members undercuts the padded lattice FFT.  The route is read off
+    # the table call: past it the kernel may still tally a sparse lattice
+    # (q = 257, IntervalSet(0, 1) against IntervalSet(0, 258)).
+    a_iv, b_iv = (
+        IntervalSet(data.draw(st.integers(-3 * q, q)), data.draw(st.integers(1, 3 * q)))
+        for _ in range(2)
+    )
+    b_iv = a_iv if same else b_iv
+    units = [sum(math.gcd(x, q) == 1 for x in iv.members().tolist()) for iv in (a_iv, b_iv)]
+    ring, asked = build_ring(q), []
+    residual = _product_energy(q, a_iv, b_iv, lambda: asked.append(q) or ring.characters)[1]
+    tallied = _PAIR_COST * units[0] * units[1] <= _fft_plan(_lattice_shape(factorize(q)))[2]
+    assert (not asked) == tallied
+    if tallied:
+        assert residual is None
 
 
 @SETTINGS

@@ -296,6 +296,21 @@ class TestProofTrace:
         with pytest.raises(ValueError, match="trace needs M, N <= q"):
             proof_trace(inst, 2)
 
+    def test_reciprocal_count_over_budget_refused_before_the_t_maps(self, monkeypatch):
+        # at M = N = 632 the top level's J_3 counts ~2.5*10^5 units, whose
+        # total units^3 passes 2^52: its tally is over the budget, and the
+        # trace stops there before any T-map convolution runs
+        q = 400009
+        side = IntervalSet(0, 632)
+        inst = small_instance(q, IntervalSet(0, 10), side, side, mode="phase", seed=1)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a T map was convolved")
+
+        monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", unexpected)
+        with pytest.raises(ValueError, match="dimension too large"):
+            proof_trace(inst, 3)
+
     def test_one_transform_per_level(self, monkeypatch):
         # U_{j,-} is conj U_{j,+}: one length-q DFT per N-side level, not
         # one per (level, sign)
