@@ -4,13 +4,15 @@ mod q or equal over Q, and the dyadic average of the modular counts.
 
 Each modular count is the sum of the squared entries of an exact cyclic
 convolution of non-negative integer count vectors: over Z_q for sums of
-inverses, and over the unit-group lattice for products of units.  The
+inverses (J_r: the indicator of the inverses convolved with itself r-fold,
+one kernel call that raises its one spectrum to the r-th power), and over
+the unit-group lattice for products of units (two operands).  The
 package's one lattice kernel, ring._lattice_convolution, computes them, by
-a pairwise tally on sparse supports and otherwise by a real FFT (the
-longest rough axis zero-padded to a 5-smooth length >= 2n) whose rounded
-result is accepted only under a certificate: a total of at most 2^52, a
-residual max|c - rint c| below 1/4 and an exact total.  A result that
-fails it is recounted by the tally.  The product energy is priced by the
+a pairwise tally on sparse supports and otherwise by a real FFT of k
+operands (the longest rough axis zero-padded to a 5-smooth length >= k*n)
+whose rounded result is accepted only under a certificate: a total of at
+most 2^52, a residual max|c - rint c| below 1/4 and an exact total.  A
+result that fails it is recounted by the tally.  The product energy is priced by the
 same rule, over the pairs of the intervals' unit members, before anything
 of size q exists: where the tally is cheaper it counts the products mod q
 in q int32 bins or by sorting, with no ring, character table or discrete
@@ -200,10 +202,13 @@ def _product_energy(
         ra = _unit_members(a_interval, q, primes)
         rb = ra if b_interval == a_interval else _unit_members(b_interval, q, primes)
         return _sum_of_squares(_product_counts(ra, rb, q, b_interval, primes)), None
+    # each interval's residues and their int64 gather onto the lattice, one
+    # interval at a time: 16.4-16.8 B a member measured
+    check_work(3 * max(a_interval.length, b_interval.length), "3*length lattice member words")
     table = table()
     a = _to_lattice(table, a_interval.residues(q))
     b = a if b_interval == a_interval else _to_lattice(table, b_interval.residues(q))
-    counts, residual = _lattice_convolution(a, b, table.shape)
+    counts, residual = _lattice_convolution((a, b), table.shape)
     return _sum_of_squares(counts), residual
 
 
@@ -272,14 +277,11 @@ def _check_r_k(r: int, K: int, top: float) -> None:
 
 def _reciprocal_count(q: int, inverses, r: int) -> tuple[int, float | None]:
     """sum_s w(s)^2 for w the r-fold cyclic self-convolution mod q of the
-    indicator of the inverses, with the largest FFT residual on the way."""
+    indicator of the inverses, one kernel call whose one spectrum is raised
+    to the r-th power, with its FFT residual."""
     v = np.bincount(np.asarray(inverses, dtype=np.int64), minlength=q)
-    w, residuals = v, []
-    for _ in range(r - 1):
-        w, residual = _lattice_convolution(w, v, (q,))
-        if residual is not None:
-            residuals.append(residual)
-    return _sum_of_squares(w), max(residuals, default=None)
+    w, residual = _lattice_convolution([v] * r, (q,)) if r > 1 else (v, None)
+    return _sum_of_squares(w), residual
 
 
 def _unit_inverses_upto(ring: ResidueRing, K: int) -> np.ndarray:

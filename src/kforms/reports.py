@@ -31,12 +31,7 @@ class BoundReport:
     runtime_ms: int
 
     def row(self) -> dict:
-        row = dict(self.params)
-        row["measured"] = self.measured
-        row["reference"] = self.reference
-        row["ratio"] = self.ratio
-        row["runtime_ms"] = self.runtime_ms
-        return row
+        return {**self.params, **{key: getattr(self, key) for key in TAIL_COLUMNS}}
 
 
 def make_report(params: dict, measured: float, reference: float, t0: float) -> BoundReport:

@@ -3,7 +3,10 @@ centered representatives, interval phase sums and the forward cyclic DFT of
 length q (numpy's FFT, with an O(q^2) reference kept for tests); also the
 package's work budget and its one lattice convolution kernel,
 _lattice_convolution, behind the trilinear unit window, the exact counts and
-the proof trace's collision sums.
+the proof trace's collision sums.  The kernel takes k >= 2 operands and
+convolves them in one chain: one transform per distinct operand, one
+product of the spectra and one inverse (or a tally, or dot products read
+at the indices asked for, wherever those price lower).
 
 build_ring splits the unit group once, by CRT, into cyclic factors (a
 primitive root per odd p^e; <-1> and <5> for the 2-adic part), so a unit is
@@ -52,16 +55,19 @@ _RESIDUAL_LIMIT = 0.25
 # log2: 5.6 to 7.5 measured at lengths 3*10^4 to 10^6, where the choice
 # matters; below that either path takes well under a millisecond.
 _PAIR_COST = 8
-# One element of a dot product costs about _DOT_COST FFT points times their
-# log2 (0.04-0.05 measured up to n/2 = 1.5*10^5, ~0.19 ns an element), and
-# about twice that past n/2 = _DOT_CACHE, where a dot's two length-n/2
-# operands (4 MiB there) outgrow a 2 MiB L2 (0.07-0.1 at n/2 = 3*10^5 to
-# 5*10^5).  Each index read costs as much as _DOT_CALL more elements: ~2 us
-# of call overhead, so that reads at n ~ 2500 stay on the FFT.  Random
-# operands, 2-vCPU host.
-_DOT_COST = 0.05
-_DOT_CALL = 13000
-_DOT_CACHE = 1 << 18
+# _dots_at's price, in the unit of _PAIR_COST (one transform is a third of
+# it, ~1.6 ns per point times log2 of the points): one element of a read's
+# two dots costs _DOT_COST (0.73 ns at n/2 = 5*10^4), about twice that past
+# n/2 = _DOT_CACHE, where a read's ~24 B per n/2 element outgrow a 4 MiB L2
+# (1.25-1.72 ns at n/2 = 1.5*10^5 to 5*10^5); each distinct read costs as
+# much as _DOT_CALL more elements (~4 us).  A call's fixed work, the folded
+# operands (11-14 ns per n/2 element) and the reads reduced mod n/2, costs
+# as much as _DOT_FOLD reads: 30 routes the window best over 55 cases at 52
+# primes from 2003 to 10^6+3, timed both ways.  One thread, 2-vCPU Xeon host.
+_DOT_COST = 0.15
+_DOT_CALL = 5500
+_DOT_CACHE = 1 << 17
+_DOT_FOLD = 30
 _TALLY_CHUNK = 1 << 22  # pairs per tally step
 
 
@@ -89,35 +95,66 @@ def _smooth_length(n: int) -> int:
     return _SMOOTH[bisect.bisect_left(_SMOOTH, n)]
 
 
-def _lattice_tally(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The cyclic convolution from the support pairs: each pair's product
-    a*b added at its index sum mod shape, _TALLY_CHUNK pairs a step, refused
-    when the pairs exceed the work budget."""
-    ia, ib = np.nonzero(a), np.nonzero(b)
-    wa, wb = a[ia], b[ib]
-    check_work(wa.size * wb.size, "convolution pairs")
-    out = np.zeros(math.prod(shape), dtype=np.result_type(wa, wb))
-    step = max(1, _TALLY_CHUNK // max(1, wb.size))
-    for s in range(0, wa.size, step):
-        rows = slice(s, s + step)
-        coords = tuple((x[rows, None] + y) % n for x, y, n in zip(ia, ib, shape))
-        keys = np.ravel_multi_index(coords, shape).reshape(-1)
-        np.add.at(out, keys, (wa[rows, None] * wb).reshape(-1))
-    return out.reshape(shape)
+def _lattice_tally(arrays, shape: tuple[int, ...]) -> np.ndarray:
+    """The cyclic convolution of the arrays from their support pairs, two at
+    a time, left to right: each pair's product added at its index sum mod
+    shape, _TALLY_CHUNK pairs a step, refused when a step's pairs exceed
+    the work budget."""
+    out, *rest = arrays
+    for b in rest:
+        ia, ib = np.nonzero(out), np.nonzero(b)
+        wa, wb = out[ia], b[ib]
+        check_work(wa.size * wb.size, "convolution pairs")
+        out = np.zeros(shape, dtype=np.result_type(wa, wb))
+        step = max(1, _TALLY_CHUNK // max(1, wb.size))
+        for s in range(0, wa.size, step):
+            rows = slice(s, s + step)
+            coords = tuple((x[rows, None] + y) % n for x, y, n in zip(ia, ib, shape))
+            keys = np.ravel_multi_index(coords, shape).reshape(-1)
+            np.add.at(out.reshape(-1), keys, (wa[rows, None] * wb).reshape(-1))
+    return out
 
 
-def _fft_plan(shape: tuple[int, ...]) -> tuple[list[int], int | None, float]:
-    """A cyclic convolution's FFT over shape: the size per axis, the axis
-    padded (None if none is) and the price points*log2(points), the unit of
-    _PAIR_COST.  The longest axis whose length n has a prime factor above 7
-    (slow in numpy's FFT) is zero-padded to a 5-smooth length >= 2n."""
+def _fft_plan(shape: tuple[int, ...], k: int = 2) -> tuple[list[int], int | None, float]:
+    """A cyclic convolution's FFT over shape, of k operands: the size per
+    axis, the axis padded (None if none is) and the price
+    points*log2(points), the unit of _PAIR_COST.  The longest axis whose
+    length n has a prime factor above 7 (slow in numpy's FFT) is
+    zero-padded to a 5-smooth length >= k*n."""
     size = list(shape)
-    rough = [k for k, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
-    axis = max(rough, key=lambda k: shape[k], default=None)
+    rough = [j for j, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
+    axis = max(rough, key=lambda j: shape[j], default=None)
     if axis is not None:
-        size[axis] = _smooth_length(2 * shape[axis])
+        size[axis] = _smooth_length(k * shape[axis])
     points = math.prod(size)
     return size, axis, points * math.log2(points + 1)
+
+
+def _dots_price(operands, shape: tuple[int, ...], at: np.ndarray) -> float:
+    """What reading the operands' convolution at the indices `at` by
+    _dots_at costs, on a one-axis lattice Z_n of even order, less what it
+    saves, in the unit of _PAIR_COST: negative where the dots undercut the
+    chained FFT.  The dots cost, per distinct index mod half = n/2, its
+    dots' elements (twice past _DOT_CACHE) and _DOT_CALL, and the call's
+    fixed work as _DOT_FOLD reads, at _DOT_COST an element.  They save the
+    chain's transforms less those of its first k - 1 operands (none for
+    k = 2), a third of points*log2(points) a transform: one per distinct
+    operand and the inverse."""
+    half, k = shape[0] // 2, len(operands)
+    reads = np.unique(at % half, return_inverse=True)[0].size  # a bare unique imports numpy.ma
+    dots = reads * (half * (1 + (half > _DOT_CACHE)) + _DOT_CALL) + _DOT_FOLD * (half + _DOT_CALL)
+    chain, head = ((len({id(x) for x in ops}) + 1) * _fft_plan(shape, len(ops))[2] / 3
+                   for ops in (operands, operands[:-1]))
+    return dots * _DOT_COST - chain + (head if k > 2 else 0)
+
+
+def _butterflies(x: np.ndarray, axes, scale: float = 1.0) -> np.ndarray:
+    """The DFT of x along each of the given axes, each of length 2: the sum
+    and the difference of its two halves, times scale (1/2 inverts it)."""
+    for j in axes:
+        a, b = np.split(x, 2, axis=j)
+        x = np.concatenate(((a + b) * scale, (a - b) * scale), axis=j)
+    return x
 
 
 def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -150,65 +187,71 @@ def _certified(c: np.ndarray, totals, axis=None) -> tuple[np.ndarray, float] | N
 
 
 def _lattice_convolution(
-    a, b, shape: tuple[int, ...], at=None
+    operands, shape: tuple[int, ...], at=None
 ) -> tuple[np.ndarray, float | None]:
-    """Cyclic convolution c(k) = sum_j a(j) b(k - j) over the lattice
-    Z_{shape[0]} x Z_{shape[1]} x ..., with the FFT certificate's residual
-    max|c - rint c| (None when the tally or the dots ran or the input is not
-    integer); with `at`, an array of flat indices, c at those alone.
+    """Cyclic convolution c = f_1 * f_2 * ... * f_k of k >= 2 operands over
+    the lattice Z_{shape[0]} x Z_{shape[1]} x ..., c(x) the sum over
+    x_1 + ... + x_k = x of f_1(x_1) ... f_k(x_k), with the FFT certificate's
+    residual max|c - rint c| (None when the tally or the dots ran or the
+    input is not integer); with `at`, an array of flat indices, c at those
+    alone.  An operand given twice (the same object) is one operand read
+    twice: it is transformed, and its support counted, once.
 
-    The support pairs are tallied when _PAIR_COST per pair undercuts the
-    FFT's points*log2(points).  Float input read `at` on a one-axis lattice
-    of even order takes _dots_at when _DOT_COST per dot element (twice
-    that past n/2 = _DOT_CACHE, plus _DOT_CALL elements per index) undercuts
-    the same.  Otherwise a padded FFT runs (rfftn on real input, fftn on
-    complex; b is a is transformed, and counted, once): the longest axis
-    whose length n has a prime factor above 7 (slow in numpy's FFT) is
-    zero-padded to a 5-smooth length >= 2n and the linear convolution along
-    it folded onto Z_n, at most 2x the memory.  Integer
-    input (non-negative counts) gives an exact int64 result: the FFT's is
-    accepted only if sum(a)*sum(b) <= 2^52 and _certified passes it (a
-    residual below 1/4, an exact total); else the tally recounts.
+    The operands are tallied two at a time, left to right, when _PAIR_COST
+    per support pair (at step j, the product of the first j supports)
+    undercuts the FFT's points*log2(points).  Float input read `at` on a
+    one-axis lattice of even order convolves the first k - 1 operands (none
+    for k = 2) and reads the result against the last by _dots_at, where
+    _dots_price says the dots undercut the transforms that saves.
+    Otherwise one FFT runs (rfftn on real input, fftn on complex): each
+    distinct operand is transformed once, the spectra are multiplied in
+    place, and one inverse is taken.  The axes of length 2 are transformed
+    by _butterflies (numpy's passes along them cost about as much as along
+    a long axis), the rest by numpy, longest last: rfftn halves that one.
+    The longest axis whose length n has a prime factor above 7 (slow in
+    numpy's FFT) is zero-padded to a 5-smooth length >= k*n, and the linear
+    convolution along it folded back onto Z_n.  Integer input
+    (non-negative counts) gives an exact int64 result: the FFT's is
+    accepted only if the product of the operands' sums is at most 2^52 and
+    _certified passes it (a residual below 1/4, an exact total); else the
+    tally recounts.
     """
-    same = b is a
-    a = np.asarray(a).reshape(shape)
-    b = a if same else np.asarray(b).reshape(shape)
-    integer = a.dtype.kind in "biu" and b.dtype.kind in "biu"
-    total = 0
-    if integer:
-        a = a.astype(np.int64, copy=False)
-        b = a if same else b.astype(np.int64, copy=False)
-        total = int(a.sum()) * int(b.sum())
-        if total > np.iinfo(np.int64).max:
-            raise ValueError(f"dimension too large: convolution total {total} exceeds int64")
-    size, axis, fft_cost = _fft_plan(shape)
-    pairs = (nonzero := np.count_nonzero(a)) * (nonzero if same else np.count_nonzero(b))
-    half = shape[0] // 2 if len(shape) == 1 and shape[0] % 2 == 0 else 0
+    distinct = {id(x): np.asarray(x).reshape(shape) for x in operands}
+    integer = all(x.dtype.kind in "biu" for x in distinct.values())
+    distinct = {i: x.astype(np.int64, copy=False) if integer else x for i, x in distinct.items()}
+    arrays = [distinct[id(x)] for x in operands]
+    total = math.prod(int(x.sum()) for x in arrays) if integer else 0
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"dimension too large: convolution total {total} exceeds int64")
+    size, axis, fft_cost = _fft_plan(shape, len(arrays))
+    nonzero = {i: np.count_nonzero(x) for i, x in distinct.items()}
+    pairs = sum(math.prod(nonzero[id(x)] for x in operands[:j]) for j in range(2, len(arrays) + 1))
+    one_even_axis = len(shape) == 1 and shape[0] % 2 == 0
     residual = None
     if pairs * _PAIR_COST <= fft_cost or total > _FFT_TOTAL_LIMIT:
-        c = _lattice_tally(a, b, shape)
-    elif (
-        at is not None
-        and half
-        and a.dtype.kind == b.dtype.kind == "f"
-        and len(at) * (half * (1 + (half > _DOT_CACHE)) + _DOT_CALL) * _DOT_COST <= fft_cost
-    ):
-        return _dots_at(a, b, at), None
+        c = _lattice_tally(arrays, shape)
+    elif at is not None and one_even_axis and not integer and _dots_price(operands, shape, at) <= 0:
+        head = _lattice_convolution(operands[:-1], shape)[0] if len(arrays) > 2 else arrays[0]
+        return _dots_at(head, arrays[-1], at), None
     else:
         check_work(7 * math.prod(size), "7*points FFT words")  # 32-56 B per padded point
-        axes = tuple(range(len(shape)))
-        real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+        # at least one axis is left to numpy, which needs one
+        two = [j for j, n in enumerate(size) if n == 2][: len(size) - 1]
+        axes = sorted(set(range(len(size))) - set(two), key=lambda j: size[j])
+        s = [size[j] for j in axes]
+        real = not any(np.iscomplexobj(x) for x in arrays)
         forward, inverse = (np.fft.rfftn, np.fft.irfftn) if real else (np.fft.fftn, np.fft.ifftn)
-        spectrum = forward(a, s=size, axes=axes)
-        spectrum *= spectrum if same else forward(b, s=size, axes=axes)
-        c = inverse(spectrum, s=size, axes=axes)
+        spectra = {i: forward(_butterflies(x, two), s=s, axes=axes) for i, x in distinct.items()}
+        spectrum = spectra[id(operands[0])] * spectra[id(operands[1])]
+        for x in operands[2:]:
+            spectrum *= spectra[id(x)]
+        del spectra
+        c = _butterflies(inverse(spectrum, s=s, axes=axes), two, 0.5)
         del spectrum
-        if axis is not None:
-            n = shape[axis]
-            low, high, _ = np.split(c, [n, 2 * n], axis=axis)
-            c = low + high
+        if axis is not None:  # the k blocks of n along the padded axis, summed
+            c = sum(np.split(c, [j * shape[axis] for j in range(1, len(arrays) + 1)], axis)[:-1])
         if integer:
-            c, residual = _certified(c, total) or (_lattice_tally(a, b, shape), None)
+            c, residual = _certified(c, total) or (_lattice_tally(arrays, shape), None)
     return (c if at is None else c.reshape(-1)[at]), residual
 
 

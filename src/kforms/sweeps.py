@@ -136,11 +136,12 @@ def build_instance(
 ) -> TrilinearInstance:
     """The weighted trilinear instance for modulus q: the three windows from
     their specs, the ring, and weights seeded by stable_seed(seed, q).  The
-    window's padded lattice FFT, 7 words a point as the kernel prices it, runs
-    while the ring is held, so the two are priced as one sum from q's
+    window's lattice FFT, one chain of its three operands (a rough axis
+    padded to >= 3n) at 7 words a point as the kernel prices it, runs while
+    the ring is held, so the two are priced as one sum from q's
     factorization and refused before the ring is built."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
-    size = _fft_plan(_lattice_shape(_ring_primes(q)))[0]
+    size = _fft_plan(_lattice_shape(_ring_primes(q)), 3)[0]
     check_work(7 * q + 7 * math.prod(size), "7*q ring + 7*points FFT words")
     ring = build_ring(q)
     weights = make_weights(
@@ -253,13 +254,6 @@ def _count_cell(params: dict, count, *args) -> BoundReport:
     )
 
 
-def _ring_count(rings, q: int, count, *args):
-    """count(ring of q, *args).  rings memoises the latest modulus (a grid's
-    cells come grouped by q), so each ring is built inside the first cell
-    that needs it and freed once the sweep moves on."""
-    return count(rings(q), *args)
-
-
 def _table_memo():
     """The latest modulus's character table, built on first use (a grid's
     cells come grouped by q); the table alone is kept, its ring goes."""
@@ -288,12 +282,15 @@ def _lemma_22_cases(grid):
 
 
 def _lemma_23_cases(grid):
+    # rings memoises the latest modulus (a grid's cells come grouped by q), so
+    # each ring is built inside the first cell that needs it and freed once
+    # the sweep moves on
     rings = functools.lru_cache(maxsize=1)(build_ring)
     for q in grid["qs"]:
         for K in sorted({min(k, q) for k in grid["Ks"] if k >= 1}):
             params = {"q": q, "r": 2, "K": K}
             yield functools.partial(
-                _count_cell, params, _ring_count, rings, q, reciprocal_count_mod, 2, K
+                _count_cell, params, lambda q=q, K=K: reciprocal_count_mod(rings(q), 2, K)
             )
 
 

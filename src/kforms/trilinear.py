@@ -7,10 +7,12 @@ W(l) = sum_{u*v*w = l} mu(u) nu(v) e_q(w), with mu/nu the interval phase sums
 of the M and N windows: a three-way convolution on the unit group (Rader's
 reindexing of e_q).  The three operands are conjugate-symmetric, so their
 cas (Hartley) forms Re f + Im f are real, and the package's one lattice
-kernel, ring._lattice_convolution, convolves them over the ring's CRT
-lattice (ring.characters): mu with nu by real FFTs, in O(phi log phi), and
-that with e_q read only at l and -l for the units l of L, by dot products
-where they undercut a second FFT.  The window is built once per instance.
+kernel, ring._lattice_convolution, convolves all three in one call over the
+ring's CRT lattice (ring.characters), read only at l and -l for the units l
+of L: one real transform of each operand, their product and one inverse,
+in O(phi log phi), or, where dot products undercut the transform of e_q,
+mu with nu by FFT and that dotted against e_q at the reads.  The window is
+built once per instance.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 = lam] take the same kernel, once per level set.  An instance's weights are
 validated on construction (|alpha_l| <= 1, and 0 at every non-unit l), so
@@ -158,27 +160,27 @@ def _unit_window(
     character with chi(-1) = 1 sees f's transform, one with chi(-1) = -1
     i times it.  The operands are evaluated at the units below q/2, ascending
     (where numpy's sin runs fastest), and mirrored onto the rest as Re - Im;
-    mu is evaluated once when M = N.  The first convolution r1 = cas mu *
-    cas nu runs in full; r = r1 * cas e_q is read only at l and -l for the
-    units l of L.
+    mu is evaluated once when M = N.  r = cas mu * cas nu * cas e_q is one
+    kernel call read only at l and -l for the units l of L: with equal M and
+    N intervals mu is one operand given twice, so the chain takes 3
+    transforms, else 4.
     """
     q, table, units = ring.q, ring.characters, ring.units
     low = units[2 * units <= q]
-    flat = table.log_index[np.stack((low, q - low))]  # the slots of u and of -u
 
     def cas(f):
         lattice = np.empty(table.char_count)  # every unit's slot is written
-        lattice[flat] = f.real + f.imag, f.real - f.imag
+        lattice[table.log_index[low]] = f.real + f.imag  # the slots of u
+        lattice[table.log_index[q - low]] = f.real - f.imag  # and of -u
         return lattice.reshape(table.shape)
 
     mu = cas(interval_phase_sum(ring, m_interval, low))
     nu = mu if n_interval == m_interval else cas(interval_phase_sum(ring, n_interval, low))
-    r1, _ = _lattice_convolution(mu, nu, table.shape)
     residues = l_interval.residues(q)
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
     at = table.log_index[np.concatenate((ls, q - ls))]
-    r, _ = _lattice_convolution(r1, cas(np.exp((2j * np.pi / q) * low)), table.shape, at=at)
+    r, _ = _lattice_convolution((mu, nu, cas(np.exp((2j * np.pi / q) * low))), table.shape, at=at)
     window = np.zeros(residues.size, dtype=np.complex128)
     window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
     window.flags.writeable = False
@@ -316,7 +318,8 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     The references J_r are counted before the T maps, largest K first, so
     that a J_r over the work budget refuses the trace up front.  At r = 3
     that is every K holding more than ~165,140 units, where J_3's total
-    units^3 passes 2^52 and its tally needs about q*units pairs: with
+    units^3 passes 2^52 and its tally's first step alone needs units^2
+    pairs: with
     M = N = floor(sqrt q), a trace runs at q = 150,001 and is refused from
     q = 170,003 on.  With r <= 2 only the trace's own price limits q
     (~3.3*10^6).
@@ -354,7 +357,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
         xres = np.mod(xs, q)
         mu = interval_phase_sum(ring, instance.m_interval, xres)
         mu_lat = _to_lattice(table, ring.inv_table[xres], mu)
-        t_map[:] = _from_lattice(table, _lattice_convolution(alpha_lat, mu_lat, table.shape)[0])
+        t_map[:] = _from_lattice(table, _lattice_convolution((alpha_lat, mu_lat), table.shape)[0])
         t_maps[(i, sign)] = t_map
         abs_t = np.abs(t_map)
         first_moments[(i, sign)] = _moment_check(float(abs_t.sum()), q * l_len)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kforms
+import kforms.cli
 import kforms.ring
 import kforms.sweeps
 from kforms.cli import build_parser, main
@@ -283,6 +284,23 @@ class TestUsageErrors:
         monkeypatch.setattr(module, name, None)  # any use raises a TypeError or AttributeError
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
+
+    def test_energy_lattice_members_priced_before_the_ring(self, monkeypatch, capsys):
+        # 4*10^5 x 10 unit pairs price the energy onto the lattice at q = 10007.
+        # Its residues and their int64 gather hold 3 words a member there, so
+        # 1.2*10^6 words are refused under a 10^6-word budget before the ring
+        # and the residues, though the ring's 7*q words and the interval's 1
+        # word a member fit; at 1.2*10^6 words it runs
+        argv = ["energy", "--q", "10007", "--A", "0:400000", "--B", "0:10"]
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**6)
+        monkeypatch.setattr(kforms.cli, "build_ring", None)
+        monkeypatch.setattr(kforms.ring.IntervalSet, "residues", None)
+        assert main(argv) == 2
+        assert "dimension too large: 3*length lattice member words" in capsys.readouterr().err
+        monkeypatch.undo()
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 3 * 400_000)
+        assert main(argv) == 0
+        assert "E(A,B) = " in capsys.readouterr().out
 
     def test_modulus_range_priced_before_expansion(self, monkeypatch, capsys):
         # 10^5 moduli at 14 words each are over a 10^6-word budget: refused

@@ -23,7 +23,7 @@ from kforms import (
 from kforms.cli import main
 from kforms.counts import (
     _inverse_table, _product_counts, _product_energy, _sum_of_squares, _unit_inverses,
-    _unit_members,
+    _unit_inverses_upto, _unit_members,
 )
 from kforms.ring import _lattice_convolution, factorize
 from conftest import random_interval
@@ -406,6 +406,9 @@ class TestExactConvolution:
         assert reciprocal_count_mod(build_ring(1009), 1, 500).residual is None
         energy = multiplicative_energy(build_ring(1009), IntervalSet(0, 1009), IntervalSet(5, 800))
         assert energy.residual < 0.25
+        # 2520's lattice (2, 2, 6, 4, 6) takes its two axes of length 2 by butterflies
+        energy = multiplicative_energy(build_ring(2520), IntervalSet(0, 2520), IntervalSet(5, 800))
+        assert energy.residual < 0.25
 
     def test_forced_fallback_gives_the_same_counts(self, monkeypatch):
         ring = build_ring(1009)
@@ -421,6 +424,40 @@ class TestExactConvolution:
             certified[1:]
         )
 
+    @pytest.mark.parametrize("q, K", [
+        (1009, 40),  # (1009,): one rough axis, padded to >= 3n and folded
+        (1536, 60),  # (1536,): 5-smooth, unpadded
+        (2310, 300),  # (2310,): rough (2*3*5*7*11), padded, 62 units
+    ])
+    def test_chained_j3_matches_the_naive_and_pairwise_counts(self, q, K, monkeypatch):
+        # J_3 is one kernel call on (v, v, v), v the indicator of the inverses:
+        # one forward transform, cubed, one inverse
+        ring = build_ring(q)
+        chained = reciprocal_count_mod(ring, 3, K)
+        assert chained.residual is not None and chained.residual < 0.25
+        v = np.bincount(_unit_inverses_upto(ring, K), minlength=q)
+        pairwise = _lattice_convolution((_lattice_convolution((v, v), (q,))[0], v), (q,))[0]
+        assert chained.value == _sum_of_squares(pairwise) == reciprocal_count_naive(ring, 3, K)
+        # a failed certificate is recounted by the tally, two operands at a time
+        tally = kforms.ring._lattice_tally
+        steps = []
+        monkeypatch.setattr(kforms.ring, "_lattice_tally", lambda arrays, shape: (
+            steps.append(len(arrays)) or tally(arrays, shape)))
+        monkeypatch.setattr(kforms.ring, "_RESIDUAL_LIMIT", 0.0)
+        recounted = reciprocal_count_mod(ring, 3, K)
+        assert (recounted.value, recounted.residual, steps) == (chained.value, None, [3])
+
+    def test_one_spectrum_raised_to_the_r_th_power(self, monkeypatch):
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *args, _f=transform, _name=name, **kwargs: (
+                calls.append(_name) or _f(*args, **kwargs)))
+        for r in (2, 3, 4):
+            calls.clear()
+            count = reciprocal_count_mod(build_ring(1009), r, 100)
+            assert calls == ["rfftn", "irfftn"] and count.residual is not None, r
+
     def test_a_priori_bound_sends_large_totals_to_the_tally(self, monkeypatch):
         # sum(a) * sum(b) ~ 2^61 > 2^52, on supports the cost model gives the FFT
         def refuse(*args, **kwargs):
@@ -433,19 +470,19 @@ class TestExactConvolution:
         linear = np.convolve(a, b)
         oracle = linear[:n].copy()
         oracle[: n - 1] += linear[n:]
-        got, residual = _lattice_convolution(a, b, (n,))
+        got, residual = _lattice_convolution((a, b), (n,))
         assert residual is None and np.array_equal(got, oracle)
         with pytest.raises(ValueError, match="exceeds int64"):
-            _lattice_convolution(np.array([2**40]), np.array([2**40]), (1,))
+            _lattice_convolution((np.array([2**40]), np.array([2**40])), (1,))
 
     def test_fft_over_the_work_budget_is_refused(self, monkeypatch):
         # 7 words per padded point: 2025000 points at n = 1000002
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * 2025000 - 1)
         a = np.ones(1000002)
         with pytest.raises(ValueError, match="dimension too large"):
-            _lattice_convolution(a, a, a.shape)
+            _lattice_convolution((a, a), a.shape)
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * 2025000)
-        assert np.allclose(_lattice_convolution(a, a, a.shape)[0], a.size)
+        assert np.allclose(_lattice_convolution((a, a), a.shape)[0], a.size)
 
     def test_fallback_over_the_work_budget_is_refused(self, monkeypatch):
         monkeypatch.setattr(kforms.ring, "_RESIDUAL_LIMIT", 0.0)

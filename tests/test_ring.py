@@ -397,7 +397,7 @@ class TestDotsAt:
     def test_matches_the_fft_at_pairs_and_singletons(self, n):
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal(n), rng.standard_normal(n)
-        full, _ = _lattice_convolution(a, b, (n,))
+        full, _ = _lattice_convolution((a, b), (n,))
         at = rng.integers(0, n, 7)
         at = np.concatenate([at, (at[:3] + n // 2) % n, [0, n - 1]])
         assert np.max(np.abs(_dots_at(a, b, at) - full[at])) <= 1e-12 * np.abs(a).sum()

@@ -450,6 +450,7 @@ class TestUnitWindowAtScale:
     @pytest.mark.parametrize("q, length, dot_calls", [
         (100003, 316, 1),  # 632 reads of n/2 = 50001 elements, as at thm1_large's 10^5 primes
         (1459, 38, 0),  # 76 reads at n = 1458: the per-read cost keeps them on the FFT
+        (2999, 54, 0),  # 54 distinct reads mod n/2 = 1499: the call's fixed cost keeps the chain
     ])
     def test_default_rule_routes_the_reads(self, q, length, dot_calls, monkeypatch):
         # the test above pins the dots at q = 10^6+3 (96 reads of n/2 = 500001)
@@ -476,6 +477,87 @@ class TestUnitWindowAtScale:
             window_sums(ring, l_iv, m_iv, n_iv)[off_units],
             _window_gather(ring, members[off_units], m_iv, n_iv),
         )
+
+
+def fft_calls(monkeypatch):
+    """The names of the np.fft functions called from here on, in order."""
+    calls = []
+    for name in ("rfftn", "irfftn", "fftn", "ifftn", "rfft", "irfft", "fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _f=transform, _name=name, **kwargs: (
+            calls.append(_name) or _f(*args, **kwargs)))
+    return calls
+
+
+def two_step_window(monkeypatch, ring, l_iv, m_iv, n_iv):
+    """The window as two kernel calls, r1 = cas mu * cas nu in full and then
+    r1 * cas e_q read at the units, in place of the one chained call."""
+    chained = kforms.ring._lattice_convolution
+
+    def two_steps(operands, shape, at=None):
+        r1, _ = chained(operands[:2], shape)
+        return chained((r1, operands[2]), shape, at=at)
+
+    monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", two_steps)
+    _unit_window.cache_clear()
+    window = _unit_window(ring, l_iv, m_iv, n_iv)
+    _unit_window.cache_clear()
+    monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", chained)
+    return window
+
+
+class TestChainedWindow:
+    """The window is one kernel call on (cas mu, cas nu, cas e_q)."""
+
+    @pytest.mark.parametrize("q", [
+        97200, 204120, 300000,  # multi-axis 5-smooth lattices, unpadded
+        100003,  # (100002,): one rough axis, padded to >= 3n, the dots priced out
+        235,  # (4, 46): a small multi-axis lattice with a rough axis
+        24,  # (2, 2, 2): every axis of length 2, one of them left to numpy
+    ])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_matches_the_two_step_window_and_the_gather(self, q, same, monkeypatch):
+        monkeypatch.setattr(kforms.ring, "_DOT_COST", math.inf)
+        ring = build_ring(q)
+        side = math.isqrt(q)
+        l_iv, m_iv = IntervalSet(q - 9, 24), IntervalSet(-5, side)
+        n_iv = m_iv if same else IntervalSet(17, side)
+        _unit_window.cache_clear()
+        chained = _unit_window(ring, l_iv, m_iv, n_iv)
+        two_step = two_step_window(monkeypatch, ring, l_iv, m_iv, n_iv)
+        assert np.max(np.abs(chained - two_step)) <= 1e-13 * np.max(np.abs(chained))
+        assert_match_gather(ring, (chained, two_step), l_iv, m_iv, n_iv, 1e-13)
+
+    @pytest.mark.parametrize("same, transforms", [(True, 2), (False, 3)])
+    def test_one_transform_per_distinct_operand_and_one_inverse(
+        self, same, transforms, monkeypatch
+    ):
+        # 97200's lattice (2, 4, 162, 20) has four axes, so no dots: equal M and
+        # N intervals are one operand given twice
+        ring = build_ring(97200)
+        m_iv = IntervalSet(-5, 311)
+        n_iv = m_iv if same else IntervalSet(17, 311)
+        calls = fft_calls(monkeypatch)
+        _unit_window.cache_clear()
+        _unit_window(ring, IntervalSet(3, 20), m_iv, n_iv)
+        _unit_window.cache_clear()
+        assert calls == ["rfftn"] * transforms + ["irfftn"]
+
+    def test_million_primes_keep_the_first_product_and_dots(self, monkeypatch):
+        # thm1_large's 10^6 primes at L = 48: mu * nu by one FFT, read
+        # against cas e_q by one _dots_at call, not chained at 3n
+        q = 10**6 + 3
+        ring = build_ring(q)
+        side = math.isqrt(q)
+        dots_at = kforms.ring._dots_at
+        dots = []
+        monkeypatch.setattr(kforms.ring, "_dots_at", lambda *args: dots.append(1) or dots_at(*args))
+        calls = fft_calls(monkeypatch)
+        _unit_window.cache_clear()
+        _unit_window(ring, IntervalSet(17, 48), IntervalSet(0, side), IntervalSet(7, side))
+        _unit_window.cache_clear()
+        assert dots == [1]
+        assert calls == ["rfftn", "rfftn", "irfftn"]
 
 
 class TestInstanceValidation:
