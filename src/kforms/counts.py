@@ -5,16 +5,18 @@ mod q or equal over Q, and the dyadic average of the modular counts.
 Each modular count is the sum of the squared entries of an exact cyclic
 convolution of non-negative integer count vectors: over Z_q for sums of
 inverses (J_r: the indicator of the inverses convolved with itself r-fold,
-one kernel call that raises its one spectrum to the r-th power), and over
+one kernel call that raises its one spectrum to the r-th power; the J_r of
+several K are one call whose rows are their indicators), and over
 the unit-group lattice for products of units (two operands).  The
 package's one lattice kernel, ring._lattice_convolution, computes them, by
 a pairwise tally on sparse supports and otherwise by a real FFT of k
 operands (the longest rough axis zero-padded to a 5-smooth length >= k*n)
 whose rounded result is accepted only under a certificate: a total of at
 most 2^52, a residual max|c - rint c| below 1/4 and an exact total.  A
-result that fails it is recounted by the tally.  The product energy is priced by the
-same rule, over the pairs of the intervals' unit members, before anything
-of size q exists: where the tally is cheaper it counts the products mod q
+result, or a row of one, that fails it is recounted by the tally.  The
+product energy is priced by the same rule, over the pairs of the
+intervals' unit members, before anything of size q exists: where the
+tally is cheaper it counts the products mod q
 in q int32 bins or by sorting, with no ring, character table or discrete
 log, so a short interval is counted at any q up to MAX_MODULUS.  In the
 bins, a unit times the consecutive members of an interval is an arithmetic
@@ -50,6 +52,7 @@ from .ring import (
     IntervalSet,
     ResidueRing,
     _PAIR_COST,
+    _FFT_BLOCK,
     _FFT_TOTAL_LIMIT,
     _TALLY_CHUNK,
     _certified,
@@ -57,6 +60,7 @@ from .ring import (
     _fft_plan,
     _lattice_convolution,
     _lattice_shape,
+    _reduce,
     _smooth_length,
     _to_lattice,
     check_work,
@@ -96,7 +100,6 @@ def _sum_of_squares(counts: np.ndarray) -> int:
     return sum(c * c for c in counts[counts > 0].tolist())
 
 
-_FFT_BLOCK = 1 << 15  # padded points per batched FFT of a Lemma 2.5 cell
 # A per-modulus kernel call costs, besides its pairs, about as much as this many
 # FFT points times their log2: ~60 us against ~3.5 ns a unit, measured at
 # Q = 200 to 5000 (2-vCPU host).
@@ -144,8 +147,7 @@ def _product_counts(ra, rb, q: int, b_interval=None, primes=()) -> np.ndarray:
     pairs = ra.size * rb.size
     if q > _PAIR_COST * pairs:
         check_work(3 * pairs, "3*pairs sort words")  # 23-26 B a pair
-        keys = np.multiply.outer(ra, rb).reshape(-1)
-        keys %= q
+        keys = _reduce(np.multiply.outer(ra, rb).reshape(-1), q)
         return np.unique(keys, return_counts=True)[1]
     check_work(pairs, "product pairs")
     same, keyed, walk = rb is ra, np.arange(ra.size), ()
@@ -177,8 +179,7 @@ def _product_counts(ra, rb, q: int, b_interval=None, primes=()) -> np.ndarray:
         rows = keyed[s : s + step]
         upper = (ra[i] * rb[i + 1 :] for i in rows.tolist())
         keys = np.concatenate(list(upper)) if same else np.multiply.outer(ra[rows], rb).reshape(-1)
-        keys %= q
-        np.add.at(counts, keys, counts.dtype.type(1 + same))
+        np.add.at(counts, _reduce(keys, q), counts.dtype.type(1 + same))
     return counts
 
 
@@ -289,6 +290,21 @@ def _unit_inverses_upto(ring: ResidueRing, K: int) -> np.ndarray:
     return ring.inv_table[xs[ring.unit_mask[xs]]]
 
 
+def _reciprocal_counts(ring: ResidueRing, r: int, ks) -> tuple[dict, float | None]:
+    """{K: J_r(q; K)} over the distinct K of ks (each in [1, q]), with the FFT
+    residual: one kernel call on r copies of the rows, one spectrum a row,
+    row i the indicator of the inverses of the units in [1, K_i], largest K
+    first.  The kernel tallies its rows first, in order, so a tally over
+    the work budget refuses the call before any FFT runs."""
+    ks = sorted(set(ks), reverse=True)
+    inverses = _unit_inverses_upto(ring, ks[0])
+    rows = np.zeros((len(ks), ring.q), dtype=np.int64)
+    for row, K in zip(rows, ks):
+        row[inverses[: np.count_nonzero(ring.unit_mask[1 : K + 1])]] = 1
+    w, residual = _lattice_convolution([rows] * r, (ring.q,)) if r > 1 else (rows, None)
+    return dict(zip(ks, map(_sum_of_squares, w))), residual
+
+
 def reciprocal_count_mod(ring: ResidueRing, r: int, K: int) -> CountReport:
     """Number of 2r-tuples of units in [1, K] whose first r inverses and last
     r inverses have congruent sums mod q.
@@ -297,8 +313,8 @@ def reciprocal_count_mod(ring: ResidueRing, r: int, K: int) -> CountReport:
     indicator, then summing squares.
     """
     _check_r_k(r, K, ring.q)
-    value, residual = _reciprocal_count(ring.q, _unit_inverses_upto(ring, K), r)
-    return _count_report(value, _j_bound(ring, r, K), residual)
+    values, residual = _reciprocal_counts(ring, r, [K])
+    return _count_report(values[K], _j_bound(ring, r, K), residual)
 
 
 def reciprocal_count_naive(ring: ResidueRing, r: int, K: int) -> int:

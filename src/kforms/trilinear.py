@@ -14,7 +14,8 @@ in O(phi log phi), or, where dot products undercut the transform of e_q,
 mu with nu by FFT and that dotted against e_q at the reads.  The window is
 built once per instance.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
-= lam] take the same kernel, once per level set.  An instance's weights are
+= lam] take the same kernel, one call per block of level sets, each set's
+mu a row, so alpha is transformed once a block.  An instance's weights are
 validated on construction (|alpha_l| <= 1, and 0 at every non-unit l), so
 the form reads the unit window alone; window_sums still serves a non-unit
 l, with one O(phi) gather.
@@ -22,6 +23,11 @@ The trace machinery splits the fast form over a dyadic decomposition of the
 centered unit representatives and records every intermediate quantity next
 to its reference envelope (all absorbed constants set to 1); a level set's
 mirror -(j, +) is (j, -), so one reciprocal transform serves both signs.
+Each family of maps (the references J_r, the T maps, the U maps) is
+computed in blocks of max(1, _FFT_BLOCK // q) rows of length q: a trace
+at q below ~3,000 with M, N ~ sqrt(q) takes one call per family, and from
+q ~ 16,000 on each block is one row, so the trace holds no more than a
+level-by-level one.
 """
 
 from __future__ import annotations
@@ -33,13 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import reciprocal_count_mod
+from .counts import _reciprocal_counts
 from .kloosterman import _unit_dft, double_naive
 from .reports import BoundReport, make_report
 from .ring import (
+    _FFT_BLOCK,
     IntervalSet,
     ResidueRing,
-    _from_lattice,
     _lattice_convolution,
     _to_lattice,
     check_work,
@@ -287,6 +293,18 @@ def _sign_sets(ring: ResidueRing, length: int) -> tuple[int, dict]:
     return levels, sets
 
 
+def _phase_rows(ring: ResidueRing, sets: list, interval: IntervalSet, lattice: bool = False):
+    """Row i holds, at each member x of sets[i] (reduced mod q), the
+    interval's phase sum at x, written at inv(x), or with `lattice` at the
+    lattice point of inv(x) (every member a unit): one phase-sum call."""
+    xs = np.mod(np.concatenate(sets), ring.q)
+    table, slots = ring.characters, ring.inv_table[xs]
+    rows = np.zeros((len(sets), table.char_count if lattice else ring.q), dtype=np.complex128)
+    at = np.repeat(np.arange(len(sets)), [x.size for x in sets])
+    rows[at, table.log_index[slots] if lattice else slots] = interval_phase_sum(ring, interval, xs)
+    return rows.reshape((len(sets),) + table.shape) if lattice else rows
+
+
 def dyadic_decomposition(ring: ResidueRing, m_len: int, n_len: int) -> DyadicDecomposition:
     """Split the centered unit representatives into the sign/level annuli for
     window lengths m_len (M side) and n_len (N side)."""
@@ -315,8 +333,20 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     conj U_{j,+}.  Per cell: the value sum_lam T*U and its three-factor
     Hoelder bound.  The cell values sum back to the full form exactly.
 
-    The references J_r are counted before the T maps, largest K first, so
-    that a J_r over the work budget refuses the trace up front.  At r = 3
+    The maps are computed a family at a time, max(1, _FFT_BLOCK // q) rows
+    of length q a block.  The J_r references are one counts call whose rows
+    are the inverse indicators of the distinct K.  The T maps are kernel
+    calls on alpha and a block of rows, row i the mu of level set i (one
+    phase-sum call a block), so alpha is transformed once a block, and a
+    block's lattice rows are gathered into the T stack at once.  The U maps
+    are one cyclic_dft a block of N-side levels, whose columns of cells are
+    one product of the T stack with the block.  At sweep-sized q (below
+    ~3,000 with M, N ~ sqrt(q)) each family is one call; from q ~ 16,000 a
+    block is one row, and the trace holds what a level-by-level trace held.
+
+    The references J_r are counted before the T maps, largest K first (the
+    kernel tallies its rows first, in order), so that a J_r over the work
+    budget refuses the trace up front.  At r = 3
     that is every K holding more than ~165,140 units, where J_3's total
     units^3 passes 2^52 and its tally's first step alone needs units^2
     pairs: with
@@ -326,11 +356,10 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     """
     if r not in (1, 2, 3):
         raise ValueError(f"r unsupported: trace needs r in {{1, 2, 3}}, got {r}")
-    ring = instance.ring
-    q = ring.q
-    l_len = instance.weights.interval.length
-    m_len = instance.m_interval.length
-    n_len = instance.n_interval.length
+    ring, q = instance.ring, instance.ring.q
+    l_len, m_len, n_len = (
+        iv.length for iv in (instance.weights.interval, instance.m_interval, instance.n_interval)
+    )
     if m_len > q or n_len > q:
         raise ValueError("trace needs M, N <= q")
     # 2 complex T maps per M-side level; 412-604 B per residue at q ~ 10^6
@@ -338,88 +367,68 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
 
     dec = dyadic_decomposition(ring, m_len, n_len)
     # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q, for
-    # every N-side level j, largest K first: a J_r over the budget refuses
-    # the trace before any T map is built
+    # every N-side level j, in one counts call, largest K first: a J_r over
+    # the budget refuses the trace before any T map is built
     ks = [min(q, math.floor(math.exp(j) * q / n_len)) for j in range(dec.levels_n + 1)]
-    j_r = {K: reciprocal_count_mod(ring, r, K).value for K in sorted(set(ks), reverse=True)}
+    j_r = _reciprocal_counts(ring, r, ks)[0]
     # T(lam) is a convolution on the unit group: alpha at log l, mu at
-    # log inv(x); the weights vanish off units
+    # log inv(x); the weights vanish off units.  A kernel call convolves
+    # alpha with a block of rows, row i the mu of level set i
     table = ring.characters
     alpha_lat = _to_lattice(table, instance.weights.interval.residues(q), instance.weights.weights)
-
-    # the T maps are the rows of one array, so each U map's column of cells
-    # is one matrix-vector product: values[row of T, column of U]
+    # the T maps are the rows of one array, so a block of U maps' columns of
+    # cells is one matrix product: values[row of T, column of U]
     t_stack = np.empty((len(dec.q_sets), q), dtype=np.complex128)
-    t_maps = {}
-    first_moments = {}
-    second_moments = {}
-    for t_map, ((i, sign), xs) in zip(t_stack, dec.q_sets.items()):
-        xres = np.mod(xs, q)
-        mu = interval_phase_sum(ring, instance.m_interval, xres)
-        mu_lat = _to_lattice(table, ring.inv_table[xres], mu)
-        t_map[:] = _from_lattice(table, _lattice_convolution((alpha_lat, mu_lat), table.shape)[0])
-        t_maps[(i, sign)] = t_map
+    step = max(1, _FFT_BLOCK // q)  # level sets a block
+    for s in range(0, len(t_stack), step):
+        rows = _phase_rows(ring, list(dec.q_sets.values())[s : s + step], instance.m_interval, True)
+        rows = _lattice_convolution((alpha_lat, rows), table.shape)[0]  # mu rows to T rows
+        t_stack[s : s + step] = rows.reshape(len(rows), -1)[:, table.log_index]
+        t_stack[s : s + step, ~ring.unit_mask] = 0
+    del rows  # the last block's, which the U maps need not hold
+    t_maps = dict(zip(dec.q_sets, t_stack))
+    first_moments, second_moments = {}, {}
+    for (i, sign), t_map in t_maps.items():
         abs_t = np.abs(t_map)
         first_moments[(i, sign)] = _moment_check(float(abs_t.sum()), q * l_len)
         second_moments[(i, sign)] = _moment_check(
-            float((abs_t**2).sum()),
-            q * l_len**2 + math.exp(-i) * q * l_len * m_len,
+            float((abs_t**2).sum()), q * l_len**2 + math.exp(-i) * q * l_len * m_len
         )
 
     # one U map per N-side level: (j, -1) is -(j, +1) and nu(-y) = conj nu(y), so
     # U_{j,-} = conj U_{j,+}, with the same moment; at q = 2 the (j, -1) set is
-    # empty and its column and moment stay 0.  Each map is dropped once its
-    # moment and its two columns of cells are in.
+    # empty and its column and moment stay 0.  A block of levels is one
+    # cyclic_dft of their rows g, dropped once its moments and columns of cells
+    # are in.
+    levels = dec.levels_n + 1
     y_moments = dict.fromkeys(dec.r_sets)  # the value matrix's columns, in order
     values = np.zeros((len(t_maps), len(y_moments)), dtype=np.complex128)
-    levels = dec.levels_n + 1
-    for j in range(levels):
-        ys = dec.r_sets[(j, 1)]  # positive representatives: residues already
-        g = np.zeros(q, dtype=np.complex128)
-        g[ring.inv_table[ys]] = interval_phase_sum(ring, instance.n_interval, ys)
-        u_map = cyclic_dft(ring, g)
-        del g
-        reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_r[ks[j]]
-        y_moments[(j, 1)] = _moment_check(float(np.sum(np.abs(u_map) ** (2 * r))), reference)
-        values[:, j] = t_stack @ u_map
-        mirrored = dec.r_sets[(j, -1)].size > 0
-        y_moments[(j, -1)] = y_moments[(j, 1)] if mirrored else _moment_check(0.0, reference)
-        if mirrored:
-            values[:, levels + j] = t_stack @ np.conj(u_map, out=u_map)
-        del u_map
+    sets = [dec.r_sets[(j, 1)] for j in range(levels)]  # positive: residues already
+    mirrored = np.array([dec.r_sets[(j, -1)].size > 0 for j in range(levels)])
+    for s in range(0, levels, step):
+        u_maps = cyclic_dft(ring, _phase_rows(ring, sets[s : s + step], instance.n_interval))
+        plus, minus = slice(s, s + len(u_maps)), slice(levels + s, levels + s + len(u_maps))
+        values[:, plus] = t_stack @ u_maps.T
+        for j, u_map in zip(range(s, levels), u_maps):
+            reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_r[ks[j]]
+            y_moments[(j, 1)] = _moment_check(float(np.sum(np.abs(u_map) ** (2 * r))), reference)
+            y_moments[(j, -1)] = y_moments[(j, 1)] if mirrored[j] else _moment_check(0.0, reference)
+        values[:, minus] = (t_stack @ np.conj(u_maps, out=u_maps).T) * mirrored[plus]
+        del u_maps
 
     # the Hoelder bounds s1^(1-1/r) s2^(1/2r) y^(1/2r): rows times columns
-    inv_2r = 1.0 / (2 * r)
-    bounds = np.outer(
-        [first_moments[k].value ** (1 - 1 / r) * second_moments[k].value ** inv_2r for k in t_maps],
-        [check.value**inv_2r for check in y_moments.values()],
-    )
-    cells = []
-    for row, (i, sign_x) in enumerate(t_maps):
-        for column, (j, sign_y) in enumerate(y_moments):
-            value, bound = complex(values[row, column]), float(bounds[row, column])
-            cells.append(
-                TraceCell(
-                    i=i,
-                    sign_x=sign_x,
-                    j=j,
-                    sign_y=sign_y,
-                    value=value,
-                    holder_bound=bound,
-                    holder_ratio=abs(value) / bound if bound > 0 else None,
-                )
-            )
-
+    moments = (first_moments, second_moments, y_moments)
+    s1, s2, y = (np.array([check.value for check in d.values()]) for d in moments)
+    bounds = np.outer(s1 ** (1 - 1 / r) * s2 ** (1 / (2 * r)), y ** (1 / (2 * r)))
+    cells = [
+        TraceCell(i, sign_x, j, sign_y, value, bound, abs(value) / bound if bound > 0 else None)
+        for (i, sign_x), value_row, bound_row in zip(t_maps, values.tolist(), bounds.tolist())
+        for (j, sign_y), value, bound in zip(y_moments, value_row, bound_row)
+    ]
     return ProofTrace(
-        r=r,
-        total=complex(values.sum()),
-        fast_value=trilinear_fast(instance),
-        decomposition=dec,
-        t_maps=t_maps,
-        first_moments=first_moments,
-        second_moments=second_moments,
-        y_moments=y_moments,
-        cells=cells,
+        r=r, total=complex(values.sum()), fast_value=trilinear_fast(instance), decomposition=dec,
+        t_maps=t_maps, first_moments=first_moments, second_moments=second_moments,
+        y_moments=y_moments, cells=cells,
     )
 
 
@@ -453,21 +462,3 @@ def theorem1_bounds(instance: TrilinearInstance) -> BoundReport:
     }
     return make_report(params=params, measured=measured, reference=min(b1, b2), t0=t0)
 
-
-__all__ = [
-    "WeightVector",
-    "TrilinearInstance",
-    "DyadicDecomposition",
-    "MomentCheck",
-    "TraceCell",
-    "ProofTrace",
-    "WEIGHT_MODES",
-    "make_weights",
-    "window_sums",
-    "trilinear_naive",
-    "trilinear_fast",
-    "interval_phase_sum",
-    "dyadic_decomposition",
-    "proof_trace",
-    "theorem1_bounds",
-]

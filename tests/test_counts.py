@@ -22,8 +22,8 @@ from kforms import (
 )
 from kforms.cli import main
 from kforms.counts import (
-    _inverse_table, _product_counts, _product_energy, _sum_of_squares, _unit_inverses,
-    _unit_inverses_upto, _unit_members,
+    _inverse_table, _product_counts, _product_energy, _reciprocal_counts, _sum_of_squares,
+    _unit_inverses, _unit_inverses_upto, _unit_members,
 )
 from kforms.ring import _lattice_convolution, factorize
 from conftest import random_interval
@@ -230,6 +230,29 @@ class TestReciprocalCountMod:
         for q, r, K in cases:
             ring = build_ring(q)
             assert reciprocal_count_mod(ring, r, K).value == reciprocal_count_naive(ring, r, K)
+
+    @pytest.mark.parametrize("q", [2, 97, 210, 1009, 2503])
+    def test_rows_of_k_match_the_naive_tally(self, q):
+        # one kernel call whose rows are the indicators, largest K first as the
+        # proof trace asks; dense rows take the FFT and sparse ones the tally
+        ring = build_ring(q)
+        for r, top in ((1, q), (2, 400), (3, 60)):  # the naive tally is O(K^r)
+            ks = [1, max(1, q // 200), max(1, min(q, top // 3)), min(q, top), 1]
+            values, _ = _reciprocal_counts(ring, r, ks)
+            assert values == {K: reciprocal_count_naive(ring, r, K) for K in ks}, (q, r)
+            assert values == {K: reciprocal_count_mod(ring, r, K).value for K in ks}
+
+    def test_rows_of_k_are_one_kernel_call(self, monkeypatch):
+        # one row per distinct K, largest first, every row tallied before any FFT
+        calls, tallied = [], []
+        kernel, tally = kforms.counts._lattice_convolution, kforms.ring._lattice_tally
+        monkeypatch.setattr(kforms.counts, "_lattice_convolution", lambda operands, shape: (
+            calls.append([np.shape(x) for x in operands]) or kernel(operands, shape)))
+        monkeypatch.setattr(kforms.ring, "_lattice_tally", lambda arrays, shape: (
+            tallied.append(np.count_nonzero(arrays[0])) or tally(arrays, shape)))
+        values, residual = _reciprocal_counts(build_ring(1009), 2, [30, 1009, 5, 400, 30])
+        assert calls == [[(4, 1009), (4, 1009)]] and residual < 0.25
+        assert list(values) == [1009, 400, 30, 5] and tallied == [30, 5]
 
     def test_monotone_in_k(self):
         ring = build_ring(101)

@@ -16,9 +16,10 @@ from kforms import (
     interval_phase_sum,
     mod_inverse,
 )
+import kforms.ring
 from kforms.ring import (
     MAX_MODULUS, ResidueRing, _certified, _dft_naive, _dots_at, _lattice_convolution,
-    _smooth_length, factorize, is_prime,
+    _reduce, _smooth_length, factorize, is_prime,
 )
 
 
@@ -258,6 +259,17 @@ class TestCyclicDft:
         ring = build_ring(9)
         with pytest.raises(ValueError, match="length mismatch"):
             cyclic_dft(ring, np.ones(8))
+        with pytest.raises(ValueError, match="length mismatch"):
+            cyclic_dft(ring, np.ones((3, 8)))
+
+    def test_rows_are_transformed_one_by_one(self):
+        rng = np.random.default_rng(17)
+        ring = build_ring(641)
+        rows = rng.standard_normal((3, 641)) + 1j * rng.standard_normal((3, 641))
+        stacked = cyclic_dft(ring, rows)
+        assert stacked.shape == (3, 641)
+        for row, out in zip(rows, stacked):
+            assert np.array_equal(out, cyclic_dft(ring, row))
 
 
 class TestIntervalPhaseSum:
@@ -374,6 +386,32 @@ class TestIntervalSet:
         with pytest.raises(ValueError, match="length"):
             IntervalSet(0, 0)
 
+    def test_residues_hold_one_word_a_member(self):
+        # check_work charges the residues one word a member: the arange is
+        # shifted and reduced in place
+        iv = IntervalSet(-5, 10**6)
+        tracemalloc.start()
+        try:
+            residues = iv.residues(10**6 + 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residues[0] == 10**6 - 1 and residues[5] == 1
+        assert peak <= 9 * 10**6
+
+
+class TestReduce:
+    @pytest.mark.parametrize(
+        "n, q", [(0, 7), (1000, 2503), ((1 << 16) + 3, 10**6 + 3), (300_000, 3)]
+    )
+    def test_matches_remainder_in_place(self, n, q):
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, q, n) * rng.integers(0, q, n)
+        expected = keys % q
+        assert _reduce(keys, q) is keys and np.array_equal(keys, expected)
+        block = rng.integers(0, 2**62, (4, 50))
+        assert np.array_equal(_reduce(block.copy(), q), block % q)
+
 
 class TestModulusBound:
     def test_bound_keeps_products_in_int64(self):
@@ -390,6 +428,110 @@ class TestModulusBound:
                 build_ring(q)
         with pytest.raises(ValueError, match="dimension too large"):
             build_ring(2_000_000_011)
+
+
+class TestBatchedKernel:
+    """Operands holding rows, shaped (b,) + shape: row i of the result is the
+    convolution of their rows i with the operands that hold none."""
+
+    SHAPES = [
+        (22,),  # one rough axis (2 * 11), padded and folded
+        (2, 6),  # an axis of length 2, by butterflies
+        (4, 6, 11),  # three axes, the rough one padded
+    ]
+
+    @staticmethod
+    def draw(rng, shape, kind, density):
+        support = rng.random(shape) < density
+        if kind == "int":
+            return rng.integers(0, 5, shape) * support
+        if kind == "float":
+            return rng.standard_normal(shape) * support
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * support
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", ["int", "float", "complex"])
+    def test_rows_match_per_row_calls(self, shape, kind):
+        rng = np.random.default_rng(len(shape) * 10 + len(kind))
+        fixed = self.draw(rng, shape, kind, 0.7)
+        # dense rows take the FFT, sparse ones the tally, an empty one too
+        rows = np.stack([self.draw(rng, shape, kind, d) for d in (0.9, 0.1, 0.6, 0.0, 1.0)])
+        for operands in ((fixed, rows), (rows, fixed, rows), (rows, rows), (fixed, fixed, rows)):
+            got, _ = _lattice_convolution(operands, shape)
+            assert got.shape == rows.shape
+            for i, row in enumerate(got):
+                alone = [x[i] if x is rows else x for x in operands]
+                want, _ = _lattice_convolution(alone, shape)
+                if kind == "int":
+                    assert got.dtype == np.int64 and np.array_equal(row, want)
+                else:
+                    scale = math.prod(np.abs(x).sum() for x in alone) or 1.0
+                    assert np.max(np.abs(row - want)) <= 1e-13 * scale
+
+    def test_blocks_of_rows_give_the_same_rows(self, monkeypatch):
+        # one row a block (_FFT_BLOCK below the padded points) or all in one
+        rng = np.random.default_rng(3)
+        fixed = rng.standard_normal((4, 6, 11)) + 1j * rng.standard_normal((4, 6, 11))
+        rows = rng.standard_normal((7, 4, 6, 11))
+        together, _ = _lattice_convolution((fixed, rows), (4, 6, 11))
+        monkeypatch.setattr(kforms.ring, "_FFT_BLOCK", 1)
+        apart, _ = _lattice_convolution((fixed, rows), (4, 6, 11))
+        assert np.max(np.abs(together - apart)) <= 1e-13 * np.abs(together).max()
+
+    def test_the_operand_without_rows_is_transformed_once(self, monkeypatch):
+        # 5 rows of 2 * 22 padded points each fit one block: one forward
+        # transform of the fixed operand, one of the block, one inverse
+        rng = np.random.default_rng(4)
+        fixed, rows = rng.standard_normal(22), rng.standard_normal((5, 22))
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *args, _f=transform, _name=name, **kwargs: (
+                calls.append((_name, args[0].shape)) or _f(*args, **kwargs)))
+        _lattice_convolution((fixed, rows), (22,))
+        assert [name for name, _ in calls] == ["rfftn", "rfftn", "irfftn"]
+        assert calls[0][1] == (22,) and calls[1][1] == (5, 22)
+        # blocks of 2 rows (90 points, 45 a row; 23 in the half spectrum): still
+        # one transform of `fixed`, then one forward and one inverse a block
+        calls.clear()
+        monkeypatch.setattr(kforms.ring, "_FFT_BLOCK", 90)
+        _lattice_convolution((fixed, rows), (22,))
+        blocks = [(2, 22), (2, 23)] * 2 + [(1, 22), (1, 23)]
+        assert [shape for _, shape in calls] == [(22,)] + blocks
+
+    def test_a_failed_certificate_recounts_that_row_alone(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 1009  # rough: padded to >= 2n and folded
+        fixed = rng.integers(0, 3, n)
+        rows = np.zeros((4, n), dtype=np.int64)
+        rows[0, :4] = 1  # sparse: tallied by price
+        rows[1] = rng.integers(0, 3, n)  # dense, small counts: the FFT, a small residual
+        rows[2, 7] = 2
+        rows[3] = rng.integers(0, 3, n) * 10**5  # dense, large counts: a larger residual
+        certified, residual = _lattice_convolution((fixed, rows), (n,))
+        small, large = (_lattice_convolution((fixed, rows[i]), (n,))[1] for i in (1, 3))
+        assert 0 < small < large == residual < 0.25
+        tally = kforms.ring._lattice_tally
+        tallied = []
+        monkeypatch.setattr(kforms.ring, "_lattice_tally", lambda arrays, shape: (
+            tallied.append(np.count_nonzero(arrays[1])) or tally(arrays, shape)))
+        # a limit between the two residuals fails row 3 alone
+        monkeypatch.setattr(kforms.ring, "_RESIDUAL_LIMIT", (small + large) / 2)
+        recounted, residual = _lattice_convolution((fixed, rows), (n,))
+        assert np.array_equal(recounted, certified) and residual == small
+        assert tallied == [4, 1, np.count_nonzero(rows[3])]
+        # a limit of 0 fails every row taken by the FFT
+        tallied.clear()
+        monkeypatch.setattr(kforms.ring, "_RESIDUAL_LIMIT", 0.0)
+        recounted, residual = _lattice_convolution((fixed, rows), (n,))
+        assert np.array_equal(recounted, certified) and residual is None
+        assert tallied == [4, 1, np.count_nonzero(rows[1]), np.count_nonzero(rows[3])]
+
+    def test_totals_are_checked_row_by_row(self):
+        big = np.zeros((2, 4), dtype=np.int64)
+        big[1, 0] = 2**40
+        with pytest.raises(ValueError, match="exceeds int64"):
+            _lattice_convolution((big, np.array([2**30, 0, 0, 0])), (4,))
 
 
 class TestDotsAt:

@@ -311,6 +311,27 @@ class TestProofTrace:
         with pytest.raises(ValueError, match="dimension too large"):
             proof_trace(inst, 3)
 
+    def test_alpha_transformed_once_at_a_small_prime(self, monkeypatch):
+        # sweep_small's heavy size: at q = 2503 the 10 level sets of the M side
+        # are the rows of one kernel call with alpha, whose spectrum is taken
+        # once: one fftn of alpha and one per block of rows, one ifftn a
+        # block; the 5 U maps are one cyclic_dft of a (5, q) stack
+        q = 2503
+        side = IntervalSet(0, 50)
+        inst = small_instance(q, IntervalSet(0, 50), side, IntervalSet(4, 50), mode="phase", seed=3)
+        trilinear_fast(inst)  # the window, cached, is not the trace's to count
+        kernel, dft = kforms.trilinear._lattice_convolution, kforms.trilinear.cyclic_dft
+        shapes, stacks = [], []
+        monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", lambda operands, shape: (
+            shapes.append([np.shape(x) for x in operands]) or kernel(operands, shape)))
+        monkeypatch.setattr(kforms.trilinear, "cyclic_dft", lambda ring, f: (
+            stacks.append(np.shape(f)) or dft(ring, f)))
+        calls = fft_calls(monkeypatch)
+        trace = proof_trace(inst, 2)
+        assert shapes == [[(q - 1,), (10, q - 1)]] and stacks == [(5, q)]
+        assert calls.count("ifftn") >= 1 and calls.count("fftn") == calls.count("ifftn") + 1
+        assert abs(trace.total - trace.fast_value) <= 1e-9 * 50**3 * q
+
     def test_one_transform_per_level(self, monkeypatch):
         # U_{j,-} is conj U_{j,+}: one length-q DFT per N-side level, not
         # one per (level, sign)
