@@ -225,11 +225,15 @@ def _ints(*names: str) -> list:
     return [(name, {"type": int, "required": True}) for name in names]
 
 
+# argparse reads a negative start given as its own word as a flag
+_SPAN = "interval start:length; write a negative start as --%(dest)s=-3:7"
+
+
 def _instance_flags(default_len: str = "sqrt") -> list:
     return [
-        ("--L", {"default": f"0:{default_len}", "help": "weight interval start:length"}),
-        ("--M", {"default": f"0:{default_len}", "help": "M interval start:length"}),
-        ("--N", {"default": f"0:{default_len}", "help": "N interval start:length"}),
+        ("--L", {"default": f"0:{default_len}", "help": "weight " + _SPAN}),
+        ("--M", {"default": f"0:{default_len}", "help": "M " + _SPAN}),
+        ("--N", {"default": f"0:{default_len}", "help": "N " + _SPAN}),
         ("--weights", {"choices": WEIGHT_MODES, "default": "ones"}),
         ("--seed", {"type": int, "default": 0}),
     ]
@@ -255,8 +259,8 @@ COMMANDS = {
                   [*_ints("--q"), *_instance_flags(), _NAIVE]),
     "energy": (cmd_energy, "multiplicative energy of two intervals", [
         *_ints("--q"),
-        ("--A", {"required": True, "help": "interval start:length"}),
-        ("--B", {"required": True, "help": "interval start:length"}),
+        ("--A", {"required": True, "help": _SPAN}),
+        ("--B", {"required": True, "help": _SPAN}),
     ]),
     "jr-mod": (cmd_jr_mod, "congruent reciprocal-sum count", [*_ints("--q"), _R, *_ints("--K")]),
     "jr-rat": (cmd_jr_rat, "equal reciprocal-sum count over Q", [_R, *_ints("--K")]),

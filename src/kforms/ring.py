@@ -5,10 +5,11 @@ package's work budget and its one lattice convolution kernel,
 _lattice_convolution, behind the trilinear unit window, the exact counts and
 the proof trace's collision sums.  The kernel takes k >= 2 operands and
 convolves them in one chain: one transform per distinct operand, one
-product of the spectra and one inverse (or a tally, or dot products read
-at the indices asked for, wherever those price lower).  An operand may hold
-rows: the others are then transformed once, and the rows in blocks of
-_FFT_BLOCK padded points, the one row-block size of every batched FFT.
+product of the spectra and one inverse (or a tally, wherever that prices
+lower).  An operand may hold rows: the others are then transformed once,
+and the rows in blocks of _FFT_BLOCK padded points, the one row-block size
+of every batched FFT.  The kernel only convolves: each caller picks its own
+route around it (the trilinear window, for one, its dot products).
 
 build_ring splits the unit group once, by CRT, into cyclic factors (a
 primitive root per odd p^e; <-1> and <5> for the 2-adic part), so a unit is
@@ -57,19 +58,6 @@ _RESIDUAL_LIMIT = 0.25
 # log2: 5.6 to 7.5 measured at lengths 3*10^4 to 10^6, where the choice
 # matters; below that either path takes well under a millisecond.
 _PAIR_COST = 8
-# _dots_at's price, in the unit of _PAIR_COST (one transform is a third of
-# it, ~1.6 ns per point times log2 of the points): one element of a read's
-# two dots costs _DOT_COST (0.73 ns at n/2 = 5*10^4), about twice that past
-# n/2 = _DOT_CACHE, where a read's ~24 B per n/2 element outgrow a 4 MiB L2
-# (1.25-1.72 ns at n/2 = 1.5*10^5 to 5*10^5); each distinct read costs as
-# much as _DOT_CALL more elements (~4 us).  A call's fixed work, the folded
-# operands (11-14 ns per n/2 element) and the reads reduced mod n/2, costs
-# as much as _DOT_FOLD reads: 30 routes the window best over 55 cases at 52
-# primes from 2003 to 10^6+3, timed both ways.  One thread, 2-vCPU Xeon host.
-_DOT_COST = 0.15
-_DOT_CALL = 5500
-_DOT_CACHE = 1 << 17
-_DOT_FOLD = 30
 _TALLY_CHUNK = 1 << 22  # pairs per tally step
 _FFT_BLOCK = 1 << 15  # padded points per block of rows of a batched FFT
 
@@ -149,24 +137,6 @@ def _fft_plan(shape: tuple[int, ...], k: int = 2):
     return tuple(size), axis, points * math.log2(points + 1), two, axes, [size[j] for j in axes]
 
 
-def _dots_price(operands, shape: tuple[int, ...], at: np.ndarray) -> float:
-    """What reading the operands' convolution at the indices `at` by
-    _dots_at costs, on a one-axis lattice Z_n of even order, less what it
-    saves, in the unit of _PAIR_COST: negative where the dots undercut the
-    chained FFT.  The dots cost, per distinct index mod half = n/2, its
-    dots' elements (twice past _DOT_CACHE) and _DOT_CALL, and the call's
-    fixed work as _DOT_FOLD reads, at _DOT_COST an element.  They save the
-    chain's transforms less those of its first k - 1 operands (none for
-    k = 2), a third of points*log2(points) a transform: one per distinct
-    operand and the inverse."""
-    half, k = shape[0] // 2, len(operands)
-    reads = np.unique(at % half, return_inverse=True)[0].size  # a bare unique imports numpy.ma
-    dots = reads * (half * (1 + (half > _DOT_CACHE)) + _DOT_CALL) + _DOT_FOLD * (half + _DOT_CALL)
-    chain, head = ((len({id(x) for x in ops}) + 1) * _fft_plan(shape, len(ops))[2] / 3
-                   for ops in (operands, operands[:-1]))
-    return dots * _DOT_COST - chain + (head if k > 2 else 0)
-
-
 def _butterflies(x: np.ndarray, axes, scale: float = 1.0) -> np.ndarray:
     """The DFT of x along each of the given axes, each of length 2: the sum
     and the difference of its two halves, times scale (1/2 inverts it)."""
@@ -174,22 +144,6 @@ def _butterflies(x: np.ndarray, axes, scale: float = 1.0) -> np.ndarray:
         a, b = np.split(x, 2, axis=j)
         x = np.concatenate(((a + b) * scale, (a - b) * scale), axis=j)
     return x
-
-
-def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """c(k) = sum_j a(j) b(k - j) over Z_n, n even, at the indices `at`.
-    With h = n/2, c(k) + c(k+h) and c(k) - c(k+h) are the dots over j < h of
-    a(j) +- a(j+h) with the h-periodic and h-antiperiodic b(x) +- b(x+h),
-    each one contiguous slice of a doubled, reversed copy of the latter."""
-    h = a.size // 2
-    k, slot = np.unique(at % h, return_inverse=True)
-    sums = []
-    for sign in (1, -1):
-        af, bf = a[:h] + sign * a[h:], (b[:h] + sign * b[h:])[::-1]
-        tiled = np.concatenate((bf, sign * bf))
-        sums.append(np.array([af @ tiled[s : s + h] for s in (h - 1 - k).tolist()])[slot])
-    plus, minus = sums
-    return (plus + np.where(at < h, minus, -minus)) / 2
 
 
 def _certified(c: np.ndarray, totals, axis=None) -> tuple[np.ndarray, float] | None:
@@ -205,33 +159,29 @@ def _certified(c: np.ndarray, totals, axis=None) -> tuple[np.ndarray, float] | N
     return (counts, residual) if exact else None
 
 
-def _lattice_convolution(
-    operands, shape: tuple[int, ...], at=None
-) -> tuple[np.ndarray, float | None]:
+def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, float | None]:
     """Cyclic convolution c = f_1 * f_2 * ... * f_k of k >= 2 operands over
     the lattice Z_{shape[0]} x Z_{shape[1]} x ..., c(x) the sum over
     x_1 + ... + x_k = x of f_1(x_1) ... f_k(x_k), with the FFT certificate's
     residual max|c - rint c|, the largest over the certified rows (None
-    when none is: the tally or the dots ran, or the input is not integer);
-    with `at`, an array of flat indices, c at those alone.  An operand given
-    twice (the same object) is one operand read twice: it is transformed
-    once.  An operand may hold rows, shaped (b,) + shape: c then has that
-    leading axis too, its row i the convolution of the row-holding
-    operands' rows i with the other operands, which are transformed once a
-    call (no `at` then).
+    when none is: the tally ran, or the input is not integer).  An operand
+    given twice (the same object) is one operand read twice: it is
+    transformed once.  An operand may hold rows, shaped (b,) + shape: c
+    then has that leading axis too, its row i the convolution of the
+    row-holding operands' rows i with the other operands, which are
+    transformed once a call.  The whole of c is returned: a caller that
+    reads a few entries, or reads them another way (the trilinear window's
+    dot products), chooses that itself.
 
     A row is tallied, two operands at a time, left to right, when
     _PAIR_COST per support pair (at step j, the product of the first j
-    supports) undercuts the FFT's points*log2(points).  Float input without
-    rows read `at` on a one-axis lattice of even order convolves the first
-    k - 1 operands (none for k = 2) and reads the result against the last
-    by _dots_at, where _dots_price says the dots undercut the transforms
-    that saves.  The other rows take the FFT (rfftn on real input, fftn on
-    complex), max(1, _FFT_BLOCK // points) rows a block: each distinct
-    operand's block is transformed once, the spectra are multiplied in
-    place, and one inverse is taken.  The axes of length 2 are transformed
-    by _butterflies (numpy's passes along them cost about as much as along
-    a long axis), the rest by numpy, longest last: rfftn halves that one.
+    supports) undercuts the FFT's points*log2(points).  The other rows take
+    the FFT (rfftn on real input, fftn on complex), max(1, _FFT_BLOCK //
+    points) rows a block: each distinct operand's block is transformed
+    once, the spectra are multiplied in place, and one inverse is taken.
+    The axes of length 2 are transformed by _butterflies (numpy's passes
+    along them cost about as much as along a long axis), the rest by numpy,
+    longest last: rfftn halves that one.
     The longest axis whose length n has a prime factor above 7 (slow in
     numpy's FFT) is zero-padded to a 5-smooth length >= k*n, and the linear
     convolution along it folded back onto Z_n, its k blocks of n summed by
@@ -257,10 +207,6 @@ def _lattice_convolution(
     supports = [[np.count_nonzero(x) for x in row] for row in rows]
     pairs = [sum(math.prod(n[:m]) for m in range(2, len(n) + 1)) for n in supports]
     tallied = [p * _PAIR_COST <= fft_cost or t > _FFT_TOTAL_LIMIT for p, t in zip(pairs, totals)]
-    dots = at is not None and len(shape) == 1 and shape[0] % 2 == 0  # for one float row
-    if dots and not (batched or integer or tallied[0]) and _dots_price(operands, shape, at) <= 0:
-        head = _lattice_convolution(operands[:-1], shape)[0] if len(arrays) > 2 else rows[0][0]
-        return _dots_at(head, rows[0][-1], at), None
     # the tallied rows first, in order
     c = [_lattice_tally(row, shape) if t else None for row, t in zip(rows, tallied)]
     fft_rows, residuals = [j for j, t in enumerate(tallied) if not t], []
@@ -297,8 +243,7 @@ def _lattice_convolution(
                 certified = _certified(row, totals[j]) if integer else (row, None)
                 c[j], residual = certified or (_lattice_tally(rows[j], shape), None)
                 residuals += [] if residual is None else [residual]
-    c = np.stack(c) if batched else c[0]
-    return (c if at is None else c.reshape(-1)[at]), max(residuals, default=None)
+    return (np.stack(c) if batched else c[0]), max(residuals, default=None)
 
 
 class NotAUnitError(ValueError):

@@ -10,9 +10,10 @@ cas (Hartley) forms Re f + Im f are real, and the package's one lattice
 kernel, ring._lattice_convolution, convolves all three in one call over the
 ring's CRT lattice (ring.characters), read only at l and -l for the units l
 of L: one real transform of each operand, their product and one inverse,
-in O(phi log phi), or, where dot products undercut the transform of e_q,
-mu with nu by FFT and that dotted against e_q at the reads.  The window is
-built once per instance.
+in O(phi log phi).  On a cyclic unit group the window itself may instead
+have the kernel convolve mu with nu alone and dot that against e_q at the
+reads, where _dots_price says the dots undercut the transform of e_q; the
+kernel knows nothing of the reads.  The window is built once per instance.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 = lam] take the same kernel, one call per block of level sets, each set's
 mu a row, so alpha is transformed once a block.  An instance's weights are
@@ -46,6 +47,7 @@ from .ring import (
     _FFT_BLOCK,
     IntervalSet,
     ResidueRing,
+    _fft_plan,
     _lattice_convolution,
     _to_lattice,
     check_work,
@@ -54,6 +56,20 @@ from .ring import (
 )
 
 WEIGHT_MODES = ("ones", "rademacher", "phase", "extremal")
+
+# _dots_price, in the unit of ring._PAIR_COST (one transform is a third of
+# it, ~1.6 ns per point times log2 of the points): one element of a read's
+# two dots costs _DOT_COST (0.73 ns at n/2 = 5*10^4), about twice that past
+# n/2 = _DOT_CACHE, where a read's ~24 B per n/2 element outgrow a 4 MiB L2
+# (1.25-1.72 ns at n/2 = 1.5*10^5 to 5*10^5); each distinct read costs as
+# much as _DOT_CALL more elements (~4 us).  A call's fixed work, the folded
+# operands (11-14 ns per n/2 element) and the reads reduced mod n/2, costs
+# as much as _DOT_FOLD reads: 30 routes the window best over 55 cases at 52
+# primes from 2003 to 10^6+3, timed both ways.  One thread, 2-vCPU Xeon host.
+_DOT_COST = 0.15
+_DOT_CALL = 5500
+_DOT_CACHE = 1 << 17
+_DOT_FOLD = 30
 
 
 @dataclass(frozen=True)
@@ -149,6 +165,40 @@ def _window_gather(
     )
 
 
+def _dots_price(operands, shape: tuple[int, ...], at: np.ndarray) -> float:
+    """What reading the convolution of the k >= 3 operands at the indices
+    `at` by _dots_at costs, on a one-axis lattice Z_n of even order, less
+    what it saves, in the unit of ring._PAIR_COST: negative where the dots
+    undercut the chained FFT.  The dots cost, per distinct index mod
+    half = n/2, its dots' elements (twice past _DOT_CACHE) and _DOT_CALL,
+    and the call's fixed work as _DOT_FOLD reads, at _DOT_COST an element.
+    They save the chain's transforms less those of its first k - 1
+    operands, a third of points*log2(points) a transform: one per distinct
+    operand and the inverse."""
+    half = shape[0] // 2
+    reads = np.unique(at % half, return_inverse=True)[0].size  # a bare unique imports numpy.ma
+    dots = reads * (half * (1 + (half > _DOT_CACHE)) + _DOT_CALL) + _DOT_FOLD * (half + _DOT_CALL)
+    chain, head = ((len({id(x) for x in ops}) + 1) * _fft_plan(shape, len(ops))[2] / 3
+                   for ops in (operands, operands[:-1]))
+    return dots * _DOT_COST - chain + head
+
+
+def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """c(k) = sum_j a(j) b(k - j) over Z_n, n even, at the indices `at`.
+    With h = n/2, c(k) + c(k+h) and c(k) - c(k+h) are the dots over j < h of
+    a(j) +- a(j+h) with the h-periodic and h-antiperiodic b(x) +- b(x+h),
+    each one contiguous slice of a doubled, reversed copy of the latter."""
+    h = a.size // 2
+    k, slot = np.unique(at % h, return_inverse=True)
+    sums = []
+    for sign in (1, -1):
+        af, bf = a[:h] + sign * a[h:], (b[:h] + sign * b[h:])[::-1]
+        tiled = np.concatenate((bf, sign * bf))
+        sums.append(np.array([af @ tiled[s : s + h] for s in (h - 1 - k).tolist()])[slot])
+    plus, minus = sums
+    return (plus + np.where(at < h, minus, -minus)) / 2
+
+
 @functools.lru_cache(maxsize=1)
 def _unit_window(
     ring: ResidueRing,
@@ -169,7 +219,10 @@ def _unit_window(
     mu is evaluated once when M = N.  r = cas mu * cas nu * cas e_q is one
     kernel call read only at l and -l for the units l of L: with equal M and
     N intervals mu is one operand given twice, so the chain takes 3
-    transforms, else 4.
+    transforms, else 4.  The window, not the kernel, picks the route: on a
+    one-axis lattice of even order (a cyclic unit group) where _dots_price
+    is at most 0, the kernel convolves cas mu with cas nu alone and
+    _dots_at reads that against cas e_q at l and -l.
     """
     q, table, units = ring.q, ring.characters, ring.units
     low = units[2 * units <= q]
@@ -186,7 +239,11 @@ def _unit_window(
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
     at = table.log_index[np.concatenate((ls, q - ls))]
-    r, _ = _lattice_convolution((mu, nu, cas(np.exp((2j * np.pi / q) * low))), table.shape, at=at)
+    operands, shape = (mu, nu, cas(np.exp((2j * np.pi / q) * low))), table.shape
+    if len(shape) == 1 and shape[0] % 2 == 0 and _dots_price(operands, shape, at) <= 0:
+        r = _dots_at(_lattice_convolution(operands[:2], shape)[0], operands[2], at)
+    else:
+        r = _lattice_convolution(operands, shape)[0].reshape(-1)[at]
     window = np.zeros(residues.size, dtype=np.complex128)
     window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
     window.flags.writeable = False

@@ -51,6 +51,15 @@ class TestSingleValueCommands:
         assert main(["energy", "--q", "5", "--A", "0:2", "--B", "0:2"]) == 0
         assert "E(A,B) = 6" in capsys.readouterr().out
 
+    def test_energy_negative_start_joined_with_equals(self, capsys):
+        # argparse reads "-3:7" as its own word as a flag; "--A=-3:7" passes it.
+        # Both A intervals cover every residue mod 7, so the counts agree.
+        lines = []
+        for a_flag in (["--A=-3:7"], ["--A", "0:7"]):
+            assert main(["energy", "--q", "7", *a_flag, "--B", "0:3"]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[0])
+        assert lines[0] == lines[1] and lines[0].startswith("E(A,B) = 54 ")
+
     def test_jr_mod(self, capsys):
         assert main(["jr-mod", "--q", "5", "--r", "2", "--K", "2"]) == 0
         assert "J_2(5;2) = 6" in capsys.readouterr().out

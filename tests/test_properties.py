@@ -218,8 +218,6 @@ def test_exact_convolution_matches_shifted_sum(shape, seed, density, kind):
     for j in zip(*np.nonzero(a)):
         oracle += a[j] * np.roll(b, j, axis=tuple(range(len(shape))))
     got, residual = _lattice_convolution((a, b), shape)
-    at = rng.integers(0, got.size, 5)
-    assert np.array_equal(_lattice_convolution((a, b), shape, at=at)[0], got.reshape(-1)[at])
     # a self-convolution transforms a once, with the same bits as two copies
     square, square_residual = _lattice_convolution((a, a), shape)
     assert np.array_equal(square, _lattice_convolution((a, a.copy()), shape)[0])

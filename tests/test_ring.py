@@ -18,9 +18,10 @@ from kforms import (
 )
 import kforms.ring
 from kforms.ring import (
-    MAX_MODULUS, ResidueRing, _certified, _dft_naive, _dots_at, _lattice_convolution,
-    _reduce, _smooth_length, factorize, is_prime,
+    MAX_MODULUS, ResidueRing, _certified, _dft_naive, _lattice_convolution, _reduce,
+    _smooth_length, factorize, is_prime,
 )
+from kforms.trilinear import _dots_at
 
 
 def brute_phi(q):

@@ -257,7 +257,10 @@ class TestProofTrace:
             assert check.value >= 0
 
     def test_collision_sums_hold_no_pair_array(self):
-        # an array of L x |level set| entries would take ~90 MB here
+        # an array of L x |level set| entries would take ~90 MB here.  The
+        # peak is tracemalloc's, which does not see numpy's FFT scratch (one
+        # length-10^6+3 ifft raises ru_maxrss from 56 to 186 MB for a 16 MB
+        # output); the (48 + 4*levels)*q trace price still covers that
         ring = build_ring(10007)
         side = IntervalSet(0, 100)
         weights = make_weights(ring, IntervalSet(0, 1000), "phase", seed=1)
@@ -272,7 +275,8 @@ class TestProofTrace:
 
     def test_reciprocal_phase_maps_are_not_kept(self):
         # the returned T maps plus a fixed number of length-q arrays, not
-        # one more per N-side level set
+        # one more per N-side level set: a tracemalloc peak, blind to numpy's
+        # FFT scratch, which the (48 + 4*levels)*q trace price still covers
         q = 30011
         ring = build_ring(q)
         side = IntervalSet(0, 173)
@@ -429,12 +433,14 @@ class TestOneWindowPerInstance:
 def windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, costs):
     """_unit_window under each _DOT_COST in costs, with the number of
     _dots_at calls each made."""
-    dots_at = kforms.ring._dots_at
+    dots_at = kforms.trilinear._dots_at
     calls = []
-    monkeypatch.setattr(kforms.ring, "_dots_at", lambda *args: calls.append(1) or dots_at(*args))
+    monkeypatch.setattr(
+        kforms.trilinear, "_dots_at", lambda *args: calls.append(1) or dots_at(*args)
+    )
     out = []
     for cost in costs:
-        monkeypatch.setattr(kforms.ring, "_DOT_COST", cost)
+        monkeypatch.setattr(kforms.trilinear, "_DOT_COST", cost)
         calls.clear()
         _unit_window.cache_clear()
         out.append((_unit_window(ring, l_iv, m_iv, n_iv), len(calls)))
@@ -461,7 +467,7 @@ class TestUnitWindowAtScale:
         ring = build_ring(q)
         side = math.isqrt(q)
         l_iv, m_iv, n_iv = IntervalSet(q - 3, 48), IntervalSet(-5, side), IntervalSet(17, side)
-        costs = (kforms.ring._DOT_COST, math.inf)
+        costs = (kforms.trilinear._DOT_COST, math.inf)
         (dots, dot_calls), (fft, fft_calls) = windows_by_branch(
             monkeypatch, ring, l_iv, m_iv, n_iv, costs
         )
@@ -478,7 +484,7 @@ class TestUnitWindowAtScale:
         ring = build_ring(q)
         side = math.isqrt(q)
         l_iv, m_iv, n_iv = IntervalSet(17, length), IntervalSet(-5, side), IntervalSet(0, side)
-        costs = (kforms.ring._DOT_COST,)
+        costs = (kforms.trilinear._DOT_COST,)
         [(window, calls)] = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, costs)
         assert calls == dot_calls
         assert_match_gather(ring, [window], l_iv, m_iv, n_iv, 1e-13)
@@ -511,13 +517,14 @@ def fft_calls(monkeypatch):
 
 
 def two_step_window(monkeypatch, ring, l_iv, m_iv, n_iv):
-    """The window as two kernel calls, r1 = cas mu * cas nu in full and then
-    r1 * cas e_q read at the units, in place of the one chained call."""
+    """The window as two kernel calls, r1 = cas mu * cas nu and then
+    r1 * cas e_q, which the window reads at the units, in place of the one
+    chained call."""
     chained = kforms.ring._lattice_convolution
 
-    def two_steps(operands, shape, at=None):
+    def two_steps(operands, shape):
         r1, _ = chained(operands[:2], shape)
-        return chained((r1, operands[2]), shape, at=at)
+        return chained((r1, operands[2]), shape)
 
     monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", two_steps)
     _unit_window.cache_clear()
@@ -538,7 +545,7 @@ class TestChainedWindow:
     ])
     @pytest.mark.parametrize("same", [True, False])
     def test_matches_the_two_step_window_and_the_gather(self, q, same, monkeypatch):
-        monkeypatch.setattr(kforms.ring, "_DOT_COST", math.inf)
+        monkeypatch.setattr(kforms.trilinear, "_DOT_COST", math.inf)
         ring = build_ring(q)
         side = math.isqrt(q)
         l_iv, m_iv = IntervalSet(q - 9, 24), IntervalSet(-5, side)
@@ -570,9 +577,11 @@ class TestChainedWindow:
         q = 10**6 + 3
         ring = build_ring(q)
         side = math.isqrt(q)
-        dots_at = kforms.ring._dots_at
+        dots_at = kforms.trilinear._dots_at
         dots = []
-        monkeypatch.setattr(kforms.ring, "_dots_at", lambda *args: dots.append(1) or dots_at(*args))
+        monkeypatch.setattr(
+            kforms.trilinear, "_dots_at", lambda *args: dots.append(1) or dots_at(*args)
+        )
         calls = fft_calls(monkeypatch)
         _unit_window.cache_clear()
         _unit_window(ring, IntervalSet(17, 48), IntervalSet(0, side), IntervalSet(7, side))
