@@ -5,7 +5,10 @@ A handler prints a short human summary and returns its reports as a
 ``SweepResult``; ``main`` alone emits them, when ``--out`` is given (``-``
 means stdout), and alone sets the exit code: 0 on success, 1 when a report's
 ratio exceeds ``--C``, 2 on usage errors, malformed input and work refused
-as too large.
+as too large.  ``main`` also owns the run's clock: it reads
+``time.perf_counter()`` once, just before it calls the handler, and passes
+that start in, so a one-run report's ``runtime_ms`` spans the whole handler
+(a sweep's cells time themselves).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def _one_report(t0: float, params: dict, measured: float, reference: float) -> S
     return SweepResult(reports=[report])
 
 
-def cmd_ring_info(args) -> None:
+def cmd_ring_info(args, t0: float) -> None:
     ring = build_ring(args.q)
     print(f"q = {ring.q}")
     print(f"phi(q) = {ring.phi}")
@@ -61,8 +64,7 @@ def cmd_ring_info(args) -> None:
         print(f"  inv({int(u)}) = {int(ring.inv_table[u])}")
 
 
-def cmd_ksum(args) -> SweepResult:
-    t0 = time.perf_counter()
+def cmd_ksum(args, t0: float) -> SweepResult:
     ring = build_ring(args.q)
     value = single_sum(ring, args.m, args.n)
     reference = weil_reference(ring, args.m, args.n)
@@ -71,8 +73,7 @@ def cmd_ksum(args) -> SweepResult:
     return _one_report(t0, {"q": args.q, "m": args.m, "n": args.n}, abs(value), reference)
 
 
-def cmd_ksum2(args) -> SweepResult:
-    t0 = time.perf_counter()
+def cmd_ksum2(args, t0: float) -> SweepResult:
     if args.naive:
         check_work(4 * euler_phi(args.q) ** 2, "4*phi^2 double_naive words")  # 32 B a pair
     ring = build_ring(args.q)
@@ -85,8 +86,7 @@ def cmd_ksum2(args) -> SweepResult:
     return _one_report(t0, params, abs(value), float(ring.phi**2))
 
 
-def cmd_trilinear(args) -> SweepResult:
-    t0 = time.perf_counter()
+def cmd_trilinear(args, t0: float) -> SweepResult:
     if args.naive:
         lengths = [resolve_interval(spec, args.q).length for spec in (args.L, args.M, args.N)]
         check_work(4 * math.prod(lengths) * euler_phi(args.q) ** 2, "4*L*M*N*phi^2")
@@ -102,8 +102,7 @@ def cmd_trilinear(args) -> SweepResult:
     return _one_report(t0, params, abs(value), bounds.reference)
 
 
-def cmd_energy(args) -> SweepResult:
-    t0 = time.perf_counter()
+def cmd_energy(args, t0: float) -> SweepResult:
     a_int = resolve_interval(args.A, args.q)
     b_int = resolve_interval(args.B, args.q)
     count = _energy_count(args.q, a_int, b_int, lambda: build_ring(args.q).characters)
@@ -114,8 +113,7 @@ def cmd_energy(args) -> SweepResult:
     return _one_report(t0, params, float(count.value), float(count.bound_value))
 
 
-def cmd_jr_mod(args) -> SweepResult:
-    t0 = time.perf_counter()
+def cmd_jr_mod(args, t0: float) -> SweepResult:
     ring = build_ring(args.q)
     identity, count = reciprocal_moment_identity(ring, args.r, args.K)
     print(f"J_{args.r}({args.q};{args.K}) = {count.value}")
@@ -130,8 +128,7 @@ def cmd_jr_mod(args) -> SweepResult:
     return _one_report(t0, params, float(count.value), float(count.bound_value or 0.0))
 
 
-def cmd_jr_rat(args) -> SweepResult:
-    t0 = time.perf_counter()
+def cmd_jr_rat(args, t0: float) -> SweepResult:
     count = reciprocal_count_rational(args.r, args.K)
     print(f"J_{args.r}({args.K}) = {count.value}   reference = {_fmt(count.bound_value)}"
           f"   ratio = {_fmt(count.ratio)}")
@@ -139,8 +136,7 @@ def cmd_jr_rat(args) -> SweepResult:
     return _one_report(t0, params, float(count.value), float(count.bound_value))
 
 
-def cmd_char_moment(args) -> SweepResult:
-    t0 = time.perf_counter()
+def cmd_char_moment(args, t0: float) -> SweepResult:
     table = build_ring(args.q).characters
     interval = IntervalSet(args.k, args.H)
     moment, twin = moment_identity_check(table, interval)
@@ -151,8 +147,7 @@ def cmd_char_moment(args) -> SweepResult:
     return _one_report(t0, params, moment, reference)
 
 
-def cmd_proof_trace(args) -> SweepResult:
-    t0 = time.perf_counter()
+def cmd_proof_trace(args, t0: float) -> SweepResult:
     instance = build_instance(args.q, args.L, args.M, args.N, args.weights, args.seed)
     trace = proof_trace(instance, args.r)
     gap = abs(trace.total - trace.fast_value)
@@ -193,7 +188,7 @@ def _print_sweep(result: SweepResult, label: str) -> None:
     print(f"exceptions = {result.exceptions}")
 
 
-def cmd_verify_thm1(args) -> SweepResult:
+def cmd_verify_thm1(args, t0: float) -> SweepResult:
     result = verify_thm1_sweep(
         parse_int_list(args.q), args.L, args.M, args.N, mode=args.weights, seed=args.seed,
         threshold=args.C, budget_ms=args.budget_ms, primes=args.primes,
@@ -202,7 +197,7 @@ def cmd_verify_thm1(args) -> SweepResult:
     return result
 
 
-def cmd_verify_thm2(args) -> SweepResult:
+def cmd_verify_thm2(args, t0: float) -> SweepResult:
     result = verify_thm2_sweep(
         args.Q, args.r, args.L, args.M, args.N,
         mode=args.weights, seed=args.seed, epsilon=args.epsilon,
@@ -214,7 +209,7 @@ def cmd_verify_thm2(args) -> SweepResult:
     return result
 
 
-def cmd_verify_lemma(args) -> SweepResult:
+def cmd_verify_lemma(args, t0: float) -> SweepResult:
     grid = json.loads(args.grid) if args.grid else None
     result = verify_lemma_sweeps(args.lemma, grid, threshold=args.C, budget_ms=args.budget_ms)
     _print_sweep(result, f"lemma {args.lemma} sweep")
@@ -313,7 +308,7 @@ def main(argv=None) -> int:
         print(f"error: io error writing report to {args.out}: {exc}", file=sys.stderr)
         return 2
     try:
-        result = args.func(args)
+        result = args.func(args, time.perf_counter())  # the run's clock starts here
         if result is not None and args.out is not None:
             emit_report(result, format=args.format, path=args.out)
     except ValueError as exc:

@@ -4,6 +4,12 @@ tables and fast reductions, and the Weil reference magnitude.
 Conventions: the single sum runs over one variable,
 K_q(m, n) = sum_{x unit} e_q(m*x + n*inv(x)); the double sum adds a second
 variable through the bilinear term l*x*y.
+
+One O(phi)-per-l gather, _unit_gather, sum_{x unit} eta_x F(l*x), serves the
+double sum (eta = e_q(m*inv(x)), F the single-sum table for n) and the
+trilinear window's oracle (eta = mu(inv x), F = _unit_dft of nu(inv y)):
+K_q(l, m, n) is the window W_l at the one-point intervals M = {m},
+N = {n}.
 """
 
 from __future__ import annotations
@@ -42,6 +48,13 @@ def _unit_dft(ring: ResidueRing, kappa) -> np.ndarray:
     return cyclic_dft(ring, f)
 
 
+def _unit_gather(ring: ResidueRing, eta, f: np.ndarray, ls) -> np.ndarray:
+    """sum_{x unit} eta_x f(l*x mod q) for each l in ls (eta aligned with
+    ring.units), O(phi) per l."""
+    q, x = ring.q, ring.units
+    return np.array([np.sum(eta * f[(int(l) % q) * x % q]) for l in ls], dtype=np.complex128)
+
+
 def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
     """All K_q(a, n) at once: the DFT of x -> 1_unit(x) e_q(n*inv(x))."""
     kappa = ring.eq_pows[(n % ring.q) * ring.inv_table[ring.units] % ring.q]
@@ -68,10 +81,8 @@ def double_fast(
     """
     if table is None or table.n % ring.q != n % ring.q or table.q != ring.q:
         table = single_table(ring, n)
-    q = ring.q
-    x = ring.units
-    phases = ring.eq_pows[(m % q) * ring.inv_table[x] % q]
-    return complex(np.sum(phases * table.values[(l % q) * x % q]))
+    phases = ring.eq_pows[(m % ring.q) * ring.inv_table[ring.units] % ring.q]
+    return complex(_unit_gather(ring, phases, table.values, [l])[0])
 
 
 def weil_reference(ring: ResidueRing, m: int, n: int) -> float:

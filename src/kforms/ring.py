@@ -173,8 +173,9 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     reads a few entries, or reads them another way (the trilinear window's
     dot products), chooses that itself.
 
-    A row is tallied, two operands at a time, left to right, when
-    _PAIR_COST per support pair (at step j, the product of the first j
+    Each distinct operand's supports and sums are taken once a call, for
+    all its rows.  A row is tallied, two operands at a time, left to right,
+    when _PAIR_COST per support pair (at step j, the product of the first j
     supports) undercuts the FFT's points*log2(points).  The other rows take
     the FFT (rfftn on real input, fftn on complex), max(1, _FFT_BLOCK //
     points) rows a block: each distinct operand's block is transformed
@@ -197,14 +198,22 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     for i, x in distinct.items():  # every operand as rows, one row if it holds none
         distinct[i] = (x.astype(np.int64, copy=False) if integer else x).reshape((-1,) + shape)
     arrays = [distinct[id(x)] for x in operands]
-    rows = [[x[j % len(x)] for x in arrays] for j in range(max(map(len, arrays)))]
-    totals = [math.prod(int(x.sum()) for x in row) if integer else 0 for row in rows]
+    b = max(map(len, arrays))  # c's rows; row j takes row j % len of each operand
+    rows = [[x[j % len(x)] for x in arrays] for j in range(b)]
+
+    def each_row(f, x):  # one numpy call for all of x's rows, a bare one for a lone row
+        return f(x.reshape(len(x), -1), axis=1).tolist() if len(x) > 1 else [int(f(x))]
+
+    # each distinct operand's supports and sums, taken once, indexed per row
+    nonzero = {id(x): each_row(np.count_nonzero, x) for x in distinct.values()}
+    sums = {id(x): each_row(np.ndarray.sum, x) for x in distinct.values() if integer}
+    totals = [math.prod(sums[id(x)][j % len(x)] for x in arrays) if integer else 0 for j in range(b)]
     if max(totals) >= 2**63:
         raise ValueError(f"dimension too large: convolution total {max(totals)} exceeds int64")
     size, axis, fft_cost, two, axes, s = _fft_plan(shape, len(arrays))
     # a row is tallied where the tally prices lower (at step m, the product
     # of m supports) or its total passes the certificate's limit
-    supports = [[np.count_nonzero(x) for x in row] for row in rows]
+    supports = [[nonzero[id(x)][j % len(x)] for x in arrays] for j in range(b)]
     pairs = [sum(math.prod(n[:m]) for m in range(2, len(n) + 1)) for n in supports]
     tallied = [p * _PAIR_COST <= fft_cost or t > _FFT_TOTAL_LIMIT for p, t in zip(pairs, totals)]
     # the tallied rows first, in order

@@ -8,13 +8,16 @@ before each cell: once the budget is spent it stops and marks the result
 truncated, and a sweep that ran every cell is never truncated.  A cell
 already running is not interrupted.  Rings and character tables are built
 inside the first cell that needs them, once per modulus, so a spent budget
-builds none.  A Lemma 2.1 cell reads the fourth moment of the character
-sums off its exact orthogonality count, phi(q) times the multiplicative
-energy of the interval's units, with no character sum: a short interval's
-energy is tallied over residues mod q with no ring or table at all, and
-only a cell whose lattice FFT is the cheaper count builds the character
-table (and lets its ring go).  A Lemma 2.2 cell counts its energy the same
-way.
+builds none.  Every Lemma 2.1-2.4 cell is one count run by _count_cell, an
+exact count against its reference; a Lemma 2.5 cell is the dyadic average
+average_reciprocal_sweep reports itself.  A Lemma 2.1 cell counts the
+fourth moment of the character sums as its exact orthogonality twin,
+phi(q) times the multiplicative energy of the interval's units, with no
+character sum: a short interval's energy is tallied over residues mod q
+with no ring or table at all, and only a cell whose lattice FFT is the
+cheaper count builds the character table (and lets its ring go).  A
+Lemma 2.2 cell counts its energy the same way.  The 2.1 and 2.2 grids keep
+the latest modulus's character table, as the 2.3 grid keeps its ring.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import time
 
 from .characters import build_characters, fourth_moment_reference
 from .counts import (
+    CountReport,
+    _count_report,
     _energy_count,
     _product_energy,
     average_reciprocal_sweep,
@@ -223,53 +228,37 @@ def allowed_exceptions(Q: int, r: int, epsilon: float) -> float:
     return Q ** (1 - 2 * r * epsilon)
 
 
-def _moment_cell(tables, q: int, k: int, H: int) -> BoundReport:
-    """sum_chi |sum_{x in I} chi(x)|^4 for I = IntervalSet(k, H), read off its
-    orthogonality twin phi(q) * #{x1*x2 = x3*x4 mod q: x_i units of I}, an
-    exact count (fourth_moment computes the same from the character sums),
-    against fourth_moment_reference.  The count asks tables(q) for the
-    character table only when its lattice FFT undercuts the residue tally.
-    """
-    t0 = time.perf_counter()
-    interval = IntervalSet(k, H)
-    quadruples, _ = _product_energy(q, interval, interval, functools.partial(tables, q))
-    phi = euler_phi(q)
-    return make_report(
-        params={"q": q, "k": k, "H": H},
-        measured=float(phi * quadruples),
-        reference=fourth_moment_reference(q, phi, H),
-        t0=t0,
-    )
-
-
 def _count_cell(params: dict, count, *args) -> BoundReport:
     """count(*args), a CountReport, against its reference."""
     t0 = time.perf_counter()
     report = count(*args)
-    return make_report(
-        params=params,
-        measured=float(report.value),
-        reference=float(report.bound_value),
-        t0=t0,
-    )
+    return make_report(params, float(report.value), float(report.bound_value), t0)
 
 
-def _table_memo():
-    """The latest modulus's character table, built on first use (a grid's
-    cells come grouped by q); the table alone is kept, its ring goes."""
-    return functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
+def _moment_count(q: int, interval: IntervalSet, table) -> CountReport:
+    """sum_chi |sum_{x in I} chi(x)|^4 read off its orthogonality twin
+    phi(q) * #{x1*x2 = x3*x4 mod q: x_i units of I}, an exact count
+    (fourth_moment computes the same from the character sums), against
+    fourth_moment_reference.  table() gives q's character table, asked for
+    only when the lattice FFT undercuts the residue tally."""
+    phi = euler_phi(q)
+    energy, _ = _product_energy(q, interval, interval, table)
+    return _count_report(phi * energy, fourth_moment_reference(q, phi, interval.length))
 
 
 def _lemma_21_cases(grid):
-    tables = _table_memo()
+    # tables memoises the latest modulus's character table (a grid's cells
+    # come grouped by q), built on first use; the table alone is kept
+    tables = functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
     for q in grid["qs"]:
         for k in grid["ks"]:
             for H in sorted({min(h, q) for h in grid["Hs"] if h >= 1}):
-                yield functools.partial(_moment_cell, tables, q, k, H)
+                count = (_moment_count, q, IntervalSet(k, H), functools.partial(tables, q))
+                yield functools.partial(_count_cell, {"q": q, "k": k, "H": H}, *count)
 
 
 def _lemma_22_cases(grid):
-    tables = _table_memo()
+    tables = functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
     for q in grid["qs"]:
         pairs = [(s, min(ln, q)) for s, ln in grid["intervals"]]
         for sa, la in pairs:

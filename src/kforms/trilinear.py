@@ -19,7 +19,9 @@ The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 mu a row, so alpha is transformed once a block.  An instance's weights are
 validated on construction (|alpha_l| <= 1, and 0 at every non-unit l), so
 the form reads the unit window alone; window_sums still serves a non-unit
-l, with one O(phi) gather.
+l, with one O(phi) gather.  That gather is kloosterman's, the one
+double_fast reads K_q(l, m, n) through: at the one-point intervals
+M = {m}, N = {n} the window W_l is K_q(l, m, n) itself.
 The trace machinery splits the fast form over a dyadic decomposition of the
 centered unit representatives and records every intermediate quantity next
 to its reference envelope (all absorbed constants set to 1); a level set's
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import _reciprocal_counts
-from .kloosterman import _unit_dft, double_naive
+from .kloosterman import _unit_dft, _unit_gather, double_naive
 from .reports import BoundReport, make_report
 from .ring import (
     _FFT_BLOCK,
@@ -65,7 +67,11 @@ WEIGHT_MODES = ("ones", "rademacher", "phase", "extremal")
 # much as _DOT_CALL more elements (~4 us).  A call's fixed work, the folded
 # operands (11-14 ns per n/2 element) and the reads reduced mod n/2, costs
 # as much as _DOT_FOLD reads: 30 routes the window best over 55 cases at 52
-# primes from 2003 to 10^6+3, timed both ways.  One thread, 2-vCPU Xeon host.
+# primes from 2003 to 10^6+3, timed both ways.  Fitted with OpenBLAS on one
+# thread (OPENBLAS_NUM_THREADS=1, which perfbench/run.py pins), 2-vCPU Xeon
+# host.  The CLI, the tests and library callers run at numpy's default
+# thread count, where the q = 100,003 window (L = 316) stalled ~1 s in its
+# dots in 6 of 67 fresh processes (see ROADMAP.md).
 _DOT_COST = 0.15
 _DOT_CALL = 5500
 _DOT_CACHE = 1 << 17
@@ -155,14 +161,12 @@ def _window_gather(
     """W_l for each l in ls, as sum_{x,y units} eta_x kappa_y e_q(l*x*y):
     summing K_q(l, m, n) over the windows folds the twists e_q(m*inv(x)),
     e_q(n*inv(y)) into the weights eta = mu(inv x), kappa = nu(inv y).  One
-    DFT of kappa, then O(phi) per l."""
-    q, x = ring.q, ring.units
-    xb = ring.inv_table[x]
-    eta = interval_phase_sum(ring, m_interval, xb)
-    transform = _unit_dft(ring, interval_phase_sum(ring, n_interval, xb))
-    return np.array(
-        [np.sum(eta * transform[(int(l) % q) * x % q]) for l in ls], dtype=np.complex128
-    )
+    DFT of kappa, then kloosterman's O(phi)-per-l gather, the one that reads
+    K_q(l, m, n) off the single sums: this is K_q(l, m, n) itself at the
+    one-point windows M = {m}, N = {n}."""
+    xb = ring.inv_table[ring.units]
+    kappa = interval_phase_sum(ring, n_interval, xb)
+    return _unit_gather(ring, interval_phase_sum(ring, m_interval, xb), _unit_dft(ring, kappa), ls)
 
 
 def _dots_price(operands, shape: tuple[int, ...], at: np.ndarray) -> float:

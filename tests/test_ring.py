@@ -528,6 +528,27 @@ class TestBatchedKernel:
         assert np.array_equal(recounted, certified) and residual is None
         assert tallied == [4, 1, np.count_nonzero(rows[1]), np.count_nonzero(rows[3])]
 
+    def test_each_distinct_operand_is_counted_once_a_call(self, monkeypatch):
+        # the proof trace's T-map call at q = 2503: alpha and a block of 10
+        # level sets' rows; the supports are one count_nonzero an operand,
+        # not one a row and operand
+        shape = build_ring(2503).characters.shape
+        rng = np.random.default_rng(7)
+        alpha = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows = rng.standard_normal((10,) + shape) * (rng.random((10,) + shape) < 0.3)
+        ints = rng.integers(0, 3, shape)
+        want = [_lattice_convolution((alpha, row), shape)[0] for row in rows]
+        calls, count = [], np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda *args, **kwargs: (
+            calls.append(args[0].shape) or count(*args, **kwargs)))
+        got, _ = _lattice_convolution((alpha, rows), shape)
+        assert calls == [(1, alpha.size), (10, alpha.size)]
+        calls.clear()
+        _lattice_convolution((ints, ints, rng.integers(0, 3, (2,) + shape)), shape)
+        assert calls == [(1, alpha.size), (2, alpha.size)]  # ints given twice: one call
+        monkeypatch.undo()
+        assert np.max(np.abs(got - np.stack(want))) <= 1e-12 * np.abs(got).max()
+
     def test_totals_are_checked_row_by_row(self):
         big = np.zeros((2, 4), dtype=np.int64)
         big[1, 0] = 2**40

@@ -174,6 +174,21 @@ class TestWindowSums:
                          for m in m_iv.members() for n in n_iv.members())
             assert folded == pytest.approx(oracle, abs=1e-8 * 9 * ring.phi**2)
 
+    @pytest.mark.parametrize("q", [97, 360, 1009, 2310])
+    def test_kloosterman_sum_is_the_one_point_window(self, q):
+        # K_q(l, m, n) is W_l at M = {m}, N = {n}: double_fast against the
+        # unit window (a unit l) or the gather (a non-unit l), with each of
+        # l, m and n a unit or not, shifted off [0, q) as well
+        ring = build_ring(q)
+        rng = np.random.default_rng(q)
+        pools = (ring.units, np.flatnonzero(~ring.unit_mask))
+        for kinds in np.ndindex(2, 2, 2):
+            for _ in range(2):
+                l, m, n = (int(rng.choice(pools[k])) + q * int(rng.integers(-1, 2))
+                           for k in kinds)
+                window = window_sums(ring, *(IntervalSet(x - 1, 1) for x in (l, m, n)))[0]
+                assert abs(double_fast(ring, l, m, n) - window) <= 1e-9 * ring.phi**2
+
 
 class TestDyadicDecomposition:
     def test_documented_level_sets(self):
