@@ -27,8 +27,9 @@ inverses of 1..K mod each q come from one table of the inverses mod x <= K,
 and the rows of a block of moduli, each the indicator of its inverses, share
 one real FFT whose rounded result ring._certified accepts (the same
 certificate as the kernel's) before each row is folded mod its own q; a
-block that fails it, or that the per-modulus kernel prices lower, is counted
-modulus by modulus.
+block that fails it, or whose per-modulus tally prices lower, is counted
+modulus by modulus by the kernel's tally, ring._lattice_tally.  So each
+block takes one route, and the average never calls the kernel itself.
 The rational count keys lowest-terms fractions in int64.  Sums of squares
 are exact: in int64 only where no overflow is possible, in Python ints
 otherwise.
@@ -60,6 +61,7 @@ from .ring import (
     _fft_plan,
     _lattice_convolution,
     _lattice_shape,
+    _lattice_tally,
     _reduce,
     _smooth_length,
     _to_lattice,
@@ -100,10 +102,10 @@ def _sum_of_squares(counts: np.ndarray) -> int:
     return sum(c * c for c in counts[counts > 0].tolist())
 
 
-# A per-modulus kernel call costs, besides its pairs, about as much as this many
-# FFT points times their log2: ~60 us against ~3.5 ns a unit, measured at
-# Q = 200 to 5000 (2-vCPU host).
-_KERNEL_CALL = 17_000
+# A per-modulus tally call costs, besides its pairs, about as much as this many
+# FFT points times their log2: 46-48 us against 2.4-3.1 ns a unit, measured
+# at Q = 200 to 5000 (2-vCPU host, one BLAS thread).
+_TALLY_CALL = 17_000
 # A strided slice add of the q-bin tally costs, besides its elements, about as
 # much as this many keyed adds: 1.6-1.9 us a slice, 1.5-4.5 ns an element
 # and 8-10 ns a key, measured at q = 10^6+3 (2-vCPU host).
@@ -276,15 +278,6 @@ def _check_r_k(r: int, K: int, top: float) -> None:
         raise ValueError(f"K out of range: need 1 <= K <= {top}, got {K}")
 
 
-def _reciprocal_count(q: int, inverses, r: int) -> tuple[int, float | None]:
-    """sum_s w(s)^2 for w the r-fold cyclic self-convolution mod q of the
-    indicator of the inverses, one kernel call whose one spectrum is raised
-    to the r-th power, with its FFT residual."""
-    v = np.bincount(np.asarray(inverses, dtype=np.int64), minlength=q)
-    w, residual = _lattice_convolution([v] * r, (q,)) if r > 1 else (v, None)
-    return _sum_of_squares(w), residual
-
-
 def _unit_inverses_upto(ring: ResidueRing, K: int) -> np.ndarray:
     xs = np.arange(1, K + 1, dtype=np.int64) % ring.q
     return ring.inv_table[xs[ring.unit_mask[xs]]]
@@ -396,22 +389,24 @@ def _reciprocal_block(qs: range, inverses: np.ndarray, units: np.ndarray, r: int
     ring._certified against the rows' exact totals units^r <= 2^52.  Row q
     is then folded mod q, its shifts j*q read as r strided views of the
     rounded rows (row stride size + j), and its columns past q - 1 dropped.
-    The block is counted modulus by modulus by _reciprocal_count instead
-    where that prices lower (r - 1 kernel calls of _KERNEL_CALL plus
-    _PAIR_COST per pair of units, against size*log2(size) a modulus) or the
-    certificate fails."""
+    Where the FFT prices higher (r - 1 tally calls of _TALLY_CALL plus
+    _PAIR_COST per pair of units, against size*log2(size) a modulus) or its
+    certificate fails, each modulus's indicator is convolved r-fold by
+    ring._lattice_tally instead.  A total units^r past int64 is refused."""
     lo, hi, counts = qs[0], qs[-1], np.count_nonzero(units, axis=1)
+    if (top := int(counts.max()) ** r) >= 2**63:
+        raise ValueError(f"dimension too large: convolution total {top} exceeds int64")
     size = _smooth_length(r * hi)
-    modular = (r - 1) * (len(qs) * _KERNEL_CALL + _PAIR_COST * int(counts @ counts))
+    modular = (r - 1) * (len(qs) * _TALLY_CALL + _PAIR_COST * int(counts @ counts))
     certified = None
-    if modular > len(qs) * size * math.log2(size) and int(counts.max()) ** r <= _FFT_TOTAL_LIMIT:
+    if modular > len(qs) * size * math.log2(size) and top <= _FFT_TOTAL_LIMIT:
         keys = (np.arange(len(qs))[:, None] * hi + inverses)[units]
         spectrum = np.fft.rfft(np.bincount(keys, minlength=len(qs) * hi).reshape(-1, hi), size)
         power = math.prod([spectrum] * (r - 1), start=spectrum)  # np.power: ~5x slower
         certified = _certified(np.fft.irfft(power, size), (counts**r).tolist(), axis=1)
     if certified is None:
-        moduli = zip(qs, inverses, units)
-        return sum(_reciprocal_count(q, x[u], r)[0] for q, x, u in moduli)
+        rows = ((q, np.bincount(x[u], minlength=q)) for q, x, u in zip(qs, inverses, units))
+        return sum(_sum_of_squares(_lattice_tally([v] * r, (q,))) for q, v in rows)
     # row i, modulus lo + i, reads flat[i*size + s + j*(lo + i)]: s + j*q < r*q <= size
     flat, step = certified[0].reshape(-1), certified[0].itemsize
     views = (as_strided(flat[j * lo :], (len(qs), hi), ((size + j) * step, step)) for j in range(r))

@@ -13,7 +13,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,7 +148,3 @@ def read_report(path: str, format: str = "csv") -> list[dict]:
         reader = csv.DictReader(fh)
         return [{k: _parse_scalar(v) for k, v in row.items()} for row in reader]
 
-
-def with_params(report: BoundReport, **extra) -> BoundReport:
-    """Copy of the report with extra leading parameter columns."""
-    return replace(report, params={**extra, **report.params})

@@ -37,7 +37,7 @@ from .counts import (
     reciprocal_count_mod,
     reciprocal_count_rational,
 )
-from .reports import BoundReport, SweepResult, fit_exponent, make_report, with_params
+from .reports import BoundReport, SweepResult, fit_exponent, make_report
 from .ring import (
     IntervalSet, _fft_plan, _lattice_shape, _ring_primes, build_ring, check_work, euler_phi,
     is_prime,
@@ -175,8 +175,10 @@ def verify_thm1_sweep(
         raise ValueError("every modulus must be >= 2")
 
     def case(q: int) -> BoundReport:
-        instance = build_instance(q, l_spec, m_spec, n_spec, mode, seed)
-        return with_params(theorem1_bounds(instance), mode=mode, seed=seed)
+        t0 = time.perf_counter()
+        report = theorem1_bounds(build_instance(q, l_spec, m_spec, n_spec, mode, seed))
+        params = {"mode": mode, "seed": seed, **report.params}
+        return make_report(params, report.measured, report.reference, t0)
 
     cells = (functools.partial(case, q) for q in qs if not primes or is_prime(q))
     return _run_sweep(cells, "q", threshold, budget_ms)

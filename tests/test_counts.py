@@ -375,28 +375,32 @@ class TestAverageReciprocalSweep:
             total = average_reciprocal_sweep(210, r, K).params["sum_total"]
             assert total == self.per_modulus_total(210, r, K)
 
-    def test_routing_between_batch_and_per_modulus_kernel(self, monkeypatch):
+    def test_routing_between_batch_and_per_modulus_tally(self, monkeypatch):
+        expected = sum(reciprocal_count_mod(build_ring(q), 10, 40).value for q in range(40, 81))
         calls = []
-        kernel = kforms.counts._reciprocal_count
+        tally = kforms.counts._lattice_tally
 
-        def spy(q, inverses, r):
-            calls.append(q)
-            return kernel(q, inverses, r)
+        def spy(arrays, shape):
+            calls.append(shape[0])
+            return tally(arrays, shape)
 
-        monkeypatch.setattr(kforms.counts, "_reciprocal_count", spy)
+        def unexpected(operands, shape):
+            raise AssertionError("Lemma 2.5 calls the lattice kernel")
+
+        monkeypatch.setattr(kforms.counts, "_lattice_tally", spy)
+        monkeypatch.setattr(kforms.counts, "_lattice_convolution", unexpected)
         # units^10 > 2^52 for most rows: the certificate cannot hold for their
-        # block, whose rows are recounted modulus by modulus
-        inverses = {q: [pow(x, -1, q) for x in range(1, 41) if math.gcd(x, q) == 1]
-                    for q in range(40, 81)}
+        # block, whose rows are tallied modulus by modulus
         report = average_reciprocal_sweep(40, 10, 40)
-        assert report.params["sum_total"] == sum(kernel(q, inverses[q], 10)[0] for q in inverses)
-        assert {q for q in inverses if len(inverses[q]) ** 10 > 2**52} <= set(calls)
-        assert len(calls) >= 30
+        assert report.params["sum_total"] == expected
+        units = {q: sum(math.gcd(x, q) == 1 for x in range(1, 41)) for q in range(40, 81)}
+        big = {q for q in units if units[q] ** 10 > 2**52}
+        assert big <= set(calls) and len(calls) >= 30
         # dense rows go through the batched FFT alone
         calls.clear()
         average_reciprocal_sweep(64, 2, 64)
         assert calls == []
-        # three units a row at q ~ 2400: the per-modulus kernel prices lower
+        # three units a row at q ~ 2400: the per-modulus tally prices lower
         report = average_reciprocal_sweep(1200, 2, 3)
         assert calls == list(range(1200, 2401))
         expected = 0
@@ -405,6 +409,11 @@ class TestAverageReciprocalSweep:
             sums = Counter((a + b) % q for a in inverses for b in inverses)
             expected += sum(c * c for c in sums.values())
         assert report.params["sum_total"] == expected
+
+    def test_total_past_int64_rejected(self):
+        # q = 11 holds all ten x <= 10 as units: 10^20 > 2^63
+        with pytest.raises(ValueError, match="exceeds int64"):
+            average_reciprocal_sweep(10, 20, 10)
 
     def test_inverses_match_pow_and_gcd(self):
         qs = np.arange(1, 301, dtype=np.int64)

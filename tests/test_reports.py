@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 import weakref
 
 import numpy as np
@@ -193,6 +194,17 @@ class TestSweepControls:
             counts.append(result.exceptions)
         assert counts == sorted(counts, reverse=True)
         assert counts[-1] == 0
+
+    def test_thm1_runtime_covers_the_instance_build(self, monkeypatch):
+        build = kforms.sweeps.build_instance
+
+        def slow(*args):
+            time.sleep(0.03)
+            return build(*args)
+
+        monkeypatch.setattr(kforms.sweeps, "build_instance", slow)
+        result = verify_thm1_sweep([11, 13], "0:4", "0:4", "0:4")
+        assert [r.runtime_ms >= 30 for r in result.reports] == [True, True]
 
     def test_thm2_requires_r_at_least_two(self):
         with pytest.raises(ValueError, match="r >= 2"):
