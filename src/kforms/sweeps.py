@@ -299,12 +299,13 @@ def _lemma_25_cases(grid):
                 yield functools.partial(average_reciprocal_sweep, Q, r, K)
 
 
+# each lemma's cases and fit key; its grid needs the keys of its DEFAULT_GRIDS entry
 _LEMMA_BUILDERS = {
-    "2.1": (_lemma_21_cases, ("qs", "ks", "Hs"), "q"),
-    "2.2": (_lemma_22_cases, ("qs", "intervals"), "q"),
-    "2.3": (_lemma_23_cases, ("qs", "Ks"), "q"),
-    "2.4": (_lemma_24_cases, ("r", "Ks"), "K"),
-    "2.5": (_lemma_25_cases, ("r", "Qs", "Ks"), "Q"),
+    "2.1": (_lemma_21_cases, "q"),
+    "2.2": (_lemma_22_cases, "q"),
+    "2.3": (_lemma_23_cases, "q"),
+    "2.4": (_lemma_24_cases, "K"),
+    "2.5": (_lemma_25_cases, "Q"),
 }
 
 
@@ -334,12 +335,12 @@ def verify_lemma_sweeps(
     """
     if lemma not in _LEMMA_BUILDERS:
         raise ValueError(f"unknown lemma {lemma!r}; pick one of {sorted(_LEMMA_BUILDERS)}")
-    builder, required, fit_key = _LEMMA_BUILDERS[lemma]
+    builder, fit_key = _LEMMA_BUILDERS[lemma]
     if grid is None:
         grid = DEFAULT_GRIDS[lemma]
     if not isinstance(grid, dict):
         raise ValueError(f"invalid grid for lemma {lemma}: expected a JSON object, got {grid!r}")
-    bad = [key for key in required if not _grid_value_ok(key, grid.get(key))]
+    bad = [key for key in DEFAULT_GRIDS[lemma] if not _grid_value_ok(key, grid.get(key))]
     if bad:
         raise ValueError(f"invalid grid for lemma {lemma}: missing or malformed {bad}")
 

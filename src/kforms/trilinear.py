@@ -16,7 +16,8 @@ reads, where _dots_price says the dots undercut the transform of e_q; the
 kernel knows nothing of the reads.  The window is built once per instance.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 = lam] take the same kernel, one call per block of level sets, each set's
-mu a row, so alpha is transformed once a block.  An instance's weights are
+mu a row, so alpha is transformed once a block; T vanishes off the units,
+so its rows are read at the units alone.  An instance's weights are
 validated on construction (|alpha_l| <= 1, and 0 at every non-unit l), so
 the form reads the unit window alone; window_sums still serves a non-unit
 l, with one O(phi) gather.  That gather is kloosterman's, the one
@@ -27,7 +28,7 @@ centered unit representatives and records every intermediate quantity next
 to its reference envelope (all absorbed constants set to 1); a level set's
 mirror -(j, +) is (j, -), so one reciprocal transform serves both signs.
 Each family of maps (the references J_r, the T maps, the U maps) is
-computed in blocks of max(1, _FFT_BLOCK // q) rows of length q: a trace
+computed in blocks of max(1, _FFT_BLOCK // q) rows of length up to q: a trace
 at q below ~3,000 with M, N ~ sqrt(q) takes one call per family, and from
 q ~ 16,000 on each block is one row, so the trace holds no more than a
 level-by-level one.
@@ -148,9 +149,10 @@ class ProofTrace:
     total: complex  # sum of all cell values
     fast_value: complex  # full fast evaluation, for the reconstruction check
     decomposition: DyadicDecomposition
-    t_maps: dict  # (i, sign) -> per-residue collision sums
-    first_moments: dict  # (i, sign) -> sum |T| vs q*L
-    second_moments: dict  # (i, sign) -> sum |T|^2 vs q*L^2 + e^-i q*L*M
+    # the T maps themselves are not kept: each is read for its moments and
+    # its row of cells
+    first_moments: dict  # (i, sign) -> sum |T| over the units vs q*L
+    second_moments: dict  # (i, sign) -> sum |T|^2 over the units vs q*L^2 + e^-i q*L*M
     y_moments: dict  # (j, sign) -> sum_lam |U|^(2r) vs e^(-2rj) q N^(2r) J_r
     cells: list[TraceCell]
 
@@ -395,15 +397,17 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     Hoelder bound.  The cell values sum back to the full form exactly.
 
     The maps are computed a family at a time, max(1, _FFT_BLOCK // q) rows
-    of length q a block.  The J_r references are one counts call whose rows
-    are the inverse indicators of the distinct K.  The T maps are kernel
-    calls on alpha and a block of rows, row i the mu of level set i (one
-    phase-sum call a block), so alpha is transformed once a block, and a
-    block's lattice rows are gathered into the T stack at once.  The U maps
-    are one cyclic_dft a block of N-side levels, whose columns of cells are
-    one product of the T stack with the block.  At sweep-sized q (below
-    ~3,000 with M, N ~ sqrt(q)) each family is one call; from q ~ 16,000 a
-    block is one row, and the trace holds what a level-by-level trace held.
+    of length up to q a block.  The J_r references are one counts call whose
+    rows are the inverse indicators of the distinct K.  The T maps are
+    kernel calls on alpha and a block of rows, row i the mu of level set i
+    (one phase-sum call a block), so alpha is transformed once a block, and
+    a block's lattice rows are read at the units' lattice points into the T
+    stack, one (level sets x phi) array: T vanishes off the units.  The U
+    maps are one cyclic_dft a block of N-side levels, whose columns of cells
+    are one product of the T stack with the block read at the units.  At
+    sweep-sized q (below ~3,000 with M, N ~ sqrt(q)) each family is one
+    call; from q ~ 16,000 a block is one row, and the trace holds what a
+    level-by-level trace held.
 
     The references J_r are counted before the T maps, largest K first (the
     kernel tallies its rows first, in order), so that a J_r over the work
@@ -423,7 +427,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     )
     if m_len > q or n_len > q:
         raise ValueError("trace needs M, N <= q")
-    # 2 complex T maps per M-side level; 412-604 B per residue at q ~ 10^6
+    # 2 complex T maps (phi wide) per M-side level; 412-604 B per residue at q ~ 10^6
     check_work((48 + 4 * _level_count(m_len)) * q, "(48 + 4*levels)*q trace words")
 
     dec = dyadic_decomposition(ring, m_len, n_len)
@@ -437,19 +441,18 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     # alpha with a block of rows, row i the mu of level set i
     table = ring.characters
     alpha_lat = _to_lattice(table, instance.weights.interval.residues(q), instance.weights.weights)
-    # the T maps are the rows of one array, so a block of U maps' columns of
-    # cells is one matrix product: values[row of T, column of U]
-    t_stack = np.empty((len(dec.q_sets), q), dtype=np.complex128)
+    # T vanishes off the units, so the T maps are the rows of one array read
+    # at the units, and a block of U maps' columns of cells is one matrix
+    # product with the block read there: values[row of T, column of U]
+    t_stack = np.empty((len(dec.q_sets), ring.phi), dtype=np.complex128)
     step = max(1, _FFT_BLOCK // q)  # level sets a block
     for s in range(0, len(t_stack), step):
         rows = _phase_rows(ring, list(dec.q_sets.values())[s : s + step], instance.m_interval, True)
         rows = _lattice_convolution((alpha_lat, rows), table.shape)[0]  # mu rows to T rows
-        t_stack[s : s + step] = rows.reshape(len(rows), -1)[:, table.log_index]
-        t_stack[s : s + step, ~ring.unit_mask] = 0
+        t_stack[s : s + step] = rows.reshape(len(rows), -1)[:, table.log_index[ring.units]]
     del rows  # the last block's, which the U maps need not hold
-    t_maps = dict(zip(dec.q_sets, t_stack))
     first_moments, second_moments = {}, {}
-    for (i, sign), t_map in t_maps.items():
+    for (i, sign), t_map in zip(dec.q_sets, t_stack):
         abs_t = np.abs(t_map)
         first_moments[(i, sign)] = _moment_check(float(abs_t.sum()), q * l_len)
         second_moments[(i, sign)] = _moment_check(
@@ -463,17 +466,18 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     # are in.
     levels = dec.levels_n + 1
     y_moments = dict.fromkeys(dec.r_sets)  # the value matrix's columns, in order
-    values = np.zeros((len(t_maps), len(y_moments)), dtype=np.complex128)
+    values = np.zeros((len(t_stack), len(y_moments)), dtype=np.complex128)
     sets = [dec.r_sets[(j, 1)] for j in range(levels)]  # positive: residues already
     mirrored = np.array([dec.r_sets[(j, -1)].size > 0 for j in range(levels)])
     for s in range(0, levels, step):
         u_maps = cyclic_dft(ring, _phase_rows(ring, sets[s : s + step], instance.n_interval))
         plus, minus = slice(s, s + len(u_maps)), slice(levels + s, levels + s + len(u_maps))
-        values[:, plus] = t_stack @ u_maps.T
         for j, u_map in zip(range(s, levels), u_maps):
             reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_r[ks[j]]
             y_moments[(j, 1)] = _moment_check(float(np.sum(np.abs(u_map) ** (2 * r))), reference)
             y_moments[(j, -1)] = y_moments[(j, 1)] if mirrored[j] else _moment_check(0.0, reference)
+        u_maps = u_maps[:, ring.units]
+        values[:, plus] = t_stack @ u_maps.T
         values[:, minus] = (t_stack @ np.conj(u_maps, out=u_maps).T) * mirrored[plus]
         del u_maps
 
@@ -483,13 +487,13 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     bounds = np.outer(s1 ** (1 - 1 / r) * s2 ** (1 / (2 * r)), y ** (1 / (2 * r)))
     cells = [
         TraceCell(i, sign_x, j, sign_y, value, bound, abs(value) / bound if bound > 0 else None)
-        for (i, sign_x), value_row, bound_row in zip(t_maps, values.tolist(), bounds.tolist())
+        for (i, sign_x), value_row, bound_row in zip(dec.q_sets, values.tolist(), bounds.tolist())
         for (j, sign_y), value, bound in zip(y_moments, value_row, bound_row)
     ]
     return ProofTrace(
         r=r, total=complex(values.sum()), fast_value=trilinear_fast(instance), decomposition=dec,
-        t_maps=t_maps, first_moments=first_moments, second_moments=second_moments,
-        y_moments=y_moments, cells=cells,
+        first_moments=first_moments, second_moments=second_moments, y_moments=y_moments,
+        cells=cells,
     )
 
 

@@ -234,6 +234,14 @@ class TestVerifyCommands:
         assert main(["verify-lemma", "--lemma", "2.3", "--grid", grid]) == 2
         assert "invalid grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lemma, keys", [
+        ("2.1", "['qs', 'ks', 'Hs']"), ("2.2", "['qs', 'intervals']"), ("2.3", "['qs', 'Ks']"),
+        ("2.4", "['r', 'Ks']"), ("2.5", "['r', 'Qs', 'Ks']"),
+    ])
+    def test_empty_grid_names_every_key_in_order(self, lemma, keys, capsys):
+        assert main(["verify-lemma", "--lemma", lemma, "--grid", "{}"]) == 2
+        assert f"missing or malformed {keys}" in capsys.readouterr().err
+
 
 @pytest.fixture
 def no_ring(monkeypatch):

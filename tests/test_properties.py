@@ -108,18 +108,31 @@ def test_trace_cells_sum_to_the_fast_value(instance, r):
 @given(instance=trace_instances())
 def test_collision_sums_match_pair_tally(instance):
     ring, q = instance.ring, instance.ring.q
-    # mu_x by direct summation, and T(lam) tallied pair by pair over (l, x)
-    members = instance.m_interval.members() % q
-    mu = np.exp(2j * np.pi * (members[:, None] * np.arange(q)[None, :] % q) / q).sum(axis=0)
+    # mu_x and nu_y by direct summation, T(lam) tallied pair by pair over
+    # (l, x), and U(lam) = sum_y nu_y e_q(lam*inv(y)) summed directly over
+    # each N-side level set; the trace keeps each T's moments and cells
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    mu, nu = (roots[iv.members()[:, None] % q * np.arange(q) % q].sum(axis=0)
+              for iv in (instance.m_interval, instance.n_interval))
     ls = instance.weights.interval.members().tolist()
     trace = proof_trace(instance, 1)
+    cells = {(c.i, c.sign_x, c.j, c.sign_y): c.value for c in trace.cells}
+    u_maps = {key: nu[ys % q] @ roots[ring.inv_table[ys % q][:, None] * np.arange(q) % q]
+              for key, ys in trace.decomposition.r_sets.items()}
+    t_scale = len(ls) * instance.m_interval.length  # |T| <= L*M
+    tol = 1e-9 * t_scale  # on each T(lam)
     for key, xs in trace.decomposition.q_sets.items():
         tally = np.zeros(q, dtype=np.complex128)
         for l, alpha in zip(ls, instance.weights.weights):
             if alpha != 0:
                 for x in xs.tolist():
                     tally[l * pow(x, -1, q) % q] += alpha * mu[x % q]
-        assert np.max(np.abs(trace.t_maps[key] - tally)) <= 1e-9 * len(ls) * members.size
+        abs_t = np.abs(tally)
+        assert abs(trace.first_moments[key].value - abs_t.sum()) <= tol * q
+        assert abs(trace.second_moments[key].value - (abs_t**2).sum()) <= 2 * tol * t_scale * q
+        for y_key, u_map in u_maps.items():
+            u_scale = instance.n_interval.length * trace.decomposition.r_sets[y_key].size
+            assert abs(cells[key + y_key] - tally @ u_map) <= tol * q * u_scale  # |U| <= N*|set|
 
 
 @SETTINGS

@@ -235,14 +235,6 @@ class TestProofTrace:
         assert abs(trace.total - oracle) <= 1e-7 * 10 * 10 * 10 * 101
         assert abs(trace.total - trace.fast_value) <= 1e-9 * 101 * 10
 
-    def test_collision_sums_vanish_off_units(self):
-        inst = small_instance(60, IntervalSet(0, 12), IntervalSet(0, 9), IntervalSet(0, 9),
-                              mode="phase", seed=4)
-        trace = proof_trace(inst, 2)
-        ring = inst.ring
-        for t_map in trace.t_maps.values():
-            assert np.all(t_map[~ring.unit_mask] == 0)
-
     def test_holder_never_violated(self):
         rng = np.random.default_rng(64)
         for r in (1, 2, 3):
@@ -289,9 +281,10 @@ class TestProofTrace:
         assert peak < 16 * 2**20
 
     def test_reciprocal_phase_maps_are_not_kept(self):
-        # the returned T maps plus a fixed number of length-q arrays, not
-        # one more per N-side level set: a tracemalloc peak, blind to numpy's
-        # FFT scratch, which the (48 + 4*levels)*q trace price still covers
+        # the T stack, one row per M-side level set, plus a fixed number of
+        # length-q arrays, not one more per N-side level set: a tracemalloc
+        # peak, blind to numpy's FFT scratch, which the (48 + 4*levels)*q
+        # trace price still covers
         q = 30011
         ring = build_ring(q)
         side = IntervalSet(0, 173)
@@ -303,7 +296,22 @@ class TestProofTrace:
         finally:
             tracemalloc.stop()
         assert len(trace.y_moments) == 12
-        assert peak <= (len(trace.t_maps) + 16) * 16 * q
+        assert peak <= (len(trace.first_moments) + 16) * 16 * q
+
+    def test_collision_sums_held_at_the_units(self):
+        # T vanishes off the units, so the T stack is phi wide: at q = 97,200
+        # (phi = 25,920) its 14 rows take 5.8 MB, and q-wide rows (21.8 MB)
+        # would exceed the bound, the stack plus 12 length-q arrays
+        q = 97200
+        side = IntervalSet(0, 311)
+        inst = small_instance(q, side, side, side, mode="phase", seed=1)
+        tracemalloc.start()
+        try:
+            trace = proof_trace(inst, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (len(trace.first_moments) * inst.ring.phi + 12 * q)
 
     def test_unsupported_r(self):
         inst = small_instance(11, IntervalSet(0, 3), IntervalSet(0, 3), IntervalSet(0, 3))
