@@ -23,15 +23,8 @@ import sys
 import time
 from pathlib import Path
 
-from kforms import (
-    build_ring,
-    is_prime,
-    make_weights,
-    theorem1_bounds,
-    verify_lemma_sweeps,
-    TrilinearInstance,
-)
-from kforms.sweeps import DEFAULT_GRIDS, resolve_interval
+from kforms import verify_lemma_sweeps, verify_thm1_sweep
+from kforms.sweeps import DEFAULT_GRIDS
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "locked_constants.json"
 
@@ -43,19 +36,6 @@ def max_ratio(result) -> float:
 def lock(value: float) -> float:
     # round the envelope up at the sixth decimal so reruns cannot tip over it
     return math.ceil(value * 10**6) / 10**6
-
-
-def thm1_extremal_ratios(q_lo: int, q_hi: int) -> list[float]:
-    ratios = []
-    for q in range(q_lo, q_hi + 1):
-        if not is_prime(q):
-            continue
-        ring = build_ring(q)
-        side = resolve_interval("0:sqrt", q)
-        weights = make_weights(ring, side, "extremal", m_interval=side, n_interval=side)
-        report = theorem1_bounds(TrilinearInstance(ring, weights, side, side))
-        ratios.append(report.ratio)
-    return ratios
 
 
 def flatten(payload: dict, prefix: str = "") -> dict:
@@ -92,7 +72,11 @@ def main() -> int:
     lemma23 = verify_lemma_sweeps("2.3")
     lemma24 = verify_lemma_sweeps("2.4")
     lemma25 = verify_lemma_sweeps("2.5")
-    thm1 = thm1_extremal_ratios(100, 1000)
+    # the primes in [100, 1000] at L = M = N = floor(sqrt(q)), as
+    # `kforms verify-thm1 --q 100..1000 --primes --weights extremal` runs them
+    thm1 = verify_thm1_sweep(
+        range(100, 1001), "0:sqrt", "0:sqrt", "0:sqrt", mode="extremal", primes=True
+    )
 
     slope = lemma24.fitted_exponent
     # bracket of width <= 0.5 that contains both the observed slope and 2.0
@@ -107,7 +91,7 @@ def main() -> int:
         "c1_fourth_moment_ratio": lock(max_ratio(lemma21)),
         "c2_j2_mod_ratio": lock(max_ratio(lemma23)),
         "c3_energy_ratio": lock(max_ratio(lemma22)),
-        "c4_thm1_extremal_ratio": lock(max(thm1)),
+        "c4_thm1_extremal_ratio": lock(max_ratio(thm1)),
         "c5_average_j_ratio": lock(max_ratio(lemma25)),
         "j2_rational_slope": round(slope, 6),
         "j2_rational_slope_bracket": [round(lo, 3), round(hi, 3)],
@@ -116,8 +100,8 @@ def main() -> int:
             "lemma22_max_ratio": max_ratio(lemma22),
             "lemma23_max_ratio": max_ratio(lemma23),
             "lemma25_max_ratio": max_ratio(lemma25),
-            "thm1_max_ratio": max(thm1),
-            "thm1_cases": len(thm1),
+            "thm1_max_ratio": max_ratio(thm1),
+            "thm1_cases": len(thm1.reports),
         },
     }
     if args.check:

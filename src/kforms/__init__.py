@@ -5,6 +5,7 @@ sweep harness that measures each quantity against its reference envelope."""
 from .characters import (
     build_characters,
     character_values,
+    energy_character_identity,
     eval_character,
     fourth_moment,
     interval_character_sums,
@@ -13,7 +14,6 @@ from .characters import (
 from .counts import (
     CountReport,
     average_reciprocal_sweep,
-    energy_character_identity,
     multiplicative_energy,
     reciprocal_count_mod,
     reciprocal_count_naive,

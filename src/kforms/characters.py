@@ -6,6 +6,9 @@ tuple over the cyclic factor orders, flattened to a single mixed-radix index
 (C order); index 0 is the principal character.  Character values vanish off
 units.  The sums of every character over an interval come from one complex
 transform over half the lattice (the real counts packed two to a point).
+moment_identity_check and energy_character_identity give the fourth moment
+and the multiplicative energy through these sums, the orthogonality twins of
+the exact counts of counts._product_energy.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 
 import numpy as np
 
+from .counts import _product_energy
 from .ring import CharacterTable, IntervalSet, ResidueRing, _negated, _to_lattice
 
 
@@ -113,7 +117,28 @@ def moment_identity_check(
     Returns (fourth_moment, phi(q) * #{(x1,x2,x3,x4) in (interval units)^4
     with x1*x2 = x3*x4 mod q}); the two agree up to floating-point error.
     """
-    from .counts import _product_energy  # counts imports this module
-
     quadruples, _ = _product_energy(table.q, interval, interval, lambda: table)
     return fourth_moment(table, interval), float(table.char_count * quadruples)
+
+
+def energy_character_identity(
+    ring: ResidueRing,
+    table: CharacterTable,
+    a_interval: IntervalSet,
+    b_interval: IntervalSet,
+) -> tuple[float, float, float]:
+    """Energy through character orthogonality.
+
+    Returns (energy, principal term, remainder): the energy as
+    (1/phi) sum_chi |sum_A chi|^2 |sum_B chi|^2, the principal-character
+    contribution A_u^2 B_u^2 / phi, and their difference.  The first
+    component matches multiplicative_energy; the identity
+    component1 = component2 + component3 is exact by construction.
+    """
+    sums_a = interval_character_sums(table, a_interval)
+    sums_b = interval_character_sums(table, b_interval)
+    energy = float(np.sum(np.abs(sums_a) ** 2 * np.abs(sums_b) ** 2)) / ring.phi
+    a_units = round(sums_a[0].real)
+    b_units = round(sums_b[0].real)
+    principal = (a_units * a_units) * (b_units * b_units) / ring.phi
+    return energy, principal, energy - principal

@@ -46,10 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .characters import interval_character_sums
 from .reports import BoundReport, make_report
 from .ring import (
-    CharacterTable,
     IntervalSet,
     ResidueRing,
     _PAIR_COST,
@@ -235,29 +233,6 @@ def multiplicative_energy(
     A^2 B^2 / q + A B.
     """
     return _energy_count(ring.q, a_interval, b_interval, lambda: ring.characters)
-
-
-def energy_character_identity(
-    ring: ResidueRing,
-    table: CharacterTable,
-    a_interval: IntervalSet,
-    b_interval: IntervalSet,
-) -> tuple[float, float, float]:
-    """Energy through character orthogonality.
-
-    Returns (energy, principal term, remainder): the energy as
-    (1/phi) sum_chi |sum_A chi|^2 |sum_B chi|^2, the principal-character
-    contribution A_u^2 B_u^2 / phi, and their difference.  The first
-    component matches multiplicative_energy; the identity
-    component1 = component2 + component3 is exact by construction.
-    """
-    sums_a = interval_character_sums(table, a_interval)
-    sums_b = interval_character_sums(table, b_interval)
-    energy = float(np.sum(np.abs(sums_a) ** 2 * np.abs(sums_b) ** 2)) / ring.phi
-    a_units = round(sums_a[0].real)
-    b_units = round(sums_b[0].real)
-    principal = (a_units * a_units) * (b_units * b_units) / ring.phi
-    return energy, principal, energy - principal
 
 
 def _j_bound(ring: ResidueRing, r: int, K: int) -> float | None:

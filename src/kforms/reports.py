@@ -79,12 +79,12 @@ def _format_value(value) -> str:
 
 
 def _json_value(value):
+    if isinstance(value, (bool, np.bool_)):  # before int: bool is an int subclass
+        return bool(value)
     if isinstance(value, (float, np.floating)):
         return float(f"{float(value):.12g}")
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
     return value
 
 

@@ -42,7 +42,7 @@ from .ring import (
     IntervalSet, _fft_plan, _lattice_shape, _ring_primes, build_ring, check_work, euler_phi,
     is_prime,
 )
-from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
+from .trilinear import TrilinearInstance, _unit_window, make_weights, theorem1_bounds, trilinear_fast
 
 DEFAULT_GRIDS = {
     "2.1": {
@@ -144,7 +144,10 @@ def build_instance(
     window's lattice FFT, one chain of its three operands (a rough axis
     padded to >= 3n) at 7 words a point as the kernel prices it, runs while
     the ring is held, so the two are priced as one sum from q's
-    factorization and refused before the ring is built."""
+    factorization and refused before the ring is built.  It first drops the
+    cached window of the last instance and, with it, that instance's ring,
+    so a sweep holds one ring and one window at a time."""
+    _unit_window.cache_clear()
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
     size = _fft_plan(_lattice_shape(_ring_primes(q)), 3)[0]
     check_work(7 * q + 7 * math.prod(size), "7*q ring + 7*points FFT words")

@@ -13,7 +13,9 @@ of L: one real transform of each operand, their product and one inverse,
 in O(phi log phi).  On a cyclic unit group the window itself may instead
 have the kernel convolve mu with nu alone and dot that against e_q at the
 reads, where _dots_price says the dots undercut the transform of e_q; the
-kernel knows nothing of the reads.  The window is built once per instance.
+kernel knows nothing of the reads.  The window is built once per instance
+and cached until the next window is computed; sweeps.build_instance drops
+it, and the ring it holds, before it builds the next instance.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 = lam] take the same kernel, one call per block of level sets, each set's
 mu a row, so alpha is transformed once a block; T vanishes off the units,
@@ -228,7 +230,9 @@ def _unit_window(
     transforms, else 4.  The window, not the kernel, picks the route: on a
     one-axis lattice of even order (a cyclic unit group) where _dots_price
     is at most 0, the kernel convolves cas mu with cas nu alone and
-    _dots_at reads that against cas e_q at l and -l.
+    _dots_at reads that against cas e_q at l and -l.  The one cached
+    window holds its ring until the next window is computed or the next
+    sweeps.build_instance drops it.
     """
     q, table, units = ring.q, ring.characters, ring.units
     low = units[2 * units <= q]

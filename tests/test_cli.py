@@ -353,6 +353,10 @@ class TestUsageErrors:
         assert main(["ring-info", "--q", "1"]) == 2
         assert main(["ring-info", "--q", "2000000011"]) == 2
         assert "dimension too large" in capsys.readouterr().err
+        assert main(["verify-thm1", "--q", "9..3"]) == 2
+        assert "empty range '9..3'" in capsys.readouterr().err
+        assert main(["verify-thm2", "--Q", "1"]) == 2
+        assert "Q must be >= 2, got 1" in capsys.readouterr().err
 
     def test_argparse_rejects_unknown_choice(self):
         with pytest.raises(SystemExit) as info:

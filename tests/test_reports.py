@@ -25,6 +25,7 @@ from kforms import (
 )
 from kforms.cli import main
 from kforms.reports import make_report
+from kforms.sweeps import parse_int_list, resolve_interval
 
 
 def sample_reports():
@@ -140,6 +141,51 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="format"):
             emit_report(sample_reports(), "xml", "-")
 
+    def test_read_unknown_format(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_report(sample_reports(), "csv", str(path))
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            read_report(str(path), "xml")
+
+    def test_reports_with_different_columns_are_refused(self):
+        a = make_report(params={"q": 3}, measured=1.0, reference=2.0, t0=0.0)
+        b = make_report(params={"q": 5, "K": 2}, measured=1.0, reference=2.0, t0=0.0)
+        for format in ("csv", "json"):
+            with pytest.raises(ValueError, match="must share the same columns"):
+                emit_report(SweepResult(reports=[a, b]), format, "-")
+
+    def test_bools_are_bools_in_both_formats(self, tmp_path):
+        # a Python bool is an int: it must not be written as 1 in JSON
+        params = {"q": 7, "flag": True, "np_flag": np.False_, "count": np.int64(4)}
+        result = SweepResult(reports=[make_report(params, 1.0, 2.0, t0=0.0)])
+        csv_path, json_path = tmp_path / "b.csv", tmp_path / "b.json"
+        emit_report(result, "csv", str(csv_path))
+        emit_report(result, "json", str(json_path))
+        assert csv_path.read_text().splitlines()[1].startswith("7,True,False,4,")
+        row = json.loads(json_path.read_text())[0]
+        assert [type(row[k]) for k in params] == [int, bool, bool, int]
+        assert (row["flag"], row["np_flag"], row["count"]) == (True, False, 4)
+        assert '"flag": true' in json_path.read_text()
+
+
+class TestSpecs:
+    def test_int_lists(self):
+        assert parse_int_list("3, 5,9..11,") == [3, 5, 9, 10, 11]
+        with pytest.raises(ValueError, match="empty range '7..3'"):
+            parse_int_list("7..3")
+        with pytest.raises(ValueError, match="no integers in ','"):
+            parse_int_list(",")
+
+    def test_interval_specs(self):
+        interval = IntervalSet(2, 5)
+        assert resolve_interval(interval, 101) is interval
+        assert resolve_interval((3, 4), 101) == IntervalSet(3, 4)
+        assert resolve_interval("7", 101) == resolve_interval("0:7", 101) == IntervalSet(0, 7)
+        assert resolve_interval("sqrt", 101) == IntervalSet(0, 10)
+        assert resolve_interval("4:sqrt", 99) == IntervalSet(4, 9)
+        with pytest.raises(ValueError, match="cannot parse interval spec 5"):
+            resolve_interval(5, 101)
+
 
 class TestSweepDeterminism:
     def strip_runtime(self, text: str) -> str:
@@ -209,6 +255,10 @@ class TestSweepControls:
     def test_thm2_requires_r_at_least_two(self):
         with pytest.raises(ValueError, match="r >= 2"):
             verify_thm2_sweep(20, 1, "0:4", "0:4", "0:4")
+
+    def test_thm2_requires_Q_at_least_two(self):
+        with pytest.raises(ValueError, match="Q must be >= 2, got 1"):
+            verify_thm2_sweep(1, 2, "0:4", "0:4", "0:4")
 
     def test_work_budget_guard(self, monkeypatch):
         # 7*q ring words ~ 2.8e8 exceed the default budget: the ring is

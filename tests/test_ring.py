@@ -18,8 +18,8 @@ from kforms import (
 )
 import kforms.ring
 from kforms.ring import (
-    MAX_MODULUS, ResidueRing, _certified, _dft_naive, _lattice_convolution, _reduce,
-    _smooth_length, factorize, is_prime,
+    MAX_MODULUS, ResidueRing, _certified, _dft_naive, _lattice_convolution, _primitive_root,
+    _reduce, _smooth_length, factorize, is_prime,
 )
 from kforms.trilinear import _dots_at
 
@@ -609,6 +609,25 @@ class TestIsPrime:
     def test_range_near_the_modulus_bound(self):
         # 102 primes, counted by trial division
         assert sum(map(is_prime, range(2999900000, 2999902001))) == 102
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_below_one_refused(self, n):
+        with pytest.raises(ValueError, match=f"cannot factorize {n}"):
+            factorize(n)
+
+    def test_primitive_root_lift(self):
+        # 5, the least primitive root mod p = 40487, has 5^(p-1) = 1 mod p^2,
+        # so mod p^e it lifts to 5 + p, of order p(p-1); no admitted ring is
+        # large enough to reach this lift
+        p = 40487
+        assert _primitive_root(p, 1) == 5 and pow(5, p - 1, p * p) == 1
+        g = _primitive_root(p, 2)
+        assert g == 40492
+        order = p * (p - 1)
+        assert pow(g, order, p * p) == 1
+        assert all(pow(g, order // r, p * p) != 1 for r, _ in factorize(order))
 
 
 class TestCertified:

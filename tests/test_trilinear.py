@@ -1,10 +1,13 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import kforms.ring
+import kforms.sweeps
 import kforms.trilinear
 from kforms import (
     IntervalSet,
@@ -21,6 +24,7 @@ from kforms import (
     trilinear_fast,
     trilinear_naive,
     verify_thm1_sweep,
+    verify_thm2_sweep,
     window_sums,
 )
 from kforms.cli import main
@@ -451,6 +455,23 @@ class TestOneWindowPerInstance:
                 "--N", "0:8"]
         assert main(argv) == 0
         assert _unit_window.cache_info().misses == 1
+
+    def test_sweeps_hold_one_ring_at_a_time(self, monkeypatch):
+        # build_instance drops the last instance's cached window, and with it
+        # that instance's ring, before it builds the next ring
+        refs, build = [], kforms.sweeps.build_ring
+
+        def tracked(q):
+            gc.collect()
+            assert sum(ref() is not None for ref in refs) == 0, f"a ring is alive at q = {q}"
+            ring = build(q)
+            refs.append(weakref.ref(ring))
+            return ring
+
+        monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
+        verify_thm1_sweep([1009, 1013, 1019], "0:sqrt", "0:sqrt", "0:sqrt", mode="extremal")
+        verify_thm2_sweep(20, 2, "0:3", "0:3", "0:3")
+        assert len(refs) == 3 + 21
 
 
 def windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, costs):
