@@ -8,7 +8,10 @@ units.  The sums of every character over an interval come from one complex
 transform over half the lattice (the real counts packed two to a point).
 moment_identity_check and energy_character_identity give the fourth moment
 and the multiplicative energy through these sums, the orthogonality twins of
-the exact counts of counts._product_energy.
+the exact counts of counts._product_energy.  The fourth moment is the energy
+on the diagonal A = B = I: _moment_count, phi(q) times that energy, is the
+one Lemma 2.1 count (the sweep's cells and moment_identity_check read it),
+and energy_character_identity takes the sums once when A = B.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import math
 
 import numpy as np
 
-from .counts import _product_energy
-from .ring import CharacterTable, IntervalSet, ResidueRing, _negated, _to_lattice
+from .counts import CountReport, _count_report, _product_energy
+from .ring import CharacterTable, IntervalSet, ResidueRing, _negated, _to_lattice, euler_phi
 
 
 def build_characters(ring: ResidueRing) -> CharacterTable:
@@ -109,6 +112,17 @@ def fourth_moment_reference(q: int, phi: int, H: int) -> float:
     return phi * (H * H * (1 + math.log(H)) + H**4 / q)
 
 
+def _moment_count(q: int, interval: IntervalSet, table) -> CountReport:
+    """sum_chi |sum_{x in I} chi(x)|^4 read off its orthogonality twin
+    phi(q) * #{x1*x2 = x3*x4 mod q: x_i units of I}, an exact count
+    (fourth_moment computes the same from the character sums), against
+    fourth_moment_reference.  table() gives q's character table, asked for
+    only when the lattice FFT undercuts the residue tally."""
+    phi = euler_phi(q)
+    energy, _ = _product_energy(q, interval, interval, table)
+    return _count_report(phi * energy, fourth_moment_reference(q, phi, interval.length))
+
+
 def moment_identity_check(
     table: CharacterTable, interval: IntervalSet
 ) -> tuple[float, float]:
@@ -117,8 +131,8 @@ def moment_identity_check(
     Returns (fourth_moment, phi(q) * #{(x1,x2,x3,x4) in (interval units)^4
     with x1*x2 = x3*x4 mod q}); the two agree up to floating-point error.
     """
-    quadruples, _ = _product_energy(table.q, interval, interval, lambda: table)
-    return fourth_moment(table, interval), float(table.char_count * quadruples)
+    twin = _moment_count(table.q, interval, lambda: table).value
+    return fourth_moment(table, interval), float(twin)
 
 
 def energy_character_identity(
@@ -136,7 +150,7 @@ def energy_character_identity(
     component1 = component2 + component3 is exact by construction.
     """
     sums_a = interval_character_sums(table, a_interval)
-    sums_b = interval_character_sums(table, b_interval)
+    sums_b = sums_a if b_interval == a_interval else interval_character_sums(table, b_interval)
     energy = float(np.sum(np.abs(sums_a) ** 2 * np.abs(sums_b) ** 2)) / ring.phi
     a_units = round(sums_a[0].real)
     b_units = round(sums_b[0].real)

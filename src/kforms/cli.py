@@ -27,7 +27,7 @@ from .counts import (
 )
 from .kloosterman import double_fast, double_naive, single_sum, weil_reference
 from .reports import SweepResult, emit_report, make_report
-from .ring import IntervalSet, build_ring, check_work, euler_phi
+from .ring import IntervalSet, build_ring, check_work, euler_phi, mod_inverse
 from .sweeps import (
     DEFAULT_GRIDS,
     allowed_exceptions,
@@ -61,7 +61,7 @@ def cmd_ring_info(args, t0: float) -> None:
     print(f"tau(q) = {ring.tau}")
     print(f"units = {ring.phi} residues; smallest nontrivial unit inverse pairs:")
     for u in ring.units[ring.units > 1][:5]:
-        print(f"  inv({int(u)}) = {int(ring.inv_table[u])}")
+        print(f"  inv({int(u)}) = {mod_inverse(ring, u)}")
 
 
 def cmd_ksum(args, t0: float) -> SweepResult:

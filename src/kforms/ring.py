@@ -42,11 +42,13 @@ MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 # The one size refusal, check_work: the call that does the work prices its
 # peak in 8-byte words (per residue, pair, state or point, measured and
 # rounded up) or the elements its loops touch, before it allocates.  2.5*10^8
-# words are 1.9 GiB: on an 8 GB machine the largest admitted ring-info,
-# ksum2 --naive and proof-trace peak at 1.7-2.1 GiB RSS.  A trilinear
-# instance runs its window FFT while it holds its ring and prices the two as
-# one sum: its largest admitted modulus is 29,999,970 (0.65 GiB), and its
-# largest admitted prime 17,714,701 peaks at 1.4-1.5 GiB.
+# words are 1.9 GiB: on an 8 GB machine the largest admitted ksum2 --naive and
+# proof-trace peak at 1.7-2.1 GiB RSS.  ring-info reads no q-long table past
+# the ring and peaks 26 B a residue above the import at 10^6+3 and 10^7+19,
+# so ~0.9 GiB RSS at its largest admitted q, 35,714,285 (scaled, not run).
+# A trilinear instance runs its window FFT while it holds its ring and
+# prices the two as one sum: its largest admitted modulus is 29,999,970
+# (0.65 GiB), and its largest admitted prime 17,714,701 peaks at 1.4-1.5 GiB.
 DEFAULT_WORK_BUDGET = 250_000_000
 
 # An integer FFT result is certified only if its exact total sum(a) * sum(b),
@@ -556,14 +558,15 @@ def mod_inverse(ring: ResidueRing, x: int) -> int:
         raise NotAUnitError(
             f"{x} is not a unit modulo {ring.q} (gcd = {math.gcd(r, ring.q)})"
         )
-    return int(ring.inv_table[r])
+    return pow(r, -1, ring.q)
 
 
 def eq_eval(ring: ResidueRing, z) -> complex | np.ndarray:
-    """exp(2*pi*i*z/q); the argument is reduced mod q before evaluation."""
+    """exp(2*pi*i*z/q); the argument is reduced mod q before evaluation, so
+    the values equal ring.eq_pows' entries without building that table."""
     if isinstance(z, (int, np.integer)):
-        return complex(ring.eq_pows[int(z) % ring.q])
-    return ring.eq_pows[np.mod(np.asarray(z, dtype=np.int64), ring.q)]
+        return complex(np.exp((2j * np.pi / ring.q) * (int(z) % ring.q)))
+    return np.exp((2j * np.pi / ring.q) * np.mod(np.asarray(z, dtype=np.int64), ring.q))
 
 
 def centered_rep(ring: ResidueRing, u) -> int | np.ndarray:

@@ -13,11 +13,13 @@ exact count against its reference; a Lemma 2.5 cell is the dyadic average
 average_reciprocal_sweep reports itself.  A Lemma 2.1 cell counts the
 fourth moment of the character sums as its exact orthogonality twin,
 phi(q) times the multiplicative energy of the interval's units, with no
-character sum: a short interval's energy is tallied over residues mod q
-with no ring or table at all, and only a cell whose lattice FFT is the
-cheaper count builds the character table (and lets its ring go).  A
-Lemma 2.2 cell counts its energy the same way.  The 2.1 and 2.2 grids keep
-the latest modulus's character table, as the 2.3 grid keeps its ring.
+character sum; that count is characters._moment_count, which char-moment's
+identity check also reads.  A short interval's energy is tallied over
+residues mod q with no ring or table at all, and only a cell whose lattice
+FFT is the cheaper count builds the character table (and lets its ring
+go).  A Lemma 2.2 cell counts its energy the same way.  The 2.1 and 2.2
+grids keep the latest modulus's character table, as the 2.3 grid keeps its
+ring.
 """
 
 from __future__ import annotations
@@ -27,20 +29,13 @@ import hashlib
 import math
 import time
 
-from .characters import build_characters, fourth_moment_reference
+from .characters import _moment_count, build_characters
 from .counts import (
-    CountReport,
-    _count_report,
-    _energy_count,
-    _product_energy,
-    average_reciprocal_sweep,
-    reciprocal_count_mod,
-    reciprocal_count_rational,
+    _energy_count, average_reciprocal_sweep, reciprocal_count_mod, reciprocal_count_rational,
 )
 from .reports import BoundReport, SweepResult, fit_exponent, make_report
 from .ring import (
-    IntervalSet, _fft_plan, _lattice_shape, _ring_primes, build_ring, check_work, euler_phi,
-    is_prime,
+    IntervalSet, _fft_plan, _lattice_shape, _ring_primes, build_ring, check_work, is_prime,
 )
 from .trilinear import TrilinearInstance, _unit_window, make_weights, theorem1_bounds, trilinear_fast
 
@@ -238,17 +233,6 @@ def _count_cell(params: dict, count, *args) -> BoundReport:
     t0 = time.perf_counter()
     report = count(*args)
     return make_report(params, float(report.value), float(report.bound_value), t0)
-
-
-def _moment_count(q: int, interval: IntervalSet, table) -> CountReport:
-    """sum_chi |sum_{x in I} chi(x)|^4 read off its orthogonality twin
-    phi(q) * #{x1*x2 = x3*x4 mod q: x_i units of I}, an exact count
-    (fourth_moment computes the same from the character sums), against
-    fourth_moment_reference.  table() gives q's character table, asked for
-    only when the lattice FFT undercuts the residue tally."""
-    phi = euler_phi(q)
-    energy, _ = _product_energy(q, interval, interval, table)
-    return _count_report(phi * energy, fourth_moment_reference(q, phi, interval.length))
 
 
 def _lemma_21_cases(grid):

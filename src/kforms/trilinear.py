@@ -91,7 +91,7 @@ class WeightVector:
     def validate(self, ring: ResidueRing) -> None:
         if self.weights.shape != (self.interval.length,):
             raise ValueError("weights must align with the interval members")
-        if np.max(np.abs(self.weights), initial=0.0) > 1 + 1e-12:
+        if not np.all(np.abs(self.weights) <= 1 + 1e-12):  # NaN fails too
             raise ValueError("weights must satisfy |w| <= 1")
         off_units = ~ring.unit_mask[self.interval.residues(ring.q)]
         if np.any(self.weights[off_units] != 0):

@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import kforms.characters
 from kforms import (
     IntervalSet,
     build_characters,
     build_ring,
     character_values,
+    energy_character_identity,
     eval_character,
     fourth_moment,
     interval_character_sums,
@@ -219,3 +221,20 @@ class TestMomentIdentity:
                 assert moment <= 1e-6
             else:
                 assert moment == pytest.approx(twin, rel=1e-6)
+
+    def test_diagonal_energy_reads_its_sums_once(self, monkeypatch):
+        calls, sums = [], kforms.characters.interval_character_sums
+        monkeypatch.setattr(
+            kforms.characters, "interval_character_sums",
+            lambda table, interval: calls.append(interval) or sums(table, interval),
+        )
+        ring, table = table_for(1009)
+        energy_character_identity(ring, table, IntervalSet(3, 40), IntervalSet(3, 40))
+        assert calls == [IntervalSet(3, 40)]
+
+    @pytest.mark.parametrize("q", [97, 360, 1009, 5460])  # 5460: five lattice axes
+    def test_fourth_moment_is_the_diagonal_energy(self, q):
+        ring, table = table_for(q)
+        interval = IntervalSet(2, q // 3)
+        energy = energy_character_identity(ring, table, interval, interval)[0]
+        assert fourth_moment(table, interval) == pytest.approx(ring.phi * energy, rel=1e-9)

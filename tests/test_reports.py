@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import kforms.characters
 import kforms.ring
 import kforms.sweeps
 from kforms import (
@@ -302,7 +303,7 @@ class TestSweepControls:
         # the cells at H = q take the lattice FFT and keep only the character
         # table, not the ring; the short cells tally residues and build neither
         rings, counted, tabled = [], [], []
-        build, count = kforms.sweeps.build_ring, kforms.sweeps._product_energy
+        build, count = kforms.sweeps.build_ring, kforms.characters._product_energy
 
         def tracked(q):
             ring = build(q)
@@ -321,7 +322,7 @@ class TestSweepControls:
             return count(q, a_interval, b_interval, checked)
 
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
-        monkeypatch.setattr(kforms.sweeps, "_product_energy", released)
+        monkeypatch.setattr(kforms.characters, "_product_energy", released)
         result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 103]})
         assert len(rings) == 2 and len(result.reports) == 4
         assert counted == [101, 101, 103, 103]

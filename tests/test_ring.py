@@ -16,6 +16,7 @@ from kforms import (
     interval_phase_sum,
     mod_inverse,
 )
+import kforms.cli
 import kforms.ring
 from kforms.ring import (
     MAX_MODULUS, ResidueRing, _certified, _dft_naive, _lattice_convolution, _primitive_root,
@@ -162,6 +163,8 @@ class TestModInverse:
         ring = build_ring(1000)
         assert "inv_table" not in vars(ring)
         assert mod_inverse(ring, 3) == 667
+        assert "inv_table" not in vars(ring)  # one inverse reads no table
+        assert ring.inv_table[3] == 667
         assert "inv_table" in vars(ring)
         assert ring.inv_table is ring.inv_table
 
@@ -191,6 +194,27 @@ class TestEqEval:
         ring = build_ring(8)
         vals = eq_eval(ring, np.arange(16))
         assert np.allclose(vals[:8], vals[8:])
+
+    @pytest.mark.parametrize("q", [2, 97, 360, 1009, 30011, 10**6 + 3])
+    def test_values_equal_the_table_bit_for_bit(self, q):
+        ring = build_ring(q)
+        z = np.random.default_rng(q).integers(-3 * q, 3 * q, size=2000)
+        table = ring.eq_pows[z % q]
+        assert np.array_equal(eq_eval(ring, z).view(np.float64), table.view(np.float64))
+        for k, value in zip(z[:50].tolist(), table[:50].tolist()):
+            assert eq_eval(ring, k) == value and eq_eval(ring, np.int64(k)) == value
+
+
+def test_single_value_queries_build_no_table(monkeypatch, capsys):
+    rings = []
+    monkeypatch.setattr(kforms.cli, "build_ring", lambda q: rings.append(build_ring(q)) or rings[-1])
+    assert kforms.cli.main(["ring-info", "--q", "1009"]) == 0
+    assert "inv(2) = 505" in capsys.readouterr().out
+    (ring,) = rings
+    assert mod_inverse(ring, 7) == pow(7, -1, 1009)
+    assert eq_eval(ring, 5) == pytest.approx(np.exp(10j * np.pi / 1009))
+    assert np.allclose(eq_eval(ring, np.arange(-3, 3)), np.exp(2j * np.pi * np.arange(-3, 3) / 1009))
+    assert "inv_table" not in vars(ring) and "eq_pows" not in vars(ring)
 
 
 class TestCentered:

@@ -649,5 +649,9 @@ class TestInstanceValidation:
             TrilinearInstance(ring, WeightVector(l_iv, stray), m_iv, n_iv)
         with pytest.raises(ValueError, match=r"\|w\| <= 1"):
             TrilinearInstance(ring, WeightVector(l_iv, 1.5 * alphas), m_iv, n_iv)
+        for bad in (np.inf, np.nan):  # at l = 5, a unit; a NaN compares False with 1
+            weights = np.where(l_iv.members() == 5, bad, alphas)
+            with pytest.raises(ValueError, match=r"\|w\| <= 1"):
+                TrilinearInstance(ring, WeightVector(l_iv, weights), m_iv, n_iv)
         with pytest.raises(ValueError, match="align with the interval"):
             TrilinearInstance(ring, WeightVector(l_iv, alphas[:7]), m_iv, n_iv)
