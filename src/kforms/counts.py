@@ -11,9 +11,10 @@ the unit-group lattice for products of units (two operands).  The
 package's one lattice kernel, ring._lattice_convolution, computes them, by
 a pairwise tally on sparse supports and otherwise by a real FFT of k
 operands (the longest rough axis zero-padded to a 5-smooth length >= k*n)
-whose rounded result is accepted only under a certificate: a total of at
-most 2^52, a residual max|c - rint c| below 1/4 and an exact total.  A
-result, or a row of one, that fails it is recounted by the tally.  The
+whose rounded result is accepted only under ring._certified: every entry
+at most 2^52, a residual max|c - rint c| below 1/4 and an exact total,
+which may itself pass 2^52 (J_3 of 10^6 units does).  A result, or a row
+of one, that fails it is recounted by the tally.  The
 product energy is priced by the same rule, over the pairs of the
 intervals' unit members, before anything of size q exists: where the
 tally is cheaper it counts the products mod q
@@ -52,7 +53,6 @@ from .ring import (
     ResidueRing,
     _PAIR_COST,
     _FFT_BLOCK,
-    _FFT_TOTAL_LIMIT,
     _TALLY_CHUNK,
     _certified,
     _check_modulus,
@@ -361,7 +361,7 @@ def _reciprocal_block(qs: range, inverses: np.ndarray, units: np.ndarray, r: int
     q of 1..K and their unit mask, one row a modulus.  Row q is the indicator
     of its inverses; one rfft/irfft pair of length _smooth_length(r * max qs)
     takes every row's r-fold linear self-convolution, accepted under
-    ring._certified against the rows' exact totals units^r <= 2^52.  Row q
+    ring._certified against the rows' exact totals units^r.  Row q
     is then folded mod q, its shifts j*q read as r strided views of the
     rounded rows (row stride size + j), and its columns past q - 1 dropped.
     Where the FFT prices higher (r - 1 tally calls of _TALLY_CALL plus
@@ -374,7 +374,7 @@ def _reciprocal_block(qs: range, inverses: np.ndarray, units: np.ndarray, r: int
     size = _smooth_length(r * hi)
     modular = (r - 1) * (len(qs) * _TALLY_CALL + _PAIR_COST * int(counts @ counts))
     certified = None
-    if modular > len(qs) * size * math.log2(size) and top <= _FFT_TOTAL_LIMIT:
+    if modular > len(qs) * size * math.log2(size):
         keys = (np.arange(len(qs))[:, None] * hi + inverses)[units]
         spectrum = np.fft.rfft(np.bincount(keys, minlength=len(qs) * hi).reshape(-1, hi), size)
         power = math.prod([spectrum] * (r - 1), start=spectrum)  # np.power: ~5x slower

@@ -6,7 +6,9 @@ _lattice_convolution, behind the trilinear unit window, the exact counts and
 the proof trace's collision sums.  The kernel takes k >= 2 operands and
 convolves them in one chain: one transform per distinct operand, one
 product of the spectra and one inverse (or a tally, wherever that prices
-lower).  An operand may hold rows: the others are then transformed once,
+lower).  An integer result is taken from the FFT only where _certified, the
+one judge of its exactness, passes it entry by entry; else the tally
+recounts it.  An operand may hold rows: the others are then transformed once,
 and the rows in blocks of _FFT_BLOCK padded points, the one row-block size
 of every batched FFT.  The kernel only convolves: each caller picks its own
 route around it (the trilinear window, for one, its dot products).
@@ -51,10 +53,10 @@ MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 # (0.65 GiB), and its largest admitted prime 17,714,701 peaks at 1.4-1.5 GiB.
 DEFAULT_WORK_BUDGET = 250_000_000
 
-# An integer FFT result is certified only if its exact total sum(a) * sum(b),
-# and so every entry, is at most 2^52, where float64 spacing is at most 1,
-# and if every entry lies within _RESIDUAL_LIMIT of an integer.
-_FFT_TOTAL_LIMIT = 2**52
+# The largest rounded entry _certified accepts: float64 spacing is at most 1
+# up to 2^52.  Only the entries must fit there, not the total (Percival,
+# Math. Comp. 72, 2003).
+_FFT_ENTRY_LIMIT = 2**52
 _RESIDUAL_LIMIT = 0.25
 # One tallied pair costs about as much as this many FFT points times their
 # log2: 5.6 to 7.5 measured at lengths 3*10^4 to 10^6, where the choice
@@ -149,16 +151,19 @@ def _butterflies(x: np.ndarray, axes, scale: float = 1.0) -> np.ndarray:
 
 
 def _certified(c: np.ndarray, totals, axis=None) -> tuple[np.ndarray, float] | None:
-    """The FFT certificate of an integer result c (overwritten): its rounding
-    to int64 and residual max|c - rint c|, if the residual is below
-    _RESIDUAL_LIMIT and the rounded sums along axis equal the exact totals
-    (an int, or a list of them; each at most _FFT_TOTAL_LIMIT, checked
-    before the FFT); else None."""
+    """The FFT certificate of an integer result c (overwritten), the one
+    judge of an integer FFT's exactness: its rounding to int64 and residual
+    max|c - rint c|, if the residual is below _RESIDUAL_LIMIT, every rounded
+    entry is at most _FFT_ENTRY_LIMIT (read on the floats, before the int64
+    cast, so that a wrapped cast cannot pass) and the int64 sums along axis
+    equal the exact totals (an int, or a list of them, below 2^63); else
+    None."""
     rounded = np.rint(c)
     residual = float(np.abs(np.subtract(c, rounded, out=c), out=c).max())
+    if not (residual < _RESIDUAL_LIMIT and rounded.max() <= _FFT_ENTRY_LIMIT):
+        return None
     counts = rounded.astype(np.int64)
-    exact = residual < _RESIDUAL_LIMIT and counts.sum(axis=axis).tolist() == totals
-    return (counts, residual) if exact else None
+    return (counts, residual) if counts.sum(axis=axis).tolist() == totals else None
 
 
 def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, float | None]:
@@ -190,9 +195,9 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     convolution along it folded back onto Z_n, its k blocks of n summed by
     one reduction into a compact result.  Integer input (non-negative
     counts) gives an exact int64 result: a row's FFT is accepted only if
-    the product of its operands' sums is at most 2^52 and _certified passes
-    it (a residual below 1/4, an exact total); else the tally recounts that
-    row.
+    _certified passes it (a residual below 1/4, every entry at most 2^52, an
+    exact total, which may pass 2^52); else the tally recounts that row.  A
+    row's route is picked by price alone.
     """
     distinct = {id(x): np.asarray(x) for x in operands}
     integer = all(x.dtype.kind in "biu" for x in distinct.values())
@@ -214,10 +219,10 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
         raise ValueError(f"dimension too large: convolution total {max(totals)} exceeds int64")
     size, axis, fft_cost, two, axes, s = _fft_plan(shape, len(arrays))
     # a row is tallied where the tally prices lower (at step m, the product
-    # of m supports) or its total passes the certificate's limit
+    # of m supports); _certified alone judges the FFT's rows
     supports = [[nonzero[id(x)][j % len(x)] for x in arrays] for j in range(b)]
     pairs = [sum(math.prod(n[:m]) for m in range(2, len(n) + 1)) for n in supports]
-    tallied = [p * _PAIR_COST <= fft_cost or t > _FFT_TOTAL_LIMIT for p, t in zip(pairs, totals)]
+    tallied = [p * _PAIR_COST <= fft_cost for p in pairs]
     # the tallied rows first, in order
     c = [_lattice_tally(row, shape) if t else None for row, t in zip(rows, tallied)]
     fft_rows, residuals = [j for j, t in enumerate(tallied) if not t], []

@@ -415,13 +415,9 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
 
     The references J_r are counted before the T maps, largest K first (the
     kernel tallies its rows first, in order), so that a J_r over the work
-    budget refuses the trace up front.  At r = 3
-    that is every K holding more than ~165,140 units, where J_3's total
-    units^3 passes 2^52 and its tally's first step alone needs units^2
-    pairs: with
-    M = N = floor(sqrt q), a trace runs at q = 150,001 and is refused from
-    q = 170,003 on.  With r <= 2 only the trace's own price limits q
-    (~3.3*10^6).
+    budget refuses the trace up front.  J_r's FFT is certified entry by
+    entry (ring._certified), whatever its total units^r, so at every r only
+    the trace's own price limits q (~3.3*10^6).
     """
     if r not in (1, 2, 3):
         raise ValueError(f"r unsupported: trace needs r in {{1, 2, 3}}, got {r}")

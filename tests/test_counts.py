@@ -376,7 +376,12 @@ class TestAverageReciprocalSweep:
             assert total == self.per_modulus_total(210, r, K)
 
     def test_routing_between_batch_and_per_modulus_tally(self, monkeypatch):
-        expected = sum(reciprocal_count_mod(build_ring(q), 10, 40).value for q in range(40, 81))
+        # the r = 10 reference, modulus by modulus by the kernel's tally alone
+        expected = sum(
+            _sum_of_squares(kforms.ring._lattice_tally(
+                [np.bincount(_unit_inverses_upto(build_ring(q), 40), minlength=q)] * 10, (q,)))
+            for q in range(40, 81)
+        )
         calls = []
         tally = kforms.counts._lattice_tally
 
@@ -389,15 +394,13 @@ class TestAverageReciprocalSweep:
 
         monkeypatch.setattr(kforms.counts, "_lattice_tally", spy)
         monkeypatch.setattr(kforms.counts, "_lattice_convolution", unexpected)
-        # units^10 > 2^52 for most rows: the certificate cannot hold for their
-        # block, whose rows are tallied modulus by modulus
+        # units^10 passes 2^52 at the ten primes, but every entry stays below
+        # it: the block takes the batched FFT, which certifies the same total
         report = average_reciprocal_sweep(40, 10, 40)
-        assert report.params["sum_total"] == expected
-        units = {q: sum(math.gcd(x, q) == 1 for x in range(1, 41)) for q in range(40, 81)}
-        big = {q for q in units if units[q] ** 10 > 2**52}
-        assert big <= set(calls) and len(calls) >= 30
+        assert report.params["sum_total"] == expected and calls == []
+        units = [sum(math.gcd(x, q) == 1 for x in range(1, 41)) for q in range(40, 81)]
+        assert sum(n**10 > 2**52 for n in units) == 10
         # dense rows go through the batched FFT alone
-        calls.clear()
         average_reciprocal_sweep(64, 2, 64)
         assert calls == []
         # three units a row at q ~ 2400: the per-modulus tally prices lower
@@ -490,22 +493,83 @@ class TestExactConvolution:
             count = reciprocal_count_mod(build_ring(1009), r, 100)
             assert calls == ["rfftn", "irfftn"] and count.residual is not None, r
 
-    def test_a_priori_bound_sends_large_totals_to_the_tally(self, monkeypatch):
-        # sum(a) * sum(b) ~ 2^61 > 2^52, on supports the cost model gives the FFT
-        def refuse(*args, **kwargs):
-            raise AssertionError("FFT attempted past the a-priori bound")
-
-        monkeypatch.setattr(np.fft, "rfftn", refuse)
+    def test_entries_past_the_limit_are_recounted_by_the_tally(self, monkeypatch):
+        # every entry of a * b is ~2^55 > 2^52, on supports the cost model
+        # gives the FFT: _certified refuses its rounded result, and the tally
+        # recounts the row
         n = 64
         a = np.full(n, 2**24, dtype=np.int64)
         b = np.arange(n, dtype=np.int64) * 2**20
         linear = np.convolve(a, b)
         oracle = linear[:n].copy()
         oracle[: n - 1] += linear[n:]
+        assert oracle.min() > 2**52
+        calls = []
+        transform, tally = np.fft.rfftn, kforms.ring._lattice_tally
+        monkeypatch.setattr(np.fft, "rfftn", lambda *args, **kwargs: (
+            calls.append("rfftn") or transform(*args, **kwargs)))
+        monkeypatch.setattr(kforms.ring, "_lattice_tally", lambda arrays, shape: (
+            calls.append("tally") or tally(arrays, shape)))
         got, residual = _lattice_convolution((a, b), (n,))
         assert residual is None and np.array_equal(got, oracle)
+        assert calls == ["rfftn", "rfftn", "tally"]
         with pytest.raises(ValueError, match="exceeds int64"):
             _lattice_convolution((np.array([2**40]), np.array([2**40])), (1,))
+
+    @pytest.mark.parametrize("q", [1009, 10007, 100003, 170003])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_j_r_over_all_units_matches_the_closed_form(self, q, r):
+        # at a prime q, c(z), the number of r-tuples of nonzero residues with
+        # sum z, is ((q-1)^r + (-1)^r (q-1))/q at 0 and ((q-1)^r - (-1)^r)/q
+        # elsewhere; J_3's total (q-1)^3 passes 2^52 at q = 170,003
+        zero, other = ((q - 1) ** r + (-1) ** r * (q - 1)) // q, ((q - 1) ** r - (-1) ** r) // q
+        report = reciprocal_count_mod(build_ring(q), r, q)
+        assert report.value == zero**2 + (q - 1) * other**2
+        assert report.residual is not None and report.residual < 0.25
+
+    def test_j3_with_a_total_past_2_52_matches_two_certified_halves(self):
+        # J_3(200,003; 180,000) has total 180,000^3 > 2^52; the reference is
+        # (x * x) * h over two disjoint halves h of x, each total below 2^52
+        q, K = 200003, 180000
+        ring = build_ring(q)
+        x = np.bincount(_unit_inverses_upto(ring, K), minlength=q)
+        square, residual = _lattice_convolution((x, x), (q,))
+        assert residual is not None
+        first = np.zeros_like(x)
+        first[np.flatnonzero(x)[: K // 2]] = 1
+        cubes = [_lattice_convolution((square, h), (q,)) for h in (first, x - first)]
+        assert K**3 > 2**52 > K * K * (K // 2) and all(res is not None for _, res in cubes)
+        report = reciprocal_count_mod(ring, 3, K)
+        assert report.residual is not None
+        assert report.value == _sum_of_squares(cubes[0][0] + cubes[1][0])
+
+    def test_entry_limit_mutant_sends_its_rows_to_the_tally(self, monkeypatch):
+        # _FFT_ENTRY_LIMIT lowered below a row's largest entry sends that row,
+        # and only it, to the tally, which recounts the same values
+        ring = build_ring(1009)
+        rows = np.zeros((2, 1009), dtype=np.int64)
+        for row, K in zip(rows, (600, 300)):
+            row[_unit_inverses_upto(ring, K)] = 1
+        certified, residual = _lattice_convolution((rows, rows), (1009,))
+        top = certified.max(axis=1).tolist()
+        assert residual is not None and top[0] > top[1]
+        tally, tallied = kforms.ring._lattice_tally, []
+        monkeypatch.setattr(kforms.ring, "_lattice_tally", lambda arrays, shape: (
+            tallied.append(int(arrays[0].sum())) or tally(arrays, shape)))
+        cases = ((top[1], [600], True), (top[1] - 1, [600, 300], False))
+        for limit, rows_tallied, fft_left in cases:
+            tallied.clear()
+            monkeypatch.setattr(kforms.ring, "_FFT_ENTRY_LIMIT", limit)
+            got, residual = _lattice_convolution((rows, rows), (1009,))
+            assert np.array_equal(got, certified) and tallied == rows_tallied
+            assert (residual is not None) == fft_left
+        # a Lemma 2.5 block whose certificate fails is counted modulus by modulus
+        expected = average_reciprocal_sweep(64, 2, 64).params["sum_total"]
+        tallied.clear()
+        monkeypatch.setattr(kforms.counts, "_lattice_tally", kforms.ring._lattice_tally)
+        monkeypatch.setattr(kforms.ring, "_FFT_ENTRY_LIMIT", 0)
+        assert average_reciprocal_sweep(64, 2, 64).params["sum_total"] == expected
+        assert len(tallied) == 65
 
     def test_fft_over_the_work_budget_is_refused(self, monkeypatch):
         # 7 words per padded point: 2025000 points at n = 1000002

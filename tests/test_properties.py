@@ -214,7 +214,7 @@ def test_cyclic_dft_parseval(q, seed):
     shape=st.lists(st.sampled_from([1, 2, 3, 4, 6, 11, 13, 22, 37]), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
     density=st.floats(0.0, 1.0),
-    kind=st.sampled_from(["int", "complex"]),
+    kind=st.sampled_from(["int", "large", "complex"]),
 )
 def test_exact_convolution_matches_shifted_sum(shape, seed, density, kind):
     shape = tuple(shape)
@@ -224,6 +224,10 @@ def test_exact_convolution_matches_shifted_sum(shape, seed, density, kind):
         support = rng.random(shape) < density
         if kind == "int":
             return rng.integers(0, 4, shape) * support
+        if kind == "large":  # each sum in (2^27, 2^31 + 2^16]: a total past 2^52, below 2^63
+            support.flat[rng.integers(support.size)] = True
+            top = 2 * int(rng.integers(2**27, 2**30)) // np.count_nonzero(support) + 2
+            return rng.integers(top // 2, top, shape) * support
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * support
 
     a, b = draw(), draw()
@@ -235,7 +239,9 @@ def test_exact_convolution_matches_shifted_sum(shape, seed, density, kind):
     square, square_residual = _lattice_convolution((a, a), shape)
     assert np.array_equal(square, _lattice_convolution((a, a.copy()), shape)[0])
     assert square_residual == _lattice_convolution((a, a.copy()), shape)[1]
-    if kind == "int":
+    if kind == "large":
+        assert 2**52 < a.sum() * b.sum() < 2**63
+    if kind != "complex":  # exact, whether the FFT or the tally ran
         assert got.dtype == np.int64 and np.array_equal(got, oracle)
         assert residual is None or residual < 0.25
     else:

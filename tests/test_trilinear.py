@@ -328,9 +328,10 @@ class TestProofTrace:
             proof_trace(inst, 2)
 
     def test_reciprocal_count_over_budget_refused_before_the_t_maps(self, monkeypatch):
-        # at M = N = 632 the top level's J_3 counts ~2.5*10^5 units, whose
-        # total units^3 passes 2^52: its tally is over the budget, and the
-        # trace stops there before any T-map convolution runs
+        # J_3's rows take one FFT of 7 words a padded point (the axis padded
+        # to >= 3q); a budget one word short of that refuses it, and the trace
+        # stops there before any T-map convolution runs.  The trace's own
+        # (48 + 4*levels)*q price is larger, so it is let through here
         q = 400009
         side = IntervalSet(0, 632)
         inst = small_instance(q, IntervalSet(0, 10), side, side, mode="phase", seed=1)
@@ -338,9 +339,21 @@ class TestProofTrace:
         def unexpected(*args, **kwargs):
             raise AssertionError("a T map was convolved")
 
+        points = math.prod(kforms.ring._fft_plan((q,), 3)[0])
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * points - 1)
+        monkeypatch.setattr(kforms.trilinear, "check_work", lambda work, label: None)
         monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", unexpected)
-        with pytest.raises(ValueError, match="dimension too large"):
+        with pytest.raises(ValueError, match=r"7\*points FFT words"):
             proof_trace(inst, 3)
+
+    def test_r3_trace_with_a_j3_total_past_2_52(self):
+        # J_3 at the top level counts K = 166,466 units, whose total K^3
+        # passes 2^52: its FFT is certified entry by entry, and the trace runs
+        q = 170003
+        side = IntervalSet(0, 412)
+        inst = small_instance(q, side, side, side, mode="phase", seed=1)
+        trace = proof_trace(inst, 3)
+        assert abs(trace.total - trace.fast_value) <= 1e-9 * 412**3
 
     def test_alpha_transformed_once_at_a_small_prime(self, monkeypatch):
         # sweep_small's heavy size: at q = 2503 the 10 level sets of the M side
