@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import ResidueRing, cyclic_dft
+from .ring import ResidueRing, check_work, cyclic_dft
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,19 @@ class KloostermanTable:
 
 def single_sum(ring: ResidueRing, m: int, n: int) -> complex:
     """K_q(m, n) by direct summation over the unit group."""
-    x = ring.units
-    xb = ring.inv_table[x]
-    exponents = ((m % ring.q) * x + (n % ring.q) * xb) % ring.q
+    check_work(11 * ring.q, "11*q ring and single-sum words")  # 82 B a residue at primes
+    q, x = ring.q, ring.units
+    exponents = ((m % q) * x + (n % q) * ring.inv_table[x]) % q
     return complex(ring.eq_pows[exponents].sum())
 
 
 def _unit_dft(ring: ResidueRing, kappa) -> np.ndarray:
     """F(t) = sum_{y unit} kappa_y e_q(t*y), the DFT of the vector that holds
     kappa (aligned with ring.units) on the units.  Read at l*x over the units,
-    sum_x eta_x F(l*x) = sum_{x,y units} eta_x kappa_y e_q(l*x*y)."""
+    sum_x eta_x F(l*x) = sum_{x,y units} eta_x kappa_y e_q(l*x*y).  Its
+    callers price it, before they read the ring's tables, at 30 words a
+    residue with the ring and those tables: ksum2 peaks at 234 B a residue
+    at primes near 10^6 (numpy's Bluestein scratch), 114-118 B at smooth q."""
     f = np.zeros(ring.q, dtype=np.complex128)
     f[ring.units] = kappa
     return cyclic_dft(ring, f)
@@ -56,7 +59,9 @@ def _unit_gather(ring: ResidueRing, eta, f: np.ndarray, ls) -> np.ndarray:
 
 
 def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
-    """All K_q(a, n) at once: the DFT of x -> 1_unit(x) e_q(n*inv(x))."""
+    """All K_q(a, n) at once: the DFT of x -> 1_unit(x) e_q(n*inv(x)),
+    priced as _unit_dft says."""
+    check_work(30 * ring.q, "30*q ring and transform words")
     kappa = ring.eq_pows[(n % ring.q) * ring.inv_table[ring.units] % ring.q]
     return KloostermanTable(q=ring.q, n=n, values=_unit_dft(ring, kappa))
 

@@ -67,15 +67,9 @@ def fit_exponent(points) -> float:
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.12g}"
-    return str(value)
+    return "" if value is None else str(_json_value(value))
 
 
 def _json_value(value):

@@ -489,10 +489,12 @@ class ResidueRing:
     """Precomputed context for arithmetic mod q.
 
     Treated as immutable after construction; safe to share across threads.
-    Compares and hashes by identity, so it can key a cache.
-    ``characters`` is the unit group's decomposition, the one every
-    character, lattice and inverse reads; ``inv_table`` and ``eq_pows`` are
-    derived tables, each built on its first read.
+    Compares and hashes by identity.  ``characters`` is the unit group's
+    decomposition, the one every character, lattice and inverse reads;
+    ``inv_table`` and ``eq_pows`` are derived tables, each built on its
+    first read.  The ring also holds, in its ``__dict__`` beside them, the
+    latest trilinear unit window computed on it, so everything derived from
+    q is freed with its ring.
     """
 
     q: int

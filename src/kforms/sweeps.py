@@ -17,9 +17,10 @@ character sum; that count is characters._moment_count, which char-moment's
 identity check also reads.  A short interval's energy is tallied over
 residues mod q with no ring or table at all, and only a cell whose lattice
 FFT is the cheaper count builds the character table (and lets its ring
-go).  A Lemma 2.2 cell counts its energy the same way.  The 2.1 and 2.2
-grids keep the latest modulus's character table, as the 2.3 grid keeps its
-ring.
+go).  A Lemma 2.2 cell counts its energy the same way.  The 2.1-2.3
+builders make one memo per modulus as their loop reaches it, of the
+character table (2.1, 2.2) or the ring (2.3): cells run one at a time, so
+the last modulus's table or ring is freed before the next is built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .reports import BoundReport, SweepResult, fit_exponent, make_report
 from .ring import (
     IntervalSet, _fft_plan, _lattice_shape, _ring_primes, build_ring, check_work, is_prime,
 )
-from .trilinear import TrilinearInstance, _unit_window, make_weights, theorem1_bounds, trilinear_fast
+from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
 
 DEFAULT_GRIDS = {
     "2.1": {
@@ -139,10 +140,9 @@ def build_instance(
     window's lattice FFT, one chain of its three operands (a rough axis
     padded to >= 3n) at 7 words a point as the kernel prices it, runs while
     the ring is held, so the two are priced as one sum from q's
-    factorization and refused before the ring is built.  It first drops the
-    cached window of the last instance and, with it, that instance's ring,
-    so a sweep holds one ring and one window at a time."""
-    _unit_window.cache_clear()
+    factorization and refused before the ring is built.  The window lives on
+    its ring, so a sweep, which drops each instance before it builds the
+    next, holds one ring and one window at a time."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
     size = _fft_plan(_lattice_shape(_ring_primes(q)), 3)[0]
     check_work(7 * q + 7 * math.prod(size), "7*q ring + 7*points FFT words")
@@ -236,39 +236,36 @@ def _count_cell(params: dict, count, *args) -> BoundReport:
 
 
 def _lemma_21_cases(grid):
-    # tables memoises the latest modulus's character table (a grid's cells
-    # come grouped by q), built on first use; the table alone is kept
-    tables = functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
+    # one memo per modulus: the table is built in the first cell that asks
+    # for it, and the table alone is kept
     for q in grid["qs"]:
+        table = functools.cache(lambda q=q: build_characters(build_ring(q)))
         for k in grid["ks"]:
             for H in sorted({min(h, q) for h in grid["Hs"] if h >= 1}):
-                count = (_moment_count, q, IntervalSet(k, H), functools.partial(tables, q))
+                count = (_moment_count, q, IntervalSet(k, H), table)
                 yield functools.partial(_count_cell, {"q": q, "k": k, "H": H}, *count)
 
 
 def _lemma_22_cases(grid):
-    tables = functools.lru_cache(maxsize=1)(lambda q: build_characters(build_ring(q)))
     for q in grid["qs"]:
+        table = functools.cache(lambda q=q: build_characters(build_ring(q)))
         pairs = [(s, min(ln, q)) for s, ln in grid["intervals"]]
         for sa, la in pairs:
             for sb, lb in pairs:
                 params = {"q": q, "a_start": sa, "A": la, "b_start": sb, "B": lb}
                 yield functools.partial(
                     _count_cell, params, _energy_count, q,
-                    IntervalSet(sa, la), IntervalSet(sb, lb), functools.partial(tables, q),
+                    IntervalSet(sa, la), IntervalSet(sb, lb), table,
                 )
 
 
 def _lemma_23_cases(grid):
-    # rings memoises the latest modulus (a grid's cells come grouped by q), so
-    # each ring is built inside the first cell that needs it and freed once
-    # the sweep moves on
-    rings = functools.lru_cache(maxsize=1)(build_ring)
     for q in grid["qs"]:
+        ring = functools.cache(functools.partial(build_ring, q))
         for K in sorted({min(k, q) for k in grid["Ks"] if k >= 1}):
             params = {"q": q, "r": 2, "K": K}
             yield functools.partial(
-                _count_cell, params, lambda q=q, K=K: reciprocal_count_mod(rings(q), 2, K)
+                _count_cell, params, lambda ring=ring, K=K: reciprocal_count_mod(ring(), 2, K)
             )
 
 

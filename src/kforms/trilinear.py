@@ -14,8 +14,8 @@ in O(phi log phi).  On a cyclic unit group the window itself may instead
 have the kernel convolve mu with nu alone and dot that against e_q at the
 reads, where _dots_price says the dots undercut the transform of e_q; the
 kernel knows nothing of the reads.  The window is built once per instance
-and cached until the next window is computed; sweeps.build_instance drops
-it, and the ring it holds, before it builds the next instance.
+and held on its ring, one slot keyed by the three intervals, so it lives as
+long as the ring and no longer.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 = lam] take the same kernel, one call per block of level sets, each set's
 mu a row, so alpha is transformed once a block; T vanishes off the units,
@@ -38,7 +38,6 @@ level-by-level one.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -57,6 +56,7 @@ from .ring import (
     _to_lattice,
     check_work,
     cyclic_dft,
+    eq_eval,
     interval_phase_sum,
 )
 
@@ -167,7 +167,10 @@ def _window_gather(
     e_q(n*inv(y)) into the weights eta = mu(inv x), kappa = nu(inv y).  One
     DFT of kappa, then kloosterman's O(phi)-per-l gather, the one that reads
     K_q(l, m, n) off the single sums: this is K_q(l, m, n) itself at the
-    one-point windows M = {m}, N = {n}."""
+    one-point windows M = {m}, N = {n}.  Priced at its gathers' elements,
+    len(ls) * phi, and at the transform's words as _unit_dft says."""
+    check_work(len(ls) * ring.phi, "len(ls)*phi gather elements")
+    check_work(30 * ring.q, "30*q ring and transform words")
     xb = ring.inv_table[ring.units]
     kappa = interval_phase_sum(ring, n_interval, xb)
     return _unit_gather(ring, interval_phase_sum(ring, m_interval, xb), _unit_dft(ring, kappa), ls)
@@ -207,7 +210,6 @@ def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
     return (plus + np.where(at < h, minus, -minus)) / 2
 
 
-@functools.lru_cache(maxsize=1)
 def _unit_window(
     ring: ResidueRing,
     l_interval: IntervalSet,
@@ -230,10 +232,15 @@ def _unit_window(
     transforms, else 4.  The window, not the kernel, picks the route: on a
     one-axis lattice of even order (a cyclic unit group) where _dots_price
     is at most 0, the kernel convolves cas mu with cas nu alone and
-    _dots_at reads that against cas e_q at l and -l.  The one cached
-    window holds its ring until the next window is computed or the next
-    sweeps.build_instance drops it.
+    _dots_at reads that against cas e_q at l and -l.  The window is held in
+    the ring's __dict__, as functools.cached_property holds inv_table, one
+    slot keyed by (L, M, N): every caller on one instance reads one window,
+    and it is freed with its ring.
     """
+    key = (l_interval, m_interval, n_interval)
+    held = ring.__dict__.get("_unit_window")
+    if held is not None and held[0] == key:
+        return held[1]
     q, table, units = ring.q, ring.characters, ring.units
     low = units[2 * units <= q]
 
@@ -249,7 +256,7 @@ def _unit_window(
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
     at = table.log_index[np.concatenate((ls, q - ls))]
-    operands, shape = (mu, nu, cas(np.exp((2j * np.pi / q) * low))), table.shape
+    operands, shape = (mu, nu, cas(eq_eval(ring, low))), table.shape
     if len(shape) == 1 and shape[0] % 2 == 0 and _dots_price(operands, shape, at) <= 0:
         r = _dots_at(_lattice_convolution(operands[:2], shape)[0], operands[2], at)
     else:
@@ -257,6 +264,7 @@ def _unit_window(
     window = np.zeros(residues.size, dtype=np.complex128)
     window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
     window.flags.writeable = False
+    ring.__dict__["_unit_window"] = (key, window)
     return window
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import kforms
 import kforms.cli
+import kforms.kloosterman
 import kforms.ring
 import kforms.sweeps
 from kforms.cli import build_parser, main
@@ -301,6 +302,27 @@ class TestUsageErrors:
         monkeypatch.setattr(module, name, None)  # any use raises a TypeError or AttributeError
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, module, name", [
+        # 11*q ring and single-sum words ~ 1.1e5 at q = 10007: refused before
+        # the sum's tables are read
+        (["ksum", "--q", "10007", "--m", "1", "--n", "1"], kforms.ring.ResidueRing, "eq_pows"),
+        # 30*q ring and transform words ~ 3.0e5: refused before _unit_dft
+        # and the tables it reads
+        (["ksum2", "--q", "10007", "--l", "1", "--m", "1", "--n", "1"],
+         kforms.kloosterman, "_unit_dft"),
+    ])
+    def test_kloosterman_sums_priced_past_the_ring(self, argv, module, name, monkeypatch,
+                                                   capsys):
+        # under a 10^5-word budget the ring's 7*q words fit, its sums' do not;
+        # at 30*q words both run
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**5)
+        monkeypatch.setattr(module, name, None)
+        assert main(argv) == 2
+        assert "dimension too large" in capsys.readouterr().err
+        monkeypatch.undo()
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 30 * 10007)
+        assert main(argv) == 0
 
     def test_energy_lattice_members_priced_before_the_ring(self, monkeypatch, capsys):
         # 4*10^5 x 10 unit pairs price the energy onto the lattice at q = 10007.

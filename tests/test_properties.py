@@ -8,10 +8,12 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kforms.counts
+import kforms.ring
 from kforms import (
     IntervalSet,
     TrilinearInstance,
@@ -72,7 +74,6 @@ def test_unit_window_matches_gather_on_every_unit(data):
     n_iv = data.draw(windows(q), label="N")
     l_iv = IntervalSet(data.draw(st.integers(-q, q), label="L start"), q)  # every residue
     ring = build_ring(q)
-    _unit_window.cache_clear()
     window = _unit_window(ring, l_iv, m_iv, n_iv)
     members = l_iv.members()
     units = ring.unit_mask[members % q]
@@ -277,28 +278,36 @@ def test_lattice_energy_matches_dense_tally(q, data):
     assert multiplicative_energy(build_ring(q), a_iv, b_iv).value == _dense_energy(q, a_iv, b_iv)
 
 
+def _tally_cases(q):
+    # starts down to -3q and lengths up to 3q
+    interval = st.builds(IntervalSet, st.integers(-3 * q, q), st.integers(1, 3 * q))
+    return st.tuples(st.just(q), interval, interval)
+
+
 @SETTINGS
-@given(
-    q=st.one_of(COUNT_MODULI, st.sampled_from([210, 2310, 30030, 512, 1024, 3**6, 7**3])),
-    data=st.data(),
-)
-def test_residue_tally_matches_lattice_fft(q, data):
-    # starts down to -3q and lengths up to 3q: members repeat residues and
-    # non-units fall in; the short ones key distinct products, the long ones q bins
-    a_iv, b_iv = (
-        IntervalSet(data.draw(st.integers(-3 * q, q)), data.draw(st.integers(1, 3 * q)))
-        for _ in range(2)
-    )
+@given(case=st.one_of(
+    COUNT_MODULI, st.sampled_from([210, 2310, 30030, 512, 1024, 3**6, 7**3])
+).flatmap(_tally_cases))
+@example(case=(30030, IntervalSet(0, 82441), IntervalSet(0, 82429)))  # 250,003,532 unit pairs
+def test_residue_tally_matches_lattice_fft(case):
+    # members repeat residues and non-units fall in; the short intervals key
+    # distinct products, the long ones q bins.  Unit pairs over the work
+    # budget are refused by the tally, and the energy takes the lattice
+    q, a_iv, b_iv = case
     primes = factorize(q)
     ra, rb = (_unit_members(iv, q, primes) for iv in (a_iv, b_iv))
     assert (ra.size, rb.size) == (_unit_count(a_iv, q, primes), _unit_count(b_iv, q, primes))
-    tally = _sum_of_squares(_product_counts(ra, rb, q))
     table = build_characters(build_ring(q))
     assert _lattice_shape(primes) == table.shape
     a, b = (_to_lattice(table, np.mod(iv.members(), q)) for iv in (a_iv, b_iv))
     c = np.rint(np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real).astype(np.int64)
-    assert tally == int(np.sum(c * c))
-    assert _product_energy(q, a_iv, b_iv, lambda: table)[0] == tally
+    reference = int(np.sum(c * c))
+    if ra.size * rb.size > kforms.ring.DEFAULT_WORK_BUDGET:
+        with pytest.raises(ValueError, match="product pairs"):
+            _product_counts(ra, rb, q)
+    else:
+        assert _sum_of_squares(_product_counts(ra, rb, q)) == reference
+    assert _product_energy(q, a_iv, b_iv, lambda: table)[0] == reference
 
 
 @SETTINGS

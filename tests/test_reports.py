@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -327,6 +328,34 @@ class TestSweepControls:
         assert len(rings) == 2 and len(result.reports) == 4
         assert counted == [101, 101, 103, 103]
         assert tabled == [101, 103]
+
+    @pytest.mark.parametrize("lemma, grid", [
+        ("2.1", {"qs": [1009, 1013], "ks": [0], "Hs": [5, 1013]}),
+        ("2.2", {"qs": [1009, 1013], "intervals": [[0, 5], [0, 1013]]}),
+        ("2.3", {"qs": [1009, 1013], "Ks": [5, 20]}),
+    ])
+    def test_lemma_grids_hold_one_modulus_at_a_time(self, lemma, grid, monkeypatch):
+        # each builder makes one memo per modulus, so the last modulus's ring
+        # and character table are freed before the next ring is built
+        refs = []
+        build, characters = kforms.sweeps.build_ring, kforms.sweeps.build_characters
+
+        def tracked(q):
+            gc.collect()
+            assert all(ref() is None for ref in refs), f"a ring or table is alive at q = {q}"
+            ring = build(q)
+            refs.append(weakref.ref(ring))
+            return ring
+
+        def tracked_table(ring):
+            table = characters(ring)
+            refs.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
+        monkeypatch.setattr(kforms.sweeps, "build_characters", tracked_table)
+        verify_lemma_sweeps(lemma, grid)
+        assert len(refs) == (2 if lemma == "2.3" else 4)
 
     def test_tally_side_moment_cells_build_no_ring(self, monkeypatch):
         # pairs of unit residues under the padded lattice FFT's price: counted

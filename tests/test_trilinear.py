@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import tracemalloc
 import weakref
 
@@ -193,6 +194,15 @@ class TestWindowSums:
                 window = window_sums(ring, *(IntervalSet(x - 1, 1) for x in (l, m, n)))[0]
                 assert abs(double_fast(ring, l, m, n) - window) <= 1e-9 * ring.phi**2
 
+
+    def test_non_unit_gathers_priced_before_they_run(self):
+        # ~600,000 non-units at q = 10^6, each an O(phi) gather of 6.5-7 ms:
+        # len(ls)*phi ~ 2.4e11 elements are refused before the first one
+        ring = build_ring(10**6)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"dimension too large: len\(ls\)\*phi gather"):
+            window_sums(ring, IntervalSet(0, 10**6), IntervalSet(0, 10), IntervalSet(0, 10))
+        assert time.perf_counter() - t0 < 1
 
 class TestDyadicDecomposition:
     def test_documented_level_sets(self):
@@ -447,31 +457,57 @@ class TestTheorem1Bounds:
         assert report.ratio == pytest.approx(report.measured / min(b1, b2))
 
 
+def window_kernel_calls(monkeypatch):
+    """A list that grows by one at each of the window's kernel calls from here
+    on: the calls of trilinear's _lattice_convolution on operands shaped as
+    the lattice (the trace's T-map calls carry rows)."""
+    kernel, calls = kforms.trilinear._lattice_convolution, []
+
+    def counted(operands, shape):
+        if all(x.shape == tuple(shape) for x in operands):
+            calls.append(shape)
+        return kernel(operands, shape)
+
+    monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", counted)
+    return calls
+
+
 class TestOneWindowPerInstance:
     """Every caller on one instance shares one unit-group window."""
 
-    def test_extremal_thm1_case(self):
-        _unit_window.cache_clear()
+    def test_extremal_thm1_case(self, monkeypatch):
+        calls = window_kernel_calls(monkeypatch)
         verify_thm1_sweep([101], "0:10", "0:10", "0:10", mode="extremal")
-        assert _unit_window.cache_info().misses == 1
+        assert len(calls) == 1
 
-    def test_cli_trilinear_extremal(self):
-        _unit_window.cache_clear()
+    def test_cli_trilinear_extremal(self, monkeypatch):
+        calls = window_kernel_calls(monkeypatch)
         argv = ["trilinear", "--q", "101", "--L", "0:10", "--M", "0:10", "--N", "0:10",
                 "--weights", "extremal"]
         assert main(argv) == 0
-        assert _unit_window.cache_info().misses == 1
+        assert len(calls) == 1
 
-    def test_cli_proof_trace(self):
-        _unit_window.cache_clear()
+    def test_cli_proof_trace(self, monkeypatch):
+        calls = window_kernel_calls(monkeypatch)
         argv = ["proof-trace", "--q", "101", "--r", "2", "--L", "0:8", "--M", "0:8",
                 "--N", "0:8"]
         assert main(argv) == 0
-        assert _unit_window.cache_info().misses == 1
+        assert len(calls) == 1
+
+    def test_hand_built_instance_frees_its_ring(self):
+        # the window lives on its ring, so dropping the instance frees both
+        ring = build_ring(10007)
+        side = IntervalSet(0, 100)
+        weights = make_weights(ring, side, "extremal", m_interval=side, n_interval=side)
+        instance = TrilinearInstance(ring, weights, side, side)
+        trilinear_fast(instance)
+        ref = weakref.ref(ring)
+        del ring, weights, instance
+        assert ref() is None, "the ring outlived its instance"
 
     def test_sweeps_hold_one_ring_at_a_time(self, monkeypatch):
-        # build_instance drops the last instance's cached window, and with it
-        # that instance's ring, before it builds the next ring
+        # each instance's window lives on its ring, and a sweep drops the last
+        # instance before it builds the next ring
         refs, build = [], kforms.sweeps.build_ring
 
         def tracked(q):
@@ -499,10 +535,14 @@ def windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, costs):
     for cost in costs:
         monkeypatch.setattr(kforms.trilinear, "_DOT_COST", cost)
         calls.clear()
-        _unit_window.cache_clear()
-        out.append((_unit_window(ring, l_iv, m_iv, n_iv), len(calls)))
-    _unit_window.cache_clear()
+        out.append((fresh_window(ring, l_iv, m_iv, n_iv), len(calls)))
     return out
+
+
+def fresh_window(ring, l_iv, m_iv, n_iv):
+    """_unit_window computed anew: the window the ring holds is dropped first."""
+    vars(ring).pop("_unit_window", None)
+    return _unit_window(ring, l_iv, m_iv, n_iv)
 
 
 def assert_match_gather(ring, windows, l_iv, m_iv, n_iv, rtol):
@@ -584,9 +624,7 @@ def two_step_window(monkeypatch, ring, l_iv, m_iv, n_iv):
         return chained((r1, operands[2]), shape)
 
     monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", two_steps)
-    _unit_window.cache_clear()
-    window = _unit_window(ring, l_iv, m_iv, n_iv)
-    _unit_window.cache_clear()
+    window = fresh_window(ring, l_iv, m_iv, n_iv)
     monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", chained)
     return window
 
@@ -607,8 +645,7 @@ class TestChainedWindow:
         side = math.isqrt(q)
         l_iv, m_iv = IntervalSet(q - 9, 24), IntervalSet(-5, side)
         n_iv = m_iv if same else IntervalSet(17, side)
-        _unit_window.cache_clear()
-        chained = _unit_window(ring, l_iv, m_iv, n_iv)
+        chained = fresh_window(ring, l_iv, m_iv, n_iv)
         two_step = two_step_window(monkeypatch, ring, l_iv, m_iv, n_iv)
         assert np.max(np.abs(chained - two_step)) <= 1e-13 * np.max(np.abs(chained))
         assert_match_gather(ring, (chained, two_step), l_iv, m_iv, n_iv, 1e-13)
@@ -623,9 +660,7 @@ class TestChainedWindow:
         m_iv = IntervalSet(-5, 311)
         n_iv = m_iv if same else IntervalSet(17, 311)
         calls = fft_calls(monkeypatch)
-        _unit_window.cache_clear()
-        _unit_window(ring, IntervalSet(3, 20), m_iv, n_iv)
-        _unit_window.cache_clear()
+        fresh_window(ring, IntervalSet(3, 20), m_iv, n_iv)
         assert calls == ["rfftn"] * transforms + ["irfftn"]
 
     def test_million_primes_keep_the_first_product_and_dots(self, monkeypatch):
@@ -640,9 +675,7 @@ class TestChainedWindow:
             kforms.trilinear, "_dots_at", lambda *args: dots.append(1) or dots_at(*args)
         )
         calls = fft_calls(monkeypatch)
-        _unit_window.cache_clear()
-        _unit_window(ring, IntervalSet(17, 48), IntervalSet(0, side), IntervalSet(7, side))
-        _unit_window.cache_clear()
+        fresh_window(ring, IntervalSet(17, 48), IntervalSet(0, side), IntervalSet(7, side))
         assert dots == [1]
         assert calls == ["rfftn", "rfftn", "irfftn"]
 
