@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import ResidueRing, check_work, cyclic_dft
+from .ring import ResidueRing, check_work, cyclic_dft, eq_eval, factorize
 
 
 @dataclass(frozen=True)
@@ -32,22 +32,28 @@ class KloostermanTable:
 
 
 def single_sum(ring: ResidueRing, m: int, n: int) -> complex:
-    """K_q(m, n) by direct summation over the unit group."""
-    check_work(11 * ring.q, "11*q ring and single-sum words")  # 82 B a residue at primes
+    """K_q(m, n) by direct summation over the unit group, its phases read
+    through eq_eval, which builds no q-long table."""
+    check_work(11 * ring.q, "11*q ring and single-sum words")  # 74 B a residue at primes
     q, x = ring.q, ring.units
-    exponents = ((m % q) * x + (n % q) * ring.inv_table[x]) % q
-    return complex(ring.eq_pows[exponents].sum())
+    return complex(eq_eval(ring, ((m % q) * x + (n % q) * ring.inv_table[x]) % q).sum())
 
 
-def _unit_dft(ring: ResidueRing, kappa) -> np.ndarray:
-    """F(t) = sum_{y unit} kappa_y e_q(t*y), the DFT of the vector that holds
-    kappa (aligned with ring.units) on the units.  Read at l*x over the units,
-    sum_x eta_x F(l*x) = sum_{x,y units} eta_x kappa_y e_q(l*x*y).  Its
-    callers price it, before they read the ring's tables, at 30 words a
-    residue with the ring and those tables: ksum2 peaks at 234 B a residue
-    at primes near 10^6 (numpy's Bluestein scratch), 114-118 B at smooth q."""
+def _unit_dft(ring: ResidueRing, phase) -> np.ndarray:
+    """F(t) = sum_{y unit} kappa_y e_q(t*y) with kappa_y = phase(inv y), the
+    DFT of the vector that holds phase at the units' inverses on the units.
+    Read at l*x over the units, sum_x eta_x F(l*x) = sum_{x,y units} eta_x
+    kappa_y e_q(l*x*y).  The one function that prices this transform: its
+    words, with the ring and its tables, before it reads any table, from
+    q's factorization.  Where q has a prime factor above 7 (_fft_plan's
+    test) 27 words: numpy's FFT takes a length with a large prime factor
+    by Bluestein, whose scratch sets ksum2's peak at 202 B a residue near
+    10^6 (10^6+3, 1009*1013); 14 words at 7-smooth q, 100-104 B (10^6,
+    2^20, 5^9).  kappa is freed before the DFT runs."""
+    words = 27 if factorize(ring.q)[-1][0] > 7 else 14
+    check_work(words * ring.q, f"{words}*q ring and transform words")
     f = np.zeros(ring.q, dtype=np.complex128)
-    f[ring.units] = kappa
+    f[ring.units] = phase(ring.inv_table[ring.units])
     return cyclic_dft(ring, f)
 
 
@@ -59,11 +65,10 @@ def _unit_gather(ring: ResidueRing, eta, f: np.ndarray, ls) -> np.ndarray:
 
 
 def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
-    """All K_q(a, n) at once: the DFT of x -> 1_unit(x) e_q(n*inv(x)),
-    priced as _unit_dft says."""
-    check_work(30 * ring.q, "30*q ring and transform words")
-    kappa = ring.eq_pows[(n % ring.q) * ring.inv_table[ring.units] % ring.q]
-    return KloostermanTable(q=ring.q, n=n, values=_unit_dft(ring, kappa))
+    """All K_q(a, n) at once: the DFT of x -> 1_unit(x) e_q(n*inv(x)), one
+    _unit_dft, which prices it."""
+    values = _unit_dft(ring, lambda xb: ring.eq_pows[(n % ring.q) * xb % ring.q])
+    return KloostermanTable(q=ring.q, n=n, values=values)
 
 
 def double_naive(ring: ResidueRing, l: int, m: int, n: int) -> complex:

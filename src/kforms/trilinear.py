@@ -165,15 +165,14 @@ def _window_gather(
     """W_l for each l in ls, as sum_{x,y units} eta_x kappa_y e_q(l*x*y):
     summing K_q(l, m, n) over the windows folds the twists e_q(m*inv(x)),
     e_q(n*inv(y)) into the weights eta = mu(inv x), kappa = nu(inv y).  One
-    DFT of kappa, then kloosterman's O(phi)-per-l gather, the one that reads
-    K_q(l, m, n) off the single sums: this is K_q(l, m, n) itself at the
-    one-point windows M = {m}, N = {n}.  Priced at its gathers' elements,
-    len(ls) * phi, and at the transform's words as _unit_dft says."""
+    _unit_dft of nu, which prices itself, then kloosterman's O(phi)-per-l
+    gather, the one that reads K_q(l, m, n) off the single sums: this is
+    K_q(l, m, n) itself at the one-point windows M = {m}, N = {n}.  Priced
+    first at its gathers' elements, len(ls) * phi."""
     check_work(len(ls) * ring.phi, "len(ls)*phi gather elements")
-    check_work(30 * ring.q, "30*q ring and transform words")
-    xb = ring.inv_table[ring.units]
-    kappa = interval_phase_sum(ring, n_interval, xb)
-    return _unit_gather(ring, interval_phase_sum(ring, m_interval, xb), _unit_dft(ring, kappa), ls)
+    f = _unit_dft(ring, lambda xb: interval_phase_sum(ring, n_interval, xb))
+    eta = interval_phase_sum(ring, m_interval, ring.inv_table[ring.units])
+    return _unit_gather(ring, eta, f, ls)
 
 
 def _dots_price(operands, shape: tuple[int, ...], at: np.ndarray) -> float:
@@ -276,14 +275,16 @@ def window_sums(
 ) -> np.ndarray:
     """W_l = sum_{m in M} sum_{n in N} K_q(l, m, n) for every l in L.
 
-    The units l read the instance's unit-group window; each non-unit l
-    costs one O(phi) gather.
+    Each non-unit l costs one O(phi) gather, run (and priced) first, so
+    that an over-priced L is refused before the unit window's lattice
+    FFT; the units l read the instance's unit-group window.
     """
-    out = _unit_window(ring, l_interval, m_interval, n_interval).copy()
     residues = l_interval.residues(ring.q)
     off_units = ~ring.unit_mask[residues]
-    if off_units.any():
-        out[off_units] = _window_gather(ring, residues[off_units], m_interval, n_interval)
+    ls = residues[off_units]
+    gathered = _window_gather(ring, ls, m_interval, n_interval) if ls.size else 0
+    out = _unit_window(ring, l_interval, m_interval, n_interval).copy()
+    out[off_units] = gathered
     return out
 
 

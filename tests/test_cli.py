@@ -303,26 +303,36 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, module, name", [
+    @pytest.mark.parametrize("argv", [
         # 11*q ring and single-sum words ~ 1.1e5 at q = 10007: refused before
-        # the sum's tables are read
-        (["ksum", "--q", "10007", "--m", "1", "--n", "1"], kforms.ring.ResidueRing, "eq_pows"),
-        # 30*q ring and transform words ~ 3.0e5: refused before _unit_dft
-        # and the tables it reads
-        (["ksum2", "--q", "10007", "--l", "1", "--m", "1", "--n", "1"],
-         kforms.kloosterman, "_unit_dft"),
+        # the sum reads the ring's inverse table
+        ["ksum", "--q", "10007", "--m", "1", "--n", "1"],
+        # 27*q ring and transform words ~ 2.7e5 at the prime 10007: _unit_dft
+        # refuses before it reads the inverse table, and so before its DFT
+        ["ksum2", "--q", "10007", "--l", "1", "--m", "1", "--n", "1"],
     ])
-    def test_kloosterman_sums_priced_past_the_ring(self, argv, module, name, monkeypatch,
-                                                   capsys):
+    def test_kloosterman_sums_priced_past_the_ring(self, argv, monkeypatch, capsys):
         # under a 10^5-word budget the ring's 7*q words fit, its sums' do not;
         # at 30*q words both run
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**5)
-        monkeypatch.setattr(module, name, None)
+        monkeypatch.setattr(kforms.ring.ResidueRing, "inv_table", None)
+        monkeypatch.setattr(kforms.kloosterman, "cyclic_dft", None)
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
         monkeypatch.undo()
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 30 * 10007)
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("q, code", [(10000, 0), (10007, 2), (9999, 2)])
+    def test_transform_priced_from_the_factorization(self, q, code, monkeypatch, capsys):
+        # numpy's FFT takes Bluestein only where q has a prime factor above 7:
+        # the 7-smooth 2^4*5^4 costs 14*q words, the prime 10007 and
+        # 9999 = 3^2*11*101 cost 27*q, over a 2*10^5-word budget
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 2 * 10**5)
+        assert main(["ksum2", "--q", str(q), "--l", "3", "--m", "5", "--n", "7"]) == code
+        if code:
+            assert f"dimension too large: 27*q ring and transform words = {27 * q}" in (
+                capsys.readouterr().err)
 
     def test_energy_lattice_members_priced_before_the_ring(self, monkeypatch, capsys):
         # 4*10^5 x 10 unit pairs price the energy onto the lattice at q = 10007.
@@ -389,6 +399,49 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+# Run one command in a fresh interpreter and print the largest work it
+# priced in kforms.kloosterman and its ru_maxrss (KiB on Linux) above the
+# import's, in bytes
+_PEAK_PROBE = """
+import contextlib, io, resource, sys
+import kforms.cli, kforms.kloosterman
+priced, check = [0], kforms.kloosterman.check_work
+def spy(work, label):
+    priced[0] = max(priced[0], work)
+    check(work, label)
+kforms.kloosterman.check_work = spy
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kforms.cli.main(sys.argv[1:])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, priced[0], 1024 * (peak - base))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux reports it")
+class TestPeakRss:
+    @pytest.mark.parametrize("argv, words", [
+        # numpy's Bluestein scratch sets ksum2's peak at a prime: 202 B a
+        # residue at 10^6+3, against 27 words (216 B); 102 B at 2^20 against
+        # 14 words (112 B)
+        (["ksum2", "--q", "1000003", "--l", "3", "--m", "5", "--n", "7"], 27),
+        (["ksum2", "--q", "1048576", "--l", "3", "--m", "5", "--n", "7"], 14),
+        # 74 and 46 B a residue against 11 words (88 B)
+        (["ksum", "--q", "1000003", "--m", "5", "--n", "7"], 11),
+        (["ksum", "--q", "1048576", "--m", "5", "--n", "7"], 11),
+    ])
+    def test_fresh_process_peak_under_its_price(self, argv, words):
+        src = str(Path(kforms.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        code, priced, held = map(int, run.stdout.split())
+        q = int(argv[2])
+        assert (code, priced) == (0, words * q), run.stderr
+        assert held <= 8 * priced, f"{held / q:.1f} B a residue over {words} words"
 
 
 class TestReadme:

@@ -195,10 +195,12 @@ class TestWindowSums:
                 assert abs(double_fast(ring, l, m, n) - window) <= 1e-9 * ring.phi**2
 
 
-    def test_non_unit_gathers_priced_before_they_run(self):
+    def test_non_unit_gathers_priced_before_they_run(self, monkeypatch):
         # ~600,000 non-units at q = 10^6, each an O(phi) gather of 6.5-7 ms:
-        # len(ls)*phi ~ 2.4e11 elements are refused before the first one
+        # len(ls)*phi ~ 2.4e11 elements are refused before the first one, and
+        # before the unit window's lattice FFT
         ring = build_ring(10**6)
+        monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", None)
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=r"dimension too large: len\(ls\)\*phi gather"):
             window_sums(ring, IntervalSet(0, 10**6), IntervalSet(0, 10), IntervalSet(0, 10))
