@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .counts import CountReport, _count_report, _product_energy
-from .ring import CharacterTable, IntervalSet, ResidueRing, _negated, _to_lattice, euler_phi
+from .ring import (CharacterTable, IntervalSet, ResidueRing, _fft_plan, _negated, _to_lattice,
+                   check_work, euler_phi)
 
 
 def build_characters(ring: ResidueRing) -> CharacterTable:
@@ -68,14 +69,20 @@ def interval_character_sums(table: CharacterTable, interval: IntervalSet) -> np.
     transform Z of phi/2 points gives the transforms of both halves,
     E = (Z + conj Z(-k))/2 and O = (Z - conj Z(-k))/(2i), and from them
     S = E +- e(k/n)*O along that axis.  Only the trivial group (q <= 2) has
-    no even axis; its one sum is the count.
+    no even axis; its one sum is the count.  The transform is priced, with
+    the ring, before the interval is read: 14 words a residue where an axis
+    of the packed lattice is a rough length (ring._fft_plan's test; numpy's
+    Bluestein scratch sets char-moment's peak at 96 B a residue at 10^6+3),
+    else 5 words, under the ring's 7 (34 B at 2^20).
     """
-    counts = _to_lattice(table, interval.residues(table.q))
     even = [k for k, n in enumerate(table.shape) if n % 2 == 0]
     if not even:
-        return counts.reshape(-1).astype(np.complex128)
+        return _to_lattice(table, interval.residues(table.q)).reshape(-1).astype(np.complex128)
     axis = max(even, key=lambda k: table.shape[k])
     m = table.shape[axis] // 2
+    words = 5 if _fft_plan(table.shape[:axis] + (m,) + table.shape[axis + 1 :])[1] is None else 14
+    check_work(words * table.q, f"{words}*q ring and character-sum words")
+    counts = _to_lattice(table, interval.residues(table.q))
     c = np.moveaxis(counts, axis, -1)  # the packed axis last, in every view below
     z = np.empty(c.shape[:-1] + (m,), dtype=np.complex128)
     z.real, z.imag = c[..., 0::2], c[..., 1::2]
@@ -131,8 +138,8 @@ def moment_identity_check(
     Returns (fourth_moment, phi(q) * #{(x1,x2,x3,x4) in (interval units)^4
     with x1*x2 = x3*x4 mod q}); the two agree up to floating-point error.
     """
-    twin = _moment_count(table.q, interval, lambda: table).value
-    return fourth_moment(table, interval), float(twin)
+    moment = fourth_moment(table, interval)
+    return moment, float(_moment_count(table.q, interval, lambda: table).value)
 
 
 def energy_character_identity(
@@ -147,7 +154,10 @@ def energy_character_identity(
     (1/phi) sum_chi |sum_A chi|^2 |sum_B chi|^2, the principal-character
     contribution A_u^2 B_u^2 / phi, and their difference.  The first
     component matches multiplicative_energy; the identity
-    component1 = component2 + component3 is exact by construction.
+    component1 = component2 + component3 is exact by construction.  Each
+    interval_character_sums call prices its own transform alone: with
+    A != B the sums of A are held through B's transform, which that price
+    does not cover (no CLI command reads this; library use only).
     """
     sums_a = interval_character_sums(table, a_interval)
     sums_b = sums_a if b_interval == a_interval else interval_character_sums(table, b_interval)

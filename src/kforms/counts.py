@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .kloosterman import _unit_dft
 from .reports import BoundReport, make_report
 from .ring import (
     IntervalSet,
@@ -64,7 +65,6 @@ from .ring import (
     _smooth_length,
     _to_lattice,
     check_work,
-    cyclic_dft,
     factorize,
 )
 
@@ -288,11 +288,8 @@ def reciprocal_count_mod(ring: ResidueRing, r: int, K: int) -> CountReport:
 def reciprocal_count_naive(ring: ResidueRing, r: int, K: int) -> int:
     """O(K^r) tally oracle for reciprocal_count_mod."""
     _check_r_k(r, K, ring.q)
-    inverses = [
-        int(ring.inv_table[x]) for x in range(1, K + 1) if ring.unit_mask[x % ring.q]
-    ]
     tally = Counter()
-    for combo in itertools.product(inverses, repeat=r):
+    for combo in itertools.product(_unit_inverses_upto(ring, K).tolist(), repeat=r):
         tally[sum(combo) % ring.q] += 1
     return sum(c * c for c in tally.values())
 
@@ -304,12 +301,14 @@ def reciprocal_moment_identity(
 
     Returns ((1/q) sum_t |sum_{x<=K unit} e_q(t*inv(x))|^(2r), the exact
     count as reciprocal_count_mod reports it); the two agree up to
-    floating-point error.
+    floating-point error.  The inner sums are one kloosterman._unit_dft,
+    which holds 1 at the units' inverses inv(x), x <= K, and prices its
+    transform before it reads any table; r and K are checked before it,
+    and J_r is counted after it.
     """
-    count = reciprocal_count_mod(ring, r, K)
-    v = np.bincount(_unit_inverses_upto(ring, K), minlength=ring.q)
-    identity = float(np.sum(np.abs(cyclic_dft(ring, v)) ** (2 * r))) / ring.q
-    return identity, count
+    _check_r_k(r, K, ring.q)
+    identity = float(np.sum(np.abs(_unit_dft(ring, lambda xb: xb <= K)) ** (2 * r))) / ring.q
+    return identity, reciprocal_count_mod(ring, r, K)
 
 
 def reciprocal_count_rational(r: int, K: int) -> CountReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import ResidueRing, check_work, cyclic_dft, eq_eval, factorize
+from .ring import ResidueRing, _fft_plan, check_work, cyclic_dft, eq_eval
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,15 @@ def _unit_dft(ring: ResidueRing, phase) -> np.ndarray:
     """F(t) = sum_{y unit} kappa_y e_q(t*y) with kappa_y = phase(inv y), the
     DFT of the vector that holds phase at the units' inverses on the units.
     Read at l*x over the units, sum_x eta_x F(l*x) = sum_{x,y units} eta_x
-    kappa_y e_q(l*x*y).  The one function that prices this transform: its
-    words, with the ring and its tables, before it reads any table, from
-    q's factorization.  Where q has a prime factor above 7 (_fft_plan's
-    test) 27 words: numpy's FFT takes a length with a large prime factor
-    by Bluestein, whose scratch sets ksum2's peak at 202 B a residue near
-    10^6 (10^6+3, 1009*1013); 14 words at 7-smooth q, 100-104 B (10^6,
-    2^20, 5^9).  kappa is freed before the DFT runs."""
-    words = 27 if factorize(ring.q)[-1][0] > 7 else 14
+    kappa_y e_q(l*x*y).  The transform of single_table (ksum2, double_fast),
+    of the trilinear window's oracle and of jr-mod's orthogonality twin,
+    and the one function that prices it: its words, with the ring and its
+    tables, before it reads any table.  Where q is a rough length
+    (_fft_plan pads its axis) 27 words: numpy's FFT takes it by Bluestein,
+    whose scratch sets ksum2's peak at 202 B a residue near 10^6 (10^6+3,
+    1009*1013); 14 words at 7-smooth q, 100-104 B (10^6, 2^20, 5^9).
+    kappa is freed before the DFT runs."""
+    words = 14 if _fft_plan((ring.q,))[1] is None else 27
     check_work(words * ring.q, f"{words}*q ring and transform words")
     f = np.zeros(ring.q, dtype=np.complex128)
     f[ring.units] = phase(ring.inv_table[ring.units])

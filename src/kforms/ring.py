@@ -127,9 +127,13 @@ def _fft_plan(shape: tuple[int, ...], k: int = 2):
     axis, the axis padded (None if none is), the price points*log2(points)
     (the unit of _PAIR_COST), the axes of length 2, which _butterflies
     transforms, the rest, which numpy transforms, longest last (at least
-    one is left to numpy, which needs one), and their sizes.  The longest
-    axis whose length n has a prime factor above 7 (slow in numpy's FFT)
-    is zero-padded to a 5-smooth length >= k*n."""
+    one is left to numpy, which needs one), and their sizes.  The owner of
+    the package's one rough-length rule: a length with a prime factor
+    above 7 is rough, and numpy's FFT takes it by Bluestein, slower and
+    with a scratch of several arrays of the transform's size.  The longest
+    rough axis is zero-padded to a 5-smooth length >= k*n, so axis is not
+    None exactly where shape has a rough length; _unit_dft and
+    interval_character_sums price their transforms by that test."""
     size = list(shape)
     rough = [j for j, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
     axis = max(rough, key=lambda j: shape[j], default=None)
@@ -190,10 +194,10 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     The axes of length 2 are transformed by _butterflies (numpy's passes
     along them cost about as much as along a long axis), the rest by numpy,
     longest last: rfftn halves that one.
-    The longest axis whose length n has a prime factor above 7 (slow in
-    numpy's FFT) is zero-padded to a 5-smooth length >= k*n, and the linear
-    convolution along it folded back onto Z_n, its k blocks of n summed by
-    one reduction into a compact result.  Integer input (non-negative
+    The longest rough axis (_fft_plan's rule: a prime factor above 7) is
+    zero-padded to a 5-smooth length >= k*n, and the linear convolution
+    along it folded back onto Z_n, its k blocks of n summed by one
+    reduction into a compact result.  Integer input (non-negative
     counts) gives an exact int64 result: a row's FFT is accepted only if
     _certified passes it (a residual below 1/4, every entry at most 2^52, an
     exact total, which may pass 2^52); else the tally recounts that row.  A

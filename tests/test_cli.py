@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import kforms
+import kforms.characters
 import kforms.cli
+import kforms.counts
 import kforms.kloosterman
 import kforms.ring
 import kforms.sweeps
@@ -323,6 +325,26 @@ class TestUsageErrors:
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 30 * 10007)
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("argv, label", [
+        # 27*q ring and transform words ~ 2.7e5 at the prime 10007: the twin's
+        # _unit_dft refuses before J_r is counted
+        (["jr-mod", "--q", "10007", "--r", "2", "--K", "5"], "27*q ring and transform"),
+        # the packed lattice Z_5003 is rough: 14*q words ~ 1.4e5, refused
+        # before the fourth moment's twin count
+        (["char-moment", "--q", "10007", "--H", "5"], "14*q ring and character-sum"),
+    ])
+    def test_orthogonality_twins_priced_before_the_count(self, argv, label, monkeypatch, capsys):
+        # under a 10^5-word budget the ring's 7*q words fit, the twins' do not;
+        # at 3*10^5 words both run
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**5)
+        monkeypatch.setattr(kforms.counts, "_reciprocal_counts", None)
+        monkeypatch.setattr(kforms.characters, "_product_energy", None)
+        assert main(argv) == 2
+        assert f"dimension too large: {label} words" in capsys.readouterr().err
+        monkeypatch.undo()
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 3 * 10**5)
+        assert main(argv) == 0
+
     @pytest.mark.parametrize("q, code", [(10000, 0), (10007, 2), (9999, 2)])
     def test_transform_priced_from_the_factorization(self, q, code, monkeypatch, capsys):
         # numpy's FFT takes Bluestein only where q has a prime factor above 7:
@@ -402,16 +424,18 @@ class TestUsageErrors:
 
 
 # Run one command in a fresh interpreter and print the largest work it
-# priced in kforms.kloosterman and its ru_maxrss (KiB on Linux) above the
-# import's, in bytes
+# priced through the check_work binding of any kforms module and its
+# ru_maxrss (KiB on Linux) above the import's, in bytes
 _PEAK_PROBE = """
 import contextlib, io, resource, sys
-import kforms.cli, kforms.kloosterman
-priced, check = [0], kforms.kloosterman.check_work
+import kforms.cli, kforms.ring
+priced, check = [0], kforms.ring.check_work
 def spy(work, label):
     priced[0] = max(priced[0], work)
     check(work, label)
-kforms.kloosterman.check_work = spy
+for name, module in list(sys.modules.items()):
+    if name.startswith("kforms") and getattr(module, "check_work", None) is check:
+        module.check_work = spy
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 with contextlib.redirect_stdout(io.StringIO()):
     code = kforms.cli.main(sys.argv[1:])
@@ -422,26 +446,43 @@ print(code, priced[0], 1024 * (peak - base))
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux reports it")
 class TestPeakRss:
-    @pytest.mark.parametrize("argv, words", [
+    @pytest.mark.parametrize("argv, priced", [
         # numpy's Bluestein scratch sets ksum2's peak at a prime: 202 B a
         # residue at 10^6+3, against 27 words (216 B); 102 B at 2^20 against
         # 14 words (112 B)
-        (["ksum2", "--q", "1000003", "--l", "3", "--m", "5", "--n", "7"], 27),
-        (["ksum2", "--q", "1048576", "--l", "3", "--m", "5", "--n", "7"], 14),
+        (["ksum2", "--q", "1000003", "--l", "3", "--m", "5", "--n", "7"], 27 * 1000003),
+        (["ksum2", "--q", "1048576", "--l", "3", "--m", "5", "--n", "7"], 14 * 2**20),
         # 74 and 46 B a residue against 11 words (88 B)
-        (["ksum", "--q", "1000003", "--m", "5", "--n", "7"], 11),
-        (["ksum", "--q", "1048576", "--m", "5", "--n", "7"], 11),
+        (["ksum", "--q", "1000003", "--m", "5", "--n", "7"], 11 * 1000003),
+        (["ksum", "--q", "1048576", "--m", "5", "--n", "7"], 11 * 2**20),
+        # jr-mod's twin is one _unit_dft: 186 B a residue against 27 words
+        # at 10^6+3, 90 B against 14 words at 2^20
+        (["jr-mod", "--q", "1000003", "--r", "2", "--K", "1000"], 27 * 1000003),
+        (["jr-mod", "--q", "1048576", "--r", "2", "--K", "1000"], 14 * 2**20),
+        # char-moment's packed lattice Z_500001 is rough: 96 B a residue
+        # against 14 words; Z_2^18 x Z_2 is not: 34 B under the ring's 7 words
+        (["char-moment", "--q", "1000003", "--H", "1000"], 14 * 1000003),
+        (["char-moment", "--q", "1048576", "--H", "1000"], 7 * 2**20),
+        # 27 B a residue against the ring's 7 words
+        (["ring-info", "--q", "1000003"], 7 * 1000003),
+        # 87 B a residue against the lattice FFT's 7 words a padded point
+        # (113 B a residue)
+        (["energy", "--q", "1000003", "--A", "0:300000", "--B", "0:300000"], 7 * 2025000),
+        # 104 B a residue against the ring's 7 words and the window FFT's 7
+        # a padded point (226 B a residue)
+        (["trilinear", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
+          "--weights", "extremal"], 7 * 1000003 + 7 * 3037500),
     ])
-    def test_fresh_process_peak_under_its_price(self, argv, words):
+    def test_fresh_process_peak_under_its_price(self, argv, priced):
         src = str(Path(kforms.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv], env=env,
                              capture_output=True, text=True, timeout=60)
-        code, priced, held = map(int, run.stdout.split())
+        code, words, held = map(int, run.stdout.split())
         q = int(argv[2])
-        assert (code, priced) == (0, words * q), run.stderr
-        assert held <= 8 * priced, f"{held / q:.1f} B a residue over {words} words"
+        assert (code, words) == (0, priced), run.stderr
+        assert held <= 8 * words, f"{held / q:.1f} B a residue over {words / q:.1f} words"
 
 
 class TestReadme:

@@ -25,7 +25,7 @@ from kforms.counts import (
     _inverse_table, _product_counts, _product_energy, _reciprocal_counts, _sum_of_squares,
     _unit_inverses, _unit_inverses_upto, _unit_members,
 )
-from kforms.ring import _lattice_convolution, factorize
+from kforms.ring import _lattice_convolution, cyclic_dft, factorize
 from conftest import random_interval
 
 
@@ -285,6 +285,16 @@ class TestReciprocalMomentIdentity:
             identity, count = reciprocal_moment_identity(build_ring(q), r, K)
             assert count.value >= 1  # x = 1 is always a unit, so the diagonal is nonempty
             assert identity == pytest.approx(count.value, rel=1e-6)
+
+    @pytest.mark.parametrize("q", [2, 12, 97, 2310, 10007])
+    def test_twin_equals_the_inverse_indicator_formula(self, q):
+        # the twin reads _unit_dft; the indicator of the inverses of the units
+        # in [1, K] through cyclic_dft gives the same floats, bit for bit
+        ring = build_ring(q)
+        for r, K in itertools.product((1, 2, 3), [K for K in sorted({1, 7, q}) if K <= q]):
+            v = np.bincount(_unit_inverses_upto(ring, K), minlength=q)
+            expected = np.sum(np.abs(cyclic_dft(ring, v)) ** (2 * r)) / q
+            assert reciprocal_moment_identity(ring, r, K)[0] == expected
 
 
 class TestReciprocalCountRational:
