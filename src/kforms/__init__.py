@@ -30,7 +30,6 @@ from .kloosterman import (
 )
 from .reports import BoundReport, SweepResult, emit_report, fit_exponent, read_report
 from .ring import (
-    CharacterTable,
     IntervalSet,
     NotAUnitError,
     ResidueRing,

@@ -1,11 +1,11 @@
 """Multiplicative characters mod q.
 
-The characters are read off the unit group's decomposition that build_ring
-keeps as ring.characters (a CharacterTable): a character is an exponent
-tuple over the cyclic factor orders, flattened to a single mixed-radix index
-(C order); index 0 is the principal character.  Character values vanish off
-units.  The sums of every character over an interval come from one complex
-transform over half the lattice (the real counts packed two to a point).
+The characters are read off the ring's unit-group index, ring.log_index: a
+character is an exponent tuple over the cyclic factor orders (ring.shape),
+flattened to a single mixed-radix index (C order); index 0 is the principal
+character.  Character values vanish off units.  The sums of every character
+over an interval come from one complex transform over half the lattice (the
+real counts packed two to a point).
 moment_identity_check and energy_character_identity give the fourth moment
 and the multiplicative energy through these sums, the orthogonality twins of
 the exact counts of counts._product_energy.  The fourth moment is the energy
@@ -21,45 +21,45 @@ import math
 import numpy as np
 
 from .counts import CountReport, _count_report, _product_energy
-from .ring import (CharacterTable, IntervalSet, ResidueRing, _fft_plan, _negated, _to_lattice,
-                   check_work, euler_phi)
+from .ring import (IntervalSet, ResidueRing, _fft_plan, _negated, _to_lattice, check_work,
+                   euler_phi)
 
 
-def build_characters(ring: ResidueRing) -> CharacterTable:
-    """All phi(q) characters mod q: the ring's own table."""
-    return ring.characters
+def build_characters(ring: ResidueRing) -> ResidueRing:
+    """All phi(q) characters mod q: the ring itself, which holds their index."""
+    return ring
 
 
-def _character_at(table: CharacterTable, chi_index: int, residues: np.ndarray) -> np.ndarray:
-    """Values of the chi_index-th character at residues in [0, q); 0 off units."""
-    if not 0 <= chi_index < table.char_count:
-        raise IndexError(
-            f"character index {chi_index} out of range [0, {table.char_count})"
-        )
-    # The phase numerator over the common denominator `exponent`, in exact
-    # integer arithmetic (each term is below order * exponent <= phi^2 < 2^63);
-    # one complex exponential at the end.
-    flat = table.log_index[residues]
-    digits = np.unravel_index(np.maximum(flat, 0), table.shape)
-    num = np.zeros(residues.shape, dtype=np.int64)
-    for order, a, t in zip(table.shape, np.unravel_index(chi_index, table.shape), digits):
-        num = (num + int(a) * t * (table.exponent // order)) % table.exponent
-    out = np.exp((2j * np.pi / table.exponent) * num)
+def _character_at(ring: ResidueRing, chi_index: int, residues) -> np.ndarray:
+    """Values of the chi_index-th character at residues in [0, q) (an index
+    into ring.log_index); 0 off units."""
+    if not 0 <= chi_index < ring.phi:
+        raise IndexError(f"character index {chi_index} out of range [0, {ring.phi})")
+    # The phase numerator over the common denominator, the lcm of the factor
+    # orders, in exact integer arithmetic (each term is below order * exponent
+    # <= phi^2 < 2^63); one complex exponential at the end.
+    flat = ring.log_index[residues]
+    shape, exponent = ring.shape, math.lcm(*ring.shape)
+    digits = np.unravel_index(np.maximum(flat, 0), shape)
+    num = np.zeros(flat.shape, dtype=np.int64)
+    for order, a, t in zip(shape, np.unravel_index(chi_index, shape), digits):
+        num = (num + int(a) * t * (exponent // order)) % exponent
+    out = np.exp((2j * np.pi / exponent) * num)
     out[flat < 0] = 0
     return out
 
 
-def eval_character(table: CharacterTable, chi_index: int, x: int) -> complex:
+def eval_character(ring: ResidueRing, chi_index: int, x: int) -> complex:
     """Value of the chi_index-th character at x; 0 when gcd(x, q) > 1."""
-    return complex(_character_at(table, chi_index, np.array([int(x) % table.q]))[0])
+    return complex(_character_at(ring, chi_index, np.array([int(x) % ring.q]))[0])
 
 
-def character_values(table: CharacterTable, chi_index: int) -> np.ndarray:
+def character_values(ring: ResidueRing, chi_index: int) -> np.ndarray:
     """Vector of character values on all residues 0..q-1."""
-    return _character_at(table, chi_index, np.arange(table.q, dtype=np.int64))
+    return _character_at(ring, chi_index, slice(None))
 
 
-def interval_character_sums(table: CharacterTable, interval: IntervalSet) -> np.ndarray:
+def interval_character_sums(ring: ResidueRing, interval: IntervalSet) -> np.ndarray:
     """sum_{z in interval} chi(z) for every character, indexed by character.
 
     The interval counts map to the exponent-tuple lattice, where the sums for
@@ -72,20 +72,22 @@ def interval_character_sums(table: CharacterTable, interval: IntervalSet) -> np.
     no even axis; its one sum is the count.  The transform is priced, with
     the ring, before the interval is read: 14 words a residue where an axis
     of the packed lattice is a rough length (ring._fft_plan's test; numpy's
-    Bluestein scratch sets char-moment's peak at 96 B a residue at 10^6+3),
-    else 5 words, under the ring's 7 (34 B at 2^20).
+    Bluestein scratch sets char-moment's peak at 98 B a residue at 10^6+3),
+    else 5 words, under the ring's 7 (36 B at 2^20).  The counts are dropped
+    once packed, so the transform runs beside the ring and its packed input
+    alone.
     """
-    even = [k for k, n in enumerate(table.shape) if n % 2 == 0]
+    even = [k for k, n in enumerate(ring.shape) if n % 2 == 0]
     if not even:
-        return _to_lattice(table, interval.residues(table.q)).reshape(-1).astype(np.complex128)
-    axis = max(even, key=lambda k: table.shape[k])
-    m = table.shape[axis] // 2
-    words = 5 if _fft_plan(table.shape[:axis] + (m,) + table.shape[axis + 1 :])[1] is None else 14
-    check_work(words * table.q, f"{words}*q ring and character-sum words")
-    counts = _to_lattice(table, interval.residues(table.q))
-    c = np.moveaxis(counts, axis, -1)  # the packed axis last, in every view below
+        return _to_lattice(ring, interval).reshape(-1).astype(np.complex128)
+    axis = max(even, key=lambda k: ring.shape[k])
+    m = ring.shape[axis] // 2
+    words = 5 if _fft_plan(ring.shape[:axis] + (m,) + ring.shape[axis + 1 :])[1] is None else 14
+    check_work(words * ring.q, f"{words}*q ring and character-sum words")
+    c = np.moveaxis(_to_lattice(ring, interval), axis, -1)  # the packed axis last, in every view
     z = np.empty(c.shape[:-1] + (m,), dtype=np.complex128)
     z.real, z.imag = c[..., 0::2], c[..., 1::2]
+    del c  # the counts, packed into z, are not held through the transform
     z = np.fft.ifftn(z, norm="forward")
     zr = _negated(z)
     np.conjugate(zr, out=zr)  # conj Z(-k)
@@ -98,16 +100,16 @@ def interval_character_sums(table: CharacterTable, interval: IntervalSet) -> np.
     low = np.exp((1j * np.pi / m) * np.arange(s)) * -0.5j
     high = np.exp((1j * np.pi * s / m) * np.arange(-(-m // s)))
     odd *= (high[:, None] * low).reshape(-1)[:m]
-    sums = np.empty(table.shape, dtype=np.complex128)
+    sums = np.empty(ring.shape, dtype=np.complex128)
     out = np.moveaxis(sums, axis, -1)
     np.add(z, odd, out=out[..., :m])
     np.subtract(z, odd, out=out[..., m:])
     return sums.reshape(-1)
 
 
-def fourth_moment(table: CharacterTable, interval: IntervalSet) -> float:
+def fourth_moment(ring: ResidueRing, interval: IntervalSet) -> float:
     """sum over all characters of |sum_{z in interval} chi(z)|^4."""
-    sums = interval_character_sums(table, interval)
+    sums = interval_character_sums(ring, interval)
     power = sums.real**2 + sums.imag**2  # |S|^2, without a square root
     return float(np.sum(power * power))
 
@@ -119,32 +121,30 @@ def fourth_moment_reference(q: int, phi: int, H: int) -> float:
     return phi * (H * H * (1 + math.log(H)) + H**4 / q)
 
 
-def _moment_count(q: int, interval: IntervalSet, table) -> CountReport:
+def _moment_count(q: int, interval: IntervalSet, ring) -> CountReport:
     """sum_chi |sum_{x in I} chi(x)|^4 read off its orthogonality twin
     phi(q) * #{x1*x2 = x3*x4 mod q: x_i units of I}, an exact count
     (fourth_moment computes the same from the character sums), against
-    fourth_moment_reference.  table() gives q's character table, asked for
-    only when the lattice FFT undercuts the residue tally."""
+    fourth_moment_reference.  ring() gives q's ring, asked for only when
+    the lattice FFT undercuts the residue tally."""
     phi = euler_phi(q)
-    energy, _ = _product_energy(q, interval, interval, table)
+    energy, _ = _product_energy(q, interval, interval, ring)
     return _count_report(phi * energy, fourth_moment_reference(q, phi, interval.length))
 
 
-def moment_identity_check(
-    table: CharacterTable, interval: IntervalSet
-) -> tuple[float, float]:
+def moment_identity_check(ring: ResidueRing, interval: IntervalSet) -> tuple[float, float]:
     """Fourth moment next to its orthogonality twin.
 
     Returns (fourth_moment, phi(q) * #{(x1,x2,x3,x4) in (interval units)^4
     with x1*x2 = x3*x4 mod q}); the two agree up to floating-point error.
     """
-    moment = fourth_moment(table, interval)
-    return moment, float(_moment_count(table.q, interval, lambda: table).value)
+    moment = fourth_moment(ring, interval)
+    return moment, float(_moment_count(ring.q, interval, lambda: ring).value)
 
 
 def energy_character_identity(
     ring: ResidueRing,
-    table: CharacterTable,
+    table: ResidueRing,
     a_interval: IntervalSet,
     b_interval: IntervalSet,
 ) -> tuple[float, float, float]:
@@ -154,13 +154,17 @@ def energy_character_identity(
     (1/phi) sum_chi |sum_A chi|^2 |sum_B chi|^2, the principal-character
     contribution A_u^2 B_u^2 / phi, and their difference.  The first
     component matches multiplicative_energy; the identity
-    component1 = component2 + component3 is exact by construction.  Each
-    interval_character_sums call prices its own transform alone: with
-    A != B the sums of A are held through B's transform, which that price
-    does not cover (no CLI command reads this; library use only).
+    component1 = component2 + component3 is exact by construction.  table
+    is build_characters(ring), the ring itself, and is not read.  With
+    A = B the sums are taken once, under interval_character_sums' price;
+    with A != B the sums of A are held through B's transform, so the call
+    is priced first at 16*q words with the ring (122 B a residue measured
+    at 10^6+3, where one transform's 14 words hold 98 B).
     """
-    sums_a = interval_character_sums(table, a_interval)
-    sums_b = sums_a if b_interval == a_interval else interval_character_sums(table, b_interval)
+    if b_interval != a_interval:
+        check_work(16 * ring.q, "16*q ring and two character-sum words")
+    sums_a = interval_character_sums(ring, a_interval)
+    sums_b = sums_a if b_interval == a_interval else interval_character_sums(ring, b_interval)
     energy = float(np.sum(np.abs(sums_a) ** 2 * np.abs(sums_b) ** 2)) / ring.phi
     a_units = round(sums_a[0].real)
     b_units = round(sums_b[0].real)

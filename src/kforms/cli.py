@@ -105,7 +105,7 @@ def cmd_trilinear(args, t0: float) -> SweepResult:
 def cmd_energy(args, t0: float) -> SweepResult:
     a_int = resolve_interval(args.A, args.q)
     b_int = resolve_interval(args.B, args.q)
-    count = _energy_count(args.q, a_int, b_int, lambda: build_ring(args.q).characters)
+    count = _energy_count(args.q, a_int, b_int, lambda: build_ring(args.q))
     print(f"E(A,B) = {count.value}   reference = {_fmt(count.bound_value)}   "
           f"ratio = {_fmt(count.ratio)}")
     params = {"q": args.q, "a_start": a_int.start, "A": a_int.length,
@@ -137,10 +137,10 @@ def cmd_jr_rat(args, t0: float) -> SweepResult:
 
 
 def cmd_char_moment(args, t0: float) -> SweepResult:
-    table = build_ring(args.q).characters
+    ring = build_ring(args.q)
     interval = IntervalSet(args.k, args.H)
-    moment, twin = moment_identity_check(table, interval)
-    reference = fourth_moment_reference(args.q, table.char_count, args.H)
+    moment, twin = moment_identity_check(ring, interval)
+    reference = fourth_moment_reference(args.q, ring.phi, args.H)
     print(f"fourth moment = {_fmt(moment)}   orthogonality twin = {_fmt(twin)}")
     print(f"moment / reference = {_fmt(moment / reference)}")
     params = {"q": args.q, "k": args.k, "H": args.H}

@@ -18,9 +18,9 @@ of one, that fails it is recounted by the tally.  The
 product energy is priced by the same rule, over the pairs of the
 intervals' unit members, before anything of size q exists: where the
 tally is cheaper it counts the products mod q
-in q int32 bins or by sorting, with no ring, character table or discrete
-log, so a short interval is counted at any q up to MAX_MODULUS.  In the
-bins, a unit times the consecutive members of an interval is an arithmetic
+in q int32 bins or by sorting, with no ring or discrete log, so a short
+interval is counted at any q up to MAX_MODULUS.  In the bins, a unit
+times the consecutive members of an interval is an arithmetic
 progression mod q: a row that wraps past q only a few times is added by
 strided slices and holds no keys; the other rows key their products.
 The dyadic average counts every modulus Q <= q <= 2Q of a cell at once: the
@@ -184,7 +184,7 @@ def _product_counts(ra, rb, q: int, b_interval=None, primes=()) -> np.ndarray:
 
 
 def _product_energy(
-    q: int, a_interval: IntervalSet, b_interval: IntervalSet, table
+    q: int, a_interval: IntervalSet, b_interval: IntervalSet, ring
 ) -> tuple[int, float | None]:
     """#{(a1, a2, b1, b2) units of the intervals: a1*b1 = a2*b2 mod q}, with
     the convolution's residual (None when tallied).  Priced by the lattice
@@ -194,7 +194,7 @@ def _product_energy(
     products mod q by _product_counts, in q bins (walking each row's
     progression over b_interval where that is cheaper, and each pair once
     when the intervals are equal) or by sorting; the FFT convolves the
-    intervals' counts on the lattice of table(), q's CharacterTable, where a
+    intervals' counts on the unit-group lattice of ring(), q's ring, where a
     product of units adds exponent tuples."""
     _check_modulus(q)
     primes = factorize(q)
@@ -206,18 +206,18 @@ def _product_energy(
     # each interval's residues and their int64 gather onto the lattice, one
     # interval at a time: 16.4-16.8 B a member measured
     check_work(3 * max(a_interval.length, b_interval.length), "3*length lattice member words")
-    table = table()
-    a = _to_lattice(table, a_interval.residues(q))
-    b = a if b_interval == a_interval else _to_lattice(table, b_interval.residues(q))
-    counts, residual = _lattice_convolution((a, b), table.shape)
+    ring = ring()
+    a = _to_lattice(ring, a_interval)
+    b = a if b_interval == a_interval else _to_lattice(ring, b_interval)
+    counts, residual = _lattice_convolution((a, b), ring.shape)
     return _sum_of_squares(counts), residual
 
 
-def _energy_count(q: int, a_interval: IntervalSet, b_interval: IntervalSet, table) -> CountReport:
-    """_product_energy against A^2 B^2 / q + A B; table() gives q's
-    CharacterTable, asked for only when the lattice FFT is the cheaper
-    count, so a tallied energy builds no ring."""
-    value, residual = _product_energy(q, a_interval, b_interval, table)
+def _energy_count(q: int, a_interval: IntervalSet, b_interval: IntervalSet, ring) -> CountReport:
+    """_product_energy against A^2 B^2 / q + A B; ring() gives q's ring,
+    asked for only when the lattice FFT is the cheaper count, so a tallied
+    energy builds no ring."""
+    value, residual = _product_energy(q, a_interval, b_interval, ring)
     la, lb = a_interval.length, b_interval.length
     return _count_report(value, la * la * lb * lb / q + la * lb, residual)
 
@@ -232,7 +232,7 @@ def multiplicative_energy(
     lattice, whichever _product_energy prices lower; reference is
     A^2 B^2 / q + A B.
     """
-    return _energy_count(ring.q, a_interval, b_interval, lambda: ring.characters)
+    return _energy_count(ring.q, a_interval, b_interval, lambda: ring)
 
 
 def _j_bound(ring: ResidueRing, r: int, K: int) -> float | None:

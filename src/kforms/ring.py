@@ -16,11 +16,12 @@ route around it (the trilinear window, for one, its dot products).
 build_ring splits the unit group once, by CRT, into cyclic factors (a
 primitive root per odd p^e; <-1> and <5> for the 2-adic part), so a unit is
 an exponent tuple, flattened to one mixed-radix index (C order).  That index,
-ring.characters.log_index, is the ring's only discrete-log table: written
-from the factors' generators lifted mod q, it gives the characters, the
+ring.log_index, is the ring's only discrete-log table, written on its first
+read from the factors' generators lifted mod q: it gives the characters, the
 lattice that _to_lattice maps residues onto (and a gather through it maps
 back), and the inverses (negated tuples), which ring.inv_table reads off on
-its first read.
+its first read.  A reader that holds q-sized arrays of its own reads the
+index before it builds them, so that the index is never written beside them.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -46,8 +47,9 @@ MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 # rounded up) or the elements its loops touch, before it allocates.  2.5*10^8
 # words are 1.9 GiB: on an 8 GB machine the largest admitted ksum2 --naive and
 # proof-trace peak at 1.7-2.1 GiB RSS.  ring-info reads no q-long table past
-# the ring and peaks 26 B a residue above the import at 10^6+3 and 10^7+19,
-# so ~0.9 GiB RSS at its largest admitted q, 35,714,285 (scaled, not run).
+# the ring (not even its unit-group index) and peaks 18 B a residue above the
+# import at 10^6+3 and 10^7+19, so ~0.6 GiB RSS at its largest admitted q,
+# 35,714,285 (scaled, not run).
 # A trilinear instance runs its window FFT while it holds its ring and
 # prices the two as one sum: its largest admitted modulus is 29,999,970
 # (0.65 GiB), and its largest admitted prime 17,714,701 peaks at 1.4-1.5 GiB.
@@ -342,30 +344,11 @@ class IntervalSet:
 class CyclicFactor:
     """One cyclic factor of the units mod q: `generator` has `order` mod the
     prime power `modulus`.  Its discrete logs are one digit of
-    CharacterTable.log_index; no factor keeps a table of its own."""
+    ResidueRing.log_index; no factor keeps a table of its own."""
 
     modulus: int
     generator: int
     order: int
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """The unit group mod q as a product of cyclic factors.  Its exponent
-    tuples, flattened in C order, index both the lattice points and the
-    characters."""
-
-    q: int
-    factors: tuple[CyclicFactor, ...]
-    orders: tuple[int, ...]
-    char_count: int
-    exponent: int  # lcm of the factor orders (1 for the trivial group)
-    log_index: np.ndarray  # flat exponent-tuple index per residue mod q; -1 off units
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """The exponent-tuple lattice; the trivial group is one point."""
-        return self.orders or (1,)
 
 
 def _primitive_root(p: int, e: int) -> int:
@@ -424,37 +407,36 @@ def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
 
 
 def _lattice_shape(primes: list[tuple[int, int]]) -> tuple[int, ...]:
-    """The unit group's exponent-tuple lattice (CharacterTable.shape) from the
+    """The unit group's exponent-tuple lattice (ResidueRing.shape) from the
     factorization of q alone."""
     return tuple(n for p, e in primes for n in _cyclic_orders(p, e)) or (1,)
 
 
-def _unit_group(q: int, primes: list[tuple[int, int]], units: np.ndarray) -> CharacterTable:
-    """The CRT decomposition of the units mod q and its one index, log_index,
-    which the characters, the lattice and the inverses all read.  Each
-    factor's generator is lifted to the unit that is the generator mod its
-    prime power and 1 mod the rest of q, so the unit at an exponent tuple is
-    the product of the lifted powers: an outer product over the leading
+def _unit_group(q: int, factors, units: np.ndarray) -> np.ndarray:
+    """log_index, the one index of the units mod q as a product of the cyclic
+    factors, which the characters, the lattice and the inverses all read: the
+    flat exponent-tuple index (C order) per residue, -1 off units, read-only.
+    Each factor's generator is lifted to the unit that is the generator mod
+    its prime power and 1 mod the rest of q, so the unit at an exponent tuple
+    is the product of the lifted powers: an outer product over the leading
     factors times the last factor's powers, one _power_blocks block and about
-    2^16 units at a time, each unit written its flat index (C order).
-    Nothing but log_index outlives the call."""
-    factors = [f for p, e in primes for f in _cyclic_factors(p, e)]
-    orders = tuple(f.order for f in factors)
-    char_count = math.prod(orders)
-    if char_count != units.size:
-        raise AssertionError(f"character count {char_count} != phi {units.size}")
+    2^16 units at a time, each unit written its flat index.  Nothing but
+    log_index outlives the call."""
+    orders = [f.order for f in factors]
+    if math.prod(orders) != units.size:
+        raise AssertionError(f"character count {math.prod(orders)} != phi {units.size}")
     lifted = [
         (1 + (f.generator - 1) * (q // f.modulus) * pow(q // f.modulus, -1, f.modulus)) % q
         for f in factors
     ]
     *lead_generators, g = lifted or [1]
-    *lead_orders, n = orders or (1,)
+    *lead_orders, n = orders or [1]
     lead = np.ones(1, dtype=np.int64)  # the units at the leading exponent tuples
     for h, m in zip(lead_generators, lead_orders):
         powers = np.concatenate([block for _, block in _power_blocks(h, m, q)])
         lead = np.multiply.outer(lead, powers).reshape(-1)
         lead %= q
-    rows = np.arange(0, char_count, n)[:, None]  # each leading tuple's first flat index
+    rows = np.arange(0, units.size, n)[:, None]  # each leading tuple's first flat index
     log_index = np.full(q, -1, dtype=np.int64)
     for k, powers in _power_blocks(g, n, q):
         if lead.size == 1:  # one factor: its powers are the units, written directly
@@ -466,21 +448,22 @@ def _unit_group(q: int, primes: list[tuple[int, int]], units: np.ndarray) -> Cha
             block %= q
             log_index[block] = rows[s : s + step] + np.arange(k, k + powers.size)
     log_index.flags.writeable = False
-    return CharacterTable(q, tuple(factors), orders, char_count, math.lcm(*orders), log_index)
+    return log_index
 
 
-def _to_lattice(table: CharacterTable, residues: np.ndarray, values=None) -> np.ndarray:
-    """Lattice array, shaped table.shape, holding at each exponent tuple how
-    many of the residues (in [0, q)) land on it, or with values (aligned with
-    the residues) the sum of their values; non-units are dropped."""
-    flat = table.log_index[residues]
+def _to_lattice(ring: ResidueRing, interval: IntervalSet, values=None) -> np.ndarray:
+    """Lattice array, shaped ring.shape, holding at each exponent tuple how
+    many of the interval's members land on it, or with values (aligned with
+    the members) the sum of their values; non-units are dropped.  The index
+    is read before the members are reduced mod q."""
+    flat = ring.log_index[interval.residues(ring.q)]
     flat += 1  # non-units land in bin 0, cut below
-    size = table.char_count + 1
+    size = ring.phi + 1
     if values is None:
         out = np.bincount(flat, minlength=size)
     else:
         out = np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
-    return out[1:].reshape(table.shape)
+    return out[1:].reshape(ring.shape)
 
 
 def _negated(lattice: np.ndarray) -> np.ndarray:
@@ -493,12 +476,13 @@ class ResidueRing:
     """Precomputed context for arithmetic mod q.
 
     Treated as immutable after construction; safe to share across threads.
-    Compares and hashes by identity.  ``characters`` is the unit group's
-    decomposition, the one every character, lattice and inverse reads;
-    ``inv_table`` and ``eq_pows`` are derived tables, each built on its
-    first read.  The ring also holds, in its ``__dict__`` beside them, the
-    latest trilinear unit window computed on it, so everything derived from
-    q is freed with its ring.
+    Compares and hashes by identity.  ``factors`` is the unit group's
+    decomposition into cyclic factors, and ``shape`` its exponent-tuple
+    lattice; ``log_index``, the one index every character, lattice and
+    inverse reads, and ``inv_table`` and ``eq_pows`` are tables, each built
+    on its first read.  The ring also holds, in its ``__dict__`` beside
+    them, the latest trilinear unit window computed on it, so everything
+    derived from q is freed with its ring.
     """
 
     q: int
@@ -506,18 +490,29 @@ class ResidueRing:
     phi: int
     tau: int
     units: np.ndarray
-    characters: CharacterTable
+    factors: tuple[CyclicFactor, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The exponent-tuple lattice; the trivial group is one point."""
+        return tuple(f.order for f in self.factors) or (1,)
+
+    @functools.cached_property
+    def log_index(self) -> np.ndarray:
+        """The flat exponent-tuple index per residue, -1 off units, built on
+        first read by _unit_group."""
+        return _unit_group(self.q, self.factors, self.units)
 
     @functools.cached_property
     def inv_table(self) -> np.ndarray:
         """inv_table[x] = x^-1 mod q at units, 0 elsewhere, built on first
         read: the inverse of a unit is the unit with the negated exponent
         tuple."""
-        table = self.characters
+        log_index = self.log_index  # built before the arrays below
         unit_at = np.empty_like(self.units)  # the unit at each exponent tuple
-        unit_at[table.log_index[self.units]] = self.units
+        unit_at[log_index[self.units]] = self.units
         inv = np.zeros(self.q, dtype=np.int64)
-        inv[unit_at] = _negated(unit_at.reshape(table.shape)).reshape(-1)
+        inv[unit_at] = _negated(unit_at.reshape(self.shape)).reshape(-1)
         return inv
 
     @functools.cached_property
@@ -558,7 +553,7 @@ def build_ring(q: int) -> ResidueRing:
         phi=units.size,
         tau=math.prod(e + 1 for _, e in primes),
         units=units,
-        characters=_unit_group(q, primes, units),
+        factors=tuple(f for p, e in primes for f in _cyclic_factors(p, e)),
     )
 
 

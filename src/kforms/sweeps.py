@@ -6,21 +6,20 @@ fixed order by one loop, so a sweep's data columns are reproducible byte for
 byte (wall-clock columns excepted).  The loop checks the wall-clock budget
 before each cell: once the budget is spent it stops and marks the result
 truncated, and a sweep that ran every cell is never truncated.  A cell
-already running is not interrupted.  Rings and character tables are built
-inside the first cell that needs them, once per modulus, so a spent budget
-builds none.  Every Lemma 2.1-2.4 cell is one count run by _count_cell, an
-exact count against its reference; a Lemma 2.5 cell is the dyadic average
+already running is not interrupted.  Rings are built inside the first
+cell that needs them, once per modulus, so a spent budget builds none.
+Every Lemma 2.1-2.4 cell is one count run by _count_cell, an exact count
+against its reference; a Lemma 2.5 cell is the dyadic average
 average_reciprocal_sweep reports itself.  A Lemma 2.1 cell counts the
 fourth moment of the character sums as its exact orthogonality twin,
 phi(q) times the multiplicative energy of the interval's units, with no
 character sum; that count is characters._moment_count, which char-moment's
 identity check also reads.  A short interval's energy is tallied over
-residues mod q with no ring or table at all, and only a cell whose lattice
-FFT is the cheaper count builds the character table (and lets its ring
-go).  A Lemma 2.2 cell counts its energy the same way.  The 2.1-2.3
-builders make one memo per modulus as their loop reaches it, of the
-character table (2.1, 2.2) or the ring (2.3): cells run one at a time, so
-the last modulus's table or ring is freed before the next is built.
+residues mod q with no ring at all, and only a cell whose lattice FFT is
+the cheaper count builds the ring and its unit-group index.  A Lemma 2.2
+cell counts its energy the same way.  The 2.1-2.3 builders make one memo
+of the ring per modulus as their loop reaches it: cells run one at a time,
+so the last modulus's ring is freed before the next is built.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import hashlib
 import math
 import time
 
-from .characters import _moment_count, build_characters
+from .characters import _moment_count
 from .counts import (
     _energy_count, average_reciprocal_sweep, reciprocal_count_mod, reciprocal_count_rational,
 )
@@ -236,26 +235,26 @@ def _count_cell(params: dict, count, *args) -> BoundReport:
 
 
 def _lemma_21_cases(grid):
-    # one memo per modulus: the table is built in the first cell that asks
-    # for it, and the table alone is kept
+    # one memo per modulus: the ring is built in the first cell that asks
+    # for it
     for q in grid["qs"]:
-        table = functools.cache(lambda q=q: build_characters(build_ring(q)))
+        ring = functools.cache(functools.partial(build_ring, q))
         for k in grid["ks"]:
             for H in sorted({min(h, q) for h in grid["Hs"] if h >= 1}):
-                count = (_moment_count, q, IntervalSet(k, H), table)
+                count = (_moment_count, q, IntervalSet(k, H), ring)
                 yield functools.partial(_count_cell, {"q": q, "k": k, "H": H}, *count)
 
 
 def _lemma_22_cases(grid):
     for q in grid["qs"]:
-        table = functools.cache(lambda q=q: build_characters(build_ring(q)))
+        ring = functools.cache(functools.partial(build_ring, q))
         pairs = [(s, min(ln, q)) for s, ln in grid["intervals"]]
         for sa, la in pairs:
             for sb, lb in pairs:
                 params = {"q": q, "a_start": sa, "A": la, "b_start": sb, "B": lb}
                 yield functools.partial(
                     _count_cell, params, _energy_count, q,
-                    IntervalSet(sa, la), IntervalSet(sb, lb), table,
+                    IntervalSet(sa, la), IntervalSet(sb, lb), ring,
                 )
 
 

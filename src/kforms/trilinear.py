@@ -8,9 +8,9 @@ of the M and N windows: a three-way convolution on the unit group (Rader's
 reindexing of e_q).  The three operands are conjugate-symmetric, so their
 cas (Hartley) forms Re f + Im f are real, and the package's one lattice
 kernel, ring._lattice_convolution, convolves all three in one call over the
-ring's CRT lattice (ring.characters), read only at l and -l for the units l
-of L: one real transform of each operand, their product and one inverse,
-in O(phi log phi).  On a cyclic unit group the window itself may instead
+ring's CRT lattice (ring.shape, indexed by ring.log_index), read only at l
+and -l for the units l of L: one real transform of each operand, their
+product and one inverse, in O(phi log phi).  On a cyclic unit group the window itself may instead
 have the kernel convolve mu with nu alone and dot that against e_q at the
 reads, where _dots_price says the dots undercut the transform of e_q; the
 kernel knows nothing of the reads.  The window is built once per instance
@@ -240,22 +240,23 @@ def _unit_window(
     held = ring.__dict__.get("_unit_window")
     if held is not None and held[0] == key:
         return held[1]
-    q, table, units = ring.q, ring.characters, ring.units
+    log_index = ring.log_index  # built before any operand is evaluated
+    q, units = ring.q, ring.units
     low = units[2 * units <= q]
 
     def cas(f):
-        lattice = np.empty(table.char_count)  # every unit's slot is written
-        lattice[table.log_index[low]] = f.real + f.imag  # the slots of u
-        lattice[table.log_index[q - low]] = f.real - f.imag  # and of -u
-        return lattice.reshape(table.shape)
+        lattice = np.empty(ring.phi)  # every unit's slot is written
+        lattice[log_index[low]] = f.real + f.imag  # the slots of u
+        lattice[log_index[q - low]] = f.real - f.imag  # and of -u
+        return lattice.reshape(ring.shape)
 
     mu = cas(interval_phase_sum(ring, m_interval, low))
     nu = mu if n_interval == m_interval else cas(interval_phase_sum(ring, n_interval, low))
     residues = l_interval.residues(q)
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
-    at = table.log_index[np.concatenate((ls, q - ls))]
-    operands, shape = (mu, nu, cas(eq_eval(ring, low))), table.shape
+    at = log_index[np.concatenate((ls, q - ls))]
+    operands, shape = (mu, nu, cas(eq_eval(ring, low))), ring.shape
     if len(shape) == 1 and shape[0] % 2 == 0 and _dots_price(operands, shape, at) <= 0:
         r = _dots_at(_lattice_convolution(operands[:2], shape)[0], operands[2], at)
     else:
@@ -374,11 +375,11 @@ def _phase_rows(ring: ResidueRing, sets: list, interval: IntervalSet, lattice: b
     interval's phase sum at x, written at inv(x), or with `lattice` at the
     lattice point of inv(x) (every member a unit): one phase-sum call."""
     xs = np.mod(np.concatenate(sets), ring.q)
-    table, slots = ring.characters, ring.inv_table[xs]
-    rows = np.zeros((len(sets), table.char_count if lattice else ring.q), dtype=np.complex128)
+    slots = ring.inv_table[xs]
+    rows = np.zeros((len(sets), ring.phi if lattice else ring.q), dtype=np.complex128)
     at = np.repeat(np.arange(len(sets)), [x.size for x in sets])
-    rows[at, table.log_index[slots] if lattice else slots] = interval_phase_sum(ring, interval, xs)
-    return rows.reshape((len(sets),) + table.shape) if lattice else rows
+    rows[at, ring.log_index[slots] if lattice else slots] = interval_phase_sum(ring, interval, xs)
+    return rows.reshape((len(sets),) + ring.shape) if lattice else rows
 
 
 def dyadic_decomposition(ring: ResidueRing, m_len: int, n_len: int) -> DyadicDecomposition:
@@ -439,17 +440,17 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     # 2 complex T maps (phi wide) per M-side level; 412-604 B per residue at q ~ 10^6
     check_work((48 + 4 * _level_count(m_len)) * q, "(48 + 4*levels)*q trace words")
 
-    dec = dyadic_decomposition(ring, m_len, n_len)
     # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q, for
     # every N-side level j, in one counts call, largest K first: a J_r over
-    # the budget refuses the trace before any T map is built
-    ks = [min(q, math.floor(math.exp(j) * q / n_len)) for j in range(dec.levels_n + 1)]
+    # the budget refuses the trace before any T map is built.  Its inverses
+    # build the ring's unit-group index before the level sets are held
+    ks = [min(q, math.floor(math.exp(j) * q / n_len)) for j in range(_level_count(n_len) + 1)]
     j_r = _reciprocal_counts(ring, r, ks)[0]
+    dec = dyadic_decomposition(ring, m_len, n_len)
     # T(lam) is a convolution on the unit group: alpha at log l, mu at
     # log inv(x); the weights vanish off units.  A kernel call convolves
     # alpha with a block of rows, row i the mu of level set i
-    table = ring.characters
-    alpha_lat = _to_lattice(table, instance.weights.interval.residues(q), instance.weights.weights)
+    alpha_lat = _to_lattice(ring, instance.weights.interval, instance.weights.weights)
     # T vanishes off the units, so the T maps are the rows of one array read
     # at the units, and a block of U maps' columns of cells is one matrix
     # product with the block read there: values[row of T, column of U]
@@ -457,8 +458,8 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     step = max(1, _FFT_BLOCK // q)  # level sets a block
     for s in range(0, len(t_stack), step):
         rows = _phase_rows(ring, list(dec.q_sets.values())[s : s + step], instance.m_interval, True)
-        rows = _lattice_convolution((alpha_lat, rows), table.shape)[0]  # mu rows to T rows
-        t_stack[s : s + step] = rows.reshape(len(rows), -1)[:, table.log_index[ring.units]]
+        rows = _lattice_convolution((alpha_lat, rows), ring.shape)[0]  # mu rows to T rows
+        t_stack[s : s + step] = rows.reshape(len(rows), -1)[:, ring.log_index[ring.units]]
     del rows  # the last block's, which the U maps need not hold
     first_moments, second_moments = {}, {}
     for (i, sign), t_map in zip(dec.q_sets, t_stack):

@@ -256,6 +256,10 @@ def no_ring(monkeypatch):
         monkeypatch.setattr(module, "build_ring", refuse)
 
 
+def _unit_group_reached(q, *args):
+    raise AssertionError(f"the unit group of {q} was built before the refusal")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         # 4*L*M*N*phi^2 ~ 4.1e9
@@ -314,13 +318,16 @@ class TestUsageErrors:
         ["ksum2", "--q", "10007", "--l", "1", "--m", "1", "--n", "1"],
     ])
     def test_kloosterman_sums_priced_past_the_ring(self, argv, monkeypatch, capsys):
-        # under a 10^5-word budget the ring's 7*q words fit, its sums' do not;
-        # at 30*q words both run
+        # under a 10^5-word budget the ring's 7*q words fit, its sums' do not,
+        # and both are refused before the ring's unit group is built (ring-info
+        # builds none); at 30*q words both run
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**5)
         monkeypatch.setattr(kforms.ring.ResidueRing, "inv_table", None)
         monkeypatch.setattr(kforms.kloosterman, "cyclic_dft", None)
+        monkeypatch.setattr(kforms.ring, "_unit_group", _unit_group_reached)
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
+        assert main(["ring-info", "--q", "10007"]) == 0
         monkeypatch.undo()
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 30 * 10007)
         assert main(argv) == 0
@@ -334,11 +341,13 @@ class TestUsageErrors:
         (["char-moment", "--q", "10007", "--H", "5"], "14*q ring and character-sum"),
     ])
     def test_orthogonality_twins_priced_before_the_count(self, argv, label, monkeypatch, capsys):
-        # under a 10^5-word budget the ring's 7*q words fit, the twins' do not;
-        # at 3*10^5 words both run
+        # under a 10^5-word budget the ring's 7*q words fit, the twins' do not,
+        # and they are refused before the ring's unit group is built; at
+        # 3*10^5 words both run
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**5)
         monkeypatch.setattr(kforms.counts, "_reciprocal_counts", None)
         monkeypatch.setattr(kforms.characters, "_product_energy", None)
+        monkeypatch.setattr(kforms.ring, "_unit_group", _unit_group_reached)
         assert main(argv) == 2
         assert f"dimension too large: {label} words" in capsys.readouterr().err
         monkeypatch.undo()
@@ -423,12 +432,13 @@ class TestUsageErrors:
         assert info.value.code == 2
 
 
-# Run one command in a fresh interpreter and print the largest work it
-# priced through the check_work binding of any kforms module and its
-# ru_maxrss (KiB on Linux) above the import's, in bytes
+# Run one call in a fresh interpreter (by default the command line given as
+# its arguments) and print the call's value, the largest work it priced
+# through the check_work binding of any kforms module and its ru_maxrss (KiB
+# on Linux) above the import's, in bytes
 _PEAK_PROBE = """
 import contextlib, io, resource, sys
-import kforms.cli, kforms.ring
+import kforms, kforms.cli, kforms.ring
 priced, check = [0], kforms.ring.check_work
 def spy(work, label):
     priced[0] = max(priced[0], work)
@@ -438,10 +448,22 @@ for name, module in list(sys.modules.items()):
         module.check_work = spy
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 with contextlib.redirect_stdout(io.StringIO()):
-    code = kforms.cli.main(sys.argv[1:])
+    code = CALL
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(code, priced[0], 1024 * (peak - base))
 """
+
+
+def _peak_probe(argv=(), call="kforms.cli.main(sys.argv[1:])"):
+    """(value, priced words, bytes held above the import) of one call in a
+    fresh interpreter, with one BLAS thread."""
+    src = str(Path(kforms.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _PEAK_PROBE.replace("CALL", call), *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return tuple(map(int, run.stdout.split()))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux reports it")
@@ -459,30 +481,42 @@ class TestPeakRss:
         # at 10^6+3, 90 B against 14 words at 2^20
         (["jr-mod", "--q", "1000003", "--r", "2", "--K", "1000"], 27 * 1000003),
         (["jr-mod", "--q", "1048576", "--r", "2", "--K", "1000"], 14 * 2**20),
-        # char-moment's packed lattice Z_500001 is rough: 96 B a residue
-        # against 14 words; Z_2^18 x Z_2 is not: 34 B under the ring's 7 words
+        # char-moment's packed lattice Z_500001 is rough: 98 B a residue
+        # against 14 words; Z_2^18 x Z_2 is not: 36 B under the ring's 7 words
         (["char-moment", "--q", "1000003", "--H", "1000"], 14 * 1000003),
         (["char-moment", "--q", "1048576", "--H", "1000"], 7 * 2**20),
-        # 27 B a residue against the ring's 7 words
+        # 19 B a residue against the ring's 7 words: ring-info builds no
+        # unit-group index
         (["ring-info", "--q", "1000003"], 7 * 1000003),
-        # 87 B a residue against the lattice FFT's 7 words a padded point
+        # 90 B a residue against the lattice FFT's 7 words a padded point
         # (113 B a residue)
         (["energy", "--q", "1000003", "--A", "0:300000", "--B", "0:300000"], 7 * 2025000),
+        # the same count as a Lemma 2.2 cell, whose memo holds the ring: 91 B
+        (["verify-lemma", "--lemma", "2.2", "--grid", '{"qs":[1000003],"intervals":[[0,300000]]}'],
+         7 * 2025000),
         # 104 B a residue against the ring's 7 words and the window FFT's 7
         # a padded point (226 B a residue)
         (["trilinear", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
           "--weights", "extremal"], 7 * 1000003 + 7 * 3037500),
+        # the same instance as one sweep cell: 103 B
+        (["verify-thm1", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
+          "--weights", "extremal"], 7 * 1000003 + 7 * 3037500),
     ])
     def test_fresh_process_peak_under_its_price(self, argv, priced):
-        src = str(Path(kforms.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv], env=env,
-                             capture_output=True, text=True, timeout=60)
-        code, words, held = map(int, run.stdout.split())
-        q = int(argv[2])
-        assert (code, words) == (0, priced), run.stderr
-        assert held <= 8 * words, f"{held / q:.1f} B a residue over {words / q:.1f} words"
+        code, words, held = _peak_probe(argv)
+        assert (code, words) == (0, priced)
+        assert held <= 8 * words, f"{held} B held over {8 * words} B priced"
+
+    def test_energy_identity_peak_under_its_price(self):
+        # with A != B the sums of A are held through B's transform: 122 B a
+        # residue at 10^6+3 against 16 words (128 B), past one transform's 14
+        # words (112 B); the value is 0 where the call returned
+        call = ("kforms.energy_character_identity(ring := kforms.build_ring(1000003), "
+                "kforms.build_characters(ring), kforms.IntervalSet(0, 1000), "
+                "kforms.IntervalSet(5, 1000)) and 0")
+        code, words, held = _peak_probe(call=call)
+        assert code == 0 and held <= 8 * words, f"{held} B held over {8 * words} B priced"
+        assert words == 16 * 1000003
 
 
 class TestReadme:

@@ -177,8 +177,8 @@ def test_interval_character_sums_match_full_transform(data):
     q = data.draw(MODULI, label="q")
     interval = data.draw(windows(q), label="H")
     table = build_characters(build_ring(q))
-    counts = _to_lattice(table, np.mod(interval.members(), q))
-    full = np.fft.ifftn(counts).reshape(-1) * table.char_count
+    counts = _to_lattice(table, interval)
+    full = np.fft.ifftn(counts).reshape(-1) * table.phi
     sums = interval_character_sums(table, interval)
     assert np.max(np.abs(sums - full)) <= 1e-12 * interval.length
 
@@ -299,7 +299,7 @@ def test_residue_tally_matches_lattice_fft(case):
     assert (ra.size, rb.size) == (_unit_count(a_iv, q, primes), _unit_count(b_iv, q, primes))
     table = build_characters(build_ring(q))
     assert _lattice_shape(primes) == table.shape
-    a, b = (_to_lattice(table, np.mod(iv.members(), q)) for iv in (a_iv, b_iv))
+    a, b = (_to_lattice(table, iv) for iv in (a_iv, b_iv))
     c = np.rint(np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real).astype(np.int64)
     reference = int(np.sum(c * c))
     if ra.size * rb.size > kforms.ring.DEFAULT_WORK_BUDGET:
@@ -352,7 +352,7 @@ def test_intervals_longer_than_q_take_the_lattice_fft(q, data):
     )
     ring = build_ring(q)
     for pair in ((a_iv, a_iv), (a_iv, b_iv)):
-        assert _product_energy(q, *pair, lambda: ring.characters)[1] is not None
+        assert _product_energy(q, *pair, lambda: ring)[1] is not None
 
 
 @SETTINGS
@@ -370,7 +370,7 @@ def test_energy_route_follows_the_member_pair_price(q, same, data):
     b_iv = a_iv if same else b_iv
     units = [sum(math.gcd(x, q) == 1 for x in iv.members().tolist()) for iv in (a_iv, b_iv)]
     ring, asked = build_ring(q), []
-    residual = _product_energy(q, a_iv, b_iv, lambda: asked.append(q) or ring.characters)[1]
+    residual = _product_energy(q, a_iv, b_iv, lambda: asked.append(q) or ring)[1]
     tallied = _PAIR_COST * units[0] * units[1] <= _fft_plan(_lattice_shape(factorize(q)))[2]
     assert (not asked) == tallied
     if tallied:

@@ -301,33 +301,28 @@ class TestSweepControls:
         assert built == qs
 
     def test_moment_grid_lets_each_ring_go(self, monkeypatch):
-        # the cells at H = q take the lattice FFT and keep only the character
-        # table, not the ring; the short cells tally residues and build neither
-        rings, counted, tabled = [], [], []
+        # the short cells tally residues and build no ring; the cells at H = q
+        # take the lattice FFT on their modulus's ring, which is freed before
+        # the next modulus's first cell is counted
+        rings, counted, asked = [], [], []
         build, count = kforms.sweeps.build_ring, kforms.characters._product_energy
 
         def tracked(q):
             ring = build(q)
-            rings.append(weakref.ref(ring))
+            rings.append((q, weakref.ref(ring)))
             return ring
 
-        def released(q, a_interval, b_interval, table):
-            def checked():
-                out = table()
-                assert all(ref() is None for ref in rings)
-                tabled.append(q)
-                return out
-
-            assert all(ref() is None for ref in rings)
+        def released(q, a_interval, b_interval, ring):
+            assert all(ref() is None for p, ref in rings if p != q)
             counted.append(q)
-            return count(q, a_interval, b_interval, checked)
+            return count(q, a_interval, b_interval, lambda: asked.append(q) or ring())
 
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
         monkeypatch.setattr(kforms.characters, "_product_energy", released)
         result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 103]})
-        assert len(rings) == 2 and len(result.reports) == 4
+        assert [p for p, _ in rings] == [101, 103] and len(result.reports) == 4
         assert counted == [101, 101, 103, 103]
-        assert tabled == [101, 103]
+        assert asked == [101, 103]
 
     @pytest.mark.parametrize("lemma, grid", [
         ("2.1", {"qs": [1009, 1013], "ks": [0], "Hs": [5, 1013]}),
@@ -335,27 +330,21 @@ class TestSweepControls:
         ("2.3", {"qs": [1009, 1013], "Ks": [5, 20]}),
     ])
     def test_lemma_grids_hold_one_modulus_at_a_time(self, lemma, grid, monkeypatch):
-        # each builder makes one memo per modulus, so the last modulus's ring
-        # and character table are freed before the next ring is built
+        # each builder makes one memo of the ring per modulus, so the last
+        # modulus's ring is freed before the next ring is built
         refs = []
-        build, characters = kforms.sweeps.build_ring, kforms.sweeps.build_characters
+        build = kforms.sweeps.build_ring
 
         def tracked(q):
             gc.collect()
-            assert all(ref() is None for ref in refs), f"a ring or table is alive at q = {q}"
+            assert all(ref() is None for ref in refs), f"a ring is alive at q = {q}"
             ring = build(q)
             refs.append(weakref.ref(ring))
             return ring
 
-        def tracked_table(ring):
-            table = characters(ring)
-            refs.append(weakref.ref(table))
-            return table
-
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
-        monkeypatch.setattr(kforms.sweeps, "build_characters", tracked_table)
         verify_lemma_sweeps(lemma, grid)
-        assert len(refs) == (2 if lemma == "2.3" else 4)
+        assert len(refs) == 2
 
     def test_tally_side_moment_cells_build_no_ring(self, monkeypatch):
         # pairs of unit residues under the padded lattice FFT's price: counted

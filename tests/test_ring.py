@@ -66,7 +66,7 @@ class TestBuildRing:
         # each unit's digits, read off the flat index in C order, rebuild it
         # mod every prime power from its factors' generators; non-units read -1
         ring = build_ring(q)
-        table = ring.characters
+        table = ring
         assert table.log_index.dtype == np.int64
         assert not table.log_index.flags.writeable
         assert np.all(table.log_index[~ring.unit_mask] == -1)
@@ -80,12 +80,27 @@ class TestBuildRing:
         for pe, units_mod_pe in rebuilt.items():
             assert np.array_equal(units_mod_pe, ring.units % pe), (q, pe)
 
+    def test_unit_group_built_on_first_read_once(self, monkeypatch):
+        # build_ring keeps the factors alone; the first read of log_index
+        # (directly or through inv_table) builds it, once per ring
+        built, build = [], kforms.ring._unit_group
+        monkeypatch.setattr(
+            kforms.ring, "_unit_group", lambda q, *a: built.append(q) or build(q, *a)
+        )
+        ring = build_ring(360)
+        assert built == [] and ring.shape == (2, 2, 6, 4)
+        assert ring.inv_table[7] == 103 and ring.log_index is ring.log_index
+        assert built == [360]
+        assert build_ring(360).log_index is not ring.log_index and built == [360, 360]
+
     @staticmethod
     def build_peak(q):
-        """build_ring(q) and its tracemalloc peak in bytes."""
+        """build_ring(q) with its unit-group index read, and the tracemalloc
+        peak in bytes."""
         tracemalloc.start()
         try:
             ring = build_ring(q)
+            ring.log_index  # built on this first read
             return ring, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -120,7 +135,7 @@ class TestBuildRing:
         # powers stepped one multiplication at a time mod q: on a cyclic group
         # g^k -> k, with g lifted to an odd unit mod 2*5^7; mod 2^e, 5^t -> t
         # and -5^t -> the flat index of the tuple (1, t)
-        table = build_ring(q).characters
+        table = build_ring(q)
         last = table.factors[-1]
         base, order = last.generator, last.order
         if q == 2 * last.modulus and base % 2 == 0:
@@ -364,7 +379,7 @@ class TestIntervalPhaseSum:
         q = MAX_MODULUS
         empty = np.empty(0, dtype=np.int64)
         big = ResidueRing(q=q, unit_mask=empty, phi=0, tau=0, units=empty,
-                          characters=None)  # interval_phase_sum reads only q
+                          factors=())  # interval_phase_sum reads only q
         interval = IntervalSet(q - 7, 5)  # members -6..-2 mod q
         for x in (1, 2, q - 1, q // 2 + 3, 10**30 + 1):
             direct = sum(np.exp(2j * np.pi * ((m * x) % q) / q) for m in range(-6, -1))
@@ -556,7 +571,7 @@ class TestBatchedKernel:
         # the proof trace's T-map call at q = 2503: alpha and a block of 10
         # level sets' rows; the supports are one count_nonzero an operand,
         # not one a row and operand
-        shape = build_ring(2503).characters.shape
+        shape = build_ring(2503).shape
         rng = np.random.default_rng(7)
         alpha = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows = rng.standard_normal((10,) + shape) * (rng.random((10,) + shape) < 0.3)
