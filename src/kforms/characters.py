@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from .counts import CountReport, _count_report, _product_energy
-from .ring import (IntervalSet, ResidueRing, _fft_plan, _negated, _to_lattice, check_work,
-                   euler_phi)
+from .ring import IntervalSet, ResidueRing, _fft_plan, _negated, _to_lattice, check_work
 
 
 def build_characters(ring: ResidueRing) -> ResidueRing:
@@ -121,15 +120,13 @@ def fourth_moment_reference(q: int, phi: int, H: int) -> float:
     return phi * (H * H * (1 + math.log(H)) + H**4 / q)
 
 
-def _moment_count(q: int, interval: IntervalSet, ring) -> CountReport:
+def _moment_count(ring: ResidueRing, interval: IntervalSet) -> CountReport:
     """sum_chi |sum_{x in I} chi(x)|^4 read off its orthogonality twin
     phi(q) * #{x1*x2 = x3*x4 mod q: x_i units of I}, an exact count
     (fourth_moment computes the same from the character sums), against
-    fourth_moment_reference.  ring() gives q's ring, asked for only when
-    the lattice FFT undercuts the residue tally."""
-    phi = euler_phi(q)
-    energy, _ = _product_energy(q, interval, interval, ring)
-    return _count_report(phi * energy, fourth_moment_reference(q, phi, interval.length))
+    fourth_moment_reference.  A tallied energy reads no table of the ring."""
+    energy, phi = _product_energy(ring, interval, interval)[0], ring.phi
+    return _count_report(phi * energy, fourth_moment_reference(ring.q, phi, interval.length))
 
 
 def moment_identity_check(ring: ResidueRing, interval: IntervalSet) -> tuple[float, float]:
@@ -139,7 +136,7 @@ def moment_identity_check(ring: ResidueRing, interval: IntervalSet) -> tuple[flo
     with x1*x2 = x3*x4 mod q}); the two agree up to floating-point error.
     """
     moment = fourth_moment(ring, interval)
-    return moment, float(_moment_count(ring.q, interval, lambda: ring).value)
+    return moment, float(_moment_count(ring, interval).value)
 
 
 def energy_character_identity(

@@ -20,11 +20,7 @@ import sys
 import time
 
 from .characters import fourth_moment_reference, moment_identity_check
-from .counts import (
-    _energy_count,
-    reciprocal_count_rational,
-    reciprocal_moment_identity,
-)
+from .counts import multiplicative_energy, reciprocal_count_rational, reciprocal_moment_identity
 from .kloosterman import double_fast, double_naive, single_sum, weil_reference
 from .reports import SweepResult, emit_report, make_report
 from .ring import IntervalSet, build_ring, check_work, euler_phi, mod_inverse
@@ -56,11 +52,12 @@ def _one_report(t0: float, params: dict, measured: float, reference: float) -> S
 
 def cmd_ring_info(args, t0: float) -> None:
     ring = build_ring(args.q)
+    units = ring.units  # its first read prices the ring, before anything is printed
     print(f"q = {ring.q}")
     print(f"phi(q) = {ring.phi}")
     print(f"tau(q) = {ring.tau}")
     print(f"units = {ring.phi} residues; smallest nontrivial unit inverse pairs:")
-    for u in ring.units[ring.units > 1][:5]:
+    for u in units[1:6]:  # units[0] is 1
         print(f"  inv({int(u)}) = {mod_inverse(ring, u)}")
 
 
@@ -74,9 +71,9 @@ def cmd_ksum(args, t0: float) -> SweepResult:
 
 
 def cmd_ksum2(args, t0: float) -> SweepResult:
-    if args.naive:
-        check_work(4 * euler_phi(args.q) ** 2, "4*phi^2 double_naive words")  # 32 B a pair
     ring = build_ring(args.q)
+    if args.naive:
+        check_work(4 * ring.phi**2, "4*phi^2 double_naive words")  # 32 B a pair
     fn = double_naive if args.naive else double_fast
     value = fn(ring, args.l, args.m, args.n)
     print(f"K_{args.q}({args.l},{args.m},{args.n}) = {_fmt(value)}")
@@ -105,7 +102,7 @@ def cmd_trilinear(args, t0: float) -> SweepResult:
 def cmd_energy(args, t0: float) -> SweepResult:
     a_int = resolve_interval(args.A, args.q)
     b_int = resolve_interval(args.B, args.q)
-    count = _energy_count(args.q, a_int, b_int, lambda: build_ring(args.q))
+    count = multiplicative_energy(build_ring(args.q), a_int, b_int)
     print(f"E(A,B) = {count.value}   reference = {_fmt(count.bound_value)}   "
           f"ratio = {_fmt(count.ratio)}")
     params = {"q": args.q, "a_start": a_int.start, "A": a_int.length,

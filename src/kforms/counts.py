@@ -18,7 +18,7 @@ of one, that fails it is recounted by the tally.  The
 product energy is priced by the same rule, over the pairs of the
 intervals' unit members, before anything of size q exists: where the
 tally is cheaper it counts the products mod q
-in q int32 bins or by sorting, with no ring or discrete log, so a short
+in q int32 bins or by sorting, reading no table of the ring, so a short
 interval is counted at any q up to MAX_MODULUS.  In the bins, a unit
 times the consecutive members of an interval is an arithmetic
 progression mod q: a row that wraps past q only a few times is added by
@@ -56,16 +56,13 @@ from .ring import (
     _FFT_BLOCK,
     _TALLY_CHUNK,
     _certified,
-    _check_modulus,
     _fft_plan,
     _lattice_convolution,
-    _lattice_shape,
     _lattice_tally,
     _reduce,
     _smooth_length,
     _to_lattice,
     check_work,
-    factorize,
 )
 
 
@@ -184,42 +181,31 @@ def _product_counts(ra, rb, q: int, b_interval=None, primes=()) -> np.ndarray:
 
 
 def _product_energy(
-    q: int, a_interval: IntervalSet, b_interval: IntervalSet, ring
+    ring: ResidueRing, a_interval: IntervalSet, b_interval: IntervalSet
 ) -> tuple[int, float | None]:
     """#{(a1, a2, b1, b2) units of the intervals: a1*b1 = a2*b2 mod q}, with
     the convolution's residual (None when tallied).  Priced by the lattice
-    kernel's rule before anything of size q is built: _PAIR_COST per pair of
-    the intervals' unit members against the padded FFT of the unit-group
-    lattice, shaped from q's factorization.  The tally counts the members'
-    products mod q by _product_counts, in q bins (walking each row's
-    progression over b_interval where that is cheaper, and each pair once
-    when the intervals are equal) or by sorting; the FFT convolves the
-    intervals' counts on the unit-group lattice of ring(), q's ring, where a
-    product of units adds exponent tuples."""
-    _check_modulus(q)
-    primes = factorize(q)
+    kernel's rule before any table of the ring is read: _PAIR_COST per pair
+    of the intervals' unit members against the padded FFT of ring.shape.
+    The tally counts the members' products mod q by _product_counts, in q
+    bins (walking each row's progression over b_interval where that is
+    cheaper, and each pair once when the intervals are equal) or by
+    sorting, from q's primes alone; the FFT convolves the intervals' counts
+    on the unit-group lattice, where a product of units adds exponent
+    tuples."""
+    q, primes = ring.q, ring.primes
     pairs = _unit_count(a_interval, q, primes) * _unit_count(b_interval, q, primes)
-    if pairs * _PAIR_COST <= _fft_plan(_lattice_shape(primes))[2]:
+    if pairs * _PAIR_COST <= _fft_plan(ring.shape)[2]:
         ra = _unit_members(a_interval, q, primes)
         rb = ra if b_interval == a_interval else _unit_members(b_interval, q, primes)
         return _sum_of_squares(_product_counts(ra, rb, q, b_interval, primes)), None
     # each interval's residues and their int64 gather onto the lattice, one
     # interval at a time: 16.4-16.8 B a member measured
     check_work(3 * max(a_interval.length, b_interval.length), "3*length lattice member words")
-    ring = ring()
     a = _to_lattice(ring, a_interval)
     b = a if b_interval == a_interval else _to_lattice(ring, b_interval)
     counts, residual = _lattice_convolution((a, b), ring.shape)
     return _sum_of_squares(counts), residual
-
-
-def _energy_count(q: int, a_interval: IntervalSet, b_interval: IntervalSet, ring) -> CountReport:
-    """_product_energy against A^2 B^2 / q + A B; ring() gives q's ring,
-    asked for only when the lattice FFT is the cheaper count, so a tallied
-    energy builds no ring."""
-    value, residual = _product_energy(q, a_interval, b_interval, ring)
-    la, lb = a_interval.length, b_interval.length
-    return _count_report(value, la * la * lb * lb / q + la * lb, residual)
 
 
 def multiplicative_energy(
@@ -230,9 +216,11 @@ def multiplicative_energy(
     Sums the squared multiplicities of the products a*b mod q over unit
     pairs, by a residue tally or one exact convolution on the unit-group
     lattice, whichever _product_energy prices lower; reference is
-    A^2 B^2 / q + A B.
+    A^2 B^2 / q + A B.  A tallied energy reads no table of the ring.
     """
-    return _energy_count(ring.q, a_interval, b_interval, lambda: ring)
+    value, residual = _product_energy(ring, a_interval, b_interval)
+    la, lb = a_interval.length, b_interval.length
+    return _count_report(value, la * la * lb * lb / ring.q + la * lb, residual)
 
 
 def _j_bound(ring: ResidueRing, r: int, K: int) -> float | None:

@@ -13,15 +13,18 @@ and the rows in blocks of _FFT_BLOCK padded points, the one row-block size
 of every batched FFT.  The kernel only convolves: each caller picks its own
 route around it (the trilinear window, for one, its dot products).
 
-build_ring splits the unit group once, by CRT, into cyclic factors (a
-primitive root per odd p^e; <-1> and <5> for the 2-adic part), so a unit is
-an exponent tuple, flattened to one mixed-radix index (C order).  That index,
-ring.log_index, is the ring's only discrete-log table, written on its first
-read from the factors' generators lifted mod q: it gives the characters, the
-lattice that _to_lattice maps residues onto (and a gather through it maps
-back), and the inverses (negated tuples), which ring.inv_table reads off on
-its first read.  A reader that holds q-sized arrays of its own reads the
-index before it builds them, so that the index is never written beside them.
+build_ring factorizes q and splits the unit group, by CRT, into cyclic
+factors (a primitive root per odd p^e; <-1> and <5> for the 2-adic part), and
+allocates nothing of size q: every q-long table is written on its first read,
+the unit mask first, whose read prices the ring's 7*q words, so any kernel
+that prices its own work refuses before a table exists.  A unit is an
+exponent tuple, flattened to one mixed-radix index (C order).  That index,
+ring.log_index, is the ring's only discrete-log table, written from the
+factors' generators lifted mod q: it gives the characters, the lattice that
+_to_lattice maps residues onto (and a gather through it maps back), and the
+inverses (negated tuples), which ring.inv_table reads off.  A reader that
+holds q-sized arrays of its own reads the index before it builds them, so
+that the index is never written beside them.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -46,10 +49,9 @@ MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 # peak in 8-byte words (per residue, pair, state or point, measured and
 # rounded up) or the elements its loops touch, before it allocates.  2.5*10^8
 # words are 1.9 GiB: on an 8 GB machine the largest admitted ksum2 --naive and
-# proof-trace peak at 1.7-2.1 GiB RSS.  ring-info reads no q-long table past
-# the ring (not even its unit-group index) and peaks 18 B a residue above the
-# import at 10^6+3 and 10^7+19, so ~0.6 GiB RSS at its largest admitted q,
-# 35,714,285 (scaled, not run).
+# proof-trace peak at 1.7-2.1 GiB RSS.  ring-info reads the unit mask and the
+# units alone and peaks 8 B a residue above the import at 10^7+19, so ~0.3
+# GiB RSS at its largest admitted q, 35,714,285 (scaled, not run).
 # A trilinear instance runs its window FFT while it holds its ring and
 # prices the two as one sum: its largest admitted modulus is 29,999,970
 # (0.65 GiB), and its largest admitted prime 17,714,701 peaks at 1.4-1.5 GiB.
@@ -387,29 +389,16 @@ def _power_blocks(g: int, order: int, modulus: int):
         yield i * step, block
 
 
-def _cyclic_orders(p: int, e: int) -> list[int]:
-    """The orders of the cyclic factors of the units mod p^e: p^(e-1)*(p-1)
-    for odd p; 2 and 2^(e-2) for 2^e (none for 2, the second only when
-    e >= 3)."""
-    if p != 2:
-        return [p ** (e - 1) * (p - 1)]
-    return [2, 2 ** (e - 2)][: min(e - 1, 2)]
-
-
 def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
     """The unit group mod p^e as cyclic factors, generators and orders only
-    (the logs are written once, into log_index): one generated by a
-    primitive root for odd p; <-1> for 4 | p^e and also <5> for 8 | p^e
-    (units mod 2^e are (-1)^s * 5^t, uniquely)."""
+    (the logs are written once, into log_index): one of order p^(e-1)*(p-1)
+    generated by a primitive root for odd p; <-1> of order 2 for 4 | p^e and
+    also <5> of order 2^(e-2) for 8 | p^e (units mod 2^e are (-1)^s * 5^t,
+    uniquely; none for 2)."""
     pe = p**e
-    generators = [_primitive_root(p, e)] if p != 2 else [pe - 1, 5]
-    return [CyclicFactor(pe, g, n) for g, n in zip(generators, _cyclic_orders(p, e))]
-
-
-def _lattice_shape(primes: list[tuple[int, int]]) -> tuple[int, ...]:
-    """The unit group's exponent-tuple lattice (ResidueRing.shape) from the
-    factorization of q alone."""
-    return tuple(n for p, e in primes for n in _cyclic_orders(p, e)) or (1,)
+    if p != 2:
+        return [CyclicFactor(pe, _primitive_root(p, e), pe // p * (p - 1))]
+    return [CyclicFactor(pe, g, n) for g, n in zip([pe - 1, 5], [2, pe // 4][: e - 1])]
 
 
 def _unit_group(q: int, factors, units: np.ndarray) -> np.ndarray:
@@ -473,29 +462,50 @@ def _negated(lattice: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ResidueRing:
-    """Precomputed context for arithmetic mod q.
+    """Arithmetic context for Z_q: q, its factorization ``primes`` and the
+    unit group's decomposition into cyclic factors, ``factors``; ``phi``,
+    ``tau`` and the exponent-tuple lattice ``shape`` are read off them.
 
     Treated as immutable after construction; safe to share across threads.
-    Compares and hashes by identity.  ``factors`` is the unit group's
-    decomposition into cyclic factors, and ``shape`` its exponent-tuple
-    lattice; ``log_index``, the one index every character, lattice and
-    inverse reads, and ``inv_table`` and ``eq_pows`` are tables, each built
-    on its first read.  The ring also holds, in its ``__dict__`` beside
-    them, the latest trilinear unit window computed on it, so everything
-    derived from q is freed with its ring.
+    Compares and hashes by identity.  Every q-long table is built on its
+    first read: ``unit_mask`` (whose read prices the ring's 7*q words),
+    ``units``, ``log_index``, the one index every character, lattice and
+    inverse reads, ``inv_table`` and ``eq_pows``.  The ring also holds, in
+    its ``__dict__`` beside them, the latest trilinear unit window computed
+    on it, so everything derived from q is freed with its ring.
     """
 
     q: int
-    unit_mask: np.ndarray
-    phi: int
-    tau: int
-    units: np.ndarray
+    primes: tuple[tuple[int, int], ...]
     factors: tuple[CyclicFactor, ...]
+
+    @property
+    def phi(self) -> int:
+        return math.prod(p ** (e - 1) * (p - 1) for p, e in self.primes)
+
+    @property
+    def tau(self) -> int:
+        return math.prod(e + 1 for _, e in self.primes)
 
     @property
     def shape(self) -> tuple[int, ...]:
         """The exponent-tuple lattice; the trivial group is one point."""
         return tuple(f.order for f in self.factors) or (1,)
+
+    @functools.cached_property
+    def unit_mask(self) -> np.ndarray:
+        """unit_mask[x] = gcd(x, q) == 1, built on first read, once the
+        ring's 7*q words fit the work budget."""
+        check_work(7 * self.q, "7*q ring words")  # 23-50 B per residue, inv_table included
+        mask = np.ones(self.q, dtype=bool)
+        for p, _ in self.primes:
+            mask[::p] = False
+        return mask
+
+    @functools.cached_property
+    def units(self) -> np.ndarray:
+        """The units in increasing order, as int64, built on first read."""
+        return np.flatnonzero(self.unit_mask).astype(np.int64, copy=False)
 
     @functools.cached_property
     def log_index(self) -> np.ndarray:
@@ -531,39 +541,20 @@ def _check_modulus(q: int) -> None:
         )
 
 
-def _ring_primes(q: int) -> list[tuple[int, int]]:
-    """The factorization of q, once _check_modulus passes and the ring's 7*q
-    words fit the work budget: build_ring's checks, made before any
-    allocation and before q is factorized."""
-    _check_modulus(q)
-    check_work(7 * q, "7*q ring words")  # 23-50 B per residue, inv_table included
-    return factorize(q)
-
-
 def build_ring(q: int) -> ResidueRing:
-    """Build the full arithmetic context for Z_q, once _ring_primes admits q."""
-    primes = _ring_primes(q)
-    unit_mask = np.ones(q, dtype=bool)
-    for p, _ in primes:
-        unit_mask[::p] = False
-    units = np.flatnonzero(unit_mask).astype(np.int64, copy=False)
-    return ResidueRing(
-        q=q,
-        unit_mask=unit_mask,
-        phi=units.size,
-        tau=math.prod(e + 1 for _, e in primes),
-        units=units,
-        factors=tuple(f for p, e in primes for f in _cyclic_factors(p, e)),
-    )
+    """The arithmetic context for Z_q, for any 2 <= q <= MAX_MODULUS: q's
+    factorization and cyclic factors, with no table of size q."""
+    _check_modulus(q)
+    primes = tuple(factorize(q))
+    factors = tuple(f for p, e in primes for f in _cyclic_factors(p, e))
+    return ResidueRing(q=q, primes=primes, factors=factors)
 
 
 def mod_inverse(ring: ResidueRing, x: int) -> int:
     """Multiplicative inverse of x mod q; raises NotAUnitError off units."""
     r = int(x) % ring.q
-    if not ring.unit_mask[r]:
-        raise NotAUnitError(
-            f"{x} is not a unit modulo {ring.q} (gcd = {math.gcd(r, ring.q)})"
-        )
+    if (g := math.gcd(r, ring.q)) != 1:
+        raise NotAUnitError(f"{x} is not a unit modulo {ring.q} (gcd = {g})")
     return pow(r, -1, ring.q)
 
 

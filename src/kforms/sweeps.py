@@ -6,8 +6,8 @@ fixed order by one loop, so a sweep's data columns are reproducible byte for
 byte (wall-clock columns excepted).  The loop checks the wall-clock budget
 before each cell: once the budget is spent it stops and marks the result
 truncated, and a sweep that ran every cell is never truncated.  A cell
-already running is not interrupted.  Rings are built inside the first
-cell that needs them, once per modulus, so a spent budget builds none.
+already running is not interrupted.  A ring holds no q-long table until
+a cell reads one, so a spent budget builds none.
 Every Lemma 2.1-2.4 cell is one count run by _count_cell, an exact count
 against its reference; a Lemma 2.5 cell is the dyadic average
 average_reciprocal_sweep reports itself.  A Lemma 2.1 cell counts the
@@ -15,11 +15,12 @@ fourth moment of the character sums as its exact orthogonality twin,
 phi(q) times the multiplicative energy of the interval's units, with no
 character sum; that count is characters._moment_count, which char-moment's
 identity check also reads.  A short interval's energy is tallied over
-residues mod q with no ring at all, and only a cell whose lattice FFT is
-the cheaper count builds the ring and its unit-group index.  A Lemma 2.2
-cell counts its energy the same way.  The 2.1-2.3 builders make one memo
-of the ring per modulus as their loop reaches it: cells run one at a time,
-so the last modulus's ring is freed before the next is built.
+residues mod q from q's primes alone, and only a cell whose lattice FFT is
+the cheaper count builds the ring's unit-group index.  A Lemma 2.2 cell
+counts its energy the same way.  The 2.1-2.3 builders build one ring per
+modulus as their loop reaches it: cells run one at a time, so the last
+modulus's ring and its tables are freed before the next modulus's cells
+read any.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ import time
 
 from .characters import _moment_count
 from .counts import (
-    _energy_count, average_reciprocal_sweep, reciprocal_count_mod, reciprocal_count_rational,
+    average_reciprocal_sweep, multiplicative_energy, reciprocal_count_mod,
+    reciprocal_count_rational,
 )
 from .reports import BoundReport, SweepResult, fit_exponent, make_report
-from .ring import (
-    IntervalSet, _fft_plan, _lattice_shape, _ring_primes, build_ring, check_work, is_prime,
-)
+from .ring import IntervalSet, _fft_plan, build_ring, check_work, is_prime
 from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
 
 DEFAULT_GRIDS = {
@@ -138,14 +138,14 @@ def build_instance(
     their specs, the ring, and weights seeded by stable_seed(seed, q).  The
     window's lattice FFT, one chain of its three operands (a rough axis
     padded to >= 3n) at 7 words a point as the kernel prices it, runs while
-    the ring is held, so the two are priced as one sum from q's
-    factorization and refused before the ring is built.  The window lives on
+    the ring's tables are held, so the two are priced as one sum from
+    ring.shape and refused before any table is built.  The window lives on
     its ring, so a sweep, which drops each instance before it builds the
     next, holds one ring and one window at a time."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
-    size = _fft_plan(_lattice_shape(_ring_primes(q)), 3)[0]
-    check_work(7 * q + 7 * math.prod(size), "7*q ring + 7*points FFT words")
     ring = build_ring(q)
+    size = _fft_plan(ring.shape, 3)[0]
+    check_work(7 * q + 7 * math.prod(size), "7*q ring + 7*points FFT words")
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int
     )
@@ -235,37 +235,33 @@ def _count_cell(params: dict, count, *args) -> BoundReport:
 
 
 def _lemma_21_cases(grid):
-    # one memo per modulus: the ring is built in the first cell that asks
-    # for it
     for q in grid["qs"]:
-        ring = functools.cache(functools.partial(build_ring, q))
+        ring = build_ring(q)
         for k in grid["ks"]:
             for H in sorted({min(h, q) for h in grid["Hs"] if h >= 1}):
-                count = (_moment_count, q, IntervalSet(k, H), ring)
+                count = (_moment_count, ring, IntervalSet(k, H))
                 yield functools.partial(_count_cell, {"q": q, "k": k, "H": H}, *count)
 
 
 def _lemma_22_cases(grid):
     for q in grid["qs"]:
-        ring = functools.cache(functools.partial(build_ring, q))
+        ring = build_ring(q)
         pairs = [(s, min(ln, q)) for s, ln in grid["intervals"]]
         for sa, la in pairs:
             for sb, lb in pairs:
                 params = {"q": q, "a_start": sa, "A": la, "b_start": sb, "B": lb}
                 yield functools.partial(
-                    _count_cell, params, _energy_count, q,
-                    IntervalSet(sa, la), IntervalSet(sb, lb), ring,
+                    _count_cell, params, multiplicative_energy, ring,
+                    IntervalSet(sa, la), IntervalSet(sb, lb),
                 )
 
 
 def _lemma_23_cases(grid):
     for q in grid["qs"]:
-        ring = functools.cache(functools.partial(build_ring, q))
+        ring = build_ring(q)
         for K in sorted({min(k, q) for k in grid["Ks"] if k >= 1}):
             params = {"q": q, "r": 2, "K": K}
-            yield functools.partial(
-                _count_cell, params, lambda ring=ring, K=K: reciprocal_count_mod(ring(), 2, K)
-            )
+            yield functools.partial(_count_cell, params, reciprocal_count_mod, ring, 2, K)
 
 
 def _lemma_24_cases(grid):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kforms import IntervalSet
+from kforms import IntervalSet, ResidueRing
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -12,6 +12,17 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture(scope="session")
 def locked():
     return json.loads((FIXTURES / "locked_constants.json").read_text())
+
+
+@pytest.fixture
+def no_table(monkeypatch):
+    """Fail the test if a ring builds a q-long table: every table but
+    eq_pows is built from the unit mask."""
+    def refuse(ring):
+        raise AssertionError(f"a q-long table of the ring mod {ring.q} was built")
+
+    for name in ("unit_mask", "eq_pows"):
+        monkeypatch.setattr(ResidueRing, name, property(refuse))
 
 
 def random_interval(rng: np.random.Generator, q: int, max_len: int | None = None) -> IntervalSet:

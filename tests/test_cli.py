@@ -246,16 +246,6 @@ class TestVerifyCommands:
         assert f"missing or malformed {keys}" in capsys.readouterr().err
 
 
-@pytest.fixture
-def no_ring(monkeypatch):
-    """Fail the test if a command gets as far as building a ring."""
-    def refuse(q):
-        raise AssertionError(f"build_ring({q}) reached")
-
-    for module in (kforms.cli, kforms.sweeps):
-        monkeypatch.setattr(module, "build_ring", refuse)
-
-
 def _unit_group_reached(q, *args):
     raise AssertionError(f"the unit group of {q} was built before the refusal")
 
@@ -273,13 +263,13 @@ class TestUsageErrors:
         # (10^6 + 1)*(5*1000 + 4*10^6) ~ 4.0e12: 10^6 + 1 moduli, 4*10^6 FFT points each
         ["verify-lemma", "--lemma", "2.5", "--grid", '{"r":2,"Qs":[1000000],"Ks":[1000]}'],
     ])
-    def test_oversized_work_refused_up_front(self, argv, no_ring, capsys):
+    def test_oversized_work_refused_up_front(self, argv, no_table, capsys):
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, module, name", [
-        # 7*q ring words ~ 3.5e9, refused before the modulus is factorized
-        (["ring-info", "--q", "499999993"], kforms.ring, "factorize"),
+        # 7*q ring words ~ 3.5e9, refused before the unit mask is allocated
+        (["ring-info", "--q", "499999993"], kforms.ring.np, "ones"),
         # (48 + 4*8)*q trace words ~ 8.0e8, refused before the level sets
         (["proof-trace", "--q", "10000019", "--L", "0:10", "--M", "0:3162", "--N", "0:3162"],
          kforms.trilinear, "dyadic_decomposition"),
@@ -292,11 +282,11 @@ class TestUsageErrors:
         (["trilinear", "--q", "35714279", "--L", "0:5", "--M", "0:5", "--N", "0:5"],
          kforms.ring, "_unit_group"),
         # 7*q ring words ~ 2.1e8 and 7*points window FFT words ~ 2.1e8 each
-        # fit, but their sum ~ 4.2e8 does not: refused before the ring
+        # fit, but their sum ~ 4.2e8 does not: refused before the unit mask
         (["verify-thm1", "--q", "30000001", "--weights", "extremal"],
-         kforms.sweeps, "build_ring"),
-        # ~4*10^16 unit pairs price the energy onto the lattice, whose 7*q
-        # ring words ~ 1.4e10 are refused before any unit member is built
+         kforms.ring.ResidueRing, "unit_mask"),
+        # ~4*10^16 unit pairs price the energy onto the lattice, whose
+        # 3*length member words ~ 6.0e8 are refused before any unit member
         (["energy", "--q", "2000000011", "--A", "0:200000000", "--B", "0:200000000"],
          kforms.counts, "_unit_members"),
         # 2*10^8 pairs take the tally, whose 3*length member words ~ 3.0e8
@@ -365,15 +355,14 @@ class TestUsageErrors:
             assert f"dimension too large: 27*q ring and transform words = {27 * q}" in (
                 capsys.readouterr().err)
 
-    def test_energy_lattice_members_priced_before_the_ring(self, monkeypatch, capsys):
+    def test_energy_lattice_members_priced_before_the_ring(self, no_table, monkeypatch, capsys):
         # 4*10^5 x 10 unit pairs price the energy onto the lattice at q = 10007.
         # Its residues and their int64 gather hold 3 words a member there, so
-        # 1.2*10^6 words are refused under a 10^6-word budget before the ring
-        # and the residues, though the ring's 7*q words and the interval's 1
-        # word a member fit; at 1.2*10^6 words it runs
+        # 1.2*10^6 words are refused under a 10^6-word budget before the
+        # ring's tables and the residues, though the ring's 7*q words and the
+        # interval's 1 word a member fit; at 1.2*10^6 words it runs
         argv = ["energy", "--q", "10007", "--A", "0:400000", "--B", "0:10"]
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**6)
-        monkeypatch.setattr(kforms.cli, "build_ring", None)
         monkeypatch.setattr(kforms.ring.IntervalSet, "residues", None)
         assert main(argv) == 2
         assert "dimension too large: 3*length lattice member words" in capsys.readouterr().err
@@ -485,13 +474,13 @@ class TestPeakRss:
         # against 14 words; Z_2^18 x Z_2 is not: 36 B under the ring's 7 words
         (["char-moment", "--q", "1000003", "--H", "1000"], 14 * 1000003),
         (["char-moment", "--q", "1048576", "--H", "1000"], 7 * 2**20),
-        # 19 B a residue against the ring's 7 words: ring-info builds no
-        # unit-group index
+        # 9 B a residue (the unit mask and the units) against the ring's 7
+        # words: ring-info builds no unit-group index
         (["ring-info", "--q", "1000003"], 7 * 1000003),
         # 90 B a residue against the lattice FFT's 7 words a padded point
         # (113 B a residue)
         (["energy", "--q", "1000003", "--A", "0:300000", "--B", "0:300000"], 7 * 2025000),
-        # the same count as a Lemma 2.2 cell, whose memo holds the ring: 91 B
+        # the same count as a Lemma 2.2 cell, whose builder holds the ring: 91 B
         (["verify-lemma", "--lemma", "2.2", "--grid", '{"qs":[1000003],"intervals":[[0,300000]]}'],
          7 * 2025000),
         # 104 B a residue against the ring's 7 words and the window FFT's 7
@@ -506,6 +495,20 @@ class TestPeakRss:
         code, words, held = _peak_probe(argv)
         assert (code, words) == (0, priced)
         assert held <= 8 * words, f"{held} B held over {8 * words} B priced"
+
+    @pytest.mark.parametrize("argv", [
+        ["jr-mod", "--q", "9259277", "--r", "2", "--K", "10"],
+        ["ksum2", "--q", "9259277", "--l", "1", "--m", "1", "--n", "1"],
+        ["ksum", "--q", "22727279", "--m", "1", "--n", "1"],
+        ["char-moment", "--q", "17857153", "--H", "10"],
+    ])
+    def test_refused_run_builds_no_table(self, argv):
+        # each kernel's price, just past the work budget, refuses before the
+        # ring holds any q-long table (a ring that built its mask and units up
+        # front held 69-185 MiB at these q)
+        code, words, held = _peak_probe(argv)
+        assert code == 2 and words > kforms.ring.DEFAULT_WORK_BUDGET
+        assert held <= 4 * 2**20, f"{held} B held by a refused run"
 
     def test_energy_identity_peak_under_its_price(self):
         # with A != B the sums of A are held through B's transform: 122 B a

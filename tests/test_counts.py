@@ -93,7 +93,7 @@ def tally_prices(monkeypatch, q, k, H, segment_cost=None):
     if segment_cost is not None:
         monkeypatch.setattr(kforms.counts, "_SEGMENT_COST", segment_cost)
     interval = IntervalSet(k, H)
-    return _product_energy(q, interval, interval, None)[0], prices
+    return _product_energy(build_ring(q), interval, interval)[0], prices
 
 
 class TestProgressionTally:
@@ -118,10 +118,10 @@ class TestProgressionTally:
     def test_walked_tally_holds_only_its_bins(self):
         # 10^6 int32 bins (3.8 MiB) and the short keyed rows; keying every
         # row held 15.4 MiB with int64 bins
-        interval = IntervalSet(0, 1000)
+        interval, ring = IntervalSet(0, 1000), build_ring(10**6 + 3)
         tracemalloc.start()
         try:
-            _product_energy(10**6 + 3, interval, interval, None)
+            _product_energy(ring, interval, interval)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -135,12 +135,14 @@ class TestProgressionTally:
     ])
     @pytest.mark.parametrize("cost", [0, math.inf])
     def test_every_row_walked_or_keyed_matches_pair_enumeration(self, q, a, b, cost, monkeypatch):
-        # these energies are tallied in q bins (no table is given); a zero
+        # these energies are tallied in q bins (no table is read); a zero
         # slice price walks every row, an infinite one keys every row
         monkeypatch.setattr(kforms.counts, "_SEGMENT_COST", cost)
         units = [[x % q for x in iv.members().tolist() if math.gcd(x, q) == 1] for iv in (a, b)]
         products = Counter(x * y % q for x in units[0] for y in units[1])
-        assert _product_energy(q, a, b, None)[0] == sum(c * c for c in products.values())
+        ring = build_ring(q)
+        assert _product_energy(ring, a, b)[0] == sum(c * c for c in products.values())
+        assert "unit_mask" not in vars(ring)
 
 
     @pytest.mark.parametrize("q, start", [(2, 0), (7, -10), (12, 5), (30, -61), (97, 40)])

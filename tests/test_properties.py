@@ -36,7 +36,7 @@ from kforms.ring import _power_blocks
 from kforms.counts import (
     _product_counts, _product_energy, _sum_of_squares, _unit_count, _unit_members,
 )
-from kforms.ring import _PAIR_COST, _fft_plan, _lattice_convolution, _lattice_shape, _to_lattice
+from kforms.ring import _PAIR_COST, _fft_plan, _lattice_convolution, _to_lattice
 from kforms.trilinear import _unit_window, _window_gather
 
 ODD_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
@@ -298,7 +298,7 @@ def test_residue_tally_matches_lattice_fft(case):
     ra, rb = (_unit_members(iv, q, primes) for iv in (a_iv, b_iv))
     assert (ra.size, rb.size) == (_unit_count(a_iv, q, primes), _unit_count(b_iv, q, primes))
     table = build_characters(build_ring(q))
-    assert _lattice_shape(primes) == table.shape
+    assert math.prod(table.shape) == table.units.size
     a, b = (_to_lattice(table, iv) for iv in (a_iv, b_iv))
     c = np.rint(np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b)).real).astype(np.int64)
     reference = int(np.sum(c * c))
@@ -307,7 +307,7 @@ def test_residue_tally_matches_lattice_fft(case):
             _product_counts(ra, rb, q)
     else:
         assert _sum_of_squares(_product_counts(ra, rb, q)) == reference
-    assert _product_energy(q, a_iv, b_iv, lambda: table)[0] == reference
+    assert _product_energy(table, a_iv, b_iv)[0] == reference
 
 
 @SETTINGS
@@ -352,16 +352,16 @@ def test_intervals_longer_than_q_take_the_lattice_fft(q, data):
     )
     ring = build_ring(q)
     for pair in ((a_iv, a_iv), (a_iv, b_iv)):
-        assert _product_energy(q, *pair, lambda: ring)[1] is not None
+        assert _product_energy(ring, *pair)[1] is not None
 
 
 @SETTINGS
 @given(q=COUNT_MODULI, same=st.booleans(), data=st.data())
 def test_energy_route_follows_the_member_pair_price(q, same, data):
     # starts down to -3q and lengths up to 3q: the energy is tallied, with no
-    # residual and no table asked for, exactly when _PAIR_COST per pair of
-    # unit members undercuts the padded lattice FFT.  The route is read off
-    # the table call: past it the kernel may still tally a sparse lattice
+    # residual and no table of the ring read, exactly when _PAIR_COST per
+    # pair of unit members undercuts the padded lattice FFT.  The route is
+    # read off the unit mask: past it the kernel may still tally a sparse lattice
     # (q = 257, IntervalSet(0, 1) against IntervalSet(0, 258)).
     a_iv, b_iv = (
         IntervalSet(data.draw(st.integers(-3 * q, q)), data.draw(st.integers(1, 3 * q)))
@@ -369,10 +369,10 @@ def test_energy_route_follows_the_member_pair_price(q, same, data):
     )
     b_iv = a_iv if same else b_iv
     units = [sum(math.gcd(x, q) == 1 for x in iv.members().tolist()) for iv in (a_iv, b_iv)]
-    ring, asked = build_ring(q), []
-    residual = _product_energy(q, a_iv, b_iv, lambda: asked.append(q) or ring)[1]
-    tallied = _PAIR_COST * units[0] * units[1] <= _fft_plan(_lattice_shape(factorize(q)))[2]
-    assert (not asked) == tallied
+    ring = build_ring(q)
+    residual = _product_energy(ring, a_iv, b_iv)[1]
+    tallied = _PAIR_COST * units[0] * units[1] <= _fft_plan(ring.shape)[2]
+    assert ("unit_mask" not in vars(ring)) == tallied
     if tallied:
         assert residual is None
 

@@ -262,13 +262,9 @@ class TestSweepControls:
         with pytest.raises(ValueError, match="Q must be >= 2, got 1"):
             verify_thm2_sweep(1, 2, "0:4", "0:4", "0:4")
 
-    def test_work_budget_guard(self, monkeypatch):
-        # 7*q ring words ~ 2.8e8 exceed the default budget: the ring is
-        # refused before its modulus is factorized
-        def refuse(q):
-            raise AssertionError(f"factorize({q}) reached")
-
-        monkeypatch.setattr(kforms.ring, "factorize", refuse)
+    def test_work_budget_guard(self, no_table):
+        # 7*q ring words ~ 2.8e8 exceed the default budget: the instance is
+        # refused before its ring builds any table
         with pytest.raises(ValueError, match="dimension too large"):
             verify_thm1_sweep([40000003], "0:5", "0:5", "0:5")
 
@@ -276,11 +272,7 @@ class TestSweepControls:
         result = verify_lemma_sweeps("2.4", grid={"r": 2, "Ks": [100]}, budget_ms=0)
         assert result.reports == [] and result.truncated
 
-    def test_spent_budget_builds_no_table(self, monkeypatch):
-        def refuse(q):
-            raise AssertionError(f"build_ring({q}) reached")
-
-        monkeypatch.setattr(kforms.sweeps, "build_ring", refuse)
+    def test_spent_budget_builds_no_table(self, no_table):
         grid = {"qs": [1000003], "ks": [0], "Hs": [10]}
         result = verify_lemma_sweeps("2.1", grid, budget_ms=0)
         assert result.reports == [] and result.truncated
@@ -301,28 +293,32 @@ class TestSweepControls:
         assert built == qs
 
     def test_moment_grid_lets_each_ring_go(self, monkeypatch):
-        # the short cells tally residues and build no ring; the cells at H = q
-        # take the lattice FFT on their modulus's ring, which is freed before
-        # the next modulus's first cell is counted
-        rings, counted, asked = [], [], []
+        # the short cells tally residues and build no table; the cells at
+        # H = q take the lattice FFT on their modulus's unit-group index, and
+        # each ring is freed before the next modulus's first cell is counted
+        rings, counted, indexed = [], [], []
         build, count = kforms.sweeps.build_ring, kforms.characters._product_energy
+        index = kforms.ring._unit_group
 
         def tracked(q):
             ring = build(q)
             rings.append((q, weakref.ref(ring)))
             return ring
 
-        def released(q, a_interval, b_interval, ring):
-            assert all(ref() is None for p, ref in rings if p != q)
-            counted.append(q)
-            return count(q, a_interval, b_interval, lambda: asked.append(q) or ring())
+        def released(ring, a_interval, b_interval):
+            assert all(ref() is None for p, ref in rings if p != ring.q)
+            counted.append(ring.q)
+            return count(ring, a_interval, b_interval)
 
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
         monkeypatch.setattr(kforms.characters, "_product_energy", released)
+        monkeypatch.setattr(
+            kforms.ring, "_unit_group", lambda q, *args: indexed.append(q) or index(q, *args)
+        )
         result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 103]})
         assert [p for p, _ in rings] == [101, 103] and len(result.reports) == 4
         assert counted == [101, 101, 103, 103]
-        assert asked == [101, 103]
+        assert indexed == [101, 103]
 
     @pytest.mark.parametrize("lemma, grid", [
         ("2.1", {"qs": [1009, 1013], "ks": [0], "Hs": [5, 1013]}),
@@ -330,21 +326,26 @@ class TestSweepControls:
         ("2.3", {"qs": [1009, 1013], "Ks": [5, 20]}),
     ])
     def test_lemma_grids_hold_one_modulus_at_a_time(self, lemma, grid, monkeypatch):
-        # each builder makes one memo of the ring per modulus, so the last
-        # modulus's ring is freed before the next ring is built
+        # each builder builds one ring per modulus, so the last modulus's
+        # ring and its tables are freed before the next modulus's
+        # unit-group index is built
         refs = []
-        build = kforms.sweeps.build_ring
+        build, index = kforms.sweeps.build_ring, kforms.ring._unit_group
 
         def tracked(q):
-            gc.collect()
-            assert all(ref() is None for ref in refs), f"a ring is alive at q = {q}"
             ring = build(q)
-            refs.append(weakref.ref(ring))
+            refs.append((q, weakref.ref(ring)))
             return ring
 
+        def indexed(q, *args):
+            gc.collect()
+            assert all(ref() is None for p, ref in refs if p != q), f"a ring is alive at q = {q}"
+            return index(q, *args)
+
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
+        monkeypatch.setattr(kforms.ring, "_unit_group", indexed)
         verify_lemma_sweeps(lemma, grid)
-        assert len(refs) == 2
+        assert [p for p, _ in refs] == [1009, 1013]
 
     def test_tally_side_moment_cells_build_no_ring(self, monkeypatch):
         # pairs of unit residues under the padded lattice FFT's price: counted

@@ -19,7 +19,7 @@ from kforms import (
 import kforms.cli
 import kforms.ring
 from kforms.ring import (
-    MAX_MODULUS, ResidueRing, _certified, _dft_naive, _lattice_convolution, _primitive_root,
+    MAX_MODULUS, _certified, _dft_naive, _lattice_convolution, _primitive_root,
     _reduce, _smooth_length, factorize, is_prime,
 )
 from kforms.trilinear import _dots_at
@@ -230,6 +230,13 @@ def test_single_value_queries_build_no_table(monkeypatch, capsys):
     assert eq_eval(ring, 5) == pytest.approx(np.exp(10j * np.pi / 1009))
     assert np.allclose(eq_eval(ring, np.arange(-3, 3)), np.exp(2j * np.pi * np.arange(-3, 3) / 1009))
     assert "inv_table" not in vars(ring) and "eq_pows" not in vars(ring)
+    # a fresh ring answers the same queries, and a non-unit's refusal, from q alone
+    fresh = build_ring(1009)
+    assert mod_inverse(fresh, 7) == pow(7, -1, 1009) and eq_eval(fresh, 5) == eq_eval(ring, 5)
+    assert np.array_equal(eq_eval(fresh, np.arange(-3, 3)), eq_eval(ring, np.arange(-3, 3)))
+    with pytest.raises(NotAUnitError, match="gcd = 1009"):
+        mod_inverse(fresh, 2018)
+    assert not any(isinstance(v, np.ndarray) for v in vars(fresh).values()), vars(fresh)
 
 
 class TestCentered:
@@ -360,9 +367,10 @@ class TestIntervalPhaseSum:
         # in place: besides the result, about one result's size of
         # temporaries (the reduced argument, the numerator, the phase)
         ring = build_ring(100003)
+        units = ring.units  # the ring's tables, built before the trace
         tracemalloc.start()
         try:
-            out = interval_phase_sum(ring, IntervalSet(-5, 316), ring.units)
+            out = interval_phase_sum(ring, IntervalSet(-5, 316), units)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -377,9 +385,7 @@ class TestIntervalPhaseSum:
         gap = interval_phase_sum(ring, far, xs) - interval_phase_sum(ring, near, xs)
         assert np.max(np.abs(gap)) <= 1e-9
         q = MAX_MODULUS
-        empty = np.empty(0, dtype=np.int64)
-        big = ResidueRing(q=q, unit_mask=empty, phi=0, tau=0, units=empty,
-                          factors=())  # interval_phase_sum reads only q
+        big = build_ring(q)  # holds no table; interval_phase_sum reads only q
         interval = IntervalSet(q - 7, 5)  # members -6..-2 mod q
         for x in (1, 2, q - 1, q // 2 + 3, 10**30 + 1):
             direct = sum(np.exp(2j * np.pi * ((m * x) % q) / q) for m in range(-6, -1))
@@ -458,16 +464,22 @@ class TestModulusBound:
         assert MAX_MODULUS**2 < 2**63 <= (MAX_MODULUS + 1) ** 2
 
     def test_oversized_modulus_refused_before_allocating(self, monkeypatch):
+        # build_ring refuses only q past MAX_MODULUS and allocates nothing;
+        # the unit mask's first read prices the ring's 7*q words before its
+        # table
         def no_alloc(*args, **kwargs):
-            raise AssertionError("allocated before the modulus was checked")
+            raise AssertionError("allocated a table")
 
         for name in ("arange", "zeros", "ones", "empty", "full"):
             monkeypatch.setattr(np, name, no_alloc)
         for q in (MAX_MODULUS + 1, 10**12):
             with pytest.raises(ValueError, match="modulus too large"):
                 build_ring(q)
-        with pytest.raises(ValueError, match="dimension too large"):
-            build_ring(2_000_000_011)
+        for q in (2_000_000_011, MAX_MODULUS):
+            ring = build_ring(q)
+            with pytest.raises(ValueError, match=r"dimension too large: 7\*q ring words"):
+                ring.unit_mask
+            assert "unit_mask" not in vars(ring)
 
 
 class TestBatchedKernel:
