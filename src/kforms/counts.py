@@ -186,19 +186,24 @@ def _product_energy(
     """#{(a1, a2, b1, b2) units of the intervals: a1*b1 = a2*b2 mod q}, with
     the convolution's residual (None when tallied).  Priced by the lattice
     kernel's rule before any table of the ring is read: _PAIR_COST per pair
-    of the intervals' unit members against the padded FFT of ring.shape.
-    The tally counts the members' products mod q by _product_counts, in q
+    of the intervals' unit members against the padded FFT of ring.shape,
+    and, where the kernel will take the FFT, its 7*points words.  The tally counts the members' products mod q by _product_counts, in q
     bins (walking each row's progression over b_interval where that is
     cheaper, and each pair once when the intervals are equal) or by
     sorting, from q's primes alone; the FFT convolves the intervals' counts
     on the unit-group lattice, where a product of units adds exponent
     tuples."""
-    q, primes = ring.q, ring.primes
-    pairs = _unit_count(a_interval, q, primes) * _unit_count(b_interval, q, primes)
-    if pairs * _PAIR_COST <= _fft_plan(ring.shape)[2]:
+    q, primes, fft_cost = ring.q, ring.primes, _fft_plan(ring.shape)[2]
+    units = [_unit_count(interval, q, primes) for interval in (a_interval, b_interval)]
+    if math.prod(units) * _PAIR_COST <= fft_cost:
         ra = _unit_members(a_interval, q, primes)
         rb = ra if b_interval == a_interval else _unit_members(b_interval, q, primes)
         return _sum_of_squares(_product_counts(ra, rb, q, b_interval, primes)), None
+    # the kernel's supports are the units each interval hits, min(units,
+    # phi): where it will take the FFT, its price comes before the
+    # unit-group index and the lattices
+    if math.prod(min(n, ring.phi) for n in units) * _PAIR_COST > fft_cost:
+        check_work(7 * math.prod(_fft_plan(ring.shape)[0]), "7*points FFT words")
     # each interval's residues and their int64 gather onto the lattice, one
     # interval at a time: 16.4-16.8 B a member measured
     check_work(3 * max(a_interval.length, b_interval.length), "3*length lattice member words")

@@ -68,7 +68,7 @@ def _unit_gather(ring: ResidueRing, eta, f: np.ndarray, ls) -> np.ndarray:
 def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
     """All K_q(a, n) at once: the DFT of x -> 1_unit(x) e_q(n*inv(x)), one
     _unit_dft, which prices it."""
-    values = _unit_dft(ring, lambda xb: ring.eq_pows[(n % ring.q) * xb % ring.q])
+    values = _unit_dft(ring, lambda xb: eq_eval(ring, (n % ring.q) * xb))
     return KloostermanTable(q=ring.q, n=n, values=values)
 
 
@@ -79,7 +79,7 @@ def double_naive(ring: ResidueRing, l: int, m: int, n: int) -> complex:
     xb = ring.inv_table[x]
     bilinear = (l % q) * (np.outer(x, x) % q) % q
     exponents = (bilinear + ((m % q) * xb % q)[:, None] + ((n % q) * xb % q)[None, :]) % q
-    return complex(ring.eq_pows[exponents].sum())
+    return complex(eq_eval(ring, exponents).sum())
 
 
 def double_fast(
@@ -92,7 +92,7 @@ def double_fast(
     """
     if table is None or table.n % ring.q != n % ring.q or table.q != ring.q:
         table = single_table(ring, n)
-    phases = ring.eq_pows[(m % ring.q) * ring.inv_table[ring.units] % ring.q]
+    phases = eq_eval(ring, (m % ring.q) * ring.inv_table[ring.units])
     return complex(_unit_gather(ring, phases, table.values, [l])[0])
 
 

@@ -10,8 +10,14 @@ lower).  An integer result is taken from the FFT only where _certified, the
 one judge of its exactness, passes it entry by entry; else the tally
 recounts it.  An operand may hold rows: the others are then transformed once,
 and the rows in blocks of _FFT_BLOCK padded points, the one row-block size
-of every batched FFT.  The kernel only convolves: each caller picks its own
-route around it (the trilinear window, for one, its dot products).
+of every batched FFT.  A rough axis is zero-padded; from _FOUR_STEP padded
+points on it is transformed by the four-step, as R rows of P2 columns
+(P = R*P2, R a power of 2 next to sqrt(P), P2 5-smooth; _fft_plan picks
+them), so that numpy's FFT runs along no axis longer than R or P2 and its
+scratch stays a row long.  The kernel only convolves: each caller picks its
+own route around it (the trilinear window, for one, its dot products).
+e_q and the twiddles are read off _turns, two tables of about sqrt(n)
+entries.
 
 build_ring factorizes q and splits the unit group, by CRT, into cyclic
 factors (a primitive root per odd p^e; <-1> and <5> for the 2-adic part), and
@@ -68,6 +74,13 @@ _RESIDUAL_LIMIT = 0.25
 _PAIR_COST = 8
 _TALLY_CHUNK = 1 << 22  # pairs per tally step
 _FFT_BLOCK = 1 << 15  # padded points per block of rows of a batched FFT
+# A padded axis of at least this many points (k*n) is transformed by the
+# four-step: at the crossover a two-operand real convolution of 2n = 40,002
+# points took 2.51-2.57 ms padded against 2.52-2.53 ms four-step, at 32,002
+# 1.95 against 2.15 ms, at 64,002 4.42 against 4.13 ms and at 2,000,004
+# 116 against 83 ms (medians of alternating calls in one process, numpy
+# 2.4.6 on one thread, 2-vCPU Xeon host).
+_FOUR_STEP = 40_000
 
 
 def check_work(work: int, label: str) -> None:
@@ -105,6 +118,66 @@ def _reduce(keys: np.ndarray, q: int) -> np.ndarray:
     return keys
 
 
+@functools.lru_cache(maxsize=16)
+def _turn_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(b, fine, coarse): exp(2*pi*i*e/n) at e < 2^b and at the multiples
+    of 2^b below n, 2^b the first power of 2 >= sqrt(n): two read-only
+    tables of about sqrt(n) entries, 1.7 MiB at MAX_MODULUS.  Each entry is a quarter
+    turn (exact) times the cosine and sine of an angle folded by exact
+    int64 steps into [0, pi/4], where its rounding costs under an ulp."""
+    b = math.isqrt(n - 1).bit_length()
+    quarter, r = np.divmod(4 * np.concatenate((np.arange(1 << b), np.arange(0, n, 1 << b))), n)
+    flip = 2 * r > n  # the angle's complement to pi/2, with cos and sin swapped
+    angle = np.where(flip, n - r, r) * (np.pi / 2 / n)
+    c, s = np.cos(angle), np.sin(angle)
+    values = (np.where(flip, s, c) + 1j * np.where(flip, c, s)) * np.array([1, 1j, -1, -1j])[quarter % 4]
+    values.flags.writeable = False  # shared by every caller through the cache
+    return b, values[: 1 << b], values[1 << b :]
+
+
+def _turns(e: np.ndarray, n: int) -> np.ndarray:
+    """exp(2*pi*i*e/n) for int64 0 <= e < n: the coarse table's entry at
+    the high bits of e times the fine table's at the low bits, 2^14
+    entries at a time, so that the temporaries stay a block long."""
+    if np.size(e) > 1 << 14:
+        out = np.empty(np.shape(e), dtype=np.complex128)
+        flat, values = np.reshape(e, -1), out.reshape(-1)
+        for s in range(0, flat.size, 1 << 14):
+            values[s : s + (1 << 14)] = _turns(flat[s : s + (1 << 14)], n)
+        return out
+    b, fine, coarse = _turn_tables(n)
+    out = coarse[e >> b]
+    out *= fine[e & ((1 << b) - 1)]
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _twiddle_block(rows: int, cols: int, n: int, sign: int) -> np.ndarray:
+    """exp(sign*2*pi*i*j*c/n) at j < rows and c < cols, read-only: the
+    offsets of a block's rows from its first row, one table for every
+    block and call of a transform of that shape."""
+    block = _turns(np.multiply.outer(np.arange(rows), sign * np.arange(cols)) % n, n)
+    block.flags.writeable = False
+    return block
+
+
+def _twiddle(y: np.ndarray, a: int, n: int, sign: int) -> None:
+    """y *= exp(sign*2*pi*i*k*c/n) in place, at row k of axis a and column
+    c of axis a + 1 (every k*c < n): the four-step's twiddle.  Each block
+    of min(sqrt(rows), _FFT_BLOCK // columns) rows (at least one) is
+    multiplied by _twiddle_block and by its first row's factors, one row
+    of _turns a block: no table is longer than a block, and the two
+    tables' entries take about as long as each other to build."""
+    rows, cols = y.shape[a], y.shape[a + 1]
+    step, tail = max(1, min(math.isqrt(rows), _FFT_BLOCK // cols)), (1,) * (y.ndim - a - 2)
+    near, c = _twiddle_block(step, cols, n, sign).reshape((step, cols) + tail), sign * np.arange(cols)
+    for u in range(0, rows, step):
+        block = y[(slice(None),) * a + (slice(u, u + step),)]
+        block *= near[: block.shape[a]]
+        if u:
+            block *= _turns(u * c % n, n).reshape((cols,) + tail)
+
+
 def _lattice_tally(arrays, shape: tuple[int, ...]) -> np.ndarray:
     """The cyclic convolution of the arrays from their support pairs, two at
     a time, left to right: each pair's product added at its index sum mod
@@ -125,28 +198,53 @@ def _lattice_tally(arrays, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _four_step(m: int) -> tuple[int, int]:
+    """(R, P): the four-step's rows R, a power of 2 next to sqrt(m), and
+    its length P = R*P2 >= m, P2 the 5-smooth length of the columns; of
+    the two powers of 2 around sqrt(m), the one that pads least."""
+    b = math.isqrt(m).bit_length()
+    return min(((1 << e) * _smooth_length(-(-m >> e)), 1 << e) for e in (b - 1, b))[::-1]
+
+
 @functools.lru_cache(maxsize=256)
 def _fft_plan(shape: tuple[int, ...], k: int = 2):
     """A cyclic convolution's FFT over shape, of k operands: the size per
     axis, the axis padded (None if none is), the price points*log2(points)
     (the unit of _PAIR_COST), the axes of length 2, which _butterflies
-    transforms, the rest, which numpy transforms, longest last (at least
-    one is left to numpy, which needs one), and their sizes.  The owner of
-    the package's one rough-length rule: a length with a prime factor
-    above 7 is rough, and numpy's FFT takes it by Bluestein, slower and
-    with a scratch of several arrays of the transform's size.  The longest
-    rough axis is zero-padded to a 5-smooth length >= k*n, so axis is not
-    None exactly where shape has a rough length; _unit_dft and
-    interval_character_sums price their transforms by that test."""
+    transforms, the axes numpy transforms, the last one first (at least
+    one is left to numpy, which needs one), their sizes, and the padded
+    axis's four-step rows R (1 where it takes none).  The owner of the
+    package's one rough-length rule: a length with a prime factor above 7
+    is rough, and numpy's FFT takes it by Bluestein, slower and with a
+    scratch of several arrays of the transform's size.  The longest rough
+    axis is zero-padded to a 5-smooth length >= k*n, so axis is not None
+    exactly where shape has a rough length; _unit_dft and
+    interval_character_sums price their transforms by that test.
+
+    From k*n >= _FOUR_STEP points on, the padded axis takes Bailey's
+    four-step (D. H. Bailey, J. Supercomputing 4, 1990) instead: its
+    length is P = R*P2 (_four_step), read as R rows of P2 columns, and
+    numpy transforms the rows axis first (length R, where rfft's halving
+    goes), then, after _twiddle, the columns axis and the other axes.  In
+    these axes' numbering the padded axis is two, axis and axis + 1, and
+    every later axis moves up by one.  Below, R = 1, and numpy transforms
+    the axes longest last, the padded one at its 5-smooth length."""
     size = list(shape)
     rough = [j for j, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
     axis = max(rough, key=lambda j: shape[j], default=None)
+    split = 1
     if axis is not None:
-        size[axis] = _smooth_length(k * shape[axis])
+        m = k * shape[axis]
+        split, size[axis] = _four_step(m) if m >= _FOUR_STEP else (1, _smooth_length(m))
     points = math.prod(size)
     two = tuple(j for j, n in enumerate(size) if n == 2)[: len(size) - 1]
-    axes = tuple(sorted(set(range(len(size))) - set(two), key=lambda j: size[j]))
-    return tuple(size), axis, points * math.log2(points + 1), two, axes, [size[j] for j in axes]
+    axes = sorted(set(range(len(size))) - set(two), key=lambda j: size[j])
+    s = [size[j] for j in axes]
+    if split > 1:  # the columns and the other axes, then the rows
+        rest = [j for j in axes if j != axis]
+        axes = [axis + 1] + [j + (j > axis) for j in rest] + [axis]
+        s = [size[axis] // split] + [size[j] for j in rest] + [split]
+    return tuple(size), axis, points * math.log2(points + 1), two, tuple(axes), s, split
 
 
 def _butterflies(x: np.ndarray, axes, scale: float = 1.0) -> np.ndarray:
@@ -192,16 +290,24 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     all its rows.  A row is tallied, two operands at a time, left to right,
     when _PAIR_COST per support pair (at step j, the product of the first j
     supports) undercuts the FFT's points*log2(points).  The other rows take
-    the FFT (rfftn on real input, fftn on complex), max(1, _FFT_BLOCK //
+    the FFT (rfft first on real input, fft on complex), max(1, _FFT_BLOCK //
     points) rows a block: each distinct operand's block is transformed
     once, the spectra are multiplied in place, and one inverse is taken.
     The axes of length 2 are transformed by _butterflies (numpy's passes
-    along them cost about as much as along a long axis), the rest by numpy,
-    longest last: rfftn halves that one.
+    along them cost about as much as along a long axis), the rest by numpy
+    in _fft_plan's order: the first one numpy transforms (by rfft on real
+    input, which halves it) is the longest axis, or the padded axis's rows.
     The longest rough axis (_fft_plan's rule: a prime factor above 7) is
-    zero-padded to a 5-smooth length >= k*n, and the linear convolution
-    along it folded back onto Z_n, its k blocks of n summed by one
-    reduction into a compact result.  Integer input (non-negative
+    zero-padded to a length P >= k*n, and the linear convolution along it
+    folded back onto Z_n, its k blocks of n summed by one reduction into a
+    compact result.  Below _FOUR_STEP points P is 5-smooth and numpy takes
+    the axis whole; from there on P = R*P2 is read as R rows of P2 columns
+    (Bailey's four-step): numpy transforms the rows axis (rfft on real
+    input), _twiddle multiplies by exp(-2*pi*i*k*c/P), and numpy
+    transforms the columns with the other axes.  The spectrum stays in that
+    transposed order, which the product does not mind, and the inverse runs
+    the steps backward, so numpy's scratch is a row long, not P.  Integer
+    input (non-negative
     counts) gives an exact int64 result: a row's FFT is accepted only if
     _certified passes it (a residual below 1/4, every entry at most 2^52, an
     exact total, which may pass 2^52); else the tally recounts that row.  A
@@ -225,7 +331,7 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     totals = [math.prod(sums[id(x)][j % len(x)] for x in arrays) if integer else 0 for j in range(b)]
     if max(totals) >= 2**63:
         raise ValueError(f"dimension too large: convolution total {max(totals)} exceeds int64")
-    size, axis, fft_cost, two, axes, s = _fft_plan(shape, len(arrays))
+    size, axis, fft_cost, two, axes, s, split = _fft_plan(shape, len(arrays))
     # a row is tallied where the tally prices lower (at step m, the product
     # of m supports); _certified alone judges the FFT's rows
     supports = [[nonzero[id(x)][j % len(x)] for x in arrays] for j in range(b)]
@@ -237,10 +343,18 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     if fft_rows:
         check_work(7 * math.prod(size), "7*points FFT words")  # 32-56 B per padded point
         real = all(x.dtype.kind != "c" for x in distinct.values())
-        fft, ifft = (np.fft.rfftn, np.fft.irfftn) if real else (np.fft.fftn, np.fft.ifftn)
+        first, last = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
 
         def forward(x, lead=1):  # along the lattice axes, behind `lead` axes of rows
-            return fft(_butterflies(x, [j + lead for j in two]), s=s, axes=[j + lead for j in axes])
+            x = _butterflies(x, [j + lead for j in two])
+            if split > 1:  # zero-padded to whole rows of the columns; the rows' transform pads to R
+                a = axis + lead
+                x = np.pad(x, [(0, -x.shape[j] % s[0] if j == a else 0) for j in range(x.ndim)])
+                x = x.reshape(x.shape[:a] + (-1, s[0]) + x.shape[a + 1 :])
+            y = first(x, s[-1], axes[-1] + lead)
+            if split > 1:
+                _twiddle(y, axis + lead, size[axis], -1)
+            return np.fft.fftn(y, s[:-1], [j + lead for j in axes[:-1]])
 
         once = {i: forward(x[0], 0) for i, x in distinct.items() if len(x) == 1}  # no rows
         step = max(1, _FFT_BLOCK // math.prod(size))
@@ -256,8 +370,13 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
             for j in range(2, len(factors)):
                 out *= factors[j]
             del factors
-            lead = out.ndim - len(size)
-            out = ifft(out, s=s, axes=[j + lead for j in axes])  # the product dropped here
+            lead = out.ndim - len(size) - (split > 1)
+            out = np.fft.ifftn(out, s[:-1], [j + lead for j in axes[:-1]])  # the product dropped
+            if split > 1:
+                _twiddle(out, axis + lead, size[axis], 1)
+            out = last(out, s[-1], axes[-1] + lead)  # here, or here if no axis was left to ifftn
+            if split > 1:  # the rows and columns read back as the padded axis
+                out = out.reshape(out.shape[: axis + lead] + (-1,) + out.shape[axis + lead + 2 :])
             out = _butterflies(out, [j + lead for j in two], 0.5)
             if axis is not None:  # the k blocks of n along the padded axis, summed
                 a, blocks = axis + lead, (len(arrays), shape[axis])
@@ -470,7 +589,8 @@ class ResidueRing:
     Compares and hashes by identity.  Every q-long table is built on its
     first read: ``unit_mask`` (whose read prices the ring's 7*q words),
     ``units``, ``log_index``, the one index every character, lattice and
-    inverse reads, ``inv_table`` and ``eq_pows``.  The ring also holds, in
+    inverse reads, and ``inv_table``; e_q is read through eq_eval, which
+    holds no q-long table.  The ring also holds, in
     its ``__dict__`` beside them, the latest trilinear unit window computed
     on it, so everything derived from q is freed with its ring.
     """
@@ -525,11 +645,6 @@ class ResidueRing:
         inv[unit_at] = _negated(unit_at.reshape(self.shape)).reshape(-1)
         return inv
 
-    @functools.cached_property
-    def eq_pows(self) -> np.ndarray:
-        """eq_pows[k] = exp(2*pi*i*k/q), built on first read."""
-        return np.exp((2j * np.pi / self.q) * np.arange(self.q, dtype=np.int64))
-
 
 def _check_modulus(q: int) -> None:
     """Refuse, with a ValueError, q < 2 or q > MAX_MODULUS."""
@@ -559,11 +674,13 @@ def mod_inverse(ring: ResidueRing, x: int) -> int:
 
 
 def eq_eval(ring: ResidueRing, z) -> complex | np.ndarray:
-    """exp(2*pi*i*z/q); the argument is reduced mod q before evaluation, so
-    the values equal ring.eq_pows' entries without building that table."""
+    """exp(2*pi*i*z/q); the argument is reduced mod q before evaluation, and
+    the value read off _turns' two tables of about sqrt(q) entries, so no
+    q-long table is built."""
     if isinstance(z, (int, np.integer)):
-        return complex(np.exp((2j * np.pi / ring.q) * (int(z) % ring.q)))
-    return np.exp((2j * np.pi / ring.q) * np.mod(np.asarray(z, dtype=np.int64), ring.q))
+        return complex(_turns(np.array([int(z) % ring.q]), ring.q)[0])
+    z = np.asarray(z, dtype=np.int64)
+    return _turns(z - z // ring.q * ring.q, ring.q)  # floor division: 1.6x numpy's mod
 
 
 def centered_rep(ring: ResidueRing, u) -> int | np.ndarray:
@@ -638,11 +755,7 @@ def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
     # evaluated in place, to hold the temporaries near one result's size
     num = _sin_half_turns(_half_turns(length % (2 * q), t, q), q)
     num /= _sin_half_turns(np.maximum(t, 1), q)  # the t = 0 entries are set below
-    ph = _half_turns((2 * int(interval.start) + length + 1) % (2 * q), t, q)
-    out = np.empty(t.shape, dtype=np.complex128)
-    np.multiply(ph, np.pi / q, out=out.imag)
-    np.cos(out.imag, out=out.real)
-    np.sin(out.imag, out=out.imag)
+    out = _turns(_half_turns((2 * int(interval.start) + length + 1) % (2 * q), t, q), 2 * q)
     out *= num
     out[t == 0] = length
     return complex(out[0]) if scalar else out

@@ -175,22 +175,23 @@ def _window_gather(
     return _unit_gather(ring, eta, f, ls)
 
 
-def _dots_price(operands, shape: tuple[int, ...], at: np.ndarray) -> float:
-    """What reading the convolution of the k >= 3 operands at the indices
-    `at` by _dots_at costs, on a one-axis lattice Z_n of even order, less
-    what it saves, in the unit of ring._PAIR_COST: negative where the dots
-    undercut the chained FFT.  The dots cost, per distinct index mod
-    half = n/2, its dots' elements (twice past _DOT_CACHE) and _DOT_CALL,
-    and the call's fixed work as _DOT_FOLD reads, at _DOT_COST an element.
-    They save the chain's transforms less those of its first k - 1
-    operands, a third of points*log2(points) a transform: one per distinct
-    operand and the inverse."""
+def _dots_price(heads, shape: tuple[int, ...], at: np.ndarray) -> float:
+    """What reading the convolution of the k - 1 >= 2 operands `heads` and
+    one more, distinct, operand at the indices `at` by _dots_at costs, on a
+    one-axis lattice Z_n of even order, less what it saves, in the unit of
+    ring._PAIR_COST: negative where the dots undercut the chained FFT of
+    all k.  The dots cost, per distinct index mod half = n/2, its dots'
+    elements (twice past _DOT_CACHE) and _DOT_CALL, and the call's fixed
+    work as _DOT_FOLD reads, at _DOT_COST an element.  They save the
+    chain's transforms less those of the heads' chain, a third of
+    points*log2(points) a transform: one per distinct operand and the
+    inverse."""
     half = shape[0] // 2
     reads = np.unique(at % half, return_inverse=True)[0].size  # a bare unique imports numpy.ma
     dots = reads * (half * (1 + (half > _DOT_CACHE)) + _DOT_CALL) + _DOT_FOLD * (half + _DOT_CALL)
-    chain, head = ((len({id(x) for x in ops}) + 1) * _fft_plan(shape, len(ops))[2] / 3
-                   for ops in (operands, operands[:-1]))
-    return dots * _DOT_COST - chain + head
+    distinct = len({id(x) for x in heads})
+    chain = (distinct + 2) * _fft_plan(shape, len(heads) + 1)[2] / 3
+    return dots * _DOT_COST - chain + (distinct + 1) * _fft_plan(shape, len(heads))[2] / 3
 
 
 def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -225,13 +226,15 @@ def _unit_window(
     character with chi(-1) = 1 sees f's transform, one with chi(-1) = -1
     i times it.  The operands are evaluated at the units below q/2, ascending
     (where numpy's sin runs fastest), and mirrored onto the rest as Re - Im;
-    mu is evaluated once when M = N.  r = cas mu * cas nu * cas e_q is one
+    mu is evaluated once when M = N, and e_q and the phase factors are read
+    off _turns' two tables, not computed by cos, sin or exp.  r = cas mu * cas nu * cas e_q is one
     kernel call read only at l and -l for the units l of L: with equal M and
     N intervals mu is one operand given twice, so the chain takes 3
     transforms, else 4.  The window, not the kernel, picks the route: on a
     one-axis lattice of even order (a cyclic unit group) where _dots_price
     is at most 0, the kernel convolves cas mu with cas nu alone and
-    _dots_at reads that against cas e_q at l and -l.  The window is held in
+    _dots_at reads that against cas e_q at l and -l; cas e_q is then built
+    after that convolution, not held through it.  The window is held in
     the ring's __dict__, as functools.cached_property holds inv_table, one
     slot keyed by (L, M, N): every caller on one instance reads one window,
     and it is freed with its ring.
@@ -251,16 +254,19 @@ def _unit_window(
         return lattice.reshape(ring.shape)
 
     mu = cas(interval_phase_sum(ring, m_interval, low))
-    nu = mu if n_interval == m_interval else cas(interval_phase_sum(ring, n_interval, low))
+    heads = (mu, mu if n_interval == m_interval else cas(interval_phase_sum(ring, n_interval, low)))
+    del mu
     residues = l_interval.residues(q)
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
     at = log_index[np.concatenate((ls, q - ls))]
-    operands, shape = (mu, nu, cas(eq_eval(ring, low))), ring.shape
-    if len(shape) == 1 and shape[0] % 2 == 0 and _dots_price(operands, shape, at) <= 0:
-        r = _dots_at(_lattice_convolution(operands[:2], shape)[0], operands[2], at)
+    shape = ring.shape
+    if len(shape) == 1 and shape[0] % 2 == 0 and _dots_price(heads, shape, at) <= 0:
+        r = _lattice_convolution(heads, shape)[0]
+        del heads  # cas e_q is built once mu * nu is in, not held through it
+        r = _dots_at(r, cas(eq_eval(ring, low)), at)
     else:
-        r = _lattice_convolution(operands, shape)[0].reshape(-1)[at]
+        r = _lattice_convolution(heads + (cas(eq_eval(ring, low)),), shape)[0].reshape(-1)[at]
     window = np.zeros(residues.size, dtype=np.complex128)
     window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
     window.flags.writeable = False

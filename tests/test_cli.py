@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -455,19 +456,25 @@ def _peak_probe(argv=(), call="kforms.cli.main(sys.argv[1:])"):
     return tuple(map(int, run.stdout.split()))
 
 
+def _points(n: int, k: int) -> int:
+    """The padded points of a k-operand lattice FFT over Z_n, as the kernel
+    prices them."""
+    return math.prod(kforms.ring._fft_plan((n,), k)[0])
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux reports it")
 class TestPeakRss:
     @pytest.mark.parametrize("argv, priced", [
-        # numpy's Bluestein scratch sets ksum2's peak at a prime: 202 B a
-        # residue at 10^6+3, against 27 words (216 B); 102 B at 2^20 against
+        # numpy's Bluestein scratch sets ksum2's peak at a prime: 176 B a
+        # residue at 10^6+3, against 27 words (216 B); 77 B at 2^20 against
         # 14 words (112 B)
         (["ksum2", "--q", "1000003", "--l", "3", "--m", "5", "--n", "7"], 27 * 1000003),
         (["ksum2", "--q", "1048576", "--l", "3", "--m", "5", "--n", "7"], 14 * 2**20),
-        # 74 and 46 B a residue against 11 words (88 B)
+        # 56 and 32 B a residue against 11 words (88 B)
         (["ksum", "--q", "1000003", "--m", "5", "--n", "7"], 11 * 1000003),
         (["ksum", "--q", "1048576", "--m", "5", "--n", "7"], 11 * 2**20),
-        # jr-mod's twin is one _unit_dft: 186 B a residue against 27 words
-        # at 10^6+3, 90 B against 14 words at 2^20
+        # jr-mod's twin is one _unit_dft: 175 B a residue against 27 words
+        # at 10^6+3, 80 B against 14 words at 2^20
         (["jr-mod", "--q", "1000003", "--r", "2", "--K", "1000"], 27 * 1000003),
         (["jr-mod", "--q", "1048576", "--r", "2", "--K", "1000"], 14 * 2**20),
         # char-moment's packed lattice Z_500001 is rough: 98 B a residue
@@ -477,19 +484,19 @@ class TestPeakRss:
         # 9 B a residue (the unit mask and the units) against the ring's 7
         # words: ring-info builds no unit-group index
         (["ring-info", "--q", "1000003"], 7 * 1000003),
-        # 90 B a residue against the lattice FFT's 7 words a padded point
-        # (113 B a residue)
-        (["energy", "--q", "1000003", "--A", "0:300000", "--B", "0:300000"], 7 * 2025000),
-        # the same count as a Lemma 2.2 cell, whose builder holds the ring: 91 B
+        # 49 B a residue against the lattice FFT's 7 words a padded point
+        # (115 B a residue)
+        (["energy", "--q", "1000003", "--A", "0:300000", "--B", "0:300000"], 7 * _points(1000002, 2)),
+        # the same count as a Lemma 2.2 cell, whose builder holds the ring: 49 B
         (["verify-lemma", "--lemma", "2.2", "--grid", '{"qs":[1000003],"intervals":[[0,300000]]}'],
-         7 * 2025000),
-        # 104 B a residue against the ring's 7 words and the window FFT's 7
-        # a padded point (226 B a residue)
+         7 * _points(1000002, 2)),
+        # 69 B a residue against the ring's 7 words and the window FFT's 7
+        # a padded point (228 B a residue)
         (["trilinear", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
-          "--weights", "extremal"], 7 * 1000003 + 7 * 3037500),
-        # the same instance as one sweep cell: 103 B
+          "--weights", "extremal"], 7 * 1000003 + 7 * _points(1000002, 3)),
+        # the same instance as one sweep cell: 69 B
         (["verify-thm1", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
-          "--weights", "extremal"], 7 * 1000003 + 7 * 3037500),
+          "--weights", "extremal"], 7 * 1000003 + 7 * _points(1000002, 3)),
     ])
     def test_fresh_process_peak_under_its_price(self, argv, priced):
         code, words, held = _peak_probe(argv)
@@ -501,6 +508,9 @@ class TestPeakRss:
         ["ksum2", "--q", "9259277", "--l", "1", "--m", "1", "--n", "1"],
         ["ksum", "--q", "22727279", "--m", "1", "--n", "1"],
         ["char-moment", "--q", "17857153", "--H", "10"],
+        # the energy's lattice FFT, priced before the unit-group index (it
+        # held 934 MiB before exit 2 when the kernel priced it)
+        ["energy", "--q", "29999999", "--A", "0:29999999", "--B", "0:29999999"],
     ])
     def test_refused_run_builds_no_table(self, argv):
         # each kernel's price, just past the work budget, refuses before the

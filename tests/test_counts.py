@@ -496,14 +496,14 @@ class TestExactConvolution:
 
     def test_one_spectrum_raised_to_the_r_th_power(self, monkeypatch):
         calls = []
-        for name in ("rfftn", "irfftn"):
+        for name in ("rfft", "irfft"):
             transform = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name, lambda *args, _f=transform, _name=name, **kwargs: (
                 calls.append(_name) or _f(*args, **kwargs)))
         for r in (2, 3, 4):
             calls.clear()
             count = reciprocal_count_mod(build_ring(1009), r, 100)
-            assert calls == ["rfftn", "irfftn"] and count.residual is not None, r
+            assert calls == ["rfft", "irfft"] and count.residual is not None, r
 
     def test_entries_past_the_limit_are_recounted_by_the_tally(self, monkeypatch):
         # every entry of a * b is ~2^55 > 2^52, on supports the cost model
@@ -517,14 +517,14 @@ class TestExactConvolution:
         oracle[: n - 1] += linear[n:]
         assert oracle.min() > 2**52
         calls = []
-        transform, tally = np.fft.rfftn, kforms.ring._lattice_tally
-        monkeypatch.setattr(np.fft, "rfftn", lambda *args, **kwargs: (
-            calls.append("rfftn") or transform(*args, **kwargs)))
+        transform, tally = np.fft.rfft, kforms.ring._lattice_tally
+        monkeypatch.setattr(np.fft, "rfft", lambda *args, **kwargs: (
+            calls.append("rfft") or transform(*args, **kwargs)))
         monkeypatch.setattr(kforms.ring, "_lattice_tally", lambda arrays, shape: (
             calls.append("tally") or tally(arrays, shape)))
         got, residual = _lattice_convolution((a, b), (n,))
         assert residual is None and np.array_equal(got, oracle)
-        assert calls == ["rfftn", "rfftn", "tally"]
+        assert calls == ["rfft", "rfft", "tally"]
         with pytest.raises(ValueError, match="exceeds int64"):
             _lattice_convolution((np.array([2**40]), np.array([2**40])), (1,))
 
@@ -584,12 +584,15 @@ class TestExactConvolution:
         assert len(tallied) == 65
 
     def test_fft_over_the_work_budget_is_refused(self, monkeypatch):
-        # 7 words per padded point: 2025000 points at n = 1000002
-        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * 2025000 - 1)
+        # 7 words per padded point: 2048000 points (1024 rows of 2000) at
+        # n = 1000002
+        points = math.prod(kforms.ring._fft_plan((1000002,))[0])
+        assert points == 2048000
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * points - 1)
         a = np.ones(1000002)
         with pytest.raises(ValueError, match="dimension too large"):
             _lattice_convolution((a, a), a.shape)
-        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * 2025000)
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 7 * points)
         assert np.allclose(_lattice_convolution((a, a), a.shape)[0], a.size)
 
     def test_fallback_over_the_work_budget_is_refused(self, monkeypatch):

@@ -19,8 +19,8 @@ from kforms import (
 import kforms.cli
 import kforms.ring
 from kforms.ring import (
-    MAX_MODULUS, _certified, _dft_naive, _lattice_convolution, _primitive_root,
-    _reduce, _smooth_length, factorize, is_prime,
+    MAX_MODULUS, _certified, _dft_naive, _fft_plan, _lattice_convolution, _lattice_tally,
+    _primitive_root, _reduce, _smooth_length, _twiddle, factorize, is_prime,
 )
 from kforms.trilinear import _dots_at
 
@@ -210,14 +210,20 @@ class TestEqEval:
         vals = eq_eval(ring, np.arange(16))
         assert np.allclose(vals[:8], vals[8:])
 
-    @pytest.mark.parametrize("q", [2, 97, 360, 1009, 30011, 10**6 + 3])
-    def test_values_equal_the_table_bit_for_bit(self, q):
+    @pytest.mark.parametrize("q", [2, 97, 360, 1009, 30011, 10**6 + 3, 10**6 + 37])
+    def test_values_within_4_ulps_of_the_exact_value(self, q):
+        # per component, against mpmath (np.exp of the rounded angle is
+        # itself up to ~3.4 ulps off at these q); scalars too
         ring = build_ring(q)
         z = np.random.default_rng(q).integers(-3 * q, 3 * q, size=2000)
-        table = ring.eq_pows[z % q]
-        assert np.array_equal(eq_eval(ring, z).view(np.float64), table.view(np.float64))
-        for k, value in zip(z[:50].tolist(), table[:50].tolist()):
-            assert eq_eval(ring, k) == value and eq_eval(ring, np.int64(k)) == value
+        got = eq_eval(ring, z)
+        scalars = [eq_eval(ring, k) for k in z[:100].tolist()] + [eq_eval(ring, z[0])]
+        with mpmath.workdps(30):
+            exact = [mpmath.expjpi(mpmath.mpf(2 * (k % q)) / q) for k in z[:300].tolist()]
+        for value, want in zip(got[:300].tolist() + scalars, exact + exact[:100] + exact[:1]):
+            assert abs(value.real - float(want.real)) <= 4 * np.finfo(float).eps
+            assert abs(value.imag - float(want.imag)) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(got - np.exp(2j * np.pi * (z % q) / q))) <= 8 * np.finfo(float).eps
 
 
 def test_single_value_queries_build_no_table(monkeypatch, capsys):
@@ -229,7 +235,7 @@ def test_single_value_queries_build_no_table(monkeypatch, capsys):
     assert mod_inverse(ring, 7) == pow(7, -1, 1009)
     assert eq_eval(ring, 5) == pytest.approx(np.exp(10j * np.pi / 1009))
     assert np.allclose(eq_eval(ring, np.arange(-3, 3)), np.exp(2j * np.pi * np.arange(-3, 3) / 1009))
-    assert "inv_table" not in vars(ring) and "eq_pows" not in vars(ring)
+    assert "inv_table" not in vars(ring)
     # a fresh ring answers the same queries, and a non-unit's refusal, from q alone
     fresh = build_ring(1009)
     assert mod_inverse(fresh, 7) == pow(7, -1, 1009) and eq_eval(fresh, 5) == eq_eval(ring, 5)
@@ -299,7 +305,7 @@ class TestCyclicDft:
             ring = build_ring(q)
             f = rng.standard_normal(q) + 1j * rng.standard_normal(q)
             fast = cyclic_dft(ring, f)
-            ref = _dft_naive(f, q, ring.eq_pows)
+            ref = _dft_naive(f, q, np.exp(2j * np.pi * np.arange(q) / q))
             assert np.max(np.abs(fast - ref)) <= 1e-9 * q * np.max(np.abs(f))
 
     def test_length_mismatch(self):
@@ -536,12 +542,12 @@ class TestBatchedKernel:
         rng = np.random.default_rng(4)
         fixed, rows = rng.standard_normal(22), rng.standard_normal((5, 22))
         calls = []
-        for name in ("rfftn", "irfftn"):
+        for name in ("rfft", "irfft"):
             transform = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name, lambda *args, _f=transform, _name=name, **kwargs: (
                 calls.append((_name, args[0].shape)) or _f(*args, **kwargs)))
         _lattice_convolution((fixed, rows), (22,))
-        assert [name for name, _ in calls] == ["rfftn", "rfftn", "irfftn"]
+        assert [name for name, _ in calls] == ["rfft", "rfft", "irfft"]
         assert calls[0][1] == (22,) and calls[1][1] == (5, 22)
         # blocks of 2 rows (90 points, 45 a row; 23 in the half spectrum): still
         # one transform of `fixed`, then one forward and one inverse a block
@@ -605,6 +611,90 @@ class TestBatchedKernel:
         big[1, 0] = 2**40
         with pytest.raises(ValueError, match="exceeds int64"):
             _lattice_convolution((big, np.array([2**30, 0, 0, 0])), (4,))
+
+
+def padded_convolution(operands, shape):
+    """The cyclic convolution by numpy's n-D transform, the longest rough
+    axis zero-padded to a 5-smooth length >= k*n and folded back: the
+    kernel's transform before the four-step."""
+    k, axes = len(operands), tuple(range(-len(shape), 0))
+    size, axis = list(shape), _fft_plan(shape, k)[1]
+    size[axis] = _smooth_length(k * shape[axis])
+    spectra = [np.fft.fftn(x, s=size, axes=axes) for x in operands]
+    product = spectra[0]
+    for f in spectra[1:]:
+        product = product * f
+    out = np.fft.ifftn(product, axes=axes)
+    a = out.ndim - len(shape) + axis
+    out = np.moveaxis(out, a, 0)[: k * shape[axis]]
+    out = np.moveaxis(out.reshape((k, shape[axis]) + out.shape[1:]).sum(axis=0), 0, a)
+    return out if any(np.iscomplexobj(x) for x in operands) else out.real
+
+
+class TestFourStep:
+    """The padded axis from _four_step's threshold on: R rows of P2 columns,
+    transformed as rows, twiddles, then columns."""
+
+    @pytest.mark.parametrize("shape, k, kind, rows", [
+        ((30010,), 2, "float", 0),  # 30010 = 2 * 5 * 3001
+        ((14002,), 3, "complex", 0),  # 2 * 7001
+        ((24006,), 2, "float", 3),  # the proof trace's T maps: rows
+        ((21014,), 2, "complex", 2),
+        ((2, 3, 20011), 2, "float", 0),  # an axis of length 2, the padded axis last
+        ((20011, 6), 3, "complex", 2),  # the padded axis first
+        ((1000002,), 2, "float", 0),  # q - 1 = 2 * 3 * 166667 at q = 10^6 + 3
+    ])
+    def test_matches_the_padded_transform(self, shape, k, kind, rows):
+        split = _fft_plan(shape, k)[6]
+        assert split > 1
+        rng = np.random.default_rng(sum(shape) + k)
+        draw = lambda lead: (rng.standard_normal(lead + shape) + (
+            1j * rng.standard_normal(lead + shape) if kind == "complex" else 0))
+        operands = [draw((rows,) if rows and j == k - 1 else ()) for j in range(k)]
+        got, residual = _lattice_convolution(operands, shape)
+        want = padded_convolution(operands, shape)
+        assert residual is None and got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(20011,), (4, 20011)])
+    def test_certified_integer_rows_equal_the_tally(self, shape):
+        # a dense count and rows of sparse ones: pairs the price gives the
+        # FFT, few enough for the tally to recount in the test
+        rng = np.random.default_rng(shape[-1])
+        dense = rng.integers(0, 4, shape)
+        rows = rng.integers(0, 3, (3,) + shape) * (rng.random((3,) + shape) < 40 / dense.size)
+        assert _fft_plan(shape)[6] > 1
+        got, residual = _lattice_convolution((dense, rows), shape)
+        assert got.dtype == np.int64 and residual is not None and 0 <= residual < 0.25
+        for row, want in zip(got, rows):
+            assert np.array_equal(row, _lattice_tally((dense, want), shape))
+
+    @pytest.mark.parametrize("block", [1 << 15, 1000])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_block_twiddles_within_4_ulps_of_np_exp(self, block, sign, monkeypatch):
+        # the 10^6 + 3 window's plan: 1024 rows of 2000, the real half's
+        # 513 rows twiddled, 16 (or 1) a block
+        monkeypatch.setattr(kforms.ring, "_FFT_BLOCK", block)
+        size, _, _, _, _, s, split = _fft_plan((1000002,), 2)
+        assert (split, s[0], size[0]) == (1024, 2000, 2048000)
+        y = np.ones((split // 2 + 1, s[0]), dtype=np.complex128)
+        _twiddle(y, 0, size[0], sign)
+        e = np.multiply.outer(np.arange(split // 2 + 1), np.arange(s[0]))
+        want = np.exp(sign * 2j * np.pi * e / size[0])
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(y.real - want.real)) <= 4 * eps
+        assert np.max(np.abs(y.imag - want.imag)) <= 4 * eps
+
+    def test_plan_and_threshold(self):
+        # below the threshold R = 1 and the axis is today's 5-smooth length;
+        # from it on P = R * P2 >= k*n, R a power of 2 next to sqrt(P)
+        assert _fft_plan((7001,), 2)[0::6] == ((_smooth_length(14002),), 1)
+        for n, k in ((20011, 2), (1000002, 2), (1000002, 3), (10000018, 3), (2**20 + 7, 2)):
+            size, axis, _, _, axes, s, split = _fft_plan((n,), k)
+            assert k * n >= kforms.ring._FOUR_STEP and axis == 0
+            assert size[0] == split * s[0] >= k * n and s[0] == _smooth_length(s[0])
+            assert split & (split - 1) == 0 and split ** 2 <= 4 * size[0] <= 16 * split ** 2
+            assert axes == (1, 0) and s[-1] == split
 
 
 class TestDotsAt:

@@ -663,7 +663,7 @@ class TestChainedWindow:
         n_iv = m_iv if same else IntervalSet(17, 311)
         calls = fft_calls(monkeypatch)
         fresh_window(ring, IntervalSet(3, 20), m_iv, n_iv)
-        assert calls == ["rfftn"] * transforms + ["irfftn"]
+        assert calls == ["rfft", "fftn"] * transforms + ["ifftn", "irfft"]
 
     def test_million_primes_keep_the_first_product_and_dots(self, monkeypatch):
         # thm1_large's 10^6 primes at L = 48: mu * nu by one FFT, read
@@ -679,7 +679,28 @@ class TestChainedWindow:
         calls = fft_calls(monkeypatch)
         fresh_window(ring, IntervalSet(17, 48), IntervalSet(0, side), IntervalSet(7, side))
         assert dots == [1]
-        assert calls == ["rfftn", "rfftn", "irfftn"]
+        assert calls == ["rfft", "fftn"] * 2 + ["ifftn", "irfft"]
+
+    @pytest.mark.parametrize("q, side", [(100003, 316), (10**6 + 3, 1000)])
+    def test_numpy_transforms_no_axis_past_the_four_step_rows_or_columns(self, q, side, monkeypatch):
+        # the padded axis is R rows of P2 columns, and numpy's FFT runs
+        # along no longer axis: no scratch of the whole padded length
+        ring = build_ring(q)
+        lengths = []
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda a, n=None, axis=-1, *args, _f=transform, **kwargs: (
+                lengths.append(n or np.shape(a)[axis]) or _f(a, n, axis, *args, **kwargs)))
+        for name in ("fftn", "ifftn"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda a, s=None, axes=None, *args, _f=transform, **kwargs: (
+                lengths.extend(s) or _f(a, s, axes, *args, **kwargs)))
+        for m_iv, n_iv in ((IntervalSet(0, side), IntervalSet(0, side)),
+                           (IntervalSet(-5, side), IntervalSet(1000, side))):
+            fresh_window(ring, IntervalSet(17, 48), m_iv, n_iv)
+        plans = [kforms.ring._fft_plan(ring.shape, k) for k in (2, 3)]
+        assert all(plan[6] > 1 for plan in plans) and lengths
+        assert max(lengths) <= max(max(plan[5]) for plan in plans) < 4096
 
 
 class TestInstanceValidation:
