@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .counts import CountReport, _count_report, _product_energy
-from .ring import IntervalSet, ResidueRing, _fft_plan, _negated, _to_lattice, check_work
+from .ring import IntervalSet, ResidueRing, _negated, _reduce, _rough, _to_lattice, _turns, check_work
 
 
 def build_characters(ring: ResidueRing) -> ResidueRing:
@@ -34,16 +34,13 @@ def _character_at(ring: ResidueRing, chi_index: int, residues) -> np.ndarray:
     into ring.log_index); 0 off units."""
     if not 0 <= chi_index < ring.phi:
         raise IndexError(f"character index {chi_index} out of range [0, {ring.phi})")
-    # The phase numerator over the common denominator, the lcm of the factor
-    # orders, in exact integer arithmetic (each term is below order * exponent
-    # <= phi^2 < 2^63); one complex exponential at the end.
-    flat = ring.log_index[residues]
-    shape, exponent = ring.shape, math.lcm(*ring.shape)
+    # one factor e(a*t/n) per axis of order n, read off _turns at the exact
+    # exponent a*t mod n (a*t < n^2 < 2^63)
+    flat, shape = ring.log_index[residues], ring.shape
     digits = np.unravel_index(np.maximum(flat, 0), shape)
-    num = np.zeros(flat.shape, dtype=np.int64)
-    for order, a, t in zip(shape, np.unravel_index(chi_index, shape), digits):
-        num = (num + int(a) * t * (exponent // order)) % exponent
-    out = np.exp((2j * np.pi / exponent) * num)
+    out = np.ones(flat.shape, dtype=np.complex128)
+    for n, a, t in zip(shape, np.unravel_index(chi_index, shape), digits):
+        out *= _turns(_reduce(int(a) * t, n), n)
     out[flat < 0] = 0
     return out
 
@@ -70,7 +67,7 @@ def interval_character_sums(ring: ResidueRing, interval: IntervalSet) -> np.ndar
     S = E +- e(k/n)*O along that axis.  Only the trivial group (q <= 2) has
     no even axis; its one sum is the count.  The transform is priced, with
     the ring, before the interval is read: 14 words a residue where an axis
-    of the packed lattice is a rough length (ring._fft_plan's test; numpy's
+    of the packed lattice is a rough length (ring._rough's test; numpy's
     Bluestein scratch sets char-moment's peak at 98 B a residue at 10^6+3),
     else 5 words, under the ring's 7 (36 B at 2^20).  The counts are dropped
     once packed, so the transform runs beside the ring and its packed input
@@ -81,7 +78,7 @@ def interval_character_sums(ring: ResidueRing, interval: IntervalSet) -> np.ndar
         return _to_lattice(ring, interval).reshape(-1).astype(np.complex128)
     axis = max(even, key=lambda k: ring.shape[k])
     m = ring.shape[axis] // 2
-    words = 5 if _fft_plan(ring.shape[:axis] + (m,) + ring.shape[axis + 1 :])[1] is None else 14
+    words = 14 if any(map(_rough, ring.shape[:axis] + (m,) + ring.shape[axis + 1 :])) else 5
     check_work(words * ring.q, f"{words}*q ring and character-sum words")
     c = np.moveaxis(_to_lattice(ring, interval), axis, -1)  # the packed axis last, in every view
     z = np.empty(c.shape[:-1] + (m,), dtype=np.complex128)

@@ -187,7 +187,8 @@ def _product_energy(
     the convolution's residual (None when tallied).  Priced by the lattice
     kernel's rule before any table of the ring is read: _PAIR_COST per pair
     of the intervals' unit members against the padded FFT of ring.shape,
-    and, where the kernel will take the FFT, its 7*points words.  The tally counts the members' products mod q by _product_counts, in q
+    and, where the kernel will take the FFT, its 7*points words.  The
+    tally counts the members' products mod q by _product_counts, in q
     bins (walking each row's progression over b_interval where that is
     cheaper, and each pair once when the intervals are equal) or by
     sorting, from q's primes alone; the FFT convolves the intervals' counts

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import ResidueRing, _fft_plan, check_work, cyclic_dft, eq_eval
+from .ring import ResidueRing, _reduce, _rough, check_work, cyclic_dft, eq_eval
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,13 @@ class KloostermanTable:
 
 def single_sum(ring: ResidueRing, m: int, n: int) -> complex:
     """K_q(m, n) by direct summation over the unit group, its phases read
-    through eq_eval, which builds no q-long table."""
+    through eq_eval, which builds no q-long table.  The exponent's two
+    products are reduced before they are added, so that it stays below 2q
+    for every q <= MAX_MODULUS, and eq_eval reduces the sum."""
     check_work(11 * ring.q, "11*q ring and single-sum words")  # 74 B a residue at primes
     q, x = ring.q, ring.units
-    return complex(eq_eval(ring, ((m % q) * x + (n % q) * ring.inv_table[x]) % q).sum())
+    exponent = _reduce((m % q) * x, q) + _reduce((n % q) * ring.inv_table[x], q)
+    return complex(eq_eval(ring, exponent).sum())
 
 
 def _unit_dft(ring: ResidueRing, phase) -> np.ndarray:
@@ -47,11 +50,11 @@ def _unit_dft(ring: ResidueRing, phase) -> np.ndarray:
     of the trilinear window's oracle and of jr-mod's orthogonality twin,
     and the one function that prices it: its words, with the ring and its
     tables, before it reads any table.  Where q is a rough length
-    (_fft_plan pads its axis) 27 words: numpy's FFT takes it by Bluestein,
+    (ring._rough's test) 27 words: numpy's FFT takes it by Bluestein,
     whose scratch sets ksum2's peak at 202 B a residue near 10^6 (10^6+3,
     1009*1013); 14 words at 7-smooth q, 100-104 B (10^6, 2^20, 5^9).
     kappa is freed before the DFT runs."""
-    words = 14 if _fft_plan((ring.q,))[1] is None else 27
+    words = 27 if _rough(ring.q) else 14
     check_work(words * ring.q, f"{words}*q ring and transform words")
     f = np.zeros(ring.q, dtype=np.complex128)
     f[ring.units] = phase(ring.inv_table[ring.units])
@@ -62,7 +65,7 @@ def _unit_gather(ring: ResidueRing, eta, f: np.ndarray, ls) -> np.ndarray:
     """sum_{x unit} eta_x f(l*x mod q) for each l in ls (eta aligned with
     ring.units), O(phi) per l."""
     q, x = ring.q, ring.units
-    return np.array([np.sum(eta * f[(int(l) % q) * x % q]) for l in ls], dtype=np.complex128)
+    return np.array([np.sum(eta * f[_reduce((int(l) % q) * x, q)]) for l in ls], dtype=np.complex128)
 
 
 def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
@@ -77,8 +80,8 @@ def double_naive(ring: ResidueRing, l: int, m: int, n: int) -> complex:
     q = ring.q
     x = ring.units
     xb = ring.inv_table[x]
-    bilinear = (l % q) * (np.outer(x, x) % q) % q
-    exponents = (bilinear + ((m % q) * xb % q)[:, None] + ((n % q) * xb % q)[None, :]) % q
+    bilinear = _reduce((l % q) * _reduce(np.outer(x, x), q), q)
+    exponents = bilinear + _reduce((m % q) * xb, q)[:, None] + _reduce((n % q) * xb, q)[None, :]
     return complex(eq_eval(ring, exponents).sum())
 
 

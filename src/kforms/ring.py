@@ -19,6 +19,14 @@ own route around it (the trilinear window, for one, its dot products).
 e_q and the twiddles are read off _turns, two tables of about sqrt(n)
 entries.
 
+Two arithmetic rules have one owner each.  _reduce is the one modulo of a
+residue array here and in characters, kloosterman and trilinear (a Python
+int takes %).
+_rough is the one rough-length test, a prime factor above 7: _fft_plan pads
+a lattice's longest rough axis by it, and _unit_dft and
+interval_character_sums price numpy's Bluestein transform by it, so a
+change to the padding moves no transform's price.
+
 build_ring factorizes q and splits the unit group, by CRT, into cyclic
 factors (a primitive root per odd p^e; <-1> and <5> for the 2-adic part), and
 allocates nothing of size q: every q-long table is written on its first read,
@@ -108,14 +116,33 @@ def _smooth_length(n: int) -> int:
 
 
 def _reduce(keys: np.ndarray, q: int) -> np.ndarray:
-    """keys mod q for non-negative int64 keys (contiguous), in place, as
-    keys - keys // q * q, 2^16 keys at a time so that the quotient stays in
-    cache: 2.4-2.8 ms against numpy's % at 5.0 ms on 10^6 keys, 13-15
-    against 21-23 ms on 2^22 (q = 10^6+3, AVX-512 host)."""
-    flat = keys.reshape(-1)
-    for part in (flat[s : s + (1 << 16)] for s in range(0, flat.size, 1 << 16)):
-        part -= part // q * q
+    """keys mod q for int64 keys of any sign, into [0, q), as
+    keys - keys // q * q (floor division): the one modulo of a residue
+    array in ring, characters, kloosterman and trilinear, where a Python
+    int alone takes %.  The reduced array is returned, of any layout; keys is
+    overwritten unless it is a strided array of more than one block, which
+    is reduced as a contiguous copy, so a caller passes an array it owns
+    and reads the result.  The keys are reduced 2^16 at a time so that the
+    quotient stays in cache: 2.4-2.8 ms against numpy's % at 5.0 ms on
+    10^6 keys, 13-15 against 21-23 ms on 2^22 (q = 10^6+3, AVX-512 host);
+    one block takes one step."""
+    if keys.size > 1 << 16:
+        keys = np.ascontiguousarray(keys)
+        for s in range(0, keys.size, 1 << 16):
+            _reduce(keys.reshape(-1)[s : s + (1 << 16)], q)
+        return keys
+    keys -= keys // q * q
     return keys
+
+
+def _rough(n: int) -> bool:
+    """n has a prime factor above 7: the package's one rough-length test.
+    numpy's FFT takes a rough length by Bluestein, slower and with a
+    scratch of several arrays of the transform's size, so _fft_plan pads
+    the longest rough axis of a lattice, and _unit_dft and
+    interval_character_sums price their transforms' Bluestein scratch by
+    this test directly, whatever the padding rule."""
+    return n > 1 and factorize(n)[-1][0] > 7
 
 
 @functools.lru_cache(maxsize=16)
@@ -130,7 +157,7 @@ def _turn_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     flip = 2 * r > n  # the angle's complement to pi/2, with cos and sin swapped
     angle = np.where(flip, n - r, r) * (np.pi / 2 / n)
     c, s = np.cos(angle), np.sin(angle)
-    values = (np.where(flip, s, c) + 1j * np.where(flip, c, s)) * np.array([1, 1j, -1, -1j])[quarter % 4]
+    values = (np.where(flip, s, c) + 1j * np.where(flip, c, s)) * np.array([1, 1j, -1, -1j])[quarter]
     values.flags.writeable = False  # shared by every caller through the cache
     return b, values[: 1 << b], values[1 << b :]
 
@@ -156,7 +183,7 @@ def _twiddle_block(rows: int, cols: int, n: int, sign: int) -> np.ndarray:
     """exp(sign*2*pi*i*j*c/n) at j < rows and c < cols, read-only: the
     offsets of a block's rows from its first row, one table for every
     block and call of a transform of that shape."""
-    block = _turns(np.multiply.outer(np.arange(rows), sign * np.arange(cols)) % n, n)
+    block = _turns(_reduce(np.multiply.outer(np.arange(rows), sign * np.arange(cols)), n), n)
     block.flags.writeable = False
     return block
 
@@ -175,7 +202,7 @@ def _twiddle(y: np.ndarray, a: int, n: int, sign: int) -> None:
         block = y[(slice(None),) * a + (slice(u, u + step),)]
         block *= near[: block.shape[a]]
         if u:
-            block *= _turns(u * c % n, n).reshape((cols,) + tail)
+            block *= _turns(_reduce(u * c, n), n).reshape((cols,) + tail)
 
 
 def _lattice_tally(arrays, shape: tuple[int, ...]) -> np.ndarray:
@@ -214,12 +241,9 @@ def _fft_plan(shape: tuple[int, ...], k: int = 2):
     transforms, the axes numpy transforms, the last one first (at least
     one is left to numpy, which needs one), their sizes, and the padded
     axis's four-step rows R (1 where it takes none).  The owner of the
-    package's one rough-length rule: a length with a prime factor above 7
-    is rough, and numpy's FFT takes it by Bluestein, slower and with a
-    scratch of several arrays of the transform's size.  The longest rough
-    axis is zero-padded to a 5-smooth length >= k*n, so axis is not None
-    exactly where shape has a rough length; _unit_dft and
-    interval_character_sums price their transforms by that test.
+    lattice's padding rule, which no transform's price reads: the longest
+    axis that _rough finds rough is zero-padded to a 5-smooth length
+    >= k*n, so axis is not None exactly where shape has a rough length.
 
     From k*n >= _FOUR_STEP points on, the padded axis takes Bailey's
     four-step (D. H. Bailey, J. Supercomputing 4, 1990) instead: its
@@ -230,7 +254,7 @@ def _fft_plan(shape: tuple[int, ...], k: int = 2):
     every later axis moves up by one.  Below, R = 1, and numpy transforms
     the axes longest last, the padded one at its 5-smooth length."""
     size = list(shape)
-    rough = [j for j, n in enumerate(shape) if n > 1 and factorize(n)[-1][0] > 7]
+    rough = [j for j, n in enumerate(shape) if _rough(n)]
     axis = max(rough, key=lambda j: shape[j], default=None)
     split = 1
     if axis is not None:
@@ -297,7 +321,7 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     along them cost about as much as along a long axis), the rest by numpy
     in _fft_plan's order: the first one numpy transforms (by rfft on real
     input, which halves it) is the longest axis, or the padded axis's rows.
-    The longest rough axis (_fft_plan's rule: a prime factor above 7) is
+    The longest rough axis (_rough's test: a prime factor above 7) is
     zero-padded to a length P >= k*n, and the linear convolution along it
     folded back onto Z_n, its k blocks of n summed by one reduction into a
     compact result.  Below _FOUR_STEP points P is 5-smooth and numpy takes
@@ -454,8 +478,7 @@ class IntervalSet:
         in place, 8 bytes a member at peak."""
         check_work(self.length, "interval length")
         first = (self.start + 1) % q
-        residues = np.arange(first, first + self.length, dtype=np.int64)
-        return np.remainder(residues, q, out=residues)
+        return _reduce(np.arange(first, first + self.length, dtype=np.int64), q)
 
     def __contains__(self, value: int) -> bool:
         return self.start + 1 <= value <= self.start + self.length
@@ -504,8 +527,7 @@ def _power_blocks(g: int, order: int, modulus: int):
     rows = max(math.isqrt(step), (1 << 16) // step) + 1  # >= 2^16 entries: few calls
     for i in range(0, large.size, rows):
         block = np.multiply.outer(large[i : i + rows], small).reshape(-1)[: order - i * step]
-        block %= modulus
-        yield i * step, block
+        yield i * step, _reduce(block, modulus)
 
 
 def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
@@ -542,8 +564,7 @@ def _unit_group(q: int, factors, units: np.ndarray) -> np.ndarray:
     lead = np.ones(1, dtype=np.int64)  # the units at the leading exponent tuples
     for h, m in zip(lead_generators, lead_orders):
         powers = np.concatenate([block for _, block in _power_blocks(h, m, q)])
-        lead = np.multiply.outer(lead, powers).reshape(-1)
-        lead %= q
+        lead = _reduce(np.multiply.outer(lead, powers).reshape(-1), q)
     rows = np.arange(0, units.size, n)[:, None]  # each leading tuple's first flat index
     log_index = np.full(q, -1, dtype=np.int64)
     for k, powers in _power_blocks(g, n, q):
@@ -552,8 +573,7 @@ def _unit_group(q: int, factors, units: np.ndarray) -> np.ndarray:
             continue
         step = max(1, (1 << 16) // powers.size)  # leading units a block: ~2^16 units held
         for s in range(0, lead.size, step):
-            block = np.multiply.outer(lead[s : s + step], powers)
-            block %= q
+            block = _reduce(np.multiply.outer(lead[s : s + step], powers), q)
             log_index[block] = rows[s : s + step] + np.arange(k, k + powers.size)
     log_index.flags.writeable = False
     return log_index
@@ -679,8 +699,7 @@ def eq_eval(ring: ResidueRing, z) -> complex | np.ndarray:
     q-long table is built."""
     if isinstance(z, (int, np.integer)):
         return complex(_turns(np.array([int(z) % ring.q]), ring.q)[0])
-    z = np.asarray(z, dtype=np.int64)
-    return _turns(z - z // ring.q * ring.q, ring.q)  # floor division: 1.6x numpy's mod
+    return _turns(_reduce(np.array(z, dtype=np.int64), ring.q), ring.q)
 
 
 def centered_rep(ring: ResidueRing, u) -> int | np.ndarray:
@@ -688,7 +707,7 @@ def centered_rep(ring: ResidueRing, u) -> int | np.ndarray:
     if isinstance(u, (int, np.integer)):
         r = int(u) % ring.q
         return r if 2 * r <= ring.q else r - ring.q
-    r = np.mod(np.asarray(u, dtype=np.int64), ring.q)
+    r = _reduce(np.array(u, dtype=np.int64), ring.q)
     return np.where(2 * r <= ring.q, r, r - ring.q)
 
 
@@ -703,7 +722,7 @@ def _dft_naive(f: np.ndarray, q: int, eq_pows: np.ndarray) -> np.ndarray:
     out = np.empty(q, dtype=np.complex128)
     idx = np.arange(q, dtype=np.int64)
     for t in range(q):
-        out[t] = f @ eq_pows[(t * idx) % q]
+        out[t] = f @ eq_pows[_reduce(t * idx, q)]
     return out
 
 
@@ -722,8 +741,8 @@ def _half_turns(a: int, t: np.ndarray, q: int) -> np.ndarray:
     """a*t mod 2q for 0 <= a < 2q and residues 0 <= t < q.  With a = a0 + a1*q,
     a*t = a0*t + q*(a1*t mod 2) mod 2q, and a0*t < q^2 < 2^63."""
     a1, a0 = divmod(a, q)
-    out = a0 * t % (2 * q)
-    return (out + q * (t & 1)) % (2 * q) if a1 else out
+    out = _reduce(a0 * t, 2 * q)
+    return _reduce(out + q * (t & 1), 2 * q) if a1 else out
 
 
 def _sin_half_turns(h: np.ndarray, q: int) -> np.ndarray:
@@ -748,7 +767,7 @@ def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
     """
     q = ring.q
     scalar = isinstance(x, (int, np.integer))
-    t = np.array([int(x) % q]) if scalar else np.mod(np.asarray(x, dtype=np.int64), q)
+    t = np.array([int(x) % q]) if scalar else _reduce(np.array(x, dtype=np.int64), q)
     length = int(interval.length)
     # sum_{k=1..length} e_q((v+k)*x)
     #   = e^(i*pi*(2v+length+1)*x/q) * sin(pi*length*x/q) / sin(pi*x/q)

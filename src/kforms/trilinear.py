@@ -53,6 +53,7 @@ from .ring import (
     ResidueRing,
     _fft_plan,
     _lattice_convolution,
+    _reduce,
     _to_lattice,
     check_work,
     cyclic_dft,
@@ -187,7 +188,8 @@ def _dots_price(heads, shape: tuple[int, ...], at: np.ndarray) -> float:
     points*log2(points) a transform: one per distinct operand and the
     inverse."""
     half = shape[0] // 2
-    reads = np.unique(at % half, return_inverse=True)[0].size  # a bare unique imports numpy.ma
+    # return_inverse: a bare unique imports numpy.ma
+    reads = np.unique(_reduce(at.copy(), half), return_inverse=True)[0].size
     dots = reads * (half * (1 + (half > _DOT_CACHE)) + _DOT_CALL) + _DOT_FOLD * (half + _DOT_CALL)
     distinct = len({id(x) for x in heads})
     chain = (distinct + 2) * _fft_plan(shape, len(heads) + 1)[2] / 3
@@ -200,7 +202,7 @@ def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
     a(j) +- a(j+h) with the h-periodic and h-antiperiodic b(x) +- b(x+h),
     each one contiguous slice of a doubled, reversed copy of the latter."""
     h = a.size // 2
-    k, slot = np.unique(at % h, return_inverse=True)
+    k, slot = np.unique(_reduce(at.copy(), h), return_inverse=True)
     sums = []
     for sign in (1, -1):
         af, bf = a[:h] + sign * a[h:], (b[:h] + sign * b[h:])[::-1]
@@ -380,7 +382,7 @@ def _phase_rows(ring: ResidueRing, sets: list, interval: IntervalSet, lattice: b
     """Row i holds, at each member x of sets[i] (reduced mod q), the
     interval's phase sum at x, written at inv(x), or with `lattice` at the
     lattice point of inv(x) (every member a unit): one phase-sum call."""
-    xs = np.mod(np.concatenate(sets), ring.q)
+    xs = _reduce(np.concatenate(sets), ring.q)
     slots = ring.inv_table[xs]
     rows = np.zeros((len(sets), ring.phi if lattice else ring.q), dtype=np.complex128)
     at = np.repeat(np.arange(len(sets)), [x.size for x in sets])

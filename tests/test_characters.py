@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,6 +118,24 @@ class TestEvalCharacter:
             vec = character_values(table, idx)
             for x in range(40):
                 assert vec[x] == pytest.approx(eval_character(table, idx, x))
+
+    def test_values_within_four_ulps_of_mpmath(self):
+        # five axes; every value is e(k/12), k the character's exact phase
+        # over the lcm of the orders, so an exact 0, 1 or i stays exact
+        ring = build_ring(840)
+        assert ring.shape == (2, 2, 2, 4, 6)
+        with mpmath.workdps(30):
+            exact = [mpmath.expjpi(mpmath.mpf(k) / 6) for k in range(12)]
+        table = np.array([[float(z.real), float(z.imag)] for z in exact])
+        digits = np.unravel_index(ring.log_index[ring.units], ring.shape)
+        for chi in range(ring.phi):
+            a = np.unravel_index(chi, ring.shape)
+            k = sum(int(aj) * t * (12 // n) for aj, t, n in zip(a, digits, ring.shape)) % 12
+            values = character_values(ring, chi)
+            assert not values[~ring.unit_mask].any()
+            got = values[ring.units]
+            for part, want in ((got.real, table[k, 0]), (got.imag, table[k, 1])):
+                assert np.all(np.abs(part - want) <= 4 * np.spacing(np.abs(want))), chi
 
 
 class TestFourthMoment:

@@ -16,12 +16,16 @@ from kforms import (
     interval_phase_sum,
     mod_inverse,
 )
+import kforms.characters
 import kforms.cli
+import kforms.kloosterman
 import kforms.ring
 from kforms.ring import (
     MAX_MODULUS, _certified, _dft_naive, _fft_plan, _lattice_convolution, _lattice_tally,
-    _primitive_root, _reduce, _smooth_length, _twiddle, factorize, is_prime,
+    _primitive_root, _reduce, _rough, _smooth_length, _twiddle, factorize, is_prime,
 )
+from kforms.characters import interval_character_sums
+from kforms.kloosterman import _unit_dft
 from kforms.trilinear import _dots_at
 
 
@@ -463,6 +467,47 @@ class TestReduce:
         assert _reduce(keys, q) is keys and np.array_equal(keys, expected)
         block = rng.integers(0, 2**62, (4, 50))
         assert np.array_equal(_reduce(block.copy(), q), block % q)
+
+    @pytest.mark.parametrize("view", [
+        lambda x: x[:20].reshape(4, 5).T,  # one block, not contiguous
+        lambda x: x[: 300 * 300].reshape(300, 300).T,  # past one block, not contiguous
+        lambda x: x[::3],  # a strided 1-D view past one block
+        lambda x: -np.abs(x[:1000]),  # negative keys
+        lambda x: x[:1],
+        lambda x: x[: 1 << 16],
+        lambda x: x[: (1 << 16) + 1],
+    ], ids=["transposed", "transposed-blocks", "strided", "negative", "1", "2^16", "2^16+1"])
+    @pytest.mark.parametrize("q", [7, 10**6 + 3])
+    def test_matches_mod_in_any_layout(self, view, q):
+        keys = view(np.random.default_rng(q).integers(-(2**62), 2**62, 300_000))
+        expected = np.mod(keys, q)
+        assert np.array_equal(_reduce(keys, q), expected)
+
+
+class TestRough:
+    def test_ladder(self):
+        ladder = (1, 2, 7, 11, 98, 1009, 10**6 + 2)
+        assert [_rough(n) for n in ladder] == [False, False, False, True, False, True, True]
+
+    @pytest.mark.parametrize("q, dft_words, sum_words", [
+        (10007, 27, 14), (9999, 27, 5), (100003, 27, 14), (2**20, 14, 5), (10**6 + 3, 27, 14),
+    ])
+    def test_transform_prices_read_no_padding(self, q, dft_words, sum_words, monkeypatch):
+        # numpy takes a rough length by Bluestein whatever the lattice's
+        # padding rule: with _fft_plan padding no axis, wherever a module
+        # binds it, _unit_dft and interval_character_sums keep their prices
+        # and refuse one word below them
+        for module in (kforms.ring, kforms.kloosterman, kforms.characters):
+            if hasattr(module, "_fft_plan"):
+                monkeypatch.setattr(module, "_fft_plan", lambda shape, k=2: (shape, None))
+        ring = build_ring(q)
+        for words, label, call in [
+            (dft_words, "transform", lambda: _unit_dft(ring, np.negative)),
+            (sum_words, "character-sum", lambda: interval_character_sums(ring, IntervalSet(0, 5))),
+        ]:
+            monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", words * q - 1)
+            with pytest.raises(ValueError, match=rf"{words}\*q ring and {label} words = {words * q} "):
+                call()
 
 
 class TestModulusBound:
