@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .counts import CountReport, _count_report, _product_energy
-from .ring import IntervalSet, ResidueRing, _negated, _reduce, _rough, _to_lattice, _turns, check_work
+from .ring import (IntervalSet, ResidueRing, _negated, _reduce, _rough, _to_lattice, _turn_tables,
+                   _turns, check_work)
 
 
 def build_characters(ring: ResidueRing) -> ResidueRing:
@@ -64,22 +65,24 @@ def interval_character_sums(ring: ResidueRing, interval: IntervalSet) -> np.ndar
     (length n) is packed in half, z = c[even] + i*c[odd], and one complex
     transform Z of phi/2 points gives the transforms of both halves,
     E = (Z + conj Z(-k))/2 and O = (Z - conj Z(-k))/(2i), and from them
-    S = E +- e(k/n)*O along that axis.  Only the trivial group (q <= 2) has
-    no even axis; its one sum is the count.  The transform is priced, with
-    the ring, before the interval is read: 14 words a residue where an axis
-    of the packed lattice is a rough length (ring._rough's test; numpy's
-    Bluestein scratch sets char-moment's peak at 98 B a residue at 10^6+3),
-    else 5 words, under the ring's 7 (36 B at 2^20).  The counts are dropped
-    once packed, so the transform runs beside the ring and its packed input
-    alone.
+    S = E +- e(k/n)*O along that axis, e(k/n) the outer product of
+    ring._turn_tables(n)'s coarse and fine tables.  Only the trivial group
+    (q <= 2) has no even axis; its one sum is the count.  The transform is
+    priced, with the ring, before the interval is read: 14 words a residue
+    where an axis of the packed lattice is a rough length (ring._rough's
+    test; numpy's Bluestein scratch sets char-moment's peak at 98 B a
+    residue at 10^6+3), else the ring's own 7 words, priced at
+    _to_lattice's first table read (36 B at 2^20).  The counts are
+    dropped once packed, so the transform runs beside the ring and its
+    packed input alone.
     """
     even = [k for k, n in enumerate(ring.shape) if n % 2 == 0]
     if not even:
         return _to_lattice(ring, interval).reshape(-1).astype(np.complex128)
     axis = max(even, key=lambda k: ring.shape[k])
     m = ring.shape[axis] // 2
-    words = 14 if any(map(_rough, ring.shape[:axis] + (m,) + ring.shape[axis + 1 :])) else 5
-    check_work(words * ring.q, f"{words}*q ring and character-sum words")
+    if any(map(_rough, ring.shape[:axis] + (m,) + ring.shape[axis + 1 :])):
+        check_work(14 * ring.q, "14*q ring and character-sum words")
     c = np.moveaxis(_to_lattice(ring, interval), axis, -1)  # the packed axis last, in every view
     z = np.empty(c.shape[:-1] + (m,), dtype=np.complex128)
     z.real, z.imag = c[..., 0::2], c[..., 1::2]
@@ -90,12 +93,11 @@ def interval_character_sums(ring: ResidueRing, interval: IntervalSet) -> np.ndar
     odd = z - zr  # 2i*O
     z += zr
     z *= 0.5  # E
-    # e(k/n)/(2i) for k = k1*s + k0 < m = n/2 as e(k1*s/n) * e(k0/n)/(2i): an
-    # outer product of two ~sqrt(m) exponentials, ten times cheaper than m of them
-    s = math.isqrt(m) + 1
-    low = np.exp((1j * np.pi / m) * np.arange(s)) * -0.5j
-    high = np.exp((1j * np.pi * s / m) * np.arange(-(-m // s)))
-    odd *= (high[:, None] * low).reshape(-1)[:m]
+    # e(k/n)/(2i) at k = k1*2^b + k0 < m = n/2: e(k1*2^b/n) * e(k0/n)/(2i),
+    # an outer product of the turn tables' first ceil(m/2^b) coarse entries
+    # and their fine ones, ten times cheaper than m exponentials
+    b, fine, coarse = _turn_tables(2 * m)
+    odd *= (coarse[: -(-m >> b), None] * (fine * -0.5j)).reshape(-1)[:m]
     sums = np.empty(ring.shape, dtype=np.complex128)
     out = np.moveaxis(sums, axis, -1)
     np.add(z, odd, out=out[..., :m])

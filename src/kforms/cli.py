@@ -34,7 +34,9 @@ from .sweeps import (
     verify_thm1_sweep,
     verify_thm2_sweep,
 )
-from .trilinear import WEIGHT_MODES, proof_trace, theorem1_bounds, trilinear_fast, trilinear_naive
+from .trilinear import (
+    WEIGHT_MODES, _check_trace_work, proof_trace, theorem1_bounds, trilinear_fast, trilinear_naive,
+)
 
 
 def _fmt(value) -> str:
@@ -145,6 +147,7 @@ def cmd_char_moment(args, t0: float) -> SweepResult:
 
 
 def cmd_proof_trace(args, t0: float) -> SweepResult:
+    _check_trace_work(args.q, resolve_interval(args.M, args.q).length)  # before any table
     instance = build_instance(args.q, args.L, args.M, args.N, args.weights, args.seed)
     trace = proof_trace(instance, args.r)
     gap = abs(trace.total - trace.fast_value)

@@ -125,7 +125,7 @@ def _unit_members(interval: IntervalSet, q: int, primes: list[tuple[int, int]]) 
     residues = interval.residues(q)
     units = np.ones(residues.size, dtype=bool)
     for p, _ in primes:
-        units &= residues % p != 0
+        units &= _reduce(residues.copy(), p) != 0
     return residues[units]
 
 
@@ -153,11 +153,11 @@ def _product_counts(ra, rb, q: int, b_interval=None, primes=()) -> np.ndarray:
         # index sums the gaps between members, each in [1, q] (q consecutive
         # integers hold the unit 1 mod q) and so read off their offsets mod q
         # from b_interval's first residue; else the first
-        gaps = (np.diff((ra - (b_interval.start + 1) % q) % q, prepend=-1) - 1) % q + 1
+        gaps = _reduce(np.diff(_reduce(ra - (b_interval.start + 1) % q, q), prepend=-1) - 1, q) + 1
         first = np.cumsum(gaps) if same else np.zeros_like(ra)
         lengths, steps = b_interval.length - first, np.where(2 * ra < q, ra, ra - q)
         rows = (np.abs(steps) * lengths // q + 1) * _SEGMENT_COST < lengths
-        starts = ra * (((b_interval.start + 1) % q + first) % q) % q
+        starts = _reduce(ra * _reduce((b_interval.start + 1) % q + first, q), q)
         walk, keyed = zip(*(x[rows].tolist() for x in (steps, starts, lengths))), keyed[~rows]
     # 4 B a bin and 8.1-8.2 B a keyed pair of one step, measured
     check_work(q // 2 + 2 * min(keyed.size * rb.size, _TALLY_CHUNK), "q/2 bin + 2*keyed pair words")
@@ -170,7 +170,7 @@ def _product_counts(ra, rb, q: int, b_interval=None, primes=()) -> np.ndarray:
     for p, _ in primes:
         counts[::p] = 0
     if same:
-        np.add.at(counts, ra * ra % q, counts.dtype.type(1))  # a bin-typed value keeps add.at fast
+        np.add.at(counts, _reduce(ra * ra, q), counts.dtype.type(1))  # a bin-typed 1 keeps add.at fast
     step = max(1, _TALLY_CHUNK // rb.size)  # rb is not empty: q <= 8*pairs
     for s in range(0, keyed.size, step):
         rows = keyed[s : s + step]
@@ -194,17 +194,17 @@ def _product_energy(
     sorting, from q's primes alone; the FFT convolves the intervals' counts
     on the unit-group lattice, where a product of units adds exponent
     tuples."""
-    q, primes, fft_cost = ring.q, ring.primes, _fft_plan(ring.shape)[2]
+    q, primes, plan = ring.q, ring.primes, _fft_plan(ring.shape)  # plan[2]: its price, [7]: words
     units = [_unit_count(interval, q, primes) for interval in (a_interval, b_interval)]
-    if math.prod(units) * _PAIR_COST <= fft_cost:
+    if math.prod(units) * _PAIR_COST <= plan[2]:
         ra = _unit_members(a_interval, q, primes)
         rb = ra if b_interval == a_interval else _unit_members(b_interval, q, primes)
         return _sum_of_squares(_product_counts(ra, rb, q, b_interval, primes)), None
     # the kernel's supports are the units each interval hits, min(units,
     # phi): where it will take the FFT, its price comes before the
     # unit-group index and the lattices
-    if math.prod(min(n, ring.phi) for n in units) * _PAIR_COST > fft_cost:
-        check_work(7 * math.prod(_fft_plan(ring.shape)[0]), "7*points FFT words")
+    if math.prod(min(n, ring.phi) for n in units) * _PAIR_COST > plan[2]:
+        check_work(plan[7], "7*points FFT words")
     # each interval's residues and their int64 gather onto the lattice, one
     # interval at a time: 16.4-16.8 B a member measured
     check_work(3 * max(a_interval.length, b_interval.length), "3*length lattice member words")
@@ -248,7 +248,7 @@ def _check_r_k(r: int, K: int, top: float) -> None:
 
 
 def _unit_inverses_upto(ring: ResidueRing, K: int) -> np.ndarray:
-    xs = np.arange(1, K + 1, dtype=np.int64) % ring.q
+    xs = _reduce(np.arange(1, K + 1, dtype=np.int64), ring.q)
     return ring.inv_table[xs[ring.unit_mask[xs]]]
 
 

@@ -16,12 +16,14 @@ points on it is transformed by the four-step, as R rows of P2 columns
 them), so that numpy's FFT runs along no axis longer than R or P2 and its
 scratch stays a row long.  The kernel only convolves: each caller picks its
 own route around it (the trilinear window, for one, its dot products).
-e_q and the twiddles are read off _turns, two tables of about sqrt(n)
-entries.
+e_q, the twiddles and the character sums' e(k/n) are read off
+_turn_tables, two tables of about sqrt(n) entries.
 
-Two arithmetic rules have one owner each.  _reduce is the one modulo of a
-residue array here and in characters, kloosterman and trilinear (a Python
-int takes %).
+Three rules have one owner each.  _reduce is the one modulo of a residue
+array here and in characters, counts, kloosterman and trilinear (a Python
+int takes %, and so does the array of moduli of counts._unit_inverses).
+_fft_plan's words are the lattice FFT's one price, 7 words a padded
+point, which the kernel and the callers that price it ahead read.
 _rough is the one rough-length test, a prime factor above 7: _fft_plan pads
 a lattice's longest rough axis by it, and _unit_dft and
 interval_character_sums price numpy's Bluestein transform by it, so a
@@ -118,8 +120,10 @@ def _smooth_length(n: int) -> int:
 def _reduce(keys: np.ndarray, q: int) -> np.ndarray:
     """keys mod q for int64 keys of any sign, into [0, q), as
     keys - keys // q * q (floor division): the one modulo of a residue
-    array in ring, characters, kloosterman and trilinear, where a Python
-    int alone takes %.  The reduced array is returned, of any layout; keys is
+    array in ring, characters, counts, kloosterman and trilinear, where a
+    Python int alone takes %.  The one exception is an array of moduli,
+    which q here is not: counts._unit_inverses' three steps divide by one
+    and keep numpy's %.  The reduced array is returned, of any layout; keys is
     overwritten unless it is a strided array of more than one block, which
     is reduced as a contiguous copy, so a caller passes an array it owns
     and reads the result.  The keys are reduced 2^16 at a time so that the
@@ -239,8 +243,11 @@ def _fft_plan(shape: tuple[int, ...], k: int = 2):
     axis, the axis padded (None if none is), the price points*log2(points)
     (the unit of _PAIR_COST), the axes of length 2, which _butterflies
     transforms, the axes numpy transforms, the last one first (at least
-    one is left to numpy, which needs one), their sizes, and the padded
-    axis's four-step rows R (1 where it takes none).  The owner of the
+    one is left to numpy, which needs one), their sizes, the padded
+    axis's four-step rows R (1 where it takes none), and the FFT's peak in
+    words, 7 a padded point (32-56 B measured): the one price of the
+    kernel's FFT, which _product_energy and build_instance take before
+    they call it.  The owner of the
     lattice's padding rule, which no transform's price reads: the longest
     axis that _rough finds rough is zero-padded to a 5-smooth length
     >= k*n, so axis is not None exactly where shape has a rough length.
@@ -268,7 +275,7 @@ def _fft_plan(shape: tuple[int, ...], k: int = 2):
         rest = [j for j in axes if j != axis]
         axes = [axis + 1] + [j + (j > axis) for j in rest] + [axis]
         s = [size[axis] // split] + [size[j] for j in rest] + [split]
-    return tuple(size), axis, points * math.log2(points + 1), two, tuple(axes), s, split
+    return tuple(size), axis, points * math.log2(points + 1), two, tuple(axes), s, split, 7 * points
 
 
 def _butterflies(x: np.ndarray, axes, scale: float = 1.0) -> np.ndarray:
@@ -355,7 +362,7 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     totals = [math.prod(sums[id(x)][j % len(x)] for x in arrays) if integer else 0 for j in range(b)]
     if max(totals) >= 2**63:
         raise ValueError(f"dimension too large: convolution total {max(totals)} exceeds int64")
-    size, axis, fft_cost, two, axes, s, split = _fft_plan(shape, len(arrays))
+    size, axis, fft_cost, two, axes, s, split, words = _fft_plan(shape, len(arrays))
     # a row is tallied where the tally prices lower (at step m, the product
     # of m supports); _certified alone judges the FFT's rows
     supports = [[nonzero[id(x)][j % len(x)] for x in arrays] for j in range(b)]
@@ -365,7 +372,7 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     c = [_lattice_tally(row, shape) if t else None for row, t in zip(rows, tallied)]
     fft_rows, residuals = [j for j, t in enumerate(tallied) if not t], []
     if fft_rows:
-        check_work(7 * math.prod(size), "7*points FFT words")  # 32-56 B per padded point
+        check_work(words, "7*points FFT words")
         real = all(x.dtype.kind != "c" for x in distinct.values())
         first, last = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
 

@@ -137,15 +137,14 @@ def build_instance(
     """The weighted trilinear instance for modulus q: the three windows from
     their specs, the ring, and weights seeded by stable_seed(seed, q).  The
     window's lattice FFT, one chain of its three operands (a rough axis
-    padded to >= 3n) at 7 words a point as the kernel prices it, runs while
+    padded to >= 3n) at the 7 words a point of its plan, runs while
     the ring's tables are held, so the two are priced as one sum from
     ring.shape and refused before any table is built.  The window lives on
     its ring, so a sweep, which drops each instance before it builds the
     next, holds one ring and one window at a time."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
     ring = build_ring(q)
-    size = _fft_plan(ring.shape, 3)[0]
-    check_work(7 * q + 7 * math.prod(size), "7*q ring + 7*points FFT words")
+    check_work(7 * q + _fft_plan(ring.shape, 3)[7], "7*q ring + 7*points FFT words")
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int
     )

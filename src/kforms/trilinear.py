@@ -397,9 +397,16 @@ def dyadic_decomposition(ring: ResidueRing, m_len: int, n_len: int) -> DyadicDec
         raise ValueError("window lengths must be >= 1")
     levels_m, q_sets = _sign_sets(ring, m_len)
     levels_n, r_sets = _sign_sets(ring, n_len)
-    return DyadicDecomposition(
-        levels_m=levels_m, levels_n=levels_n, q_sets=q_sets, r_sets=r_sets
-    )
+    return DyadicDecomposition(levels_m, levels_n, q_sets, r_sets)
+
+
+def _check_trace_work(q: int, m_len: int) -> None:
+    """Refuse, with a ValueError, a trace at modulus q whose (48 + 4*levels)*q
+    words, levels the M side's dyadic level count for window length m_len,
+    exceed the work budget: 2 complex T maps (phi wide) per M-side level,
+    412-604 B per residue at q ~ 10^6.  The trace's one price, which
+    proof_trace takes, and the CLI before it builds the instance."""
+    check_work((48 + 4 * _level_count(m_len)) * q, "(48 + 4*levels)*q trace words")
 
 
 def _moment_check(value: float, reference: float) -> MomentCheck:
@@ -445,8 +452,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     )
     if m_len > q or n_len > q:
         raise ValueError("trace needs M, N <= q")
-    # 2 complex T maps (phi wide) per M-side level; 412-604 B per residue at q ~ 10^6
-    check_work((48 + 4 * _level_count(m_len)) * q, "(48 + 4*levels)*q trace words")
+    _check_trace_work(q, m_len)
 
     # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q, for
     # every N-side level j, in one counts call, largest K first: a J_r over
@@ -519,11 +525,8 @@ def theorem1_bounds(instance: TrilinearInstance) -> BoundReport:
     """|S_q| (fast path) against the two fixed-modulus envelopes, their
     minimum, and the trivial bound L*M*N*q; every ratio is reported."""
     t0 = time.perf_counter()
-    ring = instance.ring
-    q = ring.q
-    L = instance.weights.interval.length
-    M = instance.m_interval.length
-    N = instance.n_interval.length
+    q = instance.ring.q
+    L, M, N = (iv.length for iv in (instance.weights.interval, instance.m_interval, instance.n_interval))
     measured = abs(trilinear_fast(instance))
     b1 = (L + math.sqrt(L * M)) * math.sqrt(N) * q**1.5
     b2 = (L + L**0.75 * M**0.25) * (N**0.125 * q**1.75 + math.sqrt(N) * q**1.5)

@@ -191,6 +191,24 @@ class TestIntervalCharacterSums:
             sums = interval_character_sums(table, interval)
             assert np.max(np.abs(sums[conj] - np.conj(sums))) <= 1e-12 * interval.length
 
+    def test_twiddles_read_off_the_turn_tables(self, monkeypatch):
+        # e(k/n)/(2i) is the outer product of ring._turn_tables' coarse and
+        # fine entries, so no np.exp runs; cyclic, 2-power and five-axis
+        # packed lattices, checked at a sample of characters
+        def refused(*args, **kwargs):
+            raise AssertionError("np.exp called")
+
+        monkeypatch.setattr(np, "exp", refused)
+        rng = np.random.default_rng(40)
+        for q in (20011, 2**10, 840):
+            _, table = table_for(q)
+            interval = random_interval(rng, q)
+            counts = np.bincount(np.mod(interval.members(), q), minlength=q)
+            chis = rng.choice(table.phi, min(table.phi, 64), replace=False)
+            direct = np.array([character_values(table, int(c)) @ counts for c in chis])
+            sums = interval_character_sums(table, interval)[chis]
+            assert np.max(np.abs(sums - direct)) <= 1e-12 * interval.length
+
     def test_transform_runs_on_half_the_group(self, monkeypatch):
         # the real counts are packed two to a point: one transform of phi/2
         shapes, ifftn = [], np.fft.ifftn

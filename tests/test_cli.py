@@ -511,6 +511,13 @@ class TestPeakRss:
         # the energy's lattice FFT, priced before the unit-group index (it
         # held 934 MiB before exit 2 when the kernel priced it)
         ["energy", "--q", "29999999", "--A", "0:29999999", "--B", "0:29999999"],
+        # (48 + 4*7)*q trace words ~ 2.51e8, priced before the instance (it
+        # held ~409 MiB before exit 2 when the instance was built first)
+        ["proof-trace", "--q", "3300019", "--r", "2", "--L", "0:400", "--M", "0:1000",
+         "--N", "0:1000", "--weights", "extremal"],
+        # q = 3^16: the packed axis 3^15 is 7-smooth, so the ring's own 7*q
+        # words ~ 3.0e8 refuse the character sums
+        ["char-moment", "--q", "43046721", "--H", "10"],
     ])
     def test_refused_run_builds_no_table(self, argv):
         # each kernel's price, just past the work budget, refuses before the

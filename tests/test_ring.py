@@ -490,23 +490,25 @@ class TestRough:
         assert [_rough(n) for n in ladder] == [False, False, False, True, False, True, True]
 
     @pytest.mark.parametrize("q, dft_words, sum_words", [
-        (10007, 27, 14), (9999, 27, 5), (100003, 27, 14), (2**20, 14, 5), (10**6 + 3, 27, 14),
+        (10007, 27, 14), (9999, 27, 7), (100003, 27, 14), (2**20, 14, 7), (10**6 + 3, 27, 14),
     ])
     def test_transform_prices_read_no_padding(self, q, dft_words, sum_words, monkeypatch):
         # numpy takes a rough length by Bluestein whatever the lattice's
         # padding rule: with _fft_plan padding no axis, wherever a module
         # binds it, _unit_dft and interval_character_sums keep their prices
-        # and refuse one word below them
+        # and refuse one word below them; a 7-smooth packed lattice's sums
+        # are priced by the ring's own 7 words
         for module in (kforms.ring, kforms.kloosterman, kforms.characters):
             if hasattr(module, "_fft_plan"):
                 monkeypatch.setattr(module, "_fft_plan", lambda shape, k=2: (shape, None))
         ring = build_ring(q)
+        sum_label = "ring and character-sum" if sum_words == 14 else "ring"
         for words, label, call in [
-            (dft_words, "transform", lambda: _unit_dft(ring, np.negative)),
-            (sum_words, "character-sum", lambda: interval_character_sums(ring, IntervalSet(0, 5))),
+            (dft_words, "ring and transform", lambda: _unit_dft(ring, np.negative)),
+            (sum_words, sum_label, lambda: interval_character_sums(ring, IntervalSet(0, 5))),
         ]:
             monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", words * q - 1)
-            with pytest.raises(ValueError, match=rf"{words}\*q ring and {label} words = {words * q} "):
+            with pytest.raises(ValueError, match=rf"{words}\*q {label} words = {words * q} "):
                 call()
 
 
@@ -720,7 +722,7 @@ class TestFourStep:
         # the 10^6 + 3 window's plan: 1024 rows of 2000, the real half's
         # 513 rows twiddled, 16 (or 1) a block
         monkeypatch.setattr(kforms.ring, "_FFT_BLOCK", block)
-        size, _, _, _, _, s, split = _fft_plan((1000002,), 2)
+        size, _, _, _, _, s, split, _ = _fft_plan((1000002,), 2)
         assert (split, s[0], size[0]) == (1024, 2000, 2048000)
         y = np.ones((split // 2 + 1, s[0]), dtype=np.complex128)
         _twiddle(y, 0, size[0], sign)
@@ -735,7 +737,7 @@ class TestFourStep:
         # from it on P = R * P2 >= k*n, R a power of 2 next to sqrt(P)
         assert _fft_plan((7001,), 2)[0::6] == ((_smooth_length(14002),), 1)
         for n, k in ((20011, 2), (1000002, 2), (1000002, 3), (10000018, 3), (2**20 + 7, 2)):
-            size, axis, _, _, axes, s, split = _fft_plan((n,), k)
+            size, axis, _, _, axes, s, split, _ = _fft_plan((n,), k)
             assert k * n >= kforms.ring._FOUR_STEP and axis == 0
             assert size[0] == split * s[0] >= k * n and s[0] == _smooth_length(s[0])
             assert split & (split - 1) == 0 and split ** 2 <= 4 * size[0] <= 16 * split ** 2
