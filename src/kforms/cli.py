@@ -23,7 +23,7 @@ from .characters import fourth_moment_reference, moment_identity_check
 from .counts import multiplicative_energy, reciprocal_count_rational, reciprocal_moment_identity
 from .kloosterman import double_fast, double_naive, single_sum, weil_reference
 from .reports import SweepResult, emit_report, make_report
-from .ring import IntervalSet, build_ring, check_work, euler_phi, mod_inverse
+from .ring import IntervalSet, build_ring, mod_inverse
 from .sweeps import (
     DEFAULT_GRIDS,
     allowed_exceptions,
@@ -35,7 +35,8 @@ from .sweeps import (
     verify_thm2_sweep,
 )
 from .trilinear import (
-    WEIGHT_MODES, _check_trace_work, proof_trace, theorem1_bounds, trilinear_fast, trilinear_naive,
+    WEIGHT_MODES, _check_naive_work, _check_trace_work, proof_trace, theorem1_bounds, trilinear_fast,
+    trilinear_naive,
 )
 
 
@@ -74,8 +75,6 @@ def cmd_ksum(args, t0: float) -> SweepResult:
 
 def cmd_ksum2(args, t0: float) -> SweepResult:
     ring = build_ring(args.q)
-    if args.naive:
-        check_work(4 * ring.phi**2, "4*phi^2 double_naive words")  # 32 B a pair
     fn = double_naive if args.naive else double_fast
     value = fn(ring, args.l, args.m, args.n)
     print(f"K_{args.q}({args.l},{args.m},{args.n}) = {_fmt(value)}")
@@ -86,9 +85,9 @@ def cmd_ksum2(args, t0: float) -> SweepResult:
 
 
 def cmd_trilinear(args, t0: float) -> SweepResult:
-    if args.naive:
+    if args.naive:  # trilinear_naive's price, before any table
         lengths = [resolve_interval(spec, args.q).length for spec in (args.L, args.M, args.N)]
-        check_work(4 * math.prod(lengths) * euler_phi(args.q) ** 2, "4*L*M*N*phi^2")
+        _check_naive_work(args.q, lengths)
     instance = build_instance(args.q, args.L, args.M, args.N, args.weights, args.seed)
     value = trilinear_naive(instance) if args.naive else trilinear_fast(instance)
     print(f"S_q = {_fmt(value)}   |S_q| = {_fmt(abs(value))}")

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .kloosterman import _unit_dft
-from .reports import BoundReport, make_report
+from .reports import BoundReport, _ratio, make_report
 from .ring import (
     IntervalSet,
     ResidueRing,
@@ -83,8 +83,7 @@ class CountReport:
 def _count_report(
     value: int, bound_value: float | None, residual: float | None = None
 ) -> CountReport:
-    ratio = value / bound_value if bound_value else None
-    return CountReport(value=value, bound_value=bound_value, ratio=ratio, residual=residual)
+    return CountReport(value, bound_value, _ratio(value, bound_value), residual)
 
 
 def _sum_of_squares(counts: np.ndarray) -> int:

@@ -76,7 +76,9 @@ def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
 
 
 def double_naive(ring: ResidueRing, l: int, m: int, n: int) -> complex:
-    """Double sum K_q(l, m, n) by direct O(phi^2) summation (oracle path)."""
+    """Double sum K_q(l, m, n) by direct O(phi^2) summation (oracle path),
+    priced first at its 4*phi^2 words (32 B a pair)."""
+    check_work(4 * ring.phi**2, "4*phi^2 double_naive words")
     q = ring.q
     x = ring.units
     xb = ring.inv_table[x]

@@ -34,14 +34,20 @@ class BoundReport:
         return {**self.params, **{key: getattr(self, key) for key in TAIL_COLUMNS}}
 
 
+def _ratio(value: float, reference: float | None) -> float | None:
+    """value / reference, or None where the reference degenerates (None or
+    <= 0): the package's one ratio rule, which every report, moment check,
+    trace cell and count reads."""
+    return value / reference if reference is not None and reference > 0 else None
+
+
 def make_report(params: dict, measured: float, reference: float, t0: float) -> BoundReport:
     """Assemble a report; the ratio is None when the reference degenerates."""
-    ratio = measured / reference if reference > 0 else None
     return BoundReport(
         params=params,
         measured=float(measured),
         reference=float(reference),
-        ratio=ratio,
+        ratio=_ratio(measured, reference),
         runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 

@@ -16,8 +16,8 @@ points on it is transformed by the four-step, as R rows of P2 columns
 them), so that numpy's FFT runs along no axis longer than R or P2 and its
 scratch stays a row long.  The kernel only convolves: each caller picks its
 own route around it (the trilinear window, for one, its dot products).
-e_q, the twiddles and the character sums' e(k/n) are read off
-_turn_tables, two tables of about sqrt(n) entries.
+e_q, the twiddles, the phase sums' sines and the character sums' e(k/n)
+are read off _turn_tables, two tables of about sqrt(n) entries.
 
 Three rules have one owner each.  _reduce is the one modulo of a residue
 array here and in characters, counts, kloosterman and trilinear (a Python
@@ -34,13 +34,16 @@ factors (a primitive root per odd p^e; <-1> and <5> for the 2-adic part), and
 allocates nothing of size q: every q-long table is written on its first read,
 the unit mask first, whose read prices the ring's 7*q words, so any kernel
 that prices its own work refuses before a table exists.  A unit is an
-exponent tuple, flattened to one mixed-radix index (C order).  That index,
-ring.log_index, is the ring's only discrete-log table, written from the
-factors' generators lifted mod q: it gives the characters, the lattice that
+exponent tuple, flattened to one mixed-radix index (C order).  _unit_walk
+owns that order: it walks the units from the factors' generators lifted mod
+q, a block at a time.  ring.log_index, the ring's only discrete-log table,
+is written from the walk: it gives the characters, the lattice that
 _to_lattice maps residues onto (and a gather through it maps back), and the
 inverses (negated tuples), which ring.inv_table reads off.  A reader that
 holds q-sized arrays of its own reads the index before it builds them, so
-that the index is never written beside them.
+that the index is never written beside them.  _lattice_units reads the walk
+alone, the units in lattice order with no index: the trilinear window
+evaluates its operands there.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -91,6 +94,10 @@ _FFT_BLOCK = 1 << 15  # padded points per block of rows of a batched FFT
 # 116 against 83 ms (medians of alternating calls in one process, numpy
 # 2.4.6 on one thread, 2-vCPU Xeon host).
 _FOUR_STEP = 40_000
+# The ring's tables' one price in words a residue (23-50 B measured,
+# inv_table included): unit_mask's first read checks it, and
+# sweeps.build_instance adds it to the window's FFT words.
+_RING_WORDS = 7
 
 
 def check_work(work: int, label: str) -> None:
@@ -549,41 +556,63 @@ def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
     return [CyclicFactor(pe, g, n) for g, n in zip([pe - 1, 5], [2, pe // 4][: e - 1])]
 
 
-def _unit_group(q: int, factors, units: np.ndarray) -> np.ndarray:
-    """log_index, the one index of the units mod q as a product of the cyclic
-    factors, which the characters, the lattice and the inverses all read: the
-    flat exponent-tuple index (C order) per residue, -1 off units, read-only.
-    Each factor's generator is lifted to the unit that is the generator mod
-    its prime power and 1 mod the rest of q, so the unit at an exponent tuple
-    is the product of the lifted powers: an outer product over the leading
-    factors times the last factor's powers, one _power_blocks block and about
-    2^16 units at a time, each unit written its flat index.  Nothing but
-    log_index outlives the call."""
-    orders = [f.order for f in factors]
-    if math.prod(orders) != units.size:
-        raise AssertionError(f"character count {math.prod(orders)} != phi {units.size}")
+def _unit_walk(q: int, factors, stop: int):
+    """Yield (s, k, block) blocks that cover the flat exponent-tuple indices
+    (C order) below stop, a multiple of the last factor's order or at most
+    it: block[i, j] is the unit at the tuple whose leading digits have flat
+    index s + i and whose last digit is k + j.  Each factor's generator is
+    lifted to the unit that is the generator mod its prime power and 1 mod
+    the rest of q, so the unit at a tuple is the product of the lifted
+    powers: an outer product of the leading units with one _power_blocks
+    block of the last factor's powers, about 2^16 units a block.  The one
+    owner of the lattice's order of the units, which _unit_group and
+    _lattice_units read."""
     lifted = [
         (1 + (f.generator - 1) * (q // f.modulus) * pow(q // f.modulus, -1, f.modulus)) % q
         for f in factors
     ]
     *lead_generators, g = lifted or [1]
-    *lead_orders, n = orders or [1]
+    *lead_orders, n = [f.order for f in factors] or [1]
     lead = np.ones(1, dtype=np.int64)  # the units at the leading exponent tuples
     for h, m in zip(lead_generators, lead_orders):
         powers = np.concatenate([block for _, block in _power_blocks(h, m, q)])
         lead = _reduce(np.multiply.outer(lead, powers).reshape(-1), q)
-    rows = np.arange(0, units.size, n)[:, None]  # each leading tuple's first flat index
-    log_index = np.full(q, -1, dtype=np.int64)
-    for k, powers in _power_blocks(g, n, q):
-        if lead.size == 1:  # one factor: its powers are the units, written directly
-            log_index[powers] = np.arange(k, k + powers.size)
-            continue
+    lead = lead[: max(1, stop // n)]
+    for k, powers in _power_blocks(g, min(n, stop), q):
         step = max(1, (1 << 16) // powers.size)  # leading units a block: ~2^16 units held
-        for s in range(0, lead.size, step):
-            block = _reduce(np.multiply.outer(lead[s : s + step], powers), q)
-            log_index[block] = rows[s : s + step] + np.arange(k, k + powers.size)
+        for s in range(0, lead.size, step):  # lead = [1] alone: the powers are the units
+            yield s, k, (powers[None] if lead.size == 1
+                         else _reduce(np.multiply.outer(lead[s : s + step], powers), q))
+
+
+def _unit_group(q: int, factors, units: np.ndarray) -> np.ndarray:
+    """log_index, the one index of the units mod q as a product of the cyclic
+    factors, which the characters, the lattice and the inverses all read: the
+    flat exponent-tuple index (C order) per residue, -1 off units, read-only.
+    Each block of _unit_walk's units is written its flat indices.  Nothing
+    but log_index outlives the call."""
+    orders = [f.order for f in factors]
+    if math.prod(orders) != units.size:
+        raise AssertionError(f"character count {math.prod(orders)} != phi {units.size}")
+    n = orders[-1] if orders else 1
+    log_index = np.full(q, -1, dtype=np.int64)
+    for s, k, block in _unit_walk(q, factors, units.size):
+        rows = np.arange(s, s + len(block))[:, None] * n  # each row's first flat index
+        log_index[block] = rows + np.arange(k, k + block.shape[1])
     log_index.flags.writeable = False
     return log_index
+
+
+def _lattice_units(ring: ResidueRing, stop: int) -> np.ndarray:
+    """The units at the flat exponent-tuple indices below stop, in that
+    order, from _unit_walk's blocks: with stop = phi/2, the half of the
+    lattice whose first digit is below half its axis.  No q-long table is
+    read."""
+    out = np.empty(stop, dtype=np.int64)
+    rows = out.reshape(-1, min(ring.shape[-1], stop))
+    for s, k, block in _unit_walk(ring.q, ring.factors, stop):
+        rows[s : s + len(block), k : k + block.shape[1]] = block
+    return out
 
 
 def _to_lattice(ring: ResidueRing, interval: IntervalSet, values=None) -> np.ndarray:
@@ -643,7 +672,7 @@ class ResidueRing:
     def unit_mask(self) -> np.ndarray:
         """unit_mask[x] = gcd(x, q) == 1, built on first read, once the
         ring's 7*q words fit the work budget."""
-        check_work(7 * self.q, "7*q ring words")  # 23-50 B per residue, inv_table included
+        check_work(_RING_WORDS * self.q, "7*q ring words")
         mask = np.ones(self.q, dtype=bool)
         for p, _ in self.primes:
             mask[::p] = False
@@ -753,35 +782,63 @@ def _half_turns(a: int, t: np.ndarray, q: int) -> np.ndarray:
 
 
 def _sin_half_turns(h: np.ndarray, q: int) -> np.ndarray:
-    """sin(pi*h/q) for integers 0 <= h < 2q, overwriting h; folded into [0, q/2]
-    by exact int64 steps (sign carried), as np.sin near pi or 2*pi loses ~q*eps."""
-    upper = h >= q
-    np.subtract(h, q, out=h, where=upper)
-    np.subtract(q, h, out=h, where=h > q // 2)
-    out = np.multiply(h, np.pi / q)
-    return np.negative(np.sin(out, out=out), out=out, where=upper)
+    """sin(pi*h/q) for a contiguous int64 array of 0 <= h < 2q, in any
+    order, written over h's buffer as float64 and returned.  Each block of
+    2^14 is folded branch-free by exact int64 steps, h - q*[h >= q] and then
+    min(h, q - h) in [0, q/2], the sign carried, as np.sin near pi or 2*pi
+    loses ~q*eps; the first-quadrant sine is the imaginary part of
+    _turns(h, 2q), whose gathers hit two tables of about sqrt(2q) entries,
+    so no input order runs slower than another, and the temporaries stay a
+    block long (a whole-array _turns would hold twice the output).  The
+    sign is a multiply: a masked negative runs ~10x slower on a scattered
+    mask.  3.6 ms at 5*10^5 scattered points, against 8.2 ms for np.sin
+    with masked folds (2-vCPU Xeon host)."""
+    heights, out = h.reshape(-1), h.reshape(-1).view(np.float64)
+    for s in range(0, heights.size, 1 << 14):
+        upper = heights[s : s + (1 << 14)] >= q
+        e = heights[s : s + (1 << 14)] - q * upper  # a copy: out overwrites the block
+        np.minimum(e, q - e, out=e)
+        np.multiply(_turns(e, 2 * q).imag, 1 - 2.0 * upper, out=out[s : s + (1 << 14)])
+    return out.reshape(h.shape)
+
+
+def _phase_sums(q: int, intervals, t: np.ndarray):
+    """Yield, for each interval in turn, sum_{m in interval} e_q(m*t) at
+    the residues 0 <= t < q (an int64 array, not overwritten).  The
+    intervals share one sin(pi*t/q), the denominator, and consecutive
+    intervals of one length share the ratio sin(pi*length*t/q)/sin(pi*t/q),
+    written over the denominator once no later length reads it."""
+    # sum_{k=1..length} e_q((v+k)*x)
+    #   = e^(i*pi*(2v+length+1)*x/q) * sin(pi*length*x/q) / sin(pi*x/q)
+    # evaluated in place, to hold the temporaries near one result's size
+    den = _sin_half_turns(np.maximum(t, 1), q)  # the t = 0 entries are set below
+    ratio = length = None
+    for i, interval in enumerate(intervals):
+        if interval.length != length:
+            length, ratio = int(interval.length), None  # the last length's ratio dropped first
+            num = _sin_half_turns(_half_turns(length % (2 * q), t, q), q)
+            last = all(iv.length == length for iv in intervals[i + 1 :])
+            ratio = np.divide(num, den, out=den if last else num)
+            del num
+        out = _turns(_half_turns((2 * int(interval.start) + length + 1) % (2 * q), t, q), 2 * q)
+        out *= ratio
+        out[t == 0] = length
+        yield out
 
 
 def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
     """Geometric sum over the interval: sum_{m in interval} e_q(m*x), for an
-    int x (a complex result) or an integer array x (an array).
+    int x (a complex result) or an integer array x (an array), in any order.
 
-    Evaluated in closed form (Dirichlet-kernel shape); the value is the
-    interval length where x = 0 mod q, and |value| <= min(length, q/<x>_q).
-    The interval and a Python-int x are reduced mod 2q and q before any int64
-    product and both sines are read at folded arguments, so any start,
-    length and x give the value to a few ulps relative.  Reads only ring.q.
+    Evaluated in closed form (Dirichlet-kernel shape) by _phase_sums; the
+    value is the interval length where x = 0 mod q, and |value| <= min(length,
+    q/<x>_q).  The interval and a Python-int x are reduced mod 2q and q
+    before any int64 product and both sines are read at folded arguments off
+    _turns' tables, so any start, length and x give the value to a few ulps
+    relative.  Reads only ring.q.
     """
     q = ring.q
     scalar = isinstance(x, (int, np.integer))
     t = np.array([int(x) % q]) if scalar else _reduce(np.array(x, dtype=np.int64), q)
-    length = int(interval.length)
-    # sum_{k=1..length} e_q((v+k)*x)
-    #   = e^(i*pi*(2v+length+1)*x/q) * sin(pi*length*x/q) / sin(pi*x/q)
-    # evaluated in place, to hold the temporaries near one result's size
-    num = _sin_half_turns(_half_turns(length % (2 * q), t, q), q)
-    num /= _sin_half_turns(np.maximum(t, 1), q)  # the t = 0 entries are set below
-    out = _turns(_half_turns((2 * int(interval.start) + length + 1) % (2 * q), t, q), 2 * q)
-    out *= num
-    out[t == 0] = length
+    out = next(_phase_sums(q, (interval,), t))
     return complex(out[0]) if scalar else out

@@ -36,7 +36,7 @@ from .counts import (
     reciprocal_count_rational,
 )
 from .reports import BoundReport, SweepResult, fit_exponent, make_report
-from .ring import IntervalSet, _fft_plan, build_ring, check_work, is_prime
+from .ring import _RING_WORDS, IntervalSet, _fft_plan, build_ring, check_work, is_prime
 from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
 
 DEFAULT_GRIDS = {
@@ -144,7 +144,7 @@ def build_instance(
     next, holds one ring and one window at a time."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
     ring = build_ring(q)
-    check_work(7 * q + _fft_plan(ring.shape, 3)[7], "7*q ring + 7*points FFT words")
+    check_work(_RING_WORDS * q + _fft_plan(ring.shape, 3)[7], "7*q ring + 7*points FFT words")
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int
     )

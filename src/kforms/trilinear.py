@@ -8,14 +8,18 @@ of the M and N windows: a three-way convolution on the unit group (Rader's
 reindexing of e_q).  The three operands are conjugate-symmetric, so their
 cas (Hartley) forms Re f + Im f are real, and the package's one lattice
 kernel, ring._lattice_convolution, convolves all three in one call over the
-ring's CRT lattice (ring.shape, indexed by ring.log_index), read only at l
-and -l for the units l of L: one real transform of each operand, their
-product and one inverse, in O(phi log phi).  On a cyclic unit group the window itself may instead
-have the kernel convolve mu with nu alone and dot that against e_q at the
-reads, where _dots_price says the dots undercut the transform of e_q; the
-kernel knows nothing of the reads.  The window is built once per instance
-and held on its ring, one slot keyed by the three intervals, so it lives as
-long as the ring and no longer.
+ring's CRT lattice (ring.shape), read only at l and -l for the units l of
+L: one real transform of each operand, their product and one inverse, in
+O(phi log phi).  The operands are evaluated in lattice order, at the units
+of half the lattice that ring._lattice_units walks from the lifted
+generators, and the other half is their translate by the exponent tuple of
+-1: no log_index is built and no operand is scattered.  On a cyclic unit
+group the window itself may instead have the kernel convolve mu with nu
+alone and dot that against e_q at the reads, slab by slab, where
+_dots_price says the dots undercut the transform of e_q; the kernel knows
+nothing of the reads.  The window is built once per instance and held on
+its ring, one slot keyed by the three intervals, so it lives as long as the
+ring and no longer.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 = lam] take the same kernel, one call per block of level sets, each set's
 mu a row, so alpha is transformed once a block; T vanishes off the units,
@@ -46,39 +50,43 @@ import numpy as np
 
 from .counts import _reciprocal_counts
 from .kloosterman import _unit_dft, _unit_gather, double_naive
-from .reports import BoundReport, make_report
+from .reports import BoundReport, _ratio, make_report
 from .ring import (
     _FFT_BLOCK,
     IntervalSet,
     ResidueRing,
     _fft_plan,
     _lattice_convolution,
+    _lattice_units,
+    _phase_sums,
     _reduce,
     _to_lattice,
+    _turns,
     check_work,
     cyclic_dft,
-    eq_eval,
+    euler_phi,
     interval_phase_sum,
 )
 
 WEIGHT_MODES = ("ones", "rademacher", "phase", "extremal")
 
 # _dots_price, in the unit of ring._PAIR_COST (one transform is a third of
-# it, ~1.6 ns per point times log2 of the points): one element of a read's
-# two dots costs _DOT_COST (0.73 ns at n/2 = 5*10^4), about twice that past
-# n/2 = _DOT_CACHE, where a read's ~24 B per n/2 element outgrow a 4 MiB L2
-# (1.25-1.72 ns at n/2 = 1.5*10^5 to 5*10^5); each distinct read costs as
-# much as _DOT_CALL more elements (~4 us).  A call's fixed work, the folded
-# operands (11-14 ns per n/2 element) and the reads reduced mod n/2, costs
-# as much as _DOT_FOLD reads: 30 routes the window best over 55 cases at 52
-# primes from 2003 to 10^6+3, timed both ways.  Fitted with OpenBLAS on one
-# thread (OPENBLAS_NUM_THREADS=1, which perfbench/run.py pins), 2-vCPU Xeon
-# host.  The CLI, the tests and library callers run at numpy's default
-# thread count, where the q = 100,003 window (L = 316) stalled ~1 s in its
-# dots in 6 of 67 fresh processes (see ROADMAP.md).
-_DOT_COST = 0.15
+# it, 0.6-0.9 ns per point times log2 of the points): one element of a read's
+# two dots costs _DOT_COST (0.44-0.54 ns from n/2 = 2.5*10^4 to 5*10^5,
+# with no step where a slab outgrows the cache); each distinct read costs
+# as much as _DOT_CALL more elements (~3 us).  A call's fixed work, the
+# folded operands (12-18 ns per n/2 element) and the reads reduced mod
+# n/2, costs as much as _DOT_FOLD reads (24-41 measured).  These route the
+# window within 3.6 ms of the faster route, summed over 55 cases at 52
+# primes from 2003 to 10^6+3 (L = min(sqrt(q), 4.8*10^7/phi), M and N
+# apart, both of length sqrt(q), and three cases with M = N), timed both ways: 1.4 s
+# in all.  Fitted with OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1, which
+# perfbench/run.py pins), 2-vCPU Xeon host.  The CLI, the tests and library
+# callers run at numpy's default thread count, where the q = 100,003 window
+# (L = 316) stalled ~1 s in its dots in 6 of 67 fresh processes (see
+# ROADMAP.md).
+_DOT_COST = 0.17
 _DOT_CALL = 5500
-_DOT_CACHE = 1 << 17
 _DOT_FOLD = 30
 
 
@@ -182,15 +190,15 @@ def _dots_price(heads, shape: tuple[int, ...], at: np.ndarray) -> float:
     one-axis lattice Z_n of even order, less what it saves, in the unit of
     ring._PAIR_COST: negative where the dots undercut the chained FFT of
     all k.  The dots cost, per distinct index mod half = n/2, its dots'
-    elements (twice past _DOT_CACHE) and _DOT_CALL, and the call's fixed
-    work as _DOT_FOLD reads, at _DOT_COST an element.  They save the
+    elements and _DOT_CALL, and the call's fixed work as _DOT_FOLD reads,
+    at _DOT_COST an element.  They save the
     chain's transforms less those of the heads' chain, a third of
     points*log2(points) a transform: one per distinct operand and the
     inverse."""
     half = shape[0] // 2
     # return_inverse: a bare unique imports numpy.ma
     reads = np.unique(_reduce(at.copy(), half), return_inverse=True)[0].size
-    dots = reads * (half * (1 + (half > _DOT_CACHE)) + _DOT_CALL) + _DOT_FOLD * (half + _DOT_CALL)
+    dots = (reads + _DOT_FOLD) * (half + _DOT_CALL)
     distinct = len({id(x) for x in heads})
     chain = (distinct + 2) * _fft_plan(shape, len(heads) + 1)[2] / 3
     return dots * _DOT_COST - chain + (distinct + 1) * _fft_plan(shape, len(heads))[2] / 3
@@ -200,14 +208,23 @@ def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
     """c(k) = sum_j a(j) b(k - j) over Z_n, n even, at the indices `at`.
     With h = n/2, c(k) + c(k+h) and c(k) - c(k+h) are the dots over j < h of
     a(j) +- a(j+h) with the h-periodic and h-antiperiodic b(x) +- b(x+h),
-    each one contiguous slice of a doubled, reversed copy of the latter."""
+    each one contiguous slice of a doubled, reversed copy of the latter.
+    The dots are summed over slabs of 2^16 elements of the former, every
+    read's slab against one slab in turn, so that the slab stays in cache
+    across the reads: 38.8 -> 21.1 ms at n = 10^6."""
     h = a.size // 2
     k, slot = np.unique(_reduce(at.copy(), h), return_inverse=True)
+    starts = (h - 1 - k).tolist()
     sums = []
-    for sign in (1, -1):
-        af, bf = a[:h] + sign * a[h:], (b[:h] + sign * b[h:])[::-1]
-        tiled = np.concatenate((bf, sign * bf))
-        sums.append(np.array([af @ tiled[s : s + h] for s in (h - 1 - k).tolist()])[slot])
+    for sign, fold in ((1, np.add), (-1, np.subtract)):
+        af, tiled = fold(a[:h], a[h:]), np.empty(2 * h)
+        fold(b[:h], b[h:], out=tiled[h - 1 :: -1])  # reversed
+        np.multiply(tiled[:h], sign, out=tiled[h:])
+        dots = np.zeros(k.size)
+        for j in range(0, h, 1 << 16):
+            slab = af[j : j + (1 << 16)]
+            dots += [slab @ tiled[s + j : s + j + slab.size] for s in starts]
+        sums.append(dots[slot])
     plus, minus = sums
     return (plus + np.where(at < h, minus, -minus)) / 2
 
@@ -226,49 +243,68 @@ def _unit_window(
     Re f + Im f of the three operands (each has f(-u) = conj f(u)) convolve
     to a real r, and W(l) = (r(l) + r(-l))/2 + i (r(-l) - r(l))/2: a
     character with chi(-1) = 1 sees f's transform, one with chi(-1) = -1
-    i times it.  The operands are evaluated at the units below q/2, ascending
-    (where numpy's sin runs fastest), and mirrored onto the rest as Re - Im;
-    mu is evaluated once when M = N, and e_q and the phase factors are read
-    off _turns' two tables, not computed by cos, sin or exp.  r = cas mu * cas nu * cas e_q is one
-    kernel call read only at l and -l for the units l of L: with equal M and
-    N intervals mu is one operand given twice, so the chain takes 3
-    transforms, else 4.  The window, not the kernel, picks the route: on a
-    one-axis lattice of even order (a cyclic unit group) where _dots_price
-    is at most 0, the kernel convolves cas mu with cas nu alone and
-    _dots_at reads that against cas e_q at l and -l; cas e_q is then built
-    after that convolution, not held through it.  The window is held in
-    the ring's __dict__, as functools.cached_property holds inv_table, one
-    slot keyed by (L, M, N): every caller on one instance reads one window,
-    and it is freed with its ring.
+    i times it.  The operands are evaluated in lattice order, at the units
+    of the half x_0 < n_0/2 that ring._lattice_units walks, and written
+    contiguously: Re + Im on the half and Re - Im on its translate by eps,
+    the exponent tuple of -1 (n_0/2 on the first axis, so the translate is
+    the other half, rolled along the rest).  So no log_index is read and no
+    operand is scattered.  The M and N phase sums share one denominator, mu
+    is evaluated once when M = N, and e_q is read off _turns' two tables.
+    The reads at l and -l for the units l of L come from one pass of a
+    marker of +-L over the half.  r = cas mu * cas nu * cas e_q is one
+    kernel call read only there: with equal M and N intervals mu is one
+    operand given twice, so the chain takes 3 transforms, else 4.  The
+    window, not the kernel, picks the route: on a one-axis lattice of even
+    order (a cyclic unit group) where _dots_price is at most 0, the kernel
+    convolves cas mu with cas nu alone and _dots_at reads that against cas
+    e_q at l and -l; cas e_q is then built after that convolution, not held
+    through it.  The window is held in the ring's __dict__, as
+    functools.cached_property holds inv_table, one slot keyed by (L, M, N):
+    every caller on one instance reads one window, and it is freed with its
+    ring.
     """
     key = (l_interval, m_interval, n_interval)
     held = ring.__dict__.get("_unit_window")
     if held is not None and held[0] == key:
         return held[1]
-    log_index = ring.log_index  # built before any operand is evaluated
-    q, units = ring.q, ring.units
-    low = units[2 * units <= q]
+    q, shape, phi = ring.q, ring.shape, ring.phi
+    half = -(-phi // 2)  # q = 2's one unit is its own negative
+    units = _lattice_units(ring, half)
+    eps = [f.order // 2 if pow(f.generator, f.order // 2, f.modulus) == f.modulus - 1 else 0
+           for f in ring.factors] or [0]
+    # the half's translate by eps, the points of -u, in order: the half's
+    # points rolled once along the later axes (a gather; none on one axis)
+    back = slice(phi - half) if len(shape) == 1 else np.roll(
+        np.arange(half).reshape((-1,) + shape[1:]), eps[1:], tuple(range(1, len(shape)))).reshape(-1)
 
     def cas(f):
-        lattice = np.empty(ring.phi)  # every unit's slot is written
-        lattice[log_index[low]] = f.real + f.imag  # the slots of u
-        lattice[log_index[q - low]] = f.real - f.imag  # and of -u
-        return lattice.reshape(ring.shape)
+        lattice, g = np.empty(phi), f[back]
+        np.add(f.real, f.imag, out=lattice[:half])
+        np.subtract(g.real, g.imag, out=lattice[half:])
+        return lattice.reshape(shape)
 
-    mu = cas(interval_phase_sum(ring, m_interval, low))
-    heads = (mu, mu if n_interval == m_interval else cas(interval_phase_sum(ring, n_interval, low)))
-    del mu
+    intervals = (m_interval,) if n_interval == m_interval else (m_interval, n_interval)
+    heads = tuple(map(cas, _phase_sums(q, intervals, units)))  # each sum dropped once cast
+    if len(heads) == 1:  # M = N: mu is one operand given twice
+        heads *= 2
     residues = l_interval.residues(q)
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
-    at = log_index[np.concatenate((ls, q - ls))]
-    shape = ring.shape
+    marked = np.zeros(q, dtype=bool)
+    marked[ls] = marked[q - ls] = True
+    x = np.flatnonzero(marked[units])  # the points of the half whose unit is l or -l
+    del marked
+    y = np.unravel_index(x, shape) + np.array(eps)[:, None]  # -u's points
+    y = np.ravel_multi_index(y, shape, mode="wrap")
+    keys, points = np.concatenate((units[x], q - units[x])), np.concatenate((x, y))
+    sorter = np.argsort(keys)
+    at = points[sorter[np.searchsorted(keys, np.concatenate((ls, q - ls)), sorter=sorter)]]
     if len(shape) == 1 and shape[0] % 2 == 0 and _dots_price(heads, shape, at) <= 0:
         r = _lattice_convolution(heads, shape)[0]
         del heads  # cas e_q is built once mu * nu is in, not held through it
-        r = _dots_at(r, cas(eq_eval(ring, low)), at)
+        r = _dots_at(r, cas(_turns(units, q)), at)
     else:
-        r = _lattice_convolution(heads + (cas(eq_eval(ring, low)),), shape)[0].reshape(-1)[at]
+        r = _lattice_convolution(heads + (cas(_turns(units, q)),), shape)[0].reshape(-1)[at]
     window = np.zeros(residues.size, dtype=np.complex128)
     window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
     window.flags.writeable = False
@@ -334,10 +370,20 @@ def make_weights(
     return WeightVector(interval=l_interval, weights=weights)
 
 
+def _check_naive_work(q: int, lengths) -> None:
+    """Refuse, with a ValueError, an oracle form at modulus q over windows
+    of the given lengths whose 4*L*M*N*phi^2 words exceed the work budget:
+    one double_naive, 4*phi^2 words, per (l, m, n).  trilinear_naive's one
+    price, which the CLI takes before it builds the instance."""
+    check_work(4 * math.prod(lengths) * euler_phi(q) ** 2, "4*L*M*N*phi^2")
+
+
 def trilinear_naive(instance: TrilinearInstance) -> complex:
     """Oracle evaluation straight from the definition, one double sum per
-    (l, m, n); O(L*M*N*phi^2)."""
+    (l, m, n); O(L*M*N*phi^2), priced first by _check_naive_work."""
     ring = instance.ring
+    _check_naive_work(ring.q, [iv.length for iv in (instance.weights.interval, instance.m_interval,
+                                                   instance.n_interval)])
     total = 0j
     for l, alpha in zip(instance.weights.interval.members(), instance.weights.weights):
         if alpha == 0:
@@ -410,8 +456,7 @@ def _check_trace_work(q: int, m_len: int) -> None:
 
 
 def _moment_check(value: float, reference: float) -> MomentCheck:
-    ratio = value / reference if reference > 0 else None
-    return MomentCheck(value=value, reference=reference, ratio=ratio)
+    return MomentCheck(value=value, reference=reference, ratio=_ratio(value, reference))
 
 
 def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
@@ -510,7 +555,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     s1, s2, y = (np.array([check.value for check in d.values()]) for d in moments)
     bounds = np.outer(s1 ** (1 - 1 / r) * s2 ** (1 / (2 * r)), y ** (1 / (2 * r)))
     cells = [
-        TraceCell(i, sign_x, j, sign_y, value, bound, abs(value) / bound if bound > 0 else None)
+        TraceCell(i, sign_x, j, sign_y, value, bound, _ratio(abs(value), bound))
         for (i, sign_x), value_row, bound_row in zip(dec.q_sets, values.tolist(), bounds.tolist())
         for (j, sign_y), value, bound in zip(y_moments, value_row, bound_row)
     ]

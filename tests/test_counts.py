@@ -22,7 +22,7 @@ from kforms import (
 )
 from kforms.cli import main
 from kforms.counts import (
-    _inverse_table, _product_counts, _product_energy, _reciprocal_counts, _sum_of_squares,
+    _count_report, _inverse_table, _product_counts, _product_energy, _reciprocal_counts, _sum_of_squares,
     _unit_inverses, _unit_inverses_upto, _unit_members,
 )
 from kforms.ring import _lattice_convolution, cyclic_dft, factorize
@@ -607,3 +607,14 @@ class TestExactConvolution:
         values = np.array([big, big, 7, 0], dtype=np.int64)
         assert _sum_of_squares(values) == 2 * big * big + 49
         assert _sum_of_squares(np.array([3, 4], dtype=np.int64)) == 25
+
+
+class TestCountReport:
+    @pytest.mark.parametrize("bound", [-2.0, 0.0, None])
+    def test_no_ratio_at_a_degenerate_bound(self, bound):
+        # the one ratio rule: a negative bound gave a negative ratio here
+        assert _count_report(5, bound).ratio is None
+
+    def test_count_over_bound(self):
+        report = _count_report(5, 2.0, 0.01)
+        assert (report.value, report.bound_value, report.ratio, report.residual) == (5, 2.0, 2.5, 0.01)

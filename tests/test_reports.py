@@ -26,7 +26,7 @@ from kforms import (
     verify_thm2_sweep,
 )
 from kforms.cli import main
-from kforms.reports import make_report
+from kforms.reports import _ratio, make_report
 from kforms.sweeps import parse_int_list, resolve_interval
 
 
@@ -448,3 +448,15 @@ class TestSweepControls:
         result = verify_lemma_sweeps("2.3", grid={"qs": [30, 60], "Ks": [5, 30]})
         assert len(result.reports) == 4
         assert all(r.ratio is not None for r in result.reports)
+
+
+class TestRatioRule:
+    @pytest.mark.parametrize("reference", [-2.0, 0.0, None])
+    def test_none_at_a_degenerate_reference(self, reference):
+        assert _ratio(3.0, reference) is None
+        if reference is not None:
+            assert make_report({}, 3.0, reference, time.perf_counter()).ratio is None
+
+    def test_measured_over_reference(self):
+        assert _ratio(3.0, 2.0) == 1.5
+        assert make_report({}, 3.0, 2.0, time.perf_counter()).ratio == 1.5

@@ -22,7 +22,7 @@ import kforms.kloosterman
 import kforms.ring
 from kforms.ring import (
     MAX_MODULUS, _certified, _dft_naive, _fft_plan, _lattice_convolution, _lattice_tally,
-    _primitive_root, _reduce, _rough, _smooth_length, _twiddle, factorize, is_prime,
+    _primitive_root, _reduce, _rough, _sin_half_turns, _smooth_length, _twiddle, factorize, is_prime,
 )
 from kforms.characters import interval_character_sums
 from kforms.kloosterman import _unit_dft
@@ -385,6 +385,21 @@ class TestIntervalPhaseSum:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * out.nbytes
+
+    @pytest.mark.parametrize("q", [2, 7, 10**6 + 3, 2**31 - 1])
+    def test_sine_within_2_ulps_of_mpmath_in_any_order(self, q):
+        # scrambled input, with the folds' edges (0, q/2, q, 3q/2) among it:
+        # each value within 2 ulps relative of sin(pi*h/q), exactly 0 at 0 and
+        # q, and a permuted input gives the permuted output
+        rng = np.random.default_rng(q)
+        edges = np.array([0, 1, 2, q // 2, (q + 1) // 2, q - 1, q, q + 1, q + q // 2, 2 * q - 1])
+        h = rng.permutation(np.concatenate((rng.integers(0, 2 * q, 2000), edges[edges < 2 * q])))
+        got = _sin_half_turns(h.copy(), q)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.sinpi(mpmath.mpf(int(x)) / q)) for x in h.tolist()])
+        assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * np.abs(want))
+        order = rng.permutation(h.size)
+        assert np.array_equal(_sin_half_turns(h[order], q), got[order])
 
     def test_far_start_and_modulus_bound(self):
         # a start far past int64 products, and q = MAX_MODULUS, where an

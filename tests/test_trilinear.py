@@ -270,6 +270,19 @@ class TestProofTrace:
                 else:
                     assert abs(cell.value) <= 1e-9
 
+    def test_one_ratio_rule_at_negative_references(self, monkeypatch):
+        # a moment check and every trace cell take their ratio from
+        # reports._ratio: with every reference negated, every ratio is None
+        assert kforms.trilinear._moment_check(3.0, -2.0).ratio is None
+        assert kforms.trilinear._moment_check(3.0, 2.0).ratio == 1.5
+        ratio = kforms.trilinear._ratio
+        monkeypatch.setattr(kforms.trilinear, "_ratio", lambda value, ref: ratio(value, -ref))
+        inst = small_instance(97, IntervalSet(0, 8), IntervalSet(0, 8), IntervalSet(0, 8))
+        trace = proof_trace(inst, 2)
+        assert trace.cells and all(cell.holder_ratio is None for cell in trace.cells)
+        checks = [*trace.first_moments.values(), *trace.second_moments.values()]
+        assert all(check.ratio is None for check in checks)
+
     def test_moment_references_positive(self):
         inst = small_instance(97, IntervalSet(0, 8), IntervalSet(0, 8), IntervalSet(0, 8))
         trace = proof_trace(inst, 2)
@@ -631,6 +644,35 @@ def two_step_window(monkeypatch, ring, l_iv, m_iv, n_iv):
     return window
 
 
+class TestLatticeOrderWindow:
+    """The operands are evaluated at the units in lattice order, with no
+    log_index and no scatter."""
+
+    @pytest.mark.parametrize("q", [
+        3, 4, 8, 12,
+        1009, 1019,  # primes 1 and 3 mod 4
+        2062, 338,  # 2p and 2p^2: one axis, the generator lifted to an odd unit
+        4124,  # 4p: (2, 1030), -1 on both axes
+        307200,  # (2, 1024, 2, 20): a leading axis of length 2, -1 off the <5> axis
+    ])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_both_routes_match_the_gather(self, q, same, monkeypatch):
+        ring = build_ring(q)
+        side = max(1, math.isqrt(q))
+        l_iv, m_iv = IntervalSet(q - 9, min(q, 40)), IntervalSet(-5, side)
+        n_iv = m_iv if same else IntervalSet(17, side)
+        dots, chain = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, (0.0, math.inf))
+        assert chain[1] == 0
+        assert_match_gather(ring, (dots[0], chain[0]), l_iv, m_iv, n_iv, 2e-15)
+
+    def test_theorem1_builds_no_log_index(self):
+        # the thm1 path reads the unit mask alone of the ring's q-long tables
+        instance = kforms.sweeps.build_instance(1000003, "0:48", "-5:1000", "1000:1000", "extremal")
+        theorem1_bounds(instance)
+        assert "log_index" not in instance.ring.__dict__
+        assert "units" not in instance.ring.__dict__ and "inv_table" not in instance.ring.__dict__
+
+
 class TestChainedWindow:
     """The window is one kernel call on (cas mu, cas nu, cas e_q)."""
 
@@ -701,6 +743,27 @@ class TestChainedWindow:
         plans = [kforms.ring._fft_plan(ring.shape, k) for k in (2, 3)]
         assert all(plan[6] > 1 for plan in plans) and lengths
         assert max(lengths) <= max(max(plan[5]) for plan in plans) < 4096
+
+
+class TestOwnPrices:
+    def test_naive_paths_refuse_where_the_cli_exits_2(self, monkeypatch, capsys):
+        # the oracles price themselves, so a library call under a lowered
+        # budget refuses where the CLI does: 4*L*M*N*phi^2 = 1,080,000 and
+        # 4*phi^2 = 40,000 words at q = 101
+        instance = small_instance(101, IntervalSet(0, 3), IntervalSet(0, 3), IntervalSet(0, 3))
+        ring = instance.ring
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 39_999)
+        with pytest.raises(ValueError, match=r"4\*L\*M\*N\*phi\^2 = 1080000"):
+            trilinear_naive(instance)
+        with pytest.raises(ValueError, match=r"4\*phi\^2 double_naive words = 40000"):
+            double_naive(ring, 1, 2, 3)
+        argv = ["--q", "101", "--L", "0:3", "--M", "0:3", "--N", "0:3", "--naive"]
+        assert main(["trilinear", *argv]) == 2
+        assert "4*L*M*N*phi^2 = 1080000" in capsys.readouterr().err
+        assert main(["ksum2", "--q", "101", "--l", "1", "--m", "2", "--n", "3", "--naive"]) == 2
+        assert "4*phi^2 double_naive words = 40000" in capsys.readouterr().err
+        monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 40_000)
+        assert main(["ksum2", "--q", "101", "--l", "1", "--m", "2", "--n", "3", "--naive"]) == 0
 
 
 class TestInstanceValidation:
