@@ -89,7 +89,7 @@ def main() -> int:
             "platform": platform.platform(),
         },
         "command": f"perfbench/run.py --workload W --seed 1..3 --seconds {args.seconds:g}",
-        "trees": {tree: str(path) for tree, path in trees.items()},
+        "trees": list(trees),
         "workloads": {},
     }
     for workload in runs["change"]:

@@ -791,8 +791,8 @@ def _sin_half_turns(h: np.ndarray, q: int) -> np.ndarray:
     so no input order runs slower than another, and the temporaries stay a
     block long (a whole-array _turns would hold twice the output).  The
     sign is a multiply: a masked negative runs ~10x slower on a scattered
-    mask.  3.6 ms at 5*10^5 scattered points, against 8.2 ms for np.sin
-    with masked folds (2-vCPU Xeon host)."""
+    mask.  3.6-3.8 ms at 5*10^5 points in either order, where np.sin after
+    masked folds took 22 ms scrambled and 6.9 ms ascending (2-vCPU Xeon)."""
     heights, out = h.reshape(-1), h.reshape(-1).view(np.float64)
     for s in range(0, heights.size, 1 << 14):
         upper = heights[s : s + (1 << 14)] >= q

@@ -72,19 +72,20 @@ WEIGHT_MODES = ("ones", "rademacher", "phase", "extremal")
 
 # _dots_price, in the unit of ring._PAIR_COST (one transform is a third of
 # it, 0.6-0.9 ns per point times log2 of the points): one element of a read's
-# two dots costs _DOT_COST (0.44-0.54 ns from n/2 = 2.5*10^4 to 5*10^5,
-# with no step where a slab outgrows the cache); each distinct read costs
-# as much as _DOT_CALL more elements (~3 us).  A call's fixed work, the
-# folded operands (12-18 ns per n/2 element) and the reads reduced mod
-# n/2, costs as much as _DOT_FOLD reads (24-41 measured).  These route the
-# window within 3.6 ms of the faster route, summed over 55 cases at 52
-# primes from 2003 to 10^6+3 (L = min(sqrt(q), 4.8*10^7/phi), M and N
-# apart, both of length sqrt(q), and three cases with M = N), timed both ways: 1.4 s
-# in all.  Fitted with OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1, which
-# perfbench/run.py pins), 2-vCPU Xeon host.  The CLI, the tests and library
-# callers run at numpy's default thread count, where the q = 100,003 window
-# (L = 316) stalled ~1 s in its dots in 6 of 67 fresh processes (see
-# ROADMAP.md).
+# two dots costs _DOT_COST (0.44-0.54 ns from n/2 = 2.5*10^4 to 5*10^5, with
+# no step up where the slabbed dots outgrow the cache, so no cache term);
+# each distinct read costs as much as _DOT_CALL more elements, its calls'
+# overhead (kept from the fit before the slabs).  A call's fixed work, the
+# folded operands (12-18 ns per n/2 element) and the reads reduced mod n/2,
+# costs as much as _DOT_FOLD reads (24-41 measured).  These route the window
+# within 3.6 ms of the faster route, summed over 55 cases that take 1.4 s by
+# the faster routes: 52 primes from 2003 to 10^6+3 with L = min(sqrt(q),
+# 4.8*10^7/phi) and distinct M, N of length sqrt(q), and three with M = N,
+# each timed both ways.  Fitted with OpenBLAS on one thread
+# (OPENBLAS_NUM_THREADS=1, which perfbench/run.py pins), 2-vCPU Xeon host.
+# The CLI, the tests and library callers run at numpy's default thread
+# count, where the q = 100,003 window (L = 316) stalled ~1 s in its dots in
+# 6 of 67 fresh processes (see ROADMAP.md).
 _DOT_COST = 0.17
 _DOT_CALL = 5500
 _DOT_FOLD = 30
@@ -211,7 +212,8 @@ def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
     each one contiguous slice of a doubled, reversed copy of the latter.
     The dots are summed over slabs of 2^16 elements of the former, every
     read's slab against one slab in turn, so that the slab stays in cache
-    across the reads: 38.8 -> 21.1 ms at n = 10^6."""
+    across the reads, and the folds are written in place: 44-48 -> 21-26 ms
+    at n = 10^6+2 with 48 distinct reads (one BLAS thread, 2-vCPU Xeon)."""
     h = a.size // 2
     k, slot = np.unique(_reduce(at.copy(), h), return_inverse=True)
     starts = (h - 1 - k).tolist()
