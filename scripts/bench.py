@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics in BENCH_<n>.json.
 
-    python scripts/bench.py --n 41 --parent ../parent --pairs 9 --seconds 30
+    python scripts/bench.py --n 41 --parent ../parent
 
 Runs perfbench/run.py once per workload, seed and tree, each run a fresh
-process (run.py spawns its own passes), the seeds cycling 1, 2, 3.  With
+process (run.py spawns its own passes), the seeds cycling 1, 2, 3.  The
+workloads, the run length and which way each end-to-end metric is better
+are read from BENCHMARK.json.  With
 --parent, a checkout of the parent commit, each run of this checkout is
 paired with one of the parent, the two alternating so that drift in the
 host's speed falls on both.  For every tree, workload and metric the file
@@ -30,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("thm1_large", "sweep_small", "lemma_counts")
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+HIGHER = {m["name"] for m in SPEC["end_to_end"] if m["better"] == "higher"}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -67,17 +70,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, help="writes BENCH_<n>.json at the root")
     parser.add_argument("--parent", type=Path, help="a checkout of the parent commit")
-    parser.add_argument("--pairs", type=int, default=3, help="runs per workload and tree")
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--pairs", type=int, default=10, help="runs per workload and tree")
     args = parser.parse_args()
+    seconds, workloads = SPEC["run_seconds"], [w["name"] for w in SPEC["workloads"]]
     trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
-    runs = {tree: {w: [] for w in args.workload or WORKLOADS} for tree in trees}
-    for workload in args.workload or WORKLOADS:
+    runs = {tree: {w: [] for w in workloads} for tree in trees}
+    for workload in workloads:
         for i in range(args.pairs):
             seed = i % 3 + 1
             for tree, path in (reversed(trees.items()) if i % 2 else trees.items()):
-                run = run_once(path, workload, seed, args.seconds)
+                run = run_once(path, workload, seed, seconds)
                 runs[tree][workload].append(run)
                 print(tree, workload, seed, run["correct"], run["metrics"], flush=True)
 
@@ -88,7 +90,7 @@ def main() -> int:
             "cpu_count": os.cpu_count(), "nproc": env["nproc"], "threads": env["threads"],
             "platform": platform.platform(),
         },
-        "command": f"perfbench/run.py --workload W --seed 1..3 --seconds {args.seconds:g}",
+        "command": f"perfbench/run.py --workload W --seed 1..3 --seconds {seconds:g}",
         "trees": list(trees),
         "workloads": {},
     }
@@ -104,11 +106,10 @@ def main() -> int:
                 "metrics": {m: summary([r["metrics"][m] for r in rows]) for m in names},
             }
         if "parent" in trees:
-            higher = {"cases_per_s"}  # every other end-to-end metric is better lower
             pairs = list(zip(runs["change"][workload], runs["parent"][workload]))
             record["change_vs_parent"] = {
                 m: {
-                    "pairs_won": sum((c["metrics"][m] > p["metrics"][m]) == (m in higher)
+                    "pairs_won": sum((c["metrics"][m] > p["metrics"][m]) == (m in HIGHER)
                                      and c["metrics"][m] != p["metrics"][m] for c, p in pairs),
                     "pairs": len(pairs),
                     "median_change": record["change"]["metrics"][m]["median"]

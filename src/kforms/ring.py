@@ -37,13 +37,14 @@ that prices its own work refuses before a table exists.  A unit is an
 exponent tuple, flattened to one mixed-radix index (C order).  _unit_walk
 owns that order: it walks the units from the factors' generators lifted mod
 q, a block at a time.  ring.log_index, the ring's only discrete-log table,
-is written from the walk: it gives the characters, the lattice that
-_to_lattice maps residues onto (and a gather through it maps back), and the
-inverses (negated tuples), which ring.inv_table reads off.  A reader that
-holds q-sized arrays of its own reads the index before it builds them, so
-that the index is never written beside them.  _lattice_units reads the walk
-alone, the units in lattice order with no index: the trilinear window
-evaluates its operands there.
+is written from the walk: it gives the characters and the lattice that
+_to_lattice maps residues onto (and a gather through it maps back).  A
+reader that holds q-sized arrays of its own reads the index before it
+builds them, so that the index is never written beside them.
+_lattice_units reads the walk alone, the units in lattice order with no
+index: ring.inv_table writes each unit's inverse (the negated tuple's unit)
+from them, and the trilinear window evaluates its operands there, at the
+half whose translate by _minus_one, the tuple of -1, is the rest.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -587,7 +588,7 @@ def _unit_walk(q: int, factors, stop: int):
 
 def _unit_group(q: int, factors, units: np.ndarray) -> np.ndarray:
     """log_index, the one index of the units mod q as a product of the cyclic
-    factors, which the characters, the lattice and the inverses all read: the
+    factors, which the characters and the lattice read: the
     flat exponent-tuple index (C order) per residue, -1 off units, read-only.
     Each block of _unit_walk's units is written its flat indices.  Nothing
     but log_index outlives the call."""
@@ -613,6 +614,14 @@ def _lattice_units(ring: ResidueRing, stop: int) -> np.ndarray:
     for s, k, block in _unit_walk(ring.q, ring.factors, stop):
         rows[s : s + len(block), k : k + block.shape[1]] = block
     return out
+
+
+def _minus_one(ring: ResidueRing) -> np.ndarray:
+    """The exponent tuple of -1: half of each axis whose generator's half
+    power is -1 mod its prime power (every odd p^e and the 2-adic <-1>, so
+    the first axis whenever phi > 1), 0 on the 2-adic <5> axis."""
+    return np.array([f.order // 2 if pow(f.generator, f.order // 2, f.modulus) == f.modulus - 1
+                     else 0 for f in ring.factors] or [0])
 
 
 def _to_lattice(ring: ResidueRing, interval: IntervalSet, values=None) -> np.ndarray:
@@ -644,8 +653,8 @@ class ResidueRing:
     Treated as immutable after construction; safe to share across threads.
     Compares and hashes by identity.  Every q-long table is built on its
     first read: ``unit_mask`` (whose read prices the ring's 7*q words),
-    ``units``, ``log_index``, the one index every character, lattice and
-    inverse reads, and ``inv_table``; e_q is read through eq_eval, which
+    ``units``, ``log_index``, the one index every character and lattice
+    reads, and ``inv_table``; e_q is read through eq_eval, which
     holds no q-long table.  The ring also holds, in
     its ``__dict__`` beside them, the latest trilinear unit window computed
     on it, so everything derived from q is freed with its ring.
@@ -693,10 +702,8 @@ class ResidueRing:
     def inv_table(self) -> np.ndarray:
         """inv_table[x] = x^-1 mod q at units, 0 elsewhere, built on first
         read: the inverse of a unit is the unit with the negated exponent
-        tuple."""
-        log_index = self.log_index  # built before the arrays below
-        unit_at = np.empty_like(self.units)  # the unit at each exponent tuple
-        unit_at[log_index[self.units]] = self.units
+        tuple.  No index is read: the units come in lattice order."""
+        unit_at = _lattice_units(self, self.phi)  # the unit at each exponent tuple
         inv = np.zeros(self.q, dtype=np.int64)
         inv[unit_at] = _negated(unit_at.reshape(self.shape)).reshape(-1)
         return inv

@@ -58,6 +58,7 @@ from .ring import (
     _fft_plan,
     _lattice_convolution,
     _lattice_units,
+    _minus_one,
     _phase_sums,
     _reduce,
     _to_lattice,
@@ -248,10 +249,11 @@ def _unit_window(
     i times it.  The operands are evaluated in lattice order, at the units
     of the half x_0 < n_0/2 that ring._lattice_units walks, and written
     contiguously: Re + Im on the half and Re - Im on its translate by eps,
-    the exponent tuple of -1 (n_0/2 on the first axis, so the translate is
-    the other half, rolled along the rest).  So no log_index is read and no
-    operand is scattered.  The M and N phase sums share one denominator, mu
-    is evaluated once when M = N, and e_q is read off _turns' two tables.
+    ring._minus_one's exponent tuple of -1 (n_0/2 on the first axis, so the
+    translate is the other half, rolled along the rest).  So no log_index
+    is read and no operand is scattered.  The M and N phase sums share one
+    denominator, mu is evaluated once when M = N, and e_q is read off
+    _turns' two tables.
     The reads at l and -l for the units l of L come from one pass of a
     marker of +-L over the half.  r = cas mu * cas nu * cas e_q is one
     kernel call read only there: with equal M and N intervals mu is one
@@ -272,8 +274,7 @@ def _unit_window(
     q, shape, phi = ring.q, ring.shape, ring.phi
     half = -(-phi // 2)  # q = 2's one unit is its own negative
     units = _lattice_units(ring, half)
-    eps = [f.order // 2 if pow(f.generator, f.order // 2, f.modulus) == f.modulus - 1 else 0
-           for f in ring.factors] or [0]
+    eps = _minus_one(ring)
     # the half's translate by eps, the points of -u, in order: the half's
     # points rolled once along the later axes (a gather; none on one axis)
     back = slice(phi - half) if len(shape) == 1 else np.roll(
@@ -296,7 +297,7 @@ def _unit_window(
     marked[ls] = marked[q - ls] = True
     x = np.flatnonzero(marked[units])  # the points of the half whose unit is l or -l
     del marked
-    y = np.unravel_index(x, shape) + np.array(eps)[:, None]  # -u's points
+    y = np.unravel_index(x, shape) + eps[:, None]  # -u's points
     y = np.ravel_multi_index(y, shape, mode="wrap")
     keys, points = np.concatenate((units[x], q - units[x])), np.concatenate((x, y))
     sorter = np.argsort(keys)
@@ -504,7 +505,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q, for
     # every N-side level j, in one counts call, largest K first: a J_r over
     # the budget refuses the trace before any T map is built.  Its inverses
-    # build the ring's unit-group index before the level sets are held
+    # build the ring's inverse table before the level sets are held
     ks = [min(q, math.floor(math.exp(j) * q / n_len)) for j in range(_level_count(n_len) + 1)]
     j_r = _reciprocal_counts(ring, r, ks)[0]
     dec = dyadic_decomposition(ring, m_len, n_len)

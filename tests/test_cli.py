@@ -465,16 +465,17 @@ def _points(n: int, k: int) -> int:
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux reports it")
 class TestPeakRss:
     @pytest.mark.parametrize("argv, priced", [
-        # numpy's Bluestein scratch sets ksum2's peak at a prime: 176 B a
-        # residue at 10^6+3, against 27 words (216 B); 77 B at 2^20 against
+        # numpy's Bluestein scratch sets ksum2's peak at a prime: 169 B a
+        # residue at 10^6+3, against 27 words (216 B); 74 B at 2^20 against
         # 14 words (112 B)
         (["ksum2", "--q", "1000003", "--l", "3", "--m", "5", "--n", "7"], 27 * 1000003),
         (["ksum2", "--q", "1048576", "--l", "3", "--m", "5", "--n", "7"], 14 * 2**20),
-        # 56 and 32 B a residue against 11 words (88 B)
+        # 41 and 22 B a residue against 11 words (88 B): the inverse table
+        # is written with no unit-group index
         (["ksum", "--q", "1000003", "--m", "5", "--n", "7"], 11 * 1000003),
         (["ksum", "--q", "1048576", "--m", "5", "--n", "7"], 11 * 2**20),
-        # jr-mod's twin is one _unit_dft: 175 B a residue against 27 words
-        # at 10^6+3, 80 B against 14 words at 2^20
+        # jr-mod's twin is one _unit_dft: 169 B a residue against 27 words
+        # at 10^6+3, 74 B against 14 words at 2^20
         (["jr-mod", "--q", "1000003", "--r", "2", "--K", "1000"], 27 * 1000003),
         (["jr-mod", "--q", "1048576", "--r", "2", "--K", "1000"], 14 * 2**20),
         # char-moment's packed lattice Z_500001 is rough: 98 B a residue

@@ -86,7 +86,7 @@ class TestBuildRing:
 
     def test_unit_group_built_on_first_read_once(self, monkeypatch):
         # build_ring keeps the factors alone; the first read of log_index
-        # (directly or through inv_table) builds it, once per ring
+        # builds it, once per ring (inv_table walks the units without it)
         built, build = [], kforms.ring._unit_group
         monkeypatch.setattr(
             kforms.ring, "_unit_group", lambda q, *a: built.append(q) or build(q, *a)
