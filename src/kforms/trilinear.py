@@ -504,9 +504,11 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
 
     # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q, for
     # every N-side level j, in one counts call, largest K first: a J_r over
-    # the budget refuses the trace before any T map is built.  Its inverses
-    # build the ring's inverse table before the level sets are held
+    # the budget refuses the trace before any T map is built.  The ring's
+    # unit-group index is read first and its inverses build the inverse
+    # table, so both are written before the level sets are held
     ks = [min(q, math.floor(math.exp(j) * q / n_len)) for j in range(_level_count(n_len) + 1)]
+    ring.log_index
     j_r = _reciprocal_counts(ring, r, ks)[0]
     dec = dyadic_decomposition(ring, m_len, n_len)
     # T(lam) is a convolution on the unit group: alpha at log l, mu at
