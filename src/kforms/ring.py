@@ -14,8 +14,11 @@ of every batched FFT.  A rough axis is zero-padded; from _FOUR_STEP padded
 points on it is transformed by the four-step, as R rows of P2 columns
 (P = R*P2, R a power of 2 next to sqrt(P), P2 5-smooth; _fft_plan picks
 them), so that numpy's FFT runs along no axis longer than R or P2 and its
-scratch stays a row long.  The kernel only convolves: each caller picks its
-own route around it (the trilinear window, for one, its dot products).
+scratch stays a row long.  The kernel convolves cyclically, or, for the
+trilinear window's odd channel, negacyclically along its one axis (x^n =
+-1: one fold with alternating signs).  It only convolves: each caller
+picks its own route around it (the trilinear window, for one, its even
+and odd channels and their dot products).
 e_q, the twiddles, the phase sums' sines and the character sums' e(k/n)
 are read off _turn_tables, two tables of about sqrt(n) entries.
 
@@ -137,7 +140,11 @@ def _reduce(keys: np.ndarray, q: int) -> np.ndarray:
     and reads the result.  The keys are reduced 2^16 at a time so that the
     quotient stays in cache: 2.4-2.8 ms against numpy's % at 5.0 ms on
     10^6 keys, 13-15 against 21-23 ms on 2^22 (q = 10^6+3, AVX-512 host);
-    one block takes one step."""
+    one block takes one step.  Up to 2^9 keys numpy's remainder, taken in
+    place, is faster: 0.9 against 1.9 us at 40 keys, even at ~500, behind
+    from 600 on (q = 2503, 2-vCPU Xeon)."""
+    if keys.size <= 1 << 9:
+        return np.remainder(keys, q, out=keys)
     if keys.size > 1 << 16:
         keys = np.ascontiguousarray(keys)
         for s in range(0, keys.size, 1 << 16):
@@ -246,7 +253,7 @@ def _four_step(m: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=256)
-def _fft_plan(shape: tuple[int, ...], k: int = 2):
+def _fft_plan(shape: tuple[int, ...], k: int = 2, negacyclic: bool = False):
     """A cyclic convolution's FFT over shape, of k operands: the size per
     axis, the axis padded (None if none is), the price points*log2(points)
     (the unit of _PAIR_COST), the axes of length 2, which _butterflies
@@ -258,7 +265,9 @@ def _fft_plan(shape: tuple[int, ...], k: int = 2):
     they call it.  The owner of the
     lattice's padding rule, which no transform's price reads: the longest
     axis that _rough finds rough is zero-padded to a 5-smooth length
-    >= k*n, so axis is not None exactly where shape has a rough length.
+    >= k*n, so axis is not None exactly where shape has a rough length.  A
+    negacyclic plan pads axis 0 whether or not it is rough: the kernel's
+    negacyclic fold reads the linear product along it.
 
     From k*n >= _FOUR_STEP points on, the padded axis takes Bailey's
     four-step (D. H. Bailey, J. Supercomputing 4, 1990) instead: its
@@ -270,7 +279,7 @@ def _fft_plan(shape: tuple[int, ...], k: int = 2):
     the axes longest last, the padded one at its 5-smooth length."""
     size = list(shape)
     rough = [j for j, n in enumerate(shape) if _rough(n)]
-    axis = max(rough, key=lambda j: shape[j], default=None)
+    axis = 0 if negacyclic else max(rough, key=lambda j: shape[j], default=None)
     split = 1
     if axis is not None:
         m = k * shape[axis]
@@ -311,7 +320,7 @@ def _certified(c: np.ndarray, totals, axis=None) -> tuple[np.ndarray, float] | N
     return (counts, residual) if counts.sum(axis=axis).tolist() == totals else None
 
 
-def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, float | None]:
+def _lattice_convolution(operands, shape: tuple[int, ...], negacyclic=False) -> tuple[np.ndarray, float | None]:
     """Cyclic convolution c = f_1 * f_2 * ... * f_k of k >= 2 operands over
     the lattice Z_{shape[0]} x Z_{shape[1]} x ..., c(x) the sum over
     x_1 + ... + x_k = x of f_1(x_1) ... f_k(x_k), with the FFT certificate's
@@ -331,7 +340,9 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     supports) undercuts the FFT's points*log2(points).  The other rows take
     the FFT (rfft first on real input, fft on complex), max(1, _FFT_BLOCK //
     points) rows a block: each distinct operand's block is transformed
-    once, the spectra are multiplied in place, and one inverse is taken.
+    once, the spectra are multiplied in place (over the first factor's,
+    unless a later block or factor reads it again), and one inverse is
+    taken.
     The axes of length 2 are transformed by _butterflies (numpy's passes
     along them cost about as much as along a long axis), the rest by numpy
     in _fft_plan's order: the first one numpy transforms (by rfft on real
@@ -343,7 +354,9 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     the axis whole; from there on P = R*P2 is read as R rows of P2 columns
     (Bailey's four-step): numpy transforms the rows axis (rfft on real
     input), _twiddle multiplies by exp(-2*pi*i*k*c/P), and numpy
-    transforms the columns with the other axes.  The spectrum stays in that
+    transforms the columns with the other axes, a block of rows of about
+    2^16 points at a time, written back in place, so that no second
+    spectrum is held beside the first.  The spectrum stays in that
     transposed order, which the product does not mind, and the inverse runs
     the steps backward, so numpy's scratch is a row long, not P.  Integer
     input (non-negative
@@ -351,9 +364,18 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     _certified passes it (a residual below 1/4, every entry at most 2^52, an
     exact total, which may pass 2^52); else the tally recounts that row.  A
     row's route is picked by price alone.
+
+    With negacyclic, c is the negacyclic convolution along axis 0, where
+    x^n = -1: a product whose indices sum past n is subtracted.  Its plan
+    pads that axis whether or not it is rough, the k blocks of the linear
+    product are summed with alternating signs, and no row is tallied; the
+    operands must be float (an integer one is refused).  The trilinear
+    window's odd channel takes it.
     """
     distinct = {id(x): np.asarray(x) for x in operands}
     integer = all(x.dtype.kind in "biu" for x in distinct.values())
+    if negacyclic and integer:
+        raise ValueError("a negacyclic convolution takes float operands")
     batched = any(x.ndim > len(shape) for x in distinct.values())
     for i, x in distinct.items():  # every operand as rows, one row if it holds none
         distinct[i] = (x.astype(np.int64, copy=False) if integer else x).reshape((-1,) + shape)
@@ -370,12 +392,12 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
     totals = [math.prod(sums[id(x)][j % len(x)] for x in arrays) if integer else 0 for j in range(b)]
     if max(totals) >= 2**63:
         raise ValueError(f"dimension too large: convolution total {max(totals)} exceeds int64")
-    size, axis, fft_cost, two, axes, s, split, words = _fft_plan(shape, len(arrays))
+    size, axis, fft_cost, two, axes, s, split, words = _fft_plan(shape, len(arrays), negacyclic)
     # a row is tallied where the tally prices lower (at step m, the product
     # of m supports); _certified alone judges the FFT's rows
     supports = [[nonzero[id(x)][j % len(x)] for x in arrays] for j in range(b)]
     pairs = [sum(math.prod(n[:m]) for m in range(2, len(n) + 1)) for n in supports]
-    tallied = [p * _PAIR_COST <= fft_cost for p in pairs]
+    tallied = [not negacyclic and p * _PAIR_COST <= fft_cost for p in pairs]
     # the tallied rows first, in order
     c = [_lattice_tally(row, shape) if t else None for row, t in zip(rows, tallied)]
     fft_rows, residuals = [j for j, t in enumerate(tallied) if not t], []
@@ -391,9 +413,18 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
                 x = np.pad(x, [(0, -x.shape[j] % s[0] if j == a else 0) for j in range(x.ndim)])
                 x = x.reshape(x.shape[:a] + (-1, s[0]) + x.shape[a + 1 :])
             y = first(x, s[-1], axes[-1] + lead)
+            del x  # a padded copy is not held through the other axes
             if split > 1:
                 _twiddle(y, axis + lead, size[axis], -1)
-            return np.fft.fftn(y, s[:-1], [j + lead for j in axes[:-1]])
+            return others(np.fft.fftn, y, lead)
+
+        def others(f, y, lead):  # f along the axes but the last numpy's; the four-step's in place
+            parts = min(y.shape[axis + lead], y.size >> 16) if split > 1 else 1
+            if parts < 2:
+                return f(y, s[:-1], [j + lead for j in axes[:-1]])
+            for block in np.array_split(y, parts, axis + lead):  # ~2^16 points: one block's scratch
+                block[...] = f(block, s[:-1], [j + lead for j in axes[:-1]])
+            return y
 
         once = {i: forward(x[0], 0) for i, x in distinct.items() if len(x) == 1}  # no rows
         step = max(1, _FFT_BLOCK // math.prod(size))
@@ -405,12 +436,13 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
             if batched:  # a block's rows first, so that each product is taken in place
                 factors.sort(key=lambda f: f.ndim, reverse=True)
             del spectra
-            out = factors[0] * factors[1]
+            kept = {id(f) for f in (*once.values(), *factors[2:])}  # read again: not written over
+            out = np.multiply(factors[0], factors[1], out=None if id(factors[0]) in kept else factors[0])
             for j in range(2, len(factors)):
                 out *= factors[j]
             del factors
             lead = out.ndim - len(size) - (split > 1)
-            out = np.fft.ifftn(out, s[:-1], [j + lead for j in axes[:-1]])  # the product dropped
+            out = others(np.fft.ifftn, out, lead)  # the product dropped, or written over
             if split > 1:
                 _twiddle(out, axis + lead, size[axis], 1)
             out = last(out, s[-1], axes[-1] + lead)  # here, or here if no axis was left to ifftn
@@ -420,7 +452,10 @@ def _lattice_convolution(operands, shape: tuple[int, ...]) -> tuple[np.ndarray, 
             if axis is not None:  # the k blocks of n along the padded axis, summed
                 a, blocks = axis + lead, (len(arrays), shape[axis])
                 out = out[(slice(None),) * a + (slice(0, math.prod(blocks)),)]
-                out = out.reshape(out.shape[:a] + blocks + out.shape[a + 1 :]).sum(axis=a)
+                out = out.reshape(out.shape[:a] + blocks + out.shape[a + 1 :])
+                if negacyclic:  # x^n = -1: the odd blocks negated
+                    out[(slice(None),) * a + (slice(1, None, 2),)] *= -1
+                out = out.sum(axis=a)
             for j, row in zip(block, out.reshape((-1,) + shape)):
                 certified = _certified(row, totals[j]) if integer else (row, None)
                 c[j], residual = certified or (_lattice_tally(rows[j], shape), None)
@@ -831,6 +866,7 @@ def _phase_sums(q: int, intervals, t: np.ndarray):
         out *= ratio
         out[t == 0] = length
         yield out
+        del out  # not held through the next interval's
 
 
 def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):

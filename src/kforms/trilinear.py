@@ -14,10 +14,16 @@ O(phi log phi).  The operands are evaluated in lattice order, at the units
 of half the lattice that ring._lattice_units walks from the lifted
 generators, and the other half is their translate by the exponent tuple of
 -1: no log_index is built and no operand is scattered.  On a cyclic unit
-group the window itself may instead have the kernel convolve mu with nu
-alone and dot that against e_q at the reads, slab by slab, where
-_dots_price says the dots undercut the transform of e_q; the kernel knows
-nothing of the reads.  The window is built once per instance and held on
+group, one axis Z_n on which -1 is the translate by n/2, the window may
+instead split x^n - 1 = (x^(n/2) - 1)(x^(n/2) + 1) (Nussbaumer, Fast
+Fourier Transform and Convolution Algorithms, 1981): the characters with
+chi(-1) = 1 see the operands' real parts, convolved cyclically over
+Z_{n/2}, those with chi(-1) = -1 their imaginary parts, convolved
+negacyclically, and each channel's mu * nu is dotted against cos or sin
+of e_q at the reads, slab by slab, where _dots_price says that undercuts
+the chain: no cas form and no translate, every operand n/2 long.  A
+multi-axis lattice, where -1's translate also rolls the other axes, keeps
+the chain.  The kernel knows nothing of the reads.  The window is built once per instance and held on
 its ring, one slot keyed by the three intervals, so it lives as long as the
 ring and no longer.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
@@ -72,24 +78,22 @@ from .ring import (
 WEIGHT_MODES = ("ones", "rademacher", "phase", "extremal")
 
 # _dots_price, in the unit of ring._PAIR_COST (one transform is a third of
-# it, 0.6-0.9 ns per point times log2 of the points): one element of a read's
-# two dots costs _DOT_COST (0.44-0.54 ns from n/2 = 2.5*10^4 to 5*10^5, with
-# no step up where the slabbed dots outgrow the cache, so no cache term);
-# each distinct read costs as much as _DOT_CALL more elements, its calls'
-# overhead (kept from the fit before the slabs).  A call's fixed work, the
-# folded operands (12-18 ns per n/2 element) and the reads reduced mod n/2,
-# costs as much as _DOT_FOLD reads (24-41 measured).  These route the window
-# within 3.6 ms of the faster route, summed over 55 cases that take 1.4 s by
-# the faster routes: 52 primes from 2003 to 10^6+3 with L = min(sqrt(q),
-# 4.8*10^7/phi) and distinct M, N of length sqrt(q), and three with M = N,
-# each timed both ways.  Fitted with OpenBLAS on one thread
-# (OPENBLAS_NUM_THREADS=1, which perfbench/run.py pins), 2-vCPU Xeon host.
-# The CLI, the tests and library callers run at numpy's default thread
-# count, where the q = 100,003 window (L = 316) stalled ~1 s in its dots in
-# 6 of 67 fresh processes (see ROADMAP.md).
+# it, 0.6-0.9 ns per point times log2 of the points): one element of a
+# read's two dots, one a channel, costs _DOT_COST (0.55 ns at n/2 = 5*10^5),
+# and each distinct read costs as much as _DOT_CALL more elements, its
+# calls' overhead.  The call's fixed work, with no fold left in it, no
+# longer measures apart from the transforms.  These route the window within
+# 0.01-0.2 ms of the faster route, summed over 55 cases that take 1.25 s by
+# the faster routes (two fits): 52 primes from 2003 to 10^6+3 with
+# L = min(sqrt(q), 4.8*10^7/phi) and distinct M, N of length sqrt(q), and
+# three with M = N, each timed both ways; no sweep-sized case (q from 2000
+# to 2999, L = M = N = sqrt(q)) takes the dots.  Fitted with OpenBLAS on one
+# thread (OPENBLAS_NUM_THREADS=1, which perfbench/run.py pins), 2-vCPU Xeon
+# host.  The CLI, the tests and library callers run at numpy's default
+# thread count, where the q = 100,003 window (L = 316) stalled ~1 s in its
+# dots in 6 of 67 fresh processes (see ROADMAP.md).
 _DOT_COST = 0.17
-_DOT_CALL = 5500
-_DOT_FOLD = 30
+_DOT_CALL = 12000
 
 
 @dataclass(frozen=True)
@@ -186,50 +190,38 @@ def _window_gather(
     return _unit_gather(ring, eta, f, ls)
 
 
-def _dots_price(heads, shape: tuple[int, ...], at: np.ndarray) -> float:
-    """What reading the convolution of the k - 1 >= 2 operands `heads` and
-    one more, distinct, operand at the indices `at` by _dots_at costs, on a
-    one-axis lattice Z_n of even order, less what it saves, in the unit of
-    ring._PAIR_COST: negative where the dots undercut the chained FFT of
-    all k.  The dots cost, per distinct index mod half = n/2, its dots'
-    elements and _DOT_CALL, and the call's fixed work as _DOT_FOLD reads,
-    at _DOT_COST an element.  They save the
-    chain's transforms less those of the heads' chain, a third of
-    points*log2(points) a transform: one per distinct operand and the
-    inverse."""
-    half = shape[0] // 2
-    # return_inverse: a bare unique imports numpy.ma
-    reads = np.unique(_reduce(at.copy(), half), return_inverse=True)[0].size
-    dots = (reads + _DOT_FOLD) * (half + _DOT_CALL)
-    distinct = len({id(x) for x in heads})
-    chain = (distinct + 2) * _fft_plan(shape, len(heads) + 1)[2] / 3
-    return dots * _DOT_COST - chain + (distinct + 1) * _fft_plan(shape, len(heads))[2] / 3
+def _dots_price(distinct: int, shape: tuple[int, ...], reads: int) -> float:
+    """What the window's dots route costs on a one-axis lattice Z_n of even
+    order, less what it saves, in the unit of ring._PAIR_COST: negative
+    where it undercuts the chained FFT.  Its `distinct` heads (1 or 2) are
+    convolved as two channels of n/2 points, one cyclic and one
+    negacyclic, a third of points*log2(points) a transform: one per head
+    and the inverse, each channel; then each of the `reads` distinct
+    indices mod n/2 costs its two dots' n/2 elements and _DOT_CALL, at
+    _DOT_COST an element.  The chain costs one transform per head, one of
+    e_q and the inverse, at three operands over Z_n."""
+    half = (shape[0] // 2,)
+    channels = (distinct + 1) * (_fft_plan(half)[2] + _fft_plan(half, 2, True)[2]) / 3
+    chain = (distinct + 2) * _fft_plan(shape, 3)[2] / 3
+    return reads * (half[0] + _DOT_CALL) * _DOT_COST + channels - chain
 
 
-def _dots_at(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """c(k) = sum_j a(j) b(k - j) over Z_n, n even, at the indices `at`.
-    With h = n/2, c(k) + c(k+h) and c(k) - c(k+h) are the dots over j < h of
-    a(j) +- a(j+h) with the h-periodic and h-antiperiodic b(x) +- b(x+h),
-    each one contiguous slice of a doubled, reversed copy of the latter.
-    The dots are summed over slabs of 2^16 elements of the former, every
-    read's slab against one slab in turn, so that the slab stays in cache
-    across the reads, and the folds are written in place: 44-48 -> 21-26 ms
-    at n = 10^6+2 with 48 distinct reads (one BLAS thread, 2-vCPU Xeon)."""
-    h = a.size // 2
-    k, slot = np.unique(_reduce(at.copy(), h), return_inverse=True)
+def _dots_at(a: np.ndarray, b: np.ndarray, k: np.ndarray, sign: int) -> np.ndarray:
+    """c(k) = sum_j a(j) b(k - j) over j < h = a.size at the indices
+    0 <= k < h, b extended h-periodically (sign 1) or h-antiperiodically
+    (sign -1, b(x - h) = -b(x)): one channel of the window, read against
+    its part of e_q.  Each read is one contiguous slice of a doubled,
+    reversed copy of b, and the dots are summed over slabs of 2^16
+    elements of a, every read's slab against one slab in turn, so that
+    the slab stays in cache across the reads."""
+    h = a.size
+    tiled = np.concatenate((b[::-1], sign * b[::-1]))
     starts = (h - 1 - k).tolist()
-    sums = []
-    for sign, fold in ((1, np.add), (-1, np.subtract)):
-        af, tiled = fold(a[:h], a[h:]), np.empty(2 * h)
-        fold(b[:h], b[h:], out=tiled[h - 1 :: -1])  # reversed
-        np.multiply(tiled[:h], sign, out=tiled[h:])
-        dots = np.zeros(k.size)
-        for j in range(0, h, 1 << 16):
-            slab = af[j : j + (1 << 16)]
-            dots += [slab @ tiled[s + j : s + j + slab.size] for s in starts]
-        sums.append(dots[slot])
-    plus, minus = sums
-    return (plus + np.where(at < h, minus, -minus)) / 2
+    dots = np.zeros(k.size)
+    for j in range(0, h, 1 << 16):
+        slab = a[j : j + (1 << 16)]
+        dots += [slab @ tiled[s + j : s + j + slab.size] for s in starts]
+    return dots
 
 
 def _unit_window(
@@ -242,27 +234,35 @@ def _unit_window(
     sum_{n in N} K_q(l, m, n) at every unit l, 0 at the rest.
 
     With u = inv(x), v = inv(y) in _window_gather's sum, W(l) is
-    sum_{u*v*w = l} mu(u) nu(v) e_q(w), and reads no inverse.  The cas forms
-    Re f + Im f of the three operands (each has f(-u) = conj f(u)) convolve
-    to a real r, and W(l) = (r(l) + r(-l))/2 + i (r(-l) - r(l))/2: a
-    character with chi(-1) = 1 sees f's transform, one with chi(-1) = -1
-    i times it.  The operands are evaluated in lattice order, at the units
-    of the half x_0 < n_0/2 that ring._lattice_units walks, and written
+    sum_{u*v*w = l} mu(u) nu(v) e_q(w), and reads no inverse.  The
+    operands are evaluated in lattice order, at the units of the half
+    x_0 < n_0/2 that ring._lattice_units walks, so no log_index is read;
+    the M and N phase sums share one denominator, mu is evaluated once when
+    M = N, and e_q is read off _turns' two tables.  The reads at l and -l
+    for the units l of L come from one pass of a marker of +-L over the
+    half.
+
+    The chain: the cas forms Re f + Im f of the three operands (each has
+    f(-u) = conj f(u)) convolve to a real r, and W(l) = (r(l) + r(-l))/2
+    + i (r(-l) - r(l))/2: a character with chi(-1) = 1 sees f's transform,
+    one with chi(-1) = -1 i times it.  Each cas form is written
     contiguously: Re + Im on the half and Re - Im on its translate by eps,
     ring._minus_one's exponent tuple of -1 (n_0/2 on the first axis, so the
-    translate is the other half, rolled along the rest).  So no log_index
-    is read and no operand is scattered.  The M and N phase sums share one
-    denominator, mu is evaluated once when M = N, and e_q is read off
-    _turns' two tables.
-    The reads at l and -l for the units l of L come from one pass of a
-    marker of +-L over the half.  r = cas mu * cas nu * cas e_q is one
-    kernel call read only there: with equal M and N intervals mu is one
-    operand given twice, so the chain takes 3 transforms, else 4.  The
-    window, not the kernel, picks the route: on a one-axis lattice of even
-    order (a cyclic unit group) where _dots_price is at most 0, the kernel
-    convolves cas mu with cas nu alone and _dots_at reads that against cas
-    e_q at l and -l; cas e_q is then built after that convolution, not held
-    through it.  The window is held in the ring's __dict__, as
+    translate is the other half, rolled along the rest), and one kernel
+    call convolves the three, read only at l and -l: with equal M and N
+    intervals mu is one operand given twice, so the chain takes 3
+    transforms, else 4.
+
+    The channels, on a one-axis lattice Z_n of even order (a cyclic unit
+    group) where _dots_price is at most 0: -1 is the translate by h = n/2,
+    so f(x + h) = conj f(x), and f's reductions mod x^h - 1 and x^h + 1 are
+    2 Re f and 2i Im f on the half.  The kernel convolves Re mu with Re nu
+    cyclically and Im mu with Im nu negacyclically, over Z_h, one channel
+    after the other, and _dots_at reads each against cos or sin of e_q at
+    k, the half's point of l or -l: W(l) = 4 (c+(k) - i s c-(k)), s = 1
+    where l's point is k and -1 where it is k + h.  e_q is built once both
+    channels are in, not held through them, and every operand and product
+    the route holds is h long.  The window is held in the ring's __dict__, as
     functools.cached_property holds inv_table, one slot keyed by (L, M, N):
     every caller on one instance reads one window, and it is freed with its
     ring.
@@ -275,21 +275,6 @@ def _unit_window(
     half = -(-phi // 2)  # q = 2's one unit is its own negative
     units = _lattice_units(ring, half)
     eps = _minus_one(ring)
-    # the half's translate by eps, the points of -u, in order: the half's
-    # points rolled once along the later axes (a gather; none on one axis)
-    back = slice(phi - half) if len(shape) == 1 else np.roll(
-        np.arange(half).reshape((-1,) + shape[1:]), eps[1:], tuple(range(1, len(shape)))).reshape(-1)
-
-    def cas(f):
-        lattice, g = np.empty(phi), f[back]
-        np.add(f.real, f.imag, out=lattice[:half])
-        np.subtract(g.real, g.imag, out=lattice[half:])
-        return lattice.reshape(shape)
-
-    intervals = (m_interval,) if n_interval == m_interval else (m_interval, n_interval)
-    heads = tuple(map(cas, _phase_sums(q, intervals, units)))  # each sum dropped once cast
-    if len(heads) == 1:  # M = N: mu is one operand given twice
-        heads *= 2
     residues = l_interval.residues(q)
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
@@ -302,14 +287,40 @@ def _unit_window(
     keys, points = np.concatenate((units[x], q - units[x])), np.concatenate((x, y))
     sorter = np.argsort(keys)
     at = points[sorter[np.searchsorted(keys, np.concatenate((ls, q - ls)), sorter=sorter)]]
-    if len(shape) == 1 and shape[0] % 2 == 0 and _dots_price(heads, shape, at) <= 0:
-        r = _lattice_convolution(heads, shape)[0]
-        del heads  # cas e_q is built once mu * nu is in, not held through it
-        r = _dots_at(r, cas(_turns(units, q)), at)
-    else:
-        r = _lattice_convolution(heads + (cas(_turns(units, q)),), shape)[0].reshape(-1)[at]
+    intervals = (m_interval,) if n_interval == m_interval else (m_interval, n_interval)
     window = np.zeros(residues.size, dtype=np.complex128)
-    window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
+    dots = len(shape) == 1 and phi % 2 == 0
+    if dots:  # k, the half's point of l or -l; s = 1 where it is l's own
+        s = np.where(at[: ls.size] < half, 1, -1)
+        k, slot = np.unique(at[: ls.size] - half * (s < 0), return_inverse=True)
+        dots = _dots_price(len(intervals), shape, k.size) <= 0
+    if dots:
+        even, odd = np.empty((len(intervals), half)), np.empty((len(intervals), half))
+        for i, f in enumerate(_phase_sums(q, intervals, units)):
+            even[i], odd[i] = f.real, f.imag
+            del f
+        plus = _lattice_convolution((tuple(even) * 2)[:2], (half,))[0]  # M = N: one operand given twice
+        del even
+        minus = _lattice_convolution((tuple(odd) * 2)[:2], (half,), True)[0]
+        del odd  # e_q is built once both channels are in, not held through them
+        e_q = _turns(units, q)
+        plus, minus = _dots_at(plus, e_q.real, k, 1), _dots_at(minus, e_q.imag, k, -1)
+        window[on_units] = 4 * (plus[slot] - 1j * s * minus[slot])
+    else:
+        # the half's translate by eps, the points of -u, in order: the half's
+        # points rolled once along the later axes (a gather; none on one axis)
+        back = slice(phi - half) if len(shape) == 1 else np.roll(
+            np.arange(half).reshape((-1,) + shape[1:]), eps[1:], tuple(range(1, len(shape)))).reshape(-1)
+
+        def cas(f):
+            lattice, g = np.empty(phi), f[back]
+            np.add(f.real, f.imag, out=lattice[:half])
+            np.subtract(g.real, g.imag, out=lattice[half:])
+            return lattice.reshape(shape)
+
+        heads = tuple(map(cas, _phase_sums(q, intervals, units)))  # each sum dropped once cast
+        r = _lattice_convolution((heads * 2)[:2] + (cas(_turns(units, q)),), shape)[0].reshape(-1)[at]
+        window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
     window.flags.writeable = False
     ring.__dict__["_unit_window"] = (key, window)
     return window

@@ -485,17 +485,18 @@ class TestPeakRss:
         # 9 B a residue (the unit mask and the units) against the ring's 7
         # words: ring-info builds no unit-group index
         (["ring-info", "--q", "1000003"], 7 * 1000003),
-        # 49 B a residue against the lattice FFT's 7 words a padded point
+        # 62 B a residue against the lattice FFT's 7 words a padded point
         # (115 B a residue)
         (["energy", "--q", "1000003", "--A", "0:300000", "--B", "0:300000"], 7 * _points(1000002, 2)),
-        # the same count as a Lemma 2.2 cell, whose builder holds the ring: 49 B
+        # the same count as a Lemma 2.2 cell, whose builder holds the ring: 62 B
         (["verify-lemma", "--lemma", "2.2", "--grid", '{"qs":[1000003],"intervals":[[0,300000]]}'],
          7 * _points(1000002, 2)),
-        # 69 B a residue against the ring's 7 words and the window FFT's 7
-        # a padded point (228 B a residue)
+        # 37 B a residue against the ring's 7 words and the chained window
+        # FFT's 7 a padded point (228 B a residue): the window runs its two
+        # channels of n/2 points, one after the other
         (["trilinear", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
           "--weights", "extremal"], 7 * 1000003 + 7 * _points(1000002, 3)),
-        # the same instance as one sweep cell: 69 B
+        # the same instance as one sweep cell: 37 B
         (["verify-thm1", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
           "--weights", "extremal"], 7 * 1000003 + 7 * _points(1000002, 3)),
     ])
@@ -503,6 +504,15 @@ class TestPeakRss:
         code, words, held = _peak_probe(argv)
         assert (code, words) == (0, priced)
         assert held <= 8 * words, f"{held} B held over {8 * words} B priced"
+
+    def test_dots_window_peak_per_residue(self):
+        # distinct M and N: the even channel's two operands are transformed
+        # while the odd channel's are held, 45 B a residue above the import
+        # (81 B when the window convolved cas mu with cas nu over all n)
+        argv = ["verify-thm1", "--q", "1000003", "--L", "0:48", "--M=-5:1000", "--N", "1000:1000",
+                "--weights", "extremal"]
+        code, _, held = _peak_probe(argv)
+        assert code == 0 and held <= 55 * 1000003, f"{held / 1000003:.1f} B a residue held"
 
     @pytest.mark.parametrize("argv", [
         ["jr-mod", "--q", "9259277", "--r", "2", "--K", "10"],

@@ -499,6 +499,17 @@ class TestReduce:
         assert np.array_equal(_reduce(keys, q), expected)
 
 
+    @pytest.mark.parametrize("n", [1, 40, 1 << 9, (1 << 9) + 1, 1000, 5000])
+    @pytest.mark.parametrize("q", [2503, 10**6 + 3])
+    def test_both_sides_of_the_remainder_crossover(self, n, q):
+        # up to 2^9 keys numpy's remainder runs in place, past it the
+        # floor-division form: both give % on keys of either sign
+        keys = np.random.default_rng(n).integers(-(q**2), q**2, n)
+        keys[0] = -1
+        expected = keys % q
+        assert _reduce(keys, q) is keys and np.array_equal(keys, expected)
+
+
 class TestRough:
     def test_ladder(self):
         ladder = (1, 2, 7, 11, 98, 1009, 10**6 + 2)
@@ -760,15 +771,53 @@ class TestFourStep:
 
 
 class TestDotsAt:
-    @pytest.mark.parametrize("n", [2, 6, 22, 1000])
-    def test_matches_the_fft_at_pairs_and_singletons(self, n):
-        rng = np.random.default_rng(n)
-        a, b = rng.standard_normal(n), rng.standard_normal(n)
-        full, _ = _lattice_convolution((a, b), (n,))
-        at = rng.integers(0, n, 7)
-        at = np.concatenate([at, (at[:3] + n // 2) % n, [0, n - 1]])
-        assert np.max(np.abs(_dots_at(a, b, at) - full[at])) <= 1e-12 * np.abs(a).sum()
-        assert _dots_at(a, b, at[:0]).shape == (0,)
+    @pytest.mark.parametrize("h", [1, 3, 11, 500])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_the_cyclic_and_negacyclic_kernels(self, h, sign):
+        # the periodic reads are the cyclic convolution over Z_h, the
+        # antiperiodic ones the negacyclic one
+        rng = np.random.default_rng(h)
+        a, b = rng.standard_normal(h), rng.standard_normal(h)
+        full, _ = _lattice_convolution((a, b), (h,), sign < 0)
+        k = np.unique(np.concatenate([rng.integers(0, h, 7), [0, h - 1]]))
+        assert np.max(np.abs(_dots_at(a, b, k, sign) - full[k])) <= 1e-12 * np.abs(a).sum()
+        assert _dots_at(a, b, k[:0], sign).shape == (0,)
+
+
+class TestNegacyclicKernel:
+    """x^h = -1: the kernel's fold along a padded axis with alternating signs."""
+
+    @pytest.mark.parametrize("h", [1, 2, 7, 1009, 1024, 7143, 500001])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_the_antiperiodic_doubling(self, h, k):
+        # (a, -a) * (b, -b) * ... on Z_2h is 2^(k-1) times the negacyclic
+        # product on its first half: 1024 is 5-smooth, so padded for the
+        # fold alone; 7143 pads below the four-step, 500001 past it
+        rng = np.random.default_rng(h + k)
+        operands = [rng.standard_normal(h) for _ in range(k)]
+        got, residual = _lattice_convolution(operands, (h,), True)
+        doubled, _ = _lattice_convolution([np.concatenate((x, -x)) for x in operands], (2 * h,))
+        want = doubled[:h] / 2 ** (k - 1)
+        assert residual is None and got.shape == (h,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_small_lengths_against_the_definition(self):
+        # c(x) = sum over x_1 + x_2 = x mod h of the products, negated where
+        # the sum wraps; sparse operands take the FFT, not the cyclic tally
+        rng = np.random.default_rng(5)
+        for h in (1, 2, 5, 12):
+            a, b = rng.standard_normal(h) * (rng.random(h) < 0.5), rng.standard_normal(h)
+            want = np.zeros(h)
+            for i, j in np.ndindex(h, h):
+                want[(i + j) % h] += a[i] * b[j] * (-1 if i + j >= h else 1)
+            assert np.allclose(_lattice_convolution((a, b), (h,), True)[0], want, atol=1e-13)
+
+    def test_plan_pads_a_smooth_axis(self):
+        assert _fft_plan((1024,), 2)[1] is None and _fft_plan((1024,), 2, True)[:2] == ((2048,), 0)
+
+    def test_integer_operands_refused(self):
+        with pytest.raises(ValueError, match="negacyclic convolution takes float operands"):
+            _lattice_convolution((np.arange(4), np.arange(4)), (4,), True)
 
 
 class TestSmoothLength:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import time
 import tracemalloc
@@ -540,7 +541,7 @@ class TestOneWindowPerInstance:
 
 def windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, costs):
     """_unit_window under each _DOT_COST in costs, with the number of
-    _dots_at calls each made."""
+    _dots_at calls each made: two on the dots route, one a channel."""
     dots_at = kforms.trilinear._dots_at
     calls = []
     monkeypatch.setattr(
@@ -583,32 +584,35 @@ class TestUnitWindowAtScale:
         (dots, dot_calls), (fft, fft_calls) = windows_by_branch(
             monkeypatch, ring, l_iv, m_iv, n_iv, costs
         )
-        assert (dot_calls, fft_calls) == (1, 0)
+        assert (dot_calls, fft_calls) == (2, 0)  # the even and the odd channel
         assert_match_gather(ring, (dots, fft), l_iv, m_iv, n_iv, 1e-13)
 
     @pytest.mark.parametrize("q, length, dot_calls", [
-        (100003, 316, 1),  # 632 reads of n/2 = 50001 elements, as at thm1_large's 10^5 primes
-        (1459, 38, 0),  # 76 reads at n = 1458: the per-read cost keeps them on the FFT
-        (2999, 54, 0),  # 54 distinct reads mod n/2 = 1499: the call's fixed cost keeps the chain
+        (100003, 316, 1),  # 316 reads of two channels of n/2 = 50001, as at thm1_large's 10^5 primes
+        (1459, 38, 0),  # 38 reads at n = 1458, 5-smooth: the chain's unpadded FFT is cheaper
+        (2999, 54, 0),  # 54 reads mod n/2 = 1499: the per-read cost keeps the chain
     ])
     def test_default_rule_routes_the_reads(self, q, length, dot_calls, monkeypatch):
-        # the test above pins the dots at q = 10^6+3 (96 reads of n/2 = 500001)
+        # the test above pins the dots at q = 10^6+3 (48 reads of n/2 = 500001);
+        # the dots route reads each channel by one _dots_at call
         ring = build_ring(q)
         side = math.isqrt(q)
         l_iv, m_iv, n_iv = IntervalSet(17, length), IntervalSet(-5, side), IntervalSet(0, side)
         costs = (kforms.trilinear._DOT_COST,)
         [(window, calls)] = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, costs)
-        assert calls == dot_calls
+        assert calls == 2 * dot_calls
         assert_match_gather(ring, [window], l_iv, m_iv, n_iv, 1e-13)
 
     @pytest.mark.parametrize("q, dot_calls", [(2 * 3**7, 1), (2310, 0)])
     def test_non_units_read_zero(self, q, dot_calls, monkeypatch):
-        # 4374 has a one-axis unit lattice, where a zero cost forces the dots;
-        # 2310 a five-axis one, which never takes them; L wraps past 0
+        # 4374 has a one-axis unit lattice, where a cost of -inf forces the
+        # dots (at 0 the unpadded chain over Z_1458 prices lower than the
+        # channels); 2310 a five-axis one, which never takes them; L wraps
+        # past 0
         ring = build_ring(q)
         l_iv, m_iv, n_iv = IntervalSet(-7, 60), IntervalSet(3, 40), IntervalSet(-20, 50)
-        branches = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, (0.0, math.inf))
-        assert [calls for _, calls in branches] == [dot_calls, 0]
+        branches = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, (-math.inf, math.inf))
+        assert [calls for _, calls in branches] == [2 * dot_calls, 0]
         assert_match_gather(ring, [w for w, _ in branches], l_iv, m_iv, n_iv, 1e-13)
         members = l_iv.members()
         off_units = ~ring.unit_mask[members % q]
@@ -673,6 +677,28 @@ class TestLatticeOrderWindow:
         assert "units" not in instance.ring.__dict__ and "inv_table" not in instance.ring.__dict__
 
 
+class TestChannelWindow:
+    """On a one-axis lattice of even order n the dots route convolves the
+    even channel cyclically and the odd one negacyclically, at n/2."""
+
+    @pytest.mark.parametrize("q", [
+        4, 1009, 1019, 2062, 4374,
+        1018081,  # 1009^2
+        100003, 10**6 + 3,
+    ])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_channels_match_the_gather(self, q, same, monkeypatch):
+        # a cost of -inf forces the dots wherever the lattice has one axis;
+        # L wraps through 0
+        ring = build_ring(q)
+        side, length = math.isqrt(q), min(q, 48)
+        l_iv, m_iv = IntervalSet(-(length // 2), length), IntervalSet(-5, side)
+        n_iv = m_iv if same else IntervalSet(1000, side)
+        [(window, calls)] = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, (-math.inf,))
+        assert calls == 2
+        assert_match_gather(ring, [window], l_iv, m_iv, n_iv, 1e-13)
+
+
 class TestChainedWindow:
     """The window is one kernel call on (cas mu, cas nu, cas e_q)."""
 
@@ -708,20 +734,23 @@ class TestChainedWindow:
         assert calls == ["rfft", "fftn"] * transforms + ["ifftn", "irfft"]
 
     def test_million_primes_keep_the_first_product_and_dots(self, monkeypatch):
-        # thm1_large's 10^6 primes at L = 48: mu * nu by one FFT, read
-        # against cas e_q by one _dots_at call, not chained at 3n
+        # thm1_large's 10^6 primes at L = 48: mu * nu as its even and odd
+        # channels of n/2 points, each one FFT product, read against e_q's
+        # part by one _dots_at call a channel, not chained at 3n
         q = 10**6 + 3
         ring = build_ring(q)
         side = math.isqrt(q)
         dots_at = kforms.trilinear._dots_at
         dots = []
         monkeypatch.setattr(
-            kforms.trilinear, "_dots_at", lambda *args: dots.append(1) or dots_at(*args)
+            kforms.trilinear, "_dots_at", lambda *args: dots.append(args[3]) or dots_at(*args)
         )
         calls = fft_calls(monkeypatch)
         fresh_window(ring, IntervalSet(17, 48), IntervalSet(0, side), IntervalSet(7, side))
-        assert dots == [1]
-        assert calls == ["rfft", "fftn"] * 2 + ["ifftn", "irfft"]
+        assert dots == [1, -1]
+        # the four-step's column transforms run a block of rows a call
+        runs = [name for name, _ in itertools.groupby(calls)]
+        assert runs == (["rfft", "fftn"] * 2 + ["ifftn", "irfft"]) * 2
 
     @pytest.mark.parametrize("q, side", [(100003, 316), (10**6 + 3, 1000)])
     def test_numpy_transforms_no_axis_past_the_four_step_rows_or_columns(self, q, side, monkeypatch):
