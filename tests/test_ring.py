@@ -498,7 +498,6 @@ class TestReduce:
         expected = np.mod(keys, q)
         assert np.array_equal(_reduce(keys, q), expected)
 
-
     @pytest.mark.parametrize("n", [1, 40, 1 << 9, (1 << 9) + 1, 1000, 5000])
     @pytest.mark.parametrize("q", [2503, 10**6 + 3])
     def test_both_sides_of_the_remainder_crossover(self, n, q):
