@@ -140,11 +140,7 @@ def _reduce(keys: np.ndarray, q: int) -> np.ndarray:
     and reads the result.  The keys are reduced 2^16 at a time so that the
     quotient stays in cache: 2.4-2.8 ms against numpy's % at 5.0 ms on
     10^6 keys, 13-15 against 21-23 ms on 2^22 (q = 10^6+3, AVX-512 host);
-    one block takes one step.  Up to 2^9 keys numpy's remainder, taken in
-    place, is faster: 0.9 against 1.9 us at 40 keys, even at ~500, behind
-    from 600 on (q = 2503, 2-vCPU Xeon)."""
-    if keys.size <= 1 << 9:
-        return np.remainder(keys, q, out=keys)
+    one block takes one step."""
     if keys.size > 1 << 16:
         keys = np.ascontiguousarray(keys)
         for s in range(0, keys.size, 1 << 16):

@@ -498,11 +498,11 @@ class TestReduce:
         expected = np.mod(keys, q)
         assert np.array_equal(_reduce(keys, q), expected)
 
-    @pytest.mark.parametrize("n", [1, 40, 1 << 9, (1 << 9) + 1, 1000, 5000])
+    @pytest.mark.parametrize("n", [1, 40, 500, 1000, 5000])
     @pytest.mark.parametrize("q", [2503, 10**6 + 3])
-    def test_both_sides_of_the_remainder_crossover(self, n, q):
-        # up to 2^9 keys numpy's remainder runs in place, past it the
-        # floor-division form: both give % on keys of either sign
+    def test_small_arrays_of_either_sign(self, n, q):
+        # the one-step floor-division form from one key to a few thousand
+        # gives % in place on keys of either sign
         keys = np.random.default_rng(n).integers(-(q**2), q**2, n)
         keys[0] = -1
         expected = keys % q
