@@ -6,7 +6,6 @@ from .characters import (
     build_characters,
     character_values,
     energy_character_identity,
-    eval_character,
     fourth_moment,
     interval_character_sums,
     moment_identity_check,
@@ -34,8 +33,6 @@ from .ring import (
     NotAUnitError,
     ResidueRing,
     build_ring,
-    centered_dist,
-    centered_rep,
     cyclic_dft,
     eq_eval,
     euler_phi,
@@ -65,7 +62,6 @@ from .trilinear import (
     theorem1_bounds,
     trilinear_fast,
     trilinear_naive,
-    window_sums,
 )
 
 __version__ = "0.1.0"

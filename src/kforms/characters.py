@@ -30,30 +30,20 @@ def build_characters(ring: ResidueRing) -> ResidueRing:
     return ring
 
 
-def _character_at(ring: ResidueRing, chi_index: int, residues) -> np.ndarray:
-    """Values of the chi_index-th character at residues in [0, q) (an index
-    into ring.log_index); 0 off units."""
+def character_values(ring: ResidueRing, chi_index: int) -> np.ndarray:
+    """The chi_index-th character's values on all residues 0..q-1, read off
+    ring.log_index; 0 off units."""
     if not 0 <= chi_index < ring.phi:
         raise IndexError(f"character index {chi_index} out of range [0, {ring.phi})")
     # one factor e(a*t/n) per axis of order n, read off _turns at the exact
     # exponent a*t mod n (a*t < n^2 < 2^63)
-    flat, shape = ring.log_index[residues], ring.shape
+    flat, shape = ring.log_index, ring.shape
     digits = np.unravel_index(np.maximum(flat, 0), shape)
     out = np.ones(flat.shape, dtype=np.complex128)
     for n, a, t in zip(shape, np.unravel_index(chi_index, shape), digits):
         out *= _turns(_reduce(int(a) * t, n), n)
     out[flat < 0] = 0
     return out
-
-
-def eval_character(ring: ResidueRing, chi_index: int, x: int) -> complex:
-    """Value of the chi_index-th character at x; 0 when gcd(x, q) > 1."""
-    return complex(_character_at(ring, chi_index, np.array([int(x) % ring.q]))[0])
-
-
-def character_values(ring: ResidueRing, chi_index: int) -> np.ndarray:
-    """Vector of character values on all residues 0..q-1."""
-    return _character_at(ring, chi_index, slice(None))
 
 
 def interval_character_sums(ring: ResidueRing, interval: IntervalSet) -> np.ndarray:

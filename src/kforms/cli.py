@@ -55,7 +55,8 @@ def _one_report(t0: float, params: dict, measured: float, reference: float) -> S
 
 def cmd_ring_info(args, t0: float) -> None:
     ring = build_ring(args.q)
-    units = ring.units  # its first read prices the ring, before anything is printed
+    # increasing, off the mask, whose read prices the ring before anything is printed
+    units = ring.unit_mask.nonzero()[0]
     print(f"q = {ring.q}")
     print(f"phi(q) = {ring.phi}")
     print(f"tau(q) = {ring.tau}")

@@ -1,5 +1,5 @@
 """Residue-ring arithmetic for Z_q: the unit group, additive characters e_q,
-centered representatives, interval phase sums and the forward cyclic DFT of
+interval phase sums and the forward cyclic DFT of
 length q (numpy's FFT, with an O(q^2) reference kept for tests); also the
 package's work budget and its one lattice convolution kernel,
 _lattice_convolution, behind the trilinear unit window, the exact counts and
@@ -39,15 +39,18 @@ the unit mask first, whose read prices the ring's 7*q words, so any kernel
 that prices its own work refuses before a table exists.  A unit is an
 exponent tuple, flattened to one mixed-radix index (C order).  _unit_walk
 owns that order: it walks the units from the factors' generators lifted mod
-q, a block at a time.  ring.log_index, the ring's only discrete-log table,
-is written from the walk: it gives the characters and the lattice that
-_to_lattice maps residues onto (and a gather through it maps back).  A
-reader that holds q-sized arrays of its own reads the index before it
-builds them, so that the index is never written beside them.
-_lattice_units reads the walk alone, the units in lattice order with no
-index: ring.inv_table writes each unit's inverse (the negated tuple's unit)
-from them, and the trilinear window evaluates its operands there, at the
-half whose translate by _minus_one, the tuple of -1, is the rest.
+q, a block at a time, and _lattice_units collects the walk below a flat
+index.  ring.units is the ring's one walk of the whole group, in lattice
+order (so not sorted): units[i] is the unit at flat index i.  The ring's
+other unit tables are its scatters: ring.log_index, the ring's only
+discrete-log table, is its inverse permutation, which gives the characters
+and the lattice that _to_lattice maps residues onto (and a gather through
+it maps back), and ring.inv_table scatters its negated tuples, each unit's
+inverse.  A reader that holds q-sized arrays of its own reads the index
+before it builds them, so that the index is never written beside them.
+The trilinear window walks half the lattice alone, with no table, and
+evaluates its operands there, at the half whose translate by _minus_one,
+the tuple of -1, is the rest.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -323,10 +326,12 @@ def _lattice_convolution(operands, shape: tuple[int, ...], negacyclic=False) -> 
     residual max|c - rint c|, the largest over the certified rows (None
     when none is: the tally ran, or the input is not integer).  An operand
     given twice (the same object) is one operand read twice: it is
-    transformed once.  An operand may hold rows, shaped (b,) + shape: c
-    then has that leading axis too, its row i the convolution of the
-    row-holding operands' rows i with the other operands, which are
-    transformed once a call.  The whole of c is returned: a caller that
+    transformed once.  An operand may hold rows, shaped (b,) + shape, and
+    every row-holding operand holds the same b rows (other counts are
+    refused with a ValueError before any work): c then has that leading
+    axis too, its row i the convolution of the row-holding operands' rows
+    i with the other operands, which are transformed once a call.  The
+    whole of c is returned: a caller that
     reads a few entries, or reads them another way (the trilinear window's
     dot products), chooses that itself.
 
@@ -376,7 +381,9 @@ def _lattice_convolution(operands, shape: tuple[int, ...], negacyclic=False) -> 
     for i, x in distinct.items():  # every operand as rows, one row if it holds none
         distinct[i] = (x.astype(np.int64, copy=False) if integer else x).reshape((-1,) + shape)
     arrays = [distinct[id(x)] for x in operands]
-    b = max(map(len, arrays))  # c's rows; row j takes row j % len of each operand
+    if len(set(map(len, arrays)) - {1}) > 1:
+        raise ValueError(f"row-holding operands hold different rows: {[len(x) for x in arrays]}")
+    b = max(map(len, arrays))  # c's rows; row j takes row j of each row-holding operand
     rows = [[x[j % len(x)] for x in arrays] for j in range(b)]
 
     def each_row(f, x):  # one numpy call for all of x's rows, a bare one for a lone row
@@ -526,15 +533,12 @@ class IntervalSet:
         first = (self.start + 1) % q
         return _reduce(np.arange(first, first + self.length, dtype=np.int64), q)
 
-    def __contains__(self, value: int) -> bool:
-        return self.start + 1 <= value <= self.start + self.length
-
 
 @dataclass(frozen=True)
 class CyclicFactor:
     """One cyclic factor of the units mod q: `generator` has `order` mod the
     prime power `modulus`.  Its discrete logs are one digit of
-    ResidueRing.log_index; no factor keeps a table of its own."""
+    ResidueRing.units; no factor keeps a table of its own."""
 
     modulus: int
     generator: int
@@ -578,7 +582,7 @@ def _power_blocks(g: int, order: int, modulus: int):
 
 def _cyclic_factors(p: int, e: int) -> list[CyclicFactor]:
     """The unit group mod p^e as cyclic factors, generators and orders only
-    (the logs are written once, into log_index): one of order p^(e-1)*(p-1)
+    (the group is walked once, into ring.units): one of order p^(e-1)*(p-1)
     generated by a primitive root for odd p; <-1> of order 2 for 4 | p^e and
     also <5> of order 2^(e-2) for 8 | p^e (units mod 2^e are (-1)^s * 5^t,
     uniquely; none for 2)."""
@@ -597,8 +601,9 @@ def _unit_walk(q: int, factors, stop: int):
     the rest of q, so the unit at a tuple is the product of the lifted
     powers: an outer product of the leading units with one _power_blocks
     block of the last factor's powers, about 2^16 units a block.  The one
-    owner of the lattice's order of the units, which _unit_group and
-    _lattice_units read."""
+    owner of the lattice's order of the units, which _lattice_units reads
+    for ring.units, the ring's one walk of the whole group, and for the
+    trilinear window's half."""
     lifted = [
         (1 + (f.generator - 1) * (q // f.modulus) * pow(q // f.modulus, -1, f.modulus)) % q
         for f in factors
@@ -617,29 +622,11 @@ def _unit_walk(q: int, factors, stop: int):
                          else _reduce(np.multiply.outer(lead[s : s + step], powers), q))
 
 
-def _unit_group(q: int, factors, units: np.ndarray) -> np.ndarray:
-    """log_index, the one index of the units mod q as a product of the cyclic
-    factors, which the characters and the lattice read: the
-    flat exponent-tuple index (C order) per residue, -1 off units, read-only.
-    Each block of _unit_walk's units is written its flat indices.  Nothing
-    but log_index outlives the call."""
-    orders = [f.order for f in factors]
-    if math.prod(orders) != units.size:
-        raise AssertionError(f"character count {math.prod(orders)} != phi {units.size}")
-    n = orders[-1] if orders else 1
-    log_index = np.full(q, -1, dtype=np.int64)
-    for s, k, block in _unit_walk(q, factors, units.size):
-        rows = np.arange(s, s + len(block))[:, None] * n  # each row's first flat index
-        log_index[block] = rows + np.arange(k, k + block.shape[1])
-    log_index.flags.writeable = False
-    return log_index
-
-
 def _lattice_units(ring: ResidueRing, stop: int) -> np.ndarray:
     """The units at the flat exponent-tuple indices below stop, in that
-    order, from _unit_walk's blocks: with stop = phi/2, the half of the
-    lattice whose first digit is below half its axis.  No q-long table is
-    read."""
+    order, from _unit_walk's blocks: with stop = phi, ring.units; with
+    stop = phi/2, the half of the lattice whose first digit is below half
+    its axis.  No q-long table is read."""
     out = np.empty(stop, dtype=np.int64)
     rows = out.reshape(-1, min(ring.shape[-1], stop))
     for s, k, block in _unit_walk(ring.q, ring.factors, stop):
@@ -684,8 +671,9 @@ class ResidueRing:
     Treated as immutable after construction; safe to share across threads.
     Compares and hashes by identity.  Every q-long table is built on its
     first read: ``unit_mask`` (whose read prices the ring's 7*q words),
-    ``units``, ``log_index``, the one index every character and lattice
-    reads, and ``inv_table``; e_q is read through eq_eval, which
+    ``units``, the ring's one walk of its unit group, in lattice order, and
+    its two scatters, ``log_index``, the one index every character and
+    lattice reads, and ``inv_table``; e_q is read through eq_eval, which
     holds no q-long table.  The ring also holds, in
     its ``__dict__`` beside them, the latest trilinear unit window computed
     on it, so everything derived from q is freed with its ring.
@@ -720,23 +708,35 @@ class ResidueRing:
 
     @functools.cached_property
     def units(self) -> np.ndarray:
-        """The units in increasing order, as int64, built on first read."""
-        return np.flatnonzero(self.unit_mask).astype(np.int64, copy=False)
+        """The units as int64 in lattice order, not sorted: units[i] is the
+        unit at flat exponent-tuple index i.  The ring's one walk of its
+        unit group, by _lattice_units, built on first read once unit_mask's
+        read has priced the ring and its count matched the factors'."""
+        count = int(np.count_nonzero(self.unit_mask))
+        if math.prod(self.shape) != count:
+            raise AssertionError(f"character count {math.prod(self.shape)} != phi {count}")
+        return _lattice_units(self, count)
 
     @functools.cached_property
     def log_index(self) -> np.ndarray:
-        """The flat exponent-tuple index per residue, -1 off units, built on
-        first read by _unit_group."""
-        return _unit_group(self.q, self.factors, self.units)
+        """The flat exponent-tuple index per residue, -1 off units, read-only:
+        the inverse permutation of units, arange scattered through it 2^16
+        units at a time, so no phi-long temporary is held beside it."""
+        units = self.units  # read first: it prices the ring
+        log_index = np.full(self.q, -1, dtype=np.int64)
+        for s in range(0, units.size, 1 << 16):
+            log_index[units[s : s + (1 << 16)]] = np.arange(s, min(s + (1 << 16), units.size))
+        log_index.flags.writeable = False
+        return log_index
 
     @functools.cached_property
     def inv_table(self) -> np.ndarray:
-        """inv_table[x] = x^-1 mod q at units, 0 elsewhere, built on first
-        read: the inverse of a unit is the unit with the negated exponent
-        tuple.  No index is read: the units come in lattice order."""
-        unit_at = _lattice_units(self, self.phi)  # the unit at each exponent tuple
+        """inv_table[x] = x^-1 mod q at units, 0 elsewhere: the scatter of
+        units' negated exponent tuples through units, as the inverse of a
+        unit is the unit with the negated tuple."""
+        units = self.units  # read first: it prices the ring
         inv = np.zeros(self.q, dtype=np.int64)
-        inv[unit_at] = _negated(unit_at.reshape(self.shape)).reshape(-1)
+        inv[units] = _negated(units.reshape(self.shape)).reshape(-1)
         return inv
 
 
@@ -774,20 +774,6 @@ def eq_eval(ring: ResidueRing, z) -> complex | np.ndarray:
     if isinstance(z, (int, np.integer)):
         return complex(_turns(np.array([int(z) % ring.q]), ring.q)[0])
     return _turns(_reduce(np.array(z, dtype=np.int64), ring.q), ring.q)
-
-
-def centered_rep(ring: ResidueRing, u) -> int | np.ndarray:
-    """Representative of u mod q in the window (-q/2, q/2]."""
-    if isinstance(u, (int, np.integer)):
-        r = int(u) % ring.q
-        return r if 2 * r <= ring.q else r - ring.q
-    r = _reduce(np.array(u, dtype=np.int64), ring.q)
-    return np.where(2 * r <= ring.q, r, r - ring.q)
-
-
-def centered_dist(ring: ResidueRing, u) -> int | np.ndarray:
-    """Distance from u to the nearest multiple of q; lies in [0, q/2]."""
-    return abs(centered_rep(ring, u))
 
 
 def _dft_naive(f: np.ndarray, q: int, eq_pows: np.ndarray) -> np.ndarray:

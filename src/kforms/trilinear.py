@@ -31,8 +31,8 @@ The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 mu a row, so alpha is transformed once a block; T vanishes off the units,
 so its rows are read at the units alone.  An instance's weights are
 validated on construction (|alpha_l| <= 1, and 0 at every non-unit l), so
-the form reads the unit window alone; window_sums still serves a non-unit
-l, with one O(phi) gather.  That gather is kloosterman's, the one
+the form reads the unit window alone.  Its oracle, _window_gather, which
+also serves a non-unit l, is kloosterman's O(phi)-per-l gather, the one
 double_fast reads K_q(l, m, n) through: at the one-point intervals
 M = {m}, N = {n} the window W_l is K_q(l, m, n) itself.
 The trace machinery splits the fast form over a dyadic decomposition of the
@@ -326,27 +326,6 @@ def _unit_window(
     return window
 
 
-def window_sums(
-    ring: ResidueRing,
-    l_interval: IntervalSet,
-    m_interval: IntervalSet,
-    n_interval: IntervalSet,
-) -> np.ndarray:
-    """W_l = sum_{m in M} sum_{n in N} K_q(l, m, n) for every l in L.
-
-    Each non-unit l costs one O(phi) gather, run (and priced) first, so
-    that an over-priced L is refused before the unit window's lattice
-    FFT; the units l read the instance's unit-group window.
-    """
-    residues = l_interval.residues(ring.q)
-    off_units = ~ring.unit_mask[residues]
-    ls = residues[off_units]
-    gathered = _window_gather(ring, ls, m_interval, n_interval) if ls.size else 0
-    out = _unit_window(ring, l_interval, m_interval, n_interval).copy()
-    out[off_units] = gathered
-    return out
-
-
 def make_weights(
     ring: ResidueRing,
     l_interval: IntervalSet,
@@ -428,8 +407,9 @@ def _sign_sets(ring: ResidueRing, length: int) -> tuple[int, dict]:
     levels = _level_count(length)
     bounds = np.minimum(np.exp(np.arange(levels + 1)) * q / length, q / 2)
     bounds[levels] = q / 2  # e^levels >= length/2 guarantees the cap
-    pos = ring.units[2 * ring.units <= q]
-    neg = ring.units[2 * ring.units > q] - q
+    units = ring.unit_mask.nonzero()[0]  # increasing, as each level set is kept
+    pos = units[2 * units <= q]
+    neg = units[2 * units > q] - q
     sets = {}
     for sign, reps in ((1, pos), (-1, neg)):
         idx = np.searchsorted(bounds, np.abs(reps), side="left")
@@ -489,10 +469,11 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     rows are the inverse indicators of the distinct K.  The T maps are
     kernel calls on alpha and a block of rows, row i the mu of level set i
     (one phase-sum call a block), so alpha is transformed once a block, and
-    a block's lattice rows are read at the units' lattice points into the T
-    stack, one (level sets x phi) array: T vanishes off the units.  The U
-    maps are one cyclic_dft a block of N-side levels, whose columns of cells
-    are one product of the T stack with the block read at the units.  At
+    a block's lattice rows are the T stack's, one (level sets x phi) array
+    in lattice order: T vanishes off the units.  The U maps are one
+    cyclic_dft a block of N-side levels, whose columns of cells are one
+    product of the T stack with the block read at ring.units, which walks
+    the units in that order.  At
     sweep-sized q (below ~3,000 with M, N ~ sqrt(q)) each family is one
     call; from q ~ 16,000 a block is one row, and the trace holds what a
     level-by-level trace held.
@@ -516,8 +497,8 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q, for
     # every N-side level j, in one counts call, largest K first: a J_r over
     # the budget refuses the trace before any T map is built.  The ring's
-    # unit-group index is read first and its inverses build the inverse
-    # table, so both are written before the level sets are held
+    # unit-group index is read first and the counts read its inverse table,
+    # both scattered from ring.units, before the level sets are held
     ks = [min(q, math.floor(math.exp(j) * q / n_len)) for j in range(_level_count(n_len) + 1)]
     ring.log_index
     j_r = _reciprocal_counts(ring, r, ks)[0]
@@ -534,7 +515,7 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     for s in range(0, len(t_stack), step):
         rows = _phase_rows(ring, list(dec.q_sets.values())[s : s + step], instance.m_interval, True)
         rows = _lattice_convolution((alpha_lat, rows), ring.shape)[0]  # mu rows to T rows
-        t_stack[s : s + step] = rows.reshape(len(rows), -1)[:, ring.log_index[ring.units]]
+        t_stack[s : s + step] = rows.reshape(len(rows), -1)  # in lattice order, as ring.units
     del rows  # the last block's, which the U maps need not hold
     first_moments, second_moments = {}, {}
     for (i, sign), t_map in zip(dec.q_sets, t_stack):

@@ -12,7 +12,6 @@ from kforms import (
     TrilinearInstance,
     build_characters,
     build_ring,
-    centered_rep,
     double_fast,
     double_naive,
     dyadic_decomposition,
@@ -34,8 +33,8 @@ from kforms import (
     trilinear_naive,
     verify_lemma_sweeps,
     verify_thm2_sweep,
-    window_sums,
 )
+from kforms.trilinear import _unit_window
 from conftest import random_interval
 
 
@@ -221,7 +220,7 @@ def test_criterion_9_trace_reconstruction_and_partition():
 
     for q in range(2, 501):
         ring = build_ring(q)
-        expected = np.sort(np.asarray(centered_rep(ring, ring.units)))
+        expected = np.sort(np.where(2 * ring.units <= q, ring.units, ring.units - q))
         for m_len in (1, 2, 3, max(1, q // 2), q):
             dec = dyadic_decomposition(ring, m_len, 1)
             pieces = [v for v in dec.q_sets.values() if v.size]
@@ -242,7 +241,7 @@ def test_criterion_10_theorem_harnesses(locked):
         weights = make_weights(ring, side, "extremal", m_interval=side, n_interval=side)
         inst = TrilinearInstance(ring, weights, side, side)
         value = trilinear_fast(inst)
-        total = float(np.sum(np.abs(window_sums(ring, side, side, side))))
+        total = float(np.sum(np.abs(_unit_window(ring, side, side, side))))
         # equality by construction, up to accumulated rounding
         assert abs(abs(value) - total) <= 1e-9 * max(total, 1.0)
         rep = theorem1_bounds(inst)

@@ -12,7 +12,6 @@ from kforms import (
     build_ring,
     character_values,
     energy_character_identity,
-    eval_character,
     fourth_moment,
     interval_character_sums,
     moment_identity_check,
@@ -48,7 +47,7 @@ class TestBuildCharacters:
     def test_two_has_principal_only(self):
         _, table = table_for(2)
         assert table.phi == 1
-        assert eval_character(table, 0, 1) == pytest.approx(1)
+        assert character_values(table, 0)[1] == pytest.approx(1)
 
     def test_one_table_per_ring(self):
         # the ring is its own character table: one object per modulus
@@ -63,32 +62,33 @@ class TestBuildCharacters:
             assert math.prod(table.shape) == ring.phi
 
 
-class TestEvalCharacter:
+class TestCharacterValues:
     def test_principal_is_one_on_units(self):
         ring, table = table_for(36)
+        values = character_values(table, 0)
         for x in ring.units:
-            assert eval_character(table, 0, int(x)) == pytest.approx(1)
+            assert values[x] == pytest.approx(1)
 
     def test_zero_off_units(self):
         ring, table = table_for(12)
         for idx in range(table.phi):
             for x in (0, 2, 3, 4, 6, 8):
-                assert eval_character(table, idx, x) == 0
+                assert character_values(table, idx)[x] == 0
 
     def test_power_relation(self):
         # the character with chi(2) = i mod 5 has chi(4) = chi(2)^2 = -1
         _, table = table_for(5)
         idx = next(
-            i for i in range(4) if abs(eval_character(table, i, 2) - 1j) < 1e-12
+            i for i in range(4) if abs(character_values(table, i)[2] - 1j) < 1e-12
         )
-        assert eval_character(table, idx, 4) == pytest.approx(-1)
+        assert character_values(table, idx)[4] == pytest.approx(-1)
 
     def test_index_out_of_range(self):
         _, table = table_for(7)
         with pytest.raises(IndexError):
-            eval_character(table, 6, 1)
+            character_values(table, 6)
         with pytest.raises(IndexError):
-            eval_character(table, -1, 1)
+            character_values(table, -1)
 
     def test_orthogonality(self):
         for q in (5, 8, 12, 45, 97, 120):
@@ -108,16 +108,10 @@ class TestEvalCharacter:
             idx = int(rng.integers(0, table.phi))
             x = int(ring.units[rng.integers(0, ring.phi)])
             y = int(ring.units[rng.integers(0, ring.phi)])
-            lhs = eval_character(table, idx, x * y % q)
-            rhs = eval_character(table, idx, x) * eval_character(table, idx, y)
+            values = character_values(table, idx)
+            lhs = values[x * y % q]
+            rhs = values[x] * values[y]
             assert abs(lhs - rhs) <= 1e-12
-
-    def test_values_vector_matches_scalar(self):
-        _, table = table_for(40)
-        for idx in (0, 1, table.phi - 1):
-            vec = character_values(table, idx)
-            for x in range(40):
-                assert vec[x] == pytest.approx(eval_character(table, idx, x))
 
     def test_values_within_four_ulps_of_mpmath(self):
         # five axes; every value is e(k/12), k the character's exact phase
@@ -154,7 +148,7 @@ class TestFourthMoment:
         interval = IntervalSet(3, 10)
         sums = interval_character_sums(table, interval)
         for idx in range(table.phi):
-            direct = sum(eval_character(table, idx, int(z)) for z in interval.members())
+            direct = sum(character_values(table, idx)[z % 24] for z in interval.members())
             assert sums[idx] == pytest.approx(direct, abs=1e-9)
         rng = np.random.default_rng(9)
         for q in SUM_MODULI:

@@ -247,8 +247,8 @@ class TestVerifyCommands:
         assert f"missing or malformed {keys}" in capsys.readouterr().err
 
 
-def _unit_group_reached(q, *args):
-    raise AssertionError(f"the unit group of {q} was built before the refusal")
+def _unit_walk_reached(ring, *args):
+    raise AssertionError(f"the unit group of {ring.q} was walked before the refusal")
 
 
 class TestUsageErrors:
@@ -281,7 +281,7 @@ class TestUsageErrors:
         # 7*q ring + 7*points window FFT words ~ 7.5e8, refused before the
         # unit group
         (["trilinear", "--q", "35714279", "--L", "0:5", "--M", "0:5", "--N", "0:5"],
-         kforms.ring, "_unit_group"),
+         kforms.ring, "_lattice_units"),
         # 7*q ring words ~ 2.1e8 and 7*points window FFT words ~ 2.1e8 each
         # fit, but their sum ~ 4.2e8 does not: refused before the unit mask
         (["verify-thm1", "--q", "30000001", "--weights", "extremal"],
@@ -315,7 +315,7 @@ class TestUsageErrors:
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**5)
         monkeypatch.setattr(kforms.ring.ResidueRing, "inv_table", None)
         monkeypatch.setattr(kforms.kloosterman, "cyclic_dft", None)
-        monkeypatch.setattr(kforms.ring, "_unit_group", _unit_group_reached)
+        monkeypatch.setattr(kforms.ring, "_lattice_units", _unit_walk_reached)
         assert main(argv) == 2
         assert "dimension too large" in capsys.readouterr().err
         assert main(["ring-info", "--q", "10007"]) == 0
@@ -338,7 +338,7 @@ class TestUsageErrors:
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**5)
         monkeypatch.setattr(kforms.counts, "_reciprocal_counts", None)
         monkeypatch.setattr(kforms.characters, "_product_energy", None)
-        monkeypatch.setattr(kforms.ring, "_unit_group", _unit_group_reached)
+        monkeypatch.setattr(kforms.ring, "_lattice_units", _unit_walk_reached)
         assert main(argv) == 2
         assert f"dimension too large: {label} words" in capsys.readouterr().err
         monkeypatch.undo()

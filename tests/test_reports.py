@@ -283,9 +283,9 @@ class TestSweepControls:
 
     def test_default_energy_grid_builds_one_table_per_modulus(self, monkeypatch):
         built = []
-        build = kforms.ring._unit_group
+        build = kforms.ring._lattice_units
         monkeypatch.setattr(
-            kforms.ring, "_unit_group", lambda q, *args: built.append(q) or build(q, *args)
+            kforms.ring, "_lattice_units", lambda ring, *args: built.append(ring.q) or build(ring, *args)
         )
         result = verify_lemma_sweeps("2.2")
         qs = kforms.sweeps.DEFAULT_GRIDS["2.2"]["qs"]
@@ -298,7 +298,7 @@ class TestSweepControls:
         # each ring is freed before the next modulus's first cell is counted
         rings, counted, indexed = [], [], []
         build, count = kforms.sweeps.build_ring, kforms.characters._product_energy
-        index = kforms.ring._unit_group
+        index = kforms.ring._lattice_units
 
         def tracked(q):
             ring = build(q)
@@ -313,7 +313,7 @@ class TestSweepControls:
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
         monkeypatch.setattr(kforms.characters, "_product_energy", released)
         monkeypatch.setattr(
-            kforms.ring, "_unit_group", lambda q, *args: indexed.append(q) or index(q, *args)
+            kforms.ring, "_lattice_units", lambda ring, *args: indexed.append(ring.q) or index(ring, *args)
         )
         result = verify_lemma_sweeps("2.1", {"qs": [101, 103], "ks": [0], "Hs": [5, 103]})
         assert [p for p, _ in rings] == [101, 103] and len(result.reports) == 4
@@ -330,30 +330,30 @@ class TestSweepControls:
         # ring and its tables are freed before the next modulus's
         # unit-group index is built
         refs = []
-        build, index = kforms.sweeps.build_ring, kforms.ring._unit_group
+        build, index = kforms.sweeps.build_ring, kforms.ring._lattice_units
 
         def tracked(q):
             ring = build(q)
             refs.append((q, weakref.ref(ring)))
             return ring
 
-        def indexed(q, *args):
+        def indexed(ring, *args):
             gc.collect()
-            assert all(ref() is None for p, ref in refs if p != q), f"a ring is alive at q = {q}"
-            return index(q, *args)
+            assert all(ref() is None for p, ref in refs if p != ring.q), f"a ring is alive at q = {ring.q}"
+            return index(ring, *args)
 
         monkeypatch.setattr(kforms.sweeps, "build_ring", tracked)
-        monkeypatch.setattr(kforms.ring, "_unit_group", indexed)
+        monkeypatch.setattr(kforms.ring, "_lattice_units", indexed)
         verify_lemma_sweeps(lemma, grid)
         assert [p for p, _ in refs] == [1009, 1013]
 
     def test_tally_side_moment_cells_build_no_ring(self, monkeypatch):
         # pairs of unit residues under the padded lattice FFT's price: counted
         # mod q, with no unit group, even past the ring's work budget
-        def refuse(q, *args):
-            raise AssertionError(f"_unit_group({q}) reached")
+        def refuse(ring, *args):
+            raise AssertionError(f"the unit group of {ring.q} walked")
 
-        monkeypatch.setattr(kforms.ring, "_unit_group", refuse)
+        monkeypatch.setattr(kforms.ring, "_lattice_units", refuse)
         grid = {"qs": [10007, 1000003, 2000000011], "ks": [0, 7], "Hs": [50]}
         result = verify_lemma_sweeps("2.1", grid)
         assert len(result.reports) == 6
@@ -368,10 +368,10 @@ class TestSweepControls:
 
     def test_tally_side_energy_builds_no_ring(self, monkeypatch, capsys):
         # no product of 1..50 reaches q, so E counts a1*b1 = a2*b2 over Z
-        def refuse(q, *args):
-            raise AssertionError(f"_unit_group({q}) reached")
+        def refuse(ring, *args):
+            raise AssertionError(f"the unit group of {ring.q} walked")
 
-        monkeypatch.setattr(kforms.ring, "_unit_group", refuse)
+        monkeypatch.setattr(kforms.ring, "_lattice_units", refuse)
         products = np.multiply.outer(np.arange(1, 51), np.arange(1, 51)).reshape(-1)
         energy = int(np.sum(np.unique(products, return_counts=True)[1] ** 2))
         q = 2000000011
@@ -385,9 +385,9 @@ class TestSweepControls:
 
     def test_fft_side_moment_cells_build_one_table_per_modulus(self, monkeypatch):
         built = []
-        build = kforms.ring._unit_group
+        build = kforms.ring._lattice_units
         monkeypatch.setattr(
-            kforms.ring, "_unit_group", lambda q, *args: built.append(q) or build(q, *args)
+            kforms.ring, "_lattice_units", lambda ring, *args: built.append(ring.q) or build(ring, *args)
         )
         result = verify_lemma_sweeps("2.1", {"qs": [97, 101], "ks": [0, 3], "Hs": [97, 101]})
         assert len(result.reports) == 6  # H = 97 at q = 97; H = 97, 101 at q = 101

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -9,8 +10,6 @@ from kforms import (
     IntervalSet,
     NotAUnitError,
     build_ring,
-    centered_dist,
-    centered_rep,
     cyclic_dft,
     eq_eval,
     interval_phase_sum,
@@ -37,7 +36,8 @@ class TestBuildRing:
     def test_prime_modulus(self):
         ring = build_ring(7)
         assert ring.phi == 6
-        assert ring.units.tolist() == [1, 2, 3, 4, 5, 6]
+        assert sorted(ring.units.tolist()) == [1, 2, 3, 4, 5, 6]
+        assert np.array_equal(ring.log_index[ring.units], np.arange(ring.phi))
         assert ring.tau == 2
 
     def test_composite_modulus(self):
@@ -85,17 +85,47 @@ class TestBuildRing:
             assert np.array_equal(units_mod_pe, ring.units % pe), (q, pe)
 
     def test_unit_group_built_on_first_read_once(self, monkeypatch):
-        # build_ring keeps the factors alone; the first read of log_index
-        # builds it, once per ring (inv_table walks the units without it)
-        built, build = [], kforms.ring._unit_group
+        # build_ring keeps the factors alone; the first read of inv_table or
+        # log_index walks the unit group into ring.units, once per ring
+        built, build = [], kforms.ring._lattice_units
         monkeypatch.setattr(
-            kforms.ring, "_unit_group", lambda q, *a: built.append(q) or build(q, *a)
+            kforms.ring, "_lattice_units", lambda ring, *a: built.append(ring.q) or build(ring, *a)
         )
         ring = build_ring(360)
         assert built == [] and ring.shape == (2, 2, 6, 4)
         assert ring.inv_table[7] == 103 and ring.log_index is ring.log_index
         assert built == [360]
         assert build_ring(360).log_index is not ring.log_index and built == [360, 360]
+
+    # sha256 prefixes of log_index and of the last character's values, as
+    # they were when log_index was written by a walk of its own: walking
+    # once into ring.units moves neither the lattice order nor a character
+    WALK_DIGESTS = {
+        2: ("60c69a3e87bf5c4f", "ee282b9a2a908de5"),
+        4: ("adcc526cc9863df1", "d6797498dc3e30c4"),
+        360: ("bea2d1cebbdf67fb", "9e0c65a6bcecc2b5"),
+        1009: ("7b6cf96eb3b75165", "e19d76d855755152"),
+        2 * 5**7: ("d148eb762825aa1e", "f005ac29da3607ae"),
+        1009 * 1013: ("4f17fc163fba0de9", "6d10288ab4967893"),
+        2**17: ("c014c63912187ee7", "373aa3a3a8bed627"),
+    }
+
+    @pytest.mark.parametrize("q", list(WALK_DIGESTS))
+    def test_log_index_and_inverses_read_one_walk(self, q, monkeypatch):
+        # ring.units is the one walk, in lattice order; log_index is its
+        # inverse permutation and inv_table the scatter of its negation
+        walks, walk = [], kforms.ring._lattice_units
+        monkeypatch.setattr(
+            kforms.ring, "_lattice_units", lambda ring, *a: walks.append(ring.q) or walk(ring, *a)
+        )
+        ring = build_ring(q)
+        log_index, inv_table, units = ring.log_index, ring.inv_table, ring.units
+        assert walks == [q]
+        assert np.array_equal(np.sort(units), np.flatnonzero(ring.unit_mask))
+        assert np.array_equal(log_index[units], np.arange(ring.phi))
+        assert np.all(inv_table[units] * units % q == 1)
+        digests = (log_index, kforms.characters.character_values(ring, ring.phi - 1))
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in digests) == self.WALK_DIGESTS[q]
 
     @staticmethod
     def build_peak(q):
@@ -249,29 +279,6 @@ def test_single_value_queries_build_no_table(monkeypatch, capsys):
     assert not any(isinstance(v, np.ndarray) for v in vars(fresh).values()), vars(fresh)
 
 
-class TestCentered:
-    def test_examples(self):
-        ring = build_ring(10)
-        assert centered_dist(ring, 7) == 3
-        assert centered_dist(ring, 15) == 5
-        assert centered_dist(ring, 20) == 0
-
-    def test_symmetries(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            q = int(rng.integers(2, 1000))
-            u = int(rng.integers(-10 * q, 10 * q))
-            ring = build_ring(q)
-            d = centered_dist(ring, u)
-            assert d == centered_dist(ring, u % q) == centered_dist(ring, -u)
-            assert 0 <= d <= q / 2
-
-    def test_centered_rep_window(self):
-        ring = build_ring(12)
-        reps = centered_rep(ring, np.arange(12))
-        assert reps.min() > -6 and reps.max() <= 6
-
-
 class TestCyclicDft:
     def test_delta_to_ones(self):
         ring = build_ring(11)
@@ -361,7 +368,7 @@ class TestIntervalPhaseSum:
             xs = rng.integers(0, q, size=min(64, q))
             table = dict(zip(xs.tolist(), interval_phase_sum(ring, interval, xs)))
             for x in xs:
-                dist = centered_dist(ring, int(x))
+                dist = min(int(x) % q, -int(x) % q)
                 cap = interval.length if dist == 0 else min(interval.length, q / dist)
                 assert abs(table[int(x)]) <= cap + 1e-9
                 checked += 1
@@ -438,7 +445,6 @@ class TestIntervalSet:
     def test_members(self):
         iv = IntervalSet(3, 4)
         assert iv.members().tolist() == [4, 5, 6, 7]
-        assert 4 in iv and 7 in iv and 3 not in iv
 
     def test_residues_at_any_start(self):
         # the start is reduced mod q before any int64 arithmetic; members()
@@ -683,6 +689,16 @@ class TestBatchedKernel:
         big[1, 0] = 2**40
         with pytest.raises(ValueError, match="exceeds int64"):
             _lattice_convolution((big, np.array([2**30, 0, 0, 0])), (4,))
+
+    @pytest.mark.parametrize("scale", [1, 1 + 1j], ids=["real", "complex"])
+    def test_unequal_row_counts_are_refused_before_any_work(self, scale, monkeypatch):
+        # every row-holding operand holds the same rows: 2 against 5 is
+        # refused before the supports are counted or a transform is taken
+        rng = np.random.default_rng(9)
+        operands = (rng.random((2, 22)) * scale, rng.random((5, 22)) * scale)
+        monkeypatch.setattr(np, "count_nonzero", None)
+        with pytest.raises(ValueError, match="hold different rows"):
+            _lattice_convolution(operands, (22,))
 
 
 def padded_convolution(operands, shape):

@@ -16,7 +16,6 @@ from kforms import (
     TrilinearInstance,
     WeightVector,
     build_ring,
-    centered_rep,
     double_fast,
     double_naive,
     dyadic_decomposition,
@@ -27,7 +26,6 @@ from kforms import (
     trilinear_naive,
     verify_thm1_sweep,
     verify_thm2_sweep,
-    window_sums,
 )
 from kforms.cli import main
 from kforms.trilinear import _unit_window, _window_gather
@@ -82,7 +80,7 @@ class TestMakeWeights:
         for q in (97, 360):
             inst = small_instance(q, side, side, side, mode="extremal")
             on_units = inst.ring.unit_mask[side.members() % q]
-            total = np.sum(np.abs(window_sums(inst.ring, side, side, side))[on_units])
+            total = np.sum(np.abs(_unit_window(inst.ring, side, side, side))[on_units])
             value = trilinear_fast(inst)
             assert abs(value) == pytest.approx(total, rel=1e-9)
             assert abs(value.imag) <= 1e-9 * max(total, 1)
@@ -175,7 +173,7 @@ class TestWindowSums:
             l = int(rng.choice(np.flatnonzero(~ring.unit_mask))) + q * int(rng.integers(-2, 3))
             m_iv, n_iv = (IntervalSet(int(rng.integers(-q, q)), int(rng.integers(1, 4)))
                           for _ in range(2))
-            folded = window_sums(ring, IntervalSet(l - 1, 1), m_iv, n_iv)[0]
+            folded = _window_gather(ring, [l], m_iv, n_iv)[0]
             oracle = sum(double_naive(ring, l, int(m), int(n))
                          for m in m_iv.members() for n in n_iv.members())
             assert folded == pytest.approx(oracle, abs=1e-8 * 9 * ring.phi**2)
@@ -192,19 +190,21 @@ class TestWindowSums:
             for _ in range(2):
                 l, m, n = (int(rng.choice(pools[k])) + q * int(rng.integers(-1, 2))
                            for k in kinds)
-                window = window_sums(ring, *(IntervalSet(x - 1, 1) for x in (l, m, n)))[0]
+                one = [IntervalSet(x - 1, 1) for x in (l, m, n)]
+                window = (_unit_window(ring, *one) if ring.unit_mask[l % q]
+                          else _window_gather(ring, [l], *one[1:]))[0]
                 assert abs(double_fast(ring, l, m, n) - window) <= 1e-9 * ring.phi**2
 
 
     def test_non_unit_gathers_priced_before_they_run(self, monkeypatch):
         # ~600,000 non-units at q = 10^6, each an O(phi) gather of 6.5-7 ms:
         # len(ls)*phi ~ 2.4e11 elements are refused before the first one, and
-        # before the unit window's lattice FFT
+        # before the single-sum transform
         ring = build_ring(10**6)
-        monkeypatch.setattr(kforms.trilinear, "_lattice_convolution", None)
+        monkeypatch.setattr(kforms.trilinear, "_unit_dft", None)
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=r"dimension too large: len\(ls\)\*phi gather"):
-            window_sums(ring, IntervalSet(0, 10**6), IntervalSet(0, 10), IntervalSet(0, 10))
+            _window_gather(ring, np.flatnonzero(~ring.unit_mask), IntervalSet(0, 10), IntervalSet(0, 10))
         assert time.perf_counter() - t0 < 1
 
 class TestDyadicDecomposition:
@@ -236,7 +236,7 @@ class TestDyadicDecomposition:
             dec = dyadic_decomposition(ring, m_len, 1)
             pieces = [v for v in dec.q_sets.values() if v.size]
             combined = np.concatenate(pieces) if pieces else np.array([], dtype=int)
-            expected = np.sort(np.asarray(centered_rep(ring, ring.units)))
+            expected = np.sort(np.where(2 * ring.units <= q, ring.units, ring.units - q))
             assert np.array_equal(np.sort(combined), expected)
 
     def test_bad_lengths(self):
@@ -614,12 +614,6 @@ class TestUnitWindowAtScale:
         branches = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, (-math.inf, math.inf))
         assert [calls for _, calls in branches] == [2 * dot_calls, 0]
         assert_match_gather(ring, [w for w, _ in branches], l_iv, m_iv, n_iv, 1e-13)
-        members = l_iv.members()
-        off_units = ~ring.unit_mask[members % q]
-        assert np.allclose(
-            window_sums(ring, l_iv, m_iv, n_iv)[off_units],
-            _window_gather(ring, members[off_units], m_iv, n_iv),
-        )
 
 
 def fft_calls(monkeypatch):
