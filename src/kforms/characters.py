@@ -1,9 +1,11 @@
 """Multiplicative characters mod q.
 
-The characters are read off the ring's unit-group index, ring.log_index: a
-character is an exponent tuple over the cyclic factor orders (ring.shape),
-flattened to a single mixed-radix index (C order); index 0 is the principal
-character.  Character values vanish off units.  The sums of every character
+The characters are read off the ring's walk of its unit group, ring.units,
+in lattice order: a character is an exponent tuple over the cyclic factor
+orders (ring.shape), flattened to a single mixed-radix index (C order);
+index 0 is the principal character.  Its value at the unit at point i is a
+product of one root of unity per digit of i, scattered to the residues
+through units; character values vanish off units.  The sums of every character
 over an interval come from one complex transform over half the lattice (the
 real counts packed two to a point).
 moment_identity_check and energy_character_identity give the fourth moment
@@ -31,18 +33,16 @@ def build_characters(ring: ResidueRing) -> ResidueRing:
 
 
 def character_values(ring: ResidueRing, chi_index: int) -> np.ndarray:
-    """The chi_index-th character's values on all residues 0..q-1, read off
-    ring.log_index; 0 off units."""
+    """The chi_index-th character's values on all residues 0..q-1: its value
+    at each unit's digits, scattered through ring.units; 0 off units."""
     if not 0 <= chi_index < ring.phi:
         raise IndexError(f"character index {chi_index} out of range [0, {ring.phi})")
     # one factor e(a*t/n) per axis of order n, read off _turns at the exact
     # exponent a*t mod n (a*t < n^2 < 2^63)
-    flat, shape = ring.log_index, ring.shape
-    digits = np.unravel_index(np.maximum(flat, 0), shape)
-    out = np.ones(flat.shape, dtype=np.complex128)
-    for n, a, t in zip(shape, np.unravel_index(chi_index, shape), digits):
-        out *= _turns(_reduce(int(a) * t, n), n)
-    out[flat < 0] = 0
+    shape = ring.shape
+    axes = zip(shape, np.unravel_index(chi_index, shape), np.unravel_index(np.arange(ring.phi), shape))
+    out = np.zeros(ring.q, dtype=np.complex128)
+    out[ring.units] = math.prod(_turns(_reduce(int(a) * t, n), n) for n, a, t in axes)
     return out
 
 

@@ -201,7 +201,7 @@ def _product_energy(
         return _sum_of_squares(_product_counts(ra, rb, q, b_interval, primes)), None
     # the kernel's supports are the units each interval hits, min(units,
     # phi): where it will take the FFT, its price comes before the
-    # unit-group index and the lattices
+    # ring's walk and the lattices
     if math.prod(min(n, ring.phi) for n in units) * _PAIR_COST > plan[2]:
         check_work(plan[7], "7*points FFT words")
     # each interval's residues and their int64 gather onto the lattice, one
@@ -246,22 +246,18 @@ def _check_r_k(r: int, K: int, top: float) -> None:
         raise ValueError(f"K out of range: need 1 <= K <= {top}, got {K}")
 
 
-def _unit_inverses_upto(ring: ResidueRing, K: int) -> np.ndarray:
-    xs = _reduce(np.arange(1, K + 1, dtype=np.int64), ring.q)
-    return ring.inv_table[xs[ring.unit_mask[xs]]]
-
-
 def _reciprocal_counts(ring: ResidueRing, r: int, ks) -> tuple[dict, float | None]:
     """{K: J_r(q; K)} over the distinct K of ks (each in [1, q]), with the FFT
     residual: one kernel call on r copies of the rows, one spectrum a row,
     row i the indicator of the inverses of the units in [1, K_i], largest K
-    first.  The kernel tallies its rows first, in order, so a tally over
+    first: the units whose inverses are at most K_i, read off the ring's
+    walk.  The kernel tallies its rows first, in order, so a tally over
     the work budget refuses the call before any FFT runs."""
     ks = sorted(set(ks), reverse=True)
-    inverses = _unit_inverses_upto(ring, ks[0])
+    units, inverses = ring.units, ring.inverses
     rows = np.zeros((len(ks), ring.q), dtype=np.int64)
     for row, K in zip(rows, ks):
-        row[inverses[: np.count_nonzero(ring.unit_mask[1 : K + 1])]] = 1
+        row[units[inverses <= K]] = 1
     w, residual = _lattice_convolution([rows] * r, (ring.q,)) if r > 1 else (rows, None)
     return dict(zip(ks, map(_sum_of_squares, w))), residual
 
@@ -282,7 +278,7 @@ def reciprocal_count_naive(ring: ResidueRing, r: int, K: int) -> int:
     """O(K^r) tally oracle for reciprocal_count_mod."""
     _check_r_k(r, K, ring.q)
     tally = Counter()
-    for combo in itertools.product(_unit_inverses_upto(ring, K).tolist(), repeat=r):
+    for combo in itertools.product(ring.inverses[ring.units <= K].tolist(), repeat=r):
         tally[sum(combo) % ring.q] += 1
     return sum(c * c for c in tally.values())
 

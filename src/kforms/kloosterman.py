@@ -36,9 +36,11 @@ def single_sum(ring: ResidueRing, m: int, n: int) -> complex:
     through eq_eval, which builds no q-long table.  The exponent's two
     products are reduced before they are added, so that it stays below 2q
     for every q <= MAX_MODULUS, and eq_eval reduces the sum."""
-    check_work(11 * ring.q, "11*q ring and single-sum words")  # 74 B a residue at primes
+    # the mask, units, inverses and the exponent's phi-long temporaries: 41 B a
+    # residue above the import at 10^6+3, 17 B at 2^20
+    check_work(11 * ring.q, "11*q ring and single-sum words")
     q, x = ring.q, ring.units
-    exponent = _reduce((m % q) * x, q) + _reduce((n % q) * ring.inv_table[x], q)
+    exponent = _reduce((m % q) * x, q) + _reduce((n % q) * ring.inverses, q)
     return complex(eq_eval(ring, exponent).sum())
 
 
@@ -57,7 +59,7 @@ def _unit_dft(ring: ResidueRing, phase) -> np.ndarray:
     words = 27 if _rough(ring.q) else 14
     check_work(words * ring.q, f"{words}*q ring and transform words")
     f = np.zeros(ring.q, dtype=np.complex128)
-    f[ring.units] = phase(ring.inv_table[ring.units])
+    f[ring.units] = phase(ring.inverses)
     return cyclic_dft(ring, f)
 
 
@@ -79,9 +81,7 @@ def double_naive(ring: ResidueRing, l: int, m: int, n: int) -> complex:
     """Double sum K_q(l, m, n) by direct O(phi^2) summation (oracle path),
     priced first at its 4*phi^2 words (32 B a pair)."""
     check_work(4 * ring.phi**2, "4*phi^2 double_naive words")
-    q = ring.q
-    x = ring.units
-    xb = ring.inv_table[x]
+    q, x, xb = ring.q, ring.units, ring.inverses
     bilinear = _reduce((l % q) * _reduce(np.outer(x, x), q), q)
     exponents = bilinear + _reduce((m % q) * xb, q)[:, None] + _reduce((n % q) * xb, q)[None, :]
     return complex(eq_eval(ring, exponents).sum())
@@ -97,7 +97,7 @@ def double_fast(
     """
     if table is None or table.n % ring.q != n % ring.q or table.q != ring.q:
         table = single_table(ring, n)
-    phases = eq_eval(ring, (m % ring.q) * ring.inv_table[ring.units])
+    phases = eq_eval(ring, (m % ring.q) * ring.inverses)
     return complex(_unit_gather(ring, phases, table.values, [l])[0])
 
 

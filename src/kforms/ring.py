@@ -34,22 +34,21 @@ change to the padding moves no transform's price.
 
 build_ring factorizes q and splits the unit group, by CRT, into cyclic
 factors (a primitive root per odd p^e; <-1> and <5> for the 2-adic part), and
-allocates nothing of size q: every q-long table is written on its first read,
-the unit mask first, whose read prices the ring's 7*q words, so any kernel
-that prices its own work refuses before a table exists.  A unit is an
-exponent tuple, flattened to one mixed-radix index (C order).  _unit_walk
-owns that order: it walks the units from the factors' generators lifted mod
-q, a block at a time, and _lattice_units collects the walk below a flat
-index.  ring.units is the ring's one walk of the whole group, in lattice
-order (so not sorted): units[i] is the unit at flat index i.  The ring's
-other unit tables are its scatters: ring.log_index, the ring's only
-discrete-log table, is its inverse permutation, which gives the characters
-and the lattice that _to_lattice maps residues onto (and a gather through
-it maps back), and ring.inv_table scatters its negated tuples, each unit's
-inverse.  A reader that holds q-sized arrays of its own reads the index
-before it builds them, so that the index is never written beside them.
-The trilinear window walks half the lattice alone, with no table, and
-evaluates its operands there, at the half whose translate by _minus_one,
+allocates nothing of size q: every table is written on its first read, the
+unit mask first, whose read prices the ring's 7*q words, so any kernel that
+prices its own work refuses before a table exists.  A unit is an exponent
+tuple, flattened to one mixed-radix index (C order).  _unit_walk owns that
+order: it walks the units from the factors' generators lifted mod q, a block
+at a time, and _lattice_units collects the walk below a flat index.  The ring
+holds its unit mask, its one q-long table, and its walk: ring.units, the
+whole group in lattice order (so not sorted), units[i] the unit at flat index
+i, and ring.inverses, the walk read at the negated tuples, so that
+inverses[i] is the inverse of units[i].  Every map between residues and the
+lattice is a gather or a scatter through units: _to_lattice tallies residues
+over Z_q and reads the tally at units, and the characters, the Kloosterman
+sums and the proof trace read units and inverses point by point.  The
+trilinear window walks half the lattice alone, with no table but the mask,
+and evaluates its operands there, at the half whose translate by _minus_one,
 the tuple of -1, is the rest.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
@@ -101,9 +100,10 @@ _FFT_BLOCK = 1 << 15  # padded points per block of rows of a batched FFT
 # 116 against 83 ms (medians of alternating calls in one process, numpy
 # 2.4.6 on one thread, 2-vCPU Xeon host).
 _FOUR_STEP = 40_000
-# The ring's tables' one price in words a residue (23-50 B measured,
-# inv_table included): unit_mask's first read checks it, and
-# sweeps.build_instance adds it to the window's FFT words.
+# The ring's tables' one price in words a residue (the mask, units and
+# inverses hold 17 B a residue at a prime, kept and at their peak, by
+# tracemalloc at 10^6+3 and 10^7+19): unit_mask's first read checks it,
+# and sweeps.build_instance adds it to the window's FFT words.
 _RING_WORDS = 7
 
 
@@ -645,16 +645,16 @@ def _minus_one(ring: ResidueRing) -> np.ndarray:
 def _to_lattice(ring: ResidueRing, interval: IntervalSet, values=None) -> np.ndarray:
     """Lattice array, shaped ring.shape, holding at each exponent tuple how
     many of the interval's members land on it, or with values (aligned with
-    the members) the sum of their values; non-units are dropped.  The index
-    is read before the members are reduced mod q."""
-    flat = ring.log_index[interval.residues(ring.q)]
-    flat += 1  # non-units land in bin 0, cut below
-    size = ring.phi + 1
+    the members) the sum of their values: the members' tally over Z_q read
+    at ring.units, so non-units drop out.  units is read before the members
+    are reduced mod q."""
+    units, q = ring.units, ring.q
+    residues = interval.residues(q)
     if values is None:
-        out = np.bincount(flat, minlength=size)
+        out = np.bincount(residues, minlength=q)[units]
     else:
-        out = np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
-    return out[1:].reshape(ring.shape)
+        out = np.bincount(residues, values.real, q)[units] + 1j * np.bincount(residues, values.imag, q)[units]
+    return out.reshape(ring.shape)
 
 
 def _negated(lattice: np.ndarray) -> np.ndarray:
@@ -669,11 +669,12 @@ class ResidueRing:
     ``tau`` and the exponent-tuple lattice ``shape`` are read off them.
 
     Treated as immutable after construction; safe to share across threads.
-    Compares and hashes by identity.  Every q-long table is built on its
-    first read: ``unit_mask`` (whose read prices the ring's 7*q words),
-    ``units``, the ring's one walk of its unit group, in lattice order, and
-    its two scatters, ``log_index``, the one index every character and
-    lattice reads, and ``inv_table``; e_q is read through eq_eval, which
+    Compares and hashes by identity.  Every table is built on its first
+    read: ``unit_mask``, the one q-long table (whose read prices the ring's
+    7*q words), and the walk, two phi-long arrays in lattice order:
+    ``units``, the ring's one walk of its unit group, and ``inverses``,
+    each unit's inverse at its point.  Every character and lattice is a
+    gather or a scatter through units; e_q is read through eq_eval, which
     holds no q-long table.  The ring also holds, in
     its ``__dict__`` beside them, the latest trilinear unit window computed
     on it, so everything derived from q is freed with its ring.
@@ -708,36 +709,28 @@ class ResidueRing:
 
     @functools.cached_property
     def units(self) -> np.ndarray:
-        """The units as int64 in lattice order, not sorted: units[i] is the
-        unit at flat exponent-tuple index i.  The ring's one walk of its
-        unit group, by _lattice_units, built on first read once unit_mask's
-        read has priced the ring and its count matched the factors'."""
+        """The units as int64 in lattice order, not sorted, read-only:
+        units[i] is the unit at flat exponent-tuple index i.  The ring's one
+        walk of its unit group, by _lattice_units, built on first read once
+        unit_mask's read has priced the ring and its count matched the
+        factors'.  A map from the lattice to residues scatters through it
+        (out[units] = values), one from residues to the lattice gathers
+        (a[units])."""
         count = int(np.count_nonzero(self.unit_mask))
         if math.prod(self.shape) != count:
             raise AssertionError(f"character count {math.prod(self.shape)} != phi {count}")
-        return _lattice_units(self, count)
+        units = _lattice_units(self, count)
+        units.flags.writeable = False  # shared by every reader of the ring
+        return units
 
     @functools.cached_property
-    def log_index(self) -> np.ndarray:
-        """The flat exponent-tuple index per residue, -1 off units, read-only:
-        the inverse permutation of units, arange scattered through it 2^16
-        units at a time, so no phi-long temporary is held beside it."""
-        units = self.units  # read first: it prices the ring
-        log_index = np.full(self.q, -1, dtype=np.int64)
-        for s in range(0, units.size, 1 << 16):
-            log_index[units[s : s + (1 << 16)]] = np.arange(s, min(s + (1 << 16), units.size))
-        log_index.flags.writeable = False
-        return log_index
-
-    @functools.cached_property
-    def inv_table(self) -> np.ndarray:
-        """inv_table[x] = x^-1 mod q at units, 0 elsewhere: the scatter of
-        units' negated exponent tuples through units, as the inverse of a
-        unit is the unit with the negated tuple."""
-        units = self.units  # read first: it prices the ring
-        inv = np.zeros(self.q, dtype=np.int64)
-        inv[units] = _negated(units.reshape(self.shape)).reshape(-1)
-        return inv
+    def inverses(self) -> np.ndarray:
+        """The units' inverses in lattice order, read-only: inverses[i] *
+        units[i] = 1 mod q, as the inverse of a unit is the unit at the
+        negated tuple; built on first read as units read there."""
+        inverses = _negated(self.units.reshape(self.shape)).reshape(-1)
+        inverses.flags.writeable = False
+        return inverses
 
 
 def _check_modulus(q: int) -> None:

@@ -16,7 +16,7 @@ phi(q) times the multiplicative energy of the interval's units, with no
 character sum; that count is characters._moment_count, which char-moment's
 identity check also reads.  A short interval's energy is tallied over
 residues mod q from q's primes alone, and only a cell whose lattice FFT is
-the cheaper count builds the ring's unit-group index.  A Lemma 2.2 cell
+the cheaper count walks the ring's unit group.  A Lemma 2.2 cell
 counts its energy the same way.  The 2.1-2.3 builders build one ring per
 modulus as their loop reaches it: cells run one at a time, so the last
 modulus's ring and its tables are freed before the next modulus's cells

@@ -13,7 +13,7 @@ L: one real transform of each operand, their product and one inverse, in
 O(phi log phi).  The operands are evaluated in lattice order, at the units
 of half the lattice that ring._lattice_units walks from the lifted
 generators, and the other half is their translate by the exponent tuple of
--1: no log_index is built and no operand is scattered.  On a cyclic unit
+-1: the ring's walk is not built and no operand is scattered.  On a cyclic unit
 group, one axis Z_n on which -1 is the translate by n/2, the window may
 instead split x^n - 1 = (x^(n/2) - 1)(x^(n/2) + 1) (Nussbaumer, Fast
 Fourier Transform and Convolution Algorithms, 1981): the characters with
@@ -66,7 +66,6 @@ from .ring import (
     _lattice_units,
     _minus_one,
     _phase_sums,
-    _reduce,
     _to_lattice,
     _turns,
     check_work,
@@ -186,7 +185,7 @@ def _window_gather(
     first at its gathers' elements, len(ls) * phi."""
     check_work(len(ls) * ring.phi, "len(ls)*phi gather elements")
     f = _unit_dft(ring, lambda xb: interval_phase_sum(ring, n_interval, xb))
-    eta = interval_phase_sum(ring, m_interval, ring.inv_table[ring.units])
+    eta = interval_phase_sum(ring, m_interval, ring.inverses)
     return _unit_gather(ring, eta, f, ls)
 
 
@@ -236,7 +235,7 @@ def _unit_window(
     With u = inv(x), v = inv(y) in _window_gather's sum, W(l) is
     sum_{u*v*w = l} mu(u) nu(v) e_q(w), and reads no inverse.  The
     operands are evaluated in lattice order, at the units of the half
-    x_0 < n_0/2 that ring._lattice_units walks, so no log_index is read;
+    x_0 < n_0/2 that ring._lattice_units walks, so ring.units is not read;
     the M and N phase sums share one denominator, mu is evaluated once when
     M = N, and e_q is read off _turns' two tables.  The reads at l and -l
     for the units l of L come from one pass of a marker of +-L over the
@@ -263,7 +262,7 @@ def _unit_window(
     where l's point is k and -1 where it is k + h.  e_q is built once both
     channels are in, not held through them, and every operand and product
     the route holds is h long.  The window is held in the ring's __dict__, as
-    functools.cached_property holds inv_table, one slot keyed by (L, M, N):
+    functools.cached_property holds units, one slot keyed by (L, M, N):
     every caller on one instance reads one window, and it is freed with its
     ring.
     """
@@ -402,32 +401,49 @@ def _level_count(length: int) -> int:
     return math.ceil(math.log(length / 2))
 
 
+def _levels(q: int, length: int, residues: np.ndarray) -> tuple[int, np.ndarray]:
+    """The one dyadic level rule for window length `length`: (levels, key),
+    key[k] the index of the sign/level set of the unit residues[k] (int8,
+    in DyadicDecomposition order: level i of |x| for the representative
+    x = residues[k] when 2x <= q, levels + 1 + i for x - q, when 2x > q)."""
+    levels = _level_count(length)  # e^levels q/length >= q/2 >= every radius: the top needs no bound
+    negative = 2 * residues > q
+    radii, key = np.where(negative, q - residues, residues), negative * np.int8(levels + 1)
+    for bound in np.exp(np.arange(levels)) * q / length:  # 2.5x a searchsorted of unsorted radii
+        key += radii > bound
+    return levels, key
+
+
 def _sign_sets(ring: ResidueRing, length: int) -> tuple[int, dict]:
-    q = ring.q
-    levels = _level_count(length)
-    bounds = np.minimum(np.exp(np.arange(levels + 1)) * q / length, q / 2)
-    bounds[levels] = q / 2  # e^levels >= length/2 guarantees the cap
     units = ring.unit_mask.nonzero()[0]  # increasing, as each level set is kept
-    pos = units[2 * units <= q]
-    neg = units[2 * units > q] - q
-    sets = {}
-    for sign, reps in ((1, pos), (-1, neg)):
-        idx = np.searchsorted(bounds, np.abs(reps), side="left")
-        for i in range(levels + 1):
-            sets[(i, sign)] = reps[idx == i]
-    return levels, sets
+    levels, key = _levels(ring.q, length, units)
+    reps = np.where(2 * units > ring.q, units - ring.q, units)
+    names = [(i, sign) for sign in (1, -1) for i in range(levels + 1)]
+    return levels, {name: reps[key == k] for k, name in enumerate(names)}
 
 
-def _phase_rows(ring: ResidueRing, sets: list, interval: IntervalSet, lattice: bool = False):
-    """Row i holds, at each member x of sets[i] (reduced mod q), the
-    interval's phase sum at x, written at inv(x), or with `lattice` at the
-    lattice point of inv(x) (every member a unit): one phase-sum call."""
-    xs = _reduce(np.concatenate(sets), ring.q)
-    slots = ring.inv_table[xs]
-    rows = np.zeros((len(sets), ring.phi if lattice else ring.q), dtype=np.complex128)
-    at = np.repeat(np.arange(len(sets)), [x.size for x in sets])
-    rows[at, ring.log_index[slots] if lattice else slots] = interval_phase_sum(ring, interval, xs)
-    return rows.reshape((len(sets),) + ring.shape) if lattice else rows
+def _level_points(ring: ResidueRing, length: int):
+    """(key, points, starts): the level rule's key at each lattice point's
+    inverse, ring.inverses, the points sorted stably by it, and where each
+    set's points start in that order (with the end last), so that a block
+    of consecutive sets is one slice of points."""
+    levels, key = _levels(ring.q, length, ring.inverses)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=2 * levels + 2))))
+    return key, np.argsort(key, kind="stable"), starts
+
+
+def _phase_rows(ring: ResidueRing, interval: IntervalSet, sets, s: int, stop: int, width: int,
+                slots=None) -> np.ndarray:
+    """Row i holds, at each lattice point u whose inverse x = inverses[u]
+    is in set s + i < stop of sets (_level_points'), the interval's phase
+    sum at x, written at u, or at slots[u] (width = ring.phi or q): one
+    slice of the sorted points and one phase-sum call a block."""
+    key, points, starts = sets
+    at = points[starts[s] : starts[stop]]
+    rows = np.zeros((stop - s, width), dtype=np.complex128)
+    values = interval_phase_sum(ring, interval, ring.inverses[at])
+    rows[key[at] - s, at if slots is None else slots[at]] = values
+    return rows
 
 
 def dyadic_decomposition(ring: ResidueRing, m_len: int, n_len: int) -> DyadicDecomposition:
@@ -496,25 +512,26 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
 
     # J_r(q; K) at K = min(q, floor(e^j q/N)), which is >= 1 as N <= q, for
     # every N-side level j, in one counts call, largest K first: a J_r over
-    # the budget refuses the trace before any T map is built.  The ring's
-    # unit-group index is read first and the counts read its inverse table,
-    # both scattered from ring.units, before the level sets are held
+    # the budget refuses the trace before any T map is built.  The counts
+    # read the ring's walk, units and inverses, before the level sets are
+    # held
     ks = [min(q, math.floor(math.exp(j) * q / n_len)) for j in range(_level_count(n_len) + 1)]
-    ring.log_index
     j_r = _reciprocal_counts(ring, r, ks)[0]
     dec = dyadic_decomposition(ring, m_len, n_len)
-    # T(lam) is a convolution on the unit group: alpha at log l, mu at
-    # log inv(x); the weights vanish off units.  A kernel call convolves
-    # alpha with a block of rows, row i the mu of level set i
+    # T(lam) is a convolution on the unit group: alpha at the point of l, mu
+    # at the point u of inv(x), x = inverses[u]; the weights vanish off
+    # units.  A kernel call convolves alpha with a block of rows, row i the
+    # mu of level set i, its points one slice of the points sorted by set
     alpha_lat = _to_lattice(ring, instance.weights.interval, instance.weights.weights)
     # T vanishes off the units, so the T maps are the rows of one array read
     # at the units, and a block of U maps' columns of cells is one matrix
     # product with the block read there: values[row of T, column of U]
     t_stack = np.empty((len(dec.q_sets), ring.phi), dtype=np.complex128)
     step = max(1, _FFT_BLOCK // q)  # level sets a block
+    sets = _level_points(ring, m_len)
     for s in range(0, len(t_stack), step):
-        rows = _phase_rows(ring, list(dec.q_sets.values())[s : s + step], instance.m_interval, True)
-        rows = _lattice_convolution((alpha_lat, rows), ring.shape)[0]  # mu rows to T rows
+        rows = _phase_rows(ring, instance.m_interval, sets, s, min(s + step, len(t_stack)), ring.phi)
+        rows = _lattice_convolution((alpha_lat, rows.reshape((-1,) + ring.shape)), ring.shape)[0]
         t_stack[s : s + step] = rows.reshape(len(rows), -1)  # in lattice order, as ring.units
     del rows  # the last block's, which the U maps need not hold
     first_moments, second_moments = {}, {}
@@ -528,15 +545,18 @@ def proof_trace(instance: TrilinearInstance, r: int) -> ProofTrace:
     # one U map per N-side level: (j, -1) is -(j, +1) and nu(-y) = conj nu(y), so
     # U_{j,-} = conj U_{j,+}, with the same moment; at q = 2 the (j, -1) set is
     # empty and its column and moment stay 0.  A block of levels is one
-    # cyclic_dft of their rows g, dropped once its moments and columns of cells
-    # are in.
+    # cyclic_dft of their rows g, nu(y) at the residue inv(y) = units[u] for
+    # the points u of the positive set j (the first in key order), dropped
+    # once its moments and columns of cells are in.
     levels = dec.levels_n + 1
     y_moments = dict.fromkeys(dec.r_sets)  # the value matrix's columns, in order
     values = np.zeros((len(t_stack), len(y_moments)), dtype=np.complex128)
-    sets = [dec.r_sets[(j, 1)] for j in range(levels)]  # positive: residues already
+    if n_len != m_len:  # equal lengths share their level sets
+        sets = _level_points(ring, n_len)
     mirrored = np.array([dec.r_sets[(j, -1)].size > 0 for j in range(levels)])
     for s in range(0, levels, step):
-        u_maps = cyclic_dft(ring, _phase_rows(ring, sets[s : s + step], instance.n_interval))
+        u_maps = cyclic_dft(ring, _phase_rows(
+            ring, instance.n_interval, sets, s, min(s + step, levels), q, ring.units))
         plus, minus = slice(s, s + len(u_maps)), slice(levels + s, levels + s + len(u_maps))
         for j, u_map in zip(range(s, levels), u_maps):
             reference = math.exp(-2 * r * j) * q * float(n_len) ** (2 * r) * j_r[ks[j]]

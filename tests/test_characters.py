@@ -121,7 +121,7 @@ class TestCharacterValues:
         with mpmath.workdps(30):
             exact = [mpmath.expjpi(mpmath.mpf(k) / 6) for k in range(12)]
         table = np.array([[float(z.real), float(z.imag)] for z in exact])
-        digits = np.unravel_index(ring.log_index[ring.units], ring.shape)
+        digits = np.unravel_index(np.arange(ring.phi), ring.shape)  # the point of each unit
         for chi in range(ring.phi):
             a = np.unravel_index(chi, ring.shape)
             k = sum(int(aj) * t * (12 // n) for aj, t, n in zip(a, digits, ring.shape)) % 12

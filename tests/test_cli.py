@@ -277,7 +277,7 @@ class TestUsageErrors:
         # r past 63, refused before the first rational or modular step
         (["jr-rat", "--r", "40000000", "--K", "1"], kforms.counts, "np"),
         (["jr-mod", "--q", "97", "--r", "100000000", "--K", "1"],
-         kforms.counts, "_unit_inverses_upto"),
+         kforms.ring.ResidueRing, "inverses"),
         # 7*q ring + 7*points window FFT words ~ 7.5e8, refused before the
         # unit group
         (["trilinear", "--q", "35714279", "--L", "0:5", "--M", "0:5", "--N", "0:5"],
@@ -302,10 +302,10 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         # 11*q ring and single-sum words ~ 1.1e5 at q = 10007: refused before
-        # the sum reads the ring's inverse table
+        # the sum reads the ring's inverses
         ["ksum", "--q", "10007", "--m", "1", "--n", "1"],
         # 27*q ring and transform words ~ 2.7e5 at the prime 10007: _unit_dft
-        # refuses before it reads the inverse table, and so before its DFT
+        # refuses before it reads the inverses, and so before its DFT
         ["ksum2", "--q", "10007", "--l", "1", "--m", "1", "--n", "1"],
     ])
     def test_kloosterman_sums_priced_past_the_ring(self, argv, monkeypatch, capsys):
@@ -313,7 +313,7 @@ class TestUsageErrors:
         # and both are refused before the ring's unit group is built (ring-info
         # builds none); at 30*q words both run
         monkeypatch.setattr(kforms.ring, "DEFAULT_WORK_BUDGET", 10**5)
-        monkeypatch.setattr(kforms.ring.ResidueRing, "inv_table", None)
+        monkeypatch.setattr(kforms.ring.ResidueRing, "inverses", None)
         monkeypatch.setattr(kforms.kloosterman, "cyclic_dft", None)
         monkeypatch.setattr(kforms.ring, "_lattice_units", _unit_walk_reached)
         assert main(argv) == 2
@@ -470,8 +470,8 @@ class TestPeakRss:
         # 14 words (112 B)
         (["ksum2", "--q", "1000003", "--l", "3", "--m", "5", "--n", "7"], 27 * 1000003),
         (["ksum2", "--q", "1048576", "--l", "3", "--m", "5", "--n", "7"], 14 * 2**20),
-        # 41 and 22 B a residue against 11 words (88 B): the inverse table
-        # is written with no unit-group index
+        # 41 and 17 B a residue against 11 words (88 B): the sum reads the
+        # units and their inverses, phi long each, beside the unit mask
         (["ksum", "--q", "1000003", "--m", "5", "--n", "7"], 11 * 1000003),
         (["ksum", "--q", "1048576", "--m", "5", "--n", "7"], 11 * 2**20),
         # jr-mod's twin is one _unit_dft: 169 B a residue against 27 words
@@ -499,6 +499,10 @@ class TestPeakRss:
         # the same instance as one sweep cell: 37 B
         (["verify-thm1", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
           "--weights", "extremal"], 7 * 1000003 + 7 * _points(1000002, 3)),
+        # 408 B a residue against the trace's (48 + 4*levels)*q words, 6
+        # M-side levels at M = 316 (576 B a residue)
+        (["proof-trace", "--q", "100003", "--r", "2", "--L", "0:50", "--M", "0:316", "--N", "0:316"],
+         (48 + 4 * 6) * 100003),
     ])
     def test_fresh_process_peak_under_its_price(self, argv, priced):
         code, words, held = _peak_probe(argv)

@@ -14,6 +14,7 @@ from kforms import (
     build_characters,
     build_ring,
     energy_character_identity,
+    mod_inverse,
     multiplicative_energy,
     reciprocal_count_mod,
     reciprocal_count_naive,
@@ -23,10 +24,16 @@ from kforms import (
 from kforms.cli import main
 from kforms.counts import (
     _count_report, _inverse_table, _product_counts, _product_energy, _reciprocal_counts, _sum_of_squares,
-    _unit_inverses, _unit_inverses_upto, _unit_members,
+    _unit_inverses, _unit_members,
 )
 from kforms.ring import _lattice_convolution, cyclic_dft, factorize
 from conftest import random_interval
+
+
+def inverses_upto(ring, K):
+    """The inverses mod q of the units in [1, K], in order, by mod_inverse."""
+    return np.array([mod_inverse(ring, x) for x in range(1, K + 1) if math.gcd(x, ring.q) == 1],
+                    dtype=np.int64)
 
 
 def brute_energy(q, a_interval, b_interval):
@@ -294,7 +301,7 @@ class TestReciprocalMomentIdentity:
         # in [1, K] through cyclic_dft gives the same floats, bit for bit
         ring = build_ring(q)
         for r, K in itertools.product((1, 2, 3), [K for K in sorted({1, 7, q}) if K <= q]):
-            v = np.bincount(_unit_inverses_upto(ring, K), minlength=q)
+            v = np.bincount(inverses_upto(ring, K), minlength=q)
             expected = np.sum(np.abs(cyclic_dft(ring, v)) ** (2 * r)) / q
             assert reciprocal_moment_identity(ring, r, K)[0] == expected
 
@@ -391,7 +398,7 @@ class TestAverageReciprocalSweep:
         # the r = 10 reference, modulus by modulus by the kernel's tally alone
         expected = sum(
             _sum_of_squares(kforms.ring._lattice_tally(
-                [np.bincount(_unit_inverses_upto(build_ring(q), 40), minlength=q)] * 10, (q,)))
+                [np.bincount(inverses_upto(build_ring(q), 40), minlength=q)] * 10, (q,)))
             for q in range(40, 81)
         )
         calls = []
@@ -482,7 +489,7 @@ class TestExactConvolution:
         ring = build_ring(q)
         chained = reciprocal_count_mod(ring, 3, K)
         assert chained.residual is not None and chained.residual < 0.25
-        v = np.bincount(_unit_inverses_upto(ring, K), minlength=q)
+        v = np.bincount(inverses_upto(ring, K), minlength=q)
         pairwise = _lattice_convolution((_lattice_convolution((v, v), (q,))[0], v), (q,))[0]
         assert chained.value == _sum_of_squares(pairwise) == reciprocal_count_naive(ring, 3, K)
         # a failed certificate is recounted by the tally, two operands at a time
@@ -544,7 +551,7 @@ class TestExactConvolution:
         # (x * x) * h over two disjoint halves h of x, each total below 2^52
         q, K = 200003, 180000
         ring = build_ring(q)
-        x = np.bincount(_unit_inverses_upto(ring, K), minlength=q)
+        x = np.bincount(inverses_upto(ring, K), minlength=q)
         square, residual = _lattice_convolution((x, x), (q,))
         assert residual is not None
         first = np.zeros_like(x)
@@ -561,7 +568,7 @@ class TestExactConvolution:
         ring = build_ring(1009)
         rows = np.zeros((2, 1009), dtype=np.int64)
         for row, K in zip(rows, (600, 300)):
-            row[_unit_inverses_upto(ring, K)] = 1
+            row[inverses_upto(ring, K)] = 1
         certified, residual = _lattice_convolution((rows, rows), (1009,))
         top = certified.max(axis=1).tolist()
         assert residual is not None and top[0] > top[1]

@@ -118,7 +118,9 @@ def test_collision_sums_match_pair_tally(instance):
     ls = instance.weights.interval.members().tolist()
     trace = proof_trace(instance, 1)
     cells = {(c.i, c.sign_x, c.j, c.sign_y): c.value for c in trace.cells}
-    u_maps = {key: nu[ys % q] @ roots[ring.inv_table[ys % q][:, None] * np.arange(q) % q]
+    inv = {key: np.array([pow(y, -1, q) for y in ys.tolist()], dtype=np.int64)
+           for key, ys in trace.decomposition.r_sets.items()}
+    u_maps = {key: nu[ys % q] @ roots[inv[key][:, None] * np.arange(q) % q]
               for key, ys in trace.decomposition.r_sets.items()}
     t_scale = len(ls) * instance.m_interval.length  # |T| <= L*M
     tol = 1e-9 * t_scale  # on each T(lam)
@@ -138,7 +140,7 @@ def test_collision_sums_match_pair_tally(instance):
 
 @SETTINGS
 @given(q=MODULI)
-def test_log_index_inverts_powers(q):
+def test_units_invert_powers(q):
     ring = build_ring(q)
     table = build_characters(ring)
     for factor in table.factors:
@@ -147,12 +149,12 @@ def test_log_index_inverts_powers(q):
         blocks = list(_power_blocks(g, order, m))
         assert [k for k, _ in blocks] == list(np.cumsum([0] + [b.size for _, b in blocks])[:-1])
         assert np.concatenate([b for _, b in blocks]).tolist() == oracle
-    assert np.all(table.log_index[[u for u in range(q) if math.gcd(u, q) > 1]] == -1)
+    assert all(math.gcd(u, q) == 1 for u in table.units.tolist())  # no non-unit is walked
     # each unit's digits, read off its flat index, rebuild it mod every prime
     # power from the generators of the factors sharing that modulus (the
     # 2-adic ones as (-1)^s * 5^t)
-    for u in ring.units.tolist():
-        digits = np.unravel_index(int(table.log_index[u]), table.shape)
+    for i, u in enumerate(ring.units.tolist()):
+        digits = np.unravel_index(i, table.shape)
         for p, e in factorize(q):
             pe = p**e
             rebuilt = 1
@@ -164,11 +166,9 @@ def test_log_index_inverts_powers(q):
 
 @SETTINGS
 @given(q=st.one_of(MODULI, st.integers(2, 20000)))
-def test_inverse_table_matches_pow(q):
+def test_inverses_match_pow(q):
     ring = build_ring(q)
-    assert ring.inv_table.tolist() == [
-        pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)
-    ]
+    assert ring.inverses.tolist() == [pow(u, -1, q) for u in ring.units.tolist()]
 
 
 @SETTINGS

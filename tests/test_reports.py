@@ -418,7 +418,7 @@ class TestSweepControls:
         # H = 100 tallies residues; H = q builds the one ring, through the FFT
         result = verify_lemma_sweeps("2.1", {"qs": [20011], "ks": [0], "Hs": [100, 20011]})
         assert len(rings) == 1 and len(result.reports) == 2
-        assert "inv_table" not in vars(rings[0])
+        assert "inverses" not in vars(rings[0])
 
     def test_extremal_thm1_case_leaves_the_inverse_unbuilt(self, monkeypatch):
         rings, build = [], kforms.sweeps.build_ring
@@ -430,7 +430,7 @@ class TestSweepControls:
         monkeypatch.setattr(kforms.sweeps, "build_ring", kept)
         result = verify_thm1_sweep([20011], "0:100", "-3:141", "5:141", mode="extremal")
         assert len(rings) == 1 and len(result.reports) == 1
-        assert "inv_table" not in vars(rings[0])
+        assert "inverses" not in vars(rings[0])
 
     def test_complete_lemma_sweep_is_not_truncated(self):
         # the one cell outlasts the budget, but nothing is left out

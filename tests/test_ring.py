@@ -21,7 +21,8 @@ import kforms.kloosterman
 import kforms.ring
 from kforms.ring import (
     MAX_MODULUS, _certified, _dft_naive, _fft_plan, _lattice_convolution, _lattice_tally,
-    _primitive_root, _reduce, _rough, _sin_half_turns, _smooth_length, _twiddle, factorize, is_prime,
+    _primitive_root, _reduce, _rough, _sin_half_turns, _smooth_length, _to_lattice, _twiddle, factorize,
+    is_prime,
 )
 from kforms.characters import interval_character_sums
 from kforms.kloosterman import _unit_dft
@@ -37,7 +38,8 @@ class TestBuildRing:
         ring = build_ring(7)
         assert ring.phi == 6
         assert sorted(ring.units.tolist()) == [1, 2, 3, 4, 5, 6]
-        assert np.array_equal(ring.log_index[ring.units], np.arange(ring.phi))
+        (g,) = (f.generator for f in ring.factors)
+        assert ring.units.tolist() == [pow(g, k, 7) for k in range(ring.phi)]  # point k holds g^k
         assert ring.tau == 2
 
     def test_composite_modulus(self):
@@ -66,17 +68,16 @@ class TestBuildRing:
         assert int(ring.unit_mask.sum()) == ring.phi
 
     @pytest.mark.parametrize("q", [3, 4, 9, 2503, 3**7, 2 * 3**5, 8, 360, 2310, 100003])
-    def test_log_index_is_the_crt_index_and_read_only(self, q):
-        # each unit's digits, read off the flat index in C order, rebuild it
-        # mod every prime power from its factors' generators; non-units read -1
+    def test_units_are_the_crt_walk_and_read_only(self, q):
+        # the digits of each point, its flat index in C order, rebuild the
+        # unit there mod every prime power from its factors' generators; the
+        # walk holds every unit once and no non-unit
         ring = build_ring(q)
         table = ring
-        assert table.log_index.dtype == np.int64
-        assert not table.log_index.flags.writeable
-        assert np.all(table.log_index[~ring.unit_mask] == -1)
-        flat = table.log_index[ring.units]
-        assert np.array_equal(np.sort(flat), np.arange(ring.phi))
-        digits = np.unravel_index(flat, table.shape)
+        assert table.units.dtype == table.inverses.dtype == np.int64
+        assert not table.units.flags.writeable and not table.inverses.flags.writeable
+        assert np.array_equal(np.sort(table.units), np.flatnonzero(ring.unit_mask))
+        digits = np.unravel_index(np.arange(ring.phi), table.shape)
         rebuilt = {}
         for f, t in zip(table.factors, digits):
             power = np.array([pow(f.generator, k, f.modulus) for k in range(f.order)])
@@ -85,21 +86,22 @@ class TestBuildRing:
             assert np.array_equal(units_mod_pe, ring.units % pe), (q, pe)
 
     def test_unit_group_built_on_first_read_once(self, monkeypatch):
-        # build_ring keeps the factors alone; the first read of inv_table or
-        # log_index walks the unit group into ring.units, once per ring
+        # build_ring keeps the factors alone; the first read of units or
+        # inverses walks the unit group into ring.units, once per ring
         built, build = [], kforms.ring._lattice_units
         monkeypatch.setattr(
             kforms.ring, "_lattice_units", lambda ring, *a: built.append(ring.q) or build(ring, *a)
         )
         ring = build_ring(360)
         assert built == [] and ring.shape == (2, 2, 6, 4)
-        assert ring.inv_table[7] == 103 and ring.log_index is ring.log_index
+        assert ring.inverses[ring.units == 7].tolist() == [103] and ring.inverses is ring.inverses
         assert built == [360]
-        assert build_ring(360).log_index is not ring.log_index and built == [360, 360]
+        assert build_ring(360).inverses is not ring.inverses and built == [360, 360]
 
-    # sha256 prefixes of log_index and of the last character's values, as
-    # they were when log_index was written by a walk of its own: walking
-    # once into ring.units moves neither the lattice order nor a character
+    # sha256 prefixes of the unit-group index (the flat index per residue,
+    # -1 off units) and of the last character's values, as they were when
+    # the ring wrote that index by a walk of its own: the walk ring.units
+    # moves neither the lattice order nor a character
     WALK_DIGESTS = {
         2: ("60c69a3e87bf5c4f", "ee282b9a2a908de5"),
         4: ("adcc526cc9863df1", "d6797498dc3e30c4"),
@@ -111,47 +113,74 @@ class TestBuildRing:
     }
 
     @pytest.mark.parametrize("q", list(WALK_DIGESTS))
-    def test_log_index_and_inverses_read_one_walk(self, q, monkeypatch):
-        # ring.units is the one walk, in lattice order; log_index is its
-        # inverse permutation and inv_table the scatter of its negation
+    def test_index_and_inverses_read_one_walk(self, q, monkeypatch):
+        # ring.units is the one walk, in lattice order; the index is its
+        # inverse permutation, rebuilt here, and inverses its negation
         walks, walk = [], kforms.ring._lattice_units
         monkeypatch.setattr(
             kforms.ring, "_lattice_units", lambda ring, *a: walks.append(ring.q) or walk(ring, *a)
         )
         ring = build_ring(q)
-        log_index, inv_table, units = ring.log_index, ring.inv_table, ring.units
+        inverses, units = ring.inverses, ring.units
         assert walks == [q]
         assert np.array_equal(np.sort(units), np.flatnonzero(ring.unit_mask))
-        assert np.array_equal(log_index[units], np.arange(ring.phi))
-        assert np.all(inv_table[units] * units % q == 1)
-        digests = (log_index, kforms.characters.character_values(ring, ring.phi - 1))
+        index = np.full(q, -1, dtype=np.int64)
+        index[units] = np.arange(ring.phi)
+        assert np.all(inverses * units % q == 1)
+        digests = (index, kforms.characters.character_values(ring, ring.phi - 1))
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in digests) == self.WALK_DIGESTS[q]
+
+    @pytest.mark.parametrize("q", list(WALK_DIGESTS))
+    def test_inverses_and_lattice_maps_read_the_walk(self, q, monkeypatch):
+        # inverses is built once, on its first read, by one negation of the
+        # walk; _to_lattice's gather through units equals a scatter through
+        # the index rebuilt here, for counts and for complex values
+        negations, negate = [], kforms.ring._negated
+        monkeypatch.setattr(kforms.ring, "_negated", lambda a: negations.append(a.size) or negate(a))
+        ring = build_ring(q)
+        assert "inverses" not in vars(ring)
+        inverses = ring.inverses
+        assert ring.inverses is inverses and negations == [ring.phi]
+        assert np.all(inverses * ring.units % q == 1)
+        index = np.full(q, -1, dtype=np.int64)
+        index[ring.units] = np.arange(ring.phi)
+        rng = np.random.default_rng(q)
+        for interval in (IntervalSet(-7, min(3 * q + 5, 300007)), IntervalSet(10**15 + q // 3, 40)):
+            flat = index[interval.residues(q)]
+            on = flat >= 0
+            values = rng.random(interval.length) + 1j * rng.random(interval.length)
+            sums = np.zeros(ring.phi, dtype=np.complex128)
+            np.add.at(sums, flat[on], values[on])
+            counts = _to_lattice(ring, interval)
+            assert counts.shape == ring.shape and counts.dtype == np.int64
+            assert np.array_equal(counts.reshape(-1), np.bincount(flat[on], minlength=ring.phi))
+            assert np.array_equal(_to_lattice(ring, interval, values).reshape(-1), sums)
 
     @staticmethod
     def build_peak(q):
-        """build_ring(q) with its unit-group index read, and the tracemalloc
-        peak in bytes."""
+        """build_ring(q) with its walk, units and inverses, read, and the
+        tracemalloc peak in bytes."""
         tracemalloc.start()
         try:
             ring = build_ring(q)
-            ring.log_index  # built on this first read
+            ring.inverses  # built on this first read, after units
             return ring, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_build_peak_at_a_prime(self):
-        # a one-factor group writes log_index a block of generator powers at a
+        # a one-factor group writes units a block of generator powers at a
         # time, so the peak is the 17 B per residue the ring keeps
-        # (log_index, units, unit_mask) and no length-q temporary
+        # (units, inverses, unit_mask) and no length-q temporary
         ring, peak = self.build_peak(1000003)
         assert ring.phi == 1000002
         assert peak <= 33 * ring.q
 
     def test_build_peak_at_a_power_of_two(self):
-        # the 2-adic group writes log_index from lifted powers of -1 and 5, a
+        # the 2-adic group writes units from lifted powers of -1 and 5, a
         # block at a time, with no per-factor table and no gather over the
-        # units: 13 B per residue kept (log_index, units, unit_mask) and ~16
-        # at the peak, where the per-factor tables peaked at 41
+        # units: 9 B per residue kept (units, inverses, unit_mask), where the
+        # per-factor tables peaked at 41
         ring, peak = self.build_peak(2**20)
         assert ring.phi == 2**19
         assert peak <= 24 * ring.q
@@ -165,10 +194,10 @@ class TestBuildRing:
         assert peak <= 24 * ring.q
 
     @pytest.mark.parametrize("q", [100003, 3**10, 2 * 5**7, 2**17])
-    def test_log_index_matches_stepwise_powers(self, q):
+    def test_units_match_stepwise_powers(self, q):
         # powers stepped one multiplication at a time mod q: on a cyclic group
-        # g^k -> k, with g lifted to an odd unit mod 2*5^7; mod 2^e, 5^t -> t
-        # and -5^t -> the flat index of the tuple (1, t)
+        # point k holds g^k, with g lifted to an odd unit mod 2*5^7; mod 2^e,
+        # point t holds 5^t and the flat index of the tuple (1, t) -5^t
         table = build_ring(q)
         last = table.factors[-1]
         base, order = last.generator, last.order
@@ -178,11 +207,8 @@ class TestBuildRing:
         x = 1
         for k in range(order):
             powers[k], x = x, x * base % q
-        expected = np.full(q, -1, dtype=np.int64)
-        expected[powers] = np.arange(order)
-        if q % 4 == 0:
-            expected[q - powers] = order + np.arange(order)
-        assert np.array_equal(table.log_index, expected)
+        expected = np.concatenate((powers, q - powers)) if q % 4 == 0 else powers
+        assert np.array_equal(table.units, expected)
 
 
 class TestModInverse:
@@ -196,9 +222,11 @@ class TestModInverse:
 
     def test_involution(self):
         ring = build_ring(462)
-        for x in ring.units:
-            assert ring.inv_table[ring.inv_table[x]] == x
-            assert (int(x) * int(ring.inv_table[x])) % 462 == 1
+        index = np.full(462, -1, dtype=np.int64)
+        index[ring.units] = np.arange(ring.phi)
+        for x, inv in zip(ring.units, ring.inverses):
+            assert ring.inverses[index[inv]] == x
+            assert (int(x) * int(inv)) % 462 == 1
 
     def test_against_single_shot_inversion(self):
         rng = np.random.default_rng(2024)
@@ -208,24 +236,26 @@ class TestModInverse:
             x = int(ring.units[rng.integers(0, ring.phi)])
             assert mod_inverse(ring, x) == pow(x, -1, q)
 
-    def test_inverse_table_built_on_first_read(self):
+    def test_inverses_built_on_first_read(self):
         ring = build_ring(1000)
-        assert "inv_table" not in vars(ring)
+        assert "inverses" not in vars(ring)
         assert mod_inverse(ring, 3) == 667
-        assert "inv_table" not in vars(ring)  # one inverse reads no table
-        assert ring.inv_table[3] == 667
-        assert "inv_table" in vars(ring)
-        assert ring.inv_table is ring.inv_table
+        assert "inverses" not in vars(ring) and "units" not in vars(ring)  # one inverse reads no table
+        assert ring.inverses[ring.units == 3].tolist() == [667]
+        assert "inverses" in vars(ring)
+        assert ring.inverses is ring.inverses
 
     def test_inverses_at_large_moduli(self):
         # a prime, a smooth composite and the 2-adic and 3-adic groups
         rng = np.random.default_rng(7)
         for q in (1000003, 10**6, 2**20, 3**12):
             ring = build_ring(q)
-            for u in ring.units[rng.integers(0, ring.phi, size=200)].tolist():
-                inv = int(ring.inv_table[u])
+            index = np.full(q, -1, dtype=np.int64)
+            index[ring.units] = np.arange(ring.phi)
+            for i in rng.integers(0, ring.phi, size=200).tolist():
+                u, inv = int(ring.units[i]), int(ring.inverses[i])
                 assert u * inv % q == 1
-                assert int(ring.inv_table[inv]) == u
+                assert int(ring.inverses[index[inv]]) == u
 
 
 class TestEqEval:
@@ -269,7 +299,7 @@ def test_single_value_queries_build_no_table(monkeypatch, capsys):
     assert mod_inverse(ring, 7) == pow(7, -1, 1009)
     assert eq_eval(ring, 5) == pytest.approx(np.exp(10j * np.pi / 1009))
     assert np.allclose(eq_eval(ring, np.arange(-3, 3)), np.exp(2j * np.pi * np.arange(-3, 3) / 1009))
-    assert "inv_table" not in vars(ring)
+    assert "inverses" not in vars(ring)
     # a fresh ring answers the same queries, and a non-unit's refusal, from q alone
     fresh = build_ring(1009)
     assert mod_inverse(fresh, 7) == pow(7, -1, 1009) and eq_eval(fresh, 5) == eq_eval(ring, 5)

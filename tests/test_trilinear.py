@@ -28,7 +28,7 @@ from kforms import (
     verify_thm2_sweep,
 )
 from kforms.cli import main
-from kforms.trilinear import _unit_window, _window_gather
+from kforms.trilinear import _level_points, _unit_window, _window_gather
 from conftest import random_interval
 
 WEIGHT_TOL = 1e-12
@@ -242,6 +242,29 @@ class TestDyadicDecomposition:
     def test_bad_lengths(self):
         with pytest.raises(ValueError, match="lengths"):
             dyadic_decomposition(build_ring(10), 0, 5)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 100, 101, 360, 1009, 2310, 2**11, 3**7])
+    def test_trace_keys_partition_the_units_as_the_sets(self, q):
+        # the trace keys each lattice point by its inverse's set under the one
+        # level rule and sorts the points stably: set k's slice, read at the
+        # inverses, is the decomposition's set k, on both sides, and each set
+        # holds the representatives of its sign between its documented radii
+        ring = build_ring(q)
+        for m_len, n_len in ((1, q), (7, 2), (math.isqrt(q), q // 3 + 1)):
+            dec = dyadic_decomposition(ring, m_len, n_len)
+            for length, sets in ((m_len, dec.q_sets), (n_len, dec.r_sets)):
+                key, points, starts = _level_points(ring, length)
+                assert key.dtype == np.int8 and len(starts) == len(sets) + 1
+                assert np.array_equal(np.sort(points), np.arange(ring.phi))
+                levels = len(sets) // 2 - 1
+                for k, ((i, sign), reps) in enumerate(sets.items()):
+                    at = points[starts[k] : starts[k + 1]]
+                    assert np.all(key[at] == k) and np.all(np.diff(at) > 0)
+                    assert np.array_equal(np.sort(ring.inverses[at]), np.sort(reps % q))
+                    low = math.exp(i - 1) * q / length if i else 0
+                    top = q / 2 if i == levels else min(q / 2, math.exp(i) * q / length)
+                    assert np.all(np.sign(reps) == sign)
+                    assert np.all((low < np.abs(reps)) & (np.abs(reps) <= top)), (length, i, sign)
 
 
 class TestProofTrace:
@@ -644,7 +667,7 @@ def two_step_window(monkeypatch, ring, l_iv, m_iv, n_iv):
 
 class TestLatticeOrderWindow:
     """The operands are evaluated at the units in lattice order, with no
-    log_index and no scatter."""
+    walk of the whole group and no scatter."""
 
     @pytest.mark.parametrize("q", [
         3, 4, 8, 12,
@@ -663,12 +686,12 @@ class TestLatticeOrderWindow:
         assert chain[1] == 0
         assert_match_gather(ring, (dots[0], chain[0]), l_iv, m_iv, n_iv, 2e-15)
 
-    def test_theorem1_builds_no_log_index(self):
-        # the thm1 path reads the unit mask alone of the ring's q-long tables
+    def test_theorem1_builds_no_walk(self):
+        # the thm1 path reads the unit mask alone of the ring's tables
         instance = kforms.sweeps.build_instance(1000003, "0:48", "-5:1000", "1000:1000", "extremal")
         theorem1_bounds(instance)
-        assert "log_index" not in instance.ring.__dict__
-        assert "units" not in instance.ring.__dict__ and "inv_table" not in instance.ring.__dict__
+        assert "unit_mask" in instance.ring.__dict__
+        assert "units" not in instance.ring.__dict__ and "inverses" not in instance.ring.__dict__
 
 
 class TestChannelWindow:
