@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import ResidueRing, _reduce, _rough, check_work, cyclic_dft, eq_eval
+from .ring import ResidueRing, _reduce, _rough, _turns, check_work, cyclic_dft, eq_eval
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,16 @@ class KloostermanTable:
 
 def single_sum(ring: ResidueRing, m: int, n: int) -> complex:
     """K_q(m, n) by direct summation over the unit group, its phases read
-    through eq_eval, which builds no q-long table.  The exponent's two
-    products are reduced before they are added, so that it stays below 2q
-    for every q <= MAX_MODULUS, and eq_eval reduces the sum."""
-    # the mask, units, inverses and the exponent's phi-long temporaries: 41 B a
-    # residue above the import at 10^6+3, 17 B at 2^20
+    off _turns' two tables, so no q-long table is built.  The exponent's
+    two products are reduced before they are added, so that it stays below
+    2q for every q <= MAX_MODULUS, and the sum is reduced in place, not
+    copied as eq_eval copies an array it is given."""
+    # the mask, units, inverses, the exponent's phi-long temporaries and the
+    # phases: 43 B a residue above the import at 10^6+3, 23 B at 2^20
     check_work(11 * ring.q, "11*q ring and single-sum words")
-    q, x = ring.q, ring.units
-    exponent = _reduce((m % q) * x, q) + _reduce((n % q) * ring.inverses, q)
-    return complex(eq_eval(ring, exponent).sum())
+    q = ring.q
+    exponent = _reduce((m % q) * ring.units, q) + _reduce((n % q) * ring.inverses, q)
+    return complex(_turns(_reduce(exponent, q), q).sum())
 
 
 def _unit_dft(ring: ResidueRing, phase) -> np.ndarray:

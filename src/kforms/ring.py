@@ -78,8 +78,14 @@ MAX_MODULUS = math.isqrt(2**63 - 1)  # 3_037_000_499
 # units alone and peaks 8 B a residue above the import at 10^7+19, so ~0.3
 # GiB RSS at its largest admitted q, 35,714,285 (scaled, not run).
 # A trilinear instance runs its window FFT while it holds its ring and
-# prices the two as one sum: its largest admitted modulus is 29,999,970
-# (0.65 GiB), and its largest admitted prime 17,714,701 peaks at 1.4-1.5 GiB.
+# prices the two as one sum, by the route trilinear._window_route picks:
+# its largest admitted modulus is 29,999,970 (0.65 GiB).  With L = M = N =
+# sqrt(q) a prime takes the chain, which pads a rough q - 1 to >= 3(q - 1)
+# points: its largest admitted prime is 17,714,701 (q - 1 smooth, 1.4-1.5
+# GiB), and 10^7+19 is refused at 285,040,133 words.  With L = 48 it takes
+# the dots, two channels of (q - 1)/2 points run one after the other:
+# 10^7+19 is admitted at 141,680,133 words (~340 MB, ~2-3 s), and the
+# largest admitted prime is 17,798,381.
 DEFAULT_WORK_BUDGET = 250_000_000
 
 # The largest rounded entry _certified accepts: float64 spacing is at most 1

@@ -36,8 +36,8 @@ from .counts import (
     reciprocal_count_rational,
 )
 from .reports import BoundReport, SweepResult, fit_exponent, make_report
-from .ring import _RING_WORDS, IntervalSet, _fft_plan, build_ring, check_work, is_prime
-from .trilinear import TrilinearInstance, make_weights, theorem1_bounds, trilinear_fast
+from .ring import _RING_WORDS, IntervalSet, build_ring, check_work, is_prime
+from .trilinear import TrilinearInstance, _window_route, make_weights, theorem1_bounds, trilinear_fast
 
 DEFAULT_GRIDS = {
     "2.1": {
@@ -136,15 +136,17 @@ def build_instance(
 ) -> TrilinearInstance:
     """The weighted trilinear instance for modulus q: the three windows from
     their specs, the ring, and weights seeded by stable_seed(seed, q).  The
-    window's lattice FFT, one chain of its three operands (a rough axis
-    padded to >= 3n) at the 7 words a point of its plan, runs while
-    the ring's tables are held, so the two are priced as one sum from
-    ring.shape and refused before any table is built.  The window lives on
-    its ring, so a sweep, which drops each instance before it builds the
-    next, holds one ring and one window at a time."""
+    window's FFT runs while the ring's tables are held, so the two are
+    priced as one sum and refused before any table is built: the ring's
+    7*q words and the FFT words of the route trilinear._window_route picks
+    from q's factorization and L's unit count, the larger of the dots' two
+    channel plans of n/2 points or the chain's plan of its three operands
+    (a rough axis padded to >= 3n).  The window lives on its ring, so a
+    sweep, which drops each instance before it builds the next, holds one
+    ring and one window at a time."""
     l_int, m_int, n_int = (resolve_interval(spec, q) for spec in (l_spec, m_spec, n_spec))
     ring = build_ring(q)
-    check_work(_RING_WORDS * q + _fft_plan(ring.shape, 3)[7], "7*q ring + 7*points FFT words")
+    check_work(_RING_WORDS * q + _window_route(ring, l_int, m_int, n_int)[1], "7*q ring + window FFT words")
     weights = make_weights(
         ring, l_int, mode=mode, seed=stable_seed(seed, q), m_interval=m_int, n_interval=n_int
     )

@@ -20,12 +20,15 @@ Fourier Transform and Convolution Algorithms, 1981): the characters with
 chi(-1) = 1 see the operands' real parts, convolved cyclically over
 Z_{n/2}, those with chi(-1) = -1 their imaginary parts, convolved
 negacyclically, and each channel's mu * nu is dotted against cos or sin
-of e_q at the reads, slab by slab, where _dots_price says that undercuts
+of e_q at the reads, slab by slab, where _window_route prices that under
 the chain: no cas form and no translate, every operand n/2 long.  A
 multi-axis lattice, where -1's translate also rolls the other axes, keeps
-the chain.  The kernel knows nothing of the reads.  The window is built once per instance and held on
-its ring, one slot keyed by the three intervals, so it lives as long as the
-ring and no longer.
+the chain.  _window_route picks the route from q's factorization and L's
+unit count alone, so the instance's price (sweeps.build_instance) is the
+route's own, before the ring builds a table.  The kernel knows nothing of
+the reads.  The window is built once per instance and held on its ring,
+one slot keyed by the three intervals, so it lives as long as the ring and
+no longer.
 The proof trace's collision sums T_i(lam) = sum alpha_l mu_x [l * inv(x)
 = lam] take the same kernel, one call per block of level sets, each set's
 mu a row, so alpha is transformed once a block; T vanishes off the units,
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import _reciprocal_counts
+from .counts import _reciprocal_counts, _unit_count
 from .kloosterman import _unit_dft, _unit_gather, double_naive
 from .reports import BoundReport, _ratio, make_report
 from .ring import (
@@ -76,11 +79,12 @@ from .ring import (
 
 WEIGHT_MODES = ("ones", "rademacher", "phase", "extremal")
 
-# _dots_price, in the unit of ring._PAIR_COST (one transform is a third of
-# it, 0.6-0.9 ns per point times log2 of the points): one element of a
-# read's two dots, one a channel, costs _DOT_COST (0.55 ns at n/2 = 5*10^5),
-# and each distinct read costs as much as _DOT_CALL more elements, its
-# calls' overhead.  The call's fixed work, with no fold left in it, no
+# _window_route's price of the dots, in the unit of ring._PAIR_COST (one
+# transform is a third of it, 0.6-0.9 ns per point times log2 of the
+# points): one element of a read's two dots, one a channel, costs _DOT_COST
+# (0.55 ns at n/2 = 5*10^5), and each distinct read costs as much as
+# _DOT_CALL more elements, its calls' overhead; L's unit members are
+# priced as the reads.  The call's fixed work, with no fold left in it, no
 # longer measures apart from the transforms.  These route the window within
 # 0.01-0.2 ms of the faster route, summed over 55 cases that take 1.25 s by
 # the faster routes (two fits): 52 primes from 2003 to 10^6+3 with
@@ -189,20 +193,31 @@ def _window_gather(
     return _unit_gather(ring, eta, f, ls)
 
 
-def _dots_price(distinct: int, shape: tuple[int, ...], reads: int) -> float:
-    """What the window's dots route costs on a one-axis lattice Z_n of even
-    order, less what it saves, in the unit of ring._PAIR_COST: negative
-    where it undercuts the chained FFT.  Its `distinct` heads (1 or 2) are
-    convolved as two channels of n/2 points, one cyclic and one
-    negacyclic, a third of points*log2(points) a transform: one per head
-    and the inverse, each channel; then each of the `reads` distinct
-    indices mod n/2 costs its two dots' n/2 elements and _DOT_CALL, at
-    _DOT_COST an element.  The chain costs one transform per head, one of
-    e_q and the inverse, at three operands over Z_n."""
-    half = (shape[0] // 2,)
-    channels = (distinct + 1) * (_fft_plan(half)[2] + _fft_plan(half, 2, True)[2]) / 3
-    chain = (distinct + 2) * _fft_plan(shape, 3)[2] / 3
-    return reads * (half[0] + _DOT_CALL) * _DOT_COST + channels - chain
+def _window_route(ring: ResidueRing, l_interval, m_interval, n_interval) -> tuple[bool, int]:
+    """(dots, words): the route the window takes and its FFT's peak words,
+    read off q's factorization, _fft_plan and L's unit count alone, so no
+    table is built: the one rule that picks the route, which _unit_window
+    runs and sweeps.build_instance prices.  The dots need a one-axis
+    lattice Z_n of even order (a cyclic unit group); their heads (1 where M
+    = N, else 2) are convolved as two channels of n/2 points, one cyclic
+    and one negacyclic, a third of points*log2(points) a transform, one per
+    head and the inverse, each channel; then each read costs its two dots'
+    n/2 elements and _DOT_CALL, at _DOT_COST an element.  The reads are
+    counted as L's unit members, an upper bound on the distinct indices mod
+    n/2 the window reads, which it meets unless L holds both l and -l or
+    wraps past q.  The chain costs one transform per head, one of e_q and
+    the inverse, at three operands over Z_n.  The dots are taken where they
+    cost no more than the chain.  The dots' words are the larger of the two
+    channel plans' (the channels run one after the other), the chain's are
+    its own plan's."""
+    chain, half = _fft_plan(ring.shape, 3), (ring.phi // 2,)
+    if len(ring.shape) > 1 or ring.phi % 2:
+        return False, chain[7]
+    even, odd = _fft_plan(half), _fft_plan(half, 2, True)
+    heads = 1 + (m_interval != n_interval)
+    reads = _unit_count(l_interval, ring.q, ring.primes) * (half[0] + _DOT_CALL) * _DOT_COST
+    dots = reads + (heads + 1) * (even[2] + odd[2]) / 3 <= (heads + 2) * chain[2] / 3
+    return dots, max(even[7], odd[7]) if dots else chain[7]
 
 
 def _dots_at(a: np.ndarray, b: np.ndarray, k: np.ndarray, sign: int) -> np.ndarray:
@@ -253,7 +268,9 @@ def _unit_window(
     transforms, else 4.
 
     The channels, on a one-axis lattice Z_n of even order (a cyclic unit
-    group) where _dots_price is at most 0: -1 is the translate by h = n/2,
+    group) where _window_route, taken before the walk, picks them (L may
+    hold l beside -l, or wrap past q, and its reads are then fewer than
+    priced): -1 is the translate by h = n/2,
     so f(x + h) = conj f(x), and f's reductions mod x^h - 1 and x^h + 1 are
     2 Re f and 2i Im f on the half.  The kernel convolves Re mu with Re nu
     cyclically and Im mu with Im nu negacyclically, over Z_h, one channel
@@ -270,10 +287,10 @@ def _unit_window(
     held = ring.__dict__.get("_unit_window")
     if held is not None and held[0] == key:
         return held[1]
+    dots = _window_route(ring, l_interval, m_interval, n_interval)[0]
     q, shape, phi = ring.q, ring.shape, ring.phi
     half = -(-phi // 2)  # q = 2's one unit is its own negative
-    units = _lattice_units(ring, half)
-    eps = _minus_one(ring)
+    units, eps = _lattice_units(ring, half), _minus_one(ring)
     residues = l_interval.residues(q)
     on_units = ring.unit_mask[residues]
     ls = residues[on_units]
@@ -281,19 +298,15 @@ def _unit_window(
     marked[ls] = marked[q - ls] = True
     x = np.flatnonzero(marked[units])  # the points of the half whose unit is l or -l
     del marked
-    y = np.unravel_index(x, shape) + eps[:, None]  # -u's points
-    y = np.ravel_multi_index(y, shape, mode="wrap")
+    y = np.ravel_multi_index(np.unravel_index(x, shape) + eps[:, None], shape, mode="wrap")  # -u's points
     keys, points = np.concatenate((units[x], q - units[x])), np.concatenate((x, y))
     sorter = np.argsort(keys)
     at = points[sorter[np.searchsorted(keys, np.concatenate((ls, q - ls)), sorter=sorter)]]
     intervals = (m_interval,) if n_interval == m_interval else (m_interval, n_interval)
     window = np.zeros(residues.size, dtype=np.complex128)
-    dots = len(shape) == 1 and phi % 2 == 0
     if dots:  # k, the half's point of l or -l; s = 1 where it is l's own
         s = np.where(at[: ls.size] < half, 1, -1)
         k, slot = np.unique(at[: ls.size] - half * (s < 0), return_inverse=True)
-        dots = _dots_price(len(intervals), shape, k.size) <= 0
-    if dots:
         even, odd = np.empty((len(intervals), half)), np.empty((len(intervals), half))
         for i, f in enumerate(_phase_sums(q, intervals, units)):
             even[i], odd[i] = f.real, f.imag

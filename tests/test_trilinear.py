@@ -28,7 +28,7 @@ from kforms import (
     verify_thm2_sweep,
 )
 from kforms.cli import main
-from kforms.trilinear import _level_points, _unit_window, _window_gather
+from kforms.trilinear import _level_points, _unit_window, _window_gather, _window_route
 from conftest import random_interval
 
 WEIGHT_TOL = 1e-12
@@ -714,6 +714,73 @@ class TestChannelWindow:
         [(window, calls)] = windows_by_branch(monkeypatch, ring, l_iv, m_iv, n_iv, (-math.inf,))
         assert calls == 2
         assert_match_gather(ring, [window], l_iv, m_iv, n_iv, 1e-13)
+
+
+def distinct_read_rule(ring, l_iv, m_iv, n_iv):
+    """The route as the window picked it after its walk: the dots on a
+    one-axis lattice Z_n of even order where they cost no more than the
+    chain, with the distinct indices mod n/2 of L's units as the reads."""
+    phi, shape, q = ring.phi, ring.shape, ring.q
+    if len(shape) > 1 or phi % 2:
+        return False
+    half, index = phi // 2, np.full(q, -1)
+    index[ring.units] = np.arange(phi)
+    residues = l_iv.residues(q)
+    reads = np.unique(index[residues[ring.unit_mask[residues]]] % half).size
+    heads = 1 + (m_iv != n_iv)
+    plan = kforms.ring._fft_plan
+    channels = (heads + 1) * (plan((half,))[2] + plan((half,), 2, True)[2]) / 3
+    chain = (heads + 2) * plan(shape, 3)[2] / 3
+    return reads * (half + kforms.trilinear._DOT_CALL) * kforms.trilinear._DOT_COST + channels - chain <= 0
+
+
+class TestWindowRoute:
+    """_window_route picks the route from q's factorization and L's unit
+    count, before the walk, and prices the route it picks."""
+
+    @pytest.mark.parametrize("qs", [
+        [4, 1009, 1019, 2062, 4374, 1018081, 100003, 10**6 + 3],  # TestChannelWindow's moduli
+        [q for q in range(2000, 3000) if kforms.ring.is_prime(q)],
+    ])
+    def test_route_is_the_distinct_read_rule_without_pairs(self, qs):
+        # L inside one half of the residues holds no l beside -l and does
+        # not wrap, so its unit count is its distinct reads
+        for q in qs:
+            ring, side = build_ring(q), math.isqrt(q)
+            for start, length in ((1, 48), (17, side), (1, q // 2), (q - 60, 48)):
+                start, length = start % q, max(1, min(length, (q - 1) // 2))
+                if start < q / 2 <= start + length - 1 or start + length > q:
+                    continue
+                l_iv = IntervalSet(start, length)
+                for m_iv, n_iv in ((IntervalSet(0, side), IntervalSet(0, side)),
+                                   (IntervalSet(-5, side), IntervalSet(1000, side))):
+                    dots = _window_route(ring, l_iv, m_iv, n_iv)[0]
+                    assert dots == distinct_read_rule(ring, l_iv, m_iv, n_iv), (q, l_iv, m_iv, n_iv)
+
+    def test_window_with_plus_minus_pairs_matches_gather(self, monkeypatch):
+        # L = -20:41 holds l and -l for every l in 1..20: 40 units priced
+        # as reads, 20 distinct ones read, by the dots
+        q = 10**6 + 3
+        ring = build_ring(q)
+        l_iv, m_iv, n_iv = IntervalSet(-20, 41), IntervalSet(-5, 1000), IntervalSet(1000, 1000)
+        assert _window_route(ring, l_iv, m_iv, n_iv)[0]
+        [(window, calls)] = windows_by_branch(
+            monkeypatch, ring, l_iv, m_iv, n_iv, (kforms.trilinear._DOT_COST,))
+        assert calls == 2
+        assert_match_gather(ring, [window], l_iv, m_iv, n_iv, 1e-13)
+
+    def test_ten_million_priced_by_its_route(self):
+        # at q = 10^7+19 the dots' 7*10,240,000 channel words and the
+        # ring's 7*q fit the budget, with no table built; L = 3162 reads
+        # take the chain, whose 7*30,720,000 words do not
+        ring = build_ring(10000019)
+        side = IntervalSet(0, 3162)
+        dots, words = _window_route(ring, IntervalSet(0, 48), side, side)
+        assert dots and kforms.ring._RING_WORDS * ring.q + words <= kforms.ring.DEFAULT_WORK_BUDGET
+        dots, words = _window_route(ring, side, side, side)
+        assert not dots and words == kforms.ring._fft_plan(ring.shape, 3)[7]
+        assert kforms.ring._RING_WORDS * ring.q + words > kforms.ring.DEFAULT_WORK_BUDGET
+        assert "unit_mask" not in vars(ring) and "units" not in vars(ring)
 
 
 class TestChainedWindow:
