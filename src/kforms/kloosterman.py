@@ -80,12 +80,15 @@ def single_table(ring: ResidueRing, n: int) -> KloostermanTable:
 
 def double_naive(ring: ResidueRing, l: int, m: int, n: int) -> complex:
     """Double sum K_q(l, m, n) by direct O(phi^2) summation (oracle path),
-    priced first at its 4*phi^2 words (32 B a pair)."""
+    priced first at its 4*phi^2 words (32 B a pair).  The exponent is one
+    phi^2 array, built and reduced in place and read through _turns, as
+    single_sum reads its own: 24 B a pair with the phases."""
     check_work(4 * ring.phi**2, "4*phi^2 double_naive words")
     q, x, xb = ring.q, ring.units, ring.inverses
-    bilinear = _reduce((l % q) * _reduce(np.outer(x, x), q), q)
-    exponents = bilinear + _reduce((m % q) * xb, q)[:, None] + _reduce((n % q) * xb, q)[None, :]
-    return complex(eq_eval(ring, exponents).sum())
+    exponents = _reduce((l % q) * _reduce(np.outer(x, x), q), q)
+    exponents += _reduce((m % q) * xb, q)[:, None]
+    exponents += _reduce((n % q) * xb, q)[None, :]
+    return complex(_turns(_reduce(exponents, q), q).sum())
 
 
 def double_fast(

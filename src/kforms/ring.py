@@ -8,13 +8,20 @@ convolves them in one chain: one transform per distinct operand, one
 product of the spectra and one inverse (or a tally, wherever that prices
 lower).  An integer result is taken from the FFT only where _certified, the
 one judge of its exactness, passes it entry by entry; else the tally
-recounts it.  An operand may hold rows: the others are then transformed once,
-and the rows in blocks of _FFT_BLOCK padded points, the one row-block size
-of every batched FFT.  A rough axis is zero-padded; from _FOUR_STEP padded
-points on it is transformed by the four-step, as R rows of P2 columns
-(P = R*P2, R a power of 2 next to sqrt(P), P2 5-smooth; _fft_plan picks
-them), so that numpy's FFT runs along no axis longer than R or P2 and its
-scratch stays a row long.  The kernel convolves cyclically, or, for the
+recounts it.  An operand may hold rows: the others are then transformed once
+(once a row by the four-step), and the rows in blocks of _FFT_BLOCK padded
+points, the one row-block size of every batched FFT.  An operand may also be a float function, which the
+kernel calls with a reader of the lattice's points.  A rough axis is
+zero-padded; from _FOUR_STEP padded points on it is transformed by the
+four-step, as R rows of P2 columns (P = R*P2, R a power of 2 next to
+sqrt(P), P2 5-smooth; _fft_plan picks them), so that numpy's FFT runs
+along no axis longer than R or P2 and its scratch stays a row long.  The
+four-step is streamed: each operand enters the rows' transform a block of
+columns at a time, read through a view or evaluated there, each later
+operand's spectrum is multiplied into the first's a block of rows at a
+time, and the inverse's last step folds a block of columns at a time into
+the compact result, so at its peak a product holds one spectrum and one
+stage-one buffer, and no operand.  The kernel convolves cyclically, or, for the
 trilinear window's odd channel, negacyclically along its one axis (x^n =
 -1: one fold with alternating signs).  It only convolves: each caller
 picks its own route around it (the trilinear window, for one, its even
@@ -49,7 +56,9 @@ over Z_q and reads the tally at units, and the characters, the Kloosterman
 sums and the proof trace read units and inverses point by point.  The
 trilinear window walks half the lattice alone, with no table but the mask,
 and evaluates its operands there, at the half whose translate by _minus_one,
-the tuple of -1, is the rest.
+the tuple of -1, is the rest: _phase_sums holds the half's units and one
+Dirichlet ratio a length, and evaluates a phase sum whole or at a block of
+the half's points.
 
 Complex vectors are plain numpy arrays of length q indexed by residue.
 Every int64 product of two residues stays below q^2 < 2^63.
@@ -59,6 +68,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -331,46 +341,58 @@ def _lattice_convolution(operands, shape: tuple[int, ...], negacyclic=False) -> 
     x_1 + ... + x_k = x of f_1(x_1) ... f_k(x_k), with the FFT certificate's
     residual max|c - rint c|, the largest over the certified rows (None
     when none is: the tally ran, or the input is not integer).  An operand
-    given twice (the same object) is one operand read twice: it is
-    transformed once.  An operand may hold rows, shaped (b,) + shape, and
+    is an array or a float function of a reader: given read, which takes
+    any array shaped as the lattice to a view of its values at some of the
+    lattice's points (all of them, or a block of the four-step's), it
+    returns its own values at those points, as read(x) for an array x it
+    holds.  The four-step calls a function a block of points at a time, so
+    it never holds the operand whole; elsewhere it is called once, with
+    every point.  A function holds no rows and counts as dense (its support
+    is every point).  An operand given twice (the same object) is one
+    operand read twice: it is transformed once (the four-step transforms it
+    again where another operand comes between its places, as it holds no
+    second spectrum).  An operand may hold rows, shaped (b,) + shape, and
     every row-holding operand holds the same b rows (other counts are
     refused with a ValueError before any work): c then has that leading
     axis too, its row i the convolution of the row-holding operands' rows
-    i with the other operands, which are transformed once a call.  The
-    whole of c is returned: a caller that
-    reads a few entries, or reads them another way (the trilinear window's
-    dot products), chooses that itself.
+    i with the other operands, which are transformed once a call (once a
+    row by the four-step).  The
+    whole of c is returned: a caller that reads a few entries, or reads
+    them another way (the trilinear window's dot products), chooses that
+    itself.
 
     Each distinct operand's supports and sums are taken once a call, for
     all its rows.  A row is tallied, two operands at a time, left to right,
     when _PAIR_COST per support pair (at step j, the product of the first j
     supports) undercuts the FFT's points*log2(points).  The other rows take
-    the FFT (rfft first on real input, fft on complex), max(1, _FFT_BLOCK //
-    points) rows a block: each distinct operand's block is transformed
-    once, the spectra are multiplied in place (over the first factor's,
-    unless a later block or factor reads it again), and one inverse is
-    taken.
+    the FFT (rfft first on real input, fft on complex).
     The axes of length 2 are transformed by _butterflies (numpy's passes
     along them cost about as much as along a long axis), the rest by numpy
     in _fft_plan's order: the first one numpy transforms (by rfft on real
     input, which halves it) is the longest axis, or the padded axis's rows.
     The longest rough axis (_rough's test: a prime factor above 7) is
     zero-padded to a length P >= k*n, and the linear convolution along it
-    folded back onto Z_n, its k blocks of n summed by one reduction into a
-    compact result.  Below _FOUR_STEP points P is 5-smooth and numpy takes
-    the axis whole; from there on P = R*P2 is read as R rows of P2 columns
-    (Bailey's four-step): numpy transforms the rows axis (rfft on real
-    input), _twiddle multiplies by exp(-2*pi*i*k*c/P), and numpy
-    transforms the columns with the other axes, a block of rows of about
-    2^16 points at a time, written back in place, so that no second
-    spectrum is held beside the first.  The spectrum stays in that
-    transposed order, which the product does not mind, and the inverse runs
-    the steps backward, so numpy's scratch is a row long, not P.  Integer
-    input (non-negative
-    counts) gives an exact int64 result: a row's FFT is accepted only if
-    _certified passes it (a residual below 1/4, every entry at most 2^52, an
-    exact total, which may pass 2^52); else the tally recounts that row.  A
-    row's route is picked by price alone.
+    folded back onto Z_n, its k blocks of n summed into a compact result.
+    Below _FOUR_STEP points P is 5-smooth and numpy takes the axis whole,
+    max(1, _FFT_BLOCK // points) rows a block (_padded_blocks): each
+    distinct operand's block is transformed once, the spectra are
+    multiplied in place (over the first factor's, unless a later block or
+    factor reads it again), and one inverse is taken.  From there on P =
+    R*P2 is read as R rows of P2 columns (Bailey's four-step), one row of c
+    at a time, streamed (_four_step_rows): numpy transforms the rows axis
+    (rfft on real input) a block of columns at a time, straight from each
+    operand, _twiddle multiplies by exp(-2*pi*i*k*c/P), and numpy
+    transforms the columns with the other axes a block of rows at a time,
+    each later operand's block multiplied into the first's spectrum.  At
+    the peak a row holds one spectrum and one stage-one buffer, each about
+    P/2 complex points on real input, and no operand or padded copy; the
+    inverse runs the steps backward and folds each block of columns into c.
+    The spectrum stays in that transposed order, which the product does not
+    mind, so numpy's scratch is a row long, not P.  Integer input
+    (non-negative counts) gives an exact int64 result: a row's FFT is
+    accepted only if _certified passes it (a residual below 1/4, every
+    entry at most 2^52, an exact total, which may pass 2^52); else the
+    tally recounts that row.  A row's route is picked by price alone.
 
     With negacyclic, c is the negacyclic convolution along axis 0, where
     x^n = -1: a product whose indices sum past n is subtracted.  Its plan
@@ -379,13 +401,17 @@ def _lattice_convolution(operands, shape: tuple[int, ...], negacyclic=False) -> 
     operands must be float (an integer one is refused).  The trilinear
     window's odd channel takes it.
     """
-    distinct = {id(x): np.asarray(x) for x in operands}
-    integer = all(x.dtype.kind in "biu" for x in distinct.values())
+    size, axis, fft_cost, two, axes, s, split, words = _fft_plan(shape, len(operands), negacyclic)
+    distinct = {id(x): x for x in operands}
+    for i, x in distinct.items():  # a function is read a block at a time by the four-step, else whole
+        distinct[i] = x if callable(x) and split > 1 else np.asarray(x(lambda y: y) if callable(x) else x)
+    integer = all(not callable(x) and x.dtype.kind in "biu" for x in distinct.values())
     if negacyclic and integer:
         raise ValueError("a negacyclic convolution takes float operands")
-    batched = any(x.ndim > len(shape) for x in distinct.values())
-    for i, x in distinct.items():  # every operand as rows, one row if it holds none
-        distinct[i] = (x.astype(np.int64, copy=False) if integer else x).reshape((-1,) + shape)
+    real = all(callable(x) or x.dtype.kind != "c" for x in distinct.values())
+    batched = any(not callable(x) and x.ndim > len(shape) for x in distinct.values())
+    for i, x in distinct.items():  # every operand as rows, one row if it holds none (a function: one)
+        distinct[i] = (x,) if callable(x) else (x.astype(np.int64, copy=False) if integer else x).reshape((-1,) + shape)
     arrays = [distinct[id(x)] for x in operands]
     if len(set(map(len, arrays)) - {1}) > 1:
         raise ValueError(f"row-holding operands hold different rows: {[len(x) for x in arrays]}")
@@ -395,13 +421,13 @@ def _lattice_convolution(operands, shape: tuple[int, ...], negacyclic=False) -> 
     def each_row(f, x):  # one numpy call for all of x's rows, a bare one for a lone row
         return f(x.reshape(len(x), -1), axis=1).tolist() if len(x) > 1 else [int(f(x))]
 
-    # each distinct operand's supports and sums, taken once, indexed per row
-    nonzero = {id(x): each_row(np.count_nonzero, x) for x in distinct.values()}
+    # each distinct operand's supports and sums, taken once, indexed per row; a function is dense
+    nonzero = {id(x): [math.prod(shape)] if callable(x[0]) else each_row(np.count_nonzero, x)
+               for x in distinct.values()}
     sums = {id(x): each_row(np.ndarray.sum, x) for x in distinct.values() if integer}
     totals = [math.prod(sums[id(x)][j % len(x)] for x in arrays) if integer else 0 for j in range(b)]
     if max(totals) >= 2**63:
         raise ValueError(f"dimension too large: convolution total {max(totals)} exceeds int64")
-    size, axis, fft_cost, two, axes, s, split, words = _fft_plan(shape, len(arrays), negacyclic)
     # a row is tallied where the tally prices lower (at step m, the product
     # of m supports); _certified alone judges the FFT's rows
     supports = [[nonzero[id(x)][j % len(x)] for x in arrays] for j in range(b)]
@@ -412,64 +438,148 @@ def _lattice_convolution(operands, shape: tuple[int, ...], negacyclic=False) -> 
     fft_rows, residuals = [j for j, t in enumerate(tallied) if not t], []
     if fft_rows:
         check_work(words, "7*points FFT words")
-        real = all(x.dtype.kind != "c" for x in distinct.values())
-        first, last = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-
-        def forward(x, lead=1):  # along the lattice axes, behind `lead` axes of rows
-            x = _butterflies(x, [j + lead for j in two])
-            if split > 1:  # zero-padded to whole rows of the columns; the rows' transform pads to R
-                a = axis + lead
-                x = np.pad(x, [(0, -x.shape[j] % s[0] if j == a else 0) for j in range(x.ndim)])
-                x = x.reshape(x.shape[:a] + (-1, s[0]) + x.shape[a + 1 :])
-            y = first(x, s[-1], axes[-1] + lead)
-            del x  # a padded copy is not held through the other axes
-            if split > 1:
-                _twiddle(y, axis + lead, size[axis], -1)
-            return others(np.fft.fftn, y, lead)
-
-        def others(f, y, lead):  # f along the axes but the last numpy's; the four-step's in place
-            parts = min(y.shape[axis + lead], y.size >> 16) if split > 1 else 1
-            if parts < 2:
-                return f(y, s[:-1], [j + lead for j in axes[:-1]])
-            for block in np.array_split(y, parts, axis + lead):  # ~2^16 points: one block's scratch
-                block[...] = f(block, s[:-1], [j + lead for j in axes[:-1]])
-            return y
-
-        once = {i: forward(x[0], 0) for i, x in distinct.items() if len(x) == 1}  # no rows
-        step = max(1, _FFT_BLOCK // math.prod(size))
-        for block in (fft_rows[j : j + step] for j in range(0, len(fft_rows), step)):
-            spectra = {i: once[i] if i in once else forward(x[block]) for i, x in distinct.items()}
-            if block[-1] == fft_rows[-1]:
-                once.clear()  # the last block holds no spectrum through its inverse
-            factors = [spectra[id(x)] for x in operands]
-            if batched:  # a block's rows first, so that each product is taken in place
-                factors.sort(key=lambda f: f.ndim, reverse=True)
-            del spectra
-            kept = {id(f) for f in (*once.values(), *factors[2:])}  # read again: not written over
-            out = np.multiply(factors[0], factors[1], out=None if id(factors[0]) in kept else factors[0])
-            for j in range(2, len(factors)):
-                out *= factors[j]
-            del factors
-            lead = out.ndim - len(size) - (split > 1)
-            out = others(np.fft.ifftn, out, lead)  # the product dropped, or written over
-            if split > 1:
-                _twiddle(out, axis + lead, size[axis], 1)
-            out = last(out, s[-1], axes[-1] + lead)  # here, or here if no axis was left to ifftn
-            if split > 1:  # the rows and columns read back as the padded axis
-                out = out.reshape(out.shape[: axis + lead] + (-1,) + out.shape[axis + lead + 2 :])
-            out = _butterflies(out, [j + lead for j in two], 0.5)
-            if axis is not None:  # the k blocks of n along the padded axis, summed
-                a, blocks = axis + lead, (len(arrays), shape[axis])
-                out = out[(slice(None),) * a + (slice(0, math.prod(blocks)),)]
-                out = out.reshape(out.shape[:a] + blocks + out.shape[a + 1 :])
-                if negacyclic:  # x^n = -1: the odd blocks negated
-                    out[(slice(None),) * a + (slice(1, None, 2),)] *= -1
-                out = out.sum(axis=a)
+        products = (_four_step_rows if split > 1 else _padded_blocks)(
+            distinct, [id(x) for x in operands], fft_rows, shape, negacyclic, real, batched)
+        for block, out in products:
             for j, row in zip(block, out.reshape((-1,) + shape)):
                 certified = _certified(row, totals[j]) if integer else (row, None)
                 c[j], residual = certified or (_lattice_tally(rows[j], shape), None)
                 residuals += [] if residual is None else [residual]
     return (np.stack(c) if batched else c[0]), max(residuals, default=None)
+
+
+def _padded_blocks(distinct, order, fft_rows, shape, negacyclic, real, batched):
+    """Yield (block, c) for the kernel's FFT rows below _FOUR_STEP padded
+    points, max(1, _FFT_BLOCK // points) rows a block: each distinct
+    operand's block transformed once (an operand without rows once a call),
+    the spectra multiplied in place, one inverse, and the k blocks of n
+    along a padded axis summed."""
+    size, axis, _, two, axes, s, _, _ = _fft_plan(shape, len(order), negacyclic)
+    first, last = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+
+    def forward(x, lead=1):  # along the lattice axes, behind `lead` axes of rows
+        x = first(_butterflies(x, [j + lead for j in two]), s[-1], axes[-1] + lead)
+        return np.fft.fftn(x, s[:-1], [j + lead for j in axes[:-1]])
+
+    once = {i: forward(x[0], 0) for i, x in distinct.items() if len(x) == 1}  # no rows
+    step = max(1, _FFT_BLOCK // math.prod(size))
+    for block in (fft_rows[j : j + step] for j in range(0, len(fft_rows), step)):
+        spectra = {i: once[i] if i in once else forward(x[block]) for i, x in distinct.items()}
+        if block[-1] == fft_rows[-1]:
+            once.clear()  # the last block holds no spectrum through its inverse
+        factors = [spectra[i] for i in order]
+        if batched:  # a block's rows first, so that each product is taken in place
+            factors.sort(key=lambda f: f.ndim, reverse=True)
+        del spectra
+        kept = {id(f) for f in (*once.values(), *factors[2:])}  # read again: not written over
+        out = np.multiply(factors[0], factors[1], out=None if id(factors[0]) in kept else factors[0])
+        for j in range(2, len(factors)):
+            out *= factors[j]
+        del factors
+        lead = out.ndim - len(size)
+        out = last(np.fft.ifftn(out, s[:-1], [j + lead for j in axes[:-1]]), s[-1], axes[-1] + lead)
+        out = _butterflies(out, [j + lead for j in two], 0.5)
+        if axis is not None:  # the k blocks of n along the padded axis, summed
+            a, blocks = axis + lead, (len(order), shape[axis])
+            out = out[(slice(None),) * a + (slice(0, math.prod(blocks)),)]
+            out = out.reshape(out.shape[:a] + blocks + out.shape[a + 1 :])
+            if negacyclic:  # x^n = -1: the odd blocks negated
+                out[(slice(None),) * a + (slice(1, None, 2),)] *= -1
+            out = out.sum(axis=a)
+        yield block, out
+
+
+def _four_step_rows(distinct, order, fft_rows, shape, negacyclic, real, batched):
+    """Yield ([j], c_j) for each of the kernel's FFT rows j from _FOUR_STEP
+    padded points on, by Bailey's four-step streamed in three steps.  The
+    padded axis is R rows of P2 columns, and a row of the product holds one
+    spectrum and one stage-one buffer, each R/2 + 1 rows (R if complex) of
+    P2 columns.  Stage one: an operand's rows' transform (length R) a block
+    of about 2^16 points' columns at a time, read straight from it through
+    a strided view of the block's points (a function is given that view as
+    its reader), with no padded copy, then the twiddle.  Stage two: the
+    columns' and other axes' transforms a block of rows at a time, in place
+    for the first factor and multiplied into its spectrum for each later
+    one.  The
+    inverse runs the steps backward, its rows' transform a block of columns
+    at a time, each folded into the compact result.  An operand given again
+    right after the first multiplies the spectrum by its copy.  An operand
+    without rows beside rows is transformed again for each row (no caller
+    passes more than one row a call here: the proof trace's T maps take one
+    row a call from _FFT_BLOCK points on).  The products are taken in the
+    padded route's order (the rows first: numpy's complex product is not
+    commutative to the last bit), and numpy transforms each line alone, so
+    the values are those of one whole-array four-step bit for bit."""
+    size, a, _, two, axes, s, split, _ = _fft_plan(shape, len(order), negacyclic)
+    first, last = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    n, width, k, pre = shape[a], s[0], len(order), (slice(None),) * a
+    spectrum = shape[:a] + (split // 2 + 1 if real else split, width) + shape[a + 1 :]
+    across = math.prod(shape) // n  # the lattice points on each point of the padded axis
+    wide, deep = max(1, (1 << 16) // (split * across)), max(1, (1 << 16) // (width * across))
+    columns = [(c, min(c + wide, width)) for c in range(0, width, wide)]
+    rows = [pre + (slice(r, r + deep),) for r in range(0, spectrum[a], deep)]
+    flips = [j + (j > a) for j in two]  # the axes of length 2, numbered past the rows and columns
+    filled = -(-n // width)  # the rows that hold a point: all of them before the last row's tail
+    tail = n - (filled - 1) * width
+
+    def grid(x, start, depth, cols):  # x along axis a from point start as rows of cols, width apart
+        x = x[pre + (slice(start, None),)]
+        return np.lib.stride_tricks.as_strided(
+            x, x.shape[:a] + (depth, cols) + x.shape[a + 1 :], x.strides[:a] + (width * x.strides[a],) + x.strides[a:])
+
+    def stage_one(x, out):  # x's rows' transform, a block of columns at a time, and the twiddle
+        for c0, c1 in columns:
+            for lo, hi, depth in ((c0, min(c1, tail), filled), (max(c0, tail), c1, filled - 1)):
+                if lo < hi:
+                    read = functools.partial(grid, start=lo, depth=depth, cols=hi - lo)
+                    block = x(read) if callable(x) else read(x)
+                    out[pre + (slice(None), slice(lo, hi))] = first(_butterflies(block, flips), split, a)
+        _twiddle(out, a, size[a], -1)
+        return out
+
+    def transform(x):  # x's spectrum: stage two in place, a block of rows at a time
+        out = stage_one(x, np.empty(spectrum, complex))
+        for at in rows:
+            out[at] = np.fft.fftn(out[at], s[:-1], axes[:-1])
+        return out
+
+    def fold(out, v, c0):  # v, the linear product's columns from c0 on, added into its k blocks of n
+        cb = v.shape[a + 1]
+        for j in range(k):
+            into, lo, hi = out[max(j - 1, 0)], j * n - c0, (j + 1) * n - c0  # block j as r*width + column
+            add = np.subtract if negacyclic and j % 2 else np.add  # x^n = -1: the odd blocks negated
+            meet = range(max(0, (lo - cb) // width + 1), min(split, -(-hi // width)))  # rows reaching it
+            top = max(meet.start, -(-lo // width))  # the rows wholly inside it, from top to bottom
+            bottom = max(top, min(meet.stop, (hi - cb) // width + 1))
+            for r0, r1 in ((meet.start, top), (top, bottom), (bottom, meet.stop)):  # at most 1, any, 1
+                start, stop = max(0, lo - r0 * width), min(cb, hi - r0 * width)
+                if r0 < r1:
+                    view = grid(into, r0 * width + start - lo, r1 - r0, stop - start)
+                    add(view, v[pre + (slice(r0, r1), slice(start, stop))], out=view)
+
+    if batched:  # the rows first, in the padded route's order of the products
+        order = sorted(order, key=lambda i: len(distinct[i]) > 1, reverse=True)
+    for j in fft_rows:
+        values = {i: x[j % len(x)] for i, x in distinct.items()}
+        out, buffer = transform(values[order[0]]), None
+        for m, (i, run) in enumerate((i, len(list(g))) for i, g in itertools.groupby(order)):
+            run -= m == 0  # the first factor is the spectrum itself
+            if run and m:
+                buffer = stage_one(values[i], np.empty(spectrum, complex) if buffer is None else buffer)
+            for at in rows if run else ():  # a later factor's stage two, multiplied in
+                factor = out[at].copy() if m == 0 else np.fft.fftn(buffer[at], s[:-1], axes[:-1])
+                view = out[at]
+                for _ in range(run):
+                    view *= factor
+        del buffer
+        for at in rows:
+            out[at] = np.fft.ifftn(out[at], s[:-1], axes[:-1])
+        _twiddle(out, a, size[a], 1)
+        folded = np.full((max(1, k - 1),) + shape, -0.0 if real else complex(-0.0, -0.0))
+        for c0, c1 in columns:  # block j's sum starts at -0.0, which adds exactly; blocks 0 and 1 share one
+            fold(folded, _butterflies(last(out[pre + (slice(None), slice(c0, c1))], split, a), flips, 0.5), c0)
+        del out
+        yield [j], folded[0] if k == 2 else folded.sum(axis=0)
 
 
 class NotAUnitError(ValueError):
@@ -825,29 +935,34 @@ def _sin_half_turns(h: np.ndarray, q: int) -> np.ndarray:
     return out.reshape(h.shape)
 
 
-def _phase_sums(q: int, intervals, t: np.ndarray):
-    """Yield, for each interval in turn, sum_{m in interval} e_q(m*t) at
-    the residues 0 <= t < q (an int64 array, not overwritten).  The
-    intervals share one sin(pi*t/q), the denominator, and consecutive
-    intervals of one length share the ratio sin(pi*length*t/q)/sin(pi*t/q),
-    written over the denominator once no later length reads it."""
+def _phase_sums(q: int, intervals, t: np.ndarray) -> list:
+    """One function per interval: sum_{m in interval} e_q(m*t) for residues
+    0 <= t < q (an int64 array, not overwritten), at every entry of t, or,
+    given a reader (the kernel's, for a function operand), at the entries
+    it reads.  The intervals share one sin(pi*t/q), the denominator, and
+    the intervals of one length one ratio sin(pi*length*t/q)/sin(pi*t/q),
+    the last length's written over the denominator: the functions hold t
+    and the ratios, once, and read both through the reader, so a caller
+    evaluates each sum whole or a block of points at a time (the trilinear
+    window's kernel operands)."""
     # sum_{k=1..length} e_q((v+k)*x)
     #   = e^(i*pi*(2v+length+1)*x/q) * sin(pi*length*x/q) / sin(pi*x/q)
-    # evaluated in place, to hold the temporaries near one result's size
     den = _sin_half_turns(np.maximum(t, 1), q)  # the t = 0 entries are set below
-    ratio = length = None
-    for i, interval in enumerate(intervals):
-        if interval.length != length:
-            length, ratio = int(interval.length), None  # the last length's ratio dropped first
-            num = _sin_half_turns(_half_turns(length % (2 * q), t, q), q)
-            last = all(iv.length == length for iv in intervals[i + 1 :])
-            ratio = np.divide(num, den, out=den if last else num)
-            del num
-        out = _turns(_half_turns((2 * int(interval.start) + length + 1) % (2 * q), t, q), 2 * q)
-        out *= ratio
-        out[t == 0] = length
-        yield out
-        del out  # not held through the next interval's
+    lengths, ratios, zero = list(dict.fromkeys(int(iv.length) for iv in intervals)), {}, not t.all()
+    for length in lengths:
+        num = _sin_half_turns(_half_turns(length % (2 * q), t, q), q)
+        ratios[length] = np.divide(num, den, out=den if length == lengths[-1] else num)
+    del den, num
+
+    def phase_sum(interval, read=lambda y: y):
+        length, u = int(interval.length), read(t)
+        out = _turns(_half_turns((2 * int(interval.start) + length + 1) % (2 * q), u, q), 2 * q)
+        out *= read(ratios[length])
+        if zero:
+            out[u == 0] = length
+        return out
+
+    return [functools.partial(phase_sum, interval) for interval in intervals]
 
 
 def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
@@ -864,5 +979,5 @@ def interval_phase_sum(ring: ResidueRing, interval: IntervalSet, x):
     q = ring.q
     scalar = isinstance(x, (int, np.integer))
     t = np.array([int(x) % q]) if scalar else _reduce(np.array(x, dtype=np.int64), q)
-    out = next(_phase_sums(q, (interval,), t))
+    out = _phase_sums(q, (interval,), t)[0]()
     return complex(out[0]) if scalar else out

@@ -21,11 +21,12 @@ chi(-1) = 1 see the operands' real parts, convolved cyclically over
 Z_{n/2}, those with chi(-1) = -1 their imaginary parts, convolved
 negacyclically, and each channel's mu * nu is dotted against cos or sin
 of e_q at the reads, slab by slab, where _window_route prices that under
-the chain: no cas form and no translate, every operand n/2 long.  A
-multi-axis lattice, where -1's translate also rolls the other axes, keeps
-the chain.  _window_route picks the route from q's factorization and L's
-unit count alone, so the instance's price (sweeps.build_instance) is the
-route's own, before the ring builds a table.  The kernel knows nothing of
+the chain: no cas form and no translate, every operand n/2 long and given
+to the kernel as a function that reads the half's points, so no operand is
+held whole.  A multi-axis lattice, where -1's translate also rolls the
+other axes, keeps the chain.  _window_route picks the route from q's
+factorization and L's unit count alone, so the instance's price
+(sweeps.build_instance) is the route's own, before the ring builds a table.  The kernel knows nothing of
 the reads.  The window is built once per instance and held on its ring,
 one slot keyed by the three intervals, so it lives as long as the ring and
 no longer.
@@ -273,12 +274,20 @@ def _unit_window(
     priced): -1 is the translate by h = n/2,
     so f(x + h) = conj f(x), and f's reductions mod x^h - 1 and x^h + 1 are
     2 Re f and 2i Im f on the half.  The kernel convolves Re mu with Re nu
-    cyclically and Im mu with Im nu negacyclically, over Z_h, one channel
-    after the other, and _dots_at reads each against cos or sin of e_q at
-    k, the half's point of l or -l: W(l) = 4 (c+(k) - i s c-(k)), s = 1
-    where l's point is k and -1 where it is k + h.  e_q is built once both
-    channels are in, not held through them, and every operand and product
-    the route holds is h long.  The window is held in the ring's __dict__, as
+    cyclically and Im mu with Im nu negacyclically, over Z_h, one call a
+    channel, and _dots_at reads each against cos or sin of e_q at k, the
+    half's point of l or -l: W(l) = 4 (c+(k) - i s c-(k)), s = 1 where l's
+    point is k and -1 where it is k + h.  The operands are functions, Re or
+    Im of _phase_sums' sums, which hold the half's units and one Dirichlet
+    ratio sin(pi*M*t/q)/sin(pi*t/q) a length for both channels and read
+    them through the kernel's reader: past its four-step threshold the
+    kernel calls them a block of points at a time, so no operand is held
+    whole.  A channel's dots are taken, against its part of e_q built a
+    block at a time, before the next channel starts.  At the peak, inside
+    a channel's kernel call, the route holds the units and the ratio (4 B a
+    residue each at a prime), one spectrum and one stage-one buffer (8 B a
+    residue each): 33 B a residue in all at 10^6+3, with the mask and the
+    blocks in flight.  The window is held in the ring's __dict__, as
     functools.cached_property holds units, one slot keyed by (L, M, N):
     every caller on one instance reads one window, and it is freed with its
     ring.
@@ -307,17 +316,16 @@ def _unit_window(
     if dots:  # k, the half's point of l or -l; s = 1 where it is l's own
         s = np.where(at[: ls.size] < half, 1, -1)
         k, slot = np.unique(at[: ls.size] - half * (s < 0), return_inverse=True)
-        even, odd = np.empty((len(intervals), half)), np.empty((len(intervals), half))
-        for i, f in enumerate(_phase_sums(q, intervals, units)):
-            even[i], odd[i] = f.real, f.imag
-            del f
-        plus = _lattice_convolution((tuple(even) * 2)[:2], (half,))[0]  # M = N: one operand given twice
-        del even
-        minus = _lattice_convolution((tuple(odd) * 2)[:2], (half,), True)[0]
-        del odd  # e_q is built once both channels are in, not held through them
-        e_q = _turns(units, q)
-        plus, minus = _dots_at(plus, e_q.real, k, 1), _dots_at(minus, e_q.imag, k, -1)
-        window[on_units] = 4 * (plus[slot] - 1j * s * minus[slot])
+        sums, channels = _phase_sums(q, intervals, units), []  # the ratios held once, for both channels
+        for part, sign in (("real", 1), ("imag", -1)):  # a channel's dots are in before the next starts
+            heads = tuple(lambda read, f=f, part=part: getattr(f(read), part) for f in sums)
+            c = _lattice_convolution((heads * 2)[:2], (half,), sign < 0)[0]  # M = N: one operand twice
+            e = np.empty(half)  # e_q's part, a block at a time: its complex values are never held whole
+            for j in range(0, half, 1 << 14):
+                e[j : j + (1 << 14)] = getattr(_turns(units[j : j + (1 << 14)], q), part)
+            channels.append(_dots_at(c, e, k, sign))
+            del c, e
+        window[on_units] = 4 * (channels[0][slot] - 1j * s * channels[1][slot])
     else:
         # the half's translate by eps, the points of -u, in order: the half's
         # points rolled once along the later axes (a gather; none on one axis)
@@ -330,7 +338,7 @@ def _unit_window(
             np.subtract(g.real, g.imag, out=lattice[half:])
             return lattice.reshape(shape)
 
-        heads = tuple(map(cas, _phase_sums(q, intervals, units)))  # each sum dropped once cast
+        heads = tuple(cas(f()) for f in _phase_sums(q, intervals, units))  # each sum dropped once cast
         r = _lattice_convolution((heads * 2)[:2] + (cas(_turns(units, q)),), shape)[0].reshape(-1)[at]
         window[on_units] = (0.5 - 0.5j) * r[: ls.size] + (0.5 + 0.5j) * r[ls.size :]
     window.flags.writeable = False

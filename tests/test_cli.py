@@ -504,19 +504,24 @@ class TestPeakRss:
         # the same count as a Lemma 2.2 cell, which holds its ring: 54 B
         (["verify-lemma", "--lemma", "2.2", "--grid", '{"qs":[1000003],"intervals":[[0,300000]]}'],
          7 * _points(1000002, 2)),
-        # 37 B a residue against the ring's 7 words and the dots route's 7 a
+        # 33 B a residue against the ring's 7 words and the dots route's 7 a
         # padded point of its larger channel (113 B a residue): the window
         # runs its two channels of n/2 = 500,001 points, each padded to
-        # 1,024,000, one after the other
+        # 1,024,000, one after the other, and each through the kernel's
+        # streamed four-step, which holds one spectrum and one stage-one
+        # buffer of 257 x 2000 points (8.2 MB each) and no operand
         (["trilinear", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
           "--weights", "extremal"], 7 * 1000003 + 7 * _points(500001, 2)),
-        # the same instance as one sweep cell: 37 B
+        # the same instance as one sweep cell: 33 B
         (["verify-thm1", "--q", "1000003", "--L", "0:48", "--M", "0:1000", "--N", "0:1000",
           "--weights", "extremal"], 7 * 1000003 + 7 * _points(500001, 2)),
         # 484-512 B a residue against the trace's (48 + 4*levels)*q words, 6
         # M-side levels at M = 316 (576 B a residue)
         (["proof-trace", "--q", "100003", "--r", "2", "--L", "0:50", "--M", "0:316", "--N", "0:316"],
          (48 + 4 * 6) * 100003),
+        # 26 B a pair against double_naive's 4 words (32 B): the exponent's
+        # one phi^2 array, reduced in place, and its phases
+        (["ksum2", "--q", "1009", "--l", "3", "--m", "5", "--n", "7", "--naive"], 4 * 1008**2),
     ])
     def test_fresh_process_peak_under_its_price(self, argv, priced):
         code, words, held = _peak_probe(argv)
@@ -524,13 +529,15 @@ class TestPeakRss:
         assert 0 < held <= 8 * words, f"{held} B held over {8 * words} B priced"
 
     def test_dots_window_peak_per_residue(self):
-        # distinct M and N: the even channel's two operands are transformed
-        # while the odd channel's are held, 45 B a residue above the import
-        # (81 B when the window convolved cas mu with cas nu over all n)
+        # distinct M and N: no channel holds an operand.  The window holds
+        # the half's units and one Dirichlet ratio (4 B a residue each), and
+        # the kernel streams each operand a block of points at a time into
+        # one spectrum and one stage-one buffer (8 B a residue each): 33 B a
+        # residue above the import
         argv = ["verify-thm1", "--q", "1000003", "--L", "0:48", "--M=-5:1000", "--N", "1000:1000",
                 "--weights", "extremal"]
         code, _, held = _peak_probe(argv)
-        assert code == 0 and 0 < held <= 55 * 1000003, f"{held / 1000003:.1f} B a residue held"
+        assert code == 0 and 0 < held <= 40 * 1000003, f"{held / 1000003:.1f} B a residue held"
 
     @pytest.mark.parametrize("argv", [
         ["jr-mod", "--q", "9259277", "--r", "2", "--K", "10"],

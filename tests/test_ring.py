@@ -749,6 +749,29 @@ def padded_convolution(operands, shape):
     return out if any(np.iscomplexobj(x) for x in operands) else out.real
 
 
+def whole_four_step(operands, n, negacyclic=False):
+    """The four-step over Z_n on whole arrays of real operands: each padded
+    to whole rows of P2 columns, the rows' rfft, the twiddle and the
+    columns' fft, the spectra multiplied left to right, the inverse steps
+    backward and the k blocks of n summed by one reduction."""
+    size, _, _, _, _, s, split, _ = _fft_plan((n,), len(operands), negacyclic)
+
+    def forward(x):
+        y = np.fft.rfft(np.pad(x, (0, -n % s[0])).reshape(-1, s[0]), split, 0)
+        _twiddle(y, 0, size[0], -1)
+        return np.fft.fft(y, s[0], 1)
+
+    product = forward(operands[0])
+    for x in operands[1:]:
+        product *= forward(x)
+    product = np.fft.ifft(product, s[0], 1)
+    _twiddle(product, 0, size[0], 1)
+    blocks = np.fft.irfft(product, split, 0).reshape(-1)[: len(operands) * n].reshape(-1, n)
+    if negacyclic:
+        blocks[1::2] *= -1
+    return blocks.sum(axis=0)
+
+
 class TestFourStep:
     """The padded axis from _four_step's threshold on: R rows of P2 columns,
     transformed as rows, twiddles, then columns."""
@@ -786,6 +809,68 @@ class TestFourStep:
         assert got.dtype == np.int64 and residual is not None and 0 <= residual < 0.25
         for row, want in zip(got, rows):
             assert np.array_equal(row, _lattice_tally((dense, want), shape))
+
+    @pytest.mark.parametrize("h", [7001, 500001])
+    @pytest.mark.parametrize("negacyclic", [False, True])
+    def test_function_operands_equal_their_arrays_bit_for_bit(self, h, negacyclic):
+        # the trilinear window's channels at q = 10^6+3: Z_500001 takes the
+        # four-step, which reads an array through a strided view of a block
+        # of points and calls a function with that view as its reader;
+        # Z_7001 does not, and a function is called once with every point
+        assert (_fft_plan((h,), 2, negacyclic)[6] > 1) == (h > 7001)
+        rng = np.random.default_rng(h)
+        a, b = rng.standard_normal(h), rng.standard_normal(h)
+        f, g = (lambda read: 1.0 * read(a)), (lambda read: 1.0 * read(b))
+        want, _ = _lattice_convolution((a, b), (h,), negacyclic)
+        for operands in ((f, g), (f, b), (a, g)):
+            got, residual = _lattice_convolution(operands, (h,), negacyclic)
+            assert residual is None and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        square, _ = _lattice_convolution((a, a), (h,), negacyclic)  # one operand given twice
+        assert _lattice_convolution((f, f), (h,), negacyclic)[0].tobytes() == square.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("negacyclic", [False, True])
+    def test_streamed_values_are_the_whole_arrays_bit_for_bit(self, k, negacyclic):
+        # the stream takes each line's transform alone, the products in the
+        # operands' order and each point's k blocks in order, so it reads as
+        # the four-step on whole arrays to the last bit
+        n = 20011
+        assert _fft_plan((n,), k, negacyclic)[6] > 1
+        rng = np.random.default_rng(k + 10 * negacyclic)
+        operands = [rng.standard_normal(n) for _ in range(k)]
+        got, _ = _lattice_convolution(operands, (n,), negacyclic)
+        assert got.tobytes() == whole_four_step(operands, n, negacyclic).tobytes()
+
+    def test_repeated_operands_and_rows_match_the_padded_transform(self):
+        # the first operand again after a later one (transformed anew), a
+        # later one given twice (its spectrum multiplied in twice), and rows
+        # beside a fixed operand (transformed again for each row)
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal(14002), rng.standard_normal(14002)
+        rows = rng.standard_normal((3, 14002))
+        for operands in ((a, b, a), (a, b, b), (a, a, b), (rows, a, a)):
+            got, _ = _lattice_convolution(operands, (14002,))
+            for i, row in enumerate(got.reshape(-1, 14002)):
+                alone = [x[i] if x is rows else x for x in operands]
+                want = padded_convolution(alone, (14002,))
+                assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_batched_reciprocal_rows_equal_the_tally(self):
+        # Lemma 2.3's J_2 rows at q = 30011: one operand given twice, its rows
+        # the indicators of the units whose inverses are at most K.  2q
+        # points take the four-step, every row prices the FFT over the tally,
+        # and each certified row equals its tally
+        q, ks = 30011, (1732, 866, 600)
+        ring = build_ring(q)
+        rows = np.zeros((len(ks), q), dtype=np.int64)
+        for row, K in zip(rows, ks):
+            row[ring.units[ring.inverses <= K]] = 1
+        plan = _fft_plan((q,), 2)
+        assert plan[6] > 1 and all(K * K * kforms.ring._PAIR_COST > plan[2] for K in ks)
+        got, residual = _lattice_convolution([rows] * 2, (q,))
+        assert got.dtype == np.int64 and residual is not None and 0 <= residual < 0.25
+        for row, want in zip(got, rows):
+            assert np.array_equal(row, _lattice_tally((want, want), (q,)))
 
     @pytest.mark.parametrize("block", [1 << 15, 1000])
     @pytest.mark.parametrize("sign", [-1, 1])

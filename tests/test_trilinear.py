@@ -715,6 +715,18 @@ class TestChannelWindow:
         assert calls == 2
         assert_match_gather(ring, [window], l_iv, m_iv, n_iv, 1e-13)
 
+    @pytest.mark.parametrize("m_spec, n_spec, measured", [
+        ("-5:1000", "1000:1000", 56689338386.18544),
+        ("0:1000", "0:1000", 93196390281.69069),
+    ])
+    def test_thm1_values_at_a_million_bit_for_bit(self, m_spec, n_spec, measured):
+        # 10^6+3 with L = 0:48 and extremal weights takes the dots, whose
+        # channels the kernel streams through its four-step: the values of
+        # the whole-array four-step, to the last bit (numpy 2.4.6 and OpenBLAS
+        # on x86-64; CI's packaging step pins the 10^7+19 pair)
+        result = verify_thm1_sweep([1000003], "0:48", m_spec, n_spec, mode="extremal")
+        assert [report.measured for report in result.reports] == [measured]
+
 
 def distinct_read_rule(ring, l_iv, m_iv, n_iv):
     """The route as the window picked it after its walk: the dots on a
